@@ -10,6 +10,7 @@
 //! still agree bit-for-bit.
 
 use cbi_instrument::SiteTable;
+use cbi_reports::nonzero;
 
 /// Per-counter record of the earliest run that observed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,8 +41,20 @@ impl FirstObservation {
             counters.len(),
             self.first.len()
         );
-        for (slot, &value) in self.first.iter_mut().zip(counters) {
-            if value > 0 && slot.is_none_or(|seen| run_index < seen) {
+        self.record_observed(run_index, nonzero(counters).map(|(c, _)| c));
+    }
+
+    /// Folds in one run given only the counters it observed (nonzero):
+    /// an unobserved counter changes nothing, so the cost is what the
+    /// report contains, not how wide the layout is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter index is outside the record.
+    pub fn record_observed(&mut self, run_index: usize, observed: impl IntoIterator<Item = usize>) {
+        for c in observed {
+            let slot = &mut self.first[c];
+            if slot.is_none_or(|seen| run_index < seen) {
                 *slot = Some(run_index);
             }
         }
@@ -140,6 +153,39 @@ mod tests {
         assert_eq!(states[1], states[2]);
         assert_eq!(states[0].first(0), Some(3));
         assert_eq!(states[0].first(1), Some(0));
+    }
+
+    #[test]
+    fn observed_only_fold_equals_the_dense_oracle() {
+        // The fold as it was before it skipped zero counters.
+        fn dense_record(first: &mut [Option<usize>], run_index: usize, counters: &[u64]) {
+            for (slot, &value) in first.iter_mut().zip(counters) {
+                if value > 0 && slot.is_none_or(|seen| run_index < seen) {
+                    *slot = Some(run_index);
+                }
+            }
+        }
+        let mut rng = cbi_sampler::Pcg32::new(0xf1257);
+        let mut dense = vec![None; 16];
+        let mut via_record = FirstObservation::new(16);
+        let mut via_observed = FirstObservation::new(16);
+        for step in 0..200 {
+            // Run indices arrive out of order; some runs observe nothing.
+            let run_index = rng.below(500) as usize;
+            let counters: Vec<u64> = (0..16)
+                .map(|_| match rng.below(10) {
+                    0 => 1 + rng.below(9),
+                    1 if step % 50 == 0 => u64::MAX,
+                    _ => 0,
+                })
+                .collect();
+            dense_record(&mut dense, run_index, &counters);
+            via_record.record(run_index, &counters);
+            via_observed.record_observed(run_index, nonzero(&counters).map(|(c, _)| c));
+            assert_eq!(via_record.as_slice(), dense.as_slice(), "step {step}");
+            assert_eq!(via_observed, via_record, "step {step}");
+        }
+        assert!(via_record.observed_count() > 0);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use crate::detection::FirstObservation;
 use crate::streaming::{StreamingAnalyzer, StreamingConfig};
 use cbi_instrument::SiteTable;
 use cbi_reports::{
-    DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink, SinkError, WireErrorKind,
+    nonzero, DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink, SinkError,
+    WireErrorKind,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -209,6 +210,8 @@ pub struct EpochAggregator {
     cohorts: BTreeMap<String, CohortStats>,
     flight: FlightRecorder,
     snapshots: Vec<EpochSnapshot>,
+    /// Scratch: the current report's nonzero `(counter, value)` pairs.
+    scratch: Vec<(usize, u64)>,
 }
 
 impl EpochAggregator {
@@ -246,6 +249,7 @@ impl EpochAggregator {
             cohorts: BTreeMap::new(),
             flight: FlightRecorder::default(),
             snapshots: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -434,11 +438,15 @@ impl ReportSink for EpochAggregator {
     /// community run index for latency purposes, so detection latency is
     /// independent of batch arrival order.
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
-        self.first.record(report.run_id as usize, &report.counters);
+        // One scan of the mostly-zero vector feeds every aggregate.
+        self.scratch.clear();
+        self.scratch.extend(nonzero(&report.counters));
+        self.analyzer.fold(&report, self.scratch.iter().copied())?;
+        self.first
+            .record_observed(report.run_id as usize, self.scratch.iter().map(|&(c, _)| c));
         if report.label == Label::Failure {
             self.failures += 1;
         }
-        self.analyzer.accept(report)?;
         self.runs += 1;
         if self.runs.is_multiple_of(self.epoch_len) {
             self.snapshot_now();

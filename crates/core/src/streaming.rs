@@ -17,7 +17,7 @@
 
 use crate::pipeline::{eliminate_stats, EliminationReport};
 use cbi_instrument::SiteTable;
-use cbi_reports::{Report, ReportLayout, ReportSink, SinkError, SufficientStats};
+use cbi_reports::{nonzero, Label, Report, ReportLayout, ReportSink, SinkError, SufficientStats};
 use cbi_stats::{LogisticModel, OnlineTrainer};
 
 /// Hyper-parameters for the streaming crash predictor.
@@ -177,16 +177,32 @@ impl ReportSink for StreamingAnalyzer {
     }
 
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
+        self.fold(&report, nonzero(&report.counters))
+    }
+}
+
+impl StreamingAnalyzer {
+    /// Folds one report given its nonzero counters (ascending `(index,
+    /// value)` pairs), so a caller that has already scanned the vector —
+    /// [`EpochAggregator`](crate::EpochAggregator) — need not scan it
+    /// again for each aggregate.
+    pub(crate) fn fold(
+        &mut self,
+        report: &Report,
+        counters: impl Iterator<Item = (usize, u64)> + Clone,
+    ) -> Result<(), SinkError> {
         let trainer = self.trainer.as_mut().ok_or(SinkError::NotBegun)?;
+        assert_eq!(
+            report.counters.len(),
+            self.stats.counter_count(),
+            "report layout mismatch"
+        );
         self.resident += 1;
         self.high_water = self.high_water.max(self.resident);
-        self.stats.update(&report);
-        trainer.update(
-            &report.counters,
-            report.label == cbi_reports::Label::Failure,
-        );
+        self.stats.update_nonzero(report.label, counters.clone());
+        trainer.update_nonzero(counters, report.label == Label::Failure);
         self.seen += 1;
-        // `report` drops here: nothing below retains it.
+        // The caller drops `report` next: nothing above retains it.
         self.resident -= 1;
         Ok(())
     }

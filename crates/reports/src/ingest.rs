@@ -133,6 +133,35 @@ impl std::error::Error for BatchRejected {
     }
 }
 
+/// Walks one whole batch: the header (checked against `expected` when
+/// given), then `frame` on the reader until it reports a clean end.
+/// Returns the frame count, the header, and the bytes consumed.
+fn walk_batch<'a>(
+    bytes: &'a [u8],
+    expected: Option<ReportLayout>,
+    mut frame: impl FnMut(&mut WireReader<&'a [u8]>) -> Result<bool, WireError>,
+) -> Result<(usize, StreamHeader, u64), BatchRejected> {
+    let rejected = |error, decoded| BatchRejected { error, decoded };
+    let mut reader = WireReader::new(bytes).map_err(|e| rejected(e, 0))?;
+    if let Some(layout) = expected {
+        reader
+            .expect_layout(layout.layout_hash, layout.counters)
+            .map_err(|e| rejected(e, 0))?;
+    }
+    loop {
+        match frame(&mut reader) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => return Err(rejected(e, reader.reports_read() as usize)),
+        }
+    }
+    Ok((
+        reader.reports_read() as usize,
+        reader.header(),
+        reader.bytes_read(),
+    ))
+}
+
 /// Decodes one whole batch (a self-contained wire stream) from `bytes`,
 /// validating the header against `expected` when given.
 ///
@@ -148,23 +177,27 @@ pub fn decode_batch(
     bytes: &[u8],
     expected: Option<ReportLayout>,
 ) -> Result<(Vec<Report>, StreamHeader, u64), BatchRejected> {
-    let rejected = |error, decoded| BatchRejected { error, decoded };
-    let mut reader = WireReader::new(bytes).map_err(|e| rejected(e, 0))?;
-    if let Some(layout) = expected {
-        reader
-            .expect_layout(layout.layout_hash, layout.counters)
-            .map_err(|e| rejected(e, 0))?;
-    }
-    let header = reader.header();
     let mut reports = Vec::new();
-    loop {
-        match reader.read_report() {
-            Ok(Some(report)) => reports.push(report),
-            Ok(None) => break,
-            Err(e) => return Err(rejected(e, reports.len())),
-        }
-    }
-    Ok((reports, header, reader.bytes_read()))
+    let (_, header, consumed) = walk_batch(bytes, expected, |reader| {
+        Ok(reader.read_report()?.map(|r| reports.push(r)).is_some())
+    })?;
+    Ok((reports, header, consumed))
+}
+
+/// Checks one whole batch without materialising a report: the same walk
+/// as [`decode_batch`], so it accepts exactly the batches that decode,
+/// counts the same reports and consumed bytes, and rejects a malformed
+/// one at the same byte with the same typed error.  This is what an
+/// ingest server runs before it journals and acks a batch.
+///
+/// # Errors
+///
+/// As [`decode_batch`].
+pub fn validate_batch(
+    bytes: &[u8],
+    expected: Option<ReportLayout>,
+) -> Result<(usize, StreamHeader, u64), BatchRejected> {
+    walk_batch(bytes, expected, WireReader::validate_report)
 }
 
 /// A [`ReportSink`] front end with all-or-nothing batch semantics.

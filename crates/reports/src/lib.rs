@@ -40,8 +40,10 @@ pub mod wire;
 
 pub use collector::{CollectError, Collector};
 pub use frame::{AckVerdict, BatchAck, BatchEnvelope, EnvelopeRead};
-pub use ingest::{decode_batch, BatchIngest, BatchRejected, BatchStats, DecodeOutcome, Provenance};
-pub use report::{Label, Report, ReportParseError};
+pub use ingest::{
+    decode_batch, validate_batch, BatchIngest, BatchRejected, BatchStats, DecodeOutcome, Provenance,
+};
+pub use report::{nonzero, Label, Report, ReportParseError};
 pub use sink::{ReportLayout, ReportSink, SinkError, SpoolSink, TransmitSink, WireSink};
 pub use suffstats::SufficientStats;
 pub use wire::{StreamHeader, WireError, WireErrorKind, WireReader, WireWriter};

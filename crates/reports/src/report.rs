@@ -37,6 +37,18 @@ impl fmt::Display for Label {
     }
 }
 
+/// The nonzero entries of a dense counter vector as `(index, value)`
+/// pairs in ascending index order.  Sparse sampling leaves almost every
+/// counter zero (§2.5), so the server-side folds iterate these instead
+/// of the vector.
+pub fn nonzero(counters: &[u64]) -> impl Iterator<Item = (usize, u64)> + Clone + '_ {
+    counters
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, c)| c != 0)
+}
+
 /// One execution's feedback report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {

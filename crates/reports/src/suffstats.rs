@@ -10,7 +10,7 @@
 //! attacker compromising the analysis host cannot recover any single
 //! trace.
 
-use crate::report::{Label, Report};
+use crate::report::{nonzero, Label, Report};
 
 /// Per-counter, per-class observation statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -58,20 +58,35 @@ impl SufficientStats {
             self.counter_count(),
             "report layout mismatch"
         );
-        let (nonzero, sum) = match report.label {
+        self.update_nonzero(report.label, nonzero(&report.counters));
+    }
+
+    /// Folds in one run given only its nonzero counters as `(index,
+    /// value)` pairs: a zero counter changes no statistic, so the cost
+    /// is what the report contains, not how wide the layout is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is outside the layout.
+    pub fn update_nonzero(
+        &mut self,
+        label: Label,
+        counters: impl IntoIterator<Item = (usize, u64)>,
+    ) {
+        let (runs, sum) = match label {
             Label::Success => (&mut self.nonzero_in_success, &mut self.sum_success),
             Label::Failure => (&mut self.nonzero_in_failure, &mut self.sum_failure),
         };
-        for (i, &c) in report.counters.iter().enumerate() {
+        for (i, c) in counters {
             if c > 0 {
-                nonzero[i] += 1;
+                runs[i] += 1;
             }
             // The elimination strategies only consult the nonzero-run
             // counts; the totals saturate rather than poison an entire
             // campaign over one absurd counter.
             sum[i] = sum[i].saturating_add(c);
         }
-        match report.label {
+        match label {
             Label::Success => self.successes += 1,
             Label::Failure => self.failures += 1,
         }
@@ -201,6 +216,65 @@ mod tests {
         assert_eq!(s.counter_count(), 2);
         assert_eq!(s.success_runs(), 1);
         assert_eq!(s.failure_runs(), 1);
+    }
+
+    /// The fold as it was before it skipped zero counters: every counter
+    /// visited.  The oracle for the sparse fold.
+    fn dense_update(stats: &mut SufficientStats, report: &Report) {
+        let (runs, sum) = match report.label {
+            Label::Success => (&mut stats.nonzero_in_success, &mut stats.sum_success),
+            Label::Failure => (&mut stats.nonzero_in_failure, &mut stats.sum_failure),
+        };
+        for (i, &c) in report.counters.iter().enumerate() {
+            if c > 0 {
+                runs[i] += 1;
+            }
+            sum[i] = sum[i].saturating_add(c);
+        }
+        match report.label {
+            Label::Success => stats.successes += 1,
+            Label::Failure => stats.failures += 1,
+        }
+    }
+
+    #[test]
+    fn sparse_fold_equals_the_dense_oracle() {
+        let mut rng = cbi_sampler::Pcg32::new(0x5f5);
+        let mut reports: Vec<Report> = (0..300)
+            .map(|run| {
+                let label = if rng.below(3) == 0 {
+                    Label::Failure
+                } else {
+                    Label::Success
+                };
+                let counters = (0..24)
+                    .map(|_| {
+                        if rng.below(8) == 0 {
+                            1 + rng.below(50)
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                Report::new(run, label, counters)
+            })
+            .collect();
+        reports.push(Report::new(300, Label::Success, vec![0; 24]));
+        // Totals saturate instead of wrapping.
+        reports.push(Report::new(301, Label::Failure, vec![u64::MAX; 24]));
+        reports.push(Report::new(302, Label::Failure, vec![u64::MAX; 24]));
+
+        let mut dense = SufficientStats::new(24);
+        let mut via_update = SufficientStats::new(24);
+        let mut via_nonzero = SufficientStats::new(24);
+        for report in &reports {
+            dense_update(&mut dense, report);
+            via_update.update(report);
+            via_nonzero.update_nonzero(report.label, nonzero(&report.counters));
+            assert_eq!(via_update, dense, "after run {}", report.run_id);
+            assert_eq!(via_nonzero, dense, "after run {}", report.run_id);
+        }
+        assert_eq!(dense.total_in_failures(0), u64::MAX);
     }
 
     #[test]

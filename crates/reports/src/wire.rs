@@ -270,6 +270,47 @@ fn max_payload(counters: usize) -> usize {
     11 + 10 * counters
 }
 
+/// Walks one frame payload — run id, label, `counters` varints — and
+/// hands every nonzero counter to `nonzero` in ascending index order.
+///
+/// The decoder and the validator are this one walk with two visitors,
+/// so both stop at the same byte of a malformed frame with the same
+/// error.  Sparse sampling leaves almost every counter a single `0x00`
+/// byte, which is consumed without entering the varint loop; any other
+/// spelling of zero (`0x80 0x00`) decodes through it as before.
+fn walk_payload(
+    buf: &[u8],
+    counters: usize,
+    mut nonzero: impl FnMut(usize, u64),
+) -> Result<(u64, Label), WireError> {
+    let mut pos = 0;
+    let run_id = take_varint(buf, &mut pos)?;
+    let label = match buf.get(pos) {
+        Some(0) => Label::Success,
+        Some(1) => Label::Failure,
+        Some(&b) => return Err(WireError::BadLabel(b)),
+        None => return Err(WireError::Truncated("label byte")),
+    };
+    pos += 1;
+    for i in 0..counters {
+        if buf.get(pos) == Some(&0) {
+            pos += 1;
+            continue;
+        }
+        let value = take_varint(buf, &mut pos)?;
+        if value != 0 {
+            nonzero(i, value);
+        }
+    }
+    if pos != buf.len() {
+        return Err(WireError::FrameLength {
+            declared: buf.len(),
+            used: pos,
+        });
+    }
+    Ok((run_id, label))
+}
+
 /// Streaming encoder: writes the stream header up front, then one frame
 /// per report.
 #[derive(Debug)]
@@ -475,6 +516,35 @@ impl<R: Read> WireReader<R> {
     /// Returns [`WireError`] on truncation mid-frame, oversized frames,
     /// bad labels, or I/O failure.
     pub fn read_report(&mut self) -> Result<Option<Report>, WireError> {
+        self.next_frame(|payload, width| {
+            // A counter takes at least one payload byte, so a header
+            // that claims more counters than the frame has bytes fails
+            // in the walk — before its claim sizes an allocation.
+            let mut counters = vec![0u64; width.min(payload.len())];
+            let (run_id, label) = walk_payload(payload, width, |i, value| counters[i] = value)?;
+            Ok(Report::new(run_id, label, counters))
+        })
+    }
+
+    /// Checks the next frame exactly as [`read_report`](Self::read_report)
+    /// would — same bytes consumed, same error at the same byte — without
+    /// materialising the report.  `false` at a clean end of stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_report`](Self::read_report).
+    pub fn validate_report(&mut self) -> Result<bool, WireError> {
+        let frame =
+            self.next_frame(|payload, width| walk_payload(payload, width, |_, _| {}).map(|_| ()))?;
+        Ok(frame.is_some())
+    }
+
+    /// Reads the next frame's length prefix and payload, then hands the
+    /// payload and the stream's counter count to `visit`.
+    fn next_frame<T>(
+        &mut self,
+        visit: impl FnOnce(&[u8], usize) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
         // A clean stream ends exactly on a frame boundary: EOF while
         // reading the first length byte means "done", EOF anywhere else
         // is truncation.
@@ -520,30 +590,12 @@ impl<R: Read> WireReader<R> {
             }
         })?;
 
-        let mut pos = 0;
-        let run_id = take_varint(&self.buf, &mut pos)?;
-        let label = match self.buf.get(pos) {
-            Some(0) => Label::Success,
-            Some(1) => Label::Failure,
-            Some(&b) => return Err(WireError::BadLabel(b)),
-            None => return Err(WireError::Truncated("label byte")),
-        };
-        pos += 1;
-        let mut counters = Vec::with_capacity(self.header.counters);
-        for _ in 0..self.header.counters {
-            counters.push(take_varint(&self.buf, &mut pos)?);
-        }
-        if pos != len {
-            return Err(WireError::FrameLength {
-                declared: len,
-                used: pos,
-            });
-        }
+        let frame = visit(&self.buf, self.header.counters)?;
         self.reports += 1;
         self.bytes += len_bytes + len as u64;
         cbi_telemetry::count("wire.frames_in", 1);
         cbi_telemetry::count("wire.bytes_in", len_bytes + len as u64);
-        Ok(Some(Report::new(run_id, label, counters)))
+        Ok(Some(frame))
     }
 
     /// Reports decoded so far.

@@ -2,12 +2,16 @@
 //! seeded truncations and bit-flips must always yield a typed
 //! [`WireError`] (never a panic), a rejected batch must commit nothing,
 //! and the ingest loop must keep accepting clean batches afterwards.
+//! The allocation-free validator an ingest server runs before it acks
+//! must agree with the decoder on every one of those inputs.
 //!
 //! Driven by the in-tree PCG generator, so every failing case is
 //! reproducible from its seed.
 
-use cbi_reports::wire::{self, WireError};
-use cbi_reports::{decode_batch, BatchIngest, Collector, Label, Report, ReportLayout};
+use cbi_reports::wire::{self, WireError, WireErrorKind};
+use cbi_reports::{
+    decode_batch, validate_batch, BatchIngest, Collector, Label, Report, ReportLayout,
+};
 use cbi_sampler::Pcg32;
 
 const LAYOUT_HASH: u64 = 0x51e5_7ab1_e000_cb01;
@@ -181,4 +185,133 @@ fn stale_layout_hash_is_counted_not_crashed() {
     // A current-version client is unaffected.
     ingest.ingest(&batch(5, 6, counters)).unwrap();
     assert_eq!(ingest.sink().len(), 6);
+}
+
+/// What either walk of a batch comes to: `(reports, consumed bytes)`, or
+/// the frames walked before the error and the error, payload included.
+fn outcome<T>(
+    walked: Result<(T, wire::StreamHeader, u64), cbi_reports::BatchRejected>,
+    count: impl Fn(&T) -> usize,
+) -> Result<(usize, wire::StreamHeader, u64), (usize, WireErrorKind, String)> {
+    match walked {
+        Ok((reports, header, consumed)) => Ok((count(&reports), header, consumed)),
+        Err(r) => Err((r.decoded, r.error.kind(), r.error.to_string())),
+    }
+}
+
+/// Asserts the validator and the decoder agree on `bytes` and returns
+/// what they agreed on.
+fn agreed(
+    bytes: &[u8],
+    counters: usize,
+    context: &str,
+) -> Result<(usize, wire::StreamHeader, u64), (usize, WireErrorKind, String)> {
+    let decoded = outcome(decode_batch(bytes, Some(layout(counters))), Vec::len);
+    let validated = outcome(validate_batch(bytes, Some(layout(counters))), |&n| n);
+    assert_eq!(validated, decoded, "{context}");
+    decoded
+}
+
+#[test]
+fn validator_agrees_with_the_decoder_on_batches_truncations_and_flips() {
+    for seed in 0..8u64 {
+        let counters = 1 + (seed as usize * 5) % 24;
+        let bytes = batch(seed, 12, counters);
+        let whole = agreed(&bytes, counters, &format!("seed {seed}")).unwrap();
+        assert_eq!((whole.0, whole.2), (12, bytes.len() as u64));
+        for cut in 0..bytes.len() {
+            let at = format!("seed {seed} cut {cut}");
+            if let Err((_, kind, _)) = agreed(&bytes[..cut], counters, &at) {
+                assert_eq!(kind, WireErrorKind::Truncated, "{at}");
+            }
+        }
+        let mut fault = Pcg32::with_stream(seed, 0xa9ee);
+        for flip in 0..256 {
+            let mut corrupt = bytes.clone();
+            for _ in 0..=fault.below(2) {
+                let pos = fault.below(corrupt.len() as u64) as usize;
+                corrupt[pos] ^= 1 << fault.below(8);
+            }
+            let _ = agreed(&corrupt, counters, &format!("seed {seed} flip {flip}"));
+        }
+    }
+}
+
+/// A stream header for `counters` counters followed by one hand-built
+/// frame: `len` as declared, then `payload`.
+fn stream_with_frame(counters: usize, declared_len: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = wire::encode_reports(&[], LAYOUT_HASH, counters).unwrap();
+    bytes.extend_from_slice(declared_len);
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+#[test]
+fn validator_agrees_with_the_decoder_on_each_malformed_frame_kind() {
+    // payload := run_id 5 | label | three counters
+    let cases: [(&str, Vec<u8>, WireErrorKind); 5] = [
+        (
+            "label byte 2",
+            stream_with_frame(3, &[5], &[5, 2, 0, 0, 0]),
+            WireErrorKind::BadLabel,
+        ),
+        (
+            "eleven-byte counter varint",
+            stream_with_frame(
+                3,
+                &[15],
+                &[
+                    5, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0,
+                ],
+            ),
+            WireErrorKind::VarintOverflow,
+        ),
+        (
+            "tenth varint byte carrying more than one bit",
+            stream_with_frame(
+                3,
+                &[14],
+                &[
+                    5, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0,
+                ],
+            ),
+            WireErrorKind::VarintOverflow,
+        ),
+        (
+            "declared length beyond what three counters can take",
+            stream_with_frame(3, &[42], &[0; 42]),
+            WireErrorKind::FrameTooLarge,
+        ),
+        (
+            "a byte left over inside the frame",
+            stream_with_frame(3, &[6], &[5, 0, 1, 0, 9, 0]),
+            WireErrorKind::FrameLength,
+        ),
+    ];
+    for (what, bytes, expected) in cases {
+        let (frames, kind, _) = agreed(&bytes, 3, what).unwrap_err();
+        assert_eq!((frames, kind), (0, expected), "{what}");
+    }
+
+    // The same frames after two good ones: both walks report two frames
+    // behind them.
+    let good = random_reports(3, 2, 3);
+    let mut bytes = wire::encode_reports(&good, LAYOUT_HASH, 3).unwrap();
+    bytes.extend_from_slice(&[5, 5, 7, 0, 0, 0]);
+    let (frames, kind, _) = agreed(&bytes, 3, "bad label third").unwrap_err();
+    assert_eq!((frames, kind), (2, WireErrorKind::BadLabel));
+}
+
+#[test]
+fn non_canonical_zero_varints_still_decode_to_zero() {
+    // Counters spelled 0x80 0x00, 0x00 and 0x80 0x80 0x00: the one-byte
+    // fast path takes only the middle one, the varint loop the others.
+    let bytes = stream_with_frame(4, &[9], &[5, 1, 0x80, 0x00, 0x00, 0x80, 0x80, 0x00, 0x07]);
+    let (reports, _, consumed) = decode_batch(&bytes, Some(layout(4))).unwrap();
+    assert_eq!(
+        reports,
+        vec![Report::new(5, Label::Failure, vec![0, 0, 0, 7])]
+    );
+    assert_eq!(consumed, bytes.len() as u64);
+    assert_eq!(agreed(&bytes, 4, "non-canonical zeros").unwrap().0, 1);
 }

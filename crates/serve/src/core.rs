@@ -2,8 +2,9 @@
 //!
 //! Everything the TCP server does between the socket and the analysis
 //! lives here, so tests and in-process baselines can drive the exact
-//! production path without a network: shard routing, dedup, journal
-//! append-before-ack, resume, and the shutdown fold.
+//! production path without a network: shard routing, dedup, payload
+//! validation, journal append-before-ack, resume, and the shutdown fold
+//! — the one place a report is decoded and analysed.
 
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::shard::{fold_ordered, CommittedBatch, RejectEvent, ShardState, ShardStats};
@@ -12,7 +13,7 @@ use cbi::{EpochAggregator, StreamingConfig};
 use cbi_instrument::SiteTable;
 use cbi_reports::{AckVerdict, BatchEnvelope, Collector, ReportLayout};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Ingest-core configuration.
 #[derive(Debug, Clone)]
@@ -193,12 +194,12 @@ pub fn render_analysis(aggregator: &EpochAggregator, top: usize) -> String {
     out
 }
 
-/// Journal attachment state carried from setup through shutdown.
+/// What resume or a read-only load recovered from a journal.
 #[derive(Default)]
-pub(crate) struct ReplayInfo {
-    pub replayed: u64,
-    pub torn_tail: bool,
-    pub skipped_crc: u64,
+struct ReplayInfo {
+    replayed: u64,
+    torn_tail: bool,
+    skipped_crc: u64,
 }
 
 /// The transport-free ingest engine: shard routing, dedup, journal,
@@ -207,8 +208,8 @@ pub struct IngestCore {
     config: ServeConfig,
     sites: SiteTable,
     layout: ReportLayout,
-    shards: Vec<ShardState>,
-    journal: Option<Mutex<Journal>>,
+    pub(crate) shards: Vec<ShardState>,
+    pub(crate) journal: Option<Mutex<Journal>>,
     replay: ReplayInfo,
 }
 
@@ -236,8 +237,8 @@ impl IngestCore {
             layout_hash: sites.layout_hash(),
         };
         let shards = (0..config.shards)
-            .map(|i| ShardState::new(i, layout, config.streaming, true))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|_| ShardState::new(layout, true))
+            .collect();
         Ok(IngestCore {
             config,
             sites,
@@ -265,14 +266,15 @@ impl IngestCore {
         Ok(self)
     }
 
-    /// Resumes from an existing journal: replays every intact record
-    /// through the shards (rebuilding dedup and live-analyzer state),
+    /// Resumes from an existing journal: re-admits every intact record
+    /// to its shard (rebuilding dedup keys and accounting; the reports
+    /// themselves are decoded once, by [`finish`](Self::finish)),
     /// truncates any torn tail, and continues appending.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] on a layout-hash mismatch, plus
-    /// journal I/O and replay decode errors.
+    /// journal I/O and replay validation errors.
     pub fn resume(
         mut self,
         path: impl Into<PathBuf>,
@@ -285,7 +287,7 @@ impl IngestCore {
             skipped_crc: recovered.skipped_crc,
         };
         self.attach(journal);
-        for envelope in recovered.envelopes {
+        for envelope in &recovered.envelopes {
             let shard = self.shard_of(envelope.client);
             self.shards[shard].replay(envelope)?;
         }
@@ -330,8 +332,7 @@ impl IngestCore {
     fn attach(&mut self, journal: Journal) {
         self.journal = Some(Mutex::new(journal));
         for shard in &mut self.shards {
-            *shard = ShardState::new(shard.index, self.layout, self.config.streaming, false)
-                .expect("layout already validated");
+            *shard = ShardState::new(self.layout, false);
         }
     }
 
@@ -369,105 +370,73 @@ impl IngestCore {
         crc_ok: bool,
     ) -> Result<AckVerdict, ServeError> {
         let shard = self.shard_of(envelope.client);
-        self.shards[shard].process(origin, envelope, crc_ok, self.journal.as_ref())
+        self.shards[shard].process(
+            origin.map(Arc::from),
+            envelope,
+            crc_ok,
+            self.journal.as_ref(),
+        )
     }
 
-    /// Shuts down and produces the authoritative analysis via the
-    /// ordered fold.
+    /// Shuts down and produces the authoritative analysis: collects the
+    /// committed batches (from memory, or by re-reading the journal),
+    /// folds them in order, assembles the summary.
     ///
     /// # Errors
     ///
     /// Propagates journal read and fold errors.
     pub fn finish(self) -> Result<ServeOutcome, ServeError> {
-        let (config, sites, layout, shards, journal, replay) = self.into_parts();
-        finish_parts(config, sites, layout, shards, journal, replay)
-    }
-
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        ServeConfig,
-        SiteTable,
-        ReportLayout,
-        Vec<ShardState>,
-        Option<Mutex<Journal>>,
-        ReplayInfo,
-    ) {
-        (
-            self.config,
-            self.sites,
+        let mut summary = ServeSummary {
+            shards: self.config.shards,
+            replayed: self.replay.replayed,
+            torn_tail: self.replay.torn_tail,
+            journal_skipped_crc: self.replay.skipped_crc,
+            ..ServeSummary::default()
+        };
+        let mut committed: Vec<CommittedBatch> = Vec::new();
+        let mut rejects: Vec<RejectEvent> = Vec::new();
+        for shard in self.shards {
+            summary.absorb_shard(&shard.stats);
+            committed.extend(shard.committed);
+            rejects.extend(shard.rejects);
+        }
+        if let Some(journal) = self.journal {
+            let mut journal = journal
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            journal.sync()?;
+            summary.journal_bytes = journal.bytes();
+            let path = journal.path().to_path_buf();
+            drop(journal);
+            let recovered = journal::replay(&path)?;
+            committed = recovered
+                .envelopes
+                .into_iter()
+                .map(|envelope| CommittedBatch {
+                    client: envelope.client,
+                    seq: envelope.seq,
+                    attempt: envelope.attempt,
+                    origin: None,
+                    payload: envelope.payload,
+                })
+                .collect();
+        }
+        let mut collector = self
+            .config
+            .keep_reports
+            .then(|| Collector::new(self.layout.counters));
+        let aggregator = fold_ordered(
+            &self.sites,
             self.layout,
-            self.shards,
-            self.journal,
-            self.replay,
-        )
+            &self.config,
+            committed,
+            rejects,
+            collector.as_mut(),
+        )?;
+        Ok(ServeOutcome {
+            summary,
+            aggregator,
+            collector,
+        })
     }
-}
-
-/// The shared shutdown path: collect committed batches (from memory or
-/// by re-reading the journal), fold them in order, assemble the
-/// summary.
-pub(crate) fn finish_parts(
-    config: ServeConfig,
-    sites: SiteTable,
-    layout: ReportLayout,
-    shards: Vec<ShardState>,
-    journal: Option<Mutex<Journal>>,
-    replay: ReplayInfo,
-) -> Result<ServeOutcome, ServeError> {
-    let mut summary = ServeSummary {
-        shards: config.shards,
-        replayed: replay.replayed,
-        torn_tail: replay.torn_tail,
-        journal_skipped_crc: replay.skipped_crc,
-        ..ServeSummary::default()
-    };
-    let mut committed: Vec<CommittedBatch> = Vec::new();
-    let mut rejects: Vec<RejectEvent> = Vec::new();
-    for shard in &shards {
-        summary.absorb_shard(&shard.stats);
-        cbi_telemetry::record("serve.shard_resident_high_water", shard.high_water() as u64);
-    }
-    for shard in shards {
-        committed.extend(shard.committed);
-        rejects.extend(shard.rejects);
-    }
-    if let Some(journal) = journal {
-        let mut journal = journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        journal.sync()?;
-        summary.journal_bytes = journal.bytes();
-        let path = journal.path().to_path_buf();
-        drop(journal);
-        let recovered = journal::replay(&path)?;
-        committed = recovered
-            .envelopes
-            .into_iter()
-            .map(|envelope| CommittedBatch {
-                client: envelope.client,
-                seq: envelope.seq,
-                attempt: envelope.attempt,
-                origin: None,
-                payload: envelope.payload,
-            })
-            .collect();
-    }
-    let mut collector = config.keep_reports.then(|| Collector::new(layout.counters));
-    let aggregator = fold_ordered(
-        &sites,
-        layout,
-        config.epoch_len,
-        config.streaming,
-        config.flight_capacity,
-        config.target_counter,
-        committed,
-        rejects,
-        collector.as_mut(),
-    )?;
-    Ok(ServeOutcome {
-        summary,
-        aggregator,
-        collector,
-    })
 }

@@ -6,14 +6,14 @@
 //! the production replacement, built only on `std::net`:
 //!
 //! * **Sharded ingest, one analysis.**  Batches route to `client mod
-//!   shards` worker shards, each owning a live
-//!   [`StreamingAnalyzer`](cbi::StreamingAnalyzer) over its arrival
-//!   order.  The *authoritative* analysis is produced at shutdown (or
-//!   resume) by the same ordered-merge discipline the campaign driver
-//!   and fleet use: every committed batch is refolded in `(seq,
-//!   client)` order into a fresh [`EpochAggregator`](cbi::EpochAggregator),
-//!   so the result is byte-identical at any shard count — and identical
-//!   to feeding the same batches through an in-process aggregator.
+//!   shards` worker shards, which deduplicate, validate (the decoder's
+//!   frame walk, materialising nothing), journal and ack — and analyse
+//!   nothing.  The analysis is produced once, at shutdown, by the same
+//!   ordered-merge discipline the campaign driver and fleet use: every
+//!   committed batch is decoded and folded in `(seq, client)` order
+//!   into a fresh [`EpochAggregator`](cbi::EpochAggregator), so the
+//!   result is byte-identical at any shard count — and identical to
+//!   feeding the same batches through an in-process aggregator.
 //! * **Backpressure, never an unbounded buffer.**  Each shard has a
 //!   bounded queue; a full queue surfaces as the typed
 //!   [`ServeError::Backpressure`], which the connection handler answers
@@ -27,9 +27,9 @@
 //!   is appended (length-prefixed, CRC-framed, fsync per policy)
 //!   *before* it is acked.  Restarting with [`IngestCore::resume`]
 //!   replays the journal — truncating a torn final record — and
-//!   reconstructs dedup and analyzer state exactly, so an interrupted
-//!   campaign plus a client retransmit sweep ends in the same analysis
-//!   as an uninterrupted one.
+//!   rebuilds every shard's dedup keys and accounting, so an
+//!   interrupted campaign plus a client retransmit sweep ends in the
+//!   same analysis as an uninterrupted one.
 //!
 //! [`IngestCore`] is the transport-free heart (usable in tests and as
 //! an in-process baseline); [`TcpIngestServer`] wraps it in a
@@ -81,6 +81,12 @@ pub enum ServeError {
     /// Invalid configuration (zero shards, malformed fsync policy, a
     /// journal whose layout hash does not match the served binary, …).
     Config(String),
+    /// A shard worker thread panicked; what it had committed is lost to
+    /// this process (a journal, if attached, still holds it).
+    WorkerPanicked {
+        /// The shard whose worker died.
+        shard: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -97,6 +103,7 @@ impl fmt::Display for ServeError {
                 "shard {shard} ingest queue full (capacity {capacity}); batch shed"
             ),
             ServeError::Config(msg) => write!(f, "serve configuration error: {msg}"),
+            ServeError::WorkerPanicked { shard } => write!(f, "shard {shard} worker panicked"),
         }
     }
 }

@@ -7,7 +7,9 @@
 //! Each connection is handled on its acceptor thread: envelopes are
 //! read, routed to `client mod shards` over a bounded
 //! `sync_channel`, and acked in order once the owning shard worker has
-//! processed them.  A full shard queue surfaces as the typed
+//! processed them — one envelope outstanding per connection, answered
+//! on the connection's one reply channel, so nothing is allocated per
+//! envelope on the ack path.  A full shard queue surfaces as the typed
 //! [`ServeError::Backpressure`], answered on the wire with an
 //! `overloaded` NACK — the queue bound is the only buffer.
 //!
@@ -21,7 +23,7 @@
 //! marks are tracked per shard and surface in the summary and the
 //! `serve.queue_depth` histogram.
 
-use crate::core::{finish_parts, IngestCore, ServeOutcome};
+use crate::core::{IngestCore, ServeOutcome};
 use crate::shard::ShardState;
 use crate::ServeError;
 use cbi_reports::frame::{read_envelope, read_envelope_body, BatchAck, ENVELOPE_TAG};
@@ -30,8 +32,8 @@ use cbi_telemetry as telemetry;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Mutex;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// TCP front-end options.
@@ -63,18 +65,50 @@ impl ServerOptions {
     }
 }
 
+/// What a shard worker answers a delivery with.
+type Verdict = Result<AckVerdict, ServeError>;
+
+fn worker_exited() -> ServeError {
+    ServeError::Io(io::Error::new(
+        io::ErrorKind::BrokenPipe,
+        "shard worker exited",
+    ))
+}
+
+/// A queued delivery's end of its connection's reply channel.  Dropped
+/// unanswered — the shard worker died with the delivery queued or in
+/// hand — it answers for the worker, so no connection waits on a
+/// worker that is gone.
+struct ReplyTo(Option<Sender<Verdict>>);
+
+impl ReplyTo {
+    fn send(mut self, verdict: Verdict) {
+        if let Some(reply) = self.0.take() {
+            let _ = reply.send(verdict);
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if let Some(reply) = self.0.take() {
+            let _ = reply.send(Err(worker_exited()));
+        }
+    }
+}
+
 /// One queued delivery awaiting its shard worker.
 struct Delivery {
     envelope: BatchEnvelope,
     crc_ok: bool,
-    origin: Option<String>,
+    origin: Arc<str>,
     enqueued_ns: u64,
-    reply: mpsc::Sender<Result<AckVerdict, ServeError>>,
+    reply: ReplyTo,
 }
 
 /// Shard queue messages: deliveries, then one shutdown sentinel.
 enum ShardMsg {
-    Batch(Box<Delivery>),
+    Batch(Delivery),
     Shutdown,
 }
 
@@ -98,7 +132,8 @@ struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Queues one delivery on its shard, enforcing the bound.
+    /// Queues one delivery on its shard, enforcing the bound.  The
+    /// shard's verdict arrives on `reply`.
     ///
     /// # Errors
     ///
@@ -108,40 +143,58 @@ impl ShardRouter {
         &self,
         envelope: BatchEnvelope,
         crc_ok: bool,
-        origin: Option<String>,
-    ) -> Result<Receiver<Result<AckVerdict, ServeError>>, ServeError> {
+        origin: Arc<str>,
+        reply: Sender<Verdict>,
+    ) -> Result<(), ServeError> {
         let shard = (envelope.client % self.senders.len() as u64) as usize;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let msg = ShardMsg::Batch(Box::new(Delivery {
+        let msg = ShardMsg::Batch(Delivery {
             envelope,
             crc_ok,
             origin,
             enqueued_ns: telemetry::now_ns(),
-            reply: reply_tx,
-        }));
+            reply: ReplyTo(Some(reply)),
+        });
         let depth = self.counters.queue_depth[shard].fetch_add(1, Ordering::AcqRel) + 1;
-        match self.senders[shard].try_send(msg) {
+        let (msg, err) = match self.senders[shard].try_send(msg) {
             Ok(()) => {
                 self.counters.queue_high_water[shard].fetch_max(depth as u64, Ordering::AcqRel);
-                Ok(reply_rx)
+                return Ok(());
             }
-            Err(TrySendError::Full(_)) => {
-                self.counters.queue_depth[shard].fetch_sub(1, Ordering::AcqRel);
+            Err(TrySendError::Full(msg)) => {
                 self.counters.shed[shard].fetch_add(1, Ordering::AcqRel);
                 telemetry::count("serve.shed", 1);
-                Err(ServeError::Backpressure {
-                    shard,
-                    capacity: self.queue_cap,
-                })
+                let capacity = self.queue_cap;
+                (msg, ServeError::Backpressure { shard, capacity })
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.counters.queue_depth[shard].fetch_sub(1, Ordering::AcqRel);
-                Err(ServeError::Io(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "shard worker exited",
-                )))
-            }
+            Err(TrySendError::Disconnected(msg)) => (msg, worker_exited()),
+        };
+        self.counters.queue_depth[shard].fetch_sub(1, Ordering::AcqRel);
+        // Never queued, so no worker owes it an answer: the caller gets
+        // the error from here and nothing on the reply channel.
+        if let ShardMsg::Batch(mut delivery) = msg {
+            delivery.reply.0 = None;
         }
+        Err(err)
+    }
+}
+
+/// One connection's way to the shards: its origin label and the one
+/// reply channel every delivery of the connection is answered on.  A
+/// connection has at most one delivery outstanding, so verdicts come
+/// back in the order the envelopes were read.
+struct Submitter<'a> {
+    router: &'a ShardRouter,
+    origin: Arc<str>,
+    reply_tx: Sender<Verdict>,
+    reply_rx: Receiver<Verdict>,
+}
+
+impl Submitter<'_> {
+    /// Routes one envelope and waits for its shard's verdict.
+    fn submit(&self, envelope: BatchEnvelope, crc_ok: bool) -> Verdict {
+        self.router
+            .try_submit(envelope, crc_ok, self.origin.clone(), self.reply_tx.clone())?;
+        self.reply_rx.recv().map_err(|_| worker_exited())?
     }
 }
 
@@ -189,13 +242,13 @@ impl TcpIngestServer {
     /// counted in the summary instead.
     pub fn run(self) -> Result<ServeOutcome, ServeError> {
         let TcpIngestServer {
-            core,
+            mut core,
             listener,
             options,
         } = self;
-        let (config, sites, layout, shards, journal, replay) = core.into_parts();
-        let n_shards = config.shards;
-        let queue_cap = config.queue_cap;
+        let n_shards = core.config().shards;
+        let queue_cap = core.config().queue_cap;
+        let shards = std::mem::take(&mut core.shards);
 
         let mut counters = ServerCounters::default();
         for _ in 0..n_shards {
@@ -204,13 +257,9 @@ impl TcpIngestServer {
             counters.queue_high_water.push(AtomicU64::new(0));
         }
 
-        let mut senders = Vec::with_capacity(n_shards);
-        let mut receivers = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(queue_cap);
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_shards)
+            .map(|_| mpsc::sync_channel::<ShardMsg>(queue_cap))
+            .unzip();
         let router = ShardRouter {
             senders,
             queue_cap,
@@ -223,9 +272,9 @@ impl TcpIngestServer {
             .map(|_| listener.try_clone())
             .collect::<io::Result<Vec<_>>>()?;
 
-        let shards = thread::scope(|scope| -> Vec<ShardState> {
+        let drained = thread::scope(|scope| -> Result<Vec<ShardState>, ServeError> {
             let router = &router;
-            let journal = &journal;
+            let journal = &core.journal;
             let journal_error = &journal_error;
             let claimed = &claimed;
             let options = &options;
@@ -241,7 +290,7 @@ impl TcpIngestServer {
                         };
                         router.counters.queue_depth[index].fetch_sub(1, Ordering::AcqRel);
                         let verdict = state.process(
-                            delivery.origin.as_deref(),
+                            Some(delivery.origin),
                             delivery.envelope,
                             delivery.crc_ok,
                             journal.as_ref(),
@@ -259,7 +308,7 @@ impl TcpIngestServer {
                                 *slot = Some(ServeError::Config(err.to_string()));
                             }
                         }
-                        let _ = delivery.reply.send(verdict);
+                        delivery.reply.send(verdict);
                     }
                     state
                 }));
@@ -294,12 +343,15 @@ impl TcpIngestServer {
             for sender in &router.senders {
                 let _ = sender.send(ShardMsg::Shutdown);
             }
-            let mut out = Vec::with_capacity(n_shards);
-            for w in workers {
-                out.push(w.join().expect("shard worker panicked"));
-            }
-            out
-        });
+            // Join every worker before reporting that one of them died.
+            let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+            joined
+                .into_iter()
+                .enumerate()
+                .map(|(shard, state)| state.map_err(|_| ServeError::WorkerPanicked { shard }))
+                .collect()
+        })?;
+        core.shards = drained;
 
         if let Some(err) = journal_error
             .lock()
@@ -309,7 +361,7 @@ impl TcpIngestServer {
             return Err(err);
         }
 
-        let mut outcome = finish_parts(config, sites, layout, shards, journal, replay)?;
+        let mut outcome = core.finish()?;
         let c = &router.counters;
         outcome.summary.connections = c.connections.load(Ordering::Acquire);
         outcome.summary.legacy_connections = c.legacy_connections.load(Ordering::Acquire);
@@ -327,8 +379,14 @@ impl TcpIngestServer {
 /// Serves one connection to completion, counting its fate.
 fn handle_connection(router: &ShardRouter, stream: TcpStream, peer: SocketAddr) {
     let _span = telemetry::span("serve.connection");
-    let origin = peer.ip().to_string();
-    match serve_connection(router, stream, &origin) {
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let submitter = Submitter {
+        router,
+        origin: peer.ip().to_string().into(),
+        reply_tx,
+        reply_rx,
+    };
+    match serve_connection(&submitter, stream) {
         Ok(ConnectionKind::Envelope) => {
             router.counters.connections.fetch_add(1, Ordering::AcqRel);
         }
@@ -355,9 +413,8 @@ enum ConnectionKind {
 }
 
 fn serve_connection(
-    router: &ShardRouter,
+    submitter: &Submitter<'_>,
     stream: TcpStream,
-    origin: &str,
 ) -> Result<ConnectionKind, ServeError> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -374,10 +431,11 @@ fn serve_connection(
     }
 
     if first[0] == ENVELOPE_TAG {
+        let mut ack = Vec::new();
         let read = read_envelope_body(&mut reader)?;
-        answer(router, &mut writer, read.envelope, read.crc_ok, origin)?;
+        answer(submitter, &mut writer, &mut ack, read.envelope, read.crc_ok)?;
         while let Some(read) = read_envelope(&mut reader)? {
-            answer(router, &mut writer, read.envelope, read.crc_ok, origin)?;
+            answer(submitter, &mut writer, &mut ack, read.envelope, read.crc_ok)?;
         }
         Ok(ConnectionKind::Envelope)
     } else {
@@ -385,50 +443,43 @@ fn serve_connection(
         // synthetic envelope.  No acks — legacy senders don't read.
         let mut payload = vec![first[0]];
         reader.read_to_end(&mut payload)?;
-        let n = router.counters.legacy_seq.fetch_add(1, Ordering::AcqRel);
-        let envelope = crate::legacy_envelope(n, payload);
-        match router.try_submit(envelope, true, Some(origin.to_string())) {
-            Ok(reply) => {
-                let verdict = reply
-                    .recv()
-                    .map_err(|_| ServeError::Io(io::ErrorKind::BrokenPipe.into()))??;
-                match verdict {
-                    AckVerdict::Accepted | AckVerdict::Duplicate => Ok(ConnectionKind::Legacy),
-                    // A rejected legacy stream (stale layout, torn
-                    // frame) is a rejected connection, mirroring the
-                    // loopback server's accounting.
-                    _ => Err(ServeError::Wire(WireError::Truncated(
-                        "legacy stream rejected",
-                    ))),
-                }
-            }
-            Err(err) => Err(err),
+        let counters = &submitter.router.counters;
+        let n = counters.legacy_seq.fetch_add(1, Ordering::AcqRel);
+        match submitter.submit(crate::legacy_envelope(n, payload), true)? {
+            AckVerdict::Accepted | AckVerdict::Duplicate => Ok(ConnectionKind::Legacy),
+            // A rejected legacy stream (stale layout, torn frame) is a
+            // rejected connection, mirroring the loopback server's
+            // accounting.
+            _ => Err(ServeError::Wire(WireError::Truncated(
+                "legacy stream rejected",
+            ))),
         }
     }
 }
 
-/// Routes one envelope and writes its ack (NACKing overload inline).
+/// Routes one envelope and writes its ack (NACKing overload inline),
+/// encoded into the connection's reused `ack` buffer.
 fn answer<W: Write>(
-    router: &ShardRouter,
+    submitter: &Submitter<'_>,
     writer: &mut W,
+    ack: &mut Vec<u8>,
     envelope: BatchEnvelope,
     crc_ok: bool,
-    origin: &str,
 ) -> Result<(), ServeError> {
     let (client, seq) = (envelope.client, envelope.seq);
-    let verdict = match router.try_submit(envelope, crc_ok, Some(origin.to_string())) {
-        Ok(reply) => reply
-            .recv()
-            .map_err(|_| ServeError::Io(io::ErrorKind::BrokenPipe.into()))??,
+    let verdict = match submitter.submit(envelope, crc_ok) {
+        Ok(verdict) => verdict,
         Err(ServeError::Backpressure { .. }) => AckVerdict::Overloaded,
         Err(other) => return Err(other),
     };
-    let ack = BatchAck {
+    ack.clear();
+    BatchAck {
         client,
         seq,
         verdict,
-    };
-    writer.write_all(&ack.encode())?;
+    }
+    .encode_into(ack);
+    writer.write_all(ack)?;
     writer.flush()?;
     Ok(())
 }

@@ -2,27 +2,27 @@
 //! batches into the authoritative analysis.
 //!
 //! A shard owns everything keyed by `client mod shards`: the dedup set,
-//! a live [`StreamingAnalyzer`] over its own arrival order (cheap
-//! monitoring; order-dependent, so never merged directly), and — when
-//! no journal holds them — the committed envelopes themselves.  The
-//! final analysis never reads the live analyzers: [`fold_ordered`]
-//! re-decodes every committed batch in `(seq, client)` order into a
-//! fresh [`EpochAggregator`], the same discipline the campaign driver
-//! uses to keep `--jobs` out of its output.  Shard count, arrival
-//! interleaving, and crash/replay history therefore cannot leak into
-//! the result: any history committing the same batch set folds to the
-//! same bytes.
+//! its ingest accounting, and — when no journal holds them — the
+//! committed envelopes themselves.  It analyses nothing: a delivery is
+//! CRC-gated, deduplicated, *validated* (a walk of its frames that
+//! materialises no report), journaled, and acked.  The analysis is
+//! produced once, by [`fold_ordered`], which decodes every committed
+//! batch in `(seq, client)` order into a fresh [`EpochAggregator`], the
+//! same discipline the campaign driver uses to keep `--jobs` out of its
+//! output.  Shard count, arrival interleaving, and crash/replay history
+//! therefore cannot leak into the result: any history committing the
+//! same batch set folds to the same bytes.
 
 use crate::journal::Journal;
-use crate::ServeError;
-use cbi::{EpochAggregator, StreamingAnalyzer, StreamingConfig};
+use crate::{ServeConfig, ServeError};
+use cbi::EpochAggregator;
 use cbi_instrument::SiteTable;
 use cbi_reports::{
-    decode_batch, AckVerdict, BatchEnvelope, Collector, DecodeOutcome, Provenance, ReportLayout,
-    ReportSink, WireErrorKind,
+    decode_batch, validate_batch, AckVerdict, BatchEnvelope, Collector, DecodeOutcome, Provenance,
+    ReportLayout, ReportSink, WireErrorKind,
 };
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One shard's ingest accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub(crate) struct CommittedBatch {
     pub client: u64,
     pub seq: u64,
     pub attempt: u32,
-    pub origin: Option<String>,
+    pub origin: Option<Arc<str>>,
     pub payload: Vec<u8>,
 }
 
@@ -59,16 +59,14 @@ pub(crate) struct RejectEvent {
     pub client: u64,
     pub seq: u64,
     pub attempt: u32,
-    pub origin: Option<String>,
+    pub origin: Option<Arc<str>>,
     pub kind: WireErrorKind,
 }
 
 /// Everything one shard owns.
 pub(crate) struct ShardState {
-    pub index: usize,
     layout: ReportLayout,
     keep: bool,
-    analyzer: StreamingAnalyzer,
     dedup: HashSet<(u64, u64)>,
     pub committed: Vec<CommittedBatch>,
     pub rejects: Vec<RejectEvent>,
@@ -78,37 +76,27 @@ pub(crate) struct ShardState {
 impl ShardState {
     /// Builds a shard.  `keep` retains committed payloads in memory for
     /// the shutdown fold; pass `false` when a journal holds them.
-    pub fn new(
-        index: usize,
-        layout: ReportLayout,
-        streaming: StreamingConfig,
-        keep: bool,
-    ) -> Result<ShardState, ServeError> {
-        let mut analyzer = StreamingAnalyzer::new(streaming);
-        analyzer.begin(layout)?;
-        Ok(ShardState {
-            index,
+    pub fn new(layout: ReportLayout, keep: bool) -> ShardState {
+        ShardState {
             layout,
             keep,
-            analyzer,
             dedup: HashSet::new(),
             committed: Vec::new(),
             rejects: Vec::new(),
             stats: ShardStats::default(),
-        })
+        }
     }
 
-    /// Processes one delivered envelope: CRC gate, dedup, decode,
+    /// Processes one delivered envelope: CRC gate, dedup, validate,
     /// journal-then-commit.  Returns the verdict to ack with.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Journal`] if the journal append fails (the
-    /// batch is then *not* committed and must not be acked) or
-    /// [`ServeError::Sink`] if the live analyzer rejects a report.
+    /// batch is then *not* committed and must not be acked).
     pub fn process(
         &mut self,
-        origin: Option<&str>,
+        origin: Option<Arc<str>>,
         envelope: BatchEnvelope,
         crc_ok: bool,
         journal: Option<&Mutex<Journal>>,
@@ -121,7 +109,7 @@ impl ShardState {
             self.stats.duplicates += 1;
             return Ok(AckVerdict::Duplicate);
         }
-        match decode_batch(&envelope.payload, Some(self.layout)) {
+        match validate_batch(&envelope.payload, Some(self.layout)) {
             Err(rejected) => {
                 let kind = rejected.error.kind();
                 self.stats.rejected += 1;
@@ -129,7 +117,7 @@ impl ShardState {
                     client: envelope.client,
                     seq: envelope.seq,
                     attempt: envelope.attempt,
-                    origin: origin.map(str::to_string),
+                    origin,
                     kind,
                 });
                 Ok(AckVerdict::Rejected(kind))
@@ -141,60 +129,42 @@ impl ShardState {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     journal.append(&envelope)?;
                 }
-                self.commit(origin, envelope, &reports, consumed)?;
+                self.commit(reports, consumed, &envelope);
+                if self.keep {
+                    self.committed.push(CommittedBatch {
+                        client: envelope.client,
+                        seq: envelope.seq,
+                        attempt: envelope.attempt,
+                        origin,
+                        payload: envelope.payload,
+                    });
+                }
                 Ok(AckVerdict::Accepted)
             }
         }
     }
 
-    /// Re-ingests a journaled envelope during resume: rebuilds dedup
-    /// and live-analyzer state without re-appending or re-retaining.
+    /// Re-admits a journaled envelope during resume: rebuilds its dedup
+    /// key and accounting without re-appending or retaining it (the
+    /// journal already holds it).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Wire`] if a journaled payload no longer
-    /// decodes (it was validated before it was written, so this means
-    /// on-disk damage the CRC missed) or [`ServeError::Sink`] from the
-    /// live analyzer.
-    pub fn replay(&mut self, envelope: BatchEnvelope) -> Result<(), ServeError> {
-        let (reports, _header, consumed) = decode_batch(&envelope.payload, Some(self.layout))
+    /// validates (it did before it was written, so this means on-disk
+    /// damage the CRC missed).
+    pub fn replay(&mut self, envelope: &BatchEnvelope) -> Result<(), ServeError> {
+        let (reports, _header, consumed) = validate_batch(&envelope.payload, Some(self.layout))
             .map_err(|rejected| ServeError::Wire(rejected.error))?;
-        let keep = self.keep;
-        self.keep = false; // the journal already holds it
-        let committed = self.commit(None, envelope, &reports, consumed);
-        self.keep = keep;
-        committed
-    }
-
-    fn commit(
-        &mut self,
-        origin: Option<&str>,
-        envelope: BatchEnvelope,
-        reports: &[cbi_reports::Report],
-        consumed: u64,
-    ) -> Result<(), ServeError> {
-        self.dedup.insert((envelope.client, envelope.seq));
-        for report in reports {
-            self.analyzer.accept(report.clone())?;
-        }
-        self.stats.batches += 1;
-        self.stats.reports += reports.len() as u64;
-        self.stats.bytes += consumed;
-        if self.keep {
-            self.committed.push(CommittedBatch {
-                client: envelope.client,
-                seq: envelope.seq,
-                attempt: envelope.attempt,
-                origin: origin.map(str::to_string),
-                payload: envelope.payload,
-            });
-        }
+        self.commit(reports, consumed, envelope);
         Ok(())
     }
 
-    /// The live analyzer's resident-report high-water mark.
-    pub fn high_water(&self) -> usize {
-        self.analyzer.high_water()
+    fn commit(&mut self, reports: usize, consumed: u64, envelope: &BatchEnvelope) {
+        self.dedup.insert((envelope.client, envelope.seq));
+        self.stats.batches += 1;
+        self.stats.reports += reports as u64;
+        self.stats.bytes += consumed;
     }
 }
 
@@ -216,14 +186,10 @@ fn provenance(client: u64, attempt: u32, origin: Option<&str>) -> Provenance {
 ///
 /// Returns [`ServeError::Wire`] if a retained payload fails to decode
 /// and [`ServeError::Sink`] on aggregator/collector rejection.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_ordered(
     sites: &SiteTable,
     layout: ReportLayout,
-    epoch_len: u64,
-    streaming: StreamingConfig,
-    flight_capacity: usize,
-    target_counter: Option<usize>,
+    config: &ServeConfig,
     mut committed: Vec<CommittedBatch>,
     mut rejects: Vec<RejectEvent>,
     mut collector: Option<&mut Collector>,
@@ -232,19 +198,20 @@ pub(crate) fn fold_ordered(
     committed.sort_by_key(|a| (a.seq, a.client));
     rejects.sort_by_key(|a| (a.seq, a.client, a.attempt));
 
-    let mut aggregator = EpochAggregator::new(sites.clone(), epoch_len, streaming, target_counter)
-        .with_flight_capacity(flight_capacity);
+    let mut aggregator = EpochAggregator::new(
+        sites.clone(),
+        config.epoch_len,
+        config.streaming,
+        config.target_counter,
+    )
+    .with_flight_capacity(config.flight_capacity);
     aggregator.begin(layout)?;
 
     // Merge the two sorted runs; a rejected delivery of a batch sorts
     // before the delivery that finally committed it.
     let mut rejects = rejects.into_iter().peekable();
     for batch in committed {
-        while rejects
-            .peek()
-            .is_some_and(|r| (r.seq, r.client) <= (batch.seq, batch.client))
-        {
-            let r = rejects.next().expect("peeked");
+        while let Some(r) = rejects.next_if(|r| (r.seq, r.client) <= (batch.seq, batch.client)) {
             let prov = provenance(r.client, r.attempt, r.origin.as_deref());
             aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
         }
@@ -266,7 +233,7 @@ pub(crate) fn fold_ordered(
         let prov = provenance(r.client, r.attempt, r.origin.as_deref());
         aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
     }
-    if !aggregator.runs().is_multiple_of(epoch_len) || aggregator.snapshots().is_empty() {
+    if !aggregator.runs().is_multiple_of(config.epoch_len) || aggregator.snapshots().is_empty() {
         aggregator.snapshot_now();
     }
     Ok(aggregator)

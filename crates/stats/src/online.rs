@@ -15,6 +15,12 @@
 use crate::logistic::{sigmoid, LogisticModel};
 
 /// Streaming trainer for the crash-prediction model.
+///
+/// One update costs what the report contains, not how wide the layout
+/// is: a zero counter leaves its running sums and its scaled feature at
+/// zero, so the trainer visits only the nonzero counters and — for the
+/// cumulative ℓ₁ penalty, which every step applies to every nonzero
+/// weight — the weights that are currently nonzero.
 #[derive(Debug, Clone)]
 pub struct OnlineTrainer {
     weights: Vec<f64>,
@@ -22,14 +28,22 @@ pub struct OnlineTrainer {
     learning_rate: f64,
     lambda: f64,
     seen: u64,
-    // Running scaling state.
+    // Running scaling state.  `mins` and `maxs` are over the *nonzero*
+    // values seen; `last_nonzero[j]` is the 1-based update in which
+    // counter `j` was last nonzero, which tells the next nonzero value
+    // whether a zero came in between (and the minimum is therefore 0).
     mins: Vec<f64>,
     maxs: Vec<f64>,
+    last_nonzero: Vec<u64>,
     sums: Vec<f64>,
     sq_sums: Vec<f64>,
     // Cumulative-penalty bookkeeping.
     u: f64,
     q: Vec<f64>,
+    // Indices of the nonzero weights, in no particular order.
+    live: Vec<usize>,
+    // The current run's nonzero scaled features, ascending by index.
+    row: Vec<(usize, f64)>,
 }
 
 impl OnlineTrainer {
@@ -43,10 +57,13 @@ impl OnlineTrainer {
             seen: 0,
             mins: vec![f64::INFINITY; features],
             maxs: vec![f64::NEG_INFINITY; features],
+            last_nonzero: vec![0; features],
             sums: vec![0.0; features],
             sq_sums: vec![0.0; features],
             u: 0.0,
             q: vec![0.0; features],
+            live: Vec::new(),
+            row: Vec::new(),
         }
     }
 
@@ -72,13 +89,34 @@ impl OnlineTrainer {
             self.feature_count(),
             "feature count mismatch"
         );
+        self.update_nonzero(cbi_reports::nonzero(counters), failed);
+    }
+
+    /// Folds in one run given only its nonzero counters, as `(index,
+    /// value)` pairs in ascending index order with no index repeated;
+    /// every counter not listed is zero.  Every float this produces is
+    /// the one [`update`](Self::update) over the dense vector produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is outside the feature range.
+    pub fn update_nonzero(
+        &mut self,
+        counters: impl IntoIterator<Item = (usize, u64)>,
+        failed: bool,
+    ) {
+        let before_this = self.seen;
         self.seen += 1;
         let n = self.seen as f64;
 
         // Update running scale statistics, then scale this row with them.
-        let mut row = vec![0.0; counters.len()];
-        for (j, &c) in counters.iter().enumerate() {
+        self.row.clear();
+        for (j, c) in counters {
             let v = c as f64;
+            if self.last_nonzero[j] != before_this {
+                self.mins[j] = 0.0;
+            }
+            self.last_nonzero[j] = self.seen;
             self.mins[j] = self.mins[j].min(v);
             self.maxs[j] = self.maxs[j].max(v);
             let range = (self.maxs[j] - self.mins[j]).max(1.0);
@@ -87,27 +125,45 @@ impl OnlineTrainer {
             self.sq_sums[j] += unit * unit;
             let mean = self.sums[j] / n;
             let var = (self.sq_sums[j] / n - mean * mean).max(0.0);
-            let sd = if var.sqrt() > 1e-12 { var.sqrt() } else { 1.0 };
-            row[j] = unit / sd;
+            let sd = var.sqrt();
+            let x = unit / if sd > 1e-12 { sd } else { 1.0 };
+            if x != 0.0 {
+                self.row.push((j, x));
+            }
         }
 
         let y = if failed { 1.0 } else { 0.0 };
-        let z = self.bias + dot(&self.weights, &row);
+        // The zero terms of the dot product are skipped; the rest are
+        // added in the same ascending order.
+        let z = self.bias
+            + self
+                .row
+                .iter()
+                .map(|&(j, x)| self.weights[j] * x)
+                .sum::<f64>();
         let err = y - sigmoid(z);
         self.bias += self.learning_rate * err;
         self.u += self.learning_rate * self.lambda;
-        for ((w, &x), q) in self.weights.iter_mut().zip(&row).zip(self.q.iter_mut()) {
-            if x != 0.0 {
-                *w += self.learning_rate * err * x;
+        for &(j, x) in &self.row {
+            if self.weights[j] == 0.0 {
+                self.live.push(j);
             }
-            let before = *w;
-            if before > 0.0 {
-                *w = (before - (self.u + *q)).max(0.0);
-            } else if before < 0.0 {
-                *w = (before + (self.u - *q)).min(0.0);
-            }
-            *q += *w - before;
+            self.weights[j] += self.learning_rate * err * x;
         }
+        // Clip every nonzero weight toward zero by the penalty it has
+        // not yet paid; a weight clipped to zero leaves the live set
+        // until a gradient revives it.
+        let (weights, q, u) = (&mut self.weights, &mut self.q, self.u);
+        self.live.retain(|&j| {
+            let before = weights[j];
+            if before > 0.0 {
+                weights[j] = (before - (u + q[j])).max(0.0);
+            } else if before < 0.0 {
+                weights[j] = (before + (u - q[j])).min(0.0);
+            }
+            q[j] += weights[j] - before;
+            weights[j] != 0.0
+        });
     }
 
     /// A snapshot of the current model.
@@ -117,10 +173,6 @@ impl OnlineTrainer {
             weights: self.weights.clone(),
         }
     }
-}
-
-fn dot(w: &[f64], x: &[f64]) -> f64 {
-    w.iter().zip(x).map(|(a, b)| a * b).sum()
 }
 
 #[cfg(test)]
@@ -205,6 +257,228 @@ mod tests {
             + t.q.capacity() * 8
             + t.mins.capacity() * 8 * 4;
         assert_eq!(before, after, "state must not grow with the stream");
+    }
+
+    /// The trainer as it was before it learned to skip zero counters:
+    /// every counter visited on every update.  Kept as the oracle the
+    /// sparse update is held bit-identical to.
+    struct DenseTrainer {
+        weights: Vec<f64>,
+        bias: f64,
+        learning_rate: f64,
+        lambda: f64,
+        seen: u64,
+        mins: Vec<f64>,
+        maxs: Vec<f64>,
+        sums: Vec<f64>,
+        sq_sums: Vec<f64>,
+        u: f64,
+        q: Vec<f64>,
+    }
+
+    impl DenseTrainer {
+        fn new(features: usize, learning_rate: f64, lambda: f64) -> Self {
+            DenseTrainer {
+                weights: vec![0.0; features],
+                bias: 0.0,
+                learning_rate,
+                lambda,
+                seen: 0,
+                mins: vec![f64::INFINITY; features],
+                maxs: vec![f64::NEG_INFINITY; features],
+                sums: vec![0.0; features],
+                sq_sums: vec![0.0; features],
+                u: 0.0,
+                q: vec![0.0; features],
+            }
+        }
+
+        fn update(&mut self, counters: &[u64], failed: bool) {
+            self.seen += 1;
+            let n = self.seen as f64;
+            let mut row = vec![0.0; counters.len()];
+            for (j, &c) in counters.iter().enumerate() {
+                let v = c as f64;
+                self.mins[j] = self.mins[j].min(v);
+                self.maxs[j] = self.maxs[j].max(v);
+                let range = (self.maxs[j] - self.mins[j]).max(1.0);
+                let unit = (v - self.mins[j]) / range;
+                self.sums[j] += unit;
+                self.sq_sums[j] += unit * unit;
+                let mean = self.sums[j] / n;
+                let var = (self.sq_sums[j] / n - mean * mean).max(0.0);
+                let sd = if var.sqrt() > 1e-12 { var.sqrt() } else { 1.0 };
+                row[j] = unit / sd;
+            }
+            let y = if failed { 1.0 } else { 0.0 };
+            let dot: f64 = self.weights.iter().zip(&row).map(|(a, b)| a * b).sum();
+            let err = y - sigmoid(self.bias + dot);
+            self.bias += self.learning_rate * err;
+            self.u += self.learning_rate * self.lambda;
+            for ((w, &x), q) in self.weights.iter_mut().zip(&row).zip(self.q.iter_mut()) {
+                if x != 0.0 {
+                    *w += self.learning_rate * err * x;
+                }
+                let before = *w;
+                if before > 0.0 {
+                    *w = (before - (self.u + *q)).max(0.0);
+                } else if before < 0.0 {
+                    *w = (before + (self.u - *q)).min(0.0);
+                }
+                *q += *w - before;
+            }
+        }
+    }
+
+    impl OnlineTrainer {
+        /// The running minimum and maximum of counter `j` as the dense
+        /// trainer stores them: zeros it never visited included.
+        fn min_max(&self, j: usize) -> (f64, f64) {
+            if self.seen == 0 {
+                return (self.mins[j], self.maxs[j]);
+            }
+            let zero_since = self.last_nonzero[j] != self.seen;
+            (
+                if zero_since { 0.0 } else { self.mins[j] },
+                self.maxs[j].max(0.0),
+            )
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every float of the two trainers, compared as bit patterns.
+    fn assert_identical(sparse: &OnlineTrainer, dense: &DenseTrainer, at: &str) {
+        assert_eq!(sparse.seen, dense.seen, "{at}");
+        assert_eq!(bits(&sparse.weights), bits(&dense.weights), "weights {at}");
+        assert_eq!(sparse.bias.to_bits(), dense.bias.to_bits(), "bias {at}");
+        assert_eq!(bits(&sparse.q), bits(&dense.q), "q {at}");
+        assert_eq!(sparse.u.to_bits(), dense.u.to_bits(), "u {at}");
+        assert_eq!(bits(&sparse.sums), bits(&dense.sums), "sums {at}");
+        assert_eq!(bits(&sparse.sq_sums), bits(&dense.sq_sums), "sq_sums {at}");
+        let (mins, maxs): (Vec<f64>, Vec<f64>) = (0..sparse.feature_count())
+            .map(|j| sparse.min_max(j))
+            .unzip();
+        assert_eq!(bits(&mins), bits(&dense.mins), "mins {at}");
+        assert_eq!(bits(&maxs), bits(&dense.maxs), "maxs {at}");
+        let mut live = sparse.live.clone();
+        live.sort_unstable();
+        let nonzero: Vec<usize> = (0..sparse.feature_count())
+            .filter(|&j| dense.weights[j] != 0.0)
+            .collect();
+        assert_eq!(live, nonzero, "live set {at}");
+    }
+
+    /// Feeds one stream to both trainers through both entry points,
+    /// comparing after every update.
+    fn check_stream(name: &str, features: usize, lambda: f64, runs: &[(Vec<u64>, bool)]) {
+        let mut dense = DenseTrainer::new(features, 0.05, lambda);
+        let mut via_dense_entry = OnlineTrainer::new(features, 0.05, lambda);
+        let mut via_sparse_entry = OnlineTrainer::new(features, 0.05, lambda);
+        for (i, (counters, failed)) in runs.iter().enumerate() {
+            dense.update(counters, *failed);
+            via_dense_entry.update(counters, *failed);
+            via_sparse_entry.update_nonzero(cbi_reports::nonzero(counters), *failed);
+            let at = format!("({name}, after run {i})");
+            assert_identical(&via_dense_entry, &dense, &at);
+            assert_identical(&via_sparse_entry, &dense, &at);
+        }
+    }
+
+    /// A mostly-zero stream shaped like sparse sampling: counter 0
+    /// predicts failure, a few counters fire now and then, and some
+    /// runs report nothing at all.
+    fn sparse_stream(n: usize, features: usize, seed: u64) -> Vec<(Vec<u64>, bool)> {
+        let mut rng = Pcg32::new(seed);
+        (0..n)
+            .map(|_| {
+                let failed = rng.next_f64() < 0.3;
+                let mut counters = vec![0u64; features];
+                if rng.next_f64() < 0.9 {
+                    for _ in 0..1 + rng.below(4) {
+                        let j = rng.below(features as u64) as usize;
+                        counters[j] = 1 + rng.below(9);
+                    }
+                    if failed {
+                        counters[0] = 5 + rng.below(5);
+                    }
+                }
+                (counters, failed)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_update_is_bit_identical_to_the_dense_oracle_on_seeded_streams() {
+        for seed in 0..6 {
+            let runs = sparse_stream(400, 40, seed);
+            assert!(runs.iter().any(|(c, _)| c.iter().all(|&v| v == 0)));
+            check_stream("seeded", 40, 0.02, &runs);
+        }
+        // Dense vectors (density 1/1) go through the same code.
+        check_stream("dense", 5, 0.02, &stream(500, 11));
+    }
+
+    #[test]
+    fn sparse_update_is_bit_identical_on_the_awkward_streams() {
+        // An all-zero report first, and all-zero reports throughout.
+        let mut runs = vec![(vec![0, 0, 0], false), (vec![0, 0, 0], true)];
+        runs.extend(sparse_stream(50, 3, 1));
+        runs.push((vec![0, 0, 0], true));
+        check_stream("all-zero", 3, 0.02, &runs);
+
+        // A counter that is at least 1 for many runs and then 0: its
+        // minimum drops to 0 only then, and the next nonzero value is
+        // scaled against that.
+        let mut runs: Vec<(Vec<u64>, bool)> = (0..60)
+            .map(|i| (vec![1 + i % 4, i % 3], i % 5 == 0))
+            .collect();
+        runs.push((vec![0, 1], false));
+        runs.extend((0..20).map(|i| (vec![2 + i % 3, 0], i % 2 == 0)));
+        check_stream("min drops to 0", 2, 0.02, &runs);
+
+        // A heavy penalty clips a weight to exactly 0 while its counter
+        // stays silent; a later gradient revives it.
+        let mut runs: Vec<(Vec<u64>, bool)> =
+            vec![(vec![0, 0], false), (vec![3, 0], true), (vec![1, 0], true)];
+        runs.extend((0..40).map(|_| (vec![0, 1], false)));
+        runs.extend((0..5).map(|i| (vec![2 + i, 0], true)));
+        let mut probe = OnlineTrainer::new(2, 0.05, 0.1);
+        let mut was_live = false;
+        let mut clipped_then_revived = false;
+        for (counters, failed) in &runs {
+            probe.update(counters, *failed);
+            let live = probe.weights[0] != 0.0;
+            clipped_then_revived |= was_live && !live;
+            was_live |= live;
+        }
+        assert!(clipped_then_revived && probe.weights[0] != 0.0);
+        check_stream("clipped and revived", 2, 0.1, &runs);
+
+        // A weight that changes sign: failures with the counter high,
+        // then successes with it high.
+        let mut runs: Vec<(Vec<u64>, bool)> = (0..30).map(|i| (vec![4 + i % 2, 1], true)).collect();
+        runs.extend((0..200).map(|i| (vec![4 + i % 2, i % 2], false)));
+        let mut probe = OnlineTrainer::new(2, 0.05, 0.001);
+        let mut signs = (false, false);
+        for (counters, failed) in &runs {
+            probe.update(counters, *failed);
+            signs.0 |= probe.weights[0] > 0.0;
+            signs.1 |= probe.weights[0] < 0.0;
+        }
+        assert!(signs.0 && signs.1, "the stream must flip the weight's sign");
+        check_stream("sign change", 2, 0.001, &runs);
+
+        // Counters at the top of the range.
+        let runs: Vec<(Vec<u64>, bool)> = (0..40)
+            .map(|i| {
+                let big = if i % 3 == 0 { u64::MAX } else { 0 };
+                (vec![big, u64::MAX - i, i % 2], i % 4 == 0)
+            })
+            .collect();
+        check_stream("u64::MAX", 3, 0.02, &runs);
     }
 
     #[test]
