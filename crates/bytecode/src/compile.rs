@@ -2,7 +2,7 @@
 //!
 //! Compilation is a single syntax-directed pass with jump patching.  The
 //! governing law is *charge parity*: the emitted code must consume cost
-//! units in exactly the order the tree walkers do, at every potential
+//! units in exactly the order the tree walker does, at every potential
 //! trap point, so `RunResult::ops` agrees between engines on every run.
 //! Concretely:
 //!
@@ -14,14 +14,14 @@
 //!   not skip the folded amount;
 //! * charges applied inside runtime helpers after an argument trap point
 //!   (heap traffic, `__check`'s observe, refills) are *not* baked — the
-//!   matching engine ops charge dynamically, like the walkers.
+//!   matching engine ops charge dynamically, like the walker.
 //!
 //! Synthesized statements (the sampling transformation's countdown
 //! bookkeeping) compile to fused single instructions when they match the
 //! five shapes `cbi-instrument` emits; any other synthesized shape takes
 //! a generic path that brackets its operand code with
 //! [`Op::FreeEnter`]/[`Op::FreeExit`] so per-node charges are suspended
-//! at run time, exactly like the walkers' `eval_uncharged`.
+//! at run time, exactly like the walker's `eval_uncharged`.
 
 use crate::instr::{
     BcFunction, BcProgram, BcRef, BinSpec, BrSpec, CallSpec, CdSpec, Costs, Dest, GateSpec,
@@ -147,7 +147,7 @@ impl FnCompiler<'_> {
             self.stmt(s);
         }
         // Fall-off-the-end epilogue: the zero value of the return type
-        // (observably identical to the walkers' `Option` returns).
+        // (observably identical to the walker's `Option` returns).
         match self.f.ret {
             Some(Type::Ptr) => self.emit(Op::RetNull),
             _ => self.emit(Op::RetZero),
@@ -318,7 +318,7 @@ impl FnCompiler<'_> {
                 value,
             } => {
                 self.stmt_charge(self.cx.costs.stmt);
-                // The target lookup itself is uncharged in the walkers.
+                // The target lookup itself is uncharged in the walker.
                 self.load(target);
                 let name = self.cx.name(self.prog.ref_name(self.f, target));
                 self.emit(Op::StorePtrCheck(name));
@@ -464,7 +464,7 @@ impl FnCompiler<'_> {
                 callee: Callee::Builtin(Builtin::NextCountdown),
                 ..
             } => {
-                // The walkers never evaluate `__next_cd` arguments, so any
+                // The walker never evaluates `__next_cd` arguments, so any
                 // argument list fuses.
                 let spec = self.cx.spec(CdSpec {
                     dst,
@@ -566,7 +566,7 @@ impl FnCompiler<'_> {
                 Callee::Builtin(b) => self.builtin(*b, args),
                 Callee::Func(i) => {
                     // All arguments evaluate, even extras beyond the
-                    // callee's arity (the walkers drop them at binding).
+                    // callee's arity (the walker drops them at binding).
                     for a in args {
                         self.expr(a);
                     }
@@ -620,7 +620,7 @@ impl FnCompiler<'_> {
     }
 
     /// Compiles the `n`-th required builtin argument as an integer, or a
-    /// run-time panic matching the walkers' out-of-bounds indexing when
+    /// run-time panic matching the walker's out-of-bounds indexing when
     /// an unchecked program passed too few arguments.
     fn int_arg(&mut self, args: &[SlotExpr], n: usize) {
         match args.get(n) {

@@ -293,7 +293,7 @@ pub struct CdSpec {
 /// [`BcProgram::ops`].  Charge amounts are baked from the compile-time
 /// [`Costs`]; charges applied by runtime helpers (heap traffic,
 /// observations, refills) stay dynamic so their position relative to trap
-/// points matches the tree walkers exactly.
+/// points matches the tree walker exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Statement head: bump the telemetry step counter, then charge `n`
@@ -425,7 +425,7 @@ pub enum Op {
         els: u32,
     },
     /// A builtin was called with too few arguments; panics at execution
-    /// time exactly where the tree walkers' argument indexing panics.
+    /// time exactly where the tree walker's argument indexing panics.
     MissingArg,
     /// Peephole-fused charge/load/load/binary/store sequence; payload
     /// indexes [`BcProgram::bins`].

@@ -1,13 +1,13 @@
 //! Bytecode layer for MiniC: flat instructions for the dispatch VM.
 //!
-//! The tree-walking engines in `cbi-vm` pay a child-pointer chase and a
+//! The tree walker in `cbi-vm` pays a child-pointer chase and a
 //! `Result` frame per AST node.  This crate compiles the slot-resolved
 //! form ([`cbi_minic::slots::SlotProgram`]) down to a single flat
 //! instruction vector — loads and stores by dense slot index, resolved
 //! jump targets, explicit call frames — that a `loop { match op }`
 //! engine can dispatch without recursion.
 //!
-//! The compiler preserves the walkers' observable semantics *exactly*:
+//! The compiler preserves the walker's observable semantics *exactly*:
 //! every op-cost charge, trap message, counter bump, and trace entry
 //! happens in the same order with the same value, so the bytecode engine
 //! is byte-identical to the slot walker on every completed run (the

@@ -15,14 +15,14 @@ usage:
   cbi disasm     <file.mc> [--stage source|instrument|sample] [--scheme S]
                  [--global-countdown] [--no-regions]
   cbi run        <file.mc> [--scheme S] [--density D] [--seed N] [--input \"1 2 3\"]
-                 [--engine E] [--global-countdown] [--no-regions] [--metrics]
+                 [--global-countdown] [--no-regions] [--metrics]
                  [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi campaign   <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
-                 [--jobs N] [--engine E] [--out reports.jsonl] [--spool reports.cbr]
+                 [--jobs N] [--out reports.jsonl] [--spool reports.cbr]
                  [--transmit HOST:PORT] [--metrics]
                  [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi profile    <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
-                 [--jobs N] [--engine E] [--analyze eliminate|regress|none]
+                 [--jobs N] [--analyze eliminate|regress|none]
                  [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi analyze    <reports.jsonl|.cbr> <file.mc> [--scheme S]
                  [--mode eliminate|regress]
@@ -33,18 +33,18 @@ usage:
                  [--flight-cap N] [--metrics] [--metrics-out metrics.jsonl]
   cbi transmit   <reports.jsonl|.cbr> --to HOST:PORT [<file.mc>] [--scheme S]
   cbi corpus     generate <dir> [--size N] [--seed N] [--trials N] [--bugs N]
-  cbi corpus     evaluate <dir> [--densities 1,10,100,1000] [--jobs N] [--engine E]
+  cbi corpus     evaluate <dir> [--densities 1,10,100,1000] [--jobs N]
                  [--scorer ochiai|tarantula|jaccard|increase|importance|posterior|odds]
                  [--out report.txt] [--summary-out summary.txt]
   cbi isolate    <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
-                 [--jobs N] [--engine E] [--scorer S] [--top N]
+                 [--jobs N] [--scorer S] [--top N]
   cbi isolate    --corpus <dir> [--densities 1,10,100] [--scorers ochiai,importance]
-                 [--jobs N] [--engine E] [--out report.txt] [--summary-out summary.txt]
+                 [--jobs N] [--out report.txt] [--summary-out summary.txt]
   cbi fleet      <file.mc> <inputs.txt> [--scheme S] [--clients N] [--runs N]
                  [--batch-size N] [--epoch-len N] [--densities 100:1,1000:3]
                  [--zipf S] [--variant-fraction F] [--stale-fraction F]
                  [--drop F] [--truncate F] [--bit-flip F] [--max-retries N]
-                 [--target PRED] [--seed N] [--jobs N] [--engine E] [--summary-out FILE]
+                 [--target PRED] [--seed N] [--jobs N] [--summary-out FILE]
                  [--flight-cap N] [--prom-out FILE] [--timeline-out FILE]
                  [--metrics] [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi fleet      --corpus <dir> [--entry ID] [--pool N] [same knobs]
@@ -58,15 +58,11 @@ usage:
   cbi monitor    --replay <spool.cbr|journal.cbij> <file.mc> [--scheme S]
                  [--epoch-len N] [--batch-size N] [same health knobs]
 
-  --engine E picks the interpreter: `bytecode` (default — programs are
-  compiled once to flat instructions and dispatched by a straight-line
-  loop), `slot` (the slot-resolved tree walker), or `namemap` (the
-  name-map reference walker).  Every engine produces bit-identical
-  output; the flag is a throughput knob.  `cbi disasm` prints the
-  bytecode listing of a program — raw (--stage source), after
-  unconditional instrumentation (--stage instrument), or after the
-  sampling transformation (--stage sample), where the fast/slow region
-  clones and fused countdown ops are visible.
+  Every program is compiled once to flat bytecode and run by one
+  dispatch loop.  `cbi disasm` prints the bytecode listing of a program
+  — raw (--stage source), after unconditional instrumentation (--stage
+  instrument), or after the sampling transformation (--stage sample),
+  where the fast/slow region clones and fused countdown ops are visible.
 
   --jobs N shards campaign trials over N worker threads (reports are
   bit-identical at any job count).  --metrics prints a telemetry summary,
@@ -152,6 +148,11 @@ const SWITCHES: &[&str] = &["global-countdown", "no-regions", "metrics"];
 /// Returns a user-facing message for any parse, I/O, or pipeline failure.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
     let args = Args::parse_with_switches(raw, SWITCHES)?;
+    // `Args` ignores flags it does not know; a script still passing this
+    // one must not silently get a different engine than it asked for.
+    if args.flag("engine").is_some() {
+        return Err("--engine was removed: bytecode is the only engine".to_string());
+    }
     match args.positional(0) {
         Some("instrument") => cmd_instrument(&args),
         Some("transform") => cmd_transform(&args),
@@ -236,16 +237,6 @@ fn cmd_transform(args: &Args) -> Result<(), String> {
     );
     println!("{}", pretty(&sampled));
     Ok(())
-}
-
-/// Parses `--engine` (default: the bytecode dispatch engine).
-fn engine_of(args: &Args) -> Result<Engine, String> {
-    match args.flag("engine") {
-        None => Ok(Engine::Bytecode),
-        Some(name) => Engine::parse(name).ok_or_else(|| {
-            format!("unknown engine `{name}` (expected bytecode, slot, or namemap)")
-        }),
-    }
 }
 
 /// `cbi disasm`: print the deterministic bytecode listing of a program,
@@ -359,7 +350,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let scheme = scheme_of(args)?;
         let density: u64 = args.flag_or("density", 100)?;
         let seed: u64 = args.flag_or("seed", 42)?;
-        let engine = engine_of(args)?;
         let input = parse_input(args.flag("input").unwrap_or(""))?;
 
         let inst = cbi::telemetry::time("phase.instrument", || instrument(&program, scheme))
@@ -368,10 +358,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             apply_sampling(&inst.program, &transform_options(args))
         })
         .map_err(|e| e.to_string())?;
-        let bank = CountdownBank::generate(SamplingDensity::one_in(density), 1024, seed);
+        let bank = LazyBank::new(SamplingDensity::one_in(density), 1024, seed);
         let result = cbi::telemetry::time("phase.execute", || {
             Vm::new(&sampled)
-                .with_engine(engine)
                 .with_sites(&inst.sites)
                 .with_sampling(Box::new(bank))
                 .with_input(input)
@@ -415,9 +404,8 @@ fn campaign_setup(args: &Args) -> Result<(Program, Vec<Vec<i64>>, CampaignConfig
         .map(parse_input)
         .collect::<Result<_, _>>()?;
 
-    let mut config = CampaignConfig::sampled(scheme, SamplingDensity::one_in(density))
-        .with_jobs(jobs)
-        .with_engine(engine_of(args)?);
+    let mut config =
+        CampaignConfig::sampled(scheme, SamplingDensity::one_in(density)).with_jobs(jobs);
     config.seed = seed;
     Ok((program, trials, config))
 }
@@ -974,7 +962,6 @@ fn cmd_corpus_evaluate(args: &Args) -> Result<(), String> {
     let config = cbi_corpus::EvalConfig {
         densities,
         jobs: jobs_of(args)?,
-        engine: engine_of(args)?,
         scorer: args.flag("scorer").map(str::to_string),
     };
     let entries = cbi_corpus::load_corpus(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
@@ -1076,7 +1063,10 @@ fn cmd_isolate(args: &Args) -> Result<(), String> {
     );
 
     let run = cbi_scoring::isolate(&index, &groups, scorer);
-    println!("isolation trace ({} scorer, scores in per-mille):", run.scorer);
+    println!(
+        "isolation trace ({} scorer, scores in per-mille):",
+        run.scorer
+    );
     println!();
     println!("initial ranking (top {top}):");
     for &(c, score) in run.initial_ranking.iter().take(top) {
@@ -1131,7 +1121,6 @@ fn cmd_isolate_corpus(args: &Args, dir: &str) -> Result<(), String> {
         densities,
         scorers: scorer_list(args, "ochiai,importance")?,
         jobs: jobs_of(args)?,
-        engine: engine_of(args)?,
     };
     let entries = cbi_corpus::load_corpus(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     eprintln!("isolating {} entries from {dir}", entries.len());
@@ -1210,7 +1199,6 @@ fn fleet_spec(args: &Args) -> Result<cbi_fleet::FleetSpec, String> {
     spec.seed = args.flag_or("seed", 0x5eedu64)?;
     spec.jobs = jobs_of(args)?;
     spec.flight_recorder = args.flag_or("flight-cap", 64usize)?;
-    spec.engine = engine_of(args)?;
     Ok(spec)
 }
 
@@ -1656,23 +1644,25 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_is_accepted_and_validated() {
+    fn engine_flag_is_rejected_as_removed() {
         let p = tmp("prog-engine.mc", PROG);
         let inputs = tmp("inputs-engine.txt", "5\n4\n");
-        for engine in ["bytecode", "slot", "namemap"] {
-            dispatch_strs(&[
+        let (p, inputs) = (p.to_str().unwrap(), inputs.to_str().unwrap());
+        for argv in [
+            &["run", p, "--engine", "slot"][..],
+            &[
                 "campaign",
-                p.to_str().unwrap(),
-                inputs.to_str().unwrap(),
-                "--engine",
-                engine,
+                p,
+                inputs,
+                "--engine=bytecode",
                 "--out",
                 "/dev/null",
-            ])
-            .unwrap();
+            ],
+        ] {
+            let err = dispatch_strs(argv).unwrap_err();
+            assert!(err.contains("--engine was removed"), "{err}");
         }
-        let err = dispatch_strs(&["run", p.to_str().unwrap(), "--engine", "bogus"]).unwrap_err();
-        assert!(err.contains("engine"), "{err}");
+        assert!(!USAGE.contains("--engine"));
     }
 
     #[test]

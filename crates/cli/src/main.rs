@@ -13,10 +13,9 @@
 //!     countdown ops visible).
 //!
 //! cbi run <file.mc> [--scheme S] [--density D] [--seed N] [--input "1 2 3"]
-//!         [--engine bytecode|slot|namemap]
-//!     Run one sampled execution; print outcome, ops, output, and the
-//!     nonzero counters.  Every engine gives bit-identical results; the
-//!     bytecode dispatch loop is the default.
+//!     Run one sampled execution (compiled to bytecode, like every other
+//!     subcommand that executes a program); print outcome, ops, output,
+//!     and the nonzero counters.
 //!
 //! cbi campaign <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
 //!              [--jobs N] [--out reports.jsonl] [--spool reports.cbr]

@@ -12,7 +12,7 @@ use cbi_instrument::{
     apply_sampling, instrument, single_function_variants, Scheme, TransformOptions,
 };
 use cbi_reports::Collector;
-use cbi_sampler::{CountdownBank, Pcg32, SamplingDensity};
+use cbi_sampler::{LazyBank, Pcg32, SamplingDensity};
 use cbi_vm::Vm;
 use cbi_workloads::{run_campaign, CampaignConfig, CampaignResult, WorkloadError};
 use std::collections::HashMap;
@@ -123,12 +123,13 @@ pub fn simulate_variant_fleet(
         "program has no instrumented functions"
     );
 
-    // Transform each variant once.
+    // Transform and compile each variant once.
     let mut compiled = Vec::with_capacity(variants.len());
     let mut cumulative = Vec::with_capacity(variants.len());
     let mut total_weight = 0.0;
     for v in &variants {
-        let (exe, _) = apply_sampling(&v.program, &TransformOptions::default())?;
+        let (sampled, _) = apply_sampling(&v.program, &TransformOptions::default())?;
+        let exe = cbi_vm::bytecode::compile(&cbi_minic::lower(&sampled));
         let w = config
             .weights
             .iter()
@@ -151,8 +152,8 @@ pub fn simulate_variant_fleet(
         let (function, exe) = &compiled[k];
         *assignment.entry(function.clone()).or_insert(0) += 1;
 
-        let bank = CountdownBank::generate(config.density, 1024, config.seed + u as u64);
-        let result = Vm::new(exe)
+        let bank = LazyBank::new(config.density, 1024, config.seed.wrapping_add(u as u64));
+        let result = Vm::from_bytecode(exe)
             .with_sites(&inst.sites)
             .with_sampling(Box::new(bank))
             .with_input(input.clone())
@@ -275,6 +276,20 @@ mod tests {
         // its sites than any other single function's.
         let suspect_obs = fleet.observations.get("process_file").copied().unwrap_or(0);
         assert!(suspect_obs > 0);
+    }
+
+    #[test]
+    fn variant_fleet_bank_seeds_wrap_at_u64_max() {
+        let program = cbi_minic::parse(RARE).unwrap();
+        let config = FleetConfig {
+            scheme: Scheme::Returns,
+            density: SamplingDensity::one_in(2),
+            weights: vec![],
+            users: 3,
+            seed: u64::MAX,
+        };
+        let fleet = simulate_variant_fleet(&program, &trials(3), &config).unwrap();
+        assert_eq!(fleet.assignment.values().sum::<usize>(), 3);
     }
 
     #[test]

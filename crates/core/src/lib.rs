@@ -109,9 +109,9 @@ pub mod prelude {
         Collector, Label, Report, ReportLayout, ReportSink, SpoolSink, SufficientStats,
         TransmitSink,
     };
-    pub use cbi_sampler::{CountdownBank, CountdownSource, Geometric, SamplingDensity};
+    pub use cbi_sampler::{CountdownSource, Geometric, LazyBank, SamplingDensity};
     pub use cbi_stats::{Dataset, LogisticModel, Strategy, TrainConfig};
-    pub use cbi_vm::{Engine, RunOutcome, Vm};
+    pub use cbi_vm::{RunOutcome, Vm};
     pub use cbi_workloads::{
         run_campaign, run_campaign_into, CampaignConfig, CampaignResult, CampaignRun,
     };

@@ -11,7 +11,7 @@
 //! a crash points directly at the failure site.
 
 use cbi_instrument::{instrument, Scheme};
-use cbi_sampler::{CountdownBank, SamplingDensity};
+use cbi_sampler::{LazyBank, SamplingDensity};
 use cbi_vm::Vm;
 use cbi_workloads::WorkloadError;
 use std::collections::HashMap;
@@ -72,16 +72,17 @@ pub fn crash_proximity(
     config: &ProximityConfig,
 ) -> Result<ProximityReport, WorkloadError> {
     let inst = instrument(program, config.scheme)?;
-    let (executable, _) = cbi_instrument::apply_sampling(
+    let (sampled, _) = cbi_instrument::apply_sampling(
         &inst.program,
         &cbi_instrument::TransformOptions::default(),
     )?;
+    let executable = cbi_vm::bytecode::compile(&cbi_minic::lower(&sampled));
 
     let mut last_counts: HashMap<usize, usize> = HashMap::new();
     let mut crashes_with_traces = 0;
     for (i, input) in trials.iter().enumerate() {
-        let bank = CountdownBank::generate(config.density, 1024, config.seed + i as u64);
-        let result = Vm::new(&executable)
+        let bank = LazyBank::new(config.density, 1024, config.seed.wrapping_add(i as u64));
+        let result = Vm::from_bytecode(&executable)
             .with_sites(&inst.sites)
             .with_sampling(Box::new(bank))
             .with_input(input.clone())
@@ -138,6 +139,18 @@ mod tests {
     }
 
     #[test]
+    fn bank_seeds_wrap_at_u64_max() {
+        let program = ccrypt_program();
+        let trials = ccrypt_trials(3, 42, &CcryptTrialConfig::default());
+        let config = ProximityConfig {
+            seed: u64::MAX,
+            ..ProximityConfig::default()
+        };
+        let wrapped = crash_proximity(&program, &trials, &config).unwrap();
+        assert!(wrapped.crashes_with_traces <= trials.len());
+    }
+
+    #[test]
     fn trace_ring_buffer_is_bounded() {
         let program = ccrypt_program();
         let trials = ccrypt_trials(40, 3, &CcryptTrialConfig::default());
@@ -148,7 +161,7 @@ mod tests {
         )
         .unwrap();
         for input in trials {
-            let bank = CountdownBank::generate(SamplingDensity::always(), 64, 1);
+            let bank = LazyBank::new(SamplingDensity::always(), 64, 1);
             let r = Vm::new(&executable)
                 .with_sites(&inst.sites)
                 .with_sampling(Box::new(bank))

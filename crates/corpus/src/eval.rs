@@ -39,9 +39,6 @@ pub struct EvalConfig {
     pub densities: Vec<u64>,
     /// Campaign worker threads (scores are identical at any value).
     pub jobs: usize,
-    /// Interpreter engine for every campaign (scores are identical on
-    /// every engine; bytecode is the throughput default).
-    pub engine: cbi_vm::Engine,
     /// Rank with a `cbi-scoring` measure (by registry name) instead of
     /// the streaming regression model.  Scorer rankings are pure
     /// integer, so rank and wasted-effort are bit-stable by
@@ -54,7 +51,6 @@ impl Default for EvalConfig {
         EvalConfig {
             densities: vec![1, 10, 100, 1000],
             jobs: 1,
-            engine: cbi_vm::Engine::Bytecode,
             scorer: None,
         }
     }
@@ -162,8 +158,7 @@ pub fn evaluate(entries: &[CorpusEntry], cfg: &EvalConfig) -> Result<EvalReport,
         let trials = trials_for(bug);
         for &density in &cfg.densities {
             let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(density))
-                .with_jobs(cfg.jobs.max(1))
-                .with_engine(cfg.engine);
+                .with_jobs(cfg.jobs.max(1));
             let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
             let run =
                 run_campaign_into(&program, &trials, &config, &mut analyzer).map_err(|e| {
@@ -466,7 +461,6 @@ mod tests {
                             densities: vec![1],
                             jobs,
                             scorer: Some(scorer.to_string()),
-                            ..EvalConfig::default()
                         },
                     )
                     .unwrap();

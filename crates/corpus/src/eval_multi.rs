@@ -46,8 +46,6 @@ pub struct MultiEvalConfig {
     pub scorers: Vec<String>,
     /// Campaign worker threads (metrics are identical at any value).
     pub jobs: usize,
-    /// Interpreter engine for every campaign.
-    pub engine: cbi_vm::Engine,
 }
 
 impl Default for MultiEvalConfig {
@@ -56,7 +54,6 @@ impl Default for MultiEvalConfig {
             densities: vec![1, 10, 100],
             scorers: vec!["ochiai".to_string(), "importance".to_string()],
             jobs: 1,
-            engine: cbi_vm::Engine::Bytecode,
         }
     }
 }
@@ -167,11 +164,9 @@ fn score_run(
         total_clustered += cluster.trials.len() as u64;
         plurality_of.push(winner);
     }
-    let purity_mille = if total_clustered == 0 {
-        0
-    } else {
-        matched_overlap * 1000 / total_clustered
-    };
+    let purity_mille = (matched_overlap * 1000)
+        .checked_div(total_clustered)
+        .unwrap_or(0);
     let outcomes = bug
         .faults
         .iter()
@@ -182,7 +177,7 @@ fn score_run(
             first_rank: rank_of(&run.initial_ranking, fault.true_counter)
                 .expect("ranking is total over the layout"),
             isolated_at: run.isolated_at(fault.true_counter),
-            recovered: plurality_of.iter().any(|&p| p == Some(b)),
+            recovered: plurality_of.contains(&Some(b)),
         })
         .collect();
     MultiEntryScore {
@@ -252,8 +247,7 @@ pub fn evaluate_multi(
         // violated check aborts the run before another can fire).
         let attribution = {
             let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(1))
-                .with_jobs(cfg.jobs.max(1))
-                .with_engine(cfg.engine);
+                .with_jobs(cfg.jobs.max(1));
             let mut index = FailureIndex::new();
             run_campaign_into(&program, &trials, &config, &mut index).map_err(|e| {
                 CorpusError::Campaign {
@@ -278,8 +272,7 @@ pub fn evaluate_multi(
         };
         for &density in &cfg.densities {
             let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(density))
-                .with_jobs(cfg.jobs.max(1))
-                .with_engine(cfg.engine);
+                .with_jobs(cfg.jobs.max(1));
             let mut index = FailureIndex::new();
             run_campaign_into(&program, &trials, &config, &mut index).map_err(|e| {
                 CorpusError::Campaign {
@@ -364,7 +357,11 @@ pub fn render_multi_report(report: &MultiEvalReport) -> String {
         "isolated"
     );
     for s in &report.scores {
-        let isolated = s.outcomes.iter().filter(|o| o.isolated_at.is_some()).count();
+        let isolated = s
+            .outcomes
+            .iter()
+            .filter(|o| o.isolated_at.is_some())
+            .count();
         let _ = writeln!(
             out,
             "{:<9} {:<11} {:>8} {:>4} {:>5} {:>5} {:>6} {:>7} {:>7} {:>9} {:>8}",
@@ -406,11 +403,7 @@ pub fn render_multi_summary(report: &MultiEvalReport) -> String {
             let Some(c) = cells.get(&(scorer_idx, density)) else {
                 continue;
             };
-            let purity = if c.clustered_runs == 0 {
-                0
-            } else {
-                c.purity_weighted / c.clustered_runs
-            };
+            let purity = c.purity_weighted.checked_div(c.clustered_runs).unwrap_or(0);
             let _ = writeln!(
                 out,
                 "{:<11} {:>8} {:>7} {:>5} {:>9} {:>7} {:>6} {:>7} {:>8}",
@@ -454,7 +447,6 @@ mod tests {
                 densities: vec![1],
                 scorers: vec!["ochiai".to_string()],
                 jobs: 1,
-                ..MultiEvalConfig::default()
             },
         )
         .unwrap();
@@ -481,7 +473,6 @@ mod tests {
                     densities: vec![1, 10],
                     scorers: vec!["ochiai".to_string(), "tarantula".to_string()],
                     jobs,
-                    ..MultiEvalConfig::default()
                 },
             )
             .unwrap();

@@ -553,9 +553,13 @@ pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, Corpus
         let mut ok = true;
         for k in (0..bugs).rev() {
             let op = &ops[(attempts + k) % ops.len()];
-            let Some(m) =
-                plant_testgen_named(&current, op, indices[k], gen_cfg.buf_len, MULTI_FAULT_VARS[k])
-            else {
+            let Some(m) = plant_testgen_named(
+                &current,
+                op,
+                indices[k],
+                gen_cfg.buf_len,
+                MULTI_FAULT_VARS[k],
+            ) else {
                 ok = false;
                 break;
             };

@@ -669,7 +669,9 @@ mod tests {
 
     #[test]
     fn future_schema_is_rejected() {
-        let line = sample_multi().to_json().replace("\"schema\":2", "\"schema\":3");
+        let line = sample_multi()
+            .to_json()
+            .replace("\"schema\":2", "\"schema\":3");
         let err = PlantedBug::from_json(&line).unwrap_err();
         assert!(err.contains("unsupported manifest schema 3"), "{err}");
     }

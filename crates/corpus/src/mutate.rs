@@ -727,8 +727,9 @@ mod tests {
         assert!(src.contains("fault_u") && src.contains("fault_v"));
         resolve(&parse(&src).unwrap()).expect("stacked mutant must resolve");
         // Re-planting an already-used temporary is refused.
-        assert!(plant_testgen_named(&m2.program, &Operator::OffByOneIndex, 0, 8, "fault_u")
-            .is_none());
+        assert!(
+            plant_testgen_named(&m2.program, &Operator::OffByOneIndex, 0, 8, "fault_u").is_none()
+        );
     }
 
     #[test]

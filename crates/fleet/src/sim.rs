@@ -21,13 +21,12 @@ use cbi::streaming::StreamingConfig;
 use cbi_instrument::{
     apply_sampling, instrument, single_function_variants, Scheme, SiteTable, TransformOptions,
 };
-use cbi_minic::slots::SlotProgram;
 use cbi_minic::Program;
 use cbi_reports::wire::encode_reports;
 use cbi_reports::{DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink};
-use cbi_sampler::{CountdownBank, Pcg32, Zipf};
+use cbi_sampler::{LazyBank, Pcg32, Zipf};
 use cbi_telemetry as telemetry;
-use cbi_vm::{bytecode::BcProgram, Engine, RunOutcome, Vm};
+use cbi_vm::{bytecode::BcProgram, RunOutcome, Vm};
 
 /// PRNG stream tag for per-run input selection.
 const RUN_STREAM: u64 = 0x72_75_6e_73; // "runs"
@@ -76,11 +75,6 @@ pub struct FleetSpec {
     /// Server-side flight-recorder capacity (last N ingest events kept
     /// for anomaly dumps; `0` disables retention).
     pub flight_recorder: usize,
-    /// Interpreter engine every client binary runs on.  The default is
-    /// [`Engine::Bytecode`]: each binary (the full build and every
-    /// variant) is compiled to flat instructions once at setup.  All
-    /// engines produce bit-identical fleet reports.
-    pub engine: Engine,
 }
 
 impl FleetSpec {
@@ -106,7 +100,6 @@ impl FleetSpec {
             bank_size: 1024,
             streaming: StreamingConfig::default(),
             flight_recorder: 64,
-            engine: Engine::Bytecode,
         }
     }
 
@@ -287,8 +280,11 @@ pub(crate) fn produce_fleet(
     } else {
         Vec::new()
     };
-    let exe = FleetExe::build(spec.engine, full, variants);
-    let profiles = draw_profiles(spec, exe.n_variants());
+    let exe = FleetExe {
+        full: compile(&full),
+        variants: variants.iter().map(compile).collect(),
+    };
+    let profiles = draw_profiles(spec, exe.variants.len());
     let zipf = Zipf::new(pool.len(), spec.zipf_exponent)
         .map_err(|e| FleetError::Config(format!("input-pool popularity: {e}")))?;
     let plans = plan_batches(spec);
@@ -492,68 +488,14 @@ struct WorkerCtx<'a> {
 }
 
 /// Every binary the fleet runs — the full build plus each variant —
-/// compiled once at setup for the configured engine and shared
-/// (immutably) by all workers.
-// One value per fleet run, so the size spread between engine payloads
-// is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum FleetExe {
-    Ast {
-        full: Program,
-        variants: Vec<Program>,
-    },
-    Slots {
-        full: SlotProgram,
-        variants: Vec<SlotProgram>,
-    },
-    Bytecode {
-        full: BcProgram,
-        variants: Vec<BcProgram>,
-    },
+/// compiled once at setup and shared (immutably) by all workers.
+struct FleetExe {
+    full: BcProgram,
+    variants: Vec<BcProgram>,
 }
 
-impl FleetExe {
-    fn build(engine: Engine, full: Program, variants: Vec<Program>) -> FleetExe {
-        match engine {
-            Engine::NameMap => FleetExe::Ast { full, variants },
-            Engine::Slots => FleetExe::Slots {
-                full: cbi_minic::lower(&full),
-                variants: variants.iter().map(cbi_minic::lower).collect(),
-            },
-            Engine::Bytecode => FleetExe::Bytecode {
-                full: cbi_vm::bytecode::compile(&cbi_minic::lower(&full)),
-                variants: variants
-                    .iter()
-                    .map(|v| cbi_vm::bytecode::compile(&cbi_minic::lower(v)))
-                    .collect(),
-            },
-        }
-    }
-
-    fn n_variants(&self) -> usize {
-        match self {
-            FleetExe::Ast { variants, .. } => variants.len(),
-            FleetExe::Slots { variants, .. } => variants.len(),
-            FleetExe::Bytecode { variants, .. } => variants.len(),
-        }
-    }
-
-    /// A VM for the client's binary: the full build, or `variants[v]`.
-    fn vm(&self, variant: Option<usize>) -> Vm<'_> {
-        match self {
-            FleetExe::Ast { full, variants } => {
-                let mut vm = Vm::new(variant.map_or(full, |v| &variants[v]));
-                vm.with_engine(Engine::NameMap);
-                vm
-            }
-            FleetExe::Slots { full, variants } => {
-                Vm::from_slots(variant.map_or(full, |v| &variants[v]))
-            }
-            FleetExe::Bytecode { full, variants } => {
-                Vm::from_bytecode(variant.map_or(full, |v| &variants[v]))
-            }
-        }
-    }
+fn compile(program: &Program) -> BcProgram {
+    cbi_vm::bytecode::compile(&cbi_minic::lower(program))
 }
 
 /// Deals runs round-robin over clients and chunks each client's run
@@ -582,7 +524,7 @@ fn produce_batch(ctx: &WorkerCtx<'_>, plan: &BatchPlan) -> Result<ProducedBatch,
     let profile = &ctx.profiles[plan.client];
     let mut reports = Vec::with_capacity(plan.runs.len());
     let mut dropped = 0usize;
-    let mut bank = CountdownBank::generate(
+    let mut bank = LazyBank::new(
         profile.density,
         spec.bank_size,
         spec.seed.wrapping_add(plan.runs[0] as u64),
@@ -593,7 +535,10 @@ fn produce_batch(ctx: &WorkerCtx<'_>, plan: &BatchPlan) -> Result<ProducedBatch,
         if i > 0 {
             bank.reseed(profile.density, spec.seed.wrapping_add(run as u64));
         }
-        let mut vm = ctx.exe.vm(profile.variant);
+        let binary = profile
+            .variant
+            .map_or(&ctx.exe.full, |v| &ctx.exe.variants[v]);
+        let mut vm = Vm::from_bytecode(binary);
         vm.with_sites(ctx.sites)
             .with_input(&input[..])
             .with_op_limit(spec.op_limit)
@@ -795,31 +740,21 @@ mod tests {
     }
 
     #[test]
-    fn fleet_summary_identical_across_engines_and_jobs() {
+    fn fleet_summary_identical_across_jobs() {
         // Variants, stale clients, and a mildly lossy channel together:
-        // the summary must not depend on which engine ran the clients,
-        // nor on the job count.
+        // the summary must not depend on the job count.
         let program = cbi_minic::parse(RARE).unwrap();
         let mut base = spec();
         base.variant_fraction = 0.3;
         base.stale_fraction = 0.1;
         base.channel.drop = 0.05;
-        let with = |engine: Engine, jobs: usize| {
-            let mut s = base.clone();
-            s.engine = engine;
-            s.jobs = jobs;
+        let with = |jobs: usize| {
+            let s = base.clone().with_jobs(jobs);
             run_fleet(&program, &pool(48), &s, None).unwrap().summary
         };
-        let reference = with(Engine::Slots, 1);
-        for engine in [Engine::Bytecode, Engine::NameMap] {
-            for jobs in [1usize, 2, 4] {
-                assert_eq!(
-                    reference,
-                    with(engine, jobs),
-                    "{} jobs={jobs}: fleet summary diverged",
-                    engine.name()
-                );
-            }
+        let reference = with(1);
+        for jobs in [2usize, 4] {
+            assert_eq!(reference, with(jobs), "jobs={jobs}: fleet summary diverged");
         }
     }
 

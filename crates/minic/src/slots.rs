@@ -1,8 +1,8 @@
 //! Slot lowering: dense variable indices for the interpreter hot path.
 //!
-//! The tree-walking VM historically kept every frame as a
-//! `HashMap<String, Value>`, paying a string hash on each variable read
-//! and write.  This pass performs the name resolution once, statically:
+//! MiniC name lookup is dynamic (frame first, then globals, a miss
+//! traps), which would cost a string hash on each variable read and
+//! write.  This pass performs the name resolution once, statically:
 //! every local (parameter or declaration) of a function is assigned a
 //! dense *slot* index, every global a dense global index, and every
 //! callee is resolved to a builtin or a function index.  The VM can then
@@ -13,10 +13,11 @@
 //! visible for the remainder of the function once executed).  Crucially,
 //! lowering is *purely syntactic* and total: it never rejects a program,
 //! so even unresolved or deliberately ill-formed programs execute with
-//! exactly the same dynamic behavior as the name-map interpreter —
+//! exactly the dynamic behavior a name-keyed frame would give —
 //! including use-before-declaration traps and locals that fall back to a
 //! same-named global until their declaration runs.  That is what
-//! [`SlotRef`] encodes.
+//! [`SlotRef`] encodes (`cbi-vm`'s `unresolved_name_lookup_edge_cases`
+//! test pins the outcomes).
 
 use crate::ast::*;
 use crate::builtins::{Builtin, GLOBAL_COUNTDOWN};
@@ -40,8 +41,8 @@ pub enum SlotRef {
     /// Declared locally *and* globally: frame slot if bound, else the
     /// global — exactly the frame-then-globals search order.
     LocalOrGlobal(u32, u32),
-    /// No declaration anywhere: always a runtime trap (kept for parity
-    /// with the name-map interpreter on unchecked programs).
+    /// No declaration anywhere: always a runtime trap (only unchecked
+    /// programs contain one).
     Undefined(Box<str>),
 }
 
@@ -218,10 +219,9 @@ pub struct SlotProgram {
 ///
 /// Total — never fails, even on unresolved programs; statically
 /// unresolvable names become [`SlotRef::Undefined`] / [`Callee::Undefined`]
-/// and trap at run time exactly as the name-map interpreter does.
+/// and trap at run time, as a dynamic lookup miss would.
 pub fn lower(program: &Program) -> SlotProgram {
-    // Later duplicates win for call/global lookup, matching the name-map
-    // interpreter's `HashMap::insert` environments (duplicates only occur
+    // Later duplicates win for call/global lookup (duplicates only occur
     // in unchecked programs).
     let mut global_idx: HashMap<&str, u32> = HashMap::new();
     for (i, g) in program.globals.iter().enumerate() {
@@ -264,8 +264,8 @@ pub fn lower(program: &Program) -> SlotProgram {
 
 struct FnLowerer<'a> {
     /// Function-flat local slots, first declaration wins (re-declaration
-    /// on instrumented dual paths reuses the slot, matching the name-map
-    /// frame where `insert` overwrites).
+    /// on instrumented dual paths reuses the slot, as rebinding the name
+    /// in a function-flat frame would).
     locals: HashMap<&'a str, u32>,
     slot_names: Vec<String>,
     globals: &'a HashMap<&'a str, u32>,

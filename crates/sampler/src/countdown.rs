@@ -2,7 +2,7 @@
 //! countdown when it reaches zero.
 //!
 //! The paper's deployment pre-generates a bank of 1024 geometric countdowns
-//! per run (§3.1.1); [`CountdownBank`] models this.  [`Periodic`] and
+//! per run (§3.1.1); [`LazyBank`] models this.  [`Periodic`] and
 //! [`UniformInterval`] model the prior art the paper contrasts against in
 //! §2.1 and §4: strictly periodic triggers (Arnold–Ryder) and uniformly
 //! jittered intervals (Digital Continuous Profiling Infrastructure).  Both
@@ -34,99 +34,28 @@ impl<T: CountdownSource + ?Sized> CountdownSource for &mut T {
     }
 }
 
-/// A pre-generated, cycling bank of countdowns.
+/// A cycling bank of geometric countdowns that draws its values on first
+/// use instead of up front.
 ///
 /// §3.1.1: "each run used a different pre-generated bank of 1024
 /// geometrically distributed random countdowns."  A bank of `n` countdowns
 /// for `1/d` sampling encodes on average `n·d` coin tosses, so modest banks
 /// last a long time (§2.1).
 ///
-/// ```
-/// use cbi_sampler::{CountdownBank, CountdownSource, SamplingDensity};
-/// let mut bank = CountdownBank::generate(SamplingDensity::one_in(10), 1024, 7);
-/// assert_eq!(bank.len(), 1024);
-/// let first = bank.next_countdown();
-/// assert!(first >= 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CountdownBank {
-    values: Vec<u64>,
-    cursor: usize,
-}
-
-impl CountdownBank {
-    /// Builds a bank from explicit countdown values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or contains a zero (a zero countdown can
-    /// never be consumed and would wedge the runtime).
-    pub fn from_values(values: Vec<u64>) -> Self {
-        assert!(!values.is_empty(), "countdown bank must be nonempty");
-        assert!(
-            values.iter().all(|&v| v >= 1),
-            "countdowns must be at least 1"
-        );
-        CountdownBank { values, cursor: 0 }
-    }
-
-    /// Generates a bank of `n` geometric countdowns for the given density.
-    pub fn generate(density: SamplingDensity, n: usize, seed: u64) -> Self {
-        let mut g = Geometric::new(density, seed);
-        let values = (0..n.max(1)).map(|_| g.draw()).collect();
-        CountdownBank::from_values(values)
-    }
-
-    /// Regenerates this bank in place from a fresh seed, reusing the
-    /// existing allocation.  Equivalent to
-    /// `*self = CountdownBank::generate(density, self.len(), seed)` but
-    /// without reallocating; campaign workers use this to recycle one bank
-    /// buffer across thousands of trials.
-    pub fn reseed(&mut self, density: SamplingDensity, seed: u64) {
-        cbi_telemetry::count("sampler.bank_reseeds", 1);
-        let mut g = Geometric::new(density, seed);
-        for v in &mut self.values {
-            *v = g.draw();
-        }
-        self.cursor = 0;
-    }
-
-    /// Number of countdowns in the bank.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the bank is empty (never true for a constructed bank).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The underlying countdown values.
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
-}
-
-impl CountdownSource for CountdownBank {
-    fn next_countdown(&mut self) -> u64 {
-        // Each refill marks one sample boundary: the runtime only asks for
-        // a new countdown after taking (or seeding) a sample.
-        cbi_telemetry::count("sampler.refills", 1);
-        let v = self.values[self.cursor];
-        self.cursor = (self.cursor + 1) % self.values.len();
-        v
-    }
-}
-
-/// A [`CountdownBank`] that draws its values on first use instead of up
-/// front.
+/// The countdown sequence is the one a pre-generated bank would hold — the
+/// first `cap` refills are the first `cap` draws of
+/// [`Geometric::new(density, seed)`](Geometric::new), and the bank cycles
+/// after that — but a run that consumes only a handful of refills (the
+/// common case at 1/100 sampling) never pays for the draws it doesn't use.
+/// Campaign and fleet workers recycle one `LazyBank` across thousands of
+/// runs via [`reseed`].
 ///
-/// The countdown sequence is identical to an eagerly generated bank of the
-/// same density, capacity, and seed — the first `cap` refills come from the
-/// same [`Geometric`] stream, and the bank cycles after that — but a run
-/// that consumes only a handful of refills (the common case at 1/100
-/// sampling) never pays for the draws it doesn't use.  Campaign workers
-/// recycle one `LazyBank` across thousands of trials via [`reseed`].
+/// ```
+/// use cbi_sampler::{CountdownSource, Geometric, LazyBank, SamplingDensity};
+/// let density = SamplingDensity::one_in(10);
+/// let mut bank = LazyBank::new(density, 1024, 7);
+/// assert_eq!(bank.next_countdown(), Geometric::new(density, 7).draw());
+/// ```
 ///
 /// [`reseed`]: LazyBank::reseed
 #[derive(Debug, Clone)]
@@ -138,8 +67,8 @@ pub struct LazyBank {
 }
 
 impl LazyBank {
-    /// Creates a lazy bank of (up to) `cap` geometric countdowns,
-    /// equivalent to `CountdownBank::generate(density, cap, seed)`.
+    /// Creates a bank of `cap` geometric countdowns (a `cap` of zero is
+    /// treated as one: a bank must be able to answer a refill).
     pub fn new(density: SamplingDensity, cap: usize, seed: u64) -> Self {
         LazyBank {
             gen: Geometric::new(density, seed),
@@ -150,7 +79,8 @@ impl LazyBank {
     }
 
     /// Restarts this bank from a fresh seed, reusing the value buffer;
-    /// equivalent to [`CountdownBank::reseed`] on an eager bank.
+    /// afterwards it is indistinguishable from
+    /// `LazyBank::new(density, cap, seed)`.
     pub fn reseed(&mut self, density: SamplingDensity, seed: u64) {
         cbi_telemetry::count("sampler.bank_reseeds", 1);
         self.gen = Geometric::new(density, seed);
@@ -161,12 +91,13 @@ impl LazyBank {
 
 impl CountdownSource for LazyBank {
     fn next_countdown(&mut self) -> u64 {
+        // Each refill marks one sample boundary: the runtime only asks for
+        // a new countdown after taking (or seeding) a sample.
         cbi_telemetry::count("sampler.refills", 1);
         let v = if self.cursor < self.values.len() {
             self.values[self.cursor]
         } else {
-            // `Geometric::draw` is telemetry-free, so the refill count
-            // matches the eager bank draw for draw.
+            // `Geometric::draw` is telemetry-free: one refill, one count.
             let v = self.gen.draw();
             self.values.push(v);
             v
@@ -289,56 +220,70 @@ impl CountdownSource for Bernoulli {
 mod tests {
     use super::*;
 
+    /// The bank's oracle: `cap` draws of the bare generator, cycled.
+    fn expected(density: SamplingDensity, cap: usize, seed: u64, n: usize) -> Vec<u64> {
+        let mut g = Geometric::new(density, seed);
+        let first: Vec<u64> = (0..cap.max(1)).map(|_| g.draw()).collect();
+        first.iter().copied().cycle().take(n).collect()
+    }
+
+    fn drain(bank: &mut LazyBank, n: usize) -> Vec<u64> {
+        (0..n).map(|_| bank.next_countdown()).collect()
+    }
+
     #[test]
     fn bank_cycles_through_values() {
-        let mut bank = CountdownBank::from_values(vec![3, 1, 4]);
-        let got: Vec<u64> = (0..7).map(|_| bank.next_countdown()).collect();
-        assert_eq!(got, vec![3, 1, 4, 3, 1, 4, 3]);
+        for d in [1, 100, 1000] {
+            let density = SamplingDensity::one_in(d);
+            for cap in [1usize, 3, 1024] {
+                let n = 2 * cap + 1;
+                let mut bank = LazyBank::new(density, cap, 9);
+                assert_eq!(
+                    drain(&mut bank, n),
+                    expected(density, cap, 9, n),
+                    "1/{d} cap {cap}"
+                );
+                // Mid-cycle reseed: new stream from the top, buffer reused.
+                bank.reseed(density, 10);
+                assert_eq!(
+                    drain(&mut bank, n),
+                    expected(density, cap, 10, n),
+                    "1/{d} cap {cap} after reseed"
+                );
+            }
+        }
     }
 
     #[test]
     fn generated_bank_has_requested_size() {
-        let bank = CountdownBank::generate(SamplingDensity::one_in(100), 1024, 9);
-        assert_eq!(bank.len(), 1024);
-        assert!(!bank.is_empty());
-        assert!(bank.values().iter().all(|&v| v >= 1));
+        // The period is the requested size: draw `cap` is draw 0 again,
+        // and a zero `cap` is a bank of one.
+        for (cap, period) in [(0usize, 1usize), (1, 1), (3, 3), (1024, 1024)] {
+            let mut bank = LazyBank::new(SamplingDensity::one_in(100), cap, 9);
+            let got = drain(&mut bank, 2 * period);
+            assert!(got.iter().all(|&v| v >= 1));
+            assert_eq!(got[..period], got[period..], "cap {cap}");
+        }
     }
 
     #[test]
     fn generated_bank_mean_near_density_inverse() {
-        let bank = CountdownBank::generate(SamplingDensity::one_in(50), 4096, 13);
-        let mean: f64 = bank.values().iter().map(|&v| v as f64).sum::<f64>() / bank.len() as f64;
+        let mut bank = LazyBank::new(SamplingDensity::one_in(50), 4096, 13);
+        let mean: f64 = drain(&mut bank, 4096)
+            .iter()
+            .map(|&v| v as f64)
+            .sum::<f64>()
+            / 4096.0;
         assert!((mean - 50.0).abs() < 5.0, "bank mean {mean}");
     }
 
     #[test]
     fn reseed_matches_fresh_generate() {
-        let mut bank = CountdownBank::generate(SamplingDensity::one_in(10), 64, 1);
+        let mut bank = LazyBank::new(SamplingDensity::one_in(10), 64, 1);
         bank.next_countdown(); // advance the cursor so reseed must rewind it
         bank.reseed(SamplingDensity::one_in(10), 2);
-        let fresh = CountdownBank::generate(SamplingDensity::one_in(10), 64, 2);
-        assert_eq!(bank.values(), fresh.values());
-        let a: Vec<u64> = {
-            let mut b = bank.clone();
-            (0..5).map(|_| b.next_countdown()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut f = fresh.clone();
-            (0..5).map(|_| f.next_countdown()).collect()
-        };
-        assert_eq!(a, b, "reseed must rewind the cursor");
-    }
-
-    #[test]
-    #[should_panic(expected = "nonempty")]
-    fn empty_bank_panics() {
-        let _ = CountdownBank::from_values(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_countdown_panics() {
-        let _ = CountdownBank::from_values(vec![1, 0, 2]);
+        let mut fresh = LazyBank::new(SamplingDensity::one_in(10), 64, 2);
+        assert_eq!(drain(&mut bank, 130), drain(&mut fresh, 130));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   refill its countdown, with geometric, strictly periodic
 //!   (Arnold–Ryder-style) and uniform-interval (DCPI-style) implementations,
 //!   the latter two serving as baselines for the fairness ablation;
-//! * [`CountdownBank`] — a pre-generated bank of countdowns (§3.1.1 uses
-//!   banks of 1024), cycling like the real deployment;
+//! * [`LazyBank`] — the per-run bank of countdowns (§3.1.1 uses banks of
+//!   1024), cycling like the real deployment, drawn on first use;
 //! * [`fairness`] — chi-square and moment checks used to demonstrate that
 //!   geometric countdowns realize a fair Bernoulli process while periodic
 //!   triggers do not;
@@ -50,9 +50,7 @@ pub mod geometric;
 pub mod rng;
 pub mod zipf;
 
-pub use countdown::{
-    Bernoulli, CountdownBank, CountdownSource, LazyBank, Periodic, UniformInterval,
-};
+pub use countdown::{Bernoulli, CountdownSource, LazyBank, Periodic, UniformInterval};
 pub use geometric::Geometric;
 pub use rng::Pcg32;
 pub use zipf::{Categorical, CategoricalError, Zipf};

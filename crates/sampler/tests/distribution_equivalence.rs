@@ -2,7 +2,7 @@
 //! and the naive per-site Bernoulli coin it replaces (§2.1): both must
 //! realize the same process, differing only in cost.
 
-use cbi_sampler::{Bernoulli, CountdownSource, Geometric, SamplingDensity};
+use cbi_sampler::{Bernoulli, CountdownSource, Geometric, LazyBank, SamplingDensity};
 
 /// Empirical CDF comparison (two-sample Kolmogorov–Smirnov statistic).
 fn ks_statistic(mut a: Vec<u64>, mut b: Vec<u64>) -> f64 {
@@ -67,13 +67,42 @@ fn geometric_tail_matches_closed_form() {
 
 #[test]
 fn bank_draws_match_generator_draws() {
-    use cbi_sampler::CountdownBank;
-    // A bank generated from the same seed must replay the generator's
-    // sequence until it cycles.
-    let density = SamplingDensity::one_in(50);
-    let mut gen = Geometric::new(density, 31);
-    let mut bank = CountdownBank::generate(density, 256, 31);
-    for i in 0..256 {
-        assert_eq!(bank.next_countdown(), gen.next_countdown(), "draw {i}");
+    // §3.1.1's bank is the generator's first `cap` draws, cycled; a
+    // reseed starts the next run's bank.  Through the public trait both
+    // count one `sampler.refills` per countdown handed out (read from a
+    // worker label only this test uses: telemetry is process-global).
+    const WORKER: u32 = 0xba4c;
+    cbi_telemetry::enable();
+    cbi_telemetry::set_worker(WORKER);
+    let mut refills = 0;
+    let mut reseeds = 0;
+    for d in [1, 100, 1000] {
+        let density = SamplingDensity::one_in(d);
+        for cap in [1usize, 3, 1024] {
+            let mut bank = LazyBank::new(density, cap, 31);
+            for seed in [31u64, 32] {
+                if seed != 31 {
+                    bank.reseed(density, seed);
+                    reseeds += 1;
+                }
+                let mut gen = Geometric::new(density, seed);
+                let first: Vec<u64> = (0..cap).map(|_| gen.next_countdown()).collect();
+                for i in 0..2 * cap + 1 {
+                    assert_eq!(
+                        bank.next_countdown(),
+                        first[i % cap],
+                        "1/{d} cap {cap} seed {seed} draw {i}"
+                    );
+                }
+                refills += (cap + 2 * cap + 1) as u64;
+            }
+        }
     }
+    let snapshot = cbi_telemetry::collect();
+    cbi_telemetry::disable();
+    assert_eq!(snapshot.worker_counter(WORKER, "sampler.refills"), refills);
+    assert_eq!(
+        snapshot.worker_counter(WORKER, "sampler.bank_reseeds"),
+        reseeds
+    );
 }

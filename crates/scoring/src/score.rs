@@ -389,7 +389,18 @@ mod tests {
 
     #[test]
     fn isqrt_is_floor_sqrt() {
-        for v in [0u128, 1, 2, 3, 4, 15, 16, 999_999, 1_000_000, u64::MAX as u128] {
+        for v in [
+            0u128,
+            1,
+            2,
+            3,
+            4,
+            15,
+            16,
+            999_999,
+            1_000_000,
+            u64::MAX as u128,
+        ] {
             let r = isqrt(v);
             assert!(r * r <= v);
             assert!((r + 1) * (r + 1) > v);

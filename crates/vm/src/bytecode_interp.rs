@@ -2,7 +2,7 @@
 //! [`cbi_bytecode::BcProgram`] instructions.
 //!
 //! All observable semantics — charges, traps, counters, traces — delegate
-//! to the shared [`RunCore`], like the tree walkers; this module owns only
+//! to the shared [`RunCore`], like the tree walker; this module owns only
 //! instruction sequencing.  Two non-obvious parity points:
 //!
 //! * **Deferred observation errors.**  `__cmp`/`__obs_sign` evaluate every
@@ -11,12 +11,12 @@
 //!   defer is armed records the error, truncates the operand stack and
 //!   frame stack to the defer's snapshot, pushes a placeholder value, and
 //!   resumes at the next argument.  Crucially, `core.depth` and the
-//!   locals arena are *not* rolled back: the walkers' `?`-propagation
+//!   locals arena are *not* rolled back: the walker's `?`-propagation
 //!   skips the `depth -= 1` / `stack.truncate` in `call_function`, so a
 //!   captured error from inside a callee leaks both — and a later
 //!   stack-overflow check must see the same leaked depth.
 //! * **Fused countdown ops** (`CdDecl`/`CdCopy`/`CdUpdate`/`CdRefill`/
-//!   `CdBranch`) reproduce the walkers' synthesized-statement path:
+//!   `CdBranch`) reproduce the walker's synthesized-statement path:
 //!   telemetry step bump, flat bookkeeping charge, the
 //!   `eval_uncharged` integer shortcut, and the generic
 //!   [`RunCore::binary_values`] fallback for non-integer operands.
@@ -465,7 +465,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     let argc = argc as usize;
                     let args_at = stack.len() - argc;
                     // Arity mismatches only occur in unchecked programs;
-                    // binding the shorter list matches the walkers.
+                    // binding the shorter list matches the walker.
                     for i in 0..argc.min(f.n_params as usize) {
                         locals[nbase + i] = Some(stack[args_at + i]);
                     }
@@ -1340,7 +1340,7 @@ fn fetch(
     }
 }
 
-/// The walkers' uncharged countdown-variable lookup, with their exact trap
+/// The walker's uncharged countdown-variable lookup, with its exact trap
 /// messages.
 #[inline]
 fn cd_lookup(
@@ -1367,7 +1367,7 @@ fn cd_lookup(
     }
 }
 
-/// The walkers' countdown assignment, with their exact trap messages.
+/// The walker's countdown assignment, with its exact trap messages.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn cd_assign(
@@ -1413,7 +1413,7 @@ fn cd_assign(
     }
 }
 
-/// `cd <op> k` with the walkers' `eval_uncharged` integer shortcut and
+/// `cd <op> k` with the walker's `eval_uncharged` integer shortcut and
 /// their generic fallback for everything else.
 #[inline]
 fn cd_arith(core: &RunCore<'_>, spec: CdSpec, v: Value) -> Result<Value, Trap> {

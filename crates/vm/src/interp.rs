@@ -1,6 +1,6 @@
-//! The MiniC interpreter.
+//! The MiniC interpreter front end: the [`Vm`] builder and [`RunResult`].
 //!
-//! A deterministic tree-walking evaluator with:
+//! A deterministic evaluator with:
 //!
 //! * function-level flat frames (sound because the resolver forbids
 //!   shadowing; required because the sampling transformation clones
@@ -12,30 +12,27 @@
 //!   `__gcd` global is seeded at startup;
 //! * op-cost accounting per [`CostModel`] for the overhead experiments.
 //!
-//! Three engines share this front end: the bytecode dispatch loop
-//! ([`crate::bytecode_interp`]) executing compiled [`BcProgram`]s, the
-//! slot-resolved tree walker ([`crate::slot_interp`], the default)
-//! executing pre-lowered [`SlotProgram`]s with `Vec`-indexed frames, and
-//! the original name-map tree walker in this module, kept as the
-//! reference implementation for differential testing and benchmarking.
-//! All three share the engine-independent run state and value semantics
-//! in [`crate::runtime`].
+//! There is one engine and one oracle, and the program a [`Vm`] is built
+//! from picks between them: a compiled [`BcProgram`] ([`Vm::from_bytecode`],
+//! or [`Vm::new`], which lowers and compiles first) runs on the bytecode
+//! dispatch loop ([`crate::bytecode_interp`]) — the engine everything
+//! ships on; a pre-lowered [`SlotProgram`] ([`Vm::from_slots`]) runs on the
+//! slot-resolved tree walker ([`crate::slot_interp`]), kept as the
+//! reference the bytecode engine is tested against.  Both share the run
+//! state and value semantics in [`crate::runtime`].
 
 use crate::cost::CostModel;
 use crate::heap::DEFAULT_SLACK;
-use crate::outcome::{CrashKind, RunOutcome};
-use crate::runtime::{saturating_i64, Flow, RunCore, Trap};
+use crate::outcome::RunOutcome;
+use crate::runtime::{saturating_i64, RunCore};
 use crate::slot_interp::SlotExec;
 use crate::value::Value;
 use cbi_bytecode::BcProgram;
 use cbi_instrument::SiteTable;
-use cbi_minic::ast::*;
-use cbi_minic::builtins::GLOBAL_COUNTDOWN;
+use cbi_minic::ast::{Program, Type};
 use cbi_minic::slots::{self, SlotProgram};
-use cbi_minic::Builtin;
 use cbi_sampler::CountdownSource;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -93,45 +90,8 @@ pub struct RunResult {
     pub trace: Vec<(usize, bool)>,
 }
 
-/// Which interpreter engine a [`Vm`] executes with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Slot-resolved tree walking (the default): names are lowered to
-    /// dense indices once, frames are `Vec`-backed — no string hashing on
-    /// the execution path.
-    #[default]
-    Slots,
-    /// The original name-map tree walker (`HashMap` frames).  Kept as the
-    /// reference engine for differential tests and overhead baselines.
-    NameMap,
-    /// The bytecode dispatch loop: the slot-resolved program is compiled
-    /// to flat instructions with resolved jumps and fused countdown ops,
-    /// then executed by a `loop { match op }` engine — the fastest path.
-    Bytecode,
-}
-
-impl Engine {
-    /// Parses an engine name as accepted by the CLI `--engine` flag.
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "slot" | "slots" => Some(Engine::Slots),
-            "namemap" | "name-map" => Some(Engine::NameMap),
-            "bytecode" | "bc" => Some(Engine::Bytecode),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI name of this engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Slots => "slot",
-            Engine::NameMap => "namemap",
-            Engine::Bytecode => "bytecode",
-        }
-    }
-}
-
-/// The program representation a [`Vm`] was constructed from.
+/// The program representation a [`Vm`] was constructed from, which is
+/// also what selects the interpreter that runs it.
 #[derive(Clone, Copy)]
 enum ProgramSrc<'a> {
     Ast(&'a Program),
@@ -200,7 +160,6 @@ pub struct Vm<'a> {
     sites: Option<&'a SiteTable>,
     sampling: Sampling<'a>,
     input: Cow<'a, [i64]>,
-    engine: Engine,
     op_limit: u64,
     max_depth: usize,
     costs: CostModel,
@@ -217,7 +176,6 @@ impl fmt::Debug for Vm<'_> {
         };
         f.debug_struct("Vm")
             .field("functions", &functions)
-            .field("engine", &self.engine)
             .field("has_sites", &self.sites.is_some())
             .field("has_sampling", &self.sampling.is_configured())
             .field("input_len", &self.input.len())
@@ -228,28 +186,33 @@ impl fmt::Debug for Vm<'_> {
 
 impl<'a> Vm<'a> {
     /// Creates a VM for a program with default settings.
+    ///
+    /// The one-shot convenience: [`Vm::run`] lowers and compiles the
+    /// program, then executes the bytecode.  Anything that runs a program
+    /// more than once compiles once and uses [`Vm::from_bytecode`].
     pub fn new(program: &'a Program) -> Self {
         Vm::with_src(ProgramSrc::Ast(program))
     }
 
-    /// Creates a VM for a pre-lowered program (see [`cbi_minic::lower`]).
+    /// Creates a VM that runs a pre-lowered program (see
+    /// [`cbi_minic::lower`]) on the slot-resolved tree walker.
     ///
-    /// Lowering once and constructing per-run VMs from the shared
-    /// [`SlotProgram`] amortizes name resolution across a whole campaign.
+    /// This is the test oracle: nothing ships on it.  It evaluates the
+    /// tree the bytecode compiler consumes, charge for charge, so a
+    /// [`RunResult`] that differs from [`Vm::from_bytecode`]'s on the same
+    /// program is a compiler or dispatch-loop bug.
     pub fn from_slots(program: &'a SlotProgram) -> Self {
         Vm::with_src(ProgramSrc::Slots(program))
     }
 
     /// Creates a VM for a compiled bytecode program (see
-    /// [`cbi_bytecode::compile`]) and selects the bytecode engine.
+    /// [`cbi_bytecode::compile`]).
     ///
     /// Compiling once and constructing per-run VMs from the shared
     /// [`BcProgram`] amortizes both name resolution and code generation
-    /// across a whole campaign — the fastest configuration.
+    /// across a whole campaign.
     pub fn from_bytecode(program: &'a BcProgram) -> Self {
-        let mut vm = Vm::with_src(ProgramSrc::Bytecode(program));
-        vm.engine = Engine::Bytecode;
-        vm
+        Vm::with_src(ProgramSrc::Bytecode(program))
     }
 
     fn with_src(program: ProgramSrc<'a>) -> Self {
@@ -258,7 +221,6 @@ impl<'a> Vm<'a> {
             sites: None,
             sampling: Sampling::None,
             input: Cow::Borrowed(&[]),
-            engine: Engine::default(),
             op_limit: DEFAULT_OP_LIMIT,
             max_depth: DEFAULT_MAX_DEPTH,
             costs: CostModel::default(),
@@ -289,12 +251,6 @@ impl<'a> Vm<'a> {
         source: &'a mut (dyn CountdownSource + 'static),
     ) -> &mut Self {
         self.sampling = Sampling::Borrowed(source);
-        self
-    }
-
-    /// Selects the interpreter engine (default [`Engine::Slots`]).
-    pub fn with_engine(&mut self, engine: Engine) -> &mut Self {
-        self.engine = engine;
         self
     }
 
@@ -356,39 +312,15 @@ impl<'a> Vm<'a> {
             None => 0,
         };
 
-        match (self.engine, self.program) {
-            (Engine::NameMap, ProgramSrc::Ast(program)) => {
-                self.run_namemap(program, counter_layout, total_counters)
-            }
-            (Engine::NameMap, _) => Err(VmError::new(
-                "name-map engine requires an AST program (construct with Vm::new)",
-            )),
-            (Engine::Slots, ProgramSrc::Slots(program)) => {
-                self.run_slots(program, counter_layout, total_counters)
-            }
-            (Engine::Slots, ProgramSrc::Ast(program)) => {
-                // One-shot convenience path: lower, then run.  Hot loops
-                // lower once and use `Vm::from_slots` instead.
-                let lowered = slots::lower(program);
-                self.run_slots(&lowered, counter_layout, total_counters)
-            }
-            (Engine::Slots, ProgramSrc::Bytecode(_)) => Err(VmError::new(
-                "slot engine requires an AST or slot program (construct with Vm::new or Vm::from_slots)",
-            )),
-            (Engine::Bytecode, ProgramSrc::Bytecode(program)) => {
+        match self.program {
+            ProgramSrc::Bytecode(program) => {
                 self.run_bytecode(program, counter_layout, total_counters)
             }
-            (Engine::Bytecode, ProgramSrc::Slots(program)) => {
-                // One-shot convenience path: compile, then run.  Hot loops
-                // compile once and use `Vm::from_bytecode` instead.
-                let compiled = cbi_bytecode::compile(program);
+            ProgramSrc::Ast(program) => {
+                let compiled = cbi_bytecode::compile(&slots::lower(program));
                 self.run_bytecode(&compiled, counter_layout, total_counters)
             }
-            (Engine::Bytecode, ProgramSrc::Ast(program)) => {
-                let lowered = slots::lower(program);
-                let compiled = cbi_bytecode::compile(&lowered);
-                self.run_bytecode(&compiled, counter_layout, total_counters)
-            }
+            ProgramSrc::Slots(program) => self.run_slots(program, counter_layout, total_counters),
         }
     }
 
@@ -463,416 +395,12 @@ impl<'a> Vm<'a> {
         let core = self.core(counter_layout, total_counters);
         crate::bytecode_interp::run(program, core)
     }
-
-    fn run_namemap(
-        &mut self,
-        program: &Program,
-        counter_layout: Vec<(usize, usize)>,
-        total_counters: usize,
-    ) -> Result<RunResult, VmError> {
-        let main = program
-            .function("main")
-            .ok_or_else(|| VmError::new("program has no `main` function"))?;
-        if !main.params.is_empty() {
-            return Err(VmError::new("`main` must take no parameters"));
-        }
-
-        let mut funcs: HashMap<&str, &Function> = HashMap::new();
-        for f in &program.functions {
-            funcs.insert(&f.name, f);
-        }
-
-        let mut globals: HashMap<String, Value> = HashMap::new();
-        for g in &program.globals {
-            let v = match g.ty {
-                Type::Int => Value::Int(g.init),
-                Type::Ptr => Value::Null,
-            };
-            globals.insert(g.name.clone(), v);
-        }
-
-        let mut exec = Exec {
-            funcs,
-            core: self.core(counter_layout, total_counters),
-            globals,
-        };
-
-        // Seed the global countdown before the first instruction (§2.1):
-        // the instrumented program starts with a fresh next-sample distance.
-        if exec.globals.contains_key(GLOBAL_COUNTDOWN) {
-            let seed = match exec.core.sampling.as_deref_mut() {
-                Some(src) => saturating_i64(src.next_countdown()),
-                None => {
-                    return Err(VmError::new(
-                        "sampled program requires a countdown source (with_sampling)",
-                    ))
-                }
-            };
-            exec.globals
-                .insert(GLOBAL_COUNTDOWN.to_string(), Value::Int(seed));
-        }
-
-        let outcome = RunCore::outcome_of(exec.call_function(main, Vec::new()));
-        Ok(exec.core.finish(outcome))
-    }
-}
-
-type Frame = HashMap<String, Value>;
-
-struct Exec<'a> {
-    funcs: HashMap<&'a str, &'a Function>,
-    core: RunCore<'a>,
-    globals: HashMap<String, Value>,
-}
-
-impl Exec<'_> {
-    /// Evaluates countdown-arithmetic expressions of synthesized
-    /// statements without per-node charges (they model register ops); a
-    /// flat bookkeeping charge is applied by the caller.
-    fn eval_uncharged(&mut self, e: &Expr, frame: &mut Frame) -> Result<Value, Trap> {
-        self.core.free_depth += 1;
-        let r = self.eval(e, frame);
-        self.core.free_depth -= 1;
-        r
-    }
-
-    fn call_function(&mut self, f: &Function, args: Vec<Value>) -> Result<Option<Value>, Trap> {
-        if self.core.depth >= self.core.max_depth {
-            return Err(Trap::Crash(CrashKind::StackOverflow));
-        }
-        self.core.depth += 1;
-        self.core.charge(self.core.costs.call)?;
-        let mut frame: Frame = HashMap::with_capacity(f.params.len() + 8);
-        debug_assert_eq!(args.len(), f.params.len());
-        for (p, v) in f.params.iter().zip(args) {
-            frame.insert(p.name.clone(), v);
-        }
-        let flow = self.exec_block(&f.body, &mut frame)?;
-        self.core.depth -= 1;
-        match flow {
-            Flow::Return(v) => Ok(v),
-            // Falling off the end returns the zero value for the declared
-            // return type (or nothing for procedures).
-            _ => Ok(f.ret.map(Value::zero_of)),
-        }
-    }
-
-    fn exec_block(&mut self, b: &Block, frame: &mut Frame) -> Result<Flow, Trap> {
-        for s in &b.stmts {
-            match self.exec_stmt(s, frame)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, s: &Stmt, frame: &mut Frame) -> Result<Flow, Trap> {
-        // Synthesized countdown bookkeeping (decrements, threshold checks,
-        // imports/exports) costs a flat unit: in a native build these are
-        // register operations (§2.4).  Branch bodies of synthesized
-        // conditionals still charge normally — they contain real code.
-        if self.core.tm.on {
-            self.core.tm.steps += 1;
-        }
-        if s.span().is_synthesized() {
-            match s {
-                Stmt::Decl { ty, name, init, .. } => {
-                    self.core.charge(self.core.costs.bookkeeping)?;
-                    let v = match init {
-                        Some(e) => self.eval_uncharged(e, frame)?,
-                        None => Value::zero_of(*ty),
-                    };
-                    frame.insert(name.clone(), v);
-                    return Ok(Flow::Normal);
-                }
-                Stmt::Assign { name, value, .. } => {
-                    self.core.charge(self.core.costs.bookkeeping)?;
-                    let v = self.eval_uncharged(value, frame)?;
-                    self.assign(name, v, frame)?;
-                    return Ok(Flow::Normal);
-                }
-                Stmt::If {
-                    cond,
-                    then_block,
-                    else_block,
-                    ..
-                } => {
-                    self.core.charge(self.core.costs.bookkeeping)?;
-                    let taken = match self.eval_uncharged(cond, frame)? {
-                        Value::Int(v) => v != 0,
-                        other => {
-                            return Err(self
-                                .core
-                                .type_error(format!("synthesized condition evaluated to {other}")))
-                        }
-                    };
-                    if self.core.tm.on {
-                        if let Expr::Binary { op, .. } = cond {
-                            self.core.tm.synthesized_if(*op, taken);
-                        }
-                    }
-                    if taken {
-                        return self.exec_block(then_block, frame);
-                    } else if let Some(e) = else_block {
-                        return self.exec_block(e, frame);
-                    }
-                    return Ok(Flow::Normal);
-                }
-                _ => {}
-            }
-        }
-        self.core.charge(self.core.costs.stmt)?;
-        match s {
-            Stmt::Decl { ty, name, init, .. } => {
-                let v = match init {
-                    Some(e) => self.eval(e, frame)?,
-                    None => Value::zero_of(*ty),
-                };
-                frame.insert(name.clone(), v);
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign { name, value, .. } => {
-                let v = self.eval(value, frame)?;
-                self.assign(name, v, frame)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Store {
-                target,
-                index,
-                value,
-                ..
-            } => {
-                let ptr = match self.lookup(target, frame)? {
-                    Value::Ptr(p) => p,
-                    Value::Null => return Err(Trap::Crash(CrashKind::NullDeref)),
-                    other => {
-                        return Err(self
-                            .core
-                            .type_error(format!("store through non-pointer `{target}` = {other}")))
-                    }
-                };
-                let idx = self.eval_int(index, frame)?;
-                let v = self.eval(value, frame)?;
-                self.core.charge(self.core.costs.mem)?;
-                self.core.heap.store(ptr, idx, v).map_err(Trap::Crash)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-                ..
-            } => {
-                if self.eval_bool(cond, frame)? {
-                    self.exec_block(then_block, frame)
-                } else if let Some(e) = else_block {
-                    self.exec_block(e, frame)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                while self.eval_bool(cond, frame)? {
-                    match self.exec_block(body, frame)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Return { value, .. } => {
-                let v = match value {
-                    Some(e) => Some(self.eval(e, frame)?),
-                    None => None,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Break { .. } => Ok(Flow::Break),
-            Stmt::Continue { .. } => Ok(Flow::Continue),
-            // Un-lowered assertion markers are inert: only the `checks`
-            // scheme turns them into real observations.
-            Stmt::Check { .. } => Ok(Flow::Normal),
-            Stmt::Expr { expr, .. } => {
-                self.eval(expr, frame)?;
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    fn lookup(&self, name: &str, frame: &Frame) -> Result<Value, Trap> {
-        if let Some(v) = frame.get(name) {
-            return Ok(*v);
-        }
-        if let Some(v) = self.globals.get(name) {
-            return Ok(*v);
-        }
-        Err(self.core.type_error(format!("undefined variable `{name}`")))
-    }
-
-    fn assign(&mut self, name: &str, v: Value, frame: &mut Frame) -> Result<(), Trap> {
-        if let Some(slot) = frame.get_mut(name) {
-            *slot = v;
-            return Ok(());
-        }
-        if let Some(slot) = self.globals.get_mut(name) {
-            *slot = v;
-            return Ok(());
-        }
-        Err(self
-            .core
-            .type_error(format!("assignment to undefined variable `{name}`")))
-    }
-
-    fn eval_int(&mut self, e: &Expr, frame: &mut Frame) -> Result<i64, Trap> {
-        match self.eval(e, frame)? {
-            Value::Int(v) => Ok(v),
-            other => Err(self
-                .core
-                .type_error(format!("expected integer, got {other}"))),
-        }
-    }
-
-    fn eval_bool(&mut self, e: &Expr, frame: &mut Frame) -> Result<bool, Trap> {
-        Ok(self.eval_int(e, frame)? != 0)
-    }
-
-    fn eval(&mut self, e: &Expr, frame: &mut Frame) -> Result<Value, Trap> {
-        self.core.charge(self.core.costs.expr)?;
-        match e {
-            Expr::Int { value, .. } => Ok(Value::Int(*value)),
-            Expr::Null { .. } => Ok(Value::Null),
-            Expr::Var { name, .. } => self.lookup(name, frame),
-            Expr::Load { ptr, index, .. } => {
-                let p = match self.eval(ptr, frame)? {
-                    Value::Ptr(p) => p,
-                    Value::Null => return Err(Trap::Crash(CrashKind::NullDeref)),
-                    other => {
-                        return Err(self
-                            .core
-                            .type_error(format!("indexing non-pointer value {other}")))
-                    }
-                };
-                let idx = self.eval_int(index, frame)?;
-                self.core.charge(self.core.costs.mem)?;
-                self.core.heap.load(p, idx).map_err(Trap::Crash)
-            }
-            Expr::Call { name, args, .. } => self.eval_call(name, args, frame),
-            Expr::Unary { op, expr, .. } => {
-                let v = self.eval_int(expr, frame)?;
-                Ok(Value::Int(RunCore::unary_value(*op, v)))
-            }
-            Expr::Binary { op, lhs, rhs, .. } => self.eval_binary(*op, lhs, rhs, frame),
-        }
-    }
-
-    fn eval_binary(
-        &mut self,
-        op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        frame: &mut Frame,
-    ) -> Result<Value, Trap> {
-        // Short-circuit operators evaluate the right side conditionally.
-        if op == BinOp::And {
-            return Ok(Value::Int(i64::from(
-                self.eval_bool(lhs, frame)? && self.eval_bool(rhs, frame)?,
-            )));
-        }
-        if op == BinOp::Or {
-            return Ok(Value::Int(i64::from(
-                self.eval_bool(lhs, frame)? || self.eval_bool(rhs, frame)?,
-            )));
-        }
-
-        let a = self.eval(lhs, frame)?;
-        let b = self.eval(rhs, frame)?;
-        self.core.binary_values(op, a, b)
-    }
-
-    fn eval_call(&mut self, name: &str, args: &[Expr], frame: &mut Frame) -> Result<Value, Trap> {
-        if let Some(b) = Builtin::from_name(name) {
-            return self.eval_builtin(b, args, frame);
-        }
-        let f = *self.funcs.get(name).ok_or_else(|| {
-            self.core
-                .type_error(format!("call to undefined function `{name}`"))
-        })?;
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            vals.push(self.eval(a, frame)?);
-        }
-        let ret = self.call_function(f, vals)?;
-        // Procedure results are only legal in statement position; the
-        // resolver guarantees the value is never consumed.
-        Ok(ret.unwrap_or(Value::Int(0)))
-    }
-
-    fn eval_builtin(
-        &mut self,
-        b: Builtin,
-        args: &[Expr],
-        frame: &mut Frame,
-    ) -> Result<Value, Trap> {
-        match b {
-            Builtin::Alloc => {
-                let n = self.eval_int(&args[0], frame)?;
-                self.core.alloc_value(n)
-            }
-            Builtin::Free => {
-                let v = self.eval(&args[0], frame)?;
-                self.core.free_value(v)
-            }
-            Builtin::Len => {
-                let v = self.eval(&args[0], frame)?;
-                self.core.len_value(v)
-            }
-            Builtin::Read => Ok(self.core.read_value()),
-            Builtin::HasInput => Ok(self.core.has_input_value()),
-            Builtin::Print => {
-                let v = self.eval_int(&args[0], frame)?;
-                Ok(self.core.print_value(v))
-            }
-            Builtin::Exit => {
-                let code = self.eval_int(&args[0], frame)?;
-                Err(Trap::Exit(code))
-            }
-            Builtin::ObsCheck => {
-                let site = self.eval_int(&args[0], frame)?;
-                let ok = self.eval_bool(&args[1], frame)?;
-                self.core.obs_check(site, ok)
-            }
-            Builtin::ObsCmp => {
-                // A three-way compare plus one counter bump is a handful of
-                // native instructions; charge it flat (unlike `__check`,
-                // which evaluates a real predicate).
-                self.core.charge(self.core.costs.observe)?;
-                self.core.free_depth += 1;
-                let site = self.eval_int(&args[0], frame);
-                let a = self.eval(&args[1], frame);
-                let b = self.eval(&args[2], frame);
-                self.core.free_depth -= 1;
-                let (site, a, b) = (site?, a?, b?);
-                self.core.obs_cmp(site, a, b)
-            }
-            Builtin::ObsSign => {
-                self.core.charge(self.core.costs.observe)?;
-                self.core.free_depth += 1;
-                let site = self.eval_int(&args[0], frame);
-                let v = self.eval(&args[1], frame);
-                self.core.free_depth -= 1;
-                let (site, v) = (site?, v?);
-                self.core.obs_sign(site, v)
-            }
-            Builtin::NextCountdown => self.core.next_countdown_value(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::CrashKind;
     use cbi_minic::parse;
 
     fn run(src: &str) -> RunResult {

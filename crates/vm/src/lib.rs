@@ -46,6 +46,6 @@ pub mod value;
 pub use cbi_bytecode as bytecode;
 pub use cost::CostModel;
 pub use heap::Heap;
-pub use interp::{Engine, RunResult, Vm, VmError, DEFAULT_MAX_DEPTH, DEFAULT_OP_LIMIT};
+pub use interp::{RunResult, Vm, VmError, DEFAULT_MAX_DEPTH, DEFAULT_OP_LIMIT};
 pub use outcome::{CrashKind, RunOutcome};
 pub use value::{PtrVal, Value};

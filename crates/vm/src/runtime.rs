@@ -1,9 +1,8 @@
 //! Engine-shared runtime state and value-level semantics.
 //!
-//! All three interpreter engines — the name-map reference walker
-//! ([`crate::interp`]), the slot-resolved walker ([`crate::slot_interp`]),
-//! and the bytecode dispatch loop ([`crate::bytecode_interp`]) — execute
-//! against one [`RunCore`]: the corruptible heap, scripted input, output
+//! Both interpreters — the bytecode dispatch loop
+//! ([`crate::bytecode_interp`]) and its oracle, the slot-resolved walker
+//! ([`crate::slot_interp`]) — execute against one [`RunCore`]: the corruptible heap, scripted input, output
 //! log, counter vector, op-cost accounting, bounded observation trace,
 //! and the countdown source.  Every observable effect (a charge, a trap
 //! message, a counter bump, a trace entry) funnels through the methods
@@ -12,7 +11,7 @@
 //! never *what* they do.
 //!
 //! The split of one builtin between engine and core follows its charge
-//! order in the original walkers: argument evaluation stays with the
+//! order in the tree walker: argument evaluation stays with the
 //! engine, everything from the first post-argument effect onward lives
 //! here.  `__cmp`/`__obs_sign` charge *before* their arguments, so their
 //! observe charge is also the engine's job (see the `obs_cmp`/`obs_sign`
@@ -36,7 +35,7 @@ pub(crate) enum Trap {
     OpLimit,
 }
 
-/// Statement-level control flow for the tree-walking engines.
+/// Statement-level control flow for the tree walker.
 pub(crate) enum Flow {
     Normal,
     Break,
@@ -48,7 +47,7 @@ pub(crate) fn saturating_i64(v: u64) -> i64 {
     i64::try_from(v).unwrap_or(i64::MAX)
 }
 
-/// Per-run telemetry accumulators, shared by all engines.
+/// Per-run telemetry accumulators, shared by both engines.
 ///
 /// Values accumulate in plain locals on the execution path — when
 /// telemetry is disabled the only cost is one predictable branch per

@@ -1,23 +1,23 @@
-//! The slot-resolved interpreter — the tree-walking hot path.
+//! The slot-resolved tree walker — the oracle the bytecode engine is
+//! tested against ([`crate::Vm::from_slots`]); nothing ships on it.
 //!
 //! Executes [`SlotProgram`]s produced by [`cbi_minic::slots::lower`]:
 //! frames are windows of a shared `Vec<Option<Value>>` stack indexed by
 //! dense slot numbers, globals are a dense `Vec<Value>`, and callees are
 //! pre-resolved — no string hashing anywhere on the execution path.
 //!
-//! This module is a statement-for-statement transliteration of the
-//! name-map engine in [`crate::interp`]; the two must stay in lockstep.
-//! Every op-cost charge, trap, and observation happens in exactly the
-//! same order with exactly the same message, so `RunResult`s (outcome,
-//! ops, counters, output, trace) are bit-identical across engines — a
-//! property the `differential_slot_engine` test enforces over random
-//! programs, and `tests/engine_reference_gate.rs` pins against both the
-//! name-map walker and the bytecode dispatch engine.  All observable
-//! effects go through the shared [`RunCore`]; this module owns only the
-//! evaluation order.  An unbound slot is `None`, which reproduces the
-//! dynamic name-lookup semantics (use-before-declaration traps, locals
-//! falling back to a same-named global until their declaration executes)
-//! on unchecked programs.
+//! This module evaluates the AST's semantics directly, one statement
+//! and one expression node at a time, and the bytecode compiler must
+//! reproduce it: every op-cost charge, trap, and observation happens in
+//! exactly the same order with exactly the same message, so `RunResult`s
+//! (outcome, ops, counters, output, trace) are bit-identical across the
+//! two — a property `tests/engine_reference_gate.rs` pins over the
+//! example corpus and `tests/bytecode_differential.rs` over random
+//! programs.  All observable effects go through the shared [`RunCore`];
+//! this module owns only the evaluation order.  An unbound slot is
+//! `None`, which gives MiniC's dynamic name lookup (use-before-declaration
+//! traps, locals falling back to a same-named global until their
+//! declaration executes) on unchecked programs.
 
 use crate::outcome::CrashKind;
 use crate::runtime::{Flow, RunCore, Trap};
@@ -53,7 +53,7 @@ impl<'a> SlotExec<'a> {
         let base = self.stack.len();
         self.stack.resize(base + f.n_slots as usize, None);
         // Arity mismatches only occur in unchecked programs; binding the
-        // shorter of the two lists matches the name-map engine's zip.
+        // shorter of the two lists (a frame only ever holds `n_params`).
         for (i, &v) in args.iter().take(f.n_params as usize).enumerate() {
             self.stack[base + i] = Some(v);
         }

@@ -1,135 +1,95 @@
-//! Differential equivalence of the slot-resolved hot-path engine against
-//! the name-map reference engine.
+//! What `cbi_minic::lower` must preserve on programs the static resolver
+//! would reject, stated as literal run results.
 //!
-//! For every random program from `cbi-testgen` — plain, unconditionally
-//! instrumented, and sampling-transformed — both engines must produce the
-//! *entire* [`cbi_vm::RunResult`] identically: outcome, op count, counter
-//! vector, output, and trace.  Op-count equality is the strongest check:
-//! it fails if the two engines disagree about a single charge anywhere.
+//! MiniC name lookup is dynamic: frame first, then globals, and a miss
+//! traps.  Both interpreters consume `lower`'s output, so comparing them
+//! with each other (`tests/engine_reference_gate.rs`,
+//! `tests/bytecode_differential.rs`) cannot see a wrong resolution in
+//! `lower` itself.  The expectations below were recorded from the
+//! name-keyed (`HashMap` frame) tree walker that evaluated the AST
+//! directly, before it was deleted; op counts included, so a changed
+//! charge shows too.
 
-use cbi_instrument::{apply_sampling, instrument, Scheme, TransformOptions};
 use cbi_minic::lower;
-use cbi_sampler::{CountdownBank, SamplingDensity};
-use cbi_testgen::program_for_seed;
-use cbi_vm::{Engine, RunOutcome, Vm};
+use cbi_vm::bytecode::compile;
+use cbi_vm::{CrashKind, RunOutcome, Vm};
 
-const SEEDS: u64 = 150;
-
-#[test]
-fn engines_agree_on_plain_programs() {
-    for seed in 0..SEEDS {
-        let p = program_for_seed(seed);
-        let reference = Vm::new(&p)
-            .with_engine(Engine::NameMap)
-            .with_trace(16)
-            .run()
-            .unwrap();
-        let slots = lower(&p);
-        let fast = Vm::from_slots(&slots).with_trace(16).run().unwrap();
-        assert_eq!(reference, fast, "seed {seed}");
-        assert_eq!(reference.outcome, RunOutcome::Success(0), "seed {seed}");
-    }
+fn type_error(message: &str) -> RunOutcome {
+    RunOutcome::Crash(CrashKind::TypeError(message.into()))
 }
 
-#[test]
-fn engines_agree_on_instrumented_programs() {
-    let schemes = [
-        Scheme::Checks,
-        Scheme::Returns,
-        Scheme::ScalarPairs,
-        Scheme::Branches,
-    ];
-    for seed in 0..SEEDS {
-        let p = program_for_seed(seed);
-        let scheme = schemes[(seed % 4) as usize];
-        let inst = instrument(&p, scheme).unwrap();
-        let reference = Vm::new(&inst.program)
-            .with_sites(&inst.sites)
-            .with_engine(Engine::NameMap)
-            .with_trace(16)
-            .run()
-            .unwrap();
-        let slots = lower(&inst.program);
-        let fast = Vm::from_slots(&slots)
-            .with_sites(&inst.sites)
-            .with_trace(16)
-            .run()
-            .unwrap();
-        assert_eq!(reference, fast, "seed {seed} scheme {scheme}");
-    }
-}
-
-#[test]
-fn engines_agree_on_sampled_programs() {
-    let density = SamplingDensity::one_in(10);
-    for seed in 0..SEEDS {
-        let p = program_for_seed(seed);
-        let inst = instrument(&p, Scheme::Branches).unwrap();
-        let (sampled, _) = apply_sampling(&inst.program, &TransformOptions::default()).unwrap();
-
-        let bank = CountdownBank::generate(density, 256, seed);
-        let reference = Vm::new(&sampled)
-            .with_sites(&inst.sites)
-            .with_sampling(Box::new(bank.clone()))
-            .with_engine(Engine::NameMap)
-            .run()
-            .unwrap();
-
-        // The slot engine additionally exercises the borrowed-source and
-        // borrowed-input paths of the builder.
-        let slots = lower(&sampled);
-        let mut shared_bank = bank;
-        let input: Vec<i64> = Vec::new();
-        let fast = Vm::from_slots(&slots)
-            .with_sites(&inst.sites)
-            .with_sampling_ref(&mut shared_bank)
-            .with_input(&input[..])
-            .run()
-            .unwrap();
-        assert_eq!(reference, fast, "seed {seed}");
-    }
-}
-
-/// The slot engine preserves the *dynamic* name-lookup semantics of the
-/// reference engine on programs the static resolver would reject.
 #[test]
 fn engines_agree_on_unchecked_name_lookup_edge_cases() {
-    let cases = [
+    let cases: [(&str, RunOutcome, &[i64], u64); 8] = [
         // Use before declaration traps.
-        "fn main() -> int { int y = x; int x = 1; return y; }",
+        (
+            "fn main() -> int { int y = x; int x = 1; return y; }",
+            type_error("undefined variable `x`"),
+            &[],
+            14,
+        ),
         // Use before declaration falls back to a same-named global.
-        "int x = 7; fn main() -> int { int y = x; int x = 1; return y + x; }",
+        (
+            "int x = 7; fn main() -> int { int y = x; int x = 1; return y + x; }",
+            RunOutcome::Success(8),
+            &[],
+            20,
+        ),
         // Assignment before declaration writes the global.
-        "int x = 1; fn main() -> int { x = 5; int x = 2; return x; }",
+        (
+            "int x = 1; fn main() -> int { x = 5; int x = 2; return x; }",
+            RunOutcome::Success(2),
+            &[],
+            18,
+        ),
         // Entirely undefined names trap on read and write.
-        "fn main() -> int { return ghost; }",
-        "fn main() -> int { ghost = 1; return 0; }",
-        // Undefined callee traps after arguments-free dispatch.
-        "fn main() -> int { ghost(1); return 0; }",
+        (
+            "fn main() -> int { return ghost; }",
+            type_error("undefined variable `ghost`"),
+            &[],
+            14,
+        ),
+        (
+            "fn main() -> int { ghost = 1; return 0; }",
+            type_error("assignment to undefined variable `ghost`"),
+            &[],
+            14,
+        ),
+        // Undefined callee traps before its arguments are evaluated.
+        (
+            "fn main() -> int { ghost(1); return 0; }",
+            type_error("call to undefined function `ghost`"),
+            &[],
+            14,
+        ),
         // Duplicate functions: later definition wins for calls.
-        "fn f() -> int { return 1; } fn f() -> int { return 2; } \
-         fn main() -> int { print(f()); return 0; }",
+        (
+            "fn f() -> int { return 1; } fn f() -> int { return 2; } \
+             fn main() -> int { print(f()); return 0; }",
+            RunOutcome::Success(0),
+            &[2],
+            31,
+        ),
         // Declaration persists past its block (function-flat frames).
-        "fn main() -> int { if (1) { int x = 3; } return x; }",
+        (
+            "fn main() -> int { if (1) { int x = 3; } return x; }",
+            RunOutcome::Success(3),
+            &[],
+            18,
+        ),
     ];
-    for (i, src) in cases.iter().enumerate() {
+    for (i, (src, outcome, output, ops)) in cases.iter().enumerate() {
         let p = cbi_minic::parse(src).unwrap();
-        let reference = Vm::new(&p).with_engine(Engine::NameMap).run().unwrap();
         let slots = lower(&p);
-        let fast = Vm::from_slots(&slots).run().unwrap();
-        assert_eq!(reference, fast, "case {i}: {src}");
+        let bytecode = compile(&slots);
+        for (engine, r) in [
+            ("slot oracle", Vm::from_slots(&slots).run().unwrap()),
+            ("bytecode", Vm::from_bytecode(&bytecode).run().unwrap()),
+        ] {
+            assert_eq!(&r.outcome, outcome, "case {i} on {engine}: {src}");
+            assert_eq!(r.output, *output, "case {i} on {engine}: {src}");
+            assert_eq!(r.ops, *ops, "case {i} on {engine}: {src}");
+            assert!(r.counters.is_empty() && r.trace.is_empty());
+        }
     }
-}
-
-/// `Engine::NameMap` cannot run a slot-only VM: that is a configuration
-/// error, not a panic.
-#[test]
-fn namemap_engine_rejects_slot_programs() {
-    let p = cbi_minic::parse("fn main() -> int { return 0; }").unwrap();
-    let slots = lower(&p);
-    let err = Vm::from_slots(&slots)
-        .with_engine(Engine::NameMap)
-        .run()
-        .unwrap_err();
-    assert!(err.to_string().contains("name-map engine"), "{err}");
 }

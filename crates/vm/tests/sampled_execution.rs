@@ -5,7 +5,7 @@
 use cbi_instrument::{
     apply_sampling, instrument, strip_sites, CountdownStorage, Scheme, TransformOptions,
 };
-use cbi_sampler::{CountdownBank, Geometric, SamplingDensity};
+use cbi_sampler::{Geometric, LazyBank, SamplingDensity};
 use cbi_vm::{RunOutcome, Vm};
 
 const LOOP_PROGRAM: &str = "
@@ -166,7 +166,7 @@ fn countdown_bank_runs_like_fresh_geometric() {
     let inst = instrument(&program, Scheme::Checks).unwrap();
     let (sampled, _) = apply_sampling(&inst.program, &TransformOptions::default()).unwrap();
 
-    let bank = CountdownBank::generate(SamplingDensity::one_in(100), 1024, 99);
+    let bank = LazyBank::new(SamplingDensity::one_in(100), 1024, 99);
     let r = Vm::new(&sampled)
         .with_sites(&inst.sites)
         .with_sampling(Box::new(bank))

@@ -2,7 +2,7 @@
 //! reports into a sink — the client half of the deployment loop of §1.
 //!
 //! The driver is built for throughput (§2.5 contemplates millions of
-//! runs): the program is lowered to slot form once and shared by every
+//! runs): the program is compiled to bytecode once and shared by every
 //! trial, trial inputs are borrowed rather than cloned, each worker
 //! reseeds one countdown bank instead of allocating a fresh one per run,
 //! and trials shard across `jobs` scoped threads.  Because trial `i` is
@@ -21,12 +21,11 @@ use crate::WorkloadError;
 use cbi_instrument::{
     apply_sampling, instrument, Instrumented, Scheme, SiteTable, TransformOptions,
 };
-use cbi_minic::slots::SlotProgram;
 use cbi_minic::Program;
 use cbi_reports::{Collector, Label, Report, ReportLayout, ReportSink};
 use cbi_sampler::{LazyBank, SamplingDensity};
 use cbi_telemetry as telemetry;
-use cbi_vm::{bytecode::BcProgram, Engine, RunOutcome, Vm};
+use cbi_vm::{bytecode::BcProgram, RunOutcome, Vm};
 use std::borrow::Cow;
 
 /// Configuration of one report-collection campaign.
@@ -49,11 +48,6 @@ pub struct CampaignConfig {
     /// Worker threads to shard trials over (`0` and `1` both mean
     /// serial).  Any value produces bit-identical results.
     pub jobs: usize,
-    /// Interpreter engine for every trial.  The default is
-    /// [`Engine::Bytecode`] — the program is compiled once and every run
-    /// executes straight-line instructions; all engines produce
-    /// bit-identical reports, so this is purely a throughput knob.
-    pub engine: Engine,
 }
 
 impl CampaignConfig {
@@ -68,18 +62,12 @@ impl CampaignConfig {
             op_limit: cbi_vm::DEFAULT_OP_LIMIT,
             heap_slack: cbi_vm::heap::DEFAULT_SLACK,
             jobs: 1,
-            engine: Engine::Bytecode,
         }
     }
 
     /// The same campaign sharded over `jobs` worker threads.
     pub fn with_jobs(self, jobs: usize) -> Self {
         CampaignConfig { jobs, ..self }
-    }
-
-    /// The same campaign executed by `engine`.
-    pub fn with_engine(self, engine: Engine) -> Self {
-        CampaignConfig { engine, ..self }
     }
 
     /// An unconditional-instrumentation campaign.
@@ -200,17 +188,11 @@ pub fn run_campaign_into<S: ReportSink>(
         ),
         None => Cow::Borrowed(&instrumented.program),
     };
-    // Lower once; every trial indexes the shared slot program.  Under the
-    // bytecode engine, compile once more to flat instructions — the
-    // campaign then never touches the AST on the execution path.
+    // Lower and compile once; every trial runs the shared flat
+    // instructions and never touches the AST.
     let slots = telemetry::time("campaign.lower", || cbi_minic::lower(&executable));
-    let bytecode = (config.engine == Engine::Bytecode)
-        .then(|| telemetry::time("campaign.compile", || cbi_vm::bytecode::compile(&slots)));
-    let exe = match config.engine {
-        Engine::NameMap => Exe::Ast(&executable),
-        Engine::Slots => Exe::Slots(&slots),
-        Engine::Bytecode => Exe::Bytecode(bytecode.as_ref().expect("compiled above")),
-    };
+    let bytecode = telemetry::time("campaign.compile", || cbi_vm::bytecode::compile(&slots));
+    let exe = &bytecode;
 
     sink.begin(ReportLayout {
         counters: instrumented.sites.total_counters(),
@@ -289,33 +271,10 @@ pub fn run_campaign_into<S: ReportSink>(
     })
 }
 
-/// The shared executable form every trial runs: compiled once per
-/// campaign for the configured engine, borrowed by every worker.
-#[derive(Clone, Copy)]
-enum Exe<'a> {
-    Ast(&'a Program),
-    Slots(&'a SlotProgram),
-    Bytecode(&'a BcProgram),
-}
-
-impl<'a> Exe<'a> {
-    fn vm(self) -> Vm<'a> {
-        match self {
-            Exe::Ast(p) => {
-                let mut vm = Vm::new(p);
-                vm.with_engine(Engine::NameMap);
-                vm
-            }
-            Exe::Slots(p) => Vm::from_slots(p),
-            Exe::Bytecode(p) => Vm::from_bytecode(p),
-        }
-    }
-}
-
 /// Runs trials `base..base + shard.len()`, passing each surviving report
 /// to `emit` in run-id order; returns the dropped-run count.
 fn run_shard(
-    exe: Exe<'_>,
+    exe: &BcProgram,
     sites: &SiteTable,
     shard: &[Vec<i64>],
     base: usize,
@@ -323,16 +282,16 @@ fn run_shard(
     emit: &mut dyn FnMut(Report) -> Result<(), WorkloadError>,
 ) -> Result<usize, WorkloadError> {
     let mut dropped = 0;
-    // One lazy bank per worker, reseeded per trial: the countdown sequence
-    // is identical to `CountdownBank::generate(d, n, seed + i)`, but draws
-    // happen on demand, so a trial with few refills skips most of the
-    // generation cost.
+    // One bank per worker, reseeded per trial: trial `i` sees the bank
+    // of seed `seed + i` whichever worker runs it, and draws happen on
+    // demand, so a trial with few refills skips most of the generation
+    // cost.
     let mut bank = config
         .density
         .map(|d| LazyBank::new(d, config.bank_size, config.seed.wrapping_add(base as u64)));
     for (offset, input) in shard.iter().enumerate() {
         let i = base + offset;
-        let mut vm = exe.vm();
+        let mut vm = Vm::from_bytecode(exe);
         vm.with_sites(sites)
             .with_input(&input[..])
             .with_op_limit(config.op_limit)

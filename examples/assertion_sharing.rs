@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut observed = 0u64;
     let users = 300;
     for user in 0..users {
-        let bank = CountdownBank::generate(SamplingDensity::one_in(1000), 1024, user);
+        let bank = LazyBank::new(SamplingDensity::one_in(1000), 1024, user);
         let run = Vm::new(&sampled)
             .with_sites(&inst.sites)
             .with_sampling(Box::new(bank))

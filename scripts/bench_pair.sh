@@ -1,0 +1,130 @@
+#!/usr/bin/env bash
+# Paired parent/change benchmark evidence (ROADMAP 9A).
+#
+# Builds cbibench on a parent revision and on the working tree — each
+# through the harness's own manifest, each into its own target directory
+# — then runs `cbibench measure` on WORKLOAD once per side per pair,
+# alternating which side goes first, both sides of a pair on the same
+# fresh seed.  It collects the last-line result objects, asks `cbibench
+# check` for the verdicts under BENCHMARK.json's bounds, and prints the
+# table EXPERIMENTS.md uses (median, quartiles, ratio, "lower in n/N")
+# with the machine fingerprint.  Nothing under the harness directory is
+# touched; run length comes from BENCHMARK.json.
+#
+# Usage: scripts/bench_pair.sh PARENT_REV WORKLOAD [PAIRS]
+#
+# State lives in .bench_pair/ (or $BENCH_PAIR_DIR): the parent checkout
+# (a `git worktree`; an existing checkout of that commit there is reused,
+# so a `git archive | tar -x` copy works where worktrees are unwelcome),
+# both target directories, and one result file per side per workload, so
+# the six workloads share two builds.  `git worktree remove` the parent
+# when done.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+REPO=$PWD
+
+PARENT_REV=${1:?usage: scripts/bench_pair.sh PARENT_REV WORKLOAD [PAIRS]}
+WORKLOAD=${2:?usage: scripts/bench_pair.sh PARENT_REV WORKLOAD [PAIRS]}
+PAIRS=${3:-10}
+WORK=${BENCH_PAIR_DIR:-$REPO/.bench_pair}
+MANIFEST=crates/bench/src/bin/cbibench/Cargo.toml
+SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+
+parent=$(git rev-parse --verify "$PARENT_REV^{commit}")
+change=$(git rev-parse HEAD)$(git diff --quiet HEAD || echo "+dirty")
+mkdir -p "$WORK/run"
+if [ ! -d "$WORK/parent-$parent" ]; then
+  git worktree add --detach "$WORK/parent-$parent" "$parent" >&2
+fi
+
+build() { # <source dir> <target dir>
+  (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
+    --manifest-path "$MANIFEST") >&2
+}
+build "$WORK/parent-$parent" "$WORK/target-parent-$parent"
+build "$REPO" "$WORK/target-change"
+PARENT_BIN=$WORK/target-parent-$parent/release/cbibench
+CHANGE_BIN=$WORK/target-change/release/cbibench
+
+# One JSON result object per line, in pair order.
+parent_runs=$WORK/$WORKLOAD-parent.jsonl
+change_runs=$WORK/$WORKLOAD-change.jsonl
+: >"$parent_runs"
+: >"$change_runs"
+measure() { # <binary> <seed> <output>
+  # cbibench keeps journals under ./.cbibench_tmp: run from scratch.
+  (cd "$WORK/run" && "$1" measure --workload "$WORKLOAD" --seed "$2" \
+    --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1) >>"$3"
+}
+seed_base=$(date +%s)
+for pair in $(seq 1 "$PAIRS"); do
+  seed=$((seed_base + pair))
+  if [ $((pair % 2)) -eq 1 ]; then
+    measure "$PARENT_BIN" "$seed" "$parent_runs"
+    measure "$CHANGE_BIN" "$seed" "$change_runs"
+  else
+    measure "$CHANGE_BIN" "$seed" "$change_runs"
+    measure "$PARENT_BIN" "$seed" "$parent_runs"
+  fi
+  echo "pair $pair/$PAIRS (seed $seed) done" >&2
+done
+
+# Fold each side's runs into the result-file shape `cbibench check`
+# reads, and print the pair table.
+python3 - "$WORKLOAD" "$parent_runs" "$change_runs" \
+  "$WORK/$WORKLOAD-parent.json" "$WORK/$WORKLOAD-change.json" <<'PY'
+import json, statistics, sys
+
+workload, parent_runs, change_runs, parent_out, change_out = sys.argv[1:]
+
+def load(path):
+    return [json.loads(line) for line in open(path) if line.strip()]
+
+def fold(runs, out):
+    metrics = {}
+    for run in runs:
+        for name, m in run["metrics"].items():
+            metrics.setdefault(name, {"unit": m["unit"], "values": []})["values"].append(m["value"])
+    result = {
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "metrics": metrics,
+    }
+    json.dump({"benchmark": "cbibench", "workloads": {workload: result}}, open(out, "w"))
+    return result
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+parent, change = fold(load(parent_runs), parent_out), fold(load(change_runs), change_out)
+pairs = len(parent["metrics"]["wall_s"]["values"])
+print(f"### `{workload}`, {pairs} alternating pairs\n")
+print("| metric | parent median [q1, q3] | change median [q1, q3] | change / parent | change lower in |")
+print("|---|---|---|---|---|")
+for name, p in parent["metrics"].items():
+    c = change["metrics"][name]
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(p["values"]), quartiles(c["values"])
+    lower = sum(cv < pv for pv, cv in zip(p["values"], c["values"]))
+    ratio = cmed / pmed if pmed else float("nan")
+    print(f"| `{name}` ({p['unit']}) | {pmed:.6g} [{pq1:.6g}, {pq3:.6g}] "
+          f"| {cmed:.6g} [{cq1:.6g}, {cq3:.6g}] | {ratio:.3f} | {lower}/{pairs} |")
+print()
+for name in ("wall_s", "setup_s", "peak_rss_mb"):
+    runs = lambda side: " ".join(f"{v:.4g}" for v in side["metrics"][name]["values"])
+    print(f"`{name}` runs in pair order — parent: {runs(parent)}; change: {runs(change)}.")
+print(f"\nfailed operations: parent {parent['failed']}/{parent['attempted']}, "
+      f"change {change['failed']}/{change['attempted']}\n")
+PY
+
+echo "machine: $(nproc) cpus, $(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo | head -n 1)," \
+  "kernel $(uname -r), $(rustc -V)"
+echo "parent $parent, change $change, seeds $((seed_base + 1))..$((seed_base + PAIRS))," \
+  "$SECONDS_PER_RUN s per run"
+echo
+echo '```'
+status=0
+"$CHANGE_BIN" check "$WORK/$WORKLOAD-parent.json" "$WORK/$WORKLOAD-change.json" || status=$?
+echo '```'
+exit "$status"

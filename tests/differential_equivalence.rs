@@ -1,15 +1,13 @@
 //! Differential tests over randomly generated MiniC programs: the whole
-//! instrumentation/sampling stack must be semantically transparent,
+//! instrumentation/sampling stack must be semantically transparent, and
 //! sampled observation counts must stay within the unconditional
-//! envelope, and the slot-resolved engine must agree with the name-map
-//! reference engine end to end.
+//! envelope.
 //!
 //! Driven by `cbi-testgen`'s seeded generator, so every failing case is
 //! reproducible from its seed.
 
 use cbi::prelude::*;
 use cbi_testgen::program_for_seed;
-use cbi_vm::Engine;
 
 const CASES: u64 = 48;
 
@@ -178,31 +176,5 @@ fn transformed_source_is_real_minic() {
             .run()
             .expect("vm config");
         assert_eq!(&r.output, &expected, "seed {seed}");
-    }
-}
-
-/// The full sampled pipeline produces identical reports under both
-/// interpreter engines: lowering to slots is invisible to the analyses.
-#[test]
-fn slot_engine_is_transparent_through_the_pipeline() {
-    for seed in 0..CASES {
-        let p = program_for_seed(seed);
-        let inst = instrument(&p, Scheme::ScalarPairs).expect("instrument");
-        let (sampled, _) =
-            apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
-        let slots = cbi::minic::lower(&sampled);
-
-        let reference = Vm::new(&sampled)
-            .with_sites(&inst.sites)
-            .with_sampling(Box::new(Geometric::new(SamplingDensity::one_in(3), seed)))
-            .with_engine(Engine::NameMap)
-            .run()
-            .expect("vm config");
-        let fast = Vm::from_slots(&slots)
-            .with_sites(&inst.sites)
-            .with_sampling(Box::new(Geometric::new(SamplingDensity::one_in(3), seed)))
-            .run()
-            .expect("vm config");
-        assert_eq!(reference, fast, "seed {seed}");
     }
 }

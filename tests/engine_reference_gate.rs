@@ -1,14 +1,13 @@
-//! Engine reference gate: the slot-resolved VM and the bytecode dispatch
-//! VM must be byte-identical to the name-map reference interpreter over
-//! the whole in-tree corpus — the `examples/` programs plus every
-//! workload analogue — across all four observation schemes, both
-//! unconditional and sampled, with trace capture on.  Full [`RunResult`]
-//! equality: outcome, op count, counter vector, program output, and the
-//! bounded observation trace.
+//! Engine reference gate: the bytecode dispatch VM must be byte-identical
+//! to its oracle, the slot-resolved tree walker, over the whole in-tree
+//! corpus — the `examples/` programs plus every workload analogue —
+//! across all four observation schemes, both unconditional and sampled,
+//! with trace capture on.  Full [`RunResult`] equality: outcome, op
+//! count, counter vector, program output, and the bounded observation
+//! trace.
 
 use cbi::prelude::*;
 use cbi::workloads::{BC_SOURCE, BENCHMARK_SOURCES, CCRYPT_SOURCE};
-use cbi_vm::Engine;
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::Checks,
@@ -41,44 +40,34 @@ fn corpus() -> Vec<(String, String)> {
     sources
 }
 
-/// Runs `program` under all three engines with identical configuration
-/// and asserts full result equality.  Crashes are fine — the engines must
-/// crash identically.
+/// Runs `program` on the oracle and on the bytecode engine with
+/// identical configuration and asserts full result equality.  Crashes are
+/// fine — the two must crash identically.
 fn assert_engines_agree(
     label: &str,
     program: &Program,
     sites: &SiteTable,
     density: Option<SamplingDensity>,
+    input: &[i64],
 ) {
-    let input = [5i64, 3, 7, 2, 9, 1, 4, 8, 6, 10];
     let slots = cbi::minic::lower(program);
     let bytecode = cbi_vm::bytecode::compile(&slots);
 
-    let mut reference = Vm::new(program);
-    reference
-        .with_engine(Engine::NameMap)
-        .with_sites(sites)
-        .with_input(&input[..])
-        .with_trace(16);
-    let mut fast = Vm::from_slots(&slots);
-    fast.with_sites(sites).with_input(&input[..]).with_trace(16);
+    let mut oracle = Vm::from_slots(&slots);
     let mut dispatch = Vm::from_bytecode(&bytecode);
-    dispatch
-        .with_sites(sites)
-        .with_input(&input[..])
-        .with_trace(16);
-    if let Some(d) = density {
-        reference.with_sampling(Box::new(Geometric::new(d, 0xabc)));
-        fast.with_sampling(Box::new(Geometric::new(d, 0xabc)));
-        dispatch.with_sampling(Box::new(Geometric::new(d, 0xabc)));
+    for vm in [&mut oracle, &mut dispatch] {
+        vm.with_sites(sites).with_input(input).with_trace(16);
+        if let Some(d) = density {
+            vm.with_sampling(Box::new(Geometric::new(d, 0xabc)));
+        }
     }
 
-    let r = reference.run().expect("vm config");
-    let f = fast.run().expect("vm config");
+    let o = oracle.run().expect("vm config");
     let b = dispatch.run().expect("vm config");
-    assert_eq!(r, f, "{label}: slot engine diverged from reference");
-    assert_eq!(r, b, "{label}: bytecode engine diverged from reference");
+    assert_eq!(o, b, "{label}: bytecode engine diverged from the oracle");
 }
+
+const INPUT: [i64; 10] = [5, 3, 7, 2, 9, 1, 4, 8, 6, 10];
 
 #[test]
 fn engines_match_reference_across_corpus_and_schemes() {
@@ -91,6 +80,7 @@ fn engines_match_reference_across_corpus_and_schemes() {
                 &inst.program,
                 &inst.sites,
                 None,
+                &INPUT,
             );
             let (transformed, _) =
                 apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
@@ -99,6 +89,7 @@ fn engines_match_reference_across_corpus_and_schemes() {
                 &transformed,
                 &inst.sites,
                 Some(SamplingDensity::one_in(3)),
+                &INPUT,
             );
         }
     }
@@ -121,103 +112,25 @@ fn engines_match_across_sampling_density_sweep() {
                 &transformed,
                 &inst.sites,
                 Some(SamplingDensity::one_in(d)),
+                &INPUT,
             );
         }
     }
 }
 
 #[test]
-fn campaign_reports_identical_across_engines_and_jobs() {
-    // The whole pipeline, not just one VM: a ccrypt campaign must emit a
-    // bit-identical report stream whichever engine executes the trials,
-    // at any job count, for every scheme.
-    use cbi::workloads::{ccrypt_program, ccrypt_trials, CcryptTrialConfig};
-    let program = ccrypt_program();
-    let trials = ccrypt_trials(90, 17, &CcryptTrialConfig::default());
-    for scheme in SCHEMES {
-        let config = CampaignConfig::sampled(scheme, SamplingDensity::one_in(10));
-        let baseline = run_campaign(&program, &trials, &config.with_engine(Engine::Slots))
-            .expect("slot campaign");
-        for engine in [Engine::Bytecode, Engine::NameMap] {
-            for jobs in [1usize, 2, 4] {
-                let run = run_campaign(
-                    &program,
-                    &trials,
-                    &config.with_engine(engine).with_jobs(jobs),
-                )
-                .expect("campaign");
-                assert_eq!(
-                    baseline.collector.reports(),
-                    run.collector.reports(),
-                    "{scheme:?} {} jobs={jobs}: report stream diverged",
-                    engine.name()
-                );
-                assert_eq!(baseline.dropped, run.dropped, "{scheme:?} jobs={jobs}");
-            }
-        }
-    }
-}
-
-#[test]
-fn corpus_scores_identical_across_engines() {
-    // The isolation-quality harness replays campaigns per corpus entry;
-    // its rendered report must not depend on the engine.
-    use cbi_corpus::{evaluate, generate_corpus, render_report, EvalConfig, GenerateConfig};
-    let entries = generate_corpus(&GenerateConfig {
-        size: 3,
-        seed: 11,
-        trials: 24,
-    })
-    .expect("corpus")
-    .entries;
-    let eval = |engine: Engine| {
-        let report = evaluate(
-            &entries,
-            &EvalConfig {
-                densities: vec![1, 100],
-                jobs: 2,
-                engine,
-                ..EvalConfig::default()
-            },
-        )
-        .expect("evaluate");
-        render_report(&report)
-    };
-    let slot = eval(Engine::Slots);
-    assert_eq!(
-        slot,
-        eval(Engine::Bytecode),
-        "bytecode corpus eval diverged"
-    );
-    assert_eq!(slot, eval(Engine::NameMap), "namemap corpus eval diverged");
-}
-
-#[test]
 fn engines_agree_on_empty_input() {
     // The no-input path exercises `has_input() == 0` branches (the ccrypt
-    // EOF crash among them); all engines must take them identically.
+    // EOF crash among them); both engines must take them identically.
     for (name, src) in corpus() {
         let program = parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let inst = instrument(&program, Scheme::Returns).expect("instrument");
-        let slots = cbi::minic::lower(&inst.program);
-        let bytecode = cbi_vm::bytecode::compile(&slots);
-        let r = Vm::new(&inst.program)
-            .with_engine(Engine::NameMap)
-            .with_sites(&inst.sites)
-            .with_trace(16)
-            .run()
-            .expect("vm config");
-        let f = Vm::from_slots(&slots)
-            .with_sites(&inst.sites)
-            .with_trace(16)
-            .run()
-            .expect("vm config");
-        let b = Vm::from_bytecode(&bytecode)
-            .with_sites(&inst.sites)
-            .with_trace(16)
-            .run()
-            .expect("vm config");
-        assert_eq!(r, f, "{name}: slot engine diverged on empty input");
-        assert_eq!(r, b, "{name}: bytecode engine diverged on empty input");
+        assert_engines_agree(
+            &format!("{name} empty input"),
+            &inst.program,
+            &inst.sites,
+            None,
+            &[],
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! sampling density 1, the §3.3 elimination loop recovers every planted
 //! bug into its own cluster with purity 1000‰ for the Ochiai scorer,
 //! and the full rendered evaluation is byte-identical at any `--jobs`
-//! setting and under either interpreter engine.
+//! setting.
 
 use cbi_corpus::{
     evaluate_multi, generate_multi_corpus, render_multi_report, MultiEvalConfig,
@@ -27,7 +27,6 @@ fn config(jobs: usize) -> MultiEvalConfig {
         densities: vec![1],
         scorers: vec!["ochiai".to_string()],
         jobs,
-        ..MultiEvalConfig::default()
     }
 }
 
@@ -67,21 +66,4 @@ fn isolation_report_is_byte_identical_at_any_jobs() {
     let solo = render(1);
     assert_eq!(solo, render(2), "jobs 1 vs 2 diverged");
     assert_eq!(solo, render(4), "jobs 1 vs 4 diverged");
-}
-
-#[test]
-fn isolation_report_is_engine_independent() {
-    let entries = corpus();
-    let render = |engine| {
-        let cfg = MultiEvalConfig {
-            engine,
-            ..config(2)
-        };
-        render_multi_report(&evaluate_multi(&entries, &cfg).expect("evaluate"))
-    };
-    assert_eq!(
-        render(cbi::vm::Engine::Bytecode),
-        render(cbi::vm::Engine::Slots),
-        "bytecode vs slot engines diverged"
-    );
 }
