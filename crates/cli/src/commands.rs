@@ -810,7 +810,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             })
             .map_err(|e| e.to_string())?;
         for report in collector.reports() {
-            spool.accept(report.clone()).map_err(|e| e.to_string())?;
+            spool.accept(report).map_err(|e| e.to_string())?;
         }
         spool.finish().map_err(|e| e.to_string())?;
         eprintln!("{} reports spooled to {path}", spool.reports_written());
@@ -824,9 +824,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         print_elimination(&outcome.aggregator.analyzer().eliminate(&inst.sites));
     }
     if matches!(mode, "regress" | "both") {
+        // The ℓ₁ trainer works on a dense design matrix.
         let collector = outcome
             .collector
-            .expect("keep_reports is set for regression modes");
+            .expect("keep_reports is set for regression modes")
+            .to_collector();
         let n = collector.len();
         let result = cbi::workloads::CampaignResult {
             instrumented: inst,

@@ -331,6 +331,36 @@ impl EpochAggregator {
         self.note_batch(&Provenance::new(0, 0), DecodeOutcome::Rejected(kind), 0);
     }
 
+    /// Folds one report given as its run id, label and nonzero counters
+    /// (ascending `(index, value)` pairs, every index below the layout's
+    /// width) — what [`accept`](ReportSink::accept) reduces a dense
+    /// report to, so a caller that holds the sparse form already (an
+    /// ingest server reading wire bytes) never builds the dense one.
+    /// Both entry points leave bit-identical state behind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SinkError::NotBegun`] before the first `begin`.
+    pub fn accept_nonzero(
+        &mut self,
+        run_id: u64,
+        label: Label,
+        counters: impl Iterator<Item = (usize, u64)> + Clone,
+    ) -> Result<(), SinkError> {
+        let width = self.first.counters();
+        self.analyzer.fold(label, width, counters.clone())?;
+        self.first
+            .record_observed(run_id as usize, counters.map(|(c, _)| c));
+        if label == Label::Failure {
+            self.failures += 1;
+        }
+        self.runs += 1;
+        if self.runs.is_multiple_of(self.epoch_len) {
+            self.snapshot_now();
+        }
+        Ok(())
+    }
+
     /// Takes the current-state snapshot without waiting for an epoch
     /// boundary (used to close a partial final epoch).
     pub fn snapshot_now(&mut self) {
@@ -438,20 +468,18 @@ impl ReportSink for EpochAggregator {
     /// community run index for latency purposes, so detection latency is
     /// independent of batch arrival order.
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
+        assert_eq!(
+            report.counters.len(),
+            self.first.counters(),
+            "report layout mismatch"
+        );
         // One scan of the mostly-zero vector feeds every aggregate.
-        self.scratch.clear();
-        self.scratch.extend(nonzero(&report.counters));
-        self.analyzer.fold(&report, self.scratch.iter().copied())?;
-        self.first
-            .record_observed(report.run_id as usize, self.scratch.iter().map(|&(c, _)| c));
-        if report.label == Label::Failure {
-            self.failures += 1;
-        }
-        self.runs += 1;
-        if self.runs.is_multiple_of(self.epoch_len) {
-            self.snapshot_now();
-        }
-        Ok(())
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend(nonzero(&report.counters));
+        let folded = self.accept_nonzero(report.run_id, report.label, scratch.iter().copied());
+        self.scratch = scratch;
+        folded
     }
 }
 
@@ -630,6 +658,62 @@ mod tests {
             "{rendered}"
         );
         assert!(!rendered.contains('.'), "integer-only: {rendered}");
+    }
+
+    #[test]
+    fn accept_nonzero_leaves_the_state_accept_does() {
+        use cbi_sampler::SamplingDensity;
+        use cbi_workloads::{run_campaign, CampaignConfig};
+
+        // A seeded sampled campaign over a crashing program: reports
+        // with a mix of zero and nonzero counters and both labels.
+        let program = cbi_minic::parse(
+            "fn g() -> int { if (has_input() == 0) { return 0; } return read(); }\n\
+             fn main() -> int { int v = g(); print(100 / v); return 0; }",
+        )
+        .unwrap();
+        let trials: Vec<Vec<i64>> = (0..300)
+            .map(|i| if i % 7 == 0 { vec![] } else { vec![i % 5 + 1] })
+            .collect();
+        let mut config = CampaignConfig::sampled(Scheme::Returns, SamplingDensity::one_in(3));
+        config.seed = 0x5ca7;
+        let result = run_campaign(&program, &trials, &config).unwrap();
+        let table = result.instrumented.sites.clone();
+        let layout = ReportLayout {
+            counters: table.total_counters(),
+            layout_hash: table.layout_hash(),
+        };
+
+        let fresh = || EpochAggregator::new(table.clone(), 64, StreamingConfig::default(), Some(0));
+        let (mut dense, mut sparse) = (fresh(), fresh());
+        dense.begin(layout).unwrap();
+        sparse.begin(layout).unwrap();
+        for report in result.collector.reports() {
+            dense.accept(report.clone()).unwrap();
+            sparse
+                .accept_nonzero(report.run_id, report.label, nonzero(&report.counters))
+                .unwrap();
+        }
+        assert!(dense.failures() > 0 && dense.failures() < dense.runs());
+        assert_eq!(sparse.snapshots(), dense.snapshots());
+        assert_eq!(sparse.snapshots().len(), 300 / 64);
+        assert_eq!(sparse.first_observation(), dense.first_observation());
+        let bits = |agg: &EpochAggregator| {
+            let model = agg.analyzer().model().unwrap();
+            let weights: Vec<u64> = model.weights.iter().map(|w| w.to_bits()).collect();
+            (model.bias.to_bits(), weights)
+        };
+        assert_eq!(bits(&sparse), bits(&dense));
+    }
+
+    #[test]
+    fn accept_nonzero_before_begin_is_rejected() {
+        let mut agg = aggregator(4, None);
+        let err = agg
+            .accept_nonzero(0, Label::Success, std::iter::empty())
+            .unwrap_err();
+        assert!(matches!(err, SinkError::NotBegun));
+        assert_eq!(agg.runs(), 0);
     }
 
     #[test]

@@ -177,32 +177,34 @@ impl ReportSink for StreamingAnalyzer {
     }
 
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
-        self.fold(&report, nonzero(&report.counters))
+        self.fold(
+            report.label,
+            report.counters.len(),
+            nonzero(&report.counters),
+        )
     }
 }
 
 impl StreamingAnalyzer {
-    /// Folds one report given its nonzero counters (ascending `(index,
-    /// value)` pairs), so a caller that has already scanned the vector —
-    /// [`EpochAggregator`](crate::EpochAggregator) — need not scan it
-    /// again for each aggregate.
+    /// Folds one report given its label, its width and its nonzero
+    /// counters (ascending `(index, value)` pairs), so a caller that
+    /// already holds them — [`EpochAggregator`](crate::EpochAggregator),
+    /// from one scan of a dense report or straight from wire bytes —
+    /// needs no dense vector.
     pub(crate) fn fold(
         &mut self,
-        report: &Report,
+        label: Label,
+        width: usize,
         counters: impl Iterator<Item = (usize, u64)> + Clone,
     ) -> Result<(), SinkError> {
         let trainer = self.trainer.as_mut().ok_or(SinkError::NotBegun)?;
-        assert_eq!(
-            report.counters.len(),
-            self.stats.counter_count(),
-            "report layout mismatch"
-        );
+        assert_eq!(width, self.stats.counter_count(), "report layout mismatch");
         self.resident += 1;
         self.high_water = self.high_water.max(self.resident);
-        self.stats.update_nonzero(report.label, counters.clone());
-        trainer.update_nonzero(counters, report.label == Label::Failure);
+        self.stats.update_nonzero(label, counters.clone());
+        trainer.update_nonzero(counters, label == Label::Failure);
         self.seen += 1;
-        // The caller drops `report` next: nothing above retains it.
+        // Nothing above retains the report: the caller drops it next.
         self.resident -= 1;
         Ok(())
     }

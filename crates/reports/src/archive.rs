@@ -1,0 +1,276 @@
+//! A report archive that stores only what sparse sampling leaves
+//! behind.
+//!
+//! At the paper's densities almost every counter of almost every report
+//! is zero (§2.5), and everything the analyses compute is a function of
+//! which counters were *observed* in failing and in passing runs.  A
+//! [`Collector`] keeps each report as a dense `Vec<u64>` — 8 bytes per
+//! counter, zero or not.  A [`SparseArchive`] keeps the same reports in
+//! compressed-row form: per report its run id, label and row end, and
+//! per nonzero counter a `u32` index and a `u64` value (12 bytes), so an
+//! ingest server can retain a whole campaign at the size of what was
+//! actually sampled.  It is filled straight from wire bytes — no dense
+//! report exists on the way in — and hands reports back out one at a
+//! time, or densifies once into a [`Collector`] for an analysis that
+//! needs the full design matrix.
+
+use crate::collector::Collector;
+use crate::ingest::{walk_batch, BatchRejected, BatchStats};
+use crate::report::{Label, Report};
+use crate::sink::ReportLayout;
+
+/// Reports of one instrumented binary, stored as their nonzero counters.
+///
+/// Rows can only be appended by [`extend_from_batch`], which takes them
+/// from the wire decoder's walk, so every stored row has strictly
+/// ascending indices below the layout's width and no zero value.
+///
+/// ```
+/// use cbi_reports::wire::encode_reports;
+/// use cbi_reports::{Label, Report, ReportLayout, SparseArchive};
+///
+/// let layout = ReportLayout { counters: 5, layout_hash: 0xfeed };
+/// let sent = vec![
+///     Report::new(0, Label::Success, vec![0, 3, 0, 0, 1]),
+///     Report::new(1, Label::Failure, vec![0, 0, 0, 0, 0]),
+/// ];
+/// let batch = encode_reports(&sent, layout.layout_hash, layout.counters)?;
+///
+/// let mut archive = SparseArchive::new(layout);
+/// let stats = archive.extend_from_batch(&batch).expect("a clean batch");
+/// assert_eq!((stats.reports, archive.len(), archive.nonzeros()), (2, 2, 2));
+///
+/// let row = archive.row(0);
+/// assert_eq!(row.nonzero().collect::<Vec<_>>(), vec![(1, 3), (4, 1)]);
+/// assert_eq!(archive.reports().collect::<Vec<_>>(), sent);
+/// assert_eq!(archive.to_collector().reports(), &sent[..]);
+/// # Ok::<(), cbi_reports::WireError>(())
+/// ```
+///
+/// [`extend_from_batch`]: SparseArchive::extend_from_batch
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SparseArchive {
+    layout: ReportLayout,
+    run_ids: Vec<u64>,
+    labels: Vec<Label>,
+    /// `row_end[r]` is one past report `r`'s last entry in `indices` and
+    /// `values`; its first entry is `row_end[r - 1]` (0 for `r == 0`).
+    row_end: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<u64>,
+}
+
+/// One archived report, borrowed from a [`SparseArchive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SparseRow<'a> {
+    /// Client-side run identifier.
+    pub run_id: u64,
+    /// Outcome of the run.
+    pub label: Label,
+    indices: &'a [u32],
+    values: &'a [u64],
+}
+
+impl<'a> SparseRow<'a> {
+    /// The report's nonzero counters as `(index, value)`, ascending by
+    /// index — what [`nonzero`](crate::nonzero) yields for the dense
+    /// report.
+    pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + Clone + 'a {
+        let values = self.values.iter().copied();
+        self.indices.iter().map(|&i| i as usize).zip(values)
+    }
+
+    /// The dense report, `counters` wide.
+    fn to_report(self, counters: usize) -> Report {
+        let mut dense = vec![0u64; counters];
+        for (i, value) in self.nonzero() {
+            dense[i] = value;
+        }
+        Report::new(self.run_id, self.label, dense)
+    }
+}
+
+impl SparseArchive {
+    /// An empty archive for reports of the given layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout is wider than `u32::MAX` counters: indices
+    /// are stored as `u32`.
+    pub fn new(layout: ReportLayout) -> SparseArchive {
+        assert!(
+            u32::try_from(layout.counters).is_ok(),
+            "a sparse archive indexes counters with u32"
+        );
+        SparseArchive {
+            layout,
+            run_ids: Vec::new(),
+            labels: Vec::new(),
+            row_end: Vec::new(),
+            indices: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Appends every report of one wire batch, all or nothing: the walk
+    /// [`decode_batch`](crate::decode_batch) does, checked against this
+    /// archive's layout, with each frame's nonzero counters stored as
+    /// they are read.  It accepts exactly the batches that decode and
+    /// rejects a malformed one at the same byte with the same typed
+    /// error — leaving the archive as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_batch`](crate::decode_batch).
+    pub fn extend_from_batch(&mut self, bytes: &[u8]) -> Result<BatchStats, BatchRejected> {
+        let (rows, entries) = (self.run_ids.len(), self.indices.len());
+        let walked = walk_batch(bytes, Some(self.layout), |reader| {
+            let frame = reader.read_nonzero(|i, value| {
+                // `i` is below the header's width, which the walk has
+                // checked against the layout `new` bounded.
+                self.indices.push(i as u32);
+                self.values.push(value);
+            })?;
+            let Some((run_id, label)) = frame else {
+                return Ok(false);
+            };
+            self.run_ids.push(run_id);
+            self.labels.push(label);
+            self.row_end.push(self.indices.len());
+            Ok(true)
+        });
+        match walked {
+            Ok((reports, _header, bytes)) => Ok(BatchStats { reports, bytes }),
+            Err(rejected) => {
+                self.run_ids.truncate(rows);
+                self.labels.truncate(rows);
+                self.row_end.truncate(rows);
+                self.indices.truncate(entries);
+                self.values.truncate(entries);
+                Err(rejected)
+            }
+        }
+    }
+
+    /// Reports archived.
+    pub fn len(&self) -> usize {
+        self.run_ids.len()
+    }
+
+    /// Whether no report has been archived.
+    pub fn is_empty(&self) -> bool {
+        self.run_ids.is_empty()
+    }
+
+    /// Nonzero counters stored across all reports.
+    pub fn nonzeros(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Forgets every report, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.run_ids.clear();
+        self.labels.clear();
+        self.row_end.clear();
+        self.indices.clear();
+        self.values.clear();
+    }
+
+    /// The `r`-th archived report, in arrival order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.len()`.
+    pub fn row(&self, r: usize) -> SparseRow<'_> {
+        let start = if r == 0 { 0 } else { self.row_end[r - 1] };
+        let end = self.row_end[r];
+        SparseRow {
+            run_id: self.run_ids[r],
+            label: self.labels[r],
+            indices: &self.indices[start..end],
+            values: &self.values[start..end],
+        }
+    }
+
+    /// All reports in arrival order, each materialised as an owned dense
+    /// [`Report`] when the iterator reaches it — one report's worth of
+    /// dense memory at a time.
+    pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
+        (0..self.len()).map(|r| self.row(r).to_report(self.layout.counters))
+    }
+
+    /// Densifies the whole archive into a [`Collector`], for an analysis
+    /// that needs every report's full counter vector at once.
+    pub fn to_collector(&self) -> Collector {
+        let mut collector = Collector::new(self.layout.counters);
+        for report in self.reports() {
+            collector
+                .add(report)
+                .expect("every row is as wide as the archive's layout");
+        }
+        collector
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{encode_reports, WireError};
+    use crate::{decode_batch, nonzero};
+
+    const LAYOUT: ReportLayout = ReportLayout {
+        counters: 4,
+        layout_hash: 0xabc,
+    };
+
+    fn sample() -> Vec<Report> {
+        vec![
+            Report::new(3, Label::Success, vec![0, 0, 0, 0]),
+            Report::new(5, Label::Failure, vec![7, 0, u64::MAX, 0]),
+            Report::new(9, Label::Success, vec![0, 1, 0, 128]),
+        ]
+    }
+
+    #[test]
+    fn rows_are_the_nonzero_scan_of_the_decoded_reports() {
+        let bytes = encode_reports(&sample(), LAYOUT.layout_hash, LAYOUT.counters).unwrap();
+        let mut archive = SparseArchive::new(LAYOUT);
+        let stats = archive.extend_from_batch(&bytes).unwrap();
+        assert_eq!(stats.reports, 3);
+        assert_eq!(stats.bytes, bytes.len() as u64);
+        let (decoded, _, _) = decode_batch(&bytes, Some(LAYOUT)).unwrap();
+        for (r, report) in decoded.iter().enumerate() {
+            let row = archive.row(r);
+            assert_eq!((row.run_id, row.label), (report.run_id, report.label));
+            assert!(row.nonzero().eq(nonzero(&report.counters)));
+        }
+        assert_eq!(archive.nonzeros(), 4);
+        assert!(archive.reports().eq(decoded));
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_the_archive_as_it_was() {
+        let good = encode_reports(&sample(), LAYOUT.layout_hash, LAYOUT.counters).unwrap();
+        let mut archive = SparseArchive::new(LAYOUT);
+        archive.extend_from_batch(&good).unwrap();
+        let before = archive.clone();
+
+        // Cut inside the last frame: two frames walk, the third tears.
+        let err = archive
+            .extend_from_batch(&good[..good.len() - 1])
+            .unwrap_err();
+        assert!(matches!(err.error, WireError::Truncated(_)));
+        assert_eq!(err.decoded, 2);
+        assert_eq!(archive, before);
+
+        // Another binary's batch fails at the header.
+        let stale = encode_reports(&sample(), 0xdead, LAYOUT.counters).unwrap();
+        let err = archive.extend_from_batch(&stale).unwrap_err();
+        assert!(matches!(err.error, WireError::LayoutHashMismatch { .. }));
+        assert_eq!(archive, before);
+
+        archive.clear();
+        assert!(archive.is_empty());
+        assert_eq!(archive.nonzeros(), 0);
+    }
+}

@@ -136,7 +136,7 @@ impl std::error::Error for BatchRejected {
 /// Walks one whole batch: the header (checked against `expected` when
 /// given), then `frame` on the reader until it reports a clean end.
 /// Returns the frame count, the header, and the bytes consumed.
-fn walk_batch<'a>(
+pub(crate) fn walk_batch<'a>(
     bytes: &'a [u8],
     expected: Option<ReportLayout>,
     mut frame: impl FnMut(&mut WireReader<&'a [u8]>) -> Result<bool, WireError>,

@@ -2,7 +2,9 @@
 //!
 //! Instrumented clients emit one [`Report`] per run: a counter vector (one
 //! counter per predicate, ordering information discarded) plus a binary
-//! success/failure [`Label`].  A [`Collector`] models the central database;
+//! success/failure [`Label`].  A [`Collector`] models the central database
+//! with every report kept dense; a [`SparseArchive`] keeps the same reports
+//! as their nonzero counters only, which is what an ingest server retains;
 //! [`SufficientStats`] models the privacy-preserving alternative that folds
 //! each report into per-counter aggregates and discards the raw trace.
 //!
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod archive;
 pub mod collector;
 pub mod frame;
 pub mod ingest;
@@ -38,6 +41,7 @@ pub mod sink;
 pub mod suffstats;
 pub mod wire;
 
+pub use archive::{SparseArchive, SparseRow};
 pub use collector::{CollectError, Collector};
 pub use frame::{AckVerdict, BatchAck, BatchEnvelope, EnvelopeRead};
 pub use ingest::{

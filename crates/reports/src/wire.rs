@@ -273,9 +273,9 @@ fn max_payload(counters: usize) -> usize {
 /// Walks one frame payload — run id, label, `counters` varints — and
 /// hands every nonzero counter to `nonzero` in ascending index order.
 ///
-/// The decoder and the validator are this one walk with two visitors,
-/// so both stop at the same byte of a malformed frame with the same
-/// error.  Sparse sampling leaves almost every counter a single `0x00`
+/// The decoder, the validator and the sparse reader are this one walk
+/// with three visitors, so all stop at the same byte of a malformed
+/// frame with the same error.  Sparse sampling leaves almost every counter a single `0x00`
 /// byte, which is consumed without entering the varint loop; any other
 /// spelling of zero (`0x80 0x00`) decodes through it as before.
 fn walk_payload(
@@ -537,6 +537,23 @@ impl<R: Read> WireReader<R> {
         let frame =
             self.next_frame(|payload, width| walk_payload(payload, width, |_, _| {}).map(|_| ()))?;
         Ok(frame.is_some())
+    }
+
+    /// Reads the next frame's run id and label and hands each nonzero
+    /// counter to `nonzero` as `(index, value)`, ascending by index: the
+    /// walk of [`read_report`](Self::read_report) — same bytes consumed,
+    /// same error at the same byte — with no dense vector in between.
+    /// `None` at a clean end of stream.  A malformed frame may have
+    /// handed over some of its counters before the error.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_report`](Self::read_report).
+    pub fn read_nonzero(
+        &mut self,
+        nonzero: impl FnMut(usize, u64),
+    ) -> Result<Option<(u64, Label)>, WireError> {
+        self.next_frame(|payload, width| walk_payload(payload, width, nonzero))
     }
 
     /// Reads the next frame's length prefix and payload, then hands the

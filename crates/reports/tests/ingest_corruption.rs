@@ -2,15 +2,17 @@
 //! seeded truncations and bit-flips must always yield a typed
 //! [`WireError`] (never a panic), a rejected batch must commit nothing,
 //! and the ingest loop must keep accepting clean batches afterwards.
-//! The allocation-free validator an ingest server runs before it acks
-//! must agree with the decoder on every one of those inputs.
+//! The allocation-free validator an ingest server runs before it acks,
+//! and the sparse walk its shutdown fold reads reports with, must agree
+//! with the decoder on every one of those inputs.
 //!
 //! Driven by the in-tree PCG generator, so every failing case is
 //! reproducible from its seed.
 
 use cbi_reports::wire::{self, WireError, WireErrorKind};
 use cbi_reports::{
-    decode_batch, validate_batch, BatchIngest, Collector, Label, Report, ReportLayout,
+    decode_batch, nonzero, validate_batch, BatchIngest, BatchRejected, Collector, Label, Report,
+    ReportLayout, SparseArchive,
 };
 use cbi_sampler::Pcg32;
 
@@ -199,17 +201,75 @@ fn outcome<T>(
     }
 }
 
-/// Asserts the validator and the decoder agree on `bytes` and returns
-/// what they agreed on.
+/// Asserts the validator, the sparse archive's walk and the decoder
+/// agree on `bytes` and returns what they agreed on.
 fn agreed(
     bytes: &[u8],
     counters: usize,
     context: &str,
 ) -> Result<(usize, wire::StreamHeader, u64), (usize, WireErrorKind, String)> {
-    let decoded = outcome(decode_batch(bytes, Some(layout(counters))), Vec::len);
+    let decoded = decode_batch(bytes, Some(layout(counters)));
+    archive_agrees(&decoded, bytes, counters, context);
+    let decoded = outcome(decoded, Vec::len);
     let validated = outcome(validate_batch(bytes, Some(layout(counters))), |&n| n);
     assert_eq!(validated, decoded, "{context}");
     decoded
+}
+
+/// The sparse walk against the decoder's result on the same bytes: it
+/// accepts what decodes and stores exactly the nonzero scan of every
+/// decoded report; it rejects what does not, after the same number of
+/// frames with the same error, and keeps nothing of the batch.
+fn archive_agrees(
+    decoded: &Result<(Vec<Report>, wire::StreamHeader, u64), BatchRejected>,
+    bytes: &[u8],
+    counters: usize,
+    context: &str,
+) {
+    let mut archive = SparseArchive::new(layout(counters));
+    match (decoded, archive.extend_from_batch(bytes)) {
+        (Ok((reports, _, consumed)), Ok(stats)) => {
+            assert_eq!(
+                (stats.reports, stats.bytes),
+                (reports.len(), *consumed),
+                "{context}"
+            );
+            assert_eq!(archive.len(), reports.len(), "{context}");
+            for (r, report) in reports.iter().enumerate() {
+                let row = archive.row(r);
+                assert_eq!(
+                    (row.run_id, row.label),
+                    (report.run_id, report.label),
+                    "{context}"
+                );
+                assert!(
+                    row.nonzero().eq(nonzero(&report.counters)),
+                    "{context}: report {r}"
+                );
+            }
+            assert!(archive.reports().eq(reports.iter().cloned()), "{context}");
+        }
+        (Err(dense), Err(sparse)) => {
+            assert_eq!(
+                (
+                    sparse.decoded,
+                    sparse.error.kind(),
+                    sparse.error.to_string()
+                ),
+                (dense.decoded, dense.error.kind(), dense.error.to_string()),
+                "{context}"
+            );
+            assert!(
+                archive.is_empty() && archive.nonzeros() == 0,
+                "{context}: a rejected batch left rows behind"
+            );
+        }
+        (dense, sparse) => panic!(
+            "{context}: decoder {:?}, sparse walk {:?}",
+            dense.as_ref().map(|d| d.0.len()).map_err(|e| &e.error),
+            sparse.map_err(|e| e.error)
+        ),
+    }
 }
 
 #[test]
@@ -314,4 +374,8 @@ fn non_canonical_zero_varints_still_decode_to_zero() {
     );
     assert_eq!(consumed, bytes.len() as u64);
     assert_eq!(agreed(&bytes, 4, "non-canonical zeros").unwrap().0, 1);
+    // However a zero is spelled, the sparse walk stores none of them.
+    let mut archive = SparseArchive::new(layout(4));
+    archive.extend_from_batch(&bytes).unwrap();
+    assert_eq!(archive.row(0).nonzero().collect::<Vec<_>>(), vec![(3, 7)]);
 }

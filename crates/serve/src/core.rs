@@ -4,14 +4,14 @@
 //! lives here, so tests and in-process baselines can drive the exact
 //! production path without a network: shard routing, dedup, payload
 //! validation, journal append-before-ack, resume, and the shutdown fold
-//! — the one place a report is decoded and analysed.
+//! — the one place a report is read and analysed.
 
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::shard::{fold_ordered, CommittedBatch, RejectEvent, ShardState, ShardStats};
 use crate::ServeError;
 use cbi::{EpochAggregator, StreamingConfig};
 use cbi_instrument::SiteTable;
-use cbi_reports::{AckVerdict, BatchEnvelope, Collector, ReportLayout};
+use cbi_reports::{AckVerdict, BatchEnvelope, ReportLayout, SparseArchive};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -31,8 +31,13 @@ pub struct ServeConfig {
     pub flight_capacity: usize,
     /// Ground-truth counter whose latency/rank snapshots report.
     pub target_counter: Option<usize>,
-    /// Also archive every accepted report in a [`Collector`] during
-    /// the fold (the regression analysis needs the full archive).
+    /// Also keep every accepted report, in fold order, in the
+    /// [`SparseArchive`] the fold walks the payload bytes into
+    /// ([`ServeOutcome::collector`]).  The aggregates need no report
+    /// once it is folded; per-report analyses — `cbi-scoring`'s
+    /// `FailureIndex`, the ℓ₁ regression, `cbi serve --spool` — do.
+    /// Costs 12 bytes per nonzero counter plus 17 per report, not 8
+    /// bytes per counter.
     pub keep_reports: bool,
 }
 
@@ -80,9 +85,11 @@ pub struct ServeSummary {
     pub bytes: u64,
     /// Batches replayed from the journal at resume.
     pub replayed: u64,
-    /// Whether resume truncated a torn final record.
+    /// Whether resume truncated a torn final record, or the shutdown
+    /// re-read of the journal ended in one.
     pub torn_tail: bool,
-    /// Journal records skipped for CRC damage at resume.
+    /// Journal records the shutdown fold skipped for CRC damage (at a
+    /// read-only load: the records the load skipped).
     pub journal_skipped_crc: u64,
     /// Journal size in bytes at shutdown (0 without a journal).
     pub journal_bytes: u64,
@@ -154,8 +161,12 @@ pub struct ServeOutcome {
     pub summary: ServeSummary,
     /// The authoritative folded analysis.
     pub aggregator: EpochAggregator,
-    /// Full report archive, when [`ServeConfig::keep_reports`] was set.
-    pub collector: Option<Collector>,
+    /// Every accepted report in fold order — `(seq, client)`, then
+    /// frame order within a batch — when [`ServeConfig::keep_reports`]
+    /// was set.  [`SparseArchive::reports`] materialises them one at a
+    /// time; [`SparseArchive::to_collector`] densifies the lot for an
+    /// analysis that needs the whole design matrix.
+    pub collector: Option<SparseArchive>,
 }
 
 /// Renders the canonical analysis of a folded aggregator: integers and
@@ -268,7 +279,7 @@ impl IngestCore {
 
     /// Resumes from an existing journal: re-admits every intact record
     /// to its shard (rebuilding dedup keys and accounting; the reports
-    /// themselves are decoded once, by [`finish`](Self::finish)),
+    /// themselves are read once, by [`finish`](Self::finish)),
     /// truncates any torn tail, and continues appending.
     ///
     /// # Errors
@@ -409,6 +420,11 @@ impl IngestCore {
             let path = journal.path().to_path_buf();
             drop(journal);
             let recovered = journal::replay(&path)?;
+            // This read sees every damaged record `resume` saw (resume
+            // skips them, it does not remove them) and any damaged since;
+            // a tail `resume` truncated is gone from the file by now.
+            summary.journal_skipped_crc = recovered.skipped_crc;
+            summary.torn_tail |= recovered.torn_tail;
             committed = recovered
                 .envelopes
                 .into_iter()
@@ -421,18 +437,8 @@ impl IngestCore {
                 })
                 .collect();
         }
-        let mut collector = self
-            .config
-            .keep_reports
-            .then(|| Collector::new(self.layout.counters));
-        let aggregator = fold_ordered(
-            &self.sites,
-            self.layout,
-            &self.config,
-            committed,
-            rejects,
-            collector.as_mut(),
-        )?;
+        let (aggregator, collector) =
+            fold_ordered(&self.sites, self.layout, &self.config, committed, rejects)?;
         Ok(ServeOutcome {
             summary,
             aggregator,

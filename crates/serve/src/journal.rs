@@ -24,10 +24,10 @@
 //!   behind it.
 
 use crate::ServeError;
-use cbi_reports::frame::{take_envelope, BatchEnvelope};
-use cbi_reports::{WireError, WireErrorKind};
+use cbi_reports::frame::{read_envelope, take_envelope, BatchEnvelope, EnvelopeRead};
+use cbi_reports::WireError;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Journal file magic.
@@ -200,6 +200,10 @@ pub struct JournalReplay {
 
 /// Reads a journal file, recovering every intact record.
 ///
+/// Records are read one at a time through a buffered reader, each
+/// payload straight into the envelope that keeps it, so the journal is
+/// held in memory once however large it is.
+///
 /// # Errors
 ///
 /// Returns [`ServeError::Journal`] if the file cannot be read and
@@ -208,14 +212,21 @@ pub struct JournalReplay {
 /// crash debris and reported via [`JournalReplay::torn_tail`]).
 pub fn replay(path: impl AsRef<Path>) -> Result<JournalReplay, ServeError> {
     let path = path.as_ref();
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|source| ServeError::Journal {
-            path: path.to_path_buf(),
-            source,
-        })?;
-    replay_bytes(&bytes)
+    let journal_err = |source| ServeError::Journal {
+        path: path.to_path_buf(),
+        source,
+    };
+    let mut file = BufReader::new(File::open(path).map_err(journal_err)?);
+    let mut header = [0u8; JOURNAL_HEADER_LEN as usize];
+    match file.read_exact(&mut header) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            return Err(ServeError::Wire(WireError::Truncated("journal header")))
+        }
+        Err(e) => return Err(journal_err(e)),
+    }
+    let layout_hash = parse_header(&header)?;
+    read_records(layout_hash, || read_envelope(&mut file)).map_err(journal_err)
 }
 
 /// [`replay`] over an in-memory journal image.
@@ -224,50 +235,64 @@ pub fn replay(path: impl AsRef<Path>) -> Result<JournalReplay, ServeError> {
 ///
 /// As [`replay`], minus the I/O.
 pub fn replay_bytes(bytes: &[u8]) -> Result<JournalReplay, ServeError> {
-    if bytes.len() < JOURNAL_HEADER_LEN as usize {
-        return Err(ServeError::Wire(WireError::Truncated("journal header")));
-    }
-    let magic: [u8; 4] = bytes[..4].try_into().expect("length checked");
+    let header = bytes
+        .get(..JOURNAL_HEADER_LEN as usize)
+        .ok_or(ServeError::Wire(WireError::Truncated("journal header")))?;
+    let layout_hash = parse_header(header.try_into().expect("sliced to the header length"))?;
+    let mut pos = JOURNAL_HEADER_LEN as usize;
+    read_records(layout_hash, || take_envelope(bytes, &mut pos))
+        .map_err(|e| ServeError::Wire(WireError::Io(e)))
+}
+
+/// Checks a journal header's magic and version; returns its layout hash.
+fn parse_header(header: &[u8; JOURNAL_HEADER_LEN as usize]) -> Result<u64, ServeError> {
+    let magic: [u8; 4] = header[..4].try_into().expect("four of thirteen bytes");
     if magic != JOURNAL_MAGIC {
         return Err(ServeError::Wire(WireError::BadMagic(magic)));
     }
-    if bytes[4] != JOURNAL_VERSION {
-        return Err(ServeError::Wire(WireError::UnsupportedVersion(bytes[4])));
+    if header[4] != JOURNAL_VERSION {
+        return Err(ServeError::Wire(WireError::UnsupportedVersion(header[4])));
     }
-    let layout_hash = u64::from_le_bytes(bytes[5..13].try_into().expect("length checked"));
-    let mut pos = JOURNAL_HEADER_LEN as usize;
-    let mut envelopes = Vec::new();
-    let mut skipped_crc = 0u64;
-    let mut torn_tail = false;
-    let mut good_bytes = pos as u64;
+    Ok(u64::from_le_bytes(
+        header[5..].try_into().expect("eight of thirteen bytes"),
+    ))
+}
+
+/// Pulls records from `next` until a clean end or the first one that
+/// does not frame.  Only a real I/O failure is an error.
+fn read_records(
+    layout_hash: u64,
+    mut next: impl FnMut() -> Result<Option<EnvelopeRead>, WireError>,
+) -> Result<JournalReplay, io::Error> {
+    let mut replay = JournalReplay {
+        layout_hash,
+        envelopes: Vec::new(),
+        torn_tail: false,
+        skipped_crc: 0,
+        good_bytes: JOURNAL_HEADER_LEN,
+    };
     loop {
-        match take_envelope(bytes, &mut pos) {
+        match next() {
             Ok(None) => break,
             Ok(Some(read)) => {
-                good_bytes = pos as u64;
+                replay.good_bytes += read.bytes;
                 if read.crc_ok {
-                    envelopes.push(read.envelope);
+                    replay.envelopes.push(read.envelope);
                 } else {
-                    skipped_crc += 1;
+                    replay.skipped_crc += 1;
                 }
             }
-            Err(e) => {
+            Err(WireError::Io(e)) => return Err(e),
+            Err(_) => {
                 // Any decode failure mid-record is crash debris: the
                 // writer died inside `write_all`.  Everything before it
                 // is intact; everything from here on is garbage.
-                debug_assert!(!matches!(e.kind(), WireErrorKind::Io));
-                torn_tail = true;
+                replay.torn_tail = true;
                 break;
             }
         }
     }
-    Ok(JournalReplay {
-        layout_hash,
-        envelopes,
-        torn_tail,
-        skipped_crc,
-        good_bytes,
-    })
+    Ok(replay)
 }
 
 /// Reopens a journal for appending after a restart: replays it,
@@ -416,6 +441,67 @@ mod tests {
         assert_eq!(r.skipped_crc, 1);
         assert_eq!(r.envelopes.len(), 2);
         assert!(!r.torn_tail);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_and_image_replay_agree_at_every_tear_offset() {
+        // 40 records of seeded sizes and contents, two of them
+        // CRC-damaged, then the file cut at every byte offset: the
+        // streaming reader and the in-memory one must recover the same
+        // records and name the same truncate point.
+        let path = tmp("tear-everywhere");
+        let mut rng = cbi::sampler::Pcg32::with_stream(0x7ea2, 0x0ff5e7);
+        let mut j = Journal::create(&path, 0x1a40, FsyncPolicy::Never).unwrap();
+        for n in 0..40u64 {
+            let mut payload = vec![0u8; 1 + rng.below(48) as usize];
+            rng.fill_bytes(&mut payload);
+            let attempt = rng.below(3) as u32;
+            j.append(&BatchEnvelope::new(n % 5, n * 131, attempt, payload))
+                .unwrap();
+        }
+        drop(j);
+        let mut image = fs::read(&path).unwrap();
+        let whole = replay_bytes(&image).unwrap();
+        assert_eq!(whole.envelopes.len(), 40);
+        assert_eq!(whole.good_bytes, image.len() as u64);
+        for n in [7, 23] {
+            // A record ends in its payload, and none is empty.
+            let end: usize = whole.envelopes[..=n].iter().map(|e| e.encode().len()).sum();
+            image[JOURNAL_HEADER_LEN as usize + end - 1] ^= 0x10;
+        }
+
+        for cut in 0..=image.len() {
+            fs::write(&path, &image[..cut]).unwrap();
+            let (from_file, from_image) = (replay(&path), replay_bytes(&image[..cut]));
+            if cut < JOURNAL_HEADER_LEN as usize {
+                for r in [from_file, from_image] {
+                    assert!(
+                        matches!(r, Err(ServeError::Wire(WireError::Truncated(_)))),
+                        "cut {cut}: {r:?}"
+                    );
+                }
+                continue;
+            }
+            let (f, i) = (from_file.unwrap(), from_image.unwrap());
+            assert_eq!(f.envelopes, i.envelopes, "cut {cut}");
+            assert_eq!(
+                (f.layout_hash, f.torn_tail, f.skipped_crc, f.good_bytes),
+                (i.layout_hash, i.torn_tail, i.skipped_crc, i.good_bytes),
+                "cut {cut}"
+            );
+            assert!(f.good_bytes <= cut as u64, "cut {cut}");
+            assert_eq!(f.torn_tail, f.good_bytes < cut as u64, "cut {cut}");
+        }
+        let damaged = replay(&path).unwrap();
+        assert_eq!(
+            (
+                damaged.envelopes.len(),
+                damaged.skipped_crc,
+                damaged.torn_tail
+            ),
+            (38, 2, false)
+        );
         fs::remove_file(&path).unwrap();
     }
 

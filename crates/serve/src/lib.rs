@@ -10,10 +10,12 @@
 //!   frame walk, materialising nothing), journal and ack — and analyse
 //!   nothing.  The analysis is produced once, at shutdown, by the same
 //!   ordered-merge discipline the campaign driver and fleet use: every
-//!   committed batch is decoded and folded in `(seq, client)` order
-//!   into a fresh [`EpochAggregator`](cbi::EpochAggregator), so the
-//!   result is byte-identical at any shard count — and identical to
-//!   feeding the same batches through an in-process aggregator.
+//!   committed batch's bytes are walked in `(seq, client)` order and
+//!   each report's nonzero counters folded into a fresh
+//!   [`EpochAggregator`](cbi::EpochAggregator) — no dense report is
+//!   built — so the result is byte-identical at any shard count, and
+//!   identical to feeding the same batches through an in-process
+//!   aggregator.
 //! * **Backpressure, never an unbounded buffer.**  Each shard has a
 //!   bounded queue; a full queue surfaces as the typed
 //!   [`ServeError::Backpressure`], which the connection handler answers

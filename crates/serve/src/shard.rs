@@ -6,10 +6,11 @@
 //! committed envelopes themselves.  It analyses nothing: a delivery is
 //! CRC-gated, deduplicated, *validated* (a walk of its frames that
 //! materialises no report), journaled, and acked.  The analysis is
-//! produced once, by [`fold_ordered`], which decodes every committed
-//! batch in `(seq, client)` order into a fresh [`EpochAggregator`], the
-//! same discipline the campaign driver uses to keep `--jobs` out of its
-//! output.  Shard count, arrival interleaving, and crash/replay history
+//! produced once, by [`fold_ordered`], which walks every committed
+//! batch's bytes in `(seq, client)` order and folds each report's
+//! nonzero counters into a fresh [`EpochAggregator`] — no dense report
+//! is built on the way — the same ordering discipline the campaign
+//! driver uses to keep `--jobs` out of its output.  Shard count, arrival interleaving, and crash/replay history
 //! therefore cannot leak into the result: any history committing the
 //! same batch set folds to the same bytes.
 
@@ -18,8 +19,8 @@ use crate::{ServeConfig, ServeError};
 use cbi::EpochAggregator;
 use cbi_instrument::SiteTable;
 use cbi_reports::{
-    decode_batch, validate_batch, AckVerdict, BatchEnvelope, Collector, DecodeOutcome, Provenance,
-    ReportLayout, ReportSink, WireErrorKind,
+    validate_batch, AckVerdict, BatchEnvelope, DecodeOutcome, Provenance, ReportLayout, ReportSink,
+    SparseArchive, WireErrorKind,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -177,23 +178,24 @@ fn provenance(client: u64, attempt: u32, origin: Option<&str>) -> Provenance {
 
 /// The ordered merge: folds every committed batch (and every rejected
 /// delivery) into a fresh [`EpochAggregator`] in `(seq, client,
-/// attempt)` order, re-decoding payloads as it goes.
+/// attempt)` order, straight from the payload bytes: each batch is
+/// walked into a [`SparseArchive`] — all of it or none — and the
+/// aggregator folds the rows that walk appended.
 ///
-/// `collector` optionally archives every accepted report (the
-/// regression path needs the full archive).
+/// With [`ServeConfig::keep_reports`] the archive is returned holding
+/// every accepted report; without it, it is emptied after each batch.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Wire`] if a retained payload fails to decode
-/// and [`ServeError::Sink`] on aggregator/collector rejection.
+/// and [`ServeError::Sink`] if the aggregator rejects a report.
 pub(crate) fn fold_ordered(
     sites: &SiteTable,
     layout: ReportLayout,
     config: &ServeConfig,
     mut committed: Vec<CommittedBatch>,
     mut rejects: Vec<RejectEvent>,
-    mut collector: Option<&mut Collector>,
-) -> Result<EpochAggregator, ServeError> {
+) -> Result<(EpochAggregator, Option<SparseArchive>), ServeError> {
     let _fold = cbi_telemetry::span("serve.fold");
     committed.sort_by_key(|a| (a.seq, a.client));
     rejects.sort_by_key(|a| (a.seq, a.client, a.attempt));
@@ -206,6 +208,7 @@ pub(crate) fn fold_ordered(
     )
     .with_flight_capacity(config.flight_capacity);
     aggregator.begin(layout)?;
+    let mut archive = SparseArchive::new(layout);
 
     // Merge the two sorted runs; a rejected delivery of a batch sorts
     // before the delivery that finally committed it.
@@ -215,18 +218,19 @@ pub(crate) fn fold_ordered(
             let prov = provenance(r.client, r.attempt, r.origin.as_deref());
             aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
         }
-        let (reports, _header, consumed) = decode_batch(&batch.payload, Some(layout))
+        let first = archive.len();
+        let walked = archive
+            .extend_from_batch(&batch.payload)
             .map_err(|rejected| ServeError::Wire(rejected.error))?;
         let prov = provenance(batch.client, batch.attempt, batch.origin.as_deref());
         aggregator.note_retries(prov.cohort_label(), batch.attempt as u64);
-        aggregator.note_batch(&prov, DecodeOutcome::Clean, consumed);
-        for report in reports {
-            if let Some(collector) = collector.as_deref_mut() {
-                collector
-                    .add(report.clone())
-                    .map_err(cbi_reports::SinkError::from)?;
-            }
-            aggregator.accept(report)?;
+        aggregator.note_batch(&prov, DecodeOutcome::Clean, walked.bytes);
+        for r in first..archive.len() {
+            let row = archive.row(r);
+            aggregator.accept_nonzero(row.run_id, row.label, row.nonzero())?;
+        }
+        if !config.keep_reports {
+            archive.clear();
         }
     }
     for r in rejects {
@@ -236,5 +240,5 @@ pub(crate) fn fold_ordered(
     if !aggregator.runs().is_multiple_of(config.epoch_len) || aggregator.snapshots().is_empty() {
         aggregator.snapshot_now();
     }
-    Ok(aggregator)
+    Ok((aggregator, config.keep_reports.then_some(archive)))
 }

@@ -3,15 +3,16 @@
 #
 # Builds cbibench on a parent revision and on the working tree — each
 # through the harness's own manifest, each into its own target directory
-# — then runs `cbibench measure` on WORKLOAD once per side per pair,
-# alternating which side goes first, both sides of a pair on the same
-# fresh seed.  It collects the last-line result objects, asks `cbibench
-# check` for the verdicts under BENCHMARK.json's bounds, and prints the
-# table EXPERIMENTS.md uses (median, quartiles, ratio, "lower in n/N")
-# with the machine fingerprint.  Nothing under the harness directory is
-# touched; run length comes from BENCHMARK.json.
+# — then, for each WORKLOAD in turn, runs `cbibench measure` once per
+# side per pair, alternating which side goes first, both sides of a pair
+# on the same fresh seed.  It collects the last-line result objects, asks
+# `cbibench check` for the verdicts under BENCHMARK.json's bounds, and
+# prints the table EXPERIMENTS.md uses (median, quartiles, ratio, "lower
+# in n/N") with the machine fingerprint.  Nothing under the harness
+# directory is touched; run length comes from BENCHMARK.json.  The exit
+# status is non-zero if any workload's `check` is.
 #
-# Usage: scripts/bench_pair.sh PARENT_REV WORKLOAD [PAIRS]
+# Usage: scripts/bench_pair.sh PARENT_REV WORKLOAD[,WORKLOAD...]|all [PAIRS]
 #
 # State lives in .bench_pair/ (or $BENCH_PAIR_DIR): the parent checkout
 # (a `git worktree`; an existing checkout of that commit there is reused,
@@ -23,12 +24,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 REPO=$PWD
 
-PARENT_REV=${1:?usage: scripts/bench_pair.sh PARENT_REV WORKLOAD [PAIRS]}
-WORKLOAD=${2:?usage: scripts/bench_pair.sh PARENT_REV WORKLOAD [PAIRS]}
+USAGE="usage: scripts/bench_pair.sh PARENT_REV WORKLOAD[,WORKLOAD...]|all [PAIRS]"
+PARENT_REV=${1:?$USAGE}
+WORKLOADS=${2:?$USAGE}
 PAIRS=${3:-10}
 WORK=${BENCH_PAIR_DIR:-$REPO/.bench_pair}
 MANIFEST=crates/bench/src/bin/cbibench/Cargo.toml
 SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+if [ "$WORKLOADS" = all ]; then
+  WORKLOADS=$(sed -n 's/.*{"name": *"\([^"]*\)", *"why".*/\1/p' BENCHMARK.json | paste -sd, -)
+fi
 
 parent=$(git rev-parse --verify "$PARENT_REV^{commit}")
 change=$(git rev-parse HEAD)$(git diff --quiet HEAD || echo "+dirty")
@@ -46,33 +51,36 @@ build "$REPO" "$WORK/target-change"
 PARENT_BIN=$WORK/target-parent-$parent/release/cbibench
 CHANGE_BIN=$WORK/target-change/release/cbibench
 
-# One JSON result object per line, in pair order.
-parent_runs=$WORK/$WORKLOAD-parent.jsonl
-change_runs=$WORK/$WORKLOAD-change.jsonl
-: >"$parent_runs"
-: >"$change_runs"
 measure() { # <binary> <seed> <output>
   # cbibench keeps journals under ./.cbibench_tmp: run from scratch.
   (cd "$WORK/run" && "$1" measure --workload "$WORKLOAD" --seed "$2" \
     --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1) >>"$3"
 }
-seed_base=$(date +%s)
-for pair in $(seq 1 "$PAIRS"); do
-  seed=$((seed_base + pair))
-  if [ $((pair % 2)) -eq 1 ]; then
-    measure "$PARENT_BIN" "$seed" "$parent_runs"
-    measure "$CHANGE_BIN" "$seed" "$change_runs"
-  else
-    measure "$CHANGE_BIN" "$seed" "$change_runs"
-    measure "$PARENT_BIN" "$seed" "$parent_runs"
-  fi
-  echo "pair $pair/$PAIRS (seed $seed) done" >&2
-done
 
-# Fold each side's runs into the result-file shape `cbibench check`
-# reads, and print the pair table.
-python3 - "$WORKLOAD" "$parent_runs" "$change_runs" \
-  "$WORK/$WORKLOAD-parent.json" "$WORK/$WORKLOAD-change.json" <<'PY'
+pair_workload() { # <workload>: its pairs, table and verdicts
+  WORKLOAD=$1
+  # One JSON result object per line, in pair order.
+  parent_runs=$WORK/$WORKLOAD-parent.jsonl
+  change_runs=$WORK/$WORKLOAD-change.jsonl
+  : >"$parent_runs"
+  : >"$change_runs"
+  seed_base=$(date +%s)
+  for pair in $(seq 1 "$PAIRS"); do
+    seed=$((seed_base + pair))
+    if [ $((pair % 2)) -eq 1 ]; then
+      measure "$PARENT_BIN" "$seed" "$parent_runs"
+      measure "$CHANGE_BIN" "$seed" "$change_runs"
+    else
+      measure "$CHANGE_BIN" "$seed" "$change_runs"
+      measure "$PARENT_BIN" "$seed" "$parent_runs"
+    fi
+    echo "pair $pair/$PAIRS (seed $seed) done" >&2
+  done
+
+  # Fold each side's runs into the result-file shape `cbibench check`
+  # reads, and print the pair table.
+  python3 - "$WORKLOAD" "$parent_runs" "$change_runs" \
+    "$WORK/$WORKLOAD-parent.json" "$WORK/$WORKLOAD-change.json" <<'PY'
 import json, statistics, sys
 
 workload, parent_runs, change_runs, parent_out, change_out = sys.argv[1:]
@@ -118,13 +126,20 @@ print(f"\nfailed operations: parent {parent['failed']}/{parent['attempted']}, "
       f"change {change['failed']}/{change['attempted']}\n")
 PY
 
-echo "machine: $(nproc) cpus, $(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo | head -n 1)," \
-  "kernel $(uname -r), $(rustc -V)"
-echo "parent $parent, change $change, seeds $((seed_base + 1))..$((seed_base + PAIRS))," \
-  "$SECONDS_PER_RUN s per run"
-echo
-echo '```'
+  echo "machine: $(nproc) cpus, $(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo | head -n 1)," \
+    "kernel $(uname -r), $(rustc -V)"
+  echo "parent $parent, change $change, seeds $((seed_base + 1))..$((seed_base + PAIRS))," \
+    "$SECONDS_PER_RUN s per run"
+  echo
+  echo '```'
+  "$CHANGE_BIN" check "$WORK/$WORKLOAD-parent.json" "$WORK/$WORKLOAD-change.json" || status=$?
+  echo '```'
+  echo
+}
+
+# A failed check is remembered, not fatal: the remaining workloads run.
 status=0
-"$CHANGE_BIN" check "$WORK/$WORKLOAD-parent.json" "$WORK/$WORKLOAD-change.json" || status=$?
-echo '```'
+for workload in ${WORKLOADS//,/ }; do
+  pair_workload "$workload"
+done
 exit "$status"

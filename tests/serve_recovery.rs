@@ -180,3 +180,50 @@ fn journaled_run_matches_memory_run() {
     assert_eq!(a.aggregator.snapshots(), b.aggregator.snapshots());
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn finish_reports_a_record_damaged_after_it_was_acked() {
+    // Disk damage between the ack and the shutdown fold: the fold skips
+    // the record (its CRC no longer holds), and the summary must say so
+    // rather than report only what the shards acked.
+    let (sites, envelopes) = fixture();
+    let path = tmp("damaged.journal");
+    let mut core = IngestCore::new(sites, config(2))
+        .unwrap()
+        .with_journal(&path, FsyncPolicy::Never)
+        .unwrap();
+    for env in &envelopes {
+        assert_eq!(
+            core.submit(None, env.clone(), true).unwrap(),
+            AckVerdict::Accepted
+        );
+    }
+    // Flip a payload byte of the last record, in place.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let outcome = core.finish().unwrap();
+    let damaged = envelopes.last().unwrap();
+    let lost = cbi_reports::decode_batch(&damaged.payload, None)
+        .unwrap()
+        .0
+        .len() as u64;
+    assert_eq!(outcome.summary.journal_skipped_crc, 1);
+    assert!(!outcome.summary.torn_tail);
+    // The shards' accounting is of what was acked; the analysis holds
+    // the records that survived.
+    assert_eq!(outcome.summary.batches, envelopes.len() as u64);
+    assert_eq!(outcome.summary.reports, 500);
+    assert_eq!(outcome.aggregator.runs(), 500 - lost);
+    assert!(
+        outcome
+            .summary
+            .render()
+            .contains("crc-damaged records skipped"),
+        "{}",
+        outcome.summary.render()
+    );
+    std::fs::remove_file(&path).unwrap();
+}
