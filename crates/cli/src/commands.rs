@@ -80,14 +80,16 @@ usage:
   at any shard count.  --journal FILE appends every batch to a
   crash-safe journal before acking it (--fsync picks the durability
   level); after a crash, --resume FILE replays the journal, truncates a
-  torn final record, and continues where the server died.  --max-conns
-  is a deprecated alias for --max-clients.  `cbi campaign --transmit
-  ADDR` streams reports to such a server in the compact binary wire
-  format; `cbi fleet --serve ADDR` drives the whole simulated community
-  against it over real sockets (--ack-drop loses acks to exercise
-  retransmit dedup, --streams bounds client concurrency); `--spool
-  FILE` writes accepted reports to disk; `cbi transmit` replays a saved
-  JSONL or spool file to a server.  `cbi analyze` accepts both JSONL
+  torn final record, and continues where the server died.  `cbi
+  campaign --transmit ADDR` sends the campaign's reports to such a
+  server as one batch in the compact binary wire format, keyed by a
+  hash of its bytes, so sending the same stream twice commits it once
+  (the second send is answered `duplicate`); `cbi fleet --serve ADDR`
+  drives the whole simulated community against it over real sockets
+  (--ack-drop loses acks to exercise retransmit dedup, --streams bounds
+  client concurrency); `--spool FILE` writes accepted reports to disk;
+  `cbi transmit` replays a saved JSONL or spool file to a server, the
+  same way.  `cbi analyze` accepts both JSONL
   and binary spool files, and `cbi monitor --replay` additionally walks
   serve journals with full per-batch provenance.
 
@@ -141,6 +143,17 @@ usage:
 /// Valueless boolean switches accepted by the subcommands.
 const SWITCHES: &[&str] = &["global-countdown", "no-regions", "metrics"];
 
+/// Flags that were removed, with the answer a caller still passing one
+/// gets.  `Args` ignores flags it does not know, so without this a
+/// script would silently get different behaviour than it asked for.
+const REMOVED_FLAGS: &[(&str, &str)] = &[
+    (
+        "engine",
+        "--engine was removed: bytecode is the only engine",
+    ),
+    ("max-conns", "--max-conns was removed: use --max-clients"),
+];
+
 /// Dispatches a raw argument vector to a subcommand.
 ///
 /// # Errors
@@ -148,10 +161,11 @@ const SWITCHES: &[&str] = &["global-countdown", "no-regions", "metrics"];
 /// Returns a user-facing message for any parse, I/O, or pipeline failure.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
     let args = Args::parse_with_switches(raw, SWITCHES)?;
-    // `Args` ignores flags it does not know; a script still passing this
-    // one must not silently get a different engine than it asked for.
-    if args.flag("engine").is_some() {
-        return Err("--engine was removed: bytecode is the only engine".to_string());
+    if let Some((_, answer)) = REMOVED_FLAGS
+        .iter()
+        .find(|(flag, _)| args.flag(flag).is_some())
+    {
+        return Err(answer.to_string());
     }
     match args.positional(0) {
         Some("instrument") => cmd_instrument(&args),
@@ -464,11 +478,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         );
     }
     if let (Some(addr), Some(t)) = (args.flag("transmit"), &transmit) {
-        eprintln!(
-            "{} reports ({} bytes) transmitted to {addr}",
-            t.reports_written(),
-            t.bytes_written()
-        );
+        print_transmitted(t, addr);
     }
 
     match args.flag("out") {
@@ -715,20 +725,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.flag("addr").unwrap_or("127.0.0.1:0");
 
     // Every flag is validated before the listener binds, so a typo
-    // never claims a port.  --max-conns survives as a deprecated alias
-    // for --max-clients.
-    let max_clients: u64 = match (args.flag("max-clients"), args.flag("max-conns")) {
-        (Some(_), _) => args.flag_or("max-clients", 1u64)?,
-        (None, Some(_)) => {
-            let n = args.flag_or("max-conns", 1u64)?;
-            if n == 0 {
-                return Err("--max-conns must be a positive integer (got 0)".to_string());
-            }
-            eprintln!("note: --max-conns is deprecated; use --max-clients");
-            n
-        }
-        (None, None) => 1,
-    };
+    // never claims a port.
+    let max_clients: u64 = args.flag_or("max-clients", 1u64)?;
     if max_clients == 0 {
         return Err("--max-clients must be a positive integer (got 0)".to_string());
     }
@@ -890,12 +888,22 @@ fn cmd_transmit(args: &Args) -> Result<(), String> {
         sink.accept(report.clone()).map_err(|e| e.to_string())?;
     }
     sink.finish().map_err(|e| e.to_string())?;
+    print_transmitted(&sink, addr);
+    Ok(())
+}
+
+/// The one line a finished transmission prints: what was sent and the
+/// server's answer, `duplicate` when it had already committed the stream.
+fn print_transmitted(sink: &TransmitSink, addr: &str) {
+    let verdict = match sink.verdict() {
+        Some(cbi::reports::AckVerdict::Duplicate) => "duplicate: already committed",
+        _ => "accepted",
+    };
     eprintln!(
-        "{} reports ({} bytes) transmitted to {addr}",
+        "{} reports ({} bytes) transmitted to {addr}: {verdict}",
         sink.reports_written(),
         sink.bytes_written()
     );
-    Ok(())
 }
 
 fn cmd_corpus(args: &Args) -> Result<(), String> {
@@ -1785,8 +1793,16 @@ mod tests {
         let p = tmp("prog8.mc", PROG);
         let err = dispatch_strs(&["serve", p.to_str().unwrap(), "--mode", "bogus"]).unwrap_err();
         assert!(err.contains("--mode"), "{err}");
-        let err = dispatch_strs(&["serve", p.to_str().unwrap(), "--max-conns", "0"]).unwrap_err();
-        assert!(err.contains("--max-conns"), "{err}");
+    }
+
+    #[test]
+    fn max_conns_flag_is_rejected_as_removed() {
+        let p = tmp("prog-max-conns.mc", PROG);
+        for n in ["0", "5"] {
+            let err = dispatch_strs(&["serve", p.to_str().unwrap(), "--max-conns", n]).unwrap_err();
+            assert_eq!(err, "--max-conns was removed: use --max-clients");
+        }
+        assert!(!USAGE.contains("--max-conns"));
     }
 
     #[test]

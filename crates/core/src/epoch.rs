@@ -18,8 +18,8 @@ use crate::detection::FirstObservation;
 use crate::streaming::{StreamingAnalyzer, StreamingConfig};
 use cbi_instrument::SiteTable;
 use cbi_reports::{
-    nonzero, DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink, SinkError,
-    WireErrorKind,
+    nonzero, BatchStats, DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink,
+    SinkError, SparseArchive, WireErrorKind,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -359,6 +359,39 @@ impl EpochAggregator {
             self.snapshot_now();
         }
         Ok(())
+    }
+
+    /// Folds one delivered wire batch — the one per-batch fold body of
+    /// every ingest path (the server's ordered merge and the in-memory
+    /// fleet both call it, so they build the same statistics by
+    /// construction).  `payload` is walked into `archive`, all of it or
+    /// none, with no dense report built on the way; the batch is noted
+    /// under `prov` and `outcome` with the walked bytes; then each report
+    /// the walk appended is folded by its nonzero counters.  The caller
+    /// keeps the archived rows or clears them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SinkError::Wire`] with the walk's typed error if the
+    /// payload does not decode against the archive's layout (nothing is
+    /// noted or folded), and [`SinkError::NotBegun`] before `begin`.
+    pub fn fold_batch(
+        &mut self,
+        prov: &Provenance,
+        outcome: DecodeOutcome,
+        payload: &[u8],
+        archive: &mut SparseArchive,
+    ) -> Result<BatchStats, SinkError> {
+        let first = archive.len();
+        let walked = archive
+            .extend_from_batch(payload)
+            .map_err(|rejected| SinkError::Wire(rejected.error))?;
+        self.note_batch(prov, outcome, walked.bytes);
+        for r in first..archive.len() {
+            let row = archive.row(r);
+            self.accept_nonzero(row.run_id, row.label, row.nonzero())?;
+        }
+        Ok(walked)
     }
 
     /// Takes the current-state snapshot without waiting for an epoch

@@ -64,7 +64,6 @@ pub mod detection;
 pub mod epoch;
 pub mod health;
 pub mod pipeline;
-pub mod remote;
 pub mod streaming;
 pub mod traces;
 
@@ -81,7 +80,6 @@ pub use pipeline::{
     eliminate, eliminate_stats, regress, EliminationReport, PipelineError, RegressionConfig,
     RegressionStudy,
 };
-pub use remote::{IngestServer, IngestSummary, ServeError};
 pub use streaming::{StreamingAnalyzer, StreamingConfig};
 pub use traces::{crash_proximity, ProximityConfig, ProximityEntry, ProximityReport};
 
@@ -99,7 +97,6 @@ pub mod prelude {
     pub use crate::pipeline::{
         eliminate, regress, EliminationReport, PipelineError, RegressionConfig, RegressionStudy,
     };
-    pub use crate::remote::{IngestServer, IngestSummary};
     pub use crate::streaming::{StreamingAnalyzer, StreamingConfig};
     pub use cbi_instrument::{
         apply_sampling, instrument, strip_sites, Scheme, SiteTable, TransformOptions,

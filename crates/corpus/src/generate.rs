@@ -218,7 +218,6 @@ fn entry_from(
 ) -> CorpusEntry {
     CorpusEntry {
         bug: PlantedBug {
-            schema: 1,
             source: format!("programs/{id}.mc"),
             id,
             workload,
@@ -583,7 +582,6 @@ pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, Corpus
         let id = format!("mb-{:04}", entries.len());
         entries.push(CorpusEntry {
             bug: PlantedBug {
-                schema: 2,
                 source: format!("programs/{id}.mc"),
                 id,
                 workload: Workload::Testgen,
@@ -658,7 +656,7 @@ mod tests {
             .any(|e| e.bug.workload == Workload::Testgen));
         for entry in &corpus.entries {
             assert!(entry.bug.counters > 0);
-            assert_eq!(entry.bug.schema, 1);
+            assert_eq!(entry.bug.faults.len(), 1);
             assert!(entry.bug.primary().true_counter < entry.bug.counters);
             assert!(["always", "conditional"].contains(&entry.bug.primary().trigger.as_str()));
             // Normal form on disk: the stored source is a fixed point.
@@ -688,7 +686,6 @@ mod tests {
         assert_eq!(corpus.entries.len(), 2);
         for entry in &corpus.entries {
             let bug = &entry.bug;
-            assert_eq!(bug.schema, 2);
             assert_eq!(bug.faults.len(), 2);
             assert!(bug.id.starts_with("mb-"));
             // Distinct counters, all within the layout.

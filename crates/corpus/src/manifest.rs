@@ -6,16 +6,13 @@
 //! that always writes fields in a fixed order so manifests are
 //! byte-stable across runs.
 //!
-//! Two schema versions coexist:
-//!
-//! * **v1** — one fault per entry, spelled as flat fields (`operator`,
-//!   `deterministic`, `trigger`, `true_counter`, `true_predicate`) on
-//!   the entry object.  Every manifest written before multi-bug corpora
-//!   existed is v1, and single-fault entries still emit the identical
-//!   bytes so existing goldens and diff-based tooling keep working.
-//! * **v2** — adds `"schema":2` and moves the per-fault fields into a
-//!   `"bugs"` array, one object per planted fault.  An entry with two
-//!   or more faults always emits v2.
+//! The codec writes schema **v2**: `"schema":2` first, and the
+//! per-fault fields in a `"bugs"` array, one object per planted fault.
+//! It still reads **v1**, the shape every manifest written before
+//! multi-bug corpora existed has: one fault per entry, spelled as flat
+//! fields (`operator`, `deterministic`, `trigger`, `true_counter`,
+//! `true_predicate`) on the entry object.  A v1 line read and written
+//! back comes out as v2 with the same faults.
 //!
 //! The decoder accepts both shapes regardless of declared version and
 //! rejects any `schema` beyond 2, so older readers fail loudly on
@@ -25,7 +22,7 @@ use crate::CorpusError;
 use std::fmt;
 use std::io::{BufRead, Write};
 
-/// Latest manifest schema version this codec writes.
+/// The manifest schema version this codec writes.
 pub const MANIFEST_SCHEMA: u32 = 2;
 
 /// Which workload family a corpus entry was planted into.
@@ -89,8 +86,6 @@ pub struct Fault {
 /// or more planted faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlantedBug {
-    /// Manifest schema version this entry round-trips as (1 or 2).
-    pub schema: u32,
     /// Stable entry id (`tg-0007`, `mb-0003`, …); also names the source
     /// file.
     pub id: String,
@@ -110,13 +105,13 @@ pub struct PlantedBug {
     pub trial_seed: u64,
     /// Failing runs among the uninstrumented baseline trials.
     pub baseline_failures: usize,
-    /// The planted faults, in planting order.  Never empty; v1 entries
-    /// have exactly one.
+    /// The planted faults, in planting order.  Never empty; entries read
+    /// from v1 lines have exactly one.
     pub faults: Vec<Fault>,
 }
 
 impl PlantedBug {
-    /// The first planted fault — the only one for v1 entries.
+    /// The first planted fault — the only one for single-fault entries.
     pub fn primary(&self) -> &Fault {
         &self.faults[0]
     }
@@ -127,7 +122,7 @@ impl PlantedBug {
     }
 
     /// `+`-joined operator names of all faults (`off_by_one_index`
-    /// alone for v1 entries).
+    /// alone for a single-fault entry).
     pub fn operator_label(&self) -> String {
         self.faults
             .iter()
@@ -168,8 +163,8 @@ fn str_field(out: &mut String, key: &str, val: &str, comma: bool) {
 }
 
 impl Fault {
-    fn emit_fields(&self, out: &mut String, comma_first: bool) {
-        str_field(out, "operator", &self.operator, comma_first);
+    fn emit_fields(&self, out: &mut String) {
+        str_field(out, "operator", &self.operator, false);
         out.push_str(&format!(",\"deterministic\":{}", self.deterministic));
         str_field(out, "trigger", &self.trigger, true);
         out.push_str(&format!(",\"true_counter\":{}", self.true_counter));
@@ -178,29 +173,15 @@ impl Fault {
 }
 
 impl PlantedBug {
-    /// Encodes the record as a single JSON line (no trailing newline).
-    /// Single-fault v1 entries emit the legacy flat field order,
-    /// byte-identical to manifests written before schema versioning.
+    /// Encodes the record as a single schema-v2 JSON line (no trailing
+    /// newline).
     pub fn to_json(&self) -> String {
         assert!(!self.faults.is_empty(), "entry without faults");
         let mut out = String::with_capacity(256);
-        out.push('{');
-        if self.schema == 1 && self.faults.len() == 1 {
-            str_field(&mut out, "id", &self.id, false);
-            str_field(&mut out, "workload", self.workload.as_str(), true);
-            let f = self.primary();
-            str_field(&mut out, "operator", &f.operator, true);
-            str_field(&mut out, "source", &self.source, true);
-            out.push_str(&format!(",\"deterministic\":{}", f.deterministic));
-            str_field(&mut out, "trigger", &f.trigger, true);
-            out.push_str(&format!(",\"true_counter\":{}", f.true_counter));
-            str_field(&mut out, "true_predicate", &f.true_predicate, true);
-        } else {
-            out.push_str("\"schema\":2");
-            str_field(&mut out, "id", &self.id, true);
-            str_field(&mut out, "workload", self.workload.as_str(), true);
-            str_field(&mut out, "source", &self.source, true);
-        }
+        out.push_str(&format!("{{\"schema\":{MANIFEST_SCHEMA}"));
+        str_field(&mut out, "id", &self.id, true);
+        str_field(&mut out, "workload", self.workload.as_str(), true);
+        str_field(&mut out, "source", &self.source, true);
         out.push_str(&format!(",\"layout_hash\":{}", self.layout_hash));
         out.push_str(&format!(",\"counters\":{}", self.counters));
         out.push_str(&format!(",\"trials\":{}", self.trials));
@@ -209,19 +190,16 @@ impl PlantedBug {
             ",\"baseline_failures\":{}",
             self.baseline_failures
         ));
-        if !(self.schema == 1 && self.faults.len() == 1) {
-            out.push_str(",\"bugs\":[");
-            for (i, f) in self.faults.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                f.emit_fields(&mut out, false);
-                out.push('}');
+        out.push_str(",\"bugs\":[");
+        for (i, f) in self.faults.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push(']');
+            out.push('{');
+            f.emit_fields(&mut out);
+            out.push('}');
         }
-        out.push('}');
+        out.push_str("]}");
         out
     }
 
@@ -317,14 +295,12 @@ impl PlantedBug {
         if faults.is_empty() {
             return Err("entry has no faults (neither flat fields nor \"bugs\")".to_string());
         }
-        let schema = schema.unwrap_or(if flat_present { 1 } else { 2 });
-        if schema == 0 || schema > MANIFEST_SCHEMA {
+        if let Some(schema) = schema.filter(|s| !(1..=MANIFEST_SCHEMA).contains(s)) {
             return Err(format!(
                 "unsupported manifest schema {schema} (this reader understands 1..={MANIFEST_SCHEMA})"
             ));
         }
         Ok(PlantedBug {
-            schema,
             id: id.ok_or_else(|| req("id"))?,
             workload: workload.ok_or_else(|| req("workload"))?,
             source: source.ok_or_else(|| req("source"))?,
@@ -540,7 +516,6 @@ mod tests {
 
     fn sample() -> PlantedBug {
         PlantedBug {
-            schema: 1,
             id: "tg-0007".to_string(),
             workload: Workload::Testgen,
             source: "programs/tg-0007.mc".to_string(),
@@ -560,7 +535,6 @@ mod tests {
         second.true_counter = 30;
         second.true_predicate = "!(0 <= fault_u < len(p))".to_string();
         PlantedBug {
-            schema: 2,
             id: "mb-0001".to_string(),
             workload: Workload::Testgen,
             source: "programs/mb-0001.mc".to_string(),
@@ -573,28 +547,31 @@ mod tests {
         }
     }
 
+    /// A v1 line — no `schema` field, flat fault fields in the order
+    /// the pre-versioning codec wrote them — reads, and is written back
+    /// as v2 with the same faults.
     #[test]
     fn v1_json_round_trip() {
-        let bug = sample();
-        let line = bug.to_json();
-        assert_eq!(PlantedBug::from_json(&line).unwrap(), bug);
-    }
-
-    /// A v1 entry emits the exact byte sequence the pre-versioning
-    /// codec wrote — no `schema` field, flat fault fields in the legacy
-    /// order — so old manifests and goldens diff clean.
-    #[test]
-    fn v1_emission_is_the_legacy_flat_format() {
-        let line = sample().to_json();
-        assert_eq!(
-            line,
-            "{\"id\":\"tg-0007\",\"workload\":\"testgen\",\
+        let v1 = "{\"id\":\"tg-0007\",\"workload\":\"testgen\",\
              \"operator\":\"off_by_one_index\",\"source\":\"programs/tg-0007.mc\",\
              \"deterministic\":true,\"trigger\":\"conditional\",\"true_counter\":12,\
              \"true_predicate\":\"!(0 <= fault_t < len(buf))\",\
              \"layout_hash\":18446744073709551612,\"counters\":40,\"trials\":48,\
-             \"trial_seed\":49374,\"baseline_failures\":9}"
+             \"trial_seed\":49374,\"baseline_failures\":9}";
+        let bug = PlantedBug::from_json(v1).unwrap();
+        assert_eq!(bug, sample());
+        let v2 = bug.to_json();
+        assert_eq!(
+            v2,
+            "{\"schema\":2,\"id\":\"tg-0007\",\"workload\":\"testgen\",\
+             \"source\":\"programs/tg-0007.mc\",\
+             \"layout_hash\":18446744073709551612,\"counters\":40,\"trials\":48,\
+             \"trial_seed\":49374,\"baseline_failures\":9,\
+             \"bugs\":[{\"operator\":\"off_by_one_index\",\"deterministic\":true,\
+             \"trigger\":\"conditional\",\"true_counter\":12,\
+             \"true_predicate\":\"!(0 <= fault_t < len(buf))\"}]}"
         );
+        assert_eq!(PlantedBug::from_json(&v2).unwrap().faults, bug.faults);
     }
 
     #[test]
@@ -627,7 +604,6 @@ mod tests {
         let bug = PlantedBug::from_json(&line).unwrap();
         assert_eq!(bug.workload, Workload::Bc);
         assert_eq!(bug.trials, 48);
-        assert_eq!(bug.schema, 1);
         assert_eq!(bug.primary().true_counter, 3);
     }
 

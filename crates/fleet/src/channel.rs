@@ -9,7 +9,7 @@
 //! fault coin flips and the server's (deterministic) accept/reject
 //! verdict.
 
-use cbi_reports::{decode_batch, Report, ReportLayout, WireErrorKind};
+use cbi_reports::{validate_batch, ReportLayout, WireErrorKind};
 use cbi_sampler::Pcg32;
 
 /// PRNG stream tag for channel faults (one stream per attempt).  Shared
@@ -100,14 +100,12 @@ pub fn transmit(bytes: &[u8], rng: &mut Pcg32, spec: &ChannelSpec) -> Delivery {
 /// How a batch's send loop ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SendOutcome {
-    /// The server decoded an attempt cleanly and committed these
-    /// reports (decoded from the *delivered* bytes, so a bit flip that
-    /// still parses delivers silently corrupt data, as on a real wire).
+    /// The server validated an attempt and committed its bytes — the
+    /// *delivered* bytes, so a bit flip that still parses delivers
+    /// silently corrupt data, as on a real wire.
     Accepted {
-        /// The committed reports.
-        reports: Vec<Report>,
-        /// Payload bytes of the accepted attempt.
-        bytes: u64,
+        /// The delivered payload, for the server's fold.
+        payload: Vec<u8>,
         /// The delivered bytes differed from what the client sent: the
         /// channel altered the stream but it still decoded.
         corrupted: bool,
@@ -157,8 +155,8 @@ pub struct SendResult {
 ///
 /// `batch_uid` must be globally unique (it seeds the per-attempt fault
 /// stream); `expected` is the server's current layout, against which
-/// each delivered attempt is validated exactly as the server's
-/// transactional ingest would.
+/// each delivered attempt is validated exactly as an ingest shard does
+/// before it commits.
 pub fn send_batch(
     bytes: &[u8],
     batch_uid: u64,
@@ -177,34 +175,25 @@ pub fn send_batch(
         let mut rng = attempt_rng(seed, batch_uid, attempt);
         result.attempts += 1;
         result.bytes_sent += bytes.len() as u64;
-        let verdict = match transmit(bytes, &mut rng, channel) {
-            Delivery::Dropped => None,
-            Delivery::Arrived(payload) => {
-                let corrupted = payload != bytes;
-                Some((decode_batch(&payload, Some(expected)), corrupted))
-            }
-        };
-        match verdict {
-            Some((Ok((reports, _, consumed)), corrupted)) => {
-                result.outcome = SendOutcome::Accepted {
-                    reports,
-                    bytes: consumed,
-                    corrupted,
-                };
-                return result;
-            }
-            Some((Err(rejected), _)) => {
-                let rejection = Rejection {
-                    attempt: attempt as u32,
-                    kind: rejected.error.kind(),
-                };
-                result.rejections.push(rejection);
-                if rejection.is_stale() {
-                    result.outcome = SendOutcome::Stale;
+        if let Delivery::Arrived(payload) = transmit(bytes, &mut rng, channel) {
+            match validate_batch(&payload, Some(expected)) {
+                Ok(_) => {
+                    let corrupted = payload != bytes;
+                    result.outcome = SendOutcome::Accepted { payload, corrupted };
                     return result;
                 }
+                Err(rejected) => {
+                    let rejection = Rejection {
+                        attempt: attempt as u32,
+                        kind: rejected.error.kind(),
+                    };
+                    result.rejections.push(rejection);
+                    if rejection.is_stale() {
+                        result.outcome = SendOutcome::Stale;
+                        return result;
+                    }
+                }
             }
-            None => {}
         }
         if attempt < u64::from(channel.max_retries) {
             // Exponential backoff, shift-capped so ticks cannot overflow.
@@ -218,7 +207,7 @@ pub fn send_batch(
 mod tests {
     use super::*;
     use cbi_reports::wire::encode_reports;
-    use cbi_reports::Label;
+    use cbi_reports::{Label, Report};
 
     fn layout() -> ReportLayout {
         ReportLayout {
@@ -244,13 +233,11 @@ mod tests {
         assert!(r.rejections.is_empty());
         match r.outcome {
             SendOutcome::Accepted {
-                ref reports,
-                bytes: b,
+                ref payload,
                 corrupted,
             } => {
-                assert_eq!(reports.len(), 2);
-                assert_eq!(b, bytes.len() as u64);
-                assert!(!corrupted, "a clean channel delivers verbatim");
+                assert_eq!(payload, &bytes, "a clean channel delivers verbatim");
+                assert!(!corrupted);
             }
             ref other => panic!("expected accept, got {other:?}"),
         }

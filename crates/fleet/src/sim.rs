@@ -23,7 +23,9 @@ use cbi_instrument::{
 };
 use cbi_minic::Program;
 use cbi_reports::wire::encode_reports;
-use cbi_reports::{DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink};
+use cbi_reports::{
+    DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink, SparseArchive,
+};
 use cbi_sampler::{LazyBank, Pcg32, Zipf};
 use cbi_telemetry as telemetry;
 use cbi_vm::{bytecode::BcProgram, RunOutcome, Vm};
@@ -368,7 +370,8 @@ pub fn run_fleet(
     } = &production;
 
     // ---- Merge: push every batch through the channel and fold the
-    // survivors in last-run order — the serial schedule.
+    // survivors in last-run order — the serial schedule — through the
+    // fold body the ingest server uses.
     let _merge = telemetry::span("fleet.merge");
     let mut aggregator = EpochAggregator::new(
         sites.clone(),
@@ -378,6 +381,7 @@ pub fn run_fleet(
     )
     .with_flight_capacity(spec.flight_recorder);
     aggregator.begin(*layout)?;
+    let mut archive = SparseArchive::new(*layout);
 
     let mut summary = summary_skeleton(spec, profiles, layout.counters);
     for batch in batches {
@@ -410,29 +414,22 @@ pub fn run_fleet(
             );
         }
         match &send.outcome {
-            SendOutcome::Accepted {
-                reports,
-                bytes,
-                corrupted,
-            } => {
+            SendOutcome::Accepted { payload, corrupted } => {
                 summary.accepted_batches += 1;
                 summary.corrupt_batches += u64::from(*corrupted);
-                summary.bytes_accepted += bytes;
                 let outcome = if *corrupted {
                     DecodeOutcome::CorruptButDecodable
                 } else {
                     DecodeOutcome::Clean
                 };
-                aggregator.note_batch(
+                let walked = aggregator.fold_batch(
                     &provenance(send.attempts.saturating_sub(1)),
                     outcome,
-                    *bytes,
-                );
-                for report in reports {
-                    summary.accepted_reports += 1;
-                    summary.failures += u64::from(report.label == Label::Failure);
-                    aggregator.accept(report.clone())?;
-                }
+                    payload,
+                    &mut archive,
+                )?;
+                summary.bytes_accepted += walked.bytes;
+                archive.clear();
             }
             SendOutcome::Stale => summary.stale_batches += 1,
             SendOutcome::Lost => summary.lost_batches += 1,
@@ -446,6 +443,8 @@ pub fn run_fleet(
         aggregator.snapshot_now();
     }
 
+    summary.accepted_reports = aggregator.runs();
+    summary.failures = aggregator.failures();
     summary.observed_counters = aggregator.first_observation().observed_count();
     summary.survivors = aggregator.analyzer().eliminate(sites).combined.len();
     summary.target_latency =

@@ -26,12 +26,11 @@ use crate::channel::{attempt_rng, transmit, Delivery};
 use crate::sim::{produce_fleet, FleetSpec, ProducedBatch};
 use crate::FleetError;
 use cbi_minic::Program;
-use cbi_reports::frame::{read_ack, AckVerdict, BatchEnvelope};
+use cbi_reports::frame::{self, AckVerdict, BatchEnvelope};
 use cbi_telemetry as telemetry;
 use std::fmt::Write as _;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// How the socket driver behaves beyond the channel model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,39 +185,6 @@ impl ClientConn {
         let _ = self.stream.set_nodelay(true);
         Ok(())
     }
-
-    /// Writes one envelope and reads its ack, absorbing `overloaded`
-    /// and `bad crc` NACKs with bounded-free retransmits (they carry no
-    /// channel-fault information, so they must not burn attempts).
-    fn exchange(
-        &mut self,
-        envelope: &BatchEnvelope,
-        acc: &mut SocketFleetSummary,
-    ) -> io::Result<AckVerdict> {
-        let bytes = envelope.encode();
-        loop {
-            self.stream.write_all(&bytes)?;
-            let ack = read_ack(&mut self.stream)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed before ack")
-                })?;
-            if ack.client != envelope.client || ack.seq != envelope.seq {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "ack answers a different envelope",
-                ));
-            }
-            match ack.verdict {
-                AckVerdict::Overloaded => {
-                    acc.overload_retransmits += 1;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                AckVerdict::BadCrc => acc.crc_retransmits += 1,
-                verdict => return Ok(verdict),
-            }
-        }
-    }
 }
 
 /// Runs one batch's bounded-retry send loop over the socket, flipping
@@ -246,7 +212,13 @@ fn push_batch(
             let envelope = BatchEnvelope::new(batch.client as u64, uid, attempt as u32, payload);
             let mut duplicate = false;
             let fate = loop {
-                match conn.exchange(&envelope, acc)? {
+                // Transport NACKs carry no channel-fault information, so
+                // the exchange absorbs them without burning attempts.
+                let verdict = frame::exchange(&mut conn.stream, &envelope, |nack| match nack {
+                    AckVerdict::Overloaded => acc.overload_retransmits += 1,
+                    _ => acc.crc_retransmits += 1,
+                })?;
+                match verdict {
                     verdict @ (AckVerdict::Accepted | AckVerdict::Duplicate) => {
                         duplicate |= verdict == AckVerdict::Duplicate;
                         if duplicate {

@@ -32,7 +32,8 @@
 //!   [`WireErrorKind::ALL`].
 
 use crate::wire::{push_varint, read_u8, take_varint, WireError, WireErrorKind};
-use std::io::Read;
+use std::io::{self, Read, Write};
+use std::time::Duration;
 
 /// Leading tag byte of a batch envelope.
 pub const ENVELOPE_TAG: u8 = b'B';
@@ -226,14 +227,9 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Option<EnvelopeRead>, WireErr
     read_envelope_body(r).map(Some)
 }
 
-/// Reads an envelope whose tag byte was already consumed (connection
-/// handlers sniff the first byte to pick a protocol).
-///
-/// # Errors
-///
-/// As [`read_envelope`], except EOF at any point is
-/// [`WireError::Truncated`].
-pub fn read_envelope_body<R: Read>(r: &mut R) -> Result<EnvelopeRead, WireError> {
+/// Reads the rest of an envelope whose tag byte was already consumed;
+/// EOF at any point is [`WireError::Truncated`].
+fn read_envelope_body<R: Read>(r: &mut R) -> Result<EnvelopeRead, WireError> {
     let mut consumed: u64 = 1; // the tag byte
     let client = read_varint(r, "envelope client id", &mut consumed)?;
     let seq = read_varint(r, "envelope sequence", &mut consumed)?;
@@ -417,6 +413,51 @@ pub fn read_ack<R: Read>(r: &mut R) -> Result<Option<BatchAck>, WireError> {
         seq,
         verdict: AckVerdict::from_code(verdict, detail)?,
     }))
+}
+
+/// Sends one envelope over `stream` and waits for its ack — the client
+/// half of the protocol, shared by every sender.
+///
+/// An `overloaded` NACK (the server shed the envelope under
+/// backpressure; retried after a 1 ms pause) and a `bad crc` NACK (the
+/// payload was damaged on the way in) say nothing about the batch
+/// itself, so the identical bytes are written again, `on_nack` is told,
+/// and the exchange goes on.  The first other verdict is returned.
+///
+/// # Errors
+///
+/// Returns the stream's I/O error; [`io::ErrorKind::UnexpectedEof`] if
+/// the server closes before acking, and [`io::ErrorKind::InvalidData`]
+/// for an ack that does not parse or answers a different envelope.
+pub fn exchange<S: Read + Write>(
+    stream: &mut S,
+    envelope: &BatchEnvelope,
+    mut on_nack: impl FnMut(AckVerdict),
+) -> io::Result<AckVerdict> {
+    let bytes = envelope.encode();
+    loop {
+        stream.write_all(&bytes)?;
+        let ack = read_ack(stream)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed before ack")
+            })?;
+        if ack.client != envelope.client || ack.seq != envelope.seq {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "ack answers a different envelope",
+            ));
+        }
+        match ack.verdict {
+            nack @ (AckVerdict::Overloaded | AckVerdict::BadCrc) => {
+                on_nack(nack);
+                if nack == AckVerdict::Overloaded {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            verdict => return Ok(verdict),
+        }
+    }
 }
 
 /// Decodes one envelope from a slice cursor (the journal replayer's

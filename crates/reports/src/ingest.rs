@@ -353,6 +353,7 @@ fn sink_error_to_wire(e: SinkError) -> WireError {
         SinkError::Wire(w) => w,
         SinkError::Collect(c) => WireError::Io(std::io::Error::other(c.to_string())),
         SinkError::NotBegun => WireError::Io(std::io::Error::other("sink not begun")),
+        e @ SinkError::Rejected(_) => WireError::Io(std::io::Error::other(e.to_string())),
     }
 }
 

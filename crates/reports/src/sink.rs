@@ -11,8 +11,8 @@
 //!
 //! * [`Collector`](crate::Collector) — the in-memory central database;
 //! * [`SpoolSink`] — length-prefixed binary frames to a file on disk;
-//! * [`TransmitSink`] — the same frames over a TCP socket to a
-//!   `cbi serve` ingest daemon;
+//! * [`TransmitSink`] — the same frames, sent as one acked batch
+//!   envelope over a TCP socket to a `cbi serve` ingest daemon;
 //! * `StreamingAnalyzer` (in the `cbi` crate) — sufficient statistics
 //!   plus an online trainer, retaining no raw reports at all.
 //!
@@ -20,8 +20,9 @@
 //! `Option<S>` is a sink that may be absent.
 
 use crate::collector::CollectError;
+use crate::frame::{self, AckVerdict, BatchEnvelope, MAX_ENVELOPE_PAYLOAD};
 use crate::report::Report;
-use crate::wire::{WireError, WireWriter};
+use crate::wire::{WireError, WireErrorKind, WireWriter};
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
@@ -49,6 +50,10 @@ pub enum SinkError {
     Wire(WireError),
     /// [`ReportSink::accept`] was called before [`ReportSink::begin`].
     NotBegun,
+    /// The ingest server rejected the transmitted stream; the kind says
+    /// why ([`WireErrorKind::LayoutHashMismatch`]: another binary's
+    /// layout).
+    Rejected(WireErrorKind),
 }
 
 impl fmt::Display for SinkError {
@@ -57,6 +62,7 @@ impl fmt::Display for SinkError {
             SinkError::Collect(e) => write!(f, "sink collect error: {e}"),
             SinkError::Wire(e) => write!(f, "sink wire error: {e}"),
             SinkError::NotBegun => f.write_str("sink received a report before begin()"),
+            SinkError::Rejected(kind) => write!(f, "server rejected the stream: {kind}"),
         }
     }
 }
@@ -66,7 +72,7 @@ impl Error for SinkError {
         match self {
             SinkError::Collect(e) => Some(e),
             SinkError::Wire(e) => Some(e),
-            SinkError::NotBegun => None,
+            SinkError::NotBegun | SinkError::Rejected(_) => None,
         }
     }
 }
@@ -262,14 +268,21 @@ impl ReportSink for SpoolSink {
     }
 }
 
-/// Transmits reports over a TCP connection as binary wire frames — the
-/// client half of the remote-collection loop.  Connect before the
-/// campaign; `finish` flushes and half-closes the socket so the server
-/// sees a clean end of stream.
+/// Transmits reports to an ingest server — the client half of the
+/// remote-collection loop.  Connect before the campaign; the stream is
+/// encoded as it arrives, and `finish` sends it as one batch envelope
+/// and waits for the server's ack.
+///
+/// The envelope's `(client, seq)` dedup key is `(hash of the stream
+/// bytes, 0)`: sending the same stream again — after a lost ack, or to
+/// a server resumed from its journal — is answered
+/// [`AckVerdict::Duplicate`] and committed exactly once, while two
+/// different streams never share a key.
 #[derive(Debug)]
 pub struct TransmitSink {
     stream: TcpStream,
-    inner: WireSink<BufWriter<TcpStream>>,
+    inner: WireSink<Vec<u8>>,
+    verdict: Option<AckVerdict>,
 }
 
 impl TransmitSink {
@@ -281,22 +294,37 @@ impl TransmitSink {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
         Ok(TransmitSink {
             stream,
-            inner: WireSink::new(BufWriter::new(writer)),
+            inner: WireSink::new(Vec::new()),
+            verdict: None,
         })
     }
 
-    /// Reports transmitted so far.
+    /// Reports encoded so far.
     pub fn reports_written(&self) -> u64 {
         self.inner.reports_written()
     }
 
-    /// Bytes transmitted so far, header included.
+    /// Stream bytes encoded so far, header included.
     pub fn bytes_written(&self) -> u64 {
         self.inner.bytes_written()
     }
+
+    /// The server's answer once [`finish`](ReportSink::finish) has
+    /// succeeded: [`AckVerdict::Accepted`], or [`AckVerdict::Duplicate`]
+    /// when the server had already committed this exact stream.
+    pub fn verdict(&self) -> Option<AckVerdict> {
+        self.verdict
+    }
+}
+
+/// FNV-1a over the stream bytes: the client id of a transmitted
+/// stream, stable across processes, platforms and builds.
+fn stream_id(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 impl ReportSink for TransmitSink {
@@ -309,9 +337,24 @@ impl ReportSink for TransmitSink {
     }
 
     fn finish(&mut self) -> Result<(), SinkError> {
-        self.inner.finish()?;
-        // Half-close: the server's reader sees EOF at a frame boundary.
+        let writer = self.inner.writer.as_mut().ok_or(SinkError::NotBegun)?;
+        let payload = std::mem::take(writer.get_mut());
+        if payload.len() > MAX_ENVELOPE_PAYLOAD {
+            return Err(WireError::FrameTooLarge {
+                declared: payload.len(),
+                max: MAX_ENVELOPE_PAYLOAD,
+            }
+            .into());
+        }
+        let envelope = BatchEnvelope::new(stream_id(&payload), 0, 0, payload);
+        let verdict =
+            frame::exchange(&mut self.stream, &envelope, |_| {}).map_err(WireError::Io)?;
+        // Half-close: the server reads a clean end of the connection.
         self.stream.shutdown(Shutdown::Write).ok();
+        if let AckVerdict::Rejected(kind) = verdict {
+            return Err(SinkError::Rejected(kind));
+        }
+        self.verdict = Some(verdict);
         Ok(())
     }
 }

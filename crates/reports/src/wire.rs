@@ -398,6 +398,11 @@ impl<W: Write> WireWriter<W> {
         self.bytes
     }
 
+    /// The underlying writer.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.w
+    }
+
     /// Flushes and returns the underlying writer.
     ///
     /// # Errors

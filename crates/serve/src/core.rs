@@ -64,8 +64,6 @@ pub struct ServeSummary {
     pub shards: usize,
     /// Connections fully drained.
     pub connections: u64,
-    /// Among them, legacy raw `CBIR` connections.
-    pub legacy_connections: u64,
     /// Connections dropped mid-stream (I/O error or unrecoverable
     /// framing) — counted separately, never folded.
     pub rejected_connections: u64,
@@ -104,12 +102,8 @@ impl ServeSummary {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "ingested {} reports in {} batches over {} connections ({} legacy, {} rejected)\n",
-            self.reports,
-            self.batches,
-            self.connections,
-            self.legacy_connections,
-            self.rejected_connections
+            "ingested {} reports in {} batches over {} connections ({} rejected)\n",
+            self.reports, self.batches, self.connections, self.rejected_connections
         ));
         out.push_str(&format!(
             "deliveries: {} duplicate, {} rejected, {} bad-crc, {} shed\n",

@@ -1,9 +1,6 @@
-//! Production network ingest: the "central server" of §1's feedback
-//! loop at deployment scale.
-//!
-//! The loopback [`cbi::IngestServer`] drains one connection at a time
-//! into one analyzer and forgets everything on a crash.  This crate is
-//! the production replacement, built only on `std::net`:
+//! Network ingest: the "central server" of §1's feedback loop, the one
+//! way a report reaches a server-side analysis.  Built only on
+//! `std::net`:
 //!
 //! * **Sharded ingest, one analysis.**  Batches route to `client mod
 //!   shards` worker shards, which deduplicate, validate (the decoder's
@@ -24,7 +21,9 @@
 //!   keyed by `(client, seq)` (see `cbi_reports::frame`).  A client
 //!   that never saw its ack retransmits; the server answers
 //!   `duplicate` without re-ingesting, so retry loops converge on
-//!   exactly-once commit semantics.
+//!   exactly-once commit semantics.  Fleet clients key batches by
+//!   their id and spool position; a `TransmitSink` stream (`cbi
+//!   transmit`, `cbi campaign --transmit`) by a hash of its bytes.
 //! * **Crash-safe journal.**  With a [`Journal`] attached, every batch
 //!   is appended (length-prefixed, CRC-framed, fsync per policy)
 //!   *before* it is acked.  Restarting with [`IngestCore::resume`]
@@ -35,8 +34,7 @@
 //!
 //! [`IngestCore`] is the transport-free heart (usable in tests and as
 //! an in-process baseline); [`TcpIngestServer`] wraps it in a
-//! thread-per-core accept loop speaking both the envelope protocol and
-//! the legacy raw `CBIR` stream (`cbi transmit`).
+//! thread-per-core accept loop speaking the envelope protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +48,7 @@ pub use crate::core::{render_analysis, IngestCore, ServeConfig, ServeOutcome, Se
 pub use journal::{FsyncPolicy, Journal, JournalReplay};
 pub use server::{ServerOptions, TcpIngestServer};
 
-use cbi_reports::{BatchEnvelope, SinkError, WireError};
+use cbi_reports::{SinkError, WireError};
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -138,16 +136,4 @@ impl From<SinkError> for ServeError {
     fn from(e: SinkError) -> Self {
         ServeError::Sink(e)
     }
-}
-
-/// Synthetic client-id base for legacy raw `CBIR` connections, which
-/// carry no client identity of their own.  High enough to never collide
-/// with fleet client ids.
-pub const LEGACY_CLIENT_BASE: u64 = 1 << 62;
-
-/// Builds the synthetic envelope a legacy raw-stream connection commits
-/// as: the `n`-th legacy connection becomes client `LEGACY_CLIENT_BASE
-/// + n`, sequence `n`, attempt 0.
-pub fn legacy_envelope(n: u64, payload: Vec<u8>) -> BatchEnvelope {
-    BatchEnvelope::new(LEGACY_CLIENT_BASE + n, n, 0, payload)
 }

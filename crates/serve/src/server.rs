@@ -13,10 +13,9 @@
 //! [`ServeError::Backpressure`], answered on the wire with an
 //! `overloaded` NACK — the queue bound is the only buffer.
 //!
-//! Two protocols share the port, discriminated by the first byte:
-//! `'B'` opens an envelope session (ack per batch), `'C'` — the first
-//! byte of the `CBIR` magic — a legacy raw stream (`cbi transmit`),
-//! which is drained to EOF and committed as one synthetic envelope.
+//! A connection is a sequence of `'B'` envelopes, each acked before the
+//! next is read; a connection that opens with any other byte, or breaks
+//! its framing, is dropped and counted as rejected.
 //!
 //! Telemetry lanes: shard worker `i` records under worker label `i +
 //! 1`; acceptor `a` under `shards + 1 + a`.  Queue-depth high-water
@@ -26,10 +25,10 @@
 use crate::core::{IngestCore, ServeOutcome};
 use crate::shard::ShardState;
 use crate::ServeError;
-use cbi_reports::frame::{read_envelope, read_envelope_body, BatchAck, ENVELOPE_TAG};
-use cbi_reports::{AckVerdict, BatchEnvelope, WireError};
+use cbi_reports::frame::{read_envelope, BatchAck};
+use cbi_reports::{AckVerdict, BatchEnvelope};
 use cbi_telemetry as telemetry;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -116,9 +115,7 @@ enum ShardMsg {
 #[derive(Default)]
 struct ServerCounters {
     connections: AtomicU64,
-    legacy_connections: AtomicU64,
     rejected_connections: AtomicU64,
-    legacy_seq: AtomicU64,
     shed: Vec<AtomicU64>,
     queue_depth: Vec<AtomicUsize>,
     queue_high_water: Vec<AtomicU64>,
@@ -364,7 +361,6 @@ impl TcpIngestServer {
         let mut outcome = core.finish()?;
         let c = &router.counters;
         outcome.summary.connections = c.connections.load(Ordering::Acquire);
-        outcome.summary.legacy_connections = c.legacy_connections.load(Ordering::Acquire);
         outcome.summary.rejected_connections = c.rejected_connections.load(Ordering::Acquire);
         outcome.summary.shed = c.shed.iter().map(|s| s.load(Ordering::Acquire)).sum();
         outcome.summary.queue_high_water = c
@@ -387,15 +383,8 @@ fn handle_connection(router: &ShardRouter, stream: TcpStream, peer: SocketAddr) 
         reply_rx,
     };
     match serve_connection(&submitter, stream) {
-        Ok(ConnectionKind::Envelope) => {
+        Ok(()) => {
             router.counters.connections.fetch_add(1, Ordering::AcqRel);
-        }
-        Ok(ConnectionKind::Legacy) => {
-            router.counters.connections.fetch_add(1, Ordering::AcqRel);
-            router
-                .counters
-                .legacy_connections
-                .fetch_add(1, Ordering::AcqRel);
         }
         Err(_) => {
             router
@@ -407,54 +396,16 @@ fn handle_connection(router: &ShardRouter, stream: TcpStream, peer: SocketAddr) 
     }
 }
 
-enum ConnectionKind {
-    Envelope,
-    Legacy,
-}
-
-fn serve_connection(
-    submitter: &Submitter<'_>,
-    stream: TcpStream,
-) -> Result<ConnectionKind, ServeError> {
+/// Reads, routes and acks envelopes until the client closes.
+fn serve_connection(submitter: &Submitter<'_>, stream: TcpStream) -> Result<(), ServeError> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-
-    let mut first = [0u8; 1];
-    loop {
-        match reader.read(&mut first) {
-            Ok(0) => return Ok(ConnectionKind::Envelope), // empty connection
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ServeError::Io(e)),
-        }
-    }
-
-    if first[0] == ENVELOPE_TAG {
-        let mut ack = Vec::new();
-        let read = read_envelope_body(&mut reader)?;
+    let mut ack = Vec::new();
+    while let Some(read) = read_envelope(&mut reader)? {
         answer(submitter, &mut writer, &mut ack, read.envelope, read.crc_ok)?;
-        while let Some(read) = read_envelope(&mut reader)? {
-            answer(submitter, &mut writer, &mut ack, read.envelope, read.crc_ok)?;
-        }
-        Ok(ConnectionKind::Envelope)
-    } else {
-        // Legacy raw CBIR stream: drain to EOF, commit as one
-        // synthetic envelope.  No acks — legacy senders don't read.
-        let mut payload = vec![first[0]];
-        reader.read_to_end(&mut payload)?;
-        let counters = &submitter.router.counters;
-        let n = counters.legacy_seq.fetch_add(1, Ordering::AcqRel);
-        match submitter.submit(crate::legacy_envelope(n, payload), true)? {
-            AckVerdict::Accepted | AckVerdict::Duplicate => Ok(ConnectionKind::Legacy),
-            // A rejected legacy stream (stale layout, torn frame) is a
-            // rejected connection, mirroring the loopback server's
-            // accounting.
-            _ => Err(ServeError::Wire(WireError::Truncated(
-                "legacy stream rejected",
-            ))),
-        }
     }
+    Ok(())
 }
 
 /// Routes one envelope and writes its ack (NACKing overload inline),

@@ -10,7 +10,8 @@
 //! batch's bytes in `(seq, client)` order and folds each report's
 //! nonzero counters into a fresh [`EpochAggregator`] — no dense report
 //! is built on the way — the same ordering discipline the campaign
-//! driver uses to keep `--jobs` out of its output.  Shard count, arrival interleaving, and crash/replay history
+//! driver uses to keep `--jobs` out of its output.  Shard count,
+//! arrival interleaving, and crash/replay history
 //! therefore cannot leak into the result: any history committing the
 //! same batch set folds to the same bytes.
 
@@ -178,17 +179,18 @@ fn provenance(client: u64, attempt: u32, origin: Option<&str>) -> Provenance {
 
 /// The ordered merge: folds every committed batch (and every rejected
 /// delivery) into a fresh [`EpochAggregator`] in `(seq, client,
-/// attempt)` order, straight from the payload bytes: each batch is
-/// walked into a [`SparseArchive`] — all of it or none — and the
-/// aggregator folds the rows that walk appended.
+/// attempt)` order, each batch straight from its payload bytes through
+/// [`EpochAggregator::fold_batch`] — the fold body the in-memory fleet
+/// uses too.
 ///
-/// With [`ServeConfig::keep_reports`] the archive is returned holding
-/// every accepted report; without it, it is emptied after each batch.
+/// With [`ServeConfig::keep_reports`] the archive the batches are walked
+/// into is returned holding every accepted report; without it, it is
+/// emptied after each batch.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Wire`] if a retained payload fails to decode
-/// and [`ServeError::Sink`] if the aggregator rejects a report.
+/// Returns [`ServeError::Sink`] if a retained payload fails to decode or
+/// the aggregator rejects a report.
 pub(crate) fn fold_ordered(
     sites: &SiteTable,
     layout: ReportLayout,
@@ -218,17 +220,9 @@ pub(crate) fn fold_ordered(
             let prov = provenance(r.client, r.attempt, r.origin.as_deref());
             aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
         }
-        let first = archive.len();
-        let walked = archive
-            .extend_from_batch(&batch.payload)
-            .map_err(|rejected| ServeError::Wire(rejected.error))?;
         let prov = provenance(batch.client, batch.attempt, batch.origin.as_deref());
         aggregator.note_retries(prov.cohort_label(), batch.attempt as u64);
-        aggregator.note_batch(&prov, DecodeOutcome::Clean, walked.bytes);
-        for r in first..archive.len() {
-            let row = archive.row(r);
-            aggregator.accept_nonzero(row.run_id, row.label, row.nonzero())?;
-        }
+        aggregator.fold_batch(&prov, DecodeOutcome::Clean, &batch.payload, &mut archive)?;
         if !config.keep_reports {
             archive.clear();
         }

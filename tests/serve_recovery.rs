@@ -1,14 +1,18 @@
 //! Crash recovery: kill the server mid-ingest — after a partial
 //! journal append, including a torn final record — restart, replay,
 //! and a full client retransmit sweep must end in an analysis
-//! byte-identical to an uninterrupted run.
+//! byte-identical to an uninterrupted run.  A server resumed from its
+//! journal must also take new streams and dedup a re-sent one.
 
 use cbi::prelude::*;
 use cbi_reports::frame::BatchEnvelope;
 use cbi_reports::wire::encode_reports;
 use cbi_reports::{AckVerdict, Report};
-use cbi_serve::{render_analysis, FsyncPolicy, IngestCore, ServeConfig};
-use std::path::PathBuf;
+use cbi_serve::{
+    render_analysis, FsyncPolicy, IngestCore, ServeConfig, ServeOutcome, ServerOptions,
+    TcpIngestServer,
+};
+use std::path::{Path, PathBuf};
 
 const BUGGY: &str = "fn g() -> int { if (has_input() == 0) { return 0; } return read(); }\n\
      fn main() -> int { int v = g(); print(100 / v); return 0; }";
@@ -225,5 +229,74 @@ fn finish_reports_a_record_damaged_after_it_was_acked() {
         "{}",
         outcome.summary.render()
     );
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Starts a one-client TCP server on a fresh journal at `path`, or on
+/// the one already there when `resume`: its address, and the thread
+/// that returns its outcome.
+fn serve_journaled(
+    sites: &cbi::instrument::SiteTable,
+    path: &Path,
+    resume: bool,
+) -> (String, std::thread::JoinHandle<ServeOutcome>) {
+    let core = IngestCore::new(sites.clone(), config(2)).unwrap();
+    let core = if resume {
+        core.resume(path, FsyncPolicy::EveryBatch)
+    } else {
+        core.with_journal(path, FsyncPolicy::EveryBatch)
+    }
+    .unwrap();
+    let options = ServerOptions {
+        acceptors: 1,
+        max_clients: 1,
+    };
+    let server = TcpIngestServer::bind(core, "127.0.0.1:0", options).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    (addr, std::thread::spawn(move || server.run().unwrap()))
+}
+
+/// Sends `reports` as one `TransmitSink` stream; the server's verdict.
+fn transmit(addr: &str, sites: &cbi::instrument::SiteTable, reports: &[Report]) -> AckVerdict {
+    let mut sink = TransmitSink::connect(addr).unwrap();
+    sink.begin(ReportLayout {
+        counters: sites.total_counters(),
+        layout_hash: sites.layout_hash(),
+    })
+    .unwrap();
+    for report in reports {
+        sink.accept(report.clone()).unwrap();
+    }
+    sink.finish().unwrap();
+    sink.verdict().expect("finish succeeded")
+}
+
+#[test]
+fn resumed_server_commits_new_streams_and_dedups_a_resent_one() {
+    let program = parse(BUGGY).unwrap();
+    let config = CampaignConfig::sampled(Scheme::Returns, SamplingDensity::one_in(2));
+    let run = |n| cbi::workloads::run_campaign(&program, &trials(n), &config).unwrap();
+    let (a, b) = (run(200), run(300));
+    let sites = a.instrumented.sites.clone();
+    let (a, b) = (a.collector.reports(), b.collector.reports());
+    let path = tmp("transmit.journal");
+
+    // Stream A into a fresh journal.
+    let (addr, server) = serve_journaled(&sites, &path, false);
+    assert_eq!(transmit(&addr, &sites, a), AckVerdict::Accepted);
+    assert_eq!(server.join().unwrap().aggregator.runs(), a.len() as u64);
+
+    // Restarted from the journal, the server commits a different stream.
+    let (addr, server) = serve_journaled(&sites, &path, true);
+    assert_eq!(transmit(&addr, &sites, b), AckVerdict::Accepted);
+    let both = (a.len() + b.len()) as u64;
+    assert_eq!(server.join().unwrap().aggregator.runs(), both);
+
+    // Re-sending A after another restart commits nothing new.
+    let (addr, server) = serve_journaled(&sites, &path, true);
+    assert_eq!(transmit(&addr, &sites, a), AckVerdict::Duplicate);
+    let outcome = server.join().unwrap();
+    assert_eq!(outcome.aggregator.runs(), both);
+    assert_eq!(outcome.summary.duplicates, 1);
     std::fs::remove_file(&path).unwrap();
 }

@@ -1,12 +1,19 @@
-//! End-to-end remote collection: a campaign transmits framed reports
-//! over loopback TCP to an ingest server, and the server-side analyses
-//! must agree exactly with the in-process ones — same elimination
-//! survivors, same regression top-10, bit-identical report archive.
-//! Streaming analysis must also stay memory-bounded: one report resident
-//! at a time no matter how many trials stream through.
+//! End-to-end remote collection: a campaign transmits its reports over
+//! loopback TCP to the ingest server, and the server-side analyses must
+//! agree exactly with the in-process ones — same elimination survivors,
+//! same regression top-10, bit-identical report archive, the same
+//! rendered analysis as an in-process epoch fold.  Streaming analysis
+//! must also stay memory-bounded: one report resident at a time no
+//! matter how many trials stream through.
 
 use cbi::prelude::*;
-use cbi::RegressionConfig;
+use cbi::reports::{AckVerdict, SinkError, WireErrorKind};
+use cbi::{EpochAggregator, RegressionConfig};
+use cbi_serve::{
+    render_analysis, IngestCore, ServeConfig, ServeOutcome, ServerOptions, TcpIngestServer,
+};
+use std::error::Error;
+use std::thread::JoinHandle;
 
 /// The quickstart bug: crashes whenever `g()` returns zero.
 const BUGGY: &str = "fn g() -> int { if (has_input() == 0) { return 0; } return read(); }\n\
@@ -28,6 +35,24 @@ fn config() -> CampaignConfig {
     CampaignConfig::sampled(Scheme::Returns, SamplingDensity::one_in(2))
 }
 
+/// A one-shard ingest server for `sites` that keeps every report and
+/// serves one client: its address, and the thread that returns its
+/// outcome.
+fn serve_one(sites: SiteTable) -> (String, JoinHandle<ServeOutcome>) {
+    let config = ServeConfig {
+        keep_reports: true,
+        ..ServeConfig::default()
+    };
+    let core = IngestCore::new(sites, config).unwrap();
+    let options = ServerOptions {
+        acceptors: 1,
+        max_clients: 1,
+    };
+    let server = TcpIngestServer::bind(core, "127.0.0.1:0", options).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    (addr, std::thread::spawn(move || server.run().unwrap()))
+}
+
 #[test]
 fn loopback_campaign_matches_in_process_analysis() {
     let program = parse(BUGGY).unwrap();
@@ -41,33 +66,27 @@ fn loopback_campaign_matches_in_process_analysis() {
     let local_result = run_campaign(&program, &trial_set, &config()).unwrap();
     assert_eq!(local.reports(), local_result.collector.reports());
 
-    // Remote: server ingests into a collector + streaming analyzer.
-    let server = IngestServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    let expected_layout = ReportLayout {
-        counters: baseline.instrumented.sites.total_counters(),
-        layout_hash: baseline.instrumented.sites.layout_hash(),
-    };
-    let server_thread = std::thread::spawn(move || {
-        let mut sink = (
-            Collector::default(),
-            StreamingAnalyzer::new(StreamingConfig::default()),
-        );
-        let summary = server.serve(1, Some(expected_layout), &mut sink).unwrap();
-        (sink.0, sink.1, summary)
-    });
-
-    let mut transmit = TransmitSink::connect(addr.to_string()).unwrap();
+    // Remote: the server folds the stream and keeps its reports.
+    let sites = baseline.instrumented.sites.clone();
+    let (addr, server) = serve_one(sites.clone());
+    let mut transmit = TransmitSink::connect(&addr).unwrap();
     let run = run_campaign_into(&program, &trial_set, &config(), &mut transmit).unwrap();
-    let (remote, remote_analyzer, summary) = server_thread.join().unwrap();
+    assert_eq!(transmit.verdict(), Some(AckVerdict::Accepted));
+    let outcome = server.join().unwrap();
+    let remote = outcome
+        .collector
+        .as_ref()
+        .expect("keep_reports")
+        .to_collector();
 
     // The wire preserved the stream bit-for-bit.
-    assert_eq!(summary.reports as usize, run.emitted);
+    assert_eq!(outcome.summary.reports as usize, run.emitted);
     assert_eq!(remote.reports(), local_result.collector.reports());
 
     // Elimination: streaming (remote, aggregates only) equals in-process.
     let local_elim = cbi::eliminate(&local_result);
-    let remote_elim = remote_analyzer.eliminate(&baseline.instrumented.sites);
+    let remote_analyzer = outcome.aggregator.analyzer();
+    let remote_elim = remote_analyzer.eliminate(&sites);
     assert_eq!(
         remote_elim.independent_survivors,
         local_elim.independent_survivors
@@ -101,6 +120,28 @@ fn loopback_campaign_matches_in_process_analysis() {
     assert_eq!(remote_analyzer.seen(), local_analyzer.seen());
     assert_eq!(remote_analyzer.ranking(), local_analyzer.ranking());
     assert_eq!(remote_analyzer.stats(), local_analyzer.stats());
+
+    // The rendered analysis equals an in-process epoch fold of the
+    // same reports.
+    let serve = ServeConfig::default();
+    let mut local_epochs =
+        EpochAggregator::new(sites.clone(), serve.epoch_len, serve.streaming, None);
+    local_epochs
+        .begin(ReportLayout {
+            counters: sites.total_counters(),
+            layout_hash: sites.layout_hash(),
+        })
+        .unwrap();
+    for report in local.reports() {
+        local_epochs.accept(report.clone()).unwrap();
+    }
+    if !local_epochs.runs().is_multiple_of(serve.epoch_len) {
+        local_epochs.snapshot_now();
+    }
+    assert_eq!(
+        render_analysis(&outcome.aggregator, 10),
+        render_analysis(&local_epochs, 10)
+    );
 }
 
 #[test]
@@ -130,34 +171,31 @@ fn server_rejects_campaign_from_a_different_binary() {
 
     // Server pinned to the Returns layout.
     let inst = instrument(&program, Scheme::Returns).unwrap();
-    let pinned = ReportLayout {
-        counters: inst.sites.total_counters(),
-        layout_hash: inst.sites.layout_hash(),
-    };
-    let server = IngestServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    let server_thread = std::thread::spawn(move || {
-        let mut sink = Collector::default();
-        let summary = server.serve(1, Some(pinned), &mut sink).unwrap();
-        (sink, summary)
-    });
+    let (addr, server) = serve_one(inst.sites);
 
     // Client instrumented with a different scheme: layout hash differs.
-    let mut transmit = TransmitSink::connect(addr.to_string()).unwrap();
-    let client = run_campaign_into(
+    let mut transmit = TransmitSink::connect(&addr).unwrap();
+    let err = run_campaign_into(
         &program,
         &trial_set,
         &CampaignConfig::sampled(Scheme::Branches, SamplingDensity::one_in(2)),
         &mut transmit,
+    )
+    .unwrap_err();
+    // The server's typed rejection reaches the client, naming the kind.
+    let rejection = err.source().and_then(|e| e.downcast_ref::<SinkError>());
+    assert!(
+        matches!(
+            rejection,
+            Some(SinkError::Rejected(WireErrorKind::LayoutHashMismatch))
+        ),
+        "{err}"
     );
-    // The server resets the connection at the handshake; whether the
-    // client notices depends on buffering, so either outcome is fine.
-    let _ = client;
 
-    // The stale stream rejects its own connection — counted, not
-    // fatal — and nothing from it lands in the sink.
-    let (sink, summary) = server_thread.join().unwrap();
-    assert_eq!(summary.connections, 0);
-    assert_eq!(summary.rejected, 1);
-    assert!(sink.is_empty(), "no report may land from a rejected stream");
+    // The stale stream is counted as a rejected delivery and nothing
+    // from it is folded or kept.
+    let outcome = server.join().unwrap();
+    assert_eq!(outcome.summary.rejected_batches, 1);
+    assert_eq!(outcome.aggregator.runs(), 0);
+    assert!(outcome.collector.unwrap().is_empty());
 }
