@@ -65,9 +65,13 @@ impl Args {
     }
 
     /// Number of positional arguments.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn positional_count(&self) -> usize {
         self.positionals.len()
+    }
+
+    /// Whether any `--flag` or switch was given.
+    pub fn has_flags(&self) -> bool {
+        !self.flags.is_empty()
     }
 
     /// A flag's raw value.

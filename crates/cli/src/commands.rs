@@ -57,6 +57,8 @@ usage:
   cbi monitor    --corpus <dir> [--entry ID] [--pool N] [same knobs]
   cbi monitor    --replay <spool.cbr|journal.cbij> <file.mc> [--scheme S]
                  [--epoch-len N] [--batch-size N] [same health knobs]
+  cbi experiments [table1|table2|selective|effectiveness|ccrypt_study|fig2|
+                  ccrypt_overhead|bc_study|fig4|ablation ...]
 
   Every program is compiled once to flat bytecode and run by one
   dispatch loop.  `cbi disasm` prints the bytecode listing of a program
@@ -138,7 +140,12 @@ usage:
   --prom-out writes a Prometheus text exposition of the deployment
   metrics and --timeline-out a JSONL epoch timeline; both flags also
   work on `cbi fleet` directly.  Every surface is byte-identical at any
-  --jobs.";
+  --jobs.
+
+  Paper experiments: `cbi experiments` regenerates the evaluation's
+  tables and figures (Tables 1-2, Figures 2 and 4, §3.1.2-§3.3.3 and
+  the design ablations) with fixed seeds, one per name, all ten in
+  order when none is named.  It takes names only, no flags.";
 
 /// Valueless boolean switches accepted by the subcommands.
 const SWITCHES: &[&str] = &["global-countdown", "no-regions", "metrics"];
@@ -181,6 +188,7 @@ pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
         Some("isolate") => cmd_isolate(&args),
         Some("fleet") => cmd_fleet(&args),
         Some("monitor") => cmd_monitor(&args),
+        Some("experiments") => crate::experiments::cmd_experiments(&args),
         Some(other) => Err(format!("unknown subcommand `{other}`")),
         None => Err("missing subcommand".to_string()),
     }

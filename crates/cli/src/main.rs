@@ -48,6 +48,10 @@
 //!                     [--out report.txt] [--summary-out summary.txt]
 //!     Score elimination and regression against the manifest across the
 //!     sampling-density sweep; output is byte-identical at any --jobs.
+//!
+//! cbi experiments [NAME...]
+//!     Regenerate the paper's tables and figures by name (all ten when
+//!     none is named); seeded, so the output is the same bytes each run.
 //! ```
 //!
 //! Inputs for `campaign` are given as a text file with one run per line,
@@ -55,6 +59,7 @@
 
 mod args;
 mod commands;
+mod experiments;
 
 use std::process::ExitCode;
 

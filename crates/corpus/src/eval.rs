@@ -275,8 +275,8 @@ fn aggregate(report: &EvalReport) -> (Vec<String>, BTreeMap<(usize, u64), Cell>)
 }
 
 /// Renders the full score report: one row per entry × density, then the
-/// operator × density aggregate table.  Byte-identical across runs and
-/// `jobs` settings.
+/// operator × density aggregate table, closed by one `all` row per
+/// density.  Byte-identical across runs and `jobs` settings.
 pub fn render_report(report: &EvalReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -329,26 +329,38 @@ pub fn render_report(report: &EvalReport) -> String {
     let (operators, cells) = aggregate(report);
     for (op_idx, operator) in operators.iter().enumerate() {
         for &density in &report.densities {
-            let Some(c) = cells.get(&(op_idx, density)) else {
-                continue;
-            };
-            let n = c.entries.max(1) as f64;
-            let _ = writeln!(
-                out,
-                "{:<22} {:>8} {:>7} {:>8.3} {:>9.2} {:>6.3} {:>6.3} {:>6.3} {:>7.3}",
-                operator,
-                format!("1/{density}"),
-                c.entries,
-                c.survived as f64 / n,
-                c.rank_sum as f64 / n,
-                c.hit1 as f64 / n,
-                c.hit5 as f64 / n,
-                c.hit10 as f64 / n,
-                c.wasted_sum / n
-            );
+            if let Some(c) = cells.get(&(op_idx, density)) {
+                write_aggregate_row(&mut out, operator, density, c);
+            }
         }
     }
+    // One row per density over every operator.
+    for &density in &report.densities {
+        let mut all = Cell::new();
+        for s in report.scores.iter().filter(|s| s.density == density) {
+            all.add(s);
+        }
+        write_aggregate_row(&mut out, "all", density, &all);
+    }
     out
+}
+
+/// One row of `render_report`'s aggregate block.
+fn write_aggregate_row(out: &mut String, operator: &str, density: u64, c: &Cell) {
+    let n = c.entries.max(1) as f64;
+    let _ = writeln!(
+        out,
+        "{:<22} {:>8} {:>7} {:>8.3} {:>9.2} {:>6.3} {:>6.3} {:>6.3} {:>7.3}",
+        operator,
+        format!("1/{density}"),
+        c.entries,
+        c.survived as f64 / n,
+        c.rank_sum as f64 / n,
+        c.hit1 as f64 / n,
+        c.hit5 as f64 / n,
+        c.hit10 as f64 / n,
+        c.wasted_sum / n
+    );
 }
 
 /// Renders the integer-only summary used for golden-file comparisons:
@@ -423,8 +435,20 @@ mod tests {
                 s.id
             );
         }
+        let rendered = render_report(&a);
+        let all_rows: Vec<Vec<&str>> = rendered
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|cols| cols.first() == Some(&"all"))
+            .collect();
+        assert_eq!(all_rows.len(), 2, "one `all` row per density");
+        for (cols, density) in all_rows.iter().zip(["1/1", "1/100"]) {
+            assert_eq!(cols[1], density);
+            assert_eq!(cols[2], entries.len().to_string());
+        }
+        assert_eq!(all_rows[0][3], "1.000", "every truth survives at 1/1");
         let b = evaluate(&entries, &cfg).unwrap();
-        assert_eq!(render_report(&a), render_report(&b));
+        assert_eq!(rendered, render_report(&b));
         let par = evaluate(
             &entries,
             &EvalConfig {

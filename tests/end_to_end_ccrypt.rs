@@ -1,6 +1,6 @@
 //! End-to-end reproduction of the ccrypt case study (§3.2) at test scale.
 //!
-//! Smaller than the `ccrypt_study` experiment binary (which uses 6000 runs)
+//! Smaller than `cbi experiments ccrypt_study` (which uses 6000 runs)
 //! so it stays fast in debug builds, but it exercises the identical
 //! pipeline: fuzz trials → returns-scheme instrumentation → sampling
 //! transformation → campaign → the four elimination strategies.
