@@ -5,13 +5,21 @@
 //! zero counter.  This codec is the transmission format proper: a stream
 //! begins with a fixed header identifying the codec version and the
 //! *counter layout* of the instrumented binary that produced the reports,
-//! followed by length-prefixed report frames with varint-packed counters.
+//! followed by length-prefixed report frames.  At the paper's densities
+//! almost every counter is zero, so a frame lists only its nonzero
+//! counters, each as the gap since the previous one and its value.
 //!
 //! ```text
-//! stream  := magic "CBIR" | version u8 | layout_hash u64 LE | counters varint | frame*
+//! stream  := magic "CBIR" | version u8 (2) | layout_hash u64 LE | counters varint | frame*
 //! frame   := len varint | payload                  (len = payload byte count)
-//! payload := run_id varint | label u8 (0|1) | counter varint × counters
+//! payload := run_id varint | label u8 (0|1) | (gap varint, value varint)*
 //! ```
+//!
+//! The pairs run to the end of the frame.  A pair's counter index is the
+//! previous pair's index plus one plus its gap (the first pair's index is
+//! its gap), so indices strictly ascend; every index is below the
+//! header's `counters` and every value is nonzero, which gives each
+//! report exactly one spelling.  `counters` is at most [`MAX_COUNTERS`].
 //!
 //! The layout hash (see `SiteTable::layout_hash` in `cbi-instrument`)
 //! fingerprints the site table, so a server rejects reports from a
@@ -20,7 +28,7 @@
 //! Varints are LEB128: 7 value bits per byte, high bit set on continuation.
 
 use crate::collector::Collector;
-use crate::report::{Label, Report};
+use crate::report::{nonzero, Label, Report};
 use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
@@ -29,7 +37,13 @@ use std::io::{Read, Write};
 pub const MAGIC: [u8; 4] = *b"CBIR";
 
 /// Current wire-format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
+
+/// The widest counter layout a stream may declare.  A decoded report is
+/// a dense vector this wide, so the ceiling keeps a hostile header from
+/// sizing the allocation; the paper's widest program (`bc`) has 30 150
+/// counters.
+pub const MAX_COUNTERS: usize = 1 << 20;
 
 /// The fixed header that opens every report stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,11 +93,24 @@ pub enum WireError {
         max: usize,
     },
     /// A frame's payload length disagreed with its declared length.
+    /// Version 2 payloads cannot produce it, since their pairs run to
+    /// the end of the frame; the kind keeps its place in
+    /// [`WireErrorKind::ALL`].
     FrameLength {
         /// Declared payload length.
         declared: usize,
         /// Bytes actually consumed decoding the payload.
         used: usize,
+    },
+    /// A counter pair named an index at or past the stream's width
+    /// (or one that overflows), or carried the value zero.
+    BadCounter(&'static str),
+    /// The stream header declared more counters than [`MAX_COUNTERS`].
+    TooManyCounters {
+        /// Counters per report declared by the stream.
+        declared: u64,
+        /// The ceiling, [`MAX_COUNTERS`].
+        max: usize,
     },
 }
 
@@ -114,11 +141,16 @@ pub enum WireErrorKind {
     FrameTooLarge,
     /// [`WireError::FrameLength`].
     FrameLength,
+    /// [`WireError::BadCounter`].
+    BadCounter,
+    /// [`WireError::TooManyCounters`].
+    TooManyCounters,
 }
 
 impl WireErrorKind {
-    /// Every kind, in stable (declaration) order.
-    pub const ALL: [WireErrorKind; 10] = [
+    /// Every kind, in stable (declaration) order.  New kinds are
+    /// appended: an ack's detail byte is an index into this list.
+    pub const ALL: [WireErrorKind; 12] = [
         WireErrorKind::Io,
         WireErrorKind::BadMagic,
         WireErrorKind::UnsupportedVersion,
@@ -129,6 +161,8 @@ impl WireErrorKind {
         WireErrorKind::VarintOverflow,
         WireErrorKind::FrameTooLarge,
         WireErrorKind::FrameLength,
+        WireErrorKind::BadCounter,
+        WireErrorKind::TooManyCounters,
     ];
 
     /// A stable snake_case name, suitable as a metric label value.
@@ -144,6 +178,8 @@ impl WireErrorKind {
             WireErrorKind::VarintOverflow => "varint_overflow",
             WireErrorKind::FrameTooLarge => "frame_too_large",
             WireErrorKind::FrameLength => "frame_length",
+            WireErrorKind::BadCounter => "bad_counter",
+            WireErrorKind::TooManyCounters => "too_many_counters",
         }
     }
 }
@@ -168,6 +204,8 @@ impl WireError {
             WireError::VarintOverflow => WireErrorKind::VarintOverflow,
             WireError::FrameTooLarge { .. } => WireErrorKind::FrameTooLarge,
             WireError::FrameLength { .. } => WireErrorKind::FrameLength,
+            WireError::BadCounter(_) => WireErrorKind::BadCounter,
+            WireError::TooManyCounters { .. } => WireErrorKind::TooManyCounters,
         }
     }
 }
@@ -199,6 +237,11 @@ impl fmt::Display for WireError {
             WireError::FrameLength { declared, used } => write!(
                 f,
                 "frame declared {declared} payload bytes but decoding consumed {used}"
+            ),
+            WireError::BadCounter(what) => write!(f, "bad counter pair: {what}"),
+            WireError::TooManyCounters { declared, max } => write!(
+                f,
+                "stream declares {declared} counters per report, more than the {max} a stream may carry"
             ),
         }
     }
@@ -265,19 +308,18 @@ pub(crate) fn read_u8<R: Read>(r: &mut R, what: &'static str) -> Result<u8, Wire
 }
 
 /// Maximum payload bytes a report with `counters` counters can occupy:
-/// run_id (≤10) + label (1) + 10 per counter.
+/// run_id (≤10) + label (1) + a gap and a value (≤10 each) per counter.
 fn max_payload(counters: usize) -> usize {
-    11 + 10 * counters
+    11 + 20 * counters
 }
 
-/// Walks one frame payload — run id, label, `counters` varints — and
-/// hands every nonzero counter to `nonzero` in ascending index order.
+/// Walks one frame payload — run id, label, then `(gap, value)` pairs to
+/// the end of the frame — and hands every counter to `nonzero` in
+/// ascending index order.
 ///
 /// The decoder, the validator and the sparse reader are this one walk
 /// with three visitors, so all stop at the same byte of a malformed
-/// frame with the same error.  Sparse sampling leaves almost every counter a single `0x00`
-/// byte, which is consumed without entering the varint loop; any other
-/// spelling of zero (`0x80 0x00`) decodes through it as before.
+/// frame with the same error.
 fn walk_payload(
     buf: &[u8],
     counters: usize,
@@ -292,21 +334,20 @@ fn walk_payload(
         None => return Err(WireError::Truncated("label byte")),
     };
     pos += 1;
-    for i in 0..counters {
-        if buf.get(pos) == Some(&0) {
-            pos += 1;
-            continue;
-        }
+    // The lowest index the next pair may name: one past the previous.
+    let mut next: u64 = 0;
+    while pos < buf.len() {
+        let index = next
+            .checked_add(take_varint(buf, &mut pos)?)
+            .filter(|&i| i < counters as u64)
+            .ok_or(WireError::BadCounter("index past the layout width"))?;
         let value = take_varint(buf, &mut pos)?;
-        if value != 0 {
-            nonzero(i, value);
+        if value == 0 {
+            return Err(WireError::BadCounter("zero value"));
         }
-    }
-    if pos != buf.len() {
-        return Err(WireError::FrameLength {
-            declared: buf.len(),
-            used: pos,
-        });
+        // `index < counters`, a usize.
+        nonzero(index as usize, value);
+        next = index + 1;
     }
     Ok((run_id, label))
 }
@@ -327,8 +368,16 @@ impl<W: Write> WireWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Io`] if the header cannot be written.
+    /// Returns [`WireError::TooManyCounters`] if `counters` exceeds
+    /// [`MAX_COUNTERS`], or [`WireError::Io`] if the header cannot be
+    /// written.
     pub fn new(mut w: W, layout_hash: u64, counters: usize) -> Result<Self, WireError> {
+        if counters > MAX_COUNTERS {
+            return Err(WireError::TooManyCounters {
+                declared: counters as u64,
+                max: MAX_COUNTERS,
+            });
+        }
         let mut head = Vec::with_capacity(4 + 1 + 8 + 10);
         head.extend_from_slice(&MAGIC);
         head.push(VERSION);
@@ -345,7 +394,8 @@ impl<W: Write> WireWriter<W> {
         })
     }
 
-    /// Encodes one report as a frame.
+    /// Encodes one report as a frame: its nonzero counters as
+    /// `(gap, value)` pairs.
     ///
     /// # Errors
     ///
@@ -364,8 +414,11 @@ impl<W: Write> WireWriter<W> {
             Label::Success => 0,
             Label::Failure => 1,
         });
-        for &c in &report.counters {
-            push_varint(&mut self.buf, c);
+        let mut next = 0;
+        for (i, value) in nonzero(&report.counters) {
+            push_varint(&mut self.buf, (i - next) as u64);
+            push_varint(&mut self.buf, value);
+            next = i + 1;
         }
         let mut len = Vec::with_capacity(5);
         push_varint(&mut len, self.buf.len() as u64);
@@ -432,6 +485,7 @@ impl<R: Read> WireReader<R> {
     /// # Errors
     ///
     /// Returns [`WireError::BadMagic`], [`WireError::UnsupportedVersion`],
+    /// [`WireError::TooManyCounters`], [`WireError::VarintOverflow`],
     /// [`WireError::Truncated`], or [`WireError::Io`].
     pub fn new(mut r: R) -> Result<Self, WireError> {
         let mut magic = [0u8; 4];
@@ -471,6 +525,12 @@ impl<R: Read> WireReader<R> {
             if byte & 0x80 == 0 {
                 break;
             }
+        }
+        if counters > MAX_COUNTERS as u64 {
+            return Err(WireError::TooManyCounters {
+                declared: counters,
+                max: MAX_COUNTERS,
+            });
         }
         let counters = counters as usize;
         let bytes = 4 + 1 + 8 + count_bytes;
@@ -522,10 +582,8 @@ impl<R: Read> WireReader<R> {
     /// bad labels, or I/O failure.
     pub fn read_report(&mut self) -> Result<Option<Report>, WireError> {
         self.next_frame(|payload, width| {
-            // A counter takes at least one payload byte, so a header
-            // that claims more counters than the frame has bytes fails
-            // in the walk — before its claim sizes an allocation.
-            let mut counters = vec![0u64; width.min(payload.len())];
+            // `new` bounded the width by `MAX_COUNTERS`.
+            let mut counters = vec![0u64; width];
             let (run_id, label) = walk_payload(payload, width, |i, value| counters[i] = value)?;
             Ok(Report::new(run_id, label, counters))
         })
@@ -691,6 +749,30 @@ mod tests {
         }
         assert_eq!(back, sample());
         assert_eq!(r.reports_read(), 3);
+    }
+
+    #[test]
+    fn frames_list_only_nonzero_counters() {
+        let report = Report::new(5, Label::Failure, vec![0, 0, 0, 7, 0, 1]);
+        let bytes = encode_reports(std::slice::from_ref(&report), 0, 6).unwrap();
+        // len | run_id | label | (gap 3, value 7) | (gap 1, value 1)
+        assert_eq!(&bytes[14..], &[6, 5, 1, 3, 7, 1, 1]);
+
+        // A frame of a few bytes can name a counter far past its length.
+        let mut wide = vec![0; 1437];
+        wide[1400] = 2;
+        let report = Report::new(9, Label::Success, wide);
+        let bytes = encode_reports(std::slice::from_ref(&report), 0, 1437).unwrap();
+        let mut r = WireReader::new(bytes.as_slice()).unwrap();
+        assert_eq!(r.read_report().unwrap(), Some(report));
+        assert_eq!(r.bytes_read(), bytes.len() as u64);
+    }
+
+    #[test]
+    fn writer_refuses_a_width_past_the_ceiling() {
+        let err = WireWriter::new(Vec::new(), 0, MAX_COUNTERS + 1).unwrap_err();
+        assert_eq!(err.kind(), WireErrorKind::TooManyCounters);
+        WireWriter::new(Vec::new(), 0, MAX_COUNTERS).unwrap();
     }
 
     #[test]

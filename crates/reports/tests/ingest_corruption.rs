@@ -308,44 +308,65 @@ fn stream_with_frame(counters: usize, declared_len: &[u8], payload: &[u8]) -> Ve
 
 #[test]
 fn validator_agrees_with_the_decoder_on_each_malformed_frame_kind() {
-    // payload := run_id 5 | label | three counters
-    let cases: [(&str, Vec<u8>, WireErrorKind); 5] = [
+    // payload := run_id 5 | label | (gap, value) pairs, three counters
+    let cases: [(&str, Vec<u8>, WireErrorKind); 8] = [
         (
             "label byte 2",
-            stream_with_frame(3, &[5], &[5, 2, 0, 0, 0]),
+            stream_with_frame(3, &[2], &[5, 2]),
             WireErrorKind::BadLabel,
         ),
         (
-            "eleven-byte counter varint",
+            "eleven-byte gap varint",
             stream_with_frame(
                 3,
-                &[15],
+                &[14],
                 &[
-                    5, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0,
+                    5, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1,
                 ],
             ),
             WireErrorKind::VarintOverflow,
         ),
         (
-            "tenth varint byte carrying more than one bit",
+            "tenth value varint byte carrying more than one bit",
             stream_with_frame(
                 3,
-                &[14],
+                &[13],
                 &[
-                    5, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0,
+                    5, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02,
                 ],
             ),
             WireErrorKind::VarintOverflow,
         ),
         (
             "declared length beyond what three counters can take",
-            stream_with_frame(3, &[42], &[0; 42]),
+            stream_with_frame(3, &[72], &[0; 72]),
             WireErrorKind::FrameTooLarge,
         ),
         (
-            "a byte left over inside the frame",
-            stream_with_frame(3, &[6], &[5, 0, 1, 0, 9, 0]),
-            WireErrorKind::FrameLength,
+            "a zero value",
+            stream_with_frame(3, &[4], &[5, 0, 1, 0]),
+            WireErrorKind::BadCounter,
+        ),
+        (
+            "a gap past the width",
+            stream_with_frame(3, &[6], &[5, 0, 1, 4, 1, 9]),
+            WireErrorKind::BadCounter,
+        ),
+        (
+            "a gap that overflows u64",
+            stream_with_frame(
+                3,
+                &[15],
+                &[
+                    5, 0, 1, 4, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 9,
+                ],
+            ),
+            WireErrorKind::BadCounter,
+        ),
+        (
+            "half a pair at the end of the frame",
+            stream_with_frame(3, &[5], &[5, 0, 1, 7, 0]),
+            WireErrorKind::Truncated,
         ),
     ];
     for (what, bytes, expected) in cases {
@@ -353,29 +374,67 @@ fn validator_agrees_with_the_decoder_on_each_malformed_frame_kind() {
         assert_eq!((frames, kind), (0, expected), "{what}");
     }
 
+    // An overlong varint that still fits is a value like any other:
+    // gap 2 spelled 0x82 0x00, value 7 spelled 0x87 0x80 0x00.
+    let overlong = stream_with_frame(3, &[7], &[5, 1, 0x82, 0x00, 0x87, 0x80, 0x00]);
+    assert_eq!(agreed(&overlong, 3, "overlong varints").unwrap().0, 1);
+    assert_eq!(
+        decode_batch(&overlong, Some(layout(3))).unwrap().0,
+        vec![Report::new(5, Label::Failure, vec![0, 0, 7])]
+    );
+
     // The same frames after two good ones: both walks report two frames
     // behind them.
     let good = random_reports(3, 2, 3);
     let mut bytes = wire::encode_reports(&good, LAYOUT_HASH, 3).unwrap();
-    bytes.extend_from_slice(&[5, 5, 7, 0, 0, 0]);
+    bytes.extend_from_slice(&[2, 5, 7]);
     let (frames, kind, _) = agreed(&bytes, 3, "bad label third").unwrap_err();
     assert_eq!((frames, kind), (2, WireErrorKind::BadLabel));
 }
 
 #[test]
-fn non_canonical_zero_varints_still_decode_to_zero() {
-    // Counters spelled 0x80 0x00, 0x00 and 0x80 0x80 0x00: the one-byte
-    // fast path takes only the middle one, the varint loop the others.
-    let bytes = stream_with_frame(4, &[9], &[5, 1, 0x80, 0x00, 0x00, 0x80, 0x80, 0x00, 0x07]);
-    let (reports, _, consumed) = decode_batch(&bytes, Some(layout(4))).unwrap();
-    assert_eq!(
-        reports,
-        vec![Report::new(5, Label::Failure, vec![0, 0, 0, 7])]
-    );
-    assert_eq!(consumed, bytes.len() as u64);
-    assert_eq!(agreed(&bytes, 4, "non-canonical zeros").unwrap().0, 1);
-    // However a zero is spelled, the sparse walk stores none of them.
-    let mut archive = SparseArchive::new(layout(4));
-    archive.extend_from_batch(&bytes).unwrap();
-    assert_eq!(archive.row(0).nonzero().collect::<Vec<_>>(), vec![(3, 7)]);
+fn zero_valued_pairs_are_rejected_however_spelled() {
+    // A report has one spelling: a zero counter is left out, never sent.
+    // Zero as 0x00, 0x80 0x00 and 0x80 0x80 0x00, after a good pair.
+    for zero in [&[0x00][..], &[0x80, 0x00], &[0x80, 0x80, 0x00]] {
+        let mut payload = vec![5, 1, 0, 7, 1];
+        payload.extend_from_slice(zero);
+        let bytes = stream_with_frame(4, &[payload.len() as u8], &payload);
+        let (frames, kind, message) = agreed(&bytes, 4, &format!("zero {zero:?}")).unwrap_err();
+        assert_eq!((frames, kind), (0, WireErrorKind::BadCounter), "{message}");
+        assert!(message.contains("zero value"), "{message}");
+    }
+}
+
+#[test]
+fn every_visitor_refuses_a_version_one_stream() {
+    // A v1 stream spelled every counter: run id 5, label 1, then three
+    // counters 0, 0, 7.  No v1 reader is kept.
+    let mut v1 = b"CBIR".to_vec();
+    v1.push(1);
+    v1.extend_from_slice(&LAYOUT_HASH.to_le_bytes());
+    v1.extend_from_slice(&[3, 5, 5, 1, 0, 0, 7]);
+    let (frames, kind, message) = agreed(&v1, 3, "v1 stream").unwrap_err();
+    assert_eq!((frames, kind), (0, WireErrorKind::UnsupportedVersion));
+    assert!(message.contains("version 1"), "{message}");
+}
+
+#[test]
+fn a_header_past_the_width_ceiling_is_refused_before_it_sizes_anything() {
+    // 2^40 counters, then one empty frame.
+    let mut bytes = b"CBIR".to_vec();
+    bytes.push(wire::VERSION);
+    bytes.extend_from_slice(&LAYOUT_HASH.to_le_bytes());
+    bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0]);
+    let declared = 1u64 << 40;
+    let too_wide = |e: &WireError| {
+        matches!(e, WireError::TooManyCounters { declared: d, max }
+            if *d == declared && *max == wire::MAX_COUNTERS)
+    };
+    let rejected = decode_batch(&bytes, None).unwrap_err();
+    assert!(too_wide(&rejected.error), "{}", rejected.error);
+    let rejected = validate_batch(&bytes, None).unwrap_err();
+    assert!(too_wide(&rejected.error), "{}", rejected.error);
+    let err = wire::read_collector(bytes.as_slice()).unwrap_err();
+    assert!(too_wide(&err), "{err}");
 }

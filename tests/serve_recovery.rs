@@ -5,11 +5,12 @@
 //! journal must also take new streams and dedup a re-sent one.
 
 use cbi::prelude::*;
-use cbi_reports::frame::BatchEnvelope;
+use cbi_reports::frame::{exchange, BatchEnvelope};
 use cbi_reports::wire::encode_reports;
-use cbi_reports::{AckVerdict, Report};
+use cbi_reports::{AckVerdict, Report, WireError, WireErrorKind};
+use cbi_serve::journal::{JOURNAL_MAGIC, JOURNAL_VERSION};
 use cbi_serve::{
-    render_analysis, FsyncPolicy, IngestCore, ServeConfig, ServeOutcome, ServerOptions,
+    render_analysis, FsyncPolicy, IngestCore, ServeConfig, ServeError, ServeOutcome, ServerOptions,
     TcpIngestServer,
 };
 use std::path::{Path, PathBuf};
@@ -298,5 +299,75 @@ fn resumed_server_commits_new_streams_and_dedups_a_resent_one() {
     let outcome = server.join().unwrap();
     assert_eq!(outcome.aggregator.runs(), both);
     assert_eq!(outcome.summary.duplicates, 1);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A version-1 stream for `sites`' layout, spelled by hand: every
+/// counter of every report is written out, here all zero.
+fn v1_payload(sites: &cbi::instrument::SiteTable, runs: std::ops::Range<u8>) -> Vec<u8> {
+    let counters = sites.total_counters();
+    assert!(counters < 126, "one-byte varints below");
+    let mut bytes = b"CBIR".to_vec();
+    bytes.push(1);
+    bytes.extend_from_slice(&sites.layout_hash().to_le_bytes());
+    bytes.push(counters as u8);
+    for run in runs {
+        // len | run_id | label success | counter 0x00 × counters
+        bytes.extend_from_slice(&[2 + counters as u8, run, 0]);
+        bytes.extend(std::iter::repeat_n(0u8, counters));
+    }
+    bytes
+}
+
+#[test]
+fn resume_refuses_a_journal_of_version_one_payloads_and_leaves_it_alone() {
+    let (sites, _) = fixture();
+    let path = tmp("v1.journal");
+    let mut journal = JOURNAL_MAGIC.to_vec();
+    journal.push(JOURNAL_VERSION);
+    journal.extend_from_slice(&sites.layout_hash().to_le_bytes());
+    for seq in 0..3u8 {
+        let payload = v1_payload(&sites, seq * 4..seq * 4 + 4);
+        BatchEnvelope::new(1, seq as u64, 0, payload).encode_into(&mut journal);
+    }
+    std::fs::write(&path, &journal).unwrap();
+
+    let Err(err) = IngestCore::new(sites, config(2))
+        .unwrap()
+        .resume(&path, FsyncPolicy::EveryBatch)
+    else {
+        panic!("a journal of v1 payloads resumed");
+    };
+    assert!(
+        matches!(err, ServeError::Wire(WireError::UnsupportedVersion(1))),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        journal,
+        "a refused journal is left byte for byte as it was"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_live_server_rejects_a_version_one_envelope() {
+    let (sites, envelopes) = fixture();
+    let path = tmp("v1-live.journal");
+    let (addr, server) = serve_journaled(&sites, &path, false);
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let v1 = BatchEnvelope::new(1, 0, 0, v1_payload(&sites, 0..4));
+    let verdict = exchange(&mut stream, &v1, |_| {}).unwrap();
+    assert_eq!(
+        verdict,
+        AckVerdict::Rejected(WireErrorKind::UnsupportedVersion)
+    );
+    // The connection stays up for a current client's batch.
+    let verdict = exchange(&mut stream, &envelopes[0], |_| {}).unwrap();
+    assert_eq!(verdict, AckVerdict::Accepted);
+    drop(stream);
+    let outcome = server.join().unwrap();
+    assert_eq!(outcome.summary.rejected_batches, 1);
+    assert_eq!(outcome.summary.batches, 1);
     std::fs::remove_file(&path).unwrap();
 }

@@ -25,7 +25,7 @@ fn spec() -> FleetSpec {
         drop: 0.2,
         truncate: 0.15,
         bit_flip: 0.1,
-        max_retries: 3,
+        max_retries: 2,
         backoff_base: 2,
     };
     s
