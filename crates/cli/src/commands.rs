@@ -74,16 +74,17 @@ usage:
 
   Remote collection: `cbi serve` binds the production ingest server for
   the given instrumented program (it prints `listening on ADDR`),
-  validates each client stream's layout hash, routes batches to
-  `client mod --shards` worker shards over bounded queues (--queue-cap;
-  a full queue sheds with an `overloaded` NACK and the client retries),
-  dedups retransmits by (client, seq), and at shutdown folds every
-  committed batch in canonical order — the analysis is byte-identical
-  at any shard count.  --journal FILE appends every batch to a
-  crash-safe journal before acking it (--fsync picks the durability
-  level); after a crash, --resume FILE replays the journal, truncates a
-  torn final record, and continues where the server died.  `cbi
-  campaign --transmit ADDR` sends the campaign's reports to such a
+  validates each client stream's layout hash, checks, journals and acks
+  each batch on the connection thread that read it, under the lock of
+  shard `client mod --shards` (--queue-cap bounds a shard's unanswered
+  deliveries; one more sheds with an `overloaded` NACK and the client
+  retries), dedups retransmits by (client, seq), and at shutdown folds
+  every committed batch in canonical order — the analysis is
+  byte-identical at any shard count.  --journal FILE appends every
+  batch to a crash-safe journal before acking it (--fsync picks the
+  durability level); after a crash, --resume FILE replays the journal,
+  truncates a torn final record, and continues where the server died.
+  `cbi campaign --transmit ADDR` sends the campaign's reports to such a
   server as one batch in the compact binary wire format, keyed by a
   hash of its bytes, so sending the same stream twice commits it once
   (the second send is answered `duplicate`); `cbi fleet --serve ADDR`

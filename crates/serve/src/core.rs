@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 pub struct ServeConfig {
     /// Worker shards; batches route to `client mod shards`.
     pub shards: usize,
-    /// Bound of each shard's ingest queue (threaded server only; a
-    /// full queue sheds with an `overloaded` NACK).
+    /// Deliveries the TCP server admits to a shard and has not yet
+    /// answered; one past the bound is shed with an `overloaded` NACK.
     pub queue_cap: usize,
     /// Runs per epoch snapshot in the folded analysis.
     pub epoch_len: u64,
@@ -93,7 +93,8 @@ pub struct ServeSummary {
     pub journal_bytes: u64,
     /// Per-shard committed-batch counts.
     pub shard_batches: Vec<u64>,
-    /// Per-shard ingest-queue high-water marks (threaded server only).
+    /// Per-shard high-water marks of admitted, unanswered deliveries
+    /// (TCP server only).
     pub queue_high_water: Vec<u64>,
 }
 
@@ -207,13 +208,22 @@ struct ReplayInfo {
     skipped_crc: u64,
 }
 
+/// The shard owning `client`, reached without locking: the `&mut`
+/// already excludes every other user.
+fn shard_mut(shards: &mut [Mutex<ShardState>], client: u64) -> Result<&mut ShardState, ServeError> {
+    let shard = (client % shards.len() as u64) as usize;
+    shards[shard]
+        .get_mut()
+        .map_err(|_| ServeError::WorkerPanicked { shard })
+}
+
 /// The transport-free ingest engine: shard routing, dedup, journal,
 /// resume, and the shutdown fold, with no sockets attached.
 pub struct IngestCore {
     config: ServeConfig,
     sites: SiteTable,
     layout: ReportLayout,
-    pub(crate) shards: Vec<ShardState>,
+    pub(crate) shards: Vec<Mutex<ShardState>>,
     pub(crate) journal: Option<Mutex<Journal>>,
     replay: ReplayInfo,
 }
@@ -242,7 +252,7 @@ impl IngestCore {
             layout_hash: sites.layout_hash(),
         };
         let shards = (0..config.shards)
-            .map(|_| ShardState::new(layout, true))
+            .map(|_| Mutex::new(ShardState::new(layout, true)))
             .collect();
         Ok(IngestCore {
             config,
@@ -293,8 +303,7 @@ impl IngestCore {
         };
         self.attach(journal);
         for envelope in &recovered.envelopes {
-            let shard = self.shard_of(envelope.client);
-            self.shards[shard].replay(envelope)?;
+            shard_mut(&mut self.shards, envelope.client)?.replay(envelope)?;
         }
         Ok(self)
     }
@@ -326,10 +335,9 @@ impl IngestCore {
             skipped_crc: recovered.skipped_crc,
         };
         for envelope in recovered.envelopes {
-            let shard = self.shard_of(envelope.client);
             // Full `process` (not the resume-replay fast path) so the
             // in-memory shards retain the payloads for the fold.
-            self.shards[shard].process(None, envelope, true, None)?;
+            shard_mut(&mut self.shards, envelope.client)?.process(None, envelope, true, None)?;
         }
         Ok(self)
     }
@@ -337,7 +345,7 @@ impl IngestCore {
     fn attach(&mut self, journal: Journal) {
         self.journal = Some(Mutex::new(journal));
         for shard in &mut self.shards {
-            *shard = ShardState::new(self.layout, false);
+            *shard = Mutex::new(ShardState::new(self.layout, false));
         }
     }
 
@@ -361,21 +369,21 @@ impl IngestCore {
         (client % self.config.shards as u64) as usize
     }
 
-    /// Processes one envelope sequentially (the in-process baseline
-    /// path; the TCP server routes through shard worker threads
-    /// instead).
+    /// Processes one envelope in process, through the same shard
+    /// `process` body the TCP server's connection threads run under the
+    /// shard's lock — here without taking it.
     ///
     /// # Errors
     ///
-    /// As [`ShardState::process`].
+    /// As [`ShardState::process`], plus [`ServeError::WorkerPanicked`]
+    /// if a panic poisoned the shard.
     pub fn submit(
         &mut self,
         origin: Option<&str>,
         envelope: BatchEnvelope,
         crc_ok: bool,
     ) -> Result<AckVerdict, ServeError> {
-        let shard = self.shard_of(envelope.client);
-        self.shards[shard].process(
+        shard_mut(&mut self.shards, envelope.client)?.process(
             origin.map(Arc::from),
             envelope,
             crc_ok,
@@ -400,7 +408,10 @@ impl IngestCore {
         };
         let mut committed: Vec<CommittedBatch> = Vec::new();
         let mut rejects: Vec<RejectEvent> = Vec::new();
-        for shard in self.shards {
+        for (index, shard) in self.shards.into_iter().enumerate() {
+            let shard = shard
+                .into_inner()
+                .map_err(|_| ServeError::WorkerPanicked { shard: index })?;
             summary.absorb_shard(&shard.stats);
             committed.extend(shard.committed);
             rejects.extend(shard.rejects);

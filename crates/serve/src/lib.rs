@@ -3,8 +3,9 @@
 //! `std::net`:
 //!
 //! * **Sharded ingest, one analysis.**  Batches route to `client mod
-//!   shards` worker shards, which deduplicate, validate (the decoder's
-//!   frame walk, materialising nothing), journal and ack — and analyse
+//!   shards` shards.  The connection thread that read a batch locks its
+//!   shard and there deduplicates, validates (the decoder's frame walk,
+//!   materialising nothing), journals and acks it — and analyses
 //!   nothing.  The analysis is produced once, at shutdown, by the same
 //!   ordered-merge discipline the campaign driver and fleet use: every
 //!   committed batch's bytes are walked in `(seq, client)` order and
@@ -13,10 +14,11 @@
 //!   built — so the result is byte-identical at any shard count, and
 //!   identical to feeding the same batches through an in-process
 //!   aggregator.
-//! * **Backpressure, never an unbounded buffer.**  Each shard has a
-//!   bounded queue; a full queue surfaces as the typed
-//!   [`ServeError::Backpressure`], which the connection handler answers
-//!   with an `overloaded` NACK so the client retransmits after backoff.
+//! * **Backpressure, never an unbounded buffer.**  Each shard admits at
+//!   most `queue_cap` deliveries not yet answered; one more surfaces as
+//!   the typed [`ServeError::Backpressure`], which the connection
+//!   answers with an `overloaded` NACK so the client retransmits after
+//!   backoff.
 //! * **Idempotent acks.**  Batches arrive in [`BatchEnvelope`] frames
 //!   keyed by `(client, seq)` (see `cbi_reports::frame`).  A client
 //!   that never saw its ack retransmits; the server answers
@@ -34,7 +36,8 @@
 //!
 //! [`IngestCore`] is the transport-free heart (usable in tests and as
 //! an in-process baseline); [`TcpIngestServer`] wraps it in a
-//! thread-per-core accept loop speaking the envelope protocol.
+//! thread-per-core accept loop speaking the envelope protocol, each
+//! connection served on the thread that accepted it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,21 +73,23 @@ pub enum ServeError {
         /// Underlying I/O failure.
         source: io::Error,
     },
-    /// A shard's bounded ingest queue was full; the batch was shed and
-    /// the client NACKed to retransmit after backoff.
+    /// A shard already held its bound of admitted, unanswered
+    /// deliveries; the batch was shed and the client NACKed to
+    /// retransmit after backoff.
     Backpressure {
         /// The overloaded shard.
         shard: usize,
-        /// The queue bound that was hit.
+        /// The admission bound that was hit.
         capacity: usize,
     },
     /// Invalid configuration (zero shards, malformed fsync policy, a
     /// journal whose layout hash does not match the served binary, …).
     Config(String),
-    /// A shard worker thread panicked; what it had committed is lost to
-    /// this process (a journal, if attached, still holds it).
+    /// A connection thread panicked while holding shard N; the
+    /// poisoned shard processes nothing more, and what it had committed
+    /// is lost to this process (a journal, if attached, still holds it).
     WorkerPanicked {
-        /// The shard whose worker died.
+        /// The shard whose lock the panic poisoned.
         shard: usize,
     },
 }
@@ -100,10 +105,12 @@ impl fmt::Display for ServeError {
             }
             ServeError::Backpressure { shard, capacity } => write!(
                 f,
-                "shard {shard} ingest queue full (capacity {capacity}); batch shed"
+                "shard {shard} holds {capacity} unanswered deliveries; batch shed"
             ),
             ServeError::Config(msg) => write!(f, "serve configuration error: {msg}"),
-            ServeError::WorkerPanicked { shard } => write!(f, "shard {shard} worker panicked"),
+            ServeError::WorkerPanicked { shard } => {
+                write!(f, "a connection thread panicked holding shard {shard}")
+            }
         }
     }
 }

@@ -1,29 +1,28 @@
-//! The TCP front end: thread-per-core accept loop feeding the shard
-//! workers over bounded queues.
+//! The TCP front end: each envelope is checked, journaled and acked on
+//! the connection thread that read it.
 //!
-//! Topology: `acceptors` threads block in `accept` on clones of one
-//! listener (claim-then-accept, so exactly `max_clients` connections
-//! are served in total, after which the server drains and shuts down).
-//! Each connection is handled on its acceptor thread: envelopes are
-//! read, routed to `client mod shards` over a bounded
-//! `sync_channel`, and acked in order once the owning shard worker has
-//! processed them — one envelope outstanding per connection, answered
-//! on the connection's one reply channel, so nothing is allocated per
-//! envelope on the ack path.  A full shard queue surfaces as the typed
-//! [`ServeError::Backpressure`], answered on the wire with an
-//! `overloaded` NACK — the queue bound is the only buffer.
+//! `acceptors` threads block in `accept` on clones of one listener
+//! (claim-then-accept: exactly `max_clients` connections are served,
+//! then the server folds and shuts down) and serve each connection to
+//! completion: a sequence of `'B'` envelopes, each answered before the
+//! next is read.  The thread locks shard `client mod shards`, runs its
+//! one `process` body — CRC gate, dedup, validate, journal-before-ack,
+//! commit — and writes the ack.  A connection has one envelope
+//! outstanding, so a hand-off to another thread would buy no
+//! parallelism, only two more wake-ups.  Locks go shard, then journal.
 //!
-//! A connection is a sequence of `'B'` envelopes, each acked before the
-//! next is read; a connection that opens with any other byte, or breaks
-//! its framing, is dropped and counted as rejected.
+//! `queue_cap` bounds the deliveries admitted to a shard and not yet
+//! answered; one more is shed as the typed [`ServeError::Backpressure`]
+//! and answered `overloaded` inline.  A connection that breaks its
+//! framing, or delivers to a shard a panic poisoned, is dropped and
+//! counted as rejected; a poisoned shard processes nothing more, and
+//! [`TcpIngestServer::run`] ends in [`ServeError::WorkerPanicked`].
 //!
-//! Telemetry lanes: shard worker `i` records under worker label `i +
-//! 1`; acceptor `a` under `shards + 1 + a`.  Queue-depth high-water
-//! marks are tracked per shard and surface in the summary and the
-//! `serve.queue_depth` histogram.
+//! Telemetry: acceptor `a` records under worker label `a + 1`;
+//! `serve.ingest_us` times each envelope from the end of its read to
+//! its verdict.
 
 use crate::core::{IngestCore, ServeOutcome};
-use crate::shard::ShardState;
 use crate::ServeError;
 use cbi_reports::frame::{read_envelope, BatchAck};
 use cbi_reports::{AckVerdict, BatchEnvelope};
@@ -31,8 +30,7 @@ use cbi_telemetry as telemetry;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 /// TCP front-end options.
@@ -64,134 +62,171 @@ impl ServerOptions {
     }
 }
 
-/// What a shard worker answers a delivery with.
-type Verdict = Result<AckVerdict, ServeError>;
-
-fn worker_exited() -> ServeError {
-    ServeError::Io(io::Error::new(
-        io::ErrorKind::BrokenPipe,
-        "shard worker exited",
-    ))
-}
-
-/// A queued delivery's end of its connection's reply channel.  Dropped
-/// unanswered — the shard worker died with the delivery queued or in
-/// hand — it answers for the worker, so no connection waits on a
-/// worker that is gone.
-struct ReplyTo(Option<Sender<Verdict>>);
-
-impl ReplyTo {
-    fn send(mut self, verdict: Verdict) {
-        if let Some(reply) = self.0.take() {
-            let _ = reply.send(verdict);
-        }
-    }
-}
-
-impl Drop for ReplyTo {
-    fn drop(&mut self) {
-        if let Some(reply) = self.0.take() {
-            let _ = reply.send(Err(worker_exited()));
-        }
-    }
-}
-
-/// One queued delivery awaiting its shard worker.
-struct Delivery {
-    envelope: BatchEnvelope,
-    crc_ok: bool,
-    origin: Arc<str>,
-    enqueued_ns: u64,
-    reply: ReplyTo,
-}
-
-/// Shard queue messages: deliveries, then one shutdown sentinel.
-enum ShardMsg {
-    Batch(Delivery),
-    Shutdown,
-}
-
-/// Counters the connection handlers share.
+/// One shard's admission gate: deliveries admitted and not yet answered.
 #[derive(Default)]
-struct ServerCounters {
+struct Gate {
+    admitted: AtomicUsize,
+    high_water: AtomicU64,
+    shed: AtomicU64,
+}
+
+/// What the connection threads share.
+struct Ingest {
+    core: IngestCore,
+    gates: Vec<Gate>,
     connections: AtomicU64,
     rejected_connections: AtomicU64,
-    shed: Vec<AtomicU64>,
-    queue_depth: Vec<AtomicUsize>,
-    queue_high_water: Vec<AtomicU64>,
+    /// The first journal failure; it ends the run in an error.
+    journal_error: OnceLock<ServeError>,
 }
 
-/// Routing handles the connection handlers use to reach the shards.
-struct ShardRouter {
-    senders: Vec<SyncSender<ShardMsg>>,
-    queue_cap: usize,
-    counters: ServerCounters,
-}
+impl Ingest {
+    fn new(core: IngestCore) -> Ingest {
+        Ingest {
+            gates: (0..core.config().shards).map(|_| Gate::default()).collect(),
+            core,
+            connections: AtomicU64::new(0),
+            rejected_connections: AtomicU64::new(0),
+            journal_error: OnceLock::new(),
+        }
+    }
 
-impl ShardRouter {
-    /// Queues one delivery on its shard, enforcing the bound.  The
-    /// shard's verdict arrives on `reply`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Backpressure`] when the shard queue is
-    /// full; the delivery is shed, not buffered.
-    fn try_submit(
+    /// Serves `max_clients` connections; whether an acceptor panicked.
+    fn serve(&self, listener: &TcpListener, options: &ServerOptions) -> io::Result<bool> {
+        let listeners = (0..options.resolved_acceptors())
+            .map(|_| listener.try_clone())
+            .collect::<io::Result<Vec<_>>>()?;
+        let claimed = &AtomicU64::new(0);
+        Ok(thread::scope(|scope| {
+            let threads: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(a, listener)| {
+                    scope.spawn(move || {
+                        telemetry::set_worker(a as u32 + 1);
+                        while claimed.fetch_add(1, Ordering::AcqRel) < options.max_clients {
+                            match listener.accept() {
+                                Ok((stream, peer)) => self.handle_connection(stream, peer),
+                                Err(_) => {
+                                    self.rejected_connections.fetch_add(1, Ordering::AcqRel);
+                                    break;
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Joined by handle, so a panic ends here instead of
+            // unwinding out of the scope into the caller.
+            threads
+                .into_iter()
+                .fold(false, |any, t| t.join().is_err() | any)
+        }))
+    }
+
+    /// Serves one connection to completion, counting its fate.
+    fn handle_connection(&self, stream: TcpStream, peer: SocketAddr) {
+        let _span = telemetry::span("serve.connection");
+        match self.serve_connection(stream, peer.ip().to_string().into()) {
+            Ok(()) => {
+                self.connections.fetch_add(1, Ordering::AcqRel);
+            }
+            Err(err) => {
+                self.rejected_connections.fetch_add(1, Ordering::AcqRel);
+                telemetry::count("serve.rejected_connections", 1);
+                if let ServeError::Journal { .. } = err {
+                    let _ = self.journal_error.set(err);
+                }
+            }
+        }
+    }
+
+    /// Reads, processes and acks envelopes until the client closes.
+    fn serve_connection(&self, stream: TcpStream, origin: Arc<str>) -> Result<(), ServeError> {
+        stream.set_nodelay(true).ok();
+        let mut reader = BufReader::new(stream.try_clone()?);
+        let mut writer = BufWriter::new(stream);
+        let mut ack = Vec::new();
+        while let Some(read) = read_envelope(&mut reader)? {
+            let (client, seq) = (read.envelope.client, read.envelope.seq);
+            let verdict = match self.deliver(&origin, read.envelope, read.crc_ok) {
+                Ok(verdict) => verdict,
+                Err(ServeError::Backpressure { .. }) => AckVerdict::Overloaded,
+                Err(other) => return Err(other),
+            };
+            ack.clear();
+            BatchAck {
+                client,
+                seq,
+                verdict,
+            }
+            .encode_into(&mut ack);
+            writer.write_all(&ack)?;
+            writer.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Admits one envelope to its shard and processes it under the
+    /// shard's lock.  Shed (not buffered) as [`ServeError::Backpressure`]
+    /// when the shard already holds `queue_cap`.
+    fn deliver(
         &self,
+        origin: &Arc<str>,
         envelope: BatchEnvelope,
         crc_ok: bool,
-        origin: Arc<str>,
-        reply: Sender<Verdict>,
-    ) -> Result<(), ServeError> {
-        let shard = (envelope.client % self.senders.len() as u64) as usize;
-        let msg = ShardMsg::Batch(Delivery {
-            envelope,
-            crc_ok,
-            origin,
-            enqueued_ns: telemetry::now_ns(),
-            reply: ReplyTo(Some(reply)),
-        });
-        let depth = self.counters.queue_depth[shard].fetch_add(1, Ordering::AcqRel) + 1;
-        let (msg, err) = match self.senders[shard].try_send(msg) {
-            Ok(()) => {
-                self.counters.queue_high_water[shard].fetch_max(depth as u64, Ordering::AcqRel);
-                return Ok(());
-            }
-            Err(TrySendError::Full(msg)) => {
-                self.counters.shed[shard].fetch_add(1, Ordering::AcqRel);
-                telemetry::count("serve.shed", 1);
-                let capacity = self.queue_cap;
-                (msg, ServeError::Backpressure { shard, capacity })
-            }
-            Err(TrySendError::Disconnected(msg)) => (msg, worker_exited()),
-        };
-        self.counters.queue_depth[shard].fetch_sub(1, Ordering::AcqRel);
-        // Never queued, so no worker owes it an answer: the caller gets
-        // the error from here and nothing on the reply channel.
-        if let ShardMsg::Batch(mut delivery) = msg {
-            delivery.reply.0 = None;
+    ) -> Result<AckVerdict, ServeError> {
+        let start = telemetry::now_ns();
+        let shard = self.core.shard_of(envelope.client);
+        let gate = &self.gates[shard];
+        let capacity = self.core.config().queue_cap;
+        let depth = gate.admitted.fetch_add(1, Ordering::AcqRel) + 1;
+        if depth > capacity {
+            gate.admitted.fetch_sub(1, Ordering::AcqRel);
+            gate.shed.fetch_add(1, Ordering::AcqRel);
+            telemetry::count("serve.shed", 1);
+            return Err(ServeError::Backpressure { shard, capacity });
         }
-        Err(err)
+        gate.high_water.fetch_max(depth as u64, Ordering::AcqRel);
+        let verdict = match self.core.shards[shard].lock() {
+            Ok(mut state) => state.process(
+                Some(origin.clone()),
+                envelope,
+                crc_ok,
+                self.core.journal.as_ref(),
+            ),
+            Err(_) => Err(ServeError::WorkerPanicked { shard }),
+        };
+        gate.admitted.fetch_sub(1, Ordering::AcqRel);
+        telemetry::record(
+            "serve.ingest_us",
+            telemetry::now_ns().saturating_sub(start) / 1_000,
+        );
+        telemetry::count("serve.batches_processed", 1);
+        verdict
     }
-}
 
-/// One connection's way to the shards: its origin label and the one
-/// reply channel every delivery of the connection is answered on.  A
-/// connection has at most one delivery outstanding, so verdicts come
-/// back in the order the envelopes were read.
-struct Submitter<'a> {
-    router: &'a ShardRouter,
-    origin: Arc<str>,
-    reply_tx: Sender<Verdict>,
-    reply_rx: Receiver<Verdict>,
-}
-
-impl Submitter<'_> {
-    /// Routes one envelope and waits for its shard's verdict.
-    fn submit(&self, envelope: BatchEnvelope, crc_ok: bool) -> Verdict {
-        self.router
-            .try_submit(envelope, crc_ok, self.origin.clone(), self.reply_tx.clone())?;
-        self.reply_rx.recv().map_err(|_| worker_exited())?
+    /// Ends the run: a poisoned shard, a panicked thread or a journal
+    /// failure is an error; otherwise the core's fold and the summary.
+    fn finish(self, panicked: bool) -> Result<ServeOutcome, ServeError> {
+        if let Some(shard) = self.core.shards.iter().position(Mutex::is_poisoned) {
+            return Err(ServeError::WorkerPanicked { shard });
+        }
+        if panicked {
+            return Err(io::Error::other("a connection thread panicked").into());
+        }
+        if let Some(err) = self.journal_error.into_inner() {
+            return Err(err);
+        }
+        let mut outcome = self.core.finish()?;
+        let summary = &mut outcome.summary;
+        summary.connections = self.connections.into_inner();
+        summary.rejected_connections = self.rejected_connections.into_inner();
+        for gate in self.gates {
+            summary.shed += gate.shed.into_inner();
+            summary.queue_high_water.push(gate.high_water.into_inner());
+        }
+        Ok(outcome)
     }
 }
 
@@ -230,207 +265,117 @@ impl TcpIngestServer {
         self.listener.local_addr()
     }
 
-    /// Serves exactly `max_clients` connections, then drains the
-    /// shards, folds, and returns the outcome.
+    /// Serves exactly `max_clients` connections, then folds and returns
+    /// the outcome.
     ///
     /// # Errors
     ///
-    /// Propagates journal and fold errors; per-connection failures are
-    /// counted in the summary instead.
+    /// Propagates journal and fold errors, and returns
+    /// [`ServeError::WorkerPanicked`] if a connection thread panicked
+    /// while holding a shard; other per-connection failures are counted
+    /// in the summary instead.
     pub fn run(self) -> Result<ServeOutcome, ServeError> {
-        let TcpIngestServer {
-            mut core,
-            listener,
-            options,
-        } = self;
-        let n_shards = core.config().shards;
-        let queue_cap = core.config().queue_cap;
-        let shards = std::mem::take(&mut core.shards);
+        let ingest = Ingest::new(self.core);
+        let panicked = ingest.serve(&self.listener, &self.options)?;
+        ingest.finish(panicked)
+    }
+}
 
-        let mut counters = ServerCounters::default();
-        for _ in 0..n_shards {
-            counters.shed.push(AtomicU64::new(0));
-            counters.queue_depth.push(AtomicUsize::new(0));
-            counters.queue_high_water.push(AtomicU64::new(0));
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FsyncPolicy, ServeConfig};
+    use cbi::prelude::{instrument, parse, Label, Report, Scheme};
+    use cbi_reports::frame::read_ack;
+    use cbi_reports::wire::encode_reports;
 
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_shards)
-            .map(|_| mpsc::sync_channel::<ShardMsg>(queue_cap))
-            .unzip();
-        let router = ShardRouter {
-            senders,
+    /// A two-shard core over a tiny program, and a valid payload for it.
+    fn core(queue_cap: usize) -> (IngestCore, Vec<u8>) {
+        let program = parse("fn main() -> int { return read(); }").unwrap();
+        let sites = instrument(&program, Scheme::Returns).unwrap().sites;
+        let (hash, n) = (sites.layout_hash(), sites.total_counters());
+        let report = Report::new(0, Label::Success, vec![0; n]);
+        let payload = encode_reports(&[report], hash, n).unwrap();
+        let config = ServeConfig {
+            shards: 2,
             queue_cap,
-            counters,
+            ..ServeConfig::default()
         };
-        let journal_error: Mutex<Option<ServeError>> = Mutex::new(None);
-        let claimed = AtomicU64::new(0);
-        let acceptors = options.resolved_acceptors();
-        let listeners = (0..acceptors)
-            .map(|_| listener.try_clone())
-            .collect::<io::Result<Vec<_>>>()?;
-
-        let drained = thread::scope(|scope| -> Result<Vec<ShardState>, ServeError> {
-            let router = &router;
-            let journal = &core.journal;
-            let journal_error = &journal_error;
-            let claimed = &claimed;
-            let options = &options;
-
-            let mut workers = Vec::with_capacity(n_shards);
-            for (index, (mut state, rx)) in shards.into_iter().zip(receivers).enumerate() {
-                workers.push(scope.spawn(move || {
-                    telemetry::set_worker(index as u32 + 1);
-                    while let Ok(msg) = rx.recv() {
-                        let delivery = match msg {
-                            ShardMsg::Shutdown => break,
-                            ShardMsg::Batch(delivery) => delivery,
-                        };
-                        router.counters.queue_depth[index].fetch_sub(1, Ordering::AcqRel);
-                        let verdict = state.process(
-                            Some(delivery.origin),
-                            delivery.envelope,
-                            delivery.crc_ok,
-                            journal.as_ref(),
-                        );
-                        telemetry::record(
-                            "serve.ingest_us",
-                            telemetry::now_ns().saturating_sub(delivery.enqueued_ns) / 1_000,
-                        );
-                        telemetry::count("serve.batches_processed", 1);
-                        if let Err(err) = &verdict {
-                            let mut slot = journal_error
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            if slot.is_none() {
-                                *slot = Some(ServeError::Config(err.to_string()));
-                            }
-                        }
-                        delivery.reply.send(verdict);
-                    }
-                    state
-                }));
-            }
-
-            let mut accept_threads = Vec::with_capacity(acceptors);
-            for (a, listener) in listeners.into_iter().enumerate() {
-                accept_threads.push(scope.spawn(move || {
-                    telemetry::set_worker((n_shards + 1 + a) as u32);
-                    loop {
-                        if claimed.fetch_add(1, Ordering::AcqRel) >= options.max_clients {
-                            break;
-                        }
-                        match listener.accept() {
-                            Ok((stream, peer)) => handle_connection(router, stream, peer),
-                            Err(_) => {
-                                router
-                                    .counters
-                                    .rejected_connections
-                                    .fetch_add(1, Ordering::AcqRel);
-                                break;
-                            }
-                        }
-                    }
-                }));
-            }
-            for t in accept_threads {
-                let _ = t.join();
-            }
-            // All connections served: a sentinel per shard lets each
-            // worker drain its queue and exit.
-            for sender in &router.senders {
-                let _ = sender.send(ShardMsg::Shutdown);
-            }
-            // Join every worker before reporting that one of them died.
-            let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
-            joined
-                .into_iter()
-                .enumerate()
-                .map(|(shard, state)| state.map_err(|_| ServeError::WorkerPanicked { shard }))
-                .collect()
-        })?;
-        core.shards = drained;
-
-        if let Some(err) = journal_error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-        {
-            return Err(err);
-        }
-
-        let mut outcome = core.finish()?;
-        let c = &router.counters;
-        outcome.summary.connections = c.connections.load(Ordering::Acquire);
-        outcome.summary.rejected_connections = c.rejected_connections.load(Ordering::Acquire);
-        outcome.summary.shed = c.shed.iter().map(|s| s.load(Ordering::Acquire)).sum();
-        outcome.summary.queue_high_water = c
-            .queue_high_water
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .collect();
-        Ok(outcome)
+        (IngestCore::new(sites, config).unwrap(), payload)
     }
-}
 
-/// Serves one connection to completion, counting its fate.
-fn handle_connection(router: &ShardRouter, stream: TcpStream, peer: SocketAddr) {
-    let _span = telemetry::span("serve.connection");
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let submitter = Submitter {
-        router,
-        origin: peer.ip().to_string().into(),
-        reply_tx,
-        reply_rx,
-    };
-    match serve_connection(&submitter, stream) {
-        Ok(()) => {
-            router.counters.connections.fetch_add(1, Ordering::AcqRel);
-        }
-        Err(_) => {
-            router
-                .counters
-                .rejected_connections
-                .fetch_add(1, Ordering::AcqRel);
-            telemetry::count("serve.rejected_connections", 1);
-        }
+    /// Serves `max_clients` connections on one acceptor while `clients`
+    /// opens them; whether the acceptor panicked.
+    fn serve_while(ingest: &Ingest, max_clients: u64, clients: impl FnOnce(SocketAddr)) -> bool {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let options = ServerOptions {
+            acceptors: 1,
+            max_clients,
+        };
+        thread::scope(|scope| {
+            let server = scope.spawn(|| ingest.serve(&listener, &options).unwrap());
+            clients(addr);
+            server.join().unwrap()
+        })
     }
-}
 
-/// Reads, routes and acks envelopes until the client closes.
-fn serve_connection(submitter: &Submitter<'_>, stream: TcpStream) -> Result<(), ServeError> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut ack = Vec::new();
-    while let Some(read) = read_envelope(&mut reader)? {
-        answer(submitter, &mut writer, &mut ack, read.envelope, read.crc_ok)?;
+    /// Sends one envelope; its verdict, or `None` if the server hung up.
+    fn send(stream: &mut TcpStream, envelope: &BatchEnvelope) -> Option<AckVerdict> {
+        stream.write_all(&envelope.encode()).unwrap();
+        read_ack(stream).ok().flatten().map(|ack| ack.verdict)
     }
-    Ok(())
-}
 
-/// Routes one envelope and writes its ack (NACKing overload inline),
-/// encoded into the connection's reused `ack` buffer.
-fn answer<W: Write>(
-    submitter: &Submitter<'_>,
-    writer: &mut W,
-    ack: &mut Vec<u8>,
-    envelope: BatchEnvelope,
-    crc_ok: bool,
-) -> Result<(), ServeError> {
-    let (client, seq) = (envelope.client, envelope.seq);
-    let verdict = match submitter.submit(envelope, crc_ok) {
-        Ok(verdict) => verdict,
-        Err(ServeError::Backpressure { .. }) => AckVerdict::Overloaded,
-        Err(other) => return Err(other),
-    };
-    ack.clear();
-    BatchAck {
-        client,
-        seq,
-        verdict,
+    #[test]
+    fn a_full_shard_sheds_overloaded_inline_then_accepts_the_retransmit() {
+        let (core, payload) = core(2);
+        let path = std::env::temp_dir().join(format!("cbi-serve-shed-{}", std::process::id()));
+        let ingest = Ingest::new(core.with_journal(&path, FsyncPolicy::Never).unwrap());
+        let journal = ingest.core.journal.as_ref().unwrap();
+        let empty = journal.lock().unwrap().bytes();
+        let envelope = BatchEnvelope::new(0, 7, 0, payload);
+        let panicked = serve_while(&ingest, 1, |addr| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            ingest.gates[0].admitted.store(2, Ordering::Release);
+            assert_eq!(send(&mut stream, &envelope), Some(AckVerdict::Overloaded));
+            assert_eq!(ingest.gates[0].shed.load(Ordering::Acquire), 1);
+            assert_eq!(ingest.core.shards[0].lock().unwrap().stats.batches, 0);
+            assert_eq!(journal.lock().unwrap().bytes(), empty);
+            ingest.gates[0].admitted.store(0, Ordering::Release);
+            assert_eq!(send(&mut stream, &envelope), Some(AckVerdict::Accepted));
+        });
+        let outcome = ingest.finish(panicked).unwrap();
+        assert_eq!((outcome.summary.shed, outcome.summary.batches), (1, 1));
+        assert_eq!(outcome.summary.connections, 1);
+        std::fs::remove_file(&path).unwrap();
     }
-    .encode_into(ack);
-    writer.write_all(ack)?;
-    writer.flush()?;
-    Ok(())
+
+    #[test]
+    fn a_poisoned_shard_drops_its_connections_and_fails_the_run() {
+        let (core, payload) = core(4);
+        let ingest = Ingest::new(core);
+        thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = ingest.core.shards[0].lock();
+                panic!("poisoning shard 0");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        let panicked = serve_while(&ingest, 2, |addr| {
+            for (client, verdict) in [(0, None), (1, Some(AckVerdict::Accepted))] {
+                let envelope = BatchEnvelope::new(client, 0, 0, payload.clone());
+                let mut stream = TcpStream::connect(addr).unwrap();
+                assert_eq!(send(&mut stream, &envelope), verdict);
+            }
+        });
+        assert!(!panicked);
+        assert_eq!(ingest.rejected_connections.load(Ordering::Acquire), 1);
+        assert_eq!(ingest.connections.load(Ordering::Acquire), 1);
+        let poisoned = ingest.core.shards[0].lock().err().expect("poisoned");
+        assert_eq!(poisoned.into_inner().stats.batches, 0);
+        assert!(matches!(
+            ingest.finish(panicked),
+            Err(ServeError::WorkerPanicked { shard: 0 })
+        ));
+    }
 }

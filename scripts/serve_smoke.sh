@@ -3,8 +3,10 @@
 #
 # Drives a heterogeneous seeded fleet (mixed densities, variant and
 # stale binaries, lossy channel, dropped acks) over real TCP against
-# `cbi serve`, twice: once with 1 analyzer shard and once with 4.  The
-# server-side canonical analyses must be byte-identical.  Then the
+# `cbi serve`, three times: with 1 shard, with 4, and with 2 shards
+# that admit one unanswered delivery each, so concurrent connections
+# are shed with `overloaded` NACKs and retransmit.  The server-side
+# canonical analyses must be byte-identical.  Then the
 # crash drill: a journaled server is kill -9'd mid-ingest, restarted
 # with --resume (at a different shard count), and the same seeded fleet
 # retransmits everything — idempotent dedup plus journal replay must
@@ -84,6 +86,18 @@ diff -u "$OUT/serve_analysis_s1.txt" "$OUT/serve_analysis_s4.txt"
 # The client-side channel accounting is seed-pure too.
 diff -u "$OUT/fleet_s1.txt" "$OUT/fleet_s4.txt"
 
+echo "--- shedding: 2 shards, queue cap 1, 4 acceptors ---"
+start_server "$OUT/serve_shed.txt" --shards 2 --queue-cap 1 --acceptors 4
+run_fleet "$ADDR" "$OUT/fleet_shed.txt"
+wait "$SERVER"
+SERVER=""
+tail -n +2 "$OUT/serve_shed.txt" >"$OUT/serve_analysis_shed.txt"
+# The server's summary (stderr) counts the sheds.
+grep '^deliveries:' "$OUT/serve_smoke.log" | tail -n 1
+# Only the analysis is diffed: overload retransmits legitimately change
+# the fleet summary, and the fleet absorbs them without spending retries.
+diff -u "$OUT/serve_analysis_s1.txt" "$OUT/serve_analysis_shed.txt"
+
 echo "--- crash drill: kill -9 mid-ingest, resume, retransmit ---"
 JOURNAL="$OUT/ingest.cbij"
 rm -f "$JOURNAL"
@@ -114,4 +128,4 @@ tail -n +2 "$OUT/serve_resume.txt" >"$OUT/serve_analysis_resume.txt"
 echo "--- resumed analysis vs uninterrupted ---"
 diff -u "$OUT/serve_analysis_s1.txt" "$OUT/serve_analysis_resume.txt"
 
-echo "PASS: analysis is byte-identical at shards 1 and 4, and across kill -9 + resume"
+echo "PASS: analysis is byte-identical at shards 1 and 4, under shedding, and across kill -9 + resume"

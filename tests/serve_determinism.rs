@@ -198,11 +198,12 @@ fn sharded_server_matches_in_process_baseline() {
 #[test]
 fn backpressure_sheds_with_typed_nack_and_converges() {
     let fx = fixture();
-    // A tiny queue forces sheds under concurrency; clients retry on
+    // A tiny admission bound forces sheds under concurrency; clients retry on
     // `overloaded` (inside `send`), so every batch still commits and
     // the analysis is unaffected.
+    let queue_cap = 1;
     let mut cfg = config(2);
-    cfg.queue_cap = 1;
+    cfg.queue_cap = queue_cap;
     let core = IngestCore::new(fx.sites.clone(), cfg).unwrap();
     let server = TcpIngestServer::bind(
         core,
@@ -237,6 +238,11 @@ fn backpressure_sheds_with_typed_nack_and_converges() {
     }
     let outcome = server_thread.join().unwrap();
     assert_eq!(outcome.summary.batches, fx.batches.len() as u64);
+    // The bound holds: no shard ever had more deliveries in hand.
+    assert_eq!(outcome.summary.queue_high_water.len(), 2);
+    for (shard, &high) in outcome.summary.queue_high_water.iter().enumerate() {
+        assert!(high <= queue_cap as u64, "shard {shard} held {high}");
+    }
 
     let mut core = IngestCore::new(fx.sites, config(1)).unwrap();
     for (client, seq, payload) in &fx.batches {
