@@ -18,9 +18,10 @@ use crate::detection::FirstObservation;
 use crate::streaming::{StreamingAnalyzer, StreamingConfig};
 use cbi_instrument::SiteTable;
 use cbi_reports::{
-    nonzero, BatchStats, DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink,
-    SinkError, SparseArchive, WireErrorKind,
+    nonzero, BatchStats, CollectError, DecodeOutcome, Label, Provenance, Report, ReportLayout,
+    ReportSink, SinkError, SparseArchive, WireErrorKind, WireReader,
 };
+use cbi_stats::OnlineTrainer;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Per-cohort ingest accounting: batches, bytes, corruption, rejection,
@@ -394,6 +395,76 @@ impl EpochAggregator {
         Ok(walked)
     }
 
+    /// Runs `fold` with the §3.3 trainer on a second thread: the
+    /// whole-stream fold of an ingest server or fleet, split over two
+    /// cores without changing a bit of its result.
+    ///
+    /// `fold` must fold exactly the wire batches `payloads` yields, in
+    /// that order, each through [`fold_batch`](Self::fold_batch), and
+    /// nothing else.  While it runs on the caller's thread — notes,
+    /// retries, rejections, the archive, the integer statistics, first
+    /// observations and epoch snapshots — the analyzer's trainer is
+    /// detached and a scoped thread walks the same payload bytes a second
+    /// time, feeding each report's nonzero counters to it in the same
+    /// order.  The trainer is reinstalled when both are done, before
+    /// anything can read the model.  The thread also notes the target
+    /// counter's rank after every `epoch_len`-th report — exactly where
+    /// the fold closes an epoch — and those ranks are written into the
+    /// snapshots `fold` took, so every [`EpochSnapshot`] is the one an
+    /// inline fold takes.  `fold` must not call
+    /// [`snapshot_now`](Self::snapshot_now): close a partial epoch after
+    /// this returns.
+    ///
+    /// Before `begin` there is no trainer and `fold` runs alone.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fold` returns.  The trainer is reinstalled either way;
+    /// after an error it may have seen reports the fold did not finish.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fold` succeeds but folded other reports than
+    /// `payloads` holds or took a snapshot off an epoch boundary, or if
+    /// the trainer thread panics.
+    pub fn train_beside<'p, T, E>(
+        &mut self,
+        payloads: impl Iterator<Item = &'p [u8]> + Send,
+        fold: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let (Some(layout), Some(trainer)) =
+            (self.analyzer.layout(), self.analyzer.detach_trainer())
+        else {
+            return fold(self);
+        };
+        let first_snapshot = self.snapshots.len();
+        let cuts = EpochCuts {
+            runs: self.runs,
+            epoch_len: self.epoch_len,
+            target: self.target_counter,
+        };
+        let (folded, (trainer, ranks)) = std::thread::scope(|scope| {
+            let training = scope.spawn(move || train_payloads(trainer, layout, payloads, cuts));
+            let folded = fold(self);
+            let trained = training
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (folded, trained)
+        });
+        let trained = trainer.seen();
+        self.analyzer.attach_trainer(trainer);
+        let folded = folded?;
+        let taken = &mut self.snapshots[first_snapshot..];
+        assert!(
+            trained == self.analyzer.seen() && ranks.len() == taken.len(),
+            "train_beside: the fold and its payloads disagree"
+        );
+        for (snapshot, rank) in taken.iter_mut().zip(ranks) {
+            snapshot.target_rank = rank;
+        }
+        Ok(folded)
+    }
+
     /// Takes the current-state snapshot without waiting for an epoch
     /// boundary (used to close a partial final epoch).
     pub fn snapshot_now(&mut self) {
@@ -492,6 +563,55 @@ impl EpochAggregator {
     }
 }
 
+/// Where [`EpochAggregator::accept_nonzero`] closes epochs, for the
+/// trainer thread of [`EpochAggregator::train_beside`].
+#[derive(Debug, Clone, Copy)]
+struct EpochCuts {
+    /// Runs folded before the first payload.
+    runs: u64,
+    epoch_len: u64,
+    target: Option<usize>,
+}
+
+/// The trainer's half of [`EpochAggregator::train_beside`]: every report
+/// of every payload, in order, through `trainer`, with the target's rank
+/// noted at each epoch boundary.  A payload that does not walk against
+/// `layout` ends the training: the fold rejects that batch too.
+fn train_payloads<'p>(
+    mut trainer: OnlineTrainer,
+    layout: ReportLayout,
+    payloads: impl Iterator<Item = &'p [u8]>,
+    cuts: EpochCuts,
+) -> (OnlineTrainer, Vec<Option<usize>>) {
+    let mut runs = cuts.runs;
+    let mut ranks = Vec::new();
+    let mut row: Vec<(usize, u64)> = Vec::new();
+    for payload in payloads {
+        // The fold's walk counted these frames already.
+        let Ok(mut reader) = WireReader::new(payload).map(WireReader::uncounted) else {
+            break;
+        };
+        if reader
+            .expect_layout(layout.layout_hash, layout.counters)
+            .is_err()
+        {
+            break;
+        }
+        loop {
+            row.clear();
+            let Ok(Some((_, label))) = reader.read_nonzero(|i, value| row.push((i, value))) else {
+                break;
+            };
+            trainer.update_nonzero(row.iter().copied(), label == Label::Failure);
+            runs += 1;
+            if runs.is_multiple_of(cuts.epoch_len) {
+                ranks.push(cuts.target.and_then(|c| trainer.model().rank_of(c)));
+            }
+        }
+    }
+    (trainer, ranks)
+}
+
 impl ReportSink for EpochAggregator {
     fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
         self.analyzer.begin(layout)
@@ -499,13 +619,15 @@ impl ReportSink for EpochAggregator {
 
     /// Folds one report.  The report's `run_id` is taken as its 0-based
     /// community run index for latency purposes, so detection latency is
-    /// independent of batch arrival order.
+    /// independent of batch arrival order.  A report wider or narrower
+    /// than the site table is a [`CollectError::LayoutMismatch`].
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
-        assert_eq!(
-            report.counters.len(),
-            self.first.counters(),
-            "report layout mismatch"
-        );
+        if report.counters.len() != self.first.counters() {
+            return Err(SinkError::Collect(CollectError::LayoutMismatch {
+                expected: self.first.counters(),
+                got: report.counters.len(),
+            }));
+        }
         // One scan of the mostly-zero vector feeds every aggregate.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -737,6 +859,144 @@ mod tests {
             (model.bias.to_bits(), weights)
         };
         assert_eq!(bits(&sparse), bits(&dense));
+    }
+
+    /// A seeded sampled campaign over a crashing program, its site
+    /// table, and its reports encoded as wire batches of seven.
+    fn campaign_batches() -> (SiteTable, ReportLayout, Vec<Report>, Vec<Vec<u8>>) {
+        use cbi_reports::wire::encode_reports;
+        use cbi_sampler::SamplingDensity;
+        use cbi_workloads::{run_campaign, CampaignConfig};
+
+        let program = cbi_minic::parse(
+            "fn g() -> int { if (has_input() == 0) { return 0; } return read(); }\n\
+             fn main() -> int { int v = g(); print(100 / v); return 0; }",
+        )
+        .unwrap();
+        let trials: Vec<Vec<i64>> = (0..300)
+            .map(|i| if i % 7 == 0 { vec![] } else { vec![i % 5 + 1] })
+            .collect();
+        let mut config = CampaignConfig::sampled(Scheme::Returns, SamplingDensity::one_in(3));
+        config.seed = 0x5ca7;
+        let result = run_campaign(&program, &trials, &config).unwrap();
+        let table = result.instrumented.sites.clone();
+        let layout = ReportLayout {
+            counters: table.total_counters(),
+            layout_hash: table.layout_hash(),
+        };
+        let reports = result.collector.reports().to_vec();
+        let batches = reports
+            .chunks(7)
+            .map(|chunk| encode_reports(chunk, layout.layout_hash, layout.counters).unwrap())
+            .collect();
+        (table, layout, reports, batches)
+    }
+
+    fn model_bits(agg: &EpochAggregator) -> (u64, Vec<u64>) {
+        let model = agg.analyzer().model().unwrap();
+        let weights = model.weights.iter().map(|w| w.to_bits()).collect();
+        (model.bias.to_bits(), weights)
+    }
+
+    #[test]
+    fn training_beside_the_fold_leaves_the_state_an_inline_fold_does() {
+        let (table, layout, reports, batches) = campaign_batches();
+        // 300 reports in epochs of 64: four boundaries and a partial
+        // epoch.  The target is the counter the full stream ranks first.
+        let target = {
+            let mut probe =
+                EpochAggregator::new(table.clone(), 64, StreamingConfig::default(), None);
+            probe.begin(layout).unwrap();
+            for report in &reports {
+                probe.accept(report.clone()).unwrap();
+            }
+            probe.analyzer().ranking()[0].0
+        };
+        let fresh = || {
+            let mut agg =
+                EpochAggregator::new(table.clone(), 64, StreamingConfig::default(), Some(target));
+            agg.begin(layout).unwrap();
+            agg
+        };
+        let fold_all = |agg: &mut EpochAggregator| -> Result<u64, SinkError> {
+            let mut archive = SparseArchive::new(layout);
+            for (client, batch) in batches.iter().enumerate() {
+                let prov = Provenance::new(client as u64, 0);
+                agg.fold_batch(&prov, DecodeOutcome::Clean, batch, &mut archive)?;
+            }
+            Ok(archive.len() as u64)
+        };
+
+        let mut inline = fresh();
+        fold_all(&mut inline).unwrap();
+        inline.snapshot_now();
+        let mut beside = fresh();
+        let payloads = batches.iter().map(Vec::as_slice);
+        let folded = beside.train_beside(payloads, fold_all).unwrap();
+        beside.snapshot_now();
+
+        assert_eq!(folded, 300);
+        assert_eq!(beside.snapshots().len(), 5);
+        let ranks: Vec<Option<usize>> = beside.snapshots().iter().map(|s| s.target_rank).collect();
+        assert!(ranks.iter().all(Option::is_some), "{ranks:?}");
+        assert_eq!(beside.snapshots(), inline.snapshots());
+        assert_eq!(model_bits(&beside), model_bits(&inline));
+        assert_eq!(beside.analyzer().stats(), inline.analyzer().stats());
+        assert_eq!(beside.first_observation(), inline.first_observation());
+        assert_eq!(beside.analyzer().seen(), 300);
+    }
+
+    #[test]
+    fn train_beside_before_begin_runs_the_fold_alone() {
+        let mut agg = aggregator(4, None);
+        let err = agg
+            .train_beside(std::iter::empty(), |agg| {
+                agg.accept_nonzero(0, Label::Success, std::iter::empty())
+            })
+            .unwrap_err();
+        assert!(matches!(err, SinkError::NotBegun));
+        assert!(agg.analyzer().model().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree")]
+    fn train_beside_panics_when_the_fold_skips_a_payload() {
+        let (table, layout, _, batches) = campaign_batches();
+        let mut agg = EpochAggregator::new(table, 64, StreamingConfig::default(), None);
+        agg.begin(layout).unwrap();
+        let payloads = batches.iter().map(Vec::as_slice);
+        let _ = agg.train_beside(payloads, |agg| -> Result<(), SinkError> {
+            let mut archive = SparseArchive::new(layout);
+            let prov = Provenance::new(0, 0);
+            agg.fold_batch(&prov, DecodeOutcome::Clean, &batches[0], &mut archive)?;
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn a_report_of_the_wrong_width_is_a_typed_error() {
+        let n = sites().total_counters();
+        let mut agg = aggregator(4, None);
+        agg.begin(ReportLayout {
+            counters: n,
+            layout_hash: sites().layout_hash(),
+        })
+        .unwrap();
+        for width in [n - 1, n + 1] {
+            let err = agg
+                .accept(Report::new(0, Label::Failure, vec![1; width]))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SinkError::Collect(CollectError::LayoutMismatch { expected, got })
+                        if expected == n && got == width
+                ),
+                "{err:?}"
+            );
+        }
+        assert_eq!(agg.runs(), 0);
+        assert_eq!(agg.analyzer().seen(), 0);
     }
 
     #[test]

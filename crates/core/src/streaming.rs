@@ -14,10 +14,20 @@
 //! remote one fed over the wire reach bit-identical state whenever the
 //! streams are bit-identical — which the ordered campaign merge and the
 //! framed wire format guarantee.
+//!
+//! A report of the wrong width is a typed
+//! [`CollectError::LayoutMismatch`], as in [`cbi_reports::Collector`].
+//! The trainer can be detached for the length of a whole-stream fold,
+//! which then moves only the integer statistics while the trainer is fed
+//! the same reports on another thread
+//! ([`EpochAggregator::train_beside`](crate::EpochAggregator::train_beside));
+//! a report accepted one at a time trains inline.
 
 use crate::pipeline::{eliminate_stats, EliminationReport};
 use cbi_instrument::SiteTable;
-use cbi_reports::{nonzero, Label, Report, ReportLayout, ReportSink, SinkError, SufficientStats};
+use cbi_reports::{
+    nonzero, CollectError, Label, Report, ReportLayout, ReportSink, SinkError, SufficientStats,
+};
 use cbi_stats::{LogisticModel, OnlineTrainer};
 
 /// Hyper-parameters for the streaming crash predictor.
@@ -167,12 +177,10 @@ impl ReportSink for StreamingAnalyzer {
                 Ok(())
             }
             Some(prev) if prev == layout => Ok(()),
-            Some(prev) => Err(SinkError::Collect(
-                cbi_reports::CollectError::LayoutMismatch {
-                    expected: prev.counters,
-                    got: layout.counters,
-                },
-            )),
+            Some(prev) => Err(SinkError::Collect(CollectError::LayoutMismatch {
+                expected: prev.counters,
+                got: layout.counters,
+            })),
         }
     }
 
@@ -190,23 +198,51 @@ impl StreamingAnalyzer {
     /// counters (ascending `(index, value)` pairs), so a caller that
     /// already holds them — [`EpochAggregator`](crate::EpochAggregator),
     /// from one scan of a dense report or straight from wire bytes —
-    /// needs no dense vector.
+    /// needs no dense vector.  While the trainer is
+    /// [detached](Self::detach_trainer) only the integer statistics move.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SinkError::NotBegun`] before the first `begin`, and a
+    /// [`CollectError::LayoutMismatch`] if `width` is not the layout's.
     pub(crate) fn fold(
         &mut self,
         label: Label,
         width: usize,
         counters: impl Iterator<Item = (usize, u64)> + Clone,
     ) -> Result<(), SinkError> {
-        let trainer = self.trainer.as_mut().ok_or(SinkError::NotBegun)?;
-        assert_eq!(width, self.stats.counter_count(), "report layout mismatch");
+        if self.layout.is_none() {
+            return Err(SinkError::NotBegun);
+        }
+        if width != self.stats.counter_count() {
+            return Err(SinkError::Collect(CollectError::LayoutMismatch {
+                expected: self.stats.counter_count(),
+                got: width,
+            }));
+        }
         self.resident += 1;
         self.high_water = self.high_water.max(self.resident);
         self.stats.update_nonzero(label, counters.clone());
-        trainer.update_nonzero(counters, label == Label::Failure);
+        if let Some(trainer) = self.trainer.as_mut() {
+            trainer.update_nonzero(counters, label == Label::Failure);
+        }
         self.seen += 1;
         // Nothing above retains the report: the caller drops it next.
         self.resident -= 1;
         Ok(())
+    }
+
+    /// Takes the §3.3 trainer out, so the folds that follow update the
+    /// integer statistics alone while the trainer is fed elsewhere; `None`
+    /// before `begin`.  [`attach_trainer`](Self::attach_trainer) puts it
+    /// back; until then [`model`](Self::model) is `None`.
+    pub(crate) fn detach_trainer(&mut self) -> Option<OnlineTrainer> {
+        self.trainer.take()
+    }
+
+    /// Reinstalls a trainer taken by [`detach_trainer`](Self::detach_trainer).
+    pub(crate) fn attach_trainer(&mut self, trainer: OnlineTrainer) {
+        self.trainer = Some(trainer);
     }
 }
 
@@ -245,6 +281,27 @@ mod tests {
         assert_eq!(a.stats().nonzero_failures(1), 1);
         let model = a.model().unwrap();
         assert_eq!(model.weights.len(), 2);
+    }
+
+    #[test]
+    fn a_report_of_the_wrong_width_is_a_typed_error() {
+        let mut a = StreamingAnalyzer::new(StreamingConfig::default());
+        a.begin(layout(3)).unwrap();
+        for width in [2, 4] {
+            let err = a
+                .accept(Report::new(0, Label::Failure, vec![1; width]))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SinkError::Collect(CollectError::LayoutMismatch { expected: 3, got })
+                        if got == width
+                ),
+                "{err:?}"
+            );
+        }
+        assert_eq!(a.seen(), 0);
+        assert_eq!(a.stats().failure_runs(), 0);
     }
 
     #[test]

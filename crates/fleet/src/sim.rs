@@ -13,7 +13,7 @@
 //! exactly one batch.  Workers therefore shard batches freely and the
 //! ordered merge reproduces the serial fold bit-for-bit.
 
-use crate::channel::{send_batch, ChannelSpec, SendOutcome};
+use crate::channel::{send_batch, ChannelSpec, SendOutcome, SendResult};
 use crate::profile::{draw_profiles, ClientProfile};
 use crate::FleetError;
 use cbi::epoch::{EpochAggregator, EpochSnapshot};
@@ -369,9 +369,10 @@ pub fn run_fleet(
         batches,
     } = &production;
 
-    // ---- Merge: push every batch through the channel and fold the
+    // ---- Merge: push every batch through the channel, then fold the
     // survivors in last-run order — the serial schedule — through the
-    // fold body the ingest server uses.
+    // fold body the ingest server uses, with the trainer reading the
+    // delivered payloads on a second core.
     let _merge = telemetry::span("fleet.merge");
     let mut aggregator = EpochAggregator::new(
         sites.clone(),
@@ -383,58 +384,81 @@ pub fn run_fleet(
     aggregator.begin(*layout)?;
     let mut archive = SparseArchive::new(*layout);
 
-    let mut summary = summary_skeleton(spec, profiles, layout.counters);
-    for batch in batches {
-        let send = send_batch(
-            &batch.bytes,
-            batch.last_run as u64,
-            spec.seed,
-            &spec.channel,
-            *layout,
-        );
-        let cohort = profiles[batch.client].cohort();
-        let provenance = |attempt: u32| {
-            Provenance::new(batch.client as u64, attempt).with_cohort(cohort.clone())
-        };
-        summary.dropped_runs += batch.dropped_runs;
-        summary.spooled_reports += batch.spooled_reports;
-        summary.batches += 1;
-        let retries = u64::from(send.attempts.saturating_sub(1));
-        summary.retries += retries;
-        aggregator.note_retries(&cohort, retries);
-        summary.backoff_ticks += send.backoff_ticks;
-        summary.bytes_sent += send.bytes_sent;
-        for rejection in &send.rejections {
-            summary.rejected_deliveries += 1;
-            summary.stale_rejections += u64::from(rejection.is_stale());
-            aggregator.note_batch(
-                &provenance(rejection.attempt),
-                DecodeOutcome::Rejected(rejection.kind),
-                0,
+    // A send is a pure function of the batch bytes and the seed.  A
+    // clean delivery is the batch's own bytes, so its copy is dropped.
+    let sends: Vec<SendResult> = batches
+        .iter()
+        .map(|batch| {
+            let mut send = send_batch(
+                &batch.bytes,
+                batch.last_run as u64,
+                spec.seed,
+                &spec.channel,
+                *layout,
             );
-        }
-        match &send.outcome {
-            SendOutcome::Accepted { payload, corrupted } => {
-                summary.accepted_batches += 1;
-                summary.corrupt_batches += u64::from(*corrupted);
-                let outcome = if *corrupted {
-                    DecodeOutcome::CorruptButDecodable
-                } else {
-                    DecodeOutcome::Clean
-                };
-                let walked = aggregator.fold_batch(
-                    &provenance(send.attempts.saturating_sub(1)),
-                    outcome,
-                    payload,
-                    &mut archive,
-                )?;
-                summary.bytes_accepted += walked.bytes;
-                archive.clear();
+            if let SendOutcome::Accepted {
+                payload,
+                corrupted: false,
+            } = &mut send.outcome
+            {
+                *payload = Vec::new();
             }
-            SendOutcome::Stale => summary.stale_batches += 1,
-            SendOutcome::Lost => summary.lost_batches += 1,
+            send
+        })
+        .collect();
+    let mut summary = summary_skeleton(spec, profiles, layout.counters);
+    let payloads = batches
+        .iter()
+        .zip(&sends)
+        .filter_map(|(batch, send)| delivered(batch, send));
+    aggregator.train_beside(payloads, |aggregator| -> Result<(), FleetError> {
+        for (batch, send) in batches.iter().zip(&sends) {
+            let cohort = profiles[batch.client].cohort();
+            let provenance = |attempt: u32| {
+                Provenance::new(batch.client as u64, attempt).with_cohort(cohort.clone())
+            };
+            summary.dropped_runs += batch.dropped_runs;
+            summary.spooled_reports += batch.spooled_reports;
+            summary.batches += 1;
+            let retries = u64::from(send.attempts.saturating_sub(1));
+            summary.retries += retries;
+            aggregator.note_retries(&cohort, retries);
+            summary.backoff_ticks += send.backoff_ticks;
+            summary.bytes_sent += send.bytes_sent;
+            for rejection in &send.rejections {
+                summary.rejected_deliveries += 1;
+                summary.stale_rejections += u64::from(rejection.is_stale());
+                aggregator.note_batch(
+                    &provenance(rejection.attempt),
+                    DecodeOutcome::Rejected(rejection.kind),
+                    0,
+                );
+            }
+            match &send.outcome {
+                SendOutcome::Accepted { corrupted, .. } => {
+                    summary.accepted_batches += 1;
+                    summary.corrupt_batches += u64::from(*corrupted);
+                    let outcome = if *corrupted {
+                        DecodeOutcome::CorruptButDecodable
+                    } else {
+                        DecodeOutcome::Clean
+                    };
+                    let payload = delivered(batch, send).expect("an accepted batch");
+                    let walked = aggregator.fold_batch(
+                        &provenance(send.attempts.saturating_sub(1)),
+                        outcome,
+                        payload,
+                        &mut archive,
+                    )?;
+                    summary.bytes_accepted += walked.bytes;
+                    archive.clear();
+                }
+                SendOutcome::Stale => summary.stale_batches += 1,
+                SendOutcome::Lost => summary.lost_batches += 1,
+            }
         }
-    }
+        Ok(())
+    })?;
     if aggregator
         .snapshots()
         .last()
@@ -473,6 +497,18 @@ pub fn run_fleet(
         aggregator,
         profiles: production.profiles,
     })
+}
+
+/// The bytes the server committed for `batch`, if it committed any: the
+/// delivered copy when the channel altered it, else the batch's own.
+fn delivered<'a>(batch: &'a ProducedBatch, send: &'a SendResult) -> Option<&'a [u8]> {
+    match &send.outcome {
+        SendOutcome::Accepted {
+            corrupted: false, ..
+        } => Some(&batch.bytes),
+        SendOutcome::Accepted { payload, .. } => Some(payload),
+        SendOutcome::Stale | SendOutcome::Lost => None,
+    }
 }
 
 /// Everything a worker needs, borrowed from the driver.
@@ -687,6 +723,103 @@ mod tests {
             sum.accepted_batches + sum.lost_batches + sum.stale_batches,
             sum.batches
         );
+    }
+
+    /// The merge as it was before the trainer moved to its own thread:
+    /// one pass, each delivered batch folded as it comes off the
+    /// channel, the trainer updated inline.  Kept as the oracle the
+    /// two-phase merge of [`run_fleet`] is held to.
+    fn inline_merge(
+        production: &FleetProduction,
+        spec: &FleetSpec,
+        target: usize,
+    ) -> EpochAggregator {
+        let layout = production.layout;
+        let mut aggregator = EpochAggregator::new(
+            production.sites.clone(),
+            spec.epoch_len,
+            spec.streaming,
+            Some(target),
+        )
+        .with_flight_capacity(spec.flight_recorder);
+        aggregator.begin(layout).unwrap();
+        let mut archive = SparseArchive::new(layout);
+        for batch in &production.batches {
+            let send = send_batch(
+                &batch.bytes,
+                batch.last_run as u64,
+                spec.seed,
+                &spec.channel,
+                layout,
+            );
+            let cohort = production.profiles[batch.client].cohort();
+            let provenance = |attempt: u32| {
+                Provenance::new(batch.client as u64, attempt).with_cohort(cohort.clone())
+            };
+            aggregator.note_retries(&cohort, u64::from(send.attempts.saturating_sub(1)));
+            for rejection in &send.rejections {
+                let outcome = DecodeOutcome::Rejected(rejection.kind);
+                aggregator.note_batch(&provenance(rejection.attempt), outcome, 0);
+            }
+            if let SendOutcome::Accepted { payload, corrupted } = &send.outcome {
+                let outcome = if *corrupted {
+                    DecodeOutcome::CorruptButDecodable
+                } else {
+                    DecodeOutcome::Clean
+                };
+                let prov = provenance(send.attempts.saturating_sub(1));
+                aggregator
+                    .fold_batch(&prov, outcome, payload, &mut archive)
+                    .unwrap();
+                archive.clear();
+            }
+        }
+        if aggregator
+            .snapshots()
+            .last()
+            .is_none_or(|s| s.runs != aggregator.runs())
+        {
+            aggregator.snapshot_now();
+        }
+        aggregator
+    }
+
+    #[test]
+    fn the_merge_trains_beside_its_fold_to_the_inline_bits() {
+        let program = cbi_minic::parse(RARE).unwrap();
+        let mut s = spec();
+        // Short epochs with a partial last one, on a channel that drops,
+        // truncates, flips bits and meets stale clients.
+        s.epoch_len = 40;
+        s.stale_fraction = 0.2;
+        s.channel = ChannelSpec {
+            drop: 0.1,
+            truncate: 0.05,
+            bit_flip: 0.3,
+            max_retries: 2,
+            backoff_base: 3,
+        };
+        let production = produce_fleet(&program, &pool(48), &s).unwrap();
+        let target = (0..production.layout.counters)
+            .find(|&c| production.sites.predicate_name(c).contains("rare() > 0"))
+            .unwrap();
+        let report = run_fleet(&program, &pool(48), &s, Some(target)).unwrap();
+        let inline = inline_merge(&production, &s, target);
+
+        assert!(report.summary.corrupt_batches > 0 && report.summary.stale_batches > 0);
+        assert!(report.epochs.len() >= 4);
+        assert!(!report.summary.accepted_reports.is_multiple_of(s.epoch_len));
+        assert!(report.epochs.iter().all(|e| e.target_rank.is_some()));
+        assert_eq!(report.epochs, inline.snapshots());
+        let bits = |agg: &EpochAggregator| {
+            let model = agg.analyzer().model().unwrap();
+            let weights: Vec<u64> = model.weights.iter().map(|w| w.to_bits()).collect();
+            (model.bias.to_bits(), weights)
+        };
+        assert_eq!(bits(&report.aggregator), bits(&inline));
+        let inline_rank = inline.analyzer().model().unwrap().rank_of(target);
+        assert_eq!(report.target_rank, inline_rank);
+        assert!(report.target_rank.is_some());
     }
 
     #[test]

@@ -24,9 +24,16 @@
 //! trace is deterministic: integer scores, counter-index tie-breaks,
 //! and run-id-ordered report delivery make it byte-identical at any
 //! worker count.
+//!
+//! A scorer reads nothing but a predicate's contingency table, so the
+//! loop never re-tables: it builds the full-corpus tables and a
+//! per-counter list of the failing runs each counter covers once, then
+//! subtracts each removed run from the tables.  An iteration costs one
+//! scoring pass over the counters plus the removed runs' counters, and
+//! picks exactly what ranking freshly built tables would.
 
 use crate::score::{rank_tables, Scorer};
-use cbi_reports::{Label, Report, ReportLayout, ReportSink, SinkError};
+use cbi_reports::{CollectError, Label, Report, ReportLayout, ReportSink, SinkError};
 use cbi_stats::Contingency;
 
 /// One failing run, reduced to its sparse observation set.
@@ -92,64 +99,7 @@ impl FailureIndex {
     /// Contingency tables over the full corpus (every failing run
     /// active), as the initial pre-isolation ranking sees them.
     pub fn tables(&self, groups: &[(usize, usize)]) -> Vec<Contingency> {
-        let active: Vec<bool> = vec![true; self.failures.len()];
-        self.tables_for(&active, groups)
-    }
-
-    /// Contingency tables restricted to the failing runs flagged in
-    /// `active`.  The success side is the full-corpus aggregate — the
-    /// loop only ever removes *failing* runs.
-    fn tables_for(&self, active: &[bool], groups: &[(usize, usize)]) -> Vec<Contingency> {
-        let n = self.counter_count();
-        let f_active = active.iter().filter(|&&a| a).count() as u64;
-
-        // Failure side: exact per-counter and per-site counts over the
-        // active runs.  A run touches a site once no matter how many of
-        // the site's counters it observed.
-        let mut ef = vec![0u64; n];
-        let mut site_f = vec![0u64; groups.len()];
-        let group_of = group_map(n, groups);
-        let mut touched: Vec<usize> = Vec::new();
-        for (run, act) in self.failures.iter().zip(active) {
-            if !act {
-                continue;
-            }
-            touched.clear();
-            for &c in &run.nonzero {
-                let c = c as usize;
-                if c >= n {
-                    continue;
-                }
-                ef[c] += 1;
-                if let Some(g) = group_of[c] {
-                    if !touched.contains(&g) {
-                        touched.push(g);
-                        site_f[g] += 1;
-                    }
-                }
-            }
-        }
-
-        // Success side: clamped-sum site estimates from aggregates,
-        // identical in shape to `cbi_stats::contingency_tables`.
-        let mut site_s = vec![0u64; groups.len()];
-        for (g, &(base, arity)) in groups.iter().enumerate() {
-            site_s[g] = (base..(base + arity).min(n))
-                .map(|c| self.success_nonzero[c])
-                .sum::<u64>()
-                .min(self.successes);
-        }
-
-        (0..n)
-            .map(|c| Contingency {
-                ef: ef[c],
-                ep: self.success_nonzero[c],
-                f: f_active,
-                s: self.successes,
-                obs_f: group_of[c].map_or(ef[c], |g| site_f[g]),
-                obs_s: group_of[c].map_or(self.success_nonzero[c], |g| site_s[g]),
-            })
-            .collect()
+        LiveTables::new(self, groups).all()
     }
 }
 
@@ -164,6 +114,164 @@ fn group_map(n: usize, groups: &[(usize, usize)]) -> Vec<Option<usize>> {
     map
 }
 
+/// The contingency tables over the failing runs still in play, kept
+/// exact as runs leave: removing a run subtracts its counters from `ef`
+/// and its distinct sites from `site_f`.  The success side is the
+/// full-corpus aggregate throughout — the loop only ever removes
+/// *failing* runs.
+struct LiveTables<'a> {
+    index: &'a FailureIndex,
+    group_of: Vec<Option<usize>>,
+    /// Per site: clamped-sum estimate of the successful runs reaching it.
+    site_s: Vec<u64>,
+    /// Per counter: live failing runs in which it was nonzero.
+    ef: Vec<u64>,
+    /// Per site: live failing runs that reached it.
+    site_f: Vec<u64>,
+    /// Live failing runs.
+    f: u64,
+    /// Per site: the last tally that counted it, so a run touching a
+    /// site through several counters counts it once.
+    stamp: Vec<u64>,
+    tallies: u64,
+}
+
+impl<'a> LiveTables<'a> {
+    /// The tables with every failing run of `index` live.
+    fn new(index: &'a FailureIndex, groups: &[(usize, usize)]) -> Self {
+        let n = index.counter_count();
+        // Success side: clamped-sum site estimates from aggregates,
+        // identical in shape to `cbi_stats::contingency_tables`.
+        let site_s = groups
+            .iter()
+            .map(|&(base, arity)| {
+                (base..(base + arity).min(n))
+                    .map(|c| index.success_nonzero[c])
+                    .sum::<u64>()
+                    .min(index.successes)
+            })
+            .collect();
+        let mut tables = LiveTables {
+            index,
+            group_of: group_map(n, groups),
+            site_s,
+            ef: vec![0; n],
+            site_f: vec![0; groups.len()],
+            f: 0,
+            stamp: vec![0; groups.len()],
+            tallies: 0,
+        };
+        for run in &index.failures {
+            tables.tally(run, |n| *n += 1);
+        }
+        tables
+    }
+
+    /// Adds (`step` increments) or removes (`step` decrements) one
+    /// failing run: its counters and each site it reached, once.
+    fn tally(&mut self, run: &FailingRun, step: impl Fn(&mut u64)) {
+        self.tallies += 1;
+        step(&mut self.f);
+        for &c in &run.nonzero {
+            let c = c as usize;
+            step(&mut self.ef[c]);
+            if let Some(g) = self.group_of[c] {
+                if self.stamp[g] != self.tallies {
+                    self.stamp[g] = self.tallies;
+                    step(&mut self.site_f[g]);
+                }
+            }
+        }
+    }
+
+    /// Counter `c`'s table over the live runs.
+    fn table(&self, c: usize) -> Contingency {
+        let ep = self.index.success_nonzero[c];
+        Contingency {
+            ef: self.ef[c],
+            ep,
+            f: self.f,
+            s: self.index.successes,
+            obs_f: self.group_of[c].map_or(self.ef[c], |g| self.site_f[g]),
+            obs_s: self.group_of[c].map_or(ep, |g| self.site_s[g]),
+        }
+    }
+
+    /// Every counter's table, in counter order.
+    fn all(&self) -> Vec<Contingency> {
+        (0..self.ef.len()).map(|c| self.table(c)).collect()
+    }
+
+    /// The counter [`rank_tables`] would rank first among those scoring
+    /// above zero and covering a live run — best score, then lowest
+    /// index — with its score, in one pass and no sort.
+    fn best(&self, scorer: &dyn Scorer) -> Option<(usize, i64)> {
+        let mut best: Option<(usize, i64)> = None;
+        for c in (0..self.ef.len()).filter(|&c| self.ef[c] > 0) {
+            let score = scorer.score(&self.table(c));
+            if score > 0 && best.is_none_or(|(_, top)| score > top) {
+                best = Some((c, score));
+            }
+        }
+        best
+    }
+}
+
+/// For each counter, the failing runs (indices into
+/// [`FailureIndex::failures`]) it was nonzero in, ascending: the
+/// transpose of the runs' nonzero sets, in compressed-row form.
+struct Postings {
+    /// Counter `c`'s runs are `runs[start[c]..start[c + 1]]`.
+    start: Vec<usize>,
+    runs: Vec<u32>,
+}
+
+impl Postings {
+    fn new(index: &FailureIndex) -> Self {
+        let n = index.counter_count();
+        let mut start = vec![0usize; n + 1];
+        for run in &index.failures {
+            for &c in &run.nonzero {
+                start[c as usize + 1] += 1;
+            }
+        }
+        for c in 0..n {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut runs = vec![0u32; start[n]];
+        for (r, run) in index.failures.iter().enumerate() {
+            let r = u32::try_from(r).expect("fewer than 2^32 failing runs");
+            for &c in &run.nonzero {
+                runs[next[c as usize]] = r;
+                next[c as usize] += 1;
+            }
+        }
+        Postings { start, runs }
+    }
+
+    fn of(&self, counter: usize) -> &[u32] {
+        &self.runs[self.start[counter]..self.start[counter + 1]]
+    }
+}
+
+/// Calls `visit` with every block of eight counters (the last one may
+/// be shorter) that holds a nonzero value, and the index of its first
+/// counter.  Sparse sampling leaves most blocks all zero, and one OR
+/// over a block is cheaper than eight tests.
+fn nonzero_blocks(counters: &[u64], mut visit: impl FnMut(usize, &[u64])) {
+    let mut blocks = counters.chunks_exact(8);
+    for (b, block) in blocks.by_ref().enumerate() {
+        if block.iter().fold(0, |any, &v| any | v) != 0 {
+            visit(b * 8, block);
+        }
+    }
+    let tail = blocks.remainder();
+    if tail.iter().any(|&v| v != 0) {
+        visit(counters.len() - tail.len(), tail);
+    }
+}
+
 impl ReportSink for FailureIndex {
     fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
         self.layout = Some(layout);
@@ -173,19 +281,33 @@ impl ReportSink for FailureIndex {
         Ok(())
     }
 
+    /// Folds one report: a failure keeps its nonzero set, a success
+    /// bumps the per-counter aggregates and is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SinkError::NotBegun`] before `begin`, and a
+    /// [`CollectError::LayoutMismatch`] for a report of another width.
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
-        if self.layout.is_none() {
+        let Some(layout) = self.layout else {
             return Err(SinkError::NotBegun);
+        };
+        if report.counters.len() != layout.counters {
+            return Err(SinkError::Collect(CollectError::LayoutMismatch {
+                expected: layout.counters,
+                got: report.counters.len(),
+            }));
         }
         match report.label {
             Label::Failure => {
-                let nonzero: Vec<u32> = report
-                    .counters
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, _)| i as u32)
-                    .collect();
+                let mut nonzero = Vec::new();
+                nonzero_blocks(&report.counters, |base, block| {
+                    for (i, &v) in (base..).zip(block) {
+                        if v != 0 {
+                            nonzero.push(i as u32);
+                        }
+                    }
+                });
                 self.failures.push(FailingRun {
                     trial: report.run_id,
                     nonzero,
@@ -193,11 +315,12 @@ impl ReportSink for FailureIndex {
             }
             Label::Success => {
                 self.successes += 1;
-                for (i, &v) in report.counters.iter().enumerate() {
-                    if v != 0 && i < self.success_nonzero.len() {
-                        self.success_nonzero[i] += 1;
+                let seen = &mut self.success_nonzero;
+                nonzero_blocks(&report.counters, |base, block| {
+                    for (slot, &v) in seen[base..].iter_mut().zip(block) {
+                        *slot += u64::from(v != 0);
                     }
-                }
+                });
             }
         }
         Ok(())
@@ -274,37 +397,37 @@ impl IsolationRun {
 /// active runs it covers, and removes them.  The loop ends when no
 /// failures remain or no predicate qualifies; leftover failures are
 /// reported as `unexplained` rather than force-fitted to a cluster.
+///
+/// The tables are built once; each removed run is then subtracted from
+/// them, and each iteration is one scoring pass over the counters a live
+/// run covers.  A scorer sees exactly the tables a full re-tabling over
+/// the active runs would give it, so the trace is the same.
 pub fn isolate(
     index: &FailureIndex,
     groups: &[(usize, usize)],
     scorer: &dyn Scorer,
 ) -> IsolationRun {
+    let mut tables = LiveTables::new(index, groups);
+    let initial_ranking = rank_tables(scorer, &tables.all());
+    let postings = Postings::new(index);
     let mut active: Vec<bool> = vec![true; index.failures().len()];
-    let initial_ranking = rank_tables(scorer, &index.tables(groups));
     let mut steps = Vec::new();
 
-    loop {
-        let before = active.iter().filter(|&&a| a).count() as u64;
-        if before == 0 {
-            break;
-        }
-        let tables = index.tables_for(&active, groups);
-        let ranking = rank_tables(scorer, &tables);
-        let Some(&(counter, score)) = ranking
-            .iter()
-            .find(|&&(c, score)| score > 0 && tables[c].ef > 0)
-        else {
+    while tables.f > 0 {
+        let Some((counter, score)) = tables.best(scorer) else {
             break;
         };
-
+        let before = tables.f;
         let mut trials = Vec::new();
-        for (i, run) in index.failures().iter().enumerate() {
-            if active[i] && run.nonzero.contains(&(counter as u32)) {
+        for &r in postings.of(counter) {
+            let r = r as usize;
+            if active[r] {
+                active[r] = false;
+                let run = &index.failures()[r];
                 trials.push(run.trial);
-                active[i] = false;
+                tables.tally(run, |n| *n -= 1);
             }
         }
-        let after = active.iter().filter(|&&a| a).count() as u64;
         steps.push(IsolationStep {
             iteration: steps.len(),
             cluster: IsolationCluster {
@@ -313,7 +436,7 @@ pub fn isolate(
                 trials,
             },
             failures_before: before,
-            failures_after: after,
+            failures_after: tables.f,
         });
     }
 
@@ -387,6 +510,59 @@ mod tests {
         let mut index = FailureIndex::new();
         let err = index.accept(Report::new(0, Label::Failure, vec![1]));
         assert!(matches!(err, Err(SinkError::NotBegun)));
+    }
+
+    #[test]
+    fn a_report_of_the_wrong_width_is_a_typed_error() {
+        let mut index = FailureIndex::new();
+        index.begin(layout(3)).unwrap();
+        for (label, width) in [
+            (Label::Failure, 2),
+            (Label::Failure, 4),
+            (Label::Success, 4),
+        ] {
+            let err = index
+                .accept(Report::new(0, label, vec![1; width]))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SinkError::Collect(CollectError::LayoutMismatch { expected: 3, got })
+                        if got == width
+                ),
+                "{err:?}"
+            );
+        }
+        assert_eq!((index.failure_runs(), index.success_runs()), (0, 0));
+    }
+
+    #[test]
+    fn accept_skips_zero_blocks_and_finds_every_nonzero_counter() {
+        // Nineteen counters: two full blocks of eight and a tail of
+        // three, with nonzeros at block edges and in the tail.
+        let mut index = FailureIndex::new();
+        index.begin(layout(19)).unwrap();
+        let mut counters = vec![0u64; 19];
+        for &i in &[0usize, 7, 16, 18] {
+            counters[i] = 1 + i as u64;
+        }
+        index
+            .accept(Report::new(0, Label::Failure, counters.clone()))
+            .unwrap();
+        index
+            .accept(Report::new(1, Label::Success, counters))
+            .unwrap();
+        index
+            .accept(Report::new(2, Label::Success, vec![0; 19]))
+            .unwrap();
+        assert_eq!(index.failures()[0].nonzero, vec![0, 7, 16, 18]);
+        let seen: Vec<u64> = (0..19).map(|c| index.success_nonzero(c)).collect();
+        let mut expected = vec![0u64; 19];
+        for &i in &[0usize, 7, 16, 18] {
+            expected[i] = 1;
+        }
+        assert_eq!(seen, expected);
+        assert_eq!(index.success_runs(), 2);
     }
 
     #[test]

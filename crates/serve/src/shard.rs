@@ -11,9 +11,11 @@
 //! nonzero counters into a fresh [`EpochAggregator`] — no dense report
 //! is built on the way — the same ordering discipline the campaign
 //! driver uses to keep `--jobs` out of its output.  Shard count,
-//! arrival interleaving, and crash/replay history
-//! therefore cannot leak into the result: any history committing the
-//! same batch set folds to the same bytes.
+//! arrival interleaving, and crash/replay history therefore cannot leak
+//! into the result: any history committing the same batch set folds to
+//! the same bytes.  The §3.3 trainer reads the same payloads, in the
+//! same order, on a second thread ([`EpochAggregator::train_beside`]),
+//! so the fold's two costs overlap without changing a bit of it.
 
 use crate::journal::Journal;
 use crate::{ServeConfig, ServeError};
@@ -181,7 +183,8 @@ fn provenance(client: u64, attempt: u32, origin: Option<&str>) -> Provenance {
 /// delivery) into a fresh [`EpochAggregator`] in `(seq, client,
 /// attempt)` order, each batch straight from its payload bytes through
 /// [`EpochAggregator::fold_batch`] — the fold body the in-memory fleet
-/// uses too.
+/// uses too — with the §3.3 trainer reading the same payloads on a
+/// second core ([`EpochAggregator::train_beside`]).
 ///
 /// With [`ServeConfig::keep_reports`] the archive the batches are walked
 /// into is returned holding every accepted report; without it, it is
@@ -213,24 +216,31 @@ pub(crate) fn fold_ordered(
     let mut archive = SparseArchive::new(layout);
 
     // Merge the two sorted runs; a rejected delivery of a batch sorts
-    // before the delivery that finally committed it.
-    let mut rejects = rejects.into_iter().peekable();
-    for batch in committed {
-        while let Some(r) = rejects.next_if(|r| (r.seq, r.client) <= (batch.seq, batch.client)) {
+    // before the delivery that finally committed it.  The trainer reads
+    // the committed payloads on a second thread meanwhile.
+    let payloads = committed.iter().map(|batch| batch.payload.as_slice());
+    let fold = |aggregator: &mut EpochAggregator| -> Result<(), ServeError> {
+        let mut rejects = rejects.into_iter().peekable();
+        for batch in &committed {
+            while let Some(r) = rejects.next_if(|r| (r.seq, r.client) <= (batch.seq, batch.client))
+            {
+                let prov = provenance(r.client, r.attempt, r.origin.as_deref());
+                aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
+            }
+            let prov = provenance(batch.client, batch.attempt, batch.origin.as_deref());
+            aggregator.note_retries(prov.cohort_label(), batch.attempt as u64);
+            aggregator.fold_batch(&prov, DecodeOutcome::Clean, &batch.payload, &mut archive)?;
+            if !config.keep_reports {
+                archive.clear();
+            }
+        }
+        for r in rejects {
             let prov = provenance(r.client, r.attempt, r.origin.as_deref());
             aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
         }
-        let prov = provenance(batch.client, batch.attempt, batch.origin.as_deref());
-        aggregator.note_retries(prov.cohort_label(), batch.attempt as u64);
-        aggregator.fold_batch(&prov, DecodeOutcome::Clean, &batch.payload, &mut archive)?;
-        if !config.keep_reports {
-            archive.clear();
-        }
-    }
-    for r in rejects {
-        let prov = provenance(r.client, r.attempt, r.origin.as_deref());
-        aggregator.note_batch(&prov, DecodeOutcome::Rejected(r.kind), 0);
-    }
+        Ok(())
+    };
+    aggregator.train_beside(payloads, fold)?;
     if !aggregator.runs().is_multiple_of(config.epoch_len) || aggregator.snapshots().is_empty() {
         aggregator.snapshot_now();
     }

@@ -11,6 +11,13 @@
 //! estimates rather than the batch statistics of
 //! [`crate::scaling::FeatureScaler`], so early updates see slightly
 //! different scales than late ones — the price of never storing traces.
+//!
+//! Everything the trainer keeps about a counter is one record, so an
+//! update touches one cache line per nonzero counter.  The trainer is
+//! the costliest part of a fold; a whole-stream fold runs it on a thread
+//! of its own, over its own walk of the report bytes (see
+//! `cbi::EpochAggregator::train_beside`).  The floats, and the order
+//! they are combined in, are the same wherever it runs.
 
 use crate::logistic::{sigmoid, LogisticModel};
 
@@ -23,45 +30,60 @@ use crate::logistic::{sigmoid, LogisticModel};
 /// weight — the weights that are currently nonzero.
 #[derive(Debug, Clone)]
 pub struct OnlineTrainer {
-    weights: Vec<f64>,
+    features: Vec<Feature>,
     bias: f64,
     learning_rate: f64,
     lambda: f64,
     seen: u64,
-    // Running scaling state.  `mins` and `maxs` are over the *nonzero*
-    // values seen; `last_nonzero[j]` is the 1-based update in which
-    // counter `j` was last nonzero, which tells the next nonzero value
-    // whether a zero came in between (and the minimum is therefore 0).
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    last_nonzero: Vec<u64>,
-    sums: Vec<f64>,
-    sq_sums: Vec<f64>,
-    // Cumulative-penalty bookkeeping.
+    // Cumulative-penalty bookkeeping: the penalty every weight has been
+    // owed so far (each weight's `q` is what it has paid).
     u: f64,
-    q: Vec<f64>,
     // Indices of the nonzero weights, in no particular order.
     live: Vec<usize>,
     // The current run's nonzero scaled features, ascending by index.
     row: Vec<(usize, f64)>,
 }
 
+/// Everything the trainer keeps about one counter, in one record so an
+/// update touches one cache line per nonzero counter rather than seven.
+#[derive(Debug, Clone, Copy)]
+struct Feature {
+    weight: f64,
+    // Running scaling state.  `min` and `max` are over the *nonzero*
+    // values seen; `last_nonzero` is the 1-based update in which the
+    // counter was last nonzero, which tells the next nonzero value
+    // whether a zero came in between (and the minimum is therefore 0).
+    min: f64,
+    max: f64,
+    sum: f64,
+    sq_sum: f64,
+    last_nonzero: u64,
+    // The cumulative penalty this weight has paid.
+    q: f64,
+}
+
+impl Feature {
+    const FRESH: Feature = Feature {
+        weight: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        sum: 0.0,
+        sq_sum: 0.0,
+        last_nonzero: 0,
+        q: 0.0,
+    };
+}
+
 impl OnlineTrainer {
     /// Creates a trainer for reports with `features` counters.
     pub fn new(features: usize, learning_rate: f64, lambda: f64) -> Self {
         OnlineTrainer {
-            weights: vec![0.0; features],
+            features: vec![Feature::FRESH; features],
             bias: 0.0,
             learning_rate,
             lambda,
             seen: 0,
-            mins: vec![f64::INFINITY; features],
-            maxs: vec![f64::NEG_INFINITY; features],
-            last_nonzero: vec![0; features],
-            sums: vec![0.0; features],
-            sq_sums: vec![0.0; features],
             u: 0.0,
-            q: vec![0.0; features],
             live: Vec::new(),
             row: Vec::new(),
         }
@@ -74,7 +96,7 @@ impl OnlineTrainer {
 
     /// Number of features.
     pub fn feature_count(&self) -> usize {
-        self.weights.len()
+        self.features.len()
     }
 
     /// Folds in one run: raw counter values plus the failure flag.  The
@@ -113,18 +135,19 @@ impl OnlineTrainer {
         self.row.clear();
         for (j, c) in counters {
             let v = c as f64;
-            if self.last_nonzero[j] != before_this {
-                self.mins[j] = 0.0;
+            let f = &mut self.features[j];
+            if f.last_nonzero != before_this {
+                f.min = 0.0;
             }
-            self.last_nonzero[j] = self.seen;
-            self.mins[j] = self.mins[j].min(v);
-            self.maxs[j] = self.maxs[j].max(v);
-            let range = (self.maxs[j] - self.mins[j]).max(1.0);
-            let unit = (v - self.mins[j]) / range;
-            self.sums[j] += unit;
-            self.sq_sums[j] += unit * unit;
-            let mean = self.sums[j] / n;
-            let var = (self.sq_sums[j] / n - mean * mean).max(0.0);
+            f.last_nonzero = self.seen;
+            f.min = f.min.min(v);
+            f.max = f.max.max(v);
+            let range = (f.max - f.min).max(1.0);
+            let unit = (v - f.min) / range;
+            f.sum += unit;
+            f.sq_sum += unit * unit;
+            let mean = f.sum / n;
+            let var = (f.sq_sum / n - mean * mean).max(0.0);
             let sd = var.sqrt();
             let x = unit / if sd > 1e-12 { sd } else { 1.0 };
             if x != 0.0 {
@@ -139,30 +162,32 @@ impl OnlineTrainer {
             + self
                 .row
                 .iter()
-                .map(|&(j, x)| self.weights[j] * x)
+                .map(|&(j, x)| self.features[j].weight * x)
                 .sum::<f64>();
         let err = y - sigmoid(z);
         self.bias += self.learning_rate * err;
         self.u += self.learning_rate * self.lambda;
         for &(j, x) in &self.row {
-            if self.weights[j] == 0.0 {
+            let f = &mut self.features[j];
+            if f.weight == 0.0 {
                 self.live.push(j);
             }
-            self.weights[j] += self.learning_rate * err * x;
+            f.weight += self.learning_rate * err * x;
         }
         // Clip every nonzero weight toward zero by the penalty it has
         // not yet paid; a weight clipped to zero leaves the live set
         // until a gradient revives it.
-        let (weights, q, u) = (&mut self.weights, &mut self.q, self.u);
+        let (features, u) = (&mut self.features, self.u);
         self.live.retain(|&j| {
-            let before = weights[j];
+            let f = &mut features[j];
+            let before = f.weight;
             if before > 0.0 {
-                weights[j] = (before - (u + q[j])).max(0.0);
+                f.weight = (before - (u + f.q)).max(0.0);
             } else if before < 0.0 {
-                weights[j] = (before + (u - q[j])).min(0.0);
+                f.weight = (before + (u - f.q)).min(0.0);
             }
-            q[j] += weights[j] - before;
-            weights[j] != 0.0
+            f.q += f.weight - before;
+            f.weight != 0.0
         });
     }
 
@@ -170,7 +195,7 @@ impl OnlineTrainer {
     pub fn model(&self) -> LogisticModel {
         LogisticModel {
             bias: self.bias,
-            weights: self.weights.clone(),
+            weights: self.features.iter().map(|f| f.weight).collect(),
         }
     }
 }
@@ -245,17 +270,13 @@ mod tests {
         // The trainer's entire state is parameter vectors of fixed size —
         // independent of how many runs were folded in.
         let mut t = OnlineTrainer::new(5, 0.05, 0.02);
-        let before = std::mem::size_of_val(&t)
-            + t.weights.capacity() * 8
-            + t.q.capacity() * 8
-            + t.mins.capacity() * 8 * 4;
+        let before =
+            std::mem::size_of_val(&t) + t.features.capacity() * std::mem::size_of::<Feature>();
         for (counters, failed) in stream(500, 3) {
             t.update(&counters, failed);
         }
-        let after = std::mem::size_of_val(&t)
-            + t.weights.capacity() * 8
-            + t.q.capacity() * 8
-            + t.mins.capacity() * 8 * 4;
+        let after =
+            std::mem::size_of_val(&t) + t.features.capacity() * std::mem::size_of::<Feature>();
         assert_eq!(before, after, "state must not grow with the stream");
     }
 
@@ -334,14 +355,12 @@ mod tests {
         /// The running minimum and maximum of counter `j` as the dense
         /// trainer stores them: zeros it never visited included.
         fn min_max(&self, j: usize) -> (f64, f64) {
+            let f = &self.features[j];
             if self.seen == 0 {
-                return (self.mins[j], self.maxs[j]);
+                return (f.min, f.max);
             }
-            let zero_since = self.last_nonzero[j] != self.seen;
-            (
-                if zero_since { 0.0 } else { self.mins[j] },
-                self.maxs[j].max(0.0),
-            )
+            let zero_since = f.last_nonzero != self.seen;
+            (if zero_since { 0.0 } else { f.min }, f.max.max(0.0))
         }
     }
 
@@ -349,15 +368,26 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// One field of every per-feature record, as bit patterns.
+    fn field_bits(t: &OnlineTrainer, field: impl Fn(&Feature) -> f64) -> Vec<u64> {
+        t.features.iter().map(|f| field(f).to_bits()).collect()
+    }
+
     /// Every float of the two trainers, compared as bit patterns.
     fn assert_identical(sparse: &OnlineTrainer, dense: &DenseTrainer, at: &str) {
         assert_eq!(sparse.seen, dense.seen, "{at}");
-        assert_eq!(bits(&sparse.weights), bits(&dense.weights), "weights {at}");
+        let weights = field_bits(sparse, |f| f.weight);
+        assert_eq!(weights, bits(&dense.weights), "weights {at}");
         assert_eq!(sparse.bias.to_bits(), dense.bias.to_bits(), "bias {at}");
-        assert_eq!(bits(&sparse.q), bits(&dense.q), "q {at}");
+        assert_eq!(field_bits(sparse, |f| f.q), bits(&dense.q), "q {at}");
         assert_eq!(sparse.u.to_bits(), dense.u.to_bits(), "u {at}");
-        assert_eq!(bits(&sparse.sums), bits(&dense.sums), "sums {at}");
-        assert_eq!(bits(&sparse.sq_sums), bits(&dense.sq_sums), "sq_sums {at}");
+        assert_eq!(
+            field_bits(sparse, |f| f.sum),
+            bits(&dense.sums),
+            "sums {at}"
+        );
+        let sq_sums = field_bits(sparse, |f| f.sq_sum);
+        assert_eq!(sq_sums, bits(&dense.sq_sums), "sq_sums {at}");
         let (mins, maxs): (Vec<f64>, Vec<f64>) = (0..sparse.feature_count())
             .map(|j| sparse.min_max(j))
             .unzip();
@@ -450,11 +480,11 @@ mod tests {
         let mut clipped_then_revived = false;
         for (counters, failed) in &runs {
             probe.update(counters, *failed);
-            let live = probe.weights[0] != 0.0;
+            let live = probe.features[0].weight != 0.0;
             clipped_then_revived |= was_live && !live;
             was_live |= live;
         }
-        assert!(clipped_then_revived && probe.weights[0] != 0.0);
+        assert!(clipped_then_revived && probe.features[0].weight != 0.0);
         check_stream("clipped and revived", 2, 0.1, &runs);
 
         // A weight that changes sign: failures with the counter high,
@@ -465,8 +495,8 @@ mod tests {
         let mut signs = (false, false);
         for (counters, failed) in &runs {
             probe.update(counters, *failed);
-            signs.0 |= probe.weights[0] > 0.0;
-            signs.1 |= probe.weights[0] < 0.0;
+            signs.0 |= probe.features[0].weight > 0.0;
+            signs.1 |= probe.features[0].weight < 0.0;
         }
         assert!(signs.0 && signs.1, "the stream must flip the weight's sign");
         check_stream("sign change", 2, 0.001, &runs);

@@ -1,10 +1,11 @@
 //! Acceptance gate for the multi-bug iterative isolation engine.
 //!
-//! Pins the ISSUE-level guarantee: on a generated multi-bug corpus at
-//! sampling density 1, the §3.3 elimination loop recovers every planted
-//! bug into its own cluster with purity 1000‰ for the Ochiai scorer,
-//! and the full rendered evaluation is byte-identical at any `--jobs`
-//! setting.
+//! Pins the guarantee: on a generated multi-bug corpus at sampling
+//! density 1, the §3.3 elimination loop recovers every planted bug into
+//! its own cluster with purity 1000‰ for the Ochiai scorer, and the full
+//! rendered evaluation is byte-identical at any `--jobs` setting.  The
+//! incremental loop also traces exactly what a full re-tabling each
+//! iteration does, under every scorer.
 
 use cbi_corpus::{
     evaluate_multi, generate_multi_corpus, render_multi_report, MultiEvalConfig,
@@ -66,4 +67,194 @@ fn isolation_report_is_byte_identical_at_any_jobs() {
     let solo = render(1);
     assert_eq!(solo, render(2), "jobs 1 vs 2 diverged");
     assert_eq!(solo, render(4), "jobs 1 vs 4 diverged");
+}
+
+/// The isolation loop as it was before it learned to update its tables
+/// in place: every iteration re-tables every active failing run from
+/// scratch and sorts the full ranking.  Written against `FailureIndex`'s
+/// public accessors and kept as the oracle `isolate` is held to.
+mod oracle {
+    use cbi_scoring::{
+        rank_tables, FailureIndex, IsolationCluster, IsolationRun, IsolationStep, Scorer,
+    };
+    use cbi_stats::Contingency;
+
+    pub fn tables(
+        index: &FailureIndex,
+        active: &[bool],
+        groups: &[(usize, usize)],
+    ) -> Vec<Contingency> {
+        let n = index.counter_count();
+        let f_active = active.iter().filter(|&&a| a).count() as u64;
+        let mut group_of = vec![None; n];
+        for (g, &(base, arity)) in groups.iter().enumerate() {
+            for slot in group_of.iter_mut().skip(base).take(arity) {
+                *slot = Some(g);
+            }
+        }
+        let mut ef = vec![0u64; n];
+        let mut site_f = vec![0u64; groups.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        for (run, act) in index.failures().iter().zip(active) {
+            if !act {
+                continue;
+            }
+            touched.clear();
+            for &c in &run.nonzero {
+                let c = c as usize;
+                ef[c] += 1;
+                if let Some(g) = group_of[c] {
+                    if !touched.contains(&g) {
+                        touched.push(g);
+                        site_f[g] += 1;
+                    }
+                }
+            }
+        }
+        let site_s: Vec<u64> = groups
+            .iter()
+            .map(|&(base, arity)| {
+                (base..(base + arity).min(n))
+                    .map(|c| index.success_nonzero(c))
+                    .sum::<u64>()
+                    .min(index.success_runs())
+            })
+            .collect();
+        (0..n)
+            .map(|c| Contingency {
+                ef: ef[c],
+                ep: index.success_nonzero(c),
+                f: f_active,
+                s: index.success_runs(),
+                obs_f: group_of[c].map_or(ef[c], |g| site_f[g]),
+                obs_s: group_of[c].map_or(index.success_nonzero(c), |g| site_s[g]),
+            })
+            .collect()
+    }
+
+    pub fn isolate(
+        index: &FailureIndex,
+        groups: &[(usize, usize)],
+        scorer: &dyn Scorer,
+    ) -> IsolationRun {
+        let mut active = vec![true; index.failures().len()];
+        let initial_ranking = rank_tables(scorer, &tables(index, &active, groups));
+        let mut steps = Vec::new();
+        loop {
+            let before = active.iter().filter(|&&a| a).count() as u64;
+            if before == 0 {
+                break;
+            }
+            let tables = tables(index, &active, groups);
+            let ranking = rank_tables(scorer, &tables);
+            let Some(&(counter, score)) = ranking
+                .iter()
+                .find(|&&(c, score)| score > 0 && tables[c].ef > 0)
+            else {
+                break;
+            };
+            let mut trials = Vec::new();
+            for (i, run) in index.failures().iter().enumerate() {
+                if active[i] && run.nonzero.contains(&(counter as u32)) {
+                    trials.push(run.trial);
+                    active[i] = false;
+                }
+            }
+            let after = active.iter().filter(|&&a| a).count() as u64;
+            steps.push(IsolationStep {
+                iteration: steps.len(),
+                cluster: IsolationCluster {
+                    counter,
+                    score,
+                    trials,
+                },
+                failures_before: before,
+                failures_after: after,
+            });
+        }
+        let unexplained = index
+            .failures()
+            .iter()
+            .zip(&active)
+            .filter(|(_, &a)| a)
+            .map(|(run, _)| run.trial)
+            .collect();
+        IsolationRun {
+            scorer: scorer.name(),
+            initial_ranking,
+            steps,
+            unexplained,
+        }
+    }
+}
+
+/// A seeded campaign folded into a `FailureIndex`, with its site groups.
+fn indexed_campaign(
+    program: &cbi::minic::Program,
+    trials: &[Vec<i64>],
+    scheme: cbi::instrument::Scheme,
+    density: cbi::sampler::SamplingDensity,
+) -> (cbi_scoring::FailureIndex, Vec<(usize, usize)>) {
+    use cbi::reports::{ReportLayout, ReportSink};
+    let mut config = cbi::workloads::CampaignConfig::sampled(scheme, density);
+    config.seed = 0x15_0a7e;
+    let result = cbi::workloads::run_campaign(program, trials, &config).expect("campaign");
+    let sites = &result.instrumented.sites;
+    let mut index = cbi_scoring::FailureIndex::new();
+    index
+        .begin(ReportLayout {
+            counters: sites.total_counters(),
+            layout_hash: sites.layout_hash(),
+        })
+        .unwrap();
+    for report in result.collector.reports() {
+        index.accept(report.clone()).unwrap();
+    }
+    (index, result.site_groups())
+}
+
+#[test]
+fn isolate_matches_the_re_tabling_oracle_for_every_scorer() {
+    use cbi::instrument::Scheme;
+    use cbi::sampler::SamplingDensity;
+    use cbi::workloads::{
+        bc_program, bc_trials, ccrypt_program, ccrypt_trials, BcTrialConfig, CcryptTrialConfig,
+    };
+
+    let bc = (
+        "bc/scalar-pairs",
+        bc_program(),
+        bc_trials(300, 41, &BcTrialConfig::default()),
+        Scheme::ScalarPairs,
+    );
+    let ccrypt = (
+        "ccrypt/returns",
+        ccrypt_program(),
+        ccrypt_trials(600, 43, &CcryptTrialConfig::default()),
+        Scheme::Returns,
+    );
+    let mut iterations = 0;
+    for (name, program, trials, scheme) in [bc, ccrypt] {
+        for density in [SamplingDensity::one_in(1), SamplingDensity::one_in(100)] {
+            let (index, groups) = indexed_campaign(&program, &trials, scheme, density);
+            assert!(index.failure_runs() > 0, "{name}: no failures to isolate");
+            let all = vec![true; index.failures().len()];
+            assert_eq!(
+                index.tables(&groups),
+                oracle::tables(&index, &all, &groups),
+                "{name} at {density:?}: full-corpus tables"
+            );
+            for scorer in cbi_scoring::all_scorers() {
+                let run = cbi_scoring::isolate(&index, &groups, scorer);
+                assert_eq!(
+                    run,
+                    oracle::isolate(&index, &groups, scorer),
+                    "{name} at {density:?} under {}",
+                    scorer.name()
+                );
+                iterations += run.iterations();
+            }
+        }
+    }
+    assert!(iterations > 100, "the loops must iterate: {iterations}");
 }
