@@ -32,13 +32,10 @@ use cbi_minic::slots::{Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, Slo
 use cbi_minic::Builtin;
 use std::collections::HashMap;
 
-/// Compiles a slot-lowered program with the default cost model.
+/// Compiles a slot-lowered program, baking charges from
+/// [`Costs::default`].
 pub fn compile(prog: &SlotProgram) -> BcProgram {
-    compile_with(prog, Costs::default())
-}
-
-/// Compiles a slot-lowered program, baking charges from `costs`.
-pub fn compile_with(prog: &SlotProgram, costs: Costs) -> BcProgram {
+    let costs = Costs::default();
     let mut cx = Cx {
         ops: Vec::new(),
         names: Vec::new(),
@@ -976,7 +973,7 @@ fn fuse_at(ops: &[Op], tgt: &[bool]) -> Option<(Fused, usize)> {
     }
 
     // Optional leading statement head or charge.  `Charge(0)` never
-    // occurs with nonzero cost models; leaving it unfused keeps the
+    // occurs, since every cost is nonzero; leaving it unfused keeps the
     // "charge seat present ⇔ amount nonzero" encoding exact.
     let mut j = 0;
     let mut stmt = false;

@@ -3,26 +3,35 @@
 use cbi_minic::ast::{BinOp, Type, UnOp};
 use cbi_minic::slots::SlotGlobal;
 
-/// Abstract op-cost charges baked into the compiled code.
+/// The deterministic operation-cost model: abstract units per runtime
+/// event, standing in for wall-clock time.
 ///
-/// Mirrors the VM's cost model field for field; the engine refuses to run
-/// a program compiled against a different model, so baked charges always
-/// agree with the charges its runtime helpers apply.
+/// The one cost table: the compiler bakes these charges into fused
+/// instructions and the VM's runtime helpers (heap traffic, observation,
+/// refills) charge from the same [`Costs::default`], so the two always
+/// agree.  Ratios of these counts between baseline, unconditional and
+/// sampled builds of one program reproduce the *shape* of the overhead
+/// tables (Table 2, Figure 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Costs {
-    /// Per executed statement.
+    /// Executing one statement (dispatch overhead).
     pub stmt: u64,
-    /// Per evaluated expression node.
+    /// Evaluating one expression node.
     pub expr: u64,
-    /// Per function call.
+    /// Calling a user function (frame setup/teardown).
     pub call: u64,
-    /// Per heap operation.
+    /// A heap load or store (beyond the expression cost).
     pub mem: u64,
-    /// Per observation.
+    /// Executing an observation builtin (counter bump), beyond evaluating
+    /// its arguments.
     pub observe: u64,
-    /// Per countdown refill.
+    /// Refilling the next-sample countdown (`__next_cd`).
     pub refill: u64,
-    /// Per synthesized bookkeeping statement.
+    /// Flat cost of one synthesized countdown-bookkeeping statement (a
+    /// threshold check, countdown decrement, or import/export).  The
+    /// native compiler keeps the local countdown in a register (§2.4), so
+    /// these cost far less than interpreted statements; the flat charge
+    /// covers the statement and its trivial operand arithmetic.
     pub bookkeeping: u64,
 }
 
@@ -535,4 +544,26 @@ pub struct BcProgram {
     pub calls: Vec<CallSpec>,
     /// The cost model the charges were baked against.
     pub costs: Costs,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn costs_are_positive() {
+        // Destructured, so a new field cannot skip the check.
+        let Costs {
+            stmt,
+            expr,
+            call,
+            mem,
+            observe,
+            refill,
+            bookkeeping,
+        } = Costs::default();
+        assert!([stmt, expr, call, mem, observe, refill, bookkeeping]
+            .iter()
+            .all(|&v| v > 0));
+    }
 }

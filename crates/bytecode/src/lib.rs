@@ -53,7 +53,7 @@ mod compile;
 pub mod disasm;
 mod instr;
 
-pub use compile::{compile, compile_with};
+pub use compile::compile;
 pub use disasm::disassemble;
 pub use instr::{
     BcFunction, BcProgram, BcRef, BinSpec, BrSpec, CallSpec, CdSpec, Costs, Dest, GateSpec,

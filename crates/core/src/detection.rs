@@ -1,10 +1,10 @@
-//! Detection-latency bookkeeping shared by deployment and fleet scoring.
+//! Detection-latency bookkeeping for the fleet and for one campaign.
 //!
 //! §3.1.3 measures the community as a detection instrument: how many runs
 //! happen before a predicate is first observed.  [`FirstObservation`]
 //! tracks, per counter, the earliest run index with a nonzero count.  It
-//! is fed run-by-run by [`simulate_deployment`](crate::simulate_deployment)
-//! and batch-by-batch by the fleet epoch scorer; because it keeps a
+//! is fed batch-by-batch by the fleet epoch scorer, or run-by-run over a
+//! campaign's reports (`examples/deployment_coverage.rs`); because it keeps a
 //! *minimum* per counter, the result is independent of arrival order, so
 //! sharded simulations can fold observations in any interleaving and
 //! still agree bit-for-bit.
@@ -88,12 +88,13 @@ impl FirstObservation {
     }
 
     /// Fraction of counters observed at least once.
-    pub fn observed_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn observed_fraction(&self) -> f64 {
         let n = self.first.len();
         if n == 0 {
             return 0.0;
         }
-        self.first.iter().filter(|o| o.is_some()).count() as f64 / n as f64
+        self.observed_count() as f64 / n as f64
     }
 
     /// Count of counters observed at least once.

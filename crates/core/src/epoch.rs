@@ -309,29 +309,6 @@ impl EpochAggregator {
         self.cohorts.entry(cohort.to_string()).or_default().retries += n;
     }
 
-    /// Attributes one accepted batch's wire bytes to the stream.
-    ///
-    /// Provenance-free convenience over [`note_batch`](Self::note_batch):
-    /// the batch lands in the `"unknown"` cohort as a clean decode.
-    pub fn note_accepted_batch(&mut self, bytes: u64) {
-        self.note_batch(&Provenance::new(0, 0), DecodeOutcome::Clean, bytes);
-    }
-
-    /// Records one rejected batch; `stale` marks a layout-hash
-    /// handshake rejection (a stale-version client).
-    ///
-    /// Provenance-free convenience over [`note_batch`](Self::note_batch):
-    /// a non-stale rejection is tallied as [`WireErrorKind::Truncated`],
-    /// the catch-all for malformed streams of unknown kind.
-    pub fn note_rejected_batch(&mut self, stale: bool) {
-        let kind = if stale {
-            WireErrorKind::LayoutHashMismatch
-        } else {
-            WireErrorKind::Truncated
-        };
-        self.note_batch(&Provenance::new(0, 0), DecodeOutcome::Rejected(kind), 0);
-    }
-
     /// Folds one report given as its run id, label and nonzero counters
     /// (ascending `(index, value)` pairs, every index below the layout's
     /// width) — what [`accept`](ReportSink::accept) reduces a dense
@@ -342,7 +319,7 @@ impl EpochAggregator {
     /// # Errors
     ///
     /// Returns [`SinkError::NotBegun`] before the first `begin`.
-    pub fn accept_nonzero(
+    fn accept_nonzero(
         &mut self,
         run_id: u64,
         label: Label,
@@ -537,7 +514,7 @@ impl EpochAggregator {
         self.failures
     }
 
-    /// Wire bytes attributed via [`note_accepted_batch`](Self::note_accepted_batch).
+    /// Wire bytes attributed via [`note_batch`](Self::note_batch).
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -719,9 +696,11 @@ mod tests {
             layout_hash: sites().layout_hash(),
         })
         .unwrap();
-        agg.note_accepted_batch(120);
-        agg.note_rejected_batch(true);
-        agg.note_rejected_batch(false);
+        let unknown = Provenance::new(0, 0);
+        agg.note_batch(&unknown, DecodeOutcome::Clean, 120);
+        for kind in [WireErrorKind::LayoutHashMismatch, WireErrorKind::Truncated] {
+            agg.note_batch(&unknown, DecodeOutcome::Rejected(kind), 0);
+        }
         agg.accept(report(0, false, 0, n)).unwrap();
         let snap = &agg.snapshots()[0];
         assert_eq!(snap.bytes, 120);
@@ -731,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn note_rejected_batch_stale_and_kind_accounting() {
+    fn rejected_batches_stale_and_kind_accounting() {
         let n = sites().total_counters();
         let mut agg = aggregator(1, None);
         agg.begin(ReportLayout {
@@ -739,11 +718,12 @@ mod tests {
             layout_hash: sites().layout_hash(),
         })
         .unwrap();
-        // Legacy wrappers: stale maps to a layout-hash rejection, other
-        // to the truncation catch-all; neither commits bytes.
-        agg.note_rejected_batch(true);
-        agg.note_rejected_batch(true);
-        agg.note_rejected_batch(false);
+        // A layout-hash rejection counts as stale, any other kind does
+        // not; neither commits bytes.
+        let stale = WireErrorKind::LayoutHashMismatch;
+        for kind in [stale, stale, WireErrorKind::Truncated] {
+            agg.note_batch(&Provenance::new(0, 0), DecodeOutcome::Rejected(kind), 0);
+        }
         agg.accept(report(0, false, 0, n)).unwrap();
         let snap = &agg.snapshots()[0];
         assert_eq!(snap.rejected_batches, 3);

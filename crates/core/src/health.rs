@@ -94,7 +94,7 @@ impl HealthConfig {
 
 /// Integer per-mille ratio with round-half-up division; 0 when the
 /// denominator is 0.
-pub fn per_mille(part: u64, whole: u64) -> u64 {
+fn per_mille(part: u64, whole: u64) -> u64 {
     (1000 * part + whole / 2).checked_div(whole).unwrap_or(0)
 }
 

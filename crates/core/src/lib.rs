@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod coverage;
-pub mod deployment;
 pub mod detection;
 pub mod epoch;
 pub mod health;
@@ -68,9 +67,6 @@ pub mod streaming;
 pub mod traces;
 
 pub use coverage::{coverage, CoverageReport};
-pub use deployment::{
-    simulate_deployment, simulate_variant_fleet, Deployment, FleetConfig, FleetOutcome,
-};
 pub use detection::FirstObservation;
 pub use epoch::{CohortStats, EpochAggregator, EpochSnapshot, FlightRecorder, IngestEvent};
 pub use health::{

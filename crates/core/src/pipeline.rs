@@ -8,7 +8,7 @@
 use cbi_instrument::SiteTable;
 use cbi_reports::SufficientStats;
 use cbi_stats::elimination::{apply, combine, survivor_count, survivors, Strategy};
-use cbi_stats::{choose_lambda, Dataset, LogisticModel, TrainConfig};
+use cbi_stats::{choose_lambda, CrossvalError, Dataset, LogisticModel, TrainConfig};
 use cbi_workloads::CampaignResult;
 use std::error::Error;
 use std::fmt;
@@ -27,6 +27,9 @@ pub enum PipelineError {
         /// Reports actually available.
         total: usize,
     },
+    /// λ selection cannot run: an empty train or cross-validation split,
+    /// or no candidate λ.
+    Crossval(CrossvalError),
 }
 
 impl fmt::Display for PipelineError {
@@ -37,6 +40,7 @@ impl fmt::Display for PipelineError {
                 f,
                 "split sizes exceed report count: train {train} + cv {cv} > {total} reports"
             ),
+            PipelineError::Crossval(e) => write!(f, "cannot cross-validate lambda: {e}"),
         }
     }
 }
@@ -187,8 +191,11 @@ impl RegressionConfig {
 /// # Errors
 ///
 /// Returns [`PipelineError::NoReports`] if the campaign produced no
-/// reports and [`PipelineError::SplitExceedsReports`] if the configured
-/// split sizes exceed the report count.
+/// reports, [`PipelineError::SplitExceedsReports`] if the configured
+/// split sizes exceed the report count, and [`PipelineError::Crossval`]
+/// if the train or cross-validation split is empty (as
+/// [`RegressionConfig::paper_proportions`] makes it below 14 reports) or
+/// `lambdas` is.
 pub fn regress(
     result: &CampaignResult,
     config: &RegressionConfig,
@@ -205,6 +212,10 @@ pub fn regress(
             total: reports.len(),
         });
     }
+    // Scaling fits on the training split, so an empty one must stop here.
+    if config.train == 0 || config.cv == 0 {
+        return Err(PipelineError::Crossval(CrossvalError::EmptySplit));
+    }
 
     let dataset = Dataset::from_reports(reports);
     let failure_rate = dataset.failure_count() as f64 / dataset.len() as f64;
@@ -214,7 +225,8 @@ pub fn regress(
     cv.scale_with(&scaler);
     test.scale_with(&scaler);
 
-    let choice = choose_lambda(&train, &cv, &config.lambdas, &config.train_config);
+    let choice = choose_lambda(&train, &cv, &config.lambdas, &config.train_config)
+        .map_err(PipelineError::Crossval)?;
     let model: &LogisticModel = &choice.model;
     let test_accuracy = model.accuracy(&test);
 

@@ -140,7 +140,7 @@ impl StreamingAnalyzer {
     /// Per-counter contingency tables over the accumulated aggregates,
     /// with site-reach estimates from the site layout — the input every
     /// `cbi-scoring` measure consumes.
-    pub fn contingency(&self, sites: &SiteTable) -> Vec<cbi_stats::Contingency> {
+    fn contingency(&self, sites: &SiteTable) -> Vec<cbi_stats::Contingency> {
         let groups: Vec<(usize, usize)> = sites
             .iter()
             .map(|s| (s.counter_base, s.kind.arity()))

@@ -2,6 +2,7 @@
 //! and all-failure report sets.
 
 use cbi::prelude::*;
+use cbi::stats::CrossvalError;
 use cbi::RegressionConfig;
 
 const HEALTHY: &str = "fn g() -> int { return 1; }\n\
@@ -119,4 +120,38 @@ fn eliminate_names_match_site_table() {
             "name/index mismatch"
         );
     }
+}
+
+#[test]
+fn regress_reports_an_empty_cv_split_as_typed_error() {
+    // Below 14 reports the paper's proportions leave no cv rows.
+    let result = campaign(HEALTHY, 10);
+    let config = RegressionConfig::paper_proportions(10);
+    assert_eq!(config.cv, 0);
+    let err = cbi::regress(&result, &config).unwrap_err();
+    assert_eq!(err, PipelineError::Crossval(CrossvalError::EmptySplit));
+    assert!(err
+        .to_string()
+        .contains("empty train or cross-validation split"));
+}
+
+#[test]
+fn regress_reports_the_default_empty_train_split_as_typed_error() {
+    let result = campaign(HEALTHY, 10);
+    let err = cbi::regress(&result, &RegressionConfig::default()).unwrap_err();
+    assert_eq!(err, PipelineError::Crossval(CrossvalError::EmptySplit));
+}
+
+#[test]
+fn regress_reports_no_lambda_candidates_as_typed_error() {
+    let result = campaign(HEALTHY, 30);
+    let config = RegressionConfig {
+        train: 20,
+        cv: 5,
+        lambdas: vec![],
+        ..RegressionConfig::default()
+    };
+    let err = cbi::regress(&result, &config).unwrap_err();
+    assert_eq!(err, PipelineError::Crossval(CrossvalError::NoCandidates));
+    assert!(err.to_string().contains("lambda candidate"));
 }

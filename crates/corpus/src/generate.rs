@@ -512,7 +512,7 @@ fn validate_multi(
 /// spread-out candidate stores in descending index order (a rewritten
 /// store leaves the candidate list, so lower indices stay valid), each
 /// routed through its own temporary from
-/// [`MULTI_FAULT_VARS`](crate::mutate::MULTI_FAULT_VARS).
+/// [`MULTI_FAULT_VARS`].
 pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, CorpusError> {
     let bugs = cfg.bugs_per_entry.clamp(2, MULTI_FAULT_VARS.len());
     let ops = [

@@ -49,7 +49,7 @@ impl Workload {
     }
 
     /// Parses the manifest spelling.
-    pub fn from_str_opt(s: &str) -> Option<Workload> {
+    fn from_str_opt(s: &str) -> Option<Workload> {
         match s {
             "testgen" => Some(Workload::Testgen),
             "ccrypt" => Some(Workload::Ccrypt),

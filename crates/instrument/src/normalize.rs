@@ -57,7 +57,7 @@ fn is_user_call(name: &str, info: &ProgramInfo) -> bool {
 }
 
 /// Whether an expression contains a user-function call anywhere.
-pub fn contains_user_call(e: &Expr, info: &ProgramInfo) -> bool {
+fn contains_user_call(e: &Expr, info: &ProgramInfo) -> bool {
     e.any(&mut |x| matches!(x, Expr::Call { name, .. } if is_user_call(name, info)))
 }
 
@@ -302,7 +302,8 @@ impl Flattener<'_> {
 
 /// True when, after flattening, the statement is a user-call root:
 /// `x = f(…);`, `int x = f(…);`, or `f(…);`.
-pub fn user_call_root<'a>(s: &'a Stmt, info: &ProgramInfo) -> Option<&'a str> {
+#[cfg(test)]
+fn user_call_root<'a>(s: &'a Stmt, info: &ProgramInfo) -> Option<&'a str> {
     let expr = match s {
         Stmt::Decl { init: Some(e), .. } => e,
         Stmt::Assign { value, .. } => value,

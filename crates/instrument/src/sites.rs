@@ -182,7 +182,7 @@ impl SiteTable {
     /// # Panics
     ///
     /// Panics if `counter` is out of range.
-    pub fn counter_owner(&self, counter: usize) -> (&Site, usize) {
+    fn counter_owner(&self, counter: usize) -> (&Site, usize) {
         assert!(counter < self.total_counters, "counter index out of range");
         // Sites have sorted counter_base; binary search for the owner.
         let idx = self
@@ -201,7 +201,8 @@ impl SiteTable {
     }
 
     /// Sites grouped per function, for the static metrics of Table 1.
-    pub fn sites_in_function(&self, function: &str) -> usize {
+    #[cfg(test)]
+    fn sites_in_function(&self, function: &str) -> usize {
         self.sites.iter().filter(|s| s.function == function).count()
     }
 

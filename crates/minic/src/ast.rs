@@ -44,11 +44,6 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Looks up a function by name, mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Looks up a global by name.
     pub fn global(&self, name: &str) -> Option<&Global> {
         self.globals.iter().find(|g| g.name == name)
@@ -456,12 +451,12 @@ impl Expr {
 
 /// Counts AST nodes (statements + expressions) in a block — the code-size
 /// metric used for the executable-growth measurements of §3.1.2.
-pub fn block_size(block: &Block) -> usize {
+fn block_size(block: &Block) -> usize {
     block.stmts.iter().map(stmt_size).sum()
 }
 
 /// Counts AST nodes in one statement.
-pub fn stmt_size(stmt: &Stmt) -> usize {
+fn stmt_size(stmt: &Stmt) -> usize {
     1 + match stmt {
         Stmt::Decl { init, .. } => init.as_ref().map_or(0, expr_size),
         Stmt::Assign { value, .. } => expr_size(value),
@@ -481,7 +476,7 @@ pub fn stmt_size(stmt: &Stmt) -> usize {
 }
 
 /// Counts AST nodes in one expression.
-pub fn expr_size(expr: &Expr) -> usize {
+fn expr_size(expr: &Expr) -> usize {
     1 + match expr {
         Expr::Int { .. } | Expr::Null { .. } | Expr::Var { .. } => 0,
         Expr::Load { ptr, index, .. } => expr_size(ptr) + expr_size(index),
@@ -492,7 +487,7 @@ pub fn expr_size(expr: &Expr) -> usize {
 }
 
 /// Counts AST nodes in a whole function (body plus header).
-pub fn function_size(f: &Function) -> usize {
+fn function_size(f: &Function) -> usize {
     1 + f.params.len() + block_size(&f.body)
 }
 

@@ -113,7 +113,8 @@ impl Builtin {
 
     /// Whether this is an instrumentation-runtime builtin (reserved
     /// double-underscore namespace) rather than a user-facing one.
-    pub fn is_runtime(self) -> bool {
+    #[cfg(test)]
+    fn is_runtime(self) -> bool {
         matches!(
             self,
             Builtin::ObsCheck | Builtin::ObsCmp | Builtin::ObsSign | Builtin::NextCountdown

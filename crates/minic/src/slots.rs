@@ -8,7 +8,7 @@
 //! callee is resolved to a builtin or a function index.  The VM can then
 //! execute with `Vec`-indexed frames.
 //!
-//! The pass reuses the scope discipline of [`crate::resolve`]: frames are
+//! The pass reuses the scope discipline of [`crate::resolve`](mod@crate::resolve): frames are
 //! function-flat (the resolver forbids shadowing, and a declaration is
 //! visible for the remainder of the function once executed).  Crucially,
 //! lowering is *purely syntactic* and total: it never rejects a program,

@@ -173,7 +173,7 @@ impl Collector {
     /// mismatch or [`CollectError::OutOfOrder`] if a run id does not
     /// strictly exceed its predecessor.  Reports before the offending one
     /// remain ingested.
-    pub fn extend_ordered<I: IntoIterator<Item = Report>>(
+    fn extend_ordered<I: IntoIterator<Item = Report>>(
         &mut self,
         reports: I,
     ) -> Result<(), CollectError> {

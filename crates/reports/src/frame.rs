@@ -356,15 +356,6 @@ pub struct BatchAck {
 }
 
 impl BatchAck {
-    /// Builds an ack answering `envelope` with `verdict`.
-    pub fn answering(envelope: &BatchEnvelope, verdict: AckVerdict) -> Self {
-        BatchAck {
-            client: envelope.client,
-            seq: envelope.seq,
-            verdict,
-        }
-    }
-
     /// Appends the encoded ack to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(ACK_TAG);

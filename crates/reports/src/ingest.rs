@@ -214,7 +214,6 @@ pub struct BatchIngest<S: ReportSink> {
     rejected: u64,
     reports: u64,
     bytes: u64,
-    rejected_bytes: u64,
     rejected_by_kind: BTreeMap<WireErrorKind, u64>,
 }
 
@@ -229,7 +228,6 @@ impl<S: ReportSink> BatchIngest<S> {
             rejected: 0,
             reports: 0,
             bytes: 0,
-            rejected_bytes: 0,
             rejected_by_kind: BTreeMap::new(),
         }
     }
@@ -252,7 +250,6 @@ impl<S: ReportSink> BatchIngest<S> {
             }
             Err(e) => {
                 self.rejected += 1;
-                self.rejected_bytes += bytes.len() as u64;
                 *self.rejected_by_kind.entry(e.error.kind()).or_default() += 1;
                 Err(e)
             }
@@ -297,11 +294,6 @@ impl<S: ReportSink> BatchIngest<S> {
         &self.sink
     }
 
-    /// Consumes the front end, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-
     /// Batches committed.
     pub fn accepted(&self) -> u64 {
         self.accepted
@@ -325,7 +317,7 @@ impl<S: ReportSink> BatchIngest<S> {
     }
 
     /// Rejections of one specific kind (0 when never seen).
-    pub fn rejection_count(&self, kind: WireErrorKind) -> u64 {
+    fn rejection_count(&self, kind: WireErrorKind) -> u64 {
         self.rejected_by_kind.get(&kind).copied().unwrap_or(0)
     }
 
@@ -337,11 +329,6 @@ impl<S: ReportSink> BatchIngest<S> {
     /// Wire bytes consumed by accepted batches.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Bytes received in rejected batches (still cost the wire).
-    pub fn rejected_bytes(&self) -> u64 {
-        self.rejected_bytes
     }
 }
 
@@ -414,7 +401,7 @@ mod tests {
         assert!(matches!(err.error, WireError::Truncated(_)));
         assert_eq!(err.decoded, 1, "one frame decoded, then the cut");
         assert!(ingest.sink().is_empty(), "no partial prefix may commit");
-        assert_eq!(ingest.rejected_bytes(), cut.len() as u64);
+        assert_eq!(ingest.rejected(), 1);
     }
 
     #[test]

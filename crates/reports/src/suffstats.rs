@@ -118,12 +118,14 @@ impl SufficientStats {
     }
 
     /// Total observations of counter `i` in successful runs.
-    pub fn total_in_successes(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn total_in_successes(&self, i: usize) -> u64 {
         self.sum_success[i]
     }
 
     /// Total observations of counter `i` in failed runs.
-    pub fn total_in_failures(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn total_in_failures(&self, i: usize) -> u64 {
         self.sum_failure[i]
     }
 

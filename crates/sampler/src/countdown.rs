@@ -133,7 +133,8 @@ impl Periodic {
     }
 
     /// The sampling period.
-    pub fn period(self) -> u64 {
+    #[cfg(test)]
+    fn period(self) -> u64 {
         self.period
     }
 }
@@ -200,7 +201,7 @@ impl Bernoulli {
     }
 
     /// Tosses the biased coin once: `true` means "sample this site".
-    pub fn toss(&mut self) -> bool {
+    fn toss(&mut self) -> bool {
         self.rng.next_f64() < self.density.probability()
     }
 }

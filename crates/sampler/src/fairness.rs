@@ -24,7 +24,8 @@ impl SiteCounts {
     }
 
     /// Number of times execution crossed each site.
-    pub fn crossings_per_site(&self) -> u64 {
+    #[cfg(test)]
+    fn crossings_per_site(&self) -> u64 {
         self.crossings_per_site
     }
 
@@ -118,7 +119,8 @@ pub fn chi_square_critical_001(df: usize) -> f64 {
 
 /// Convenience verdict: does the strategy sample a rotating-site loop
 /// uniformly at significance 0.001?
-pub fn is_fair<S: CountdownSource>(source: &mut S, sites: usize, iterations: u64) -> bool {
+#[cfg(test)]
+fn is_fair<S: CountdownSource>(source: &mut S, sites: usize, iterations: u64) -> bool {
     let counts = rotate_sites(source, sites, iterations);
     counts.chi_square() < chi_square_critical_001(sites - 1)
 }

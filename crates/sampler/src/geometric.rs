@@ -33,16 +33,11 @@ pub struct Geometric {
 impl Geometric {
     /// Creates a generator for the given density, seeded deterministically.
     pub fn new(density: SamplingDensity, seed: u64) -> Self {
-        Self::with_rng(density, Pcg32::new(seed))
-    }
-
-    /// Creates a generator driven by an existing PRNG.
-    pub fn with_rng(density: SamplingDensity, rng: Pcg32) -> Self {
         let p = density.probability();
         let log_q = if p >= 1.0 { None } else { Some((1.0 - p).ln()) };
         Geometric {
             density,
-            rng,
+            rng: Pcg32::new(seed),
             log_q,
         }
     }

@@ -54,7 +54,7 @@ impl Pcg32 {
     }
 
     /// Returns the next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let hi = self.next_u32() as u64;
         let lo = self.next_u32() as u64;
         (hi << 32) | lo
@@ -92,7 +92,8 @@ impl Pcg32 {
     }
 
     /// Splits off an independent child generator, advancing `self`.
-    pub fn fork(&mut self) -> Pcg32 {
+    #[cfg(test)]
+    fn fork(&mut self) -> Pcg32 {
         let seed = self.next_u64();
         let stream = self.next_u64();
         Pcg32::with_stream(seed, stream)

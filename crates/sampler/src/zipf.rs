@@ -138,7 +138,6 @@ impl Categorical {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     categorical: Categorical,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -155,7 +154,6 @@ impl Zipf {
         let weights: Vec<f64> = (0..n).map(|k| ((k + 1) as f64).powf(-s)).collect();
         Ok(Zipf {
             categorical: Categorical::new(&weights)?,
-            exponent: s,
         })
     }
 
@@ -168,11 +166,6 @@ impl Zipf {
     /// constructed value).
     pub fn is_empty(&self) -> bool {
         self.categorical.is_empty()
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Draws one rank in `0..n`, consuming one uniform from `rng`.

@@ -15,9 +15,9 @@
 //!   probabilistic measures.  Every score is an integer in fixed-point
 //!   per-mille, so rankings are byte-identical at any worker count and
 //!   on any platform — there is no floating point anywhere in a scorer.
-//! * [`isolate`] — a [`FailureIndex`] report sink retaining, per
+//! * [`isolate`](mod@isolate) — a [`FailureIndex`] report sink retaining, per
 //!   *failing* run only, the sparse set of nonzero counters (successes
-//!   fold into aggregates and are discarded), and the [`isolate`]
+//!   fold into aggregates and are discarded), and the [`isolate`](fn@isolate)
 //!   engine that runs the §3.3 loop to completion, emitting a typed
 //!   per-iteration [`IsolationRun`] trace with one predicate cluster
 //!   per iteration.

@@ -375,7 +375,7 @@ impl IngestCore {
     ///
     /// # Errors
     ///
-    /// As [`ShardState::process`], plus [`ServeError::WorkerPanicked`]
+    /// As `ShardState::process`, plus [`ServeError::WorkerPanicked`]
     /// if a panic poisoned the shard.
     pub fn submit(
         &mut self,

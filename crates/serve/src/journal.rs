@@ -24,7 +24,7 @@
 //!   behind it.
 
 use crate::ServeError;
-use cbi_reports::frame::{read_envelope, take_envelope, BatchEnvelope, EnvelopeRead};
+use cbi_reports::frame::{read_envelope, BatchEnvelope, EnvelopeRead};
 use cbi_reports::WireError;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
@@ -79,7 +79,6 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     policy: FsyncPolicy,
-    records: u64,
     bytes: u64,
     unsynced: u64,
     buf: Vec<u8>,
@@ -113,7 +112,6 @@ impl Journal {
             file,
             path,
             policy,
-            records: 0,
             bytes: JOURNAL_HEADER_LEN,
             unsynced: 0,
             buf: Vec::with_capacity(256),
@@ -135,7 +133,6 @@ impl Journal {
                 path: self.path.clone(),
                 source,
             })?;
-        self.records += 1;
         self.bytes += self.buf.len() as u64;
         self.unsynced += 1;
         let due = match self.policy {
@@ -164,11 +161,6 @@ impl Journal {
         self.unsynced = 0;
         cbi_telemetry::count("journal.syncs", 1);
         Ok(())
-    }
-
-    /// Records appended through this handle (excludes replayed ones).
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// Current journal length in bytes, header included.
@@ -229,12 +221,11 @@ pub fn replay(path: impl AsRef<Path>) -> Result<JournalReplay, ServeError> {
     read_records(layout_hash, || read_envelope(&mut file)).map_err(journal_err)
 }
 
-/// [`replay`] over an in-memory journal image.
-///
-/// # Errors
-///
-/// As [`replay`], minus the I/O.
-pub fn replay_bytes(bytes: &[u8]) -> Result<JournalReplay, ServeError> {
+/// [`replay`] over an in-memory journal image: the reference the
+/// tear-at-every-offset tests hold the buffered file reader to.
+#[cfg(test)]
+fn replay_bytes(bytes: &[u8]) -> Result<JournalReplay, ServeError> {
+    use cbi_reports::frame::take_envelope;
     let header = bytes
         .get(..JOURNAL_HEADER_LEN as usize)
         .ok_or(ServeError::Wire(WireError::Truncated("journal header")))?;
@@ -336,7 +327,6 @@ pub fn resume(
         file,
         path,
         policy,
-        records: 0,
         bytes: recovered.good_bytes,
         unsynced: 0,
         buf: Vec::with_capacity(256),
@@ -381,7 +371,6 @@ mod tests {
         for n in 0..5 {
             j.append(&sample(n)).unwrap();
         }
-        assert_eq!(j.records(), 5);
         drop(j);
         let r = replay(&path).unwrap();
         assert_eq!(r.layout_hash, 0xabcd);

@@ -19,7 +19,8 @@
 //!   the typed [`ServeError::Backpressure`], which the connection
 //!   answers with an `overloaded` NACK so the client retransmits after
 //!   backoff.
-//! * **Idempotent acks.**  Batches arrive in [`BatchEnvelope`] frames
+//! * **Idempotent acks.**  Batches arrive in
+//!   [`BatchEnvelope`](cbi_reports::frame::BatchEnvelope) frames
 //!   keyed by `(client, seq)` (see `cbi_reports::frame`).  A client
 //!   that never saw its ack retransmits; the server answers
 //!   `duplicate` without re-ingesting, so retry loops converge on

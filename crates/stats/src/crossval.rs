@@ -8,36 +8,16 @@
 
 use crate::dataset::Dataset;
 use crate::logistic::{LogisticModel, TrainConfig};
-use cbi_sampler::Pcg32;
 use std::fmt;
 
-/// Typed failure modes for cross-validation on degenerate inputs, in the
-/// same spirit as the pipeline's `PipelineError` for `regress`.
+/// Typed failure modes for cross-validation on degenerate inputs;
+/// `cbi::regress` passes them on as `PipelineError::Crossval`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrossvalError {
     /// The λ candidate list was empty.
     NoCandidates,
     /// The training or validation split held no rows.
     EmptySplit,
-    /// K-fold needs at least two folds.
-    TooFewFolds {
-        /// Folds requested.
-        folds: usize,
-    },
-    /// More folds were requested than there are reports to spread over
-    /// them.
-    FoldsExceedReports {
-        /// Folds requested.
-        folds: usize,
-        /// Reports available.
-        reports: usize,
-    },
-    /// A fold's held-out rows all carry the same label, so accuracy on it
-    /// cannot discriminate between candidate λ values.
-    SingleClassFold {
-        /// 0-based index of the degenerate fold.
-        fold: usize,
-    },
 }
 
 impl fmt::Display for CrossvalError {
@@ -47,22 +27,6 @@ impl fmt::Display for CrossvalError {
                 write!(f, "need at least one lambda candidate")
             }
             CrossvalError::EmptySplit => write!(f, "empty train or cross-validation split"),
-            CrossvalError::TooFewFolds { folds } => {
-                write!(
-                    f,
-                    "k-fold cross-validation needs at least 2 folds (got {folds})"
-                )
-            }
-            CrossvalError::FoldsExceedReports { folds, reports } => write!(
-                f,
-                "cannot spread {reports} report(s) over {folds} folds; \
-                 collect more reports or reduce the fold count"
-            ),
-            CrossvalError::SingleClassFold { fold } => write!(
-                f,
-                "fold {fold} holds out a single class only; \
-                 its accuracy cannot rank lambda candidates"
-            ),
         }
     }
 }
@@ -82,28 +46,11 @@ pub struct LambdaChoice {
 
 /// Sweeps `candidates`, training on `train` and scoring on `cv`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `candidates` is empty or either split is empty.
+/// Returns [`CrossvalError::NoCandidates`] if `candidates` is empty and
+/// [`CrossvalError::EmptySplit`] if either split is empty.
 pub fn choose_lambda(
-    train: &Dataset,
-    cv: &Dataset,
-    candidates: &[f64],
-    base: &TrainConfig,
-) -> LambdaChoice {
-    match try_choose_lambda(train, cv, candidates, base) {
-        Ok(choice) => choice,
-        // Keep the historical panic messages for existing callers.
-        Err(CrossvalError::NoCandidates) => {
-            panic!("need at least one lambda candidate")
-        }
-        Err(e) => panic!("empty split: {e}"),
-    }
-}
-
-/// The fallible form of [`choose_lambda`]: degenerate inputs come back as
-/// a typed [`CrossvalError`] instead of a panic.
-pub fn try_choose_lambda(
     train: &Dataset,
     cv: &Dataset,
     candidates: &[f64],
@@ -135,103 +82,6 @@ pub fn try_choose_lambda(
         }
     }
     let (lambda, _, model) = best.expect("nonempty candidates");
-    Ok(LambdaChoice {
-        lambda,
-        model,
-        sweep,
-    })
-}
-
-/// K-fold λ selection: shuffles the rows with a seeded PRNG, splits them
-/// into `folds` contiguous folds, scores every candidate λ by its mean
-/// held-out accuracy, and trains the winning λ on the full dataset.
-///
-/// Degenerate fold structures are rejected up front with a typed error:
-/// fewer than two folds, more folds than reports, or any fold whose
-/// held-out labels are all the same class (its accuracy could not
-/// discriminate between candidates).
-pub fn choose_lambda_kfold(
-    data: &Dataset,
-    folds: usize,
-    seed: u64,
-    candidates: &[f64],
-    base: &TrainConfig,
-) -> Result<LambdaChoice, CrossvalError> {
-    if candidates.is_empty() {
-        return Err(CrossvalError::NoCandidates);
-    }
-    if folds < 2 {
-        return Err(CrossvalError::TooFewFolds { folds });
-    }
-    if folds > data.len() {
-        return Err(CrossvalError::FoldsExceedReports {
-            folds,
-            reports: data.len(),
-        });
-    }
-
-    // Seeded Fisher–Yates, then contiguous fold ranges over the shuffle.
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut rng = Pcg32::new(seed);
-    for i in (1..order.len()).rev() {
-        order.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    let base_size = data.len() / folds;
-    let remainder = data.len() % folds;
-    let mut ranges = Vec::with_capacity(folds);
-    let mut start = 0usize;
-    for f in 0..folds {
-        let size = base_size + usize::from(f < remainder);
-        ranges.push(start..start + size);
-        start += size;
-    }
-
-    let subset = |idx: &[usize]| Dataset {
-        rows: idx.iter().map(|&i| data.rows[i].clone()).collect(),
-        labels: idx.iter().map(|&i| data.labels[i]).collect(),
-        feature_counters: data.feature_counters.clone(),
-    };
-
-    // Reject single-class folds before spending any training time.
-    for (f, range) in ranges.iter().enumerate() {
-        let held: Vec<f64> = order[range.clone()]
-            .iter()
-            .map(|&i| data.labels[i])
-            .collect();
-        if held.windows(2).all(|w| w[0] == w[1]) {
-            return Err(CrossvalError::SingleClassFold { fold: f });
-        }
-    }
-
-    let mut sweep = Vec::with_capacity(candidates.len());
-    let mut best: Option<(f64, f64)> = None;
-    for &lambda in candidates {
-        let config = TrainConfig { lambda, ..*base };
-        let mut acc_sum = 0.0;
-        for range in &ranges {
-            let held: Vec<usize> = order[range.clone()].to_vec();
-            let kept: Vec<usize> = order[..range.start]
-                .iter()
-                .chain(&order[range.end..])
-                .copied()
-                .collect();
-            let model = LogisticModel::train(&subset(&kept), &config);
-            acc_sum += model.accuracy(&subset(&held));
-        }
-        let acc = acc_sum / folds as f64;
-        sweep.push((lambda, acc));
-        let better = match &best {
-            None => true,
-            Some((best_lambda, best_acc)) => {
-                acc > *best_acc + 1e-9 || (acc >= *best_acc - 1e-9 && lambda > *best_lambda)
-            }
-        };
-        if better {
-            best = Some((lambda, acc));
-        }
-    }
-    let (lambda, _) = best.expect("nonempty candidates");
-    let model = LogisticModel::train(data, &TrainConfig { lambda, ..*base });
     Ok(LambdaChoice {
         lambda,
         model,
@@ -279,7 +129,8 @@ mod tests {
     fn sweep_covers_all_candidates() {
         let data = synthetic(400, 2);
         let (train, cv, _) = data.split(300, 50, 1);
-        let choice = choose_lambda(&train, &cv, &[0.01, 0.1, 0.3, 1.0], &TrainConfig::default());
+        let choice =
+            choose_lambda(&train, &cv, &[0.01, 0.1, 0.3, 1.0], &TrainConfig::default()).unwrap();
         assert_eq!(choice.sweep.len(), 4);
         assert!(choice.sweep.iter().any(|&(l, _)| l == choice.lambda));
     }
@@ -288,7 +139,8 @@ mod tests {
     fn chosen_model_performs_well() {
         let data = synthetic(600, 3);
         let (train, cv, test) = data.split(400, 100, 5);
-        let choice = choose_lambda(&train, &cv, &[0.05, 0.3, 2.0], &TrainConfig::default());
+        let choice =
+            choose_lambda(&train, &cv, &[0.05, 0.3, 2.0], &TrainConfig::default()).unwrap();
         assert!(choice.model.accuracy(&test) > 0.8);
     }
 
@@ -297,7 +149,7 @@ mod tests {
         // λ large enough to zero everything cannot beat a moderate λ.
         let data = synthetic(500, 7);
         let (train, cv, _) = data.split(350, 100, 3);
-        let choice = choose_lambda(&train, &cv, &[0.1, 50.0], &TrainConfig::default());
+        let choice = choose_lambda(&train, &cv, &[0.1, 50.0], &TrainConfig::default()).unwrap();
         assert_eq!(choice.lambda, 0.1);
     }
 
@@ -307,7 +159,7 @@ mod tests {
         // reach equal accuracy; the sparser (larger λ) model must win.
         let data = synthetic(500, 9);
         let (train, cv, _) = data.split(350, 100, 4);
-        let choice = choose_lambda(&train, &cv, &[0.01, 0.05], &TrainConfig::default());
+        let choice = choose_lambda(&train, &cv, &[0.01, 0.05], &TrainConfig::default()).unwrap();
         let (a01, acc01) = choice.sweep[0];
         let (a05, acc05) = choice.sweep[1];
         assert_eq!((a01, a05), (0.01, 0.05));
@@ -317,78 +169,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lambda candidate")]
-    fn empty_candidates_panic() {
-        let data = synthetic(100, 1);
-        let (train, cv, _) = data.split(50, 20, 0);
-        let _ = choose_lambda(&train, &cv, &[], &TrainConfig::default());
-    }
-
-    #[test]
-    fn try_choose_lambda_reports_degenerate_inputs() {
+    fn choose_lambda_reports_degenerate_inputs() {
         let data = synthetic(100, 1);
         let (train, cv, _) = data.split(50, 20, 0);
         assert_eq!(
-            try_choose_lambda(&train, &cv, &[], &TrainConfig::default()),
+            choose_lambda(&train, &cv, &[], &TrainConfig::default()),
             Err(CrossvalError::NoCandidates)
         );
         let empty = Dataset::default();
         assert_eq!(
-            try_choose_lambda(&empty, &cv, &[0.3], &TrainConfig::default()),
+            choose_lambda(&empty, &cv, &[0.3], &TrainConfig::default()),
             Err(CrossvalError::EmptySplit)
         );
         assert_eq!(
-            try_choose_lambda(&train, &empty, &[0.3], &TrainConfig::default()),
+            choose_lambda(&train, &empty, &[0.3], &TrainConfig::default()),
             Err(CrossvalError::EmptySplit)
         );
-        // The happy path matches the panicking front end.
-        let a = try_choose_lambda(&train, &cv, &[0.1, 0.3], &TrainConfig::default()).unwrap();
-        let b = choose_lambda(&train, &cv, &[0.1, 0.3], &TrainConfig::default());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn kfold_rejects_more_folds_than_reports() {
-        let data = synthetic(8, 4);
-        let err = choose_lambda_kfold(&data, 9, 0, &[0.3], &TrainConfig::default()).unwrap_err();
-        assert_eq!(
-            err,
-            CrossvalError::FoldsExceedReports {
-                folds: 9,
-                reports: 8
-            }
-        );
-        assert!(err.to_string().contains("9 folds"), "{err}");
-        let err = choose_lambda_kfold(&data, 1, 0, &[0.3], &TrainConfig::default()).unwrap_err();
-        assert_eq!(err, CrossvalError::TooFewFolds { folds: 1 });
-    }
-
-    #[test]
-    fn kfold_rejects_single_class_folds() {
-        // All-success labels: every fold holds out a single class.
-        let reports: Vec<Report> = (0..40)
-            .map(|i| Report::new(i as u64, Label::Success, vec![i as u64 % 5, 1]))
-            .collect();
-        let data = Dataset::from_reports(&reports);
-        let err =
-            choose_lambda_kfold(&data, 4, 7, &[0.1, 0.3], &TrainConfig::default()).unwrap_err();
-        assert!(
-            matches!(err, CrossvalError::SingleClassFold { .. }),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn kfold_selects_a_working_lambda_on_healthy_data() {
-        let data = synthetic(300, 6);
-        let choice =
-            choose_lambda_kfold(&data, 5, 11, &[0.05, 0.3, 2.0], &TrainConfig::default()).unwrap();
-        assert_eq!(choice.sweep.len(), 3);
-        // The final model is trained on all rows with the winning λ.
-        assert!(choice.model.accuracy(&data) > 0.8);
-        // Deterministic: same seed, same choice.
-        let again =
-            choose_lambda_kfold(&data, 5, 11, &[0.05, 0.3, 2.0], &TrainConfig::default()).unwrap();
-        assert_eq!(choice, again);
     }
 }

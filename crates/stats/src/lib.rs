@@ -50,9 +50,7 @@ pub mod scaling;
 
 pub use confidence::{detection_probability, runs_needed};
 pub use contingency::{contingency_tables, Contingency};
-pub use crossval::{
-    choose_lambda, choose_lambda_kfold, try_choose_lambda, CrossvalError, LambdaChoice,
-};
+pub use crossval::{choose_lambda, CrossvalError, LambdaChoice};
 pub use dataset::Dataset;
 pub use elimination::{apply, combine, survivor_count, survivors, KeepMask, Strategy};
 pub use logistic::{sigmoid, LogisticModel, TrainConfig};

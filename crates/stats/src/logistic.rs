@@ -120,7 +120,7 @@ impl LogisticModel {
     }
 
     /// Predicted crash probability for a (scaled) feature row.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    fn predict(&self, row: &[f64]) -> f64 {
         sigmoid(self.bias + dot(&self.weights, row))
     }
 
@@ -144,7 +144,8 @@ impl LogisticModel {
     }
 
     /// Penalized log likelihood of a dataset under this model.
-    pub fn penalized_log_likelihood(&self, data: &Dataset, lambda: f64) -> f64 {
+    #[cfg(test)]
+    fn penalized_log_likelihood(&self, data: &Dataset, lambda: f64) -> f64 {
         let ll: f64 = data
             .rows
             .iter()
@@ -159,7 +160,8 @@ impl LogisticModel {
     }
 
     /// Number of exactly zero coefficients (sparsity induced by ℓ₁).
-    pub fn zero_weights(&self) -> usize {
+    #[cfg(test)]
+    fn zero_weights(&self) -> usize {
         self.weights.iter().filter(|&&w| w == 0.0).count()
     }
 

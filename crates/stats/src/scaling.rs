@@ -71,7 +71,7 @@ impl FeatureScaler {
     /// # Panics
     ///
     /// Panics if the row length differs from the fitted feature count.
-    pub fn apply_row(&self, row: &mut [f64]) {
+    fn apply_row(&self, row: &mut [f64]) {
         assert_eq!(row.len(), self.mins.len(), "feature count mismatch");
         for (j, v) in row.iter_mut().enumerate() {
             *v = ((*v - self.mins[j]) / self.ranges[j]) / self.std_devs[j];

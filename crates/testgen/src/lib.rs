@@ -101,17 +101,11 @@ fn int_in(rng: &mut Pcg32, lo: i64, hi: i64) -> i64 {
     lo + rng.below((hi - lo) as u64) as i64
 }
 
-/// Generates an arithmetic expression over the configured int variables,
-/// with the default knobs.
-pub fn gen_int_expr(rng: &mut Pcg32) -> Expr {
-    gen_int_expr_with(rng, &GenConfig::default())
-}
-
 /// Generates an arithmetic expression over the configured int variables.
 ///
 /// Division and modulus only ever use nonzero constant divisors, so
 /// generated expressions cannot trap.
-pub fn gen_int_expr_with(rng: &mut Pcg32, cfg: &GenConfig) -> Expr {
+fn gen_int_expr(rng: &mut Pcg32, cfg: &GenConfig) -> Expr {
     gen_int_expr_at(rng, cfg, cfg.expr_depth)
 }
 
@@ -171,7 +165,7 @@ fn gen_int_expr_at(rng: &mut Pcg32, cfg: &GenConfig, depth: usize) -> Expr {
         // A bounded heap read: buf[(e % L + L) % L].
         _ => Expr::Load {
             ptr: Box::new(Expr::var("buf")),
-            index: Box::new(bounded_index_with(
+            index: Box::new(bounded_index(
                 gen_int_expr_at(rng, cfg, depth - 1),
                 cfg.buf_len,
             )),
@@ -192,19 +186,14 @@ fn gen_cmp_op(rng: &mut Pcg32) -> BinOp {
 }
 
 /// `(e % L + L) % L` — always a valid index into an `L`-cell buffer.
-pub fn bounded_index_with(e: Expr, len: i64) -> Expr {
+fn bounded_index(e: Expr, len: i64) -> Expr {
     let m = Expr::binary(BinOp::Mod, e, Expr::int(len));
     let plus = Expr::binary(BinOp::Add, m, Expr::int(len));
     Expr::binary(BinOp::Mod, plus, Expr::int(len))
 }
 
-/// Generates a boolean condition with the default knobs.
-pub fn gen_cond(rng: &mut Pcg32) -> Expr {
-    gen_cond_with(rng, &GenConfig::default())
-}
-
 /// Generates a boolean condition (comparisons and their combinations).
-pub fn gen_cond_with(rng: &mut Pcg32, cfg: &GenConfig) -> Expr {
+fn gen_cond(rng: &mut Pcg32, cfg: &GenConfig) -> Expr {
     gen_cond_at(rng, cfg, cfg.cond_depth)
 }
 
@@ -212,8 +201,8 @@ fn gen_cond_at(rng: &mut Pcg32, cfg: &GenConfig, depth: usize) -> Expr {
     if depth == 0 || rng.below(2) == 0 {
         return Expr::Binary {
             op: gen_cmp_op(rng),
-            lhs: Box::new(gen_int_expr_with(rng, cfg)),
-            rhs: Box::new(gen_int_expr_with(rng, cfg)),
+            lhs: Box::new(gen_int_expr(rng, cfg)),
+            rhs: Box::new(gen_int_expr(rng, cfg)),
             span: sp(),
         };
     }
@@ -238,14 +227,9 @@ fn gen_cond_at(rng: &mut Pcg32, cfg: &GenConfig, depth: usize) -> Expr {
     }
 }
 
-/// Generates a statement with the default knobs.
-pub fn gen_stmt(rng: &mut Pcg32) -> Stmt {
-    gen_stmt_with(rng, &GenConfig::default())
-}
-
 /// Generates a statement (assignment, store, check, print, if, bounded
 /// loop).
-pub fn gen_stmt_with(rng: &mut Pcg32, cfg: &GenConfig) -> Stmt {
+fn gen_stmt(rng: &mut Pcg32, cfg: &GenConfig) -> Stmt {
     gen_stmt_at(rng, cfg, cfg.stmt_depth)
 }
 
@@ -253,23 +237,23 @@ fn gen_simple_stmt(rng: &mut Pcg32, cfg: &GenConfig) -> Stmt {
     match rng.below(4) {
         0 => Stmt::Assign {
             name: cfg.var_name(pick(rng, cfg.int_vars)),
-            value: gen_int_expr_with(rng, cfg),
+            value: gen_int_expr(rng, cfg),
             span: sp(),
         },
         1 => Stmt::Store {
             target: "buf".to_string(),
-            index: bounded_index_with(gen_int_expr_with(rng, cfg), cfg.buf_len),
-            value: gen_int_expr_with(rng, cfg),
+            index: bounded_index(gen_int_expr(rng, cfg), cfg.buf_len),
+            value: gen_int_expr(rng, cfg),
             span: sp(),
         },
         2 => Stmt::Expr {
-            expr: Expr::call("print", vec![gen_int_expr_with(rng, cfg)]),
+            expr: Expr::call("print", vec![gen_int_expr(rng, cfg)]),
             span: sp(),
         },
         // check(cond || 1) — a user assertion that can never fail, so
         // instrumented builds stay crash-free.
         _ => Stmt::Check {
-            cond: Expr::binary(BinOp::Or, gen_cond_with(rng, cfg), Expr::int(1)),
+            cond: Expr::binary(BinOp::Or, gen_cond(rng, cfg), Expr::int(1)),
             span: sp(),
         },
     }
@@ -285,7 +269,7 @@ fn gen_stmt_at(rng: &mut Pcg32, cfg: &GenConfig, depth: usize) -> Stmt {
         return gen_simple_stmt(rng, cfg);
     }
     if rng.below(2) == 0 {
-        let cond = gen_cond_with(rng, cfg);
+        let cond = gen_cond(rng, cfg);
         let then_block = gen_block(rng, cfg, depth - 1);
         let else_block = if rng.below(2) == 0 {
             Some(gen_block(rng, cfg, depth - 1))
@@ -353,18 +337,13 @@ fn loop_depth(b: &Block) -> usize {
         .unwrap_or(0)
 }
 
-/// Generates a whole program with the default knobs.
-pub fn gen_program(rng: &mut Pcg32) -> Program {
-    gen_program_with(rng, &GenConfig::default())
-}
-
 /// Generates a whole program: `main` declares the configured variables, a
 /// heap buffer, optionally reads scripted input into the first few
 /// variables, runs 2–8 generated statements, prints a digest of all
 /// state, and exits 0.
-pub fn gen_program_with(rng: &mut Pcg32, cfg: &GenConfig) -> Program {
+fn gen_program(rng: &mut Pcg32, cfg: &GenConfig) -> Program {
     let n = 2 + pick(rng, 6);
-    let stmts: Vec<Stmt> = (0..n).map(|_| gen_stmt_with(rng, cfg)).collect();
+    let stmts: Vec<Stmt> = (0..n).map(|_| gen_stmt(rng, cfg)).collect();
     let mut body = Vec::new();
     for c in 0..cfg.loop_counters() {
         body.push(Stmt::Decl {
@@ -452,13 +431,13 @@ pub fn gen_program_with(rng: &mut Pcg32, cfg: &GenConfig) -> Program {
 /// Convenience: the program generated by a fresh PRNG at `seed` with the
 /// default knobs.
 pub fn program_for_seed(seed: u64) -> Program {
-    gen_program(&mut Pcg32::new(seed))
+    program_for_seed_with(seed, &GenConfig::default())
 }
 
 /// Convenience: the program generated by a fresh PRNG at `seed` with the
 /// given knobs.
 pub fn program_for_seed_with(seed: u64, cfg: &GenConfig) -> Program {
-    gen_program_with(&mut Pcg32::new(seed), cfg)
+    gen_program(&mut Pcg32::new(seed), cfg)
 }
 
 #[cfg(test)]

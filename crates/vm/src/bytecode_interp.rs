@@ -25,21 +25,8 @@ use crate::interp::{RunResult, VmError};
 use crate::outcome::CrashKind;
 use crate::runtime::{saturating_i64, RunCore, Trap};
 use crate::value::Value;
-use cbi_bytecode::{BcProgram, BcRef, CdSpec, Costs, Dest, Op, Operand};
+use cbi_bytecode::{BcProgram, BcRef, CdSpec, Dest, Op, Operand};
 use cbi_minic::ast::{BinOp, Type};
-
-/// The compile-time cost mirror of a [`crate::cost::CostModel`].
-fn mirror(costs: crate::cost::CostModel) -> Costs {
-    Costs {
-        stmt: costs.stmt,
-        expr: costs.expr,
-        call: costs.call,
-        mem: costs.mem,
-        observe: costs.observe,
-        refill: costs.refill,
-        bookkeeping: costs.bookkeeping,
-    }
-}
 
 /// Decodes the `SynthCheck` operator payload (discriminant + 1).
 const BINOPS: [BinOp; 13] = [
@@ -84,11 +71,6 @@ struct Defer {
 }
 
 pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, VmError> {
-    if prog.costs != mirror(core.costs) {
-        return Err(VmError::new(
-            "bytecode program was compiled with a different cost model (recompile with the VM's costs)",
-        ));
-    }
     let main_idx = prog
         .main
         .ok_or_else(|| VmError::new("program has no `main` function"))? as usize;

@@ -10,18 +10,17 @@
 //! * the sampling runtime: observation builtins update the report counter
 //!   vector, `__next_cd()` refills from a [`CountdownSource`], and the
 //!   `__gcd` global is seeded at startup;
-//! * op-cost accounting per [`CostModel`] for the overhead experiments.
+//! * op-cost accounting per [`cbi_bytecode::Costs`] for the overhead experiments.
 //!
 //! There is one engine and one oracle, and the program a [`Vm`] is built
 //! from picks between them: a compiled [`BcProgram`] ([`Vm::from_bytecode`],
 //! or [`Vm::new`], which lowers and compiles first) runs on the bytecode
-//! dispatch loop ([`crate::bytecode_interp`]) — the engine everything
+//! dispatch loop (`bytecode_interp`) — the engine everything
 //! ships on; a pre-lowered [`SlotProgram`] ([`Vm::from_slots`]) runs on the
-//! slot-resolved tree walker ([`crate::slot_interp`]), kept as the
+//! slot-resolved tree walker (`slot_interp`), kept as the
 //! reference the bytecode engine is tested against.  Both share the run
-//! state and value semantics in [`crate::runtime`].
+//! state and value semantics in `runtime`.
 
-use crate::cost::CostModel;
 use crate::heap::DEFAULT_SLACK;
 use crate::outcome::RunOutcome;
 use crate::runtime::{saturating_i64, RunCore};
@@ -162,7 +161,6 @@ pub struct Vm<'a> {
     input: Cow<'a, [i64]>,
     op_limit: u64,
     max_depth: usize,
-    costs: CostModel,
     heap_slack: usize,
     trace_limit: usize,
 }
@@ -223,7 +221,6 @@ impl<'a> Vm<'a> {
             input: Cow::Borrowed(&[]),
             op_limit: DEFAULT_OP_LIMIT,
             max_depth: DEFAULT_MAX_DEPTH,
-            costs: CostModel::default(),
             heap_slack: DEFAULT_SLACK,
             trace_limit: 0,
         }
@@ -272,12 +269,6 @@ impl<'a> Vm<'a> {
     /// Sets the call-depth limit (default [`DEFAULT_MAX_DEPTH`]).
     pub fn with_max_depth(&mut self, depth: usize) -> &mut Self {
         self.max_depth = depth;
-        self
-    }
-
-    /// Sets the cost model.
-    pub fn with_costs(&mut self, costs: CostModel) -> &mut Self {
-        self.costs = costs;
         self
     }
 
@@ -332,7 +323,6 @@ impl<'a> Vm<'a> {
             counter_layout,
             self.sampling.get(),
             self.op_limit,
-            self.costs,
             self.max_depth,
             self.trace_limit,
         )

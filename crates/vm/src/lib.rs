@@ -3,7 +3,7 @@
 //! Executes MiniC programs — plain, unconditionally instrumented, or
 //! sampling-transformed — with:
 //!
-//! * an abstract operation cost model ([`cost::CostModel`]) standing in for
+//! * an abstract operation cost model ([`bytecode::Costs`]) standing in for
 //!   wall-clock time, so overhead ratios are exactly reproducible;
 //! * a heap with *silent corruption* semantics ([`heap::Heap`]): small
 //!   overruns land in per-allocation slack and only crash later, when the
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod bytecode_interp;
-pub mod cost;
 pub mod heap;
 pub mod interp;
 pub mod outcome;
@@ -44,7 +43,6 @@ mod slot_interp;
 pub mod value;
 
 pub use cbi_bytecode as bytecode;
-pub use cost::CostModel;
 pub use heap::Heap;
 pub use interp::{RunResult, Vm, VmError, DEFAULT_MAX_DEPTH, DEFAULT_OP_LIMIT};
 pub use outcome::{CrashKind, RunOutcome};

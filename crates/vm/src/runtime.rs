@@ -17,11 +17,11 @@
 //! observe charge is also the engine's job (see the `obs_cmp`/`obs_sign`
 //! docs).
 
-use crate::cost::CostModel;
 use crate::heap::Heap;
 use crate::interp::RunResult;
 use crate::outcome::{CrashKind, RunOutcome};
 use crate::value::{PtrVal, Value};
+use cbi_bytecode::Costs;
 use cbi_minic::ast::{BinOp, UnOp};
 use cbi_sampler::CountdownSource;
 use std::cmp::Ordering;
@@ -120,7 +120,7 @@ pub(crate) struct RunCore<'a> {
     pub(crate) sampling: Option<&'a mut (dyn CountdownSource + 'static)>,
     pub(crate) ops: u64,
     pub(crate) op_limit: u64,
-    pub(crate) costs: CostModel,
+    pub(crate) costs: Costs,
     pub(crate) depth: usize,
     pub(crate) max_depth: usize,
     pub(crate) trace_limit: usize,
@@ -137,7 +137,6 @@ impl<'a> RunCore<'a> {
         counter_layout: Vec<(usize, usize)>,
         sampling: Option<&'a mut (dyn CountdownSource + 'static)>,
         op_limit: u64,
-        costs: CostModel,
         max_depth: usize,
         trace_limit: usize,
     ) -> Self {
@@ -152,7 +151,7 @@ impl<'a> RunCore<'a> {
             sampling,
             ops: 0,
             op_limit,
-            costs,
+            costs: Costs::default(),
             depth: 0,
             max_depth,
             trace_limit,

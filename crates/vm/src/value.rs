@@ -46,16 +46,12 @@ impl Value {
     }
 
     /// Integer truthiness; `None` if the value is not an integer.
-    pub fn truthy(self) -> Option<bool> {
+    #[cfg(test)]
+    fn truthy(self) -> Option<bool> {
         match self {
             Value::Int(v) => Some(v != 0),
             _ => None,
         }
-    }
-
-    /// Whether this value is a pointer (including null).
-    pub fn is_pointer(self) -> bool {
-        matches!(self, Value::Null | Value::Ptr(_))
     }
 
     /// Three-way comparison for `__cmp` observations and relational

@@ -12,16 +12,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = ccrypt_program();
     let trials = ccrypt_trials(2500, 42, &CcryptTrialConfig::default());
     let config = CampaignConfig::sampled(Scheme::Returns, SamplingDensity::one_in(50));
-    let deployment = cbi::simulate_deployment(&program, &trials, &config)?;
+    let campaign = run_campaign(&program, &trials, &config)?;
+    // The community's runs in arrival order: the first run to observe a
+    // predicate fixes its detection latency.
+    let mut first = cbi::FirstObservation::new(campaign.collector.counter_count());
+    for (i, run) in campaign.collector.reports().iter().enumerate() {
+        first.record(i, &run.counters);
+    }
 
     println!(
         "simulated community: {} runs at {} sampling",
-        deployment.reports().len(),
+        campaign.collector.len(),
         SamplingDensity::one_in(50),
     );
 
     // 1. Which code paths does the community actually reach?
-    let report = cbi::coverage(&deployment.campaign);
+    let report = cbi::coverage(&campaign);
     println!(
         "site coverage: {}/{} sites reached ({:.0}%)",
         report.covered_sites,
@@ -41,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "file_exists() > 0",
         "key_schedule() > 0",
     ] {
-        match deployment.latency_of(needle) {
+        match first.latency_of(&campaign.instrumented.sites, needle) {
             Some(runs) => println!("`{needle}` first observed after {runs} runs"),
             None => println!("`{needle}` never observed by this community"),
         }

@@ -1,7 +1,8 @@
 //! Fleet acceptance gates: the empirical detection latency of a rare
 //! event in a simulated community must agree with the closed-form
-//! §3.1.3 confidence bound (same tolerance as `core/deployment.rs`),
-//! and stale-version clients must be rejected by the layout-hash
+//! §3.1.3 confidence bound within a factor of three, denser sampling
+//! must detect no later and observe no fewer counters, and
+//! stale-version clients must be rejected by the layout-hash
 //! handshake and reported — never crashed, never silently dropped.
 
 use cbi_fleet::{run_fleet, FleetSpec};
@@ -57,6 +58,48 @@ fn community_latency_matches_the_closed_form_bound() {
     let last = report.epochs.last().unwrap();
     assert_eq!(last.target_latency, Some(latency));
     assert_eq!(last.runs, report.summary.accepted_reports);
+}
+
+/// A clean uniform-pool fleet of 40 clients, every one sampling at
+/// 1/`density`.
+fn fleet_at(density: u64, runs: usize) -> cbi_fleet::FleetSummary {
+    let program = cbi_minic::parse(RARE).unwrap();
+    let sites = instrument(&program, Scheme::Returns).unwrap().sites;
+    let mut spec = FleetSpec::new(40, runs);
+    spec.densities = vec![(density, 1.0)];
+    spec.jobs = 2;
+    run_fleet(&program, &pool(), &spec, Some(target(&sites)))
+        .unwrap()
+        .summary
+}
+
+#[test]
+fn denser_sampling_detects_no_later() {
+    let dense = fleet_at(2, 2000)
+        .target_latency
+        .expect("1/2 sampling observes a 1-in-12 event within 2000 runs");
+    // Sparse sampling may never see the event at all — even stronger.
+    if let Some(sparse) = fleet_at(50, 2000).target_latency {
+        assert!(
+            dense <= sparse,
+            "denser sampling should not be slower: {dense} vs {sparse}"
+        );
+    }
+}
+
+#[test]
+fn full_sampling_observes_no_fewer_counters_than_sparse() {
+    // Twenty runs: too few for 1/100 sampling to see much, plenty for 1/1.
+    let full = fleet_at(1, 20);
+    let sparse = fleet_at(100, 20);
+    assert_eq!(full.counters, sparse.counters);
+    assert!(full.observed_counters > 0);
+    assert!(
+        full.observed_counters >= sparse.observed_counters,
+        "1/1 observed {} counters, 1/100 observed {}",
+        full.observed_counters,
+        sparse.observed_counters
+    );
 }
 
 #[test]
