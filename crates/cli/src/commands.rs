@@ -18,20 +18,19 @@ usage:
                  [--global-countdown] [--no-regions] [--metrics]
                  [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi campaign   <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
-                 [--jobs N] [--out reports.jsonl] [--spool reports.cbr]
-                 [--transmit HOST:PORT] [--metrics]
-                 [--metrics-out metrics.jsonl] [--trace-out trace.json]
+                 [--jobs N] [--spool reports.cbr] [--transmit HOST:PORT]
+                 [--metrics] [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi profile    <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
                  [--jobs N] [--analyze eliminate|regress|none]
                  [--metrics-out metrics.jsonl] [--trace-out trace.json]
-  cbi analyze    <reports.jsonl|.cbr> <file.mc> [--scheme S]
+  cbi analyze    <reports.cbr> <file.mc> [--scheme S]
                  [--mode eliminate|regress]
   cbi serve      <file.mc> [--scheme S] [--addr 127.0.0.1:0] [--max-clients 1]
                  [--shards N] [--queue-cap N] [--acceptors N] [--epoch-len N]
                  [--journal FILE | --resume FILE] [--fsync never|batch|every:N]
                  [--mode eliminate|regress|both] [--spool reports.cbr]
                  [--flight-cap N] [--metrics] [--metrics-out metrics.jsonl]
-  cbi transmit   <reports.jsonl|.cbr> --to HOST:PORT [<file.mc>] [--scheme S]
+  cbi transmit   <reports.cbr> --to HOST:PORT
   cbi corpus     generate <dir> [--size N] [--seed N] [--trials N] [--bugs N]
   cbi corpus     evaluate <dir> [--densities 1,10,100,1000] [--jobs N]
                  [--scorer ochiai|tarantula|jaccard|increase|importance|posterior|odds]
@@ -90,11 +89,11 @@ usage:
   (the second send is answered `duplicate`); `cbi fleet --serve ADDR`
   drives the whole simulated community against it over real sockets
   (--ack-drop loses acks to exercise retransmit dedup, --streams bounds
-  client concurrency); `--spool FILE` writes accepted reports to disk;
-  `cbi transmit` replays a saved JSONL or spool file to a server, the
-  same way.  `cbi analyze` accepts both JSONL
-  and binary spool files, and `cbi monitor --replay` additionally walks
-  serve journals with full per-batch provenance.
+  client concurrency).  `--spool FILE` archives reports to disk as a
+  binary spool, the one report file format: `cbi transmit` replays a
+  spool to a server the same way, `cbi analyze` analyzes one
+  in-process, and `cbi monitor --replay` also walks serve journals with
+  full per-batch provenance.
 
   Ground-truth corpus: `cbi corpus generate` plants one labeled bug per
   program into seeded testgen programs and the ccrypt/bc workloads,
@@ -444,16 +443,24 @@ fn run_campaign_from_args(args: &Args) -> Result<cbi::workloads::CampaignResult,
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
+    // `Args` ignores flags it does not know, and `--out` is still live on
+    // other subcommands, so the removed archive flag is refused here.
+    if args.flag("out").is_some() {
+        return Err(
+            "campaign --out was removed: reports are archived as a binary spool, use --spool FILE"
+                .to_string(),
+        );
+    }
     let telemetry = TelemetryOpts::from_args(args);
     let recording = telemetry.begin();
 
     let (program, trials, config) = campaign_setup(args)?;
 
-    // Reports land in the collector (for the summary and JSONL outputs)
-    // and simultaneously in an optional spool file and transmit socket.
+    // Reports land in the collector (for the summary) and simultaneously
+    // in an optional spool file and transmit socket.
     let spool = match args.flag("spool") {
         Some(path) => {
-            Some(SpoolSink::create(path).map_err(|e| format!("cannot create spool {path}: {e}"))?)
+            Some(WireSink::create(path).map_err(|e| format!("cannot create spool {path}: {e}"))?)
         }
         None => None,
     };
@@ -463,7 +470,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         ),
         None => None,
     };
-    let remote = spool.is_some() || transmit.is_some();
     let mut sink = (Collector::default(), (spool, transmit));
 
     let run = cbi::telemetry::time("phase.campaign", || {
@@ -488,23 +494,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     }
     if let (Some(addr), Some(t)) = (args.flag("transmit"), &transmit) {
         print_transmitted(t, addr);
-    }
-
-    match args.flag("out") {
-        Some(path) => {
-            let mut buf = Vec::new();
-            collector.write_jsonl(&mut buf).map_err(|e| e.to_string())?;
-            fs::write(path, buf).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("reports written to {path}");
-        }
-        // With a spool or transmit destination the reports already went
-        // somewhere durable; only bare campaigns dump JSONL to stdout.
-        None if !remote => {
-            collector
-                .write_jsonl(std::io::stdout().lock())
-                .map_err(|e| e.to_string())?;
-        }
-        None => {}
     }
     if recording {
         telemetry.finish()?;
@@ -656,20 +645,13 @@ fn print_regression(study: &RegressionStudy) {
     }
 }
 
-/// Loads a report archive, accepting both JSONL and the binary spool
-/// format (detected by the `CBIR` magic).  Returns the collector and,
-/// for binary spools, the stream's layout hash.
-fn load_reports(path: &str) -> Result<(Collector, Option<u64>), String> {
-    let raw = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if raw.starts_with(&wire::MAGIC) {
-        let (collector, header) =
-            wire::read_collector(raw.as_slice()).map_err(|e| format!("{path}: {e}"))?;
-        Ok((collector, Some(header.layout_hash)))
-    } else {
-        let collector =
-            Collector::read_jsonl(raw.as_slice()).map_err(|e| format!("{path}: {e}"))?;
-        Ok((collector, None))
-    }
+/// Loads a binary report spool (what `--spool` writes): its reports and
+/// the producing binary's layout hash from the stream header.
+fn load_reports(path: &str) -> Result<(Collector, u64), String> {
+    let file = fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (collector, header) = wire::read_collector(std::io::BufReader::new(file))
+        .map_err(|e| format!("{path}: {e} (expected a binary report spool, as --spool writes)"))?;
+    Ok((collector, header.layout_hash))
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
@@ -680,34 +662,24 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let scheme = scheme_of(args)?;
     let mode = args.flag("mode").unwrap_or("eliminate");
 
-    let (collector, spool_hash) = load_reports(reports_path)?;
+    let (collector, layout_hash) = load_reports(reports_path)?;
     eprintln!(
         "{} reports ({} failures)",
         collector.len(),
         collector.failure_count()
     );
 
-    // Rebuild the site table so predicates can be named; the counter
-    // layout must match the instrumented binary that produced the reports.
+    // Rebuild the site table so predicates can be named.  The spool's
+    // layout hash covers the counter count and every site, so a stream
+    // recorded from another instrumented binary is refused even when the
+    // counter counts coincide.
     let inst = instrument(&program, scheme).map_err(|e| e.to_string())?;
-    if inst.sites.total_counters() != collector.counter_count() {
+    let expected = inst.sites.layout_hash();
+    if layout_hash != expected {
         return Err(format!(
-            "report layout mismatch: program has {} counters, reports have {}",
-            inst.sites.total_counters(),
-            collector.counter_count()
+            "report layout mismatch: spool was recorded from a different \
+             instrumented binary (layout hash {layout_hash:#018x}, program has {expected:#018x})"
         ));
-    }
-    // Binary spools carry the producer's layout hash: reject a stream
-    // recorded from a different instrumented binary even when the counter
-    // counts coincide.
-    if let Some(got) = spool_hash {
-        let expected = inst.sites.layout_hash();
-        if got != expected {
-            return Err(format!(
-                "report layout mismatch: spool was recorded from a different \
-                 instrumented binary (layout hash {got:#018x}, program has {expected:#018x})"
-            ));
-        }
     }
     let result = cbi::workloads::CampaignResult {
         instrumented: inst,
@@ -809,7 +781,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .as_ref()
             .expect("keep_reports is set whenever --spool is");
         let mut spool =
-            SpoolSink::create(path).map_err(|e| format!("cannot create spool {path}: {e}"))?;
+            WireSink::create(path).map_err(|e| format!("cannot create spool {path}: {e}"))?;
         spool
             .begin(ReportLayout {
                 counters: inst.sites.total_counters(),
@@ -860,32 +832,13 @@ fn cmd_transmit(args: &Args) -> Result<(), String> {
         .flag("to")
         .ok_or_else(|| "missing --to HOST:PORT".to_string())?;
 
-    let (collector, spool_hash) = load_reports(reports_path)?;
-    // The stream header needs the producing binary's layout hash: binary
-    // spools carry it; JSONL archives need the program to recompute it.
-    let layout_hash = match (spool_hash, args.positional(2)) {
-        (_, Some(_)) => {
-            let program = load_program(args, 2)?;
-            let inst = instrument(&program, scheme_of(args)?).map_err(|e| e.to_string())?;
-            if inst.sites.total_counters() != collector.counter_count() {
-                return Err(format!(
-                    "report layout mismatch: program has {} counters, reports have {}",
-                    inst.sites.total_counters(),
-                    collector.counter_count()
-                ));
-            }
-            inst.sites.layout_hash()
-        }
-        (Some(hash), None) => hash,
-        (None, None) => {
-            return Err(
-                "JSONL archives carry no layout hash; pass the instrumented \
-                 program as `cbi transmit <reports.jsonl> --to ADDR <file.mc>`"
-                    .to_string(),
-            )
-        }
-    };
+    if args.positional_count() > 2 {
+        return Err(
+            "transmit takes one spool file: the layout hash comes from its header".to_string(),
+        );
+    }
 
+    let (collector, layout_hash) = load_reports(reports_path)?;
     let mut sink =
         TransmitSink::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     sink.begin(ReportLayout {
@@ -1067,10 +1020,7 @@ fn cmd_isolate(args: &Args) -> Result<(), String> {
 
     let inst = instrument(&program, scheme).map_err(|e| e.to_string())?;
     let sites = &inst.sites;
-    let groups: Vec<(usize, usize)> = sites
-        .iter()
-        .map(|s| (s.counter_base, s.kind.arity()))
-        .collect();
+    let groups = sites.groups();
 
     let mut index = cbi_scoring::FailureIndex::new();
     run_campaign_into(&program, &trials, &config, &mut index).map_err(|e| e.to_string())?;
@@ -1472,13 +1422,7 @@ fn replay_spool(args: &Args, path: &str) -> Result<cbi::EpochAggregator, String>
         reader.reports_read(),
         reader.bytes_read()
     );
-    if aggregator
-        .snapshots()
-        .last()
-        .is_none_or(|s| s.runs != aggregator.runs())
-    {
-        aggregator.snapshot_now();
-    }
+    aggregator.close();
     Ok(aggregator)
 }
 
@@ -1611,7 +1555,7 @@ mod tests {
             "campaign",
             p.to_str().unwrap(),
             inputs.to_str().unwrap(),
-            "--out",
+            "--spool",
             "/dev/null",
         ];
         let with_jobs = |v: &str| {
@@ -1674,7 +1618,7 @@ mod tests {
                 p,
                 inputs,
                 "--engine=bytecode",
-                "--out",
+                "--spool",
                 "/dev/null",
             ],
         ] {
@@ -1704,7 +1648,7 @@ mod tests {
     fn campaign_and_analyze_round_trip() {
         let p = tmp("prog3.mc", PROG);
         let inputs = tmp("inputs3.txt", "5\n4\n\n3\n2\n1\n"); // all succeed
-        let out = std::env::temp_dir().join("cbi-cli-test-reports3.jsonl");
+        let out = std::env::temp_dir().join("cbi-cli-test-reports3.cbr");
         dispatch_strs(&[
             "campaign",
             p.to_str().unwrap(),
@@ -1715,7 +1659,7 @@ mod tests {
             "1",
             "--jobs",
             "3",
-            "--out",
+            "--spool",
             out.to_str().unwrap(),
         ])
         .unwrap();
@@ -1744,7 +1688,6 @@ mod tests {
         let p = tmp("prog6.mc", PROG);
         let inputs = tmp("inputs6.txt", "5\n4\n\n3\n2\n1\n");
         let spool = std::env::temp_dir().join("cbi-cli-test-reports6.cbr");
-        let out = std::env::temp_dir().join("cbi-cli-test-reports6.jsonl");
         dispatch_strs(&[
             "campaign",
             p.to_str().unwrap(),
@@ -1755,15 +1698,11 @@ mod tests {
             "1",
             "--spool",
             spool.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
         ])
         .unwrap();
-        // The spool is binary (magic-prefixed) and strictly smaller than
-        // the JSONL archive of the same campaign.
+        // The spool is the binary wire stream (magic-prefixed).
         let binary = fs::read(&spool).unwrap();
         assert_eq!(&binary[..4], b"CBIR");
-        assert!(binary.len() < fs::metadata(&out).unwrap().len() as usize);
         // `analyze` accepts the spool directly.
         dispatch_strs(&[
             "analyze",
@@ -1786,15 +1725,61 @@ mod tests {
         assert!(err.contains("mismatch"), "{err}");
     }
 
+    /// A one-counter spool, as `--spool` writes it.
+    fn one_counter_spool(name: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("cbi-cli-test-{name}"));
+        let report = Report::new(0, Label::Success, vec![0]);
+        fs::write(&path, wire::encode_reports(&[report], 0, 1).unwrap()).unwrap();
+        path
+    }
+
     #[test]
-    fn transmit_requires_program_for_jsonl() {
-        let reports = tmp(
+    fn transmit_takes_only_a_spool() {
+        let jsonl = tmp(
             "reports7.jsonl",
             "{\"run_id\":0,\"label\":\"Success\",\"counters\":[0]}\n",
         );
-        let err = dispatch_strs(&["transmit", reports.to_str().unwrap(), "--to", "127.0.0.1:1"])
+        let err = dispatch_strs(&["transmit", jsonl.to_str().unwrap(), "--to", "127.0.0.1:1"])
             .unwrap_err();
-        assert!(err.contains("layout hash"), "{err}");
+        assert!(err.contains("binary report spool"), "{err}");
+        let spool = one_counter_spool("reports7.cbr");
+        let err = dispatch_strs(&[
+            "transmit",
+            spool.to_str().unwrap(),
+            "--to",
+            "127.0.0.1:1",
+            "prog.mc",
+        ])
+        .unwrap_err();
+        assert!(err.contains("one spool file"), "{err}");
+    }
+
+    #[test]
+    fn analyze_refuses_a_non_spool_file() {
+        let p = tmp("prog-jsonl.mc", PROG);
+        let jsonl = tmp(
+            "reports-jsonl.jsonl",
+            "{\"run_id\":0,\"label\":\"Success\",\"counters\":[0]}\n",
+        );
+        let err =
+            dispatch_strs(&["analyze", jsonl.to_str().unwrap(), p.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("binary report spool"), "{err}");
+    }
+
+    #[test]
+    fn campaign_out_is_refused() {
+        let p = tmp("prog-out.mc", PROG);
+        let inputs = tmp("inputs-out.txt", "5\n4\n");
+        let err = dispatch_strs(&[
+            "campaign",
+            p.to_str().unwrap(),
+            inputs.to_str().unwrap(),
+            "--out",
+            "reports.jsonl",
+        ])
+        .unwrap_err();
+        assert!(err.contains("--spool"), "{err}");
+        assert!(!USAGE.contains("reports.jsonl"));
     }
 
     #[test]
@@ -2133,10 +2118,7 @@ mod tests {
     #[test]
     fn analyze_rejects_layout_mismatch() {
         let p = tmp("prog5.mc", PROG);
-        let reports = tmp(
-            "reports5.jsonl",
-            "{\"run_id\":0,\"label\":\"Success\",\"counters\":[0]}\n",
-        );
+        let reports = one_counter_spool("reports5.cbr");
         let err = dispatch_strs(&[
             "analyze",
             reports.to_str().unwrap(),

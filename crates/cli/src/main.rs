@@ -18,27 +18,25 @@
 //!     and the nonzero counters.
 //!
 //! cbi campaign <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
-//!              [--jobs N] [--out reports.jsonl] [--spool reports.cbr]
-//!              [--transmit HOST:PORT]
-//!     Run a campaign: one run per input line, writing reports as JSONL.
-//!     `--jobs N` shards trials over N worker threads; the report stream
-//!     is bit-identical at any job count.  `--spool` archives the binary
-//!     wire frames to disk; `--transmit` sends them to a `cbi serve`
+//!              [--jobs N] [--spool reports.cbr] [--transmit HOST:PORT]
+//!     Run a campaign: one run per input line.  `--jobs N` shards trials
+//!     over N worker threads; the report stream is bit-identical at any
+//!     job count.  `--spool` archives it to disk as binary wire frames,
+//!     the one report file format; `--transmit` sends it to a `cbi serve`
 //!     ingest server as one acked batch.
 //!
-//! cbi analyze <reports.jsonl|.cbr> <file.mc> [--scheme S]
-//!             [--mode eliminate|regress]
-//!     Run the §3.2 elimination or §3.3 regression analysis over reports
-//!     (JSONL or binary spool, detected by the `CBIR` magic).
+//! cbi analyze <reports.cbr> <file.mc> [--scheme S] [--mode eliminate|regress]
+//!     Run the §3.2 elimination or §3.3 regression analysis over a spool,
+//!     refusing one recorded from a different instrumented binary.
 //!
 //! cbi serve <file.mc> [--scheme S] [--addr 127.0.0.1:0] [--max-clients N]
 //!           [--mode eliminate|regress|both] [--spool reports.cbr]
 //!     Run the ingest server pinned to the program's instrumented
 //!     layout; analyze the ingested stream after the last connection.
 //!
-//! cbi transmit <reports.jsonl|.cbr> --to HOST:PORT [<file.mc>] [--scheme S]
-//!     Replay an archived report stream to an ingest server; a stream
-//!     the server already committed is answered `duplicate`.
+//! cbi transmit <reports.cbr> --to HOST:PORT
+//!     Replay a spool to an ingest server; a stream the server already
+//!     committed is answered `duplicate`.
 //!
 //! cbi corpus generate <dir> [--size N] [--seed N] [--trials N]
 //!     Plant one validated, labeled bug per program (seeded testgen

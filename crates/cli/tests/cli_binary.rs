@@ -83,7 +83,7 @@ fn crashing_run_is_reported_not_an_error() {
 fn campaign_then_analyze_pipeline() {
     let p = tmp("bin4.mc", PROG);
     let inputs = tmp("bin4-inputs.txt", "0\n1\n2\n3\n0\n1\n3\n2\n");
-    let reports = std::env::temp_dir().join("cbi-bin-test-reports4.jsonl");
+    let reports = std::env::temp_dir().join("cbi-bin-test-reports4.cbr");
     let out = cbi()
         .args([
             "campaign",
@@ -93,7 +93,7 @@ fn campaign_then_analyze_pipeline() {
             "returns",
             "--density",
             "1",
-            "--out",
+            "--spool",
             reports.to_str().unwrap(),
         ])
         .output()
@@ -213,8 +213,6 @@ fn campaign_metrics_and_trace_outputs() {
             "1",
             "--jobs",
             "2",
-            "--out",
-            "/dev/null",
             "--metrics",
             "--metrics-out",
             metrics.to_str().unwrap(),

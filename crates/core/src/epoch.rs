@@ -388,9 +388,8 @@ impl EpochAggregator {
     /// counter's rank after every `epoch_len`-th report — exactly where
     /// the fold closes an epoch — and those ranks are written into the
     /// snapshots `fold` took, so every [`EpochSnapshot`] is the one an
-    /// inline fold takes.  `fold` must not call
-    /// [`snapshot_now`](Self::snapshot_now): close a partial epoch after
-    /// this returns.
+    /// inline fold takes.  `fold` must not call [`close`](Self::close):
+    /// close the stream after this returns.
     ///
     /// Before `begin` there is no trainer and `fold` runs alone.
     ///
@@ -442,9 +441,16 @@ impl EpochAggregator {
         Ok(folded)
     }
 
-    /// Takes the current-state snapshot without waiting for an epoch
-    /// boundary (used to close a partial final epoch).
-    pub fn snapshot_now(&mut self) {
+    /// Closes the stream: snapshots a partial final epoch, or the empty
+    /// one when no report arrived, unless the last snapshot already
+    /// covers every run.
+    pub fn close(&mut self) {
+        if self.snapshots.last().is_none_or(|s| s.runs != self.runs) {
+            self.snapshot_now();
+        }
+    }
+
+    fn snapshot_now(&mut self) {
         let snap = self.snapshot(self.snapshots.len());
         self.snapshots.push(snap);
     }
@@ -656,7 +662,7 @@ mod tests {
         assert_eq!(agg.snapshots().len(), 2, "epochs at runs 3 and 6");
         assert_eq!(agg.snapshots()[0].runs, 3);
         assert_eq!(agg.snapshots()[1].runs, 6);
-        agg.snapshot_now();
+        agg.close();
         assert_eq!(agg.snapshots()[2].runs, 7);
         assert_eq!(agg.snapshots()[2].epoch, 2);
         assert_eq!(agg.snapshots()[2].failures, 4);
@@ -679,7 +685,7 @@ mod tests {
         // must be 5 (1-based), not the arrival position.
         agg.accept(report(9, false, (target + 1) % n, n)).unwrap();
         agg.accept(report(4, true, target, n)).unwrap();
-        agg.snapshot_now();
+        agg.close();
         let snap = &agg.snapshots()[0];
         assert_eq!(snap.target_latency, Some(5));
         assert_eq!(snap.observed, 2);
@@ -909,11 +915,11 @@ mod tests {
 
         let mut inline = fresh();
         fold_all(&mut inline).unwrap();
-        inline.snapshot_now();
+        inline.close();
         let mut beside = fresh();
         let payloads = batches.iter().map(Vec::as_slice);
         let folded = beside.train_beside(payloads, fold_all).unwrap();
-        beside.snapshot_now();
+        beside.close();
 
         assert_eq!(folded, 300);
         assert_eq!(beside.snapshots().len(), 5);

@@ -64,7 +64,8 @@ pub mod epoch;
 pub mod health;
 pub mod pipeline;
 pub mod streaming;
-pub mod traces;
+#[cfg(test)]
+mod traces;
 
 pub use coverage::{coverage, CoverageReport};
 pub use detection::FirstObservation;
@@ -77,7 +78,6 @@ pub use pipeline::{
     RegressionStudy,
 };
 pub use streaming::{StreamingAnalyzer, StreamingConfig};
-pub use traces::{crash_proximity, ProximityConfig, ProximityEntry, ProximityReport};
 
 pub use cbi_instrument as instrument;
 pub use cbi_minic as minic;
@@ -99,8 +99,7 @@ pub mod prelude {
     };
     pub use cbi_minic::{parse, pretty, resolve, Program};
     pub use cbi_reports::{
-        Collector, Label, Report, ReportLayout, ReportSink, SpoolSink, SufficientStats,
-        TransmitSink,
+        Collector, Label, Report, ReportLayout, ReportSink, SufficientStats, TransmitSink, WireSink,
     };
     pub use cbi_sampler::{CountdownSource, Geometric, LazyBank, SamplingDensity};
     pub use cbi_stats::{Dataset, LogisticModel, Strategy, TrainConfig};

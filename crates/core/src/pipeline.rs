@@ -73,7 +73,7 @@ pub struct EliminationReport {
 pub fn eliminate(result: &CampaignResult) -> EliminationReport {
     eliminate_stats(
         result.collector.stats(),
-        &result.site_groups(),
+        &result.instrumented.sites.groups(),
         &result.instrumented.sites,
     )
 }

@@ -106,11 +106,7 @@ impl StreamingAnalyzer {
     /// Runs the §3.2 elimination strategies over the accumulated
     /// aggregates, naming survivors from `sites`.
     pub fn eliminate(&self, sites: &SiteTable) -> EliminationReport {
-        let groups: Vec<(usize, usize)> = sites
-            .iter()
-            .map(|s| (s.counter_base, s.kind.arity()))
-            .collect();
-        eliminate_stats(&self.stats, &groups, sites)
+        eliminate_stats(&self.stats, &sites.groups(), sites)
     }
 
     /// Counter indices ranked by streaming-model coefficient magnitude,
@@ -141,11 +137,7 @@ impl StreamingAnalyzer {
     /// with site-reach estimates from the site layout — the input every
     /// `cbi-scoring` measure consumes.
     fn contingency(&self, sites: &SiteTable) -> Vec<cbi_stats::Contingency> {
-        let groups: Vec<(usize, usize)> = sites
-            .iter()
-            .map(|s| (s.counter_base, s.kind.arity()))
-            .collect();
-        cbi_stats::contingency_tables(&self.stats, &groups)
+        cbi_stats::contingency_tables(&self.stats, &sites.groups())
     }
 
     /// Counter indices ranked by a statistical scorer over the streamed

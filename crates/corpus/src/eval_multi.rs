@@ -29,7 +29,7 @@
 
 use crate::generate::{trials_for, CorpusEntry};
 use crate::CorpusError;
-use cbi_instrument::{instrument, Scheme, SiteTable};
+use cbi_instrument::{instrument, Scheme};
 use cbi_minic::parse;
 use cbi_sampler::SamplingDensity;
 use cbi_scoring::{isolate, rank_of, scorer_by_name, FailureIndex, IsolationRun, Scorer};
@@ -123,14 +123,6 @@ pub struct MultiEvalReport {
     pub scorers: Vec<String>,
     /// One score per entry × scorer × density.
     pub scores: Vec<MultiEntryScore>,
-}
-
-/// Site layout as `(counter_base, arity)` groups.
-fn site_groups(sites: &SiteTable) -> Vec<(usize, usize)> {
-    sites
-        .iter()
-        .map(|s| (s.counter_base, s.kind.arity()))
-        .collect()
 }
 
 /// Scores one isolation trace against the entry's fault list.
@@ -240,7 +232,7 @@ pub fn evaluate_multi(
                 });
             }
         }
-        let groups = site_groups(sites);
+        let groups = sites.groups();
         let trials = trials_for(bug);
         // Ground-truth attribution from a density-1 replay: each
         // failing run observes exactly one planted counter (the

@@ -50,7 +50,9 @@ pub use generate::{
     corpus_gen_config, generate_corpus, generate_multi_corpus, load_corpus, testgen_trials,
     write_corpus, Corpus, CorpusEntry, GenerateConfig, MultiGenerateConfig,
 };
-pub use manifest::{read_manifest, write_manifest, Fault, PlantedBug, Workload, MANIFEST_SCHEMA};
+pub use manifest::{
+    read_manifest, write_manifest, Fault, ManifestError, PlantedBug, Workload, MANIFEST_SCHEMA,
+};
 pub use mutate::{
     plant_testgen, plant_testgen_named, plant_workload, store_candidates, workload_candidates,
     Mutation, Operator, MULTI_FAULT_VARS,
@@ -88,8 +90,8 @@ pub enum CorpusError {
     Manifest {
         /// 1-based line number in `manifest.jsonl`.
         line: usize,
-        /// Decoder diagnostic.
-        message: String,
+        /// Why the decoder refused it.
+        error: ManifestError,
     },
     /// Re-instrumenting an entry produced a different site-table layout
     /// than the manifest recorded — the ground-truth counter index can
@@ -140,8 +142,8 @@ impl fmt::Display for CorpusError {
             CorpusError::Campaign { id, message } => {
                 write!(f, "corpus entry {id}: campaign failed: {message}")
             }
-            CorpusError::Manifest { line, message } => {
-                write!(f, "manifest line {line}: {message}")
+            CorpusError::Manifest { line, error } => {
+                write!(f, "manifest line {line}: {error}")
             }
             CorpusError::LayoutDrift { id, expected, got } => write!(
                 f,

@@ -1,22 +1,17 @@
 //! The `PlantedBug` ground-truth manifest and its versioned JSONL codec.
 //!
-//! One line per corpus entry, hand-rolled JSON in the same
-//! zero-dependency style as the report codec: a tolerant scanner that
-//! accepts any field order and insignificant whitespace, and an emitter
-//! that always writes fields in a fixed order so manifests are
-//! byte-stable across runs.
+//! One line per corpus entry, hand-rolled zero-dependency JSON: a
+//! tolerant scanner that accepts insignificant whitespace and any order
+//! of the fields after the leading `schema`, and an emitter that always
+//! writes fields in a fixed order so manifests are byte-stable across
+//! runs.
 //!
-//! The codec writes schema **v2**: `"schema":2` first, and the
-//! per-fault fields in a `"bugs"` array, one object per planted fault.
-//! It still reads **v1**, the shape every manifest written before
-//! multi-bug corpora existed has: one fault per entry, spelled as flat
-//! fields (`operator`, `deterministic`, `trigger`, `true_counter`,
-//! `true_predicate`) on the entry object.  A v1 line read and written
-//! back comes out as v2 with the same faults.
-//!
-//! The decoder accepts both shapes regardless of declared version and
-//! rejects any `schema` beyond 2, so older readers fail loudly on
-//! manifests from the future instead of silently dropping faults.
+//! The codec reads and writes schema **v2** only: every line opens
+//! with `"schema":2`, and the per-fault fields sit in a `"bugs"` array,
+//! one object per planted fault.  A line that opens any other way — a
+//! v1 line, or one from a future schema — is a
+//! [`ManifestError::Schema`], so a reader fails loudly instead of
+//! silently dropping faults.
 
 use crate::CorpusError;
 use std::fmt;
@@ -24,6 +19,38 @@ use std::io::{BufRead, Write};
 
 /// The manifest schema version this codec writes.
 pub const MANIFEST_SCHEMA: u32 = 2;
+
+/// Why one manifest line did not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManifestError {
+    /// The line does not open with `"schema":2`: `None` when its first
+    /// field is not `schema` at all (a v1 line), else the version found.
+    Schema(Option<u64>),
+    /// The line is not a well-formed schema-2 entry.
+    Malformed(String),
+}
+
+impl fmt::Display for ManifestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ManifestError::Schema(None) => write!(
+                f,
+                "line does not open with \"schema\":{MANIFEST_SCHEMA} (a v1 manifest? regenerate the corpus)"
+            ),
+            ManifestError::Schema(Some(v)) => write!(
+                f,
+                "unsupported manifest schema {v} (this reader understands {MANIFEST_SCHEMA})"
+            ),
+            ManifestError::Malformed(message) => f.write_str(message),
+        }
+    }
+}
+
+impl From<String> for ManifestError {
+    fn from(message: String) -> Self {
+        ManifestError::Malformed(message)
+    }
+}
 
 /// Which workload family a corpus entry was planted into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +132,7 @@ pub struct PlantedBug {
     pub trial_seed: u64,
     /// Failing runs among the uninstrumented baseline trials.
     pub baseline_failures: usize,
-    /// The planted faults, in planting order.  Never empty; entries read
-    /// from v1 lines have exactly one.
+    /// The planted faults, in planting order.  Never empty.
     pub faults: Vec<Fault>,
 }
 
@@ -203,11 +229,19 @@ impl PlantedBug {
         out
     }
 
-    /// Decodes one JSON line; field order and whitespace are free, and
-    /// both the v1 flat shape and the v2 `bugs` array are accepted.
-    pub fn from_json(line: &str) -> Result<PlantedBug, String> {
+    /// Decodes one JSON line.  It must open with `"schema":2`; the
+    /// other fields' order and all whitespace are free.
+    pub fn from_json(line: &str) -> Result<PlantedBug, ManifestError> {
         let mut p = Scanner::new(line);
-        let mut schema = None;
+        p.expect('{')?;
+        if p.eat('}') || p.string()? != "schema" {
+            return Err(ManifestError::Schema(None));
+        }
+        p.expect(':')?;
+        let schema = p.number()?;
+        if schema != u64::from(MANIFEST_SCHEMA) {
+            return Err(ManifestError::Schema(Some(schema)));
+        }
         let mut id = None;
         let mut workload = None;
         let mut source = None;
@@ -217,24 +251,10 @@ impl PlantedBug {
         let mut trial_seed = None;
         let mut baseline_failures = None;
         let mut faults: Vec<Fault> = Vec::new();
-        // v1 flat fault fields, collected as they appear.
-        let mut operator = None;
-        let mut deterministic = None;
-        let mut trigger = None;
-        let mut true_counter = None;
-        let mut true_predicate = None;
-        p.expect('{')?;
-        loop {
-            p.skip_ws();
-            if p.eat('}') {
-                break;
-            }
+        while p.eat(',') {
             let key = p.string()?;
-            p.skip_ws();
             p.expect(':')?;
-            p.skip_ws();
             match key.as_str() {
-                "schema" => schema = Some(p.number()? as u32),
                 "id" => id = Some(p.string()?),
                 "workload" => {
                     let w = p.string()?;
@@ -249,11 +269,9 @@ impl PlantedBug {
                 "baseline_failures" => baseline_failures = Some(p.number()? as usize),
                 "bugs" => {
                     p.expect('[')?;
-                    p.skip_ws();
                     if !p.eat(']') {
                         loop {
                             faults.push(parse_fault(&mut p)?);
-                            p.skip_ws();
                             if !p.eat(',') {
                                 p.expect(']')?;
                                 break;
@@ -261,45 +279,16 @@ impl PlantedBug {
                         }
                     }
                 }
-                "operator" => operator = Some(p.string()?),
-                "deterministic" => deterministic = Some(p.boolean()?),
-                "trigger" => trigger = Some(p.string()?),
-                "true_counter" => true_counter = Some(p.number()? as usize),
-                "true_predicate" => true_predicate = Some(p.string()?),
-                other => return Err(format!("unknown field {other:?}")),
-            }
-            p.skip_ws();
-            if !p.eat(',') {
-                p.expect('}')?;
-                break;
+                other => return Err(format!("unknown field {other:?}").into()),
             }
         }
-        let req = |name: &str| format!("missing field {name:?}");
-        let flat_present = operator.is_some()
-            || deterministic.is_some()
-            || trigger.is_some()
-            || true_counter.is_some()
-            || true_predicate.is_some();
-        if flat_present && !faults.is_empty() {
-            return Err("entry mixes v1 flat fault fields with a v2 \"bugs\" array".to_string());
-        }
-        if flat_present {
-            faults.push(Fault {
-                operator: operator.ok_or_else(|| req("operator"))?,
-                deterministic: deterministic.ok_or_else(|| req("deterministic"))?,
-                trigger: trigger.ok_or_else(|| req("trigger"))?,
-                true_counter: true_counter.ok_or_else(|| req("true_counter"))?,
-                true_predicate: true_predicate.ok_or_else(|| req("true_predicate"))?,
-            });
-        }
+        p.expect('}')?;
         if faults.is_empty() {
-            return Err("entry has no faults (neither flat fields nor \"bugs\")".to_string());
-        }
-        if let Some(schema) = schema.filter(|s| !(1..=MANIFEST_SCHEMA).contains(s)) {
-            return Err(format!(
-                "unsupported manifest schema {schema} (this reader understands 1..={MANIFEST_SCHEMA})"
+            return Err(ManifestError::Malformed(
+                "entry has no faults (no or an empty \"bugs\" array)".to_string(),
             ));
         }
+        let req = |name: &str| format!("missing field {name:?}");
         Ok(PlantedBug {
             id: id.ok_or_else(|| req("id"))?,
             workload: workload.ok_or_else(|| req("workload"))?,
@@ -491,10 +480,8 @@ pub fn read_manifest<R: BufRead>(r: R) -> Result<Vec<PlantedBug>, CorpusError> {
             continue;
         }
         bugs.push(
-            PlantedBug::from_json(&line).map_err(|message| CorpusError::Manifest {
-                line: i + 1,
-                message,
-            })?,
+            PlantedBug::from_json(&line)
+                .map_err(|error| CorpusError::Manifest { line: i + 1, error })?,
         );
     }
     Ok(bugs)
@@ -548,30 +535,29 @@ mod tests {
     }
 
     /// A v1 line — no `schema` field, flat fault fields in the order
-    /// the pre-versioning codec wrote them — reads, and is written back
-    /// as v2 with the same faults.
+    /// the pre-versioning codec wrote them — is a typed schema error,
+    /// in a manifest too.
     #[test]
-    fn v1_json_round_trip() {
+    fn v1_lines_are_a_schema_error() {
         let v1 = "{\"id\":\"tg-0007\",\"workload\":\"testgen\",\
              \"operator\":\"off_by_one_index\",\"source\":\"programs/tg-0007.mc\",\
              \"deterministic\":true,\"trigger\":\"conditional\",\"true_counter\":12,\
              \"true_predicate\":\"!(0 <= fault_t < len(buf))\",\
              \"layout_hash\":18446744073709551612,\"counters\":40,\"trials\":48,\
              \"trial_seed\":49374,\"baseline_failures\":9}";
-        let bug = PlantedBug::from_json(v1).unwrap();
-        assert_eq!(bug, sample());
-        let v2 = bug.to_json();
+        assert_eq!(PlantedBug::from_json(v1), Err(ManifestError::Schema(None)));
+        let declared = sample().to_json().replace("\"schema\":2", "\"schema\":1");
         assert_eq!(
-            v2,
-            "{\"schema\":2,\"id\":\"tg-0007\",\"workload\":\"testgen\",\
-             \"source\":\"programs/tg-0007.mc\",\
-             \"layout_hash\":18446744073709551612,\"counters\":40,\"trials\":48,\
-             \"trial_seed\":49374,\"baseline_failures\":9,\
-             \"bugs\":[{\"operator\":\"off_by_one_index\",\"deterministic\":true,\
-             \"trigger\":\"conditional\",\"true_counter\":12,\
-             \"true_predicate\":\"!(0 <= fault_t < len(buf))\"}]}"
+            PlantedBug::from_json(&declared),
+            Err(ManifestError::Schema(Some(1)))
         );
-        assert_eq!(PlantedBug::from_json(&v2).unwrap().faults, bug.faults);
+        let text = format!("{}\n{v1}\n", sample().to_json());
+        match read_manifest(text.as_bytes()).unwrap_err() {
+            CorpusError::Manifest { line, error } => {
+                assert_eq!((line, error), (2, ManifestError::Schema(None)))
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]
@@ -584,22 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_lines_coexist_in_one_manifest() {
-        let v1 = sample();
-        let v2 = sample_multi();
-        let mut buf = Vec::new();
-        write_manifest(&mut buf, &[v1.clone(), v2.clone()]).unwrap();
-        let back = read_manifest(&buf[..]).unwrap();
-        assert_eq!(back, vec![v1, v2]);
-    }
-
-    #[test]
     fn field_order_and_whitespace_are_free() {
-        let line = r#" { "trials" : 48 , "id":"x", "workload":"bc",
-            "operator":"bad_pointer_offset_4","source":"programs/x.mc",
-            "deterministic":false,"trigger":"conditional","true_counter":3,
-            "true_predicate":"!(0 <= fault_t < len(p))","layout_hash":1,
-            "counters":9,"trial_seed":2,"baseline_failures":0 } "#
+        let line = r#" { "schema" : 2 , "trials" : 48 , "id":"x", "workload":"bc",
+            "bugs" : [ { "true_predicate":"!(0 <= fault_t < len(p))",
+            "operator":"bad_pointer_offset_4", "trigger":"conditional",
+            "deterministic":false, "true_counter":3 } ], "source":"programs/x.mc",
+            "layout_hash":1, "counters":9,"trial_seed":2,"baseline_failures":0 } "#
             .replace('\n', " ");
         let bug = PlantedBug::from_json(&line).unwrap();
         assert_eq!(bug.workload, Workload::Bc);
@@ -649,7 +625,11 @@ mod tests {
             .to_json()
             .replace("\"schema\":2", "\"schema\":3");
         let err = PlantedBug::from_json(&line).unwrap_err();
-        assert!(err.contains("unsupported manifest schema 3"), "{err}");
+        assert_eq!(err, ManifestError::Schema(Some(3)));
+        assert!(
+            err.to_string().contains("unsupported manifest schema 3"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -658,7 +638,10 @@ mod tests {
             .to_json()
             .replacen("\"id\"", "\"operator\":\"x\",\"id\"", 1);
         let err = PlantedBug::from_json(&line).unwrap_err();
-        assert!(err.contains("mixes v1"), "{err}");
+        assert!(
+            err.to_string().contains("unknown field \"operator\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -669,6 +652,6 @@ mod tests {
              \"baseline_failures\":0,\"bugs\":[]}",
         )
         .unwrap_err();
-        assert!(err.contains("no faults"), "{err}");
+        assert!(err.to_string().contains("no faults"), "{err}");
     }
 }

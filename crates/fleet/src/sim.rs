@@ -459,13 +459,7 @@ pub fn run_fleet(
         }
         Ok(())
     })?;
-    if aggregator
-        .snapshots()
-        .last()
-        .is_none_or(|s| s.runs != aggregator.runs())
-    {
-        aggregator.snapshot_now();
-    }
+    aggregator.close();
 
     summary.accepted_reports = aggregator.runs();
     summary.failures = aggregator.failures();
@@ -774,13 +768,7 @@ mod tests {
                 archive.clear();
             }
         }
-        if aggregator
-            .snapshots()
-            .last()
-            .is_none_or(|s| s.runs != aggregator.runs())
-        {
-            aggregator.snapshot_now();
-        }
+        aggregator.close();
         aggregator
     }
 

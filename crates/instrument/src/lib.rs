@@ -61,21 +61,6 @@ pub use weightless::weightless_functions;
 use std::error::Error;
 use std::fmt;
 
-/// Resolves a program that may contain instrumentation artifacts:
-/// `__t*` temporaries, `__cd`/`__gcd` countdowns, observation builtins,
-/// and — crucially — locals redeclared across fast/slow dual paths.
-///
-/// Delegates to [`cbi_minic::resolve_relaxed`].
-///
-/// # Errors
-///
-/// Returns the underlying resolver error.
-pub fn resolve_instrumented(
-    program: &cbi_minic::Program,
-) -> Result<cbi_minic::ProgramInfo, cbi_minic::MiniCError> {
-    cbi_minic::resolve_relaxed(program)
-}
-
 /// An error from instrumentation or transformation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstrumentError {
@@ -139,6 +124,6 @@ mod tests {
         );
         let (sampled, stats) = apply_sampling(&inst.program, &TransformOptions::default()).unwrap();
         assert!(stats.functions_with_sites() >= 1);
-        resolve_instrumented(&sampled).unwrap();
+        cbi_minic::resolve_relaxed(&sampled).unwrap();
     }
 }

@@ -344,7 +344,7 @@ mod tests {
         assert!(s.contains("int __t0 = f();"), "{s}");
         assert!(s.contains("int x = __t0 + 2;"), "{s}");
         // Result still resolves (instrumented namespace allowed).
-        assert!(crate::resolve_instrumented(&q).is_ok());
+        assert!(cbi_minic::resolve_relaxed(&q).is_ok());
     }
 
     #[test]

@@ -177,6 +177,15 @@ impl SiteTable {
         self.sites.iter()
     }
 
+    /// Each site's `(counter_base, arity)`, in id order: the counter
+    /// layout as the elimination strategies and scorers consume it.
+    pub fn groups(&self) -> Vec<(usize, usize)> {
+        self.sites
+            .iter()
+            .map(|s| (s.counter_base, s.kind.arity()))
+            .collect()
+    }
+
     /// Maps a counter index back to its site and within-site position.
     ///
     /// # Panics

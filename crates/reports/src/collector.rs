@@ -4,12 +4,11 @@
 //! reports; analyses query them by outcome class.  All reports in one
 //! collector must share a counter layout (the same instrumented binary).
 
-use crate::report::{Label, Report, ReportParseError};
+use crate::report::{Label, Report};
 use crate::sink::{ReportLayout, ReportSink, SinkError};
 use crate::suffstats::SufficientStats;
 use std::error::Error;
 use std::fmt;
-use std::io::{BufRead, Write};
 
 /// Error from collector ingestion.
 #[derive(Debug)]
@@ -21,10 +20,6 @@ pub enum CollectError {
         /// Received counter count.
         got: usize,
     },
-    /// An I/O error while reading or writing the report stream.
-    Io(std::io::Error),
-    /// A malformed report line.
-    Parse(ReportParseError),
     /// An ordered merge would break the run-id ordering invariant.
     OutOfOrder {
         /// Last run id already in the collector.
@@ -41,8 +36,6 @@ impl fmt::Display for CollectError {
                 f,
                 "report layout mismatch: expected {expected} counters, got {got}"
             ),
-            CollectError::Io(e) => write!(f, "report stream i/o error: {e}"),
-            CollectError::Parse(e) => write!(f, "malformed report: {e}"),
             CollectError::OutOfOrder { prev, next } => write!(
                 f,
                 "ordered merge out of order: run {next} arrived after run {prev}"
@@ -51,27 +44,7 @@ impl fmt::Display for CollectError {
     }
 }
 
-impl Error for CollectError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CollectError::Io(e) => Some(e),
-            CollectError::Parse(e) => Some(e),
-            CollectError::LayoutMismatch { .. } | CollectError::OutOfOrder { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CollectError {
-    fn from(e: std::io::Error) -> Self {
-        CollectError::Io(e)
-    }
-}
-
-impl From<ReportParseError> for CollectError {
-    fn from(e: ReportParseError) -> Self {
-        CollectError::Parse(e)
-    }
-}
+impl Error for CollectError {}
 
 /// The central database of reports for one instrumented program.
 ///
@@ -213,39 +186,6 @@ impl Collector {
         self.reports.reserve(other.reports.len());
         self.extend_ordered(other.reports)
     }
-
-    /// Writes all reports as JSON lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError`] on I/O or serialization failure.
-    pub fn write_jsonl<W: Write>(&self, mut w: W) -> Result<(), CollectError> {
-        for r in &self.reports {
-            writeln!(w, "{}", r.to_json()?)?;
-        }
-        Ok(())
-    }
-
-    /// Reads reports from a JSON-lines stream into a new collector whose
-    /// layout is taken from the first report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError`] on I/O failure, malformed lines, or
-    /// layout mismatches between lines.
-    pub fn read_jsonl<R: BufRead>(r: R) -> Result<Self, CollectError> {
-        let mut collector: Option<Collector> = None;
-        for line in r.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let report = Report::from_json(&line)?;
-            let c = collector.get_or_insert_with(|| Collector::new(report.counters.len()));
-            c.add(report)?;
-        }
-        Ok(collector.unwrap_or_default())
-    }
 }
 
 impl ReportSink for Collector {
@@ -360,24 +300,6 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("expected 3"));
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let c = sample();
-        let mut buf = Vec::new();
-        c.write_jsonl(&mut buf).unwrap();
-        let back = Collector::read_jsonl(buf.as_slice()).unwrap();
-        assert_eq!(back.reports(), c.reports());
-        assert_eq!(back.counter_count(), 3);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines_and_rejects_garbage() {
-        let ok = "\n";
-        assert!(Collector::read_jsonl(ok.as_bytes()).unwrap().is_empty());
-        let bad = "{broken}";
-        assert!(Collector::read_jsonl(bad.as_bytes()).is_err());
     }
 
     #[test]

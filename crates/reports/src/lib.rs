@@ -9,8 +9,8 @@
 //! each report into per-counter aggregates and discards the raw trace.
 //!
 //! Collection policy is abstracted behind [`ReportSink`]: the campaign
-//! driver emits into any sink — the in-memory [`Collector`], the
-//! spool-to-disk [`SpoolSink`], or the framed-socket [`TransmitSink`] —
+//! driver emits into any sink — the in-memory [`Collector`], a
+//! [`WireSink`] spooling to disk, or the framed-socket [`TransmitSink`] —
 //! and the [`wire`] module defines the versioned, layout-hashed binary
 //! format those streams use on disk and on the network.
 //!
@@ -47,7 +47,7 @@ pub use frame::{AckVerdict, BatchAck, BatchEnvelope, EnvelopeRead};
 pub use ingest::{
     decode_batch, validate_batch, BatchIngest, BatchRejected, BatchStats, DecodeOutcome, Provenance,
 };
-pub use report::{nonzero, Label, Report, ReportParseError};
-pub use sink::{ReportLayout, ReportSink, SinkError, SpoolSink, TransmitSink, WireSink};
+pub use report::{nonzero, Label, Report};
+pub use sink::{ReportLayout, ReportSink, SinkError, TransmitSink, WireSink};
 pub use suffstats::SufficientStats;
 pub use wire::{StreamHeader, WireError, WireErrorKind, WireReader, WireWriter};

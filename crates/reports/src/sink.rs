@@ -10,7 +10,8 @@
 //! In-tree implementations:
 //!
 //! * [`Collector`](crate::Collector) — the in-memory central database;
-//! * [`SpoolSink`] — length-prefixed binary frames to a file on disk;
+//! * [`WireSink`] — length-prefixed binary frames onto any writer; its
+//!   [`create`](WireSink::create) spools them to a file on disk;
 //! * [`TransmitSink`] — the same frames, sent as one acked batch
 //!   envelope over a TCP socket to a `cbi serve` ingest daemon;
 //! * `StreamingAnalyzer` (in the `cbi` crate) — sufficient statistics
@@ -44,7 +45,7 @@ pub struct ReportLayout {
 /// Error from a report sink.
 #[derive(Debug)]
 pub enum SinkError {
-    /// A collection error (layout mismatch, ordering violation, I/O).
+    /// A collection error (layout mismatch or ordering violation).
     Collect(CollectError),
     /// A wire-format error (encoding or transport).
     Wire(WireError),
@@ -202,6 +203,18 @@ impl<W: Write> WireSink<W> {
     }
 }
 
+impl WireSink<BufWriter<File>> {
+    /// Creates (truncating) a spool file: reports framed to disk, the
+    /// durable intermediary between collection and analysis.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the file cannot be created.
+    pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
+        Ok(WireSink::new(BufWriter::new(File::create(path)?)))
+    }
+}
+
 impl<W: Write> ReportSink for WireSink<W> {
     fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
         let w = self.pending.take().ok_or(SinkError::NotBegun)?;
@@ -220,51 +233,6 @@ impl<W: Write> ReportSink for WireSink<W> {
             w.flush()?;
         }
         Ok(())
-    }
-}
-
-/// Spools reports to a file as binary wire frames — the durable
-/// intermediary between collection and analysis.
-#[derive(Debug)]
-pub struct SpoolSink {
-    inner: WireSink<BufWriter<File>>,
-}
-
-impl SpoolSink {
-    /// Creates (truncating) the spool file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the file cannot be created.
-    pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(SpoolSink {
-            inner: WireSink::new(BufWriter::new(file)),
-        })
-    }
-
-    /// Reports spooled so far.
-    pub fn reports_written(&self) -> u64 {
-        self.inner.reports_written()
-    }
-
-    /// Bytes spooled so far, header included.
-    pub fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-}
-
-impl ReportSink for SpoolSink {
-    fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
-        self.inner.begin(layout)
-    }
-
-    fn accept(&mut self, report: Report) -> Result<(), SinkError> {
-        self.inner.accept(report)
-    }
-
-    fn finish(&mut self) -> Result<(), SinkError> {
-        self.inner.finish()
     }
 }
 
@@ -424,7 +392,7 @@ mod tests {
     #[test]
     fn spool_sink_round_trips_through_disk() {
         let path = std::env::temp_dir().join("cbi-spool-sink-test.cbr");
-        let mut sink = SpoolSink::create(&path).unwrap();
+        let mut sink = WireSink::create(&path).unwrap();
         feed(&mut sink);
         assert!(sink.bytes_written() > 0);
         let file = File::open(&path).unwrap();

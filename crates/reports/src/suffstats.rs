@@ -19,10 +19,6 @@ pub struct SufficientStats {
     nonzero_in_success: Vec<u64>,
     /// Runs in which counter `i` was nonzero, among failed runs.
     nonzero_in_failure: Vec<u64>,
-    /// Total observations of counter `i` across successful runs.
-    sum_success: Vec<u64>,
-    /// Total observations of counter `i` across failed runs.
-    sum_failure: Vec<u64>,
     /// Number of successful runs folded in.
     successes: u64,
     /// Number of failed runs folded in.
@@ -35,8 +31,6 @@ impl SufficientStats {
         SufficientStats {
             nonzero_in_success: vec![0; counters],
             nonzero_in_failure: vec![0; counters],
-            sum_success: vec![0; counters],
-            sum_failure: vec![0; counters],
             successes: 0,
             failures: 0,
         }
@@ -73,18 +67,14 @@ impl SufficientStats {
         label: Label,
         counters: impl IntoIterator<Item = (usize, u64)>,
     ) {
-        let (runs, sum) = match label {
-            Label::Success => (&mut self.nonzero_in_success, &mut self.sum_success),
-            Label::Failure => (&mut self.nonzero_in_failure, &mut self.sum_failure),
+        let runs = match label {
+            Label::Success => &mut self.nonzero_in_success,
+            Label::Failure => &mut self.nonzero_in_failure,
         };
         for (i, c) in counters {
             if c > 0 {
                 runs[i] += 1;
             }
-            // The elimination strategies only consult the nonzero-run
-            // counts; the totals saturate rather than poison an entire
-            // campaign over one absurd counter.
-            sum[i] = sum[i].saturating_add(c);
         }
         match label {
             Label::Success => self.successes += 1,
@@ -117,18 +107,6 @@ impl SufficientStats {
         self.nonzero_in_success[i] + self.nonzero_in_failure[i] > 0
     }
 
-    /// Total observations of counter `i` in successful runs.
-    #[cfg(test)]
-    fn total_in_successes(&self, i: usize) -> u64 {
-        self.sum_success[i]
-    }
-
-    /// Total observations of counter `i` in failed runs.
-    #[cfg(test)]
-    fn total_in_failures(&self, i: usize) -> u64 {
-        self.sum_failure[i]
-    }
-
     /// Merges another accumulator (e.g. from a second collection server).
     ///
     /// # Panics
@@ -143,8 +121,6 @@ impl SufficientStats {
         for i in 0..self.counter_count() {
             self.nonzero_in_success[i] += other.nonzero_in_success[i];
             self.nonzero_in_failure[i] += other.nonzero_in_failure[i];
-            self.sum_success[i] = self.sum_success[i].saturating_add(other.sum_success[i]);
-            self.sum_failure[i] = self.sum_failure[i].saturating_add(other.sum_failure[i]);
         }
         self.successes += other.successes;
         self.failures += other.failures;
@@ -189,22 +165,13 @@ mod tests {
     }
 
     #[test]
-    fn sums_accumulate() {
-        let s = stats();
-        assert_eq!(s.total_in_successes(0), 3);
-        assert_eq!(s.total_in_failures(1), 3);
-        assert_eq!(s.total_in_successes(2), 1);
-        assert_eq!(s.total_in_failures(2), 1);
-    }
-
-    #[test]
     fn merge_combines_servers() {
         let mut a = stats();
         let b = stats();
         a.merge(&b);
         assert_eq!(a.success_runs(), 4);
         assert_eq!(a.nonzero_successes(0), 4);
-        assert_eq!(a.total_in_failures(1), 6);
+        assert_eq!(a.nonzero_failures(1), 2);
     }
 
     #[test]
@@ -223,15 +190,14 @@ mod tests {
     /// The fold as it was before it skipped zero counters: every counter
     /// visited.  The oracle for the sparse fold.
     fn dense_update(stats: &mut SufficientStats, report: &Report) {
-        let (runs, sum) = match report.label {
-            Label::Success => (&mut stats.nonzero_in_success, &mut stats.sum_success),
-            Label::Failure => (&mut stats.nonzero_in_failure, &mut stats.sum_failure),
+        let runs = match report.label {
+            Label::Success => &mut stats.nonzero_in_success,
+            Label::Failure => &mut stats.nonzero_in_failure,
         };
         for (i, &c) in report.counters.iter().enumerate() {
             if c > 0 {
                 runs[i] += 1;
             }
-            sum[i] = sum[i].saturating_add(c);
         }
         match report.label {
             Label::Success => stats.successes += 1,
@@ -262,9 +228,7 @@ mod tests {
             })
             .collect();
         reports.push(Report::new(300, Label::Success, vec![0; 24]));
-        // Totals saturate instead of wrapping.
         reports.push(Report::new(301, Label::Failure, vec![u64::MAX; 24]));
-        reports.push(Report::new(302, Label::Failure, vec![u64::MAX; 24]));
 
         let mut dense = SufficientStats::new(24);
         let mut via_update = SufficientStats::new(24);
@@ -276,7 +240,6 @@ mod tests {
             assert_eq!(via_update, dense, "after run {}", report.run_id);
             assert_eq!(via_nonzero, dense, "after run {}", report.run_id);
         }
-        assert_eq!(dense.total_in_failures(0), u64::MAX);
     }
 
     #[test]

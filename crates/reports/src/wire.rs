@@ -1,11 +1,11 @@
 //! Compact binary wire format for feedback reports.
 //!
-//! The paper's clients transmit counter vectors over the network (§2.5);
-//! JSON lines are convenient for inspection but cost ~4 bytes per mostly-
-//! zero counter.  This codec is the transmission format proper: a stream
-//! begins with a fixed header identifying the codec version and the
-//! *counter layout* of the instrumented binary that produced the reports,
-//! followed by length-prefixed report frames.  At the paper's densities
+//! The paper's clients transmit counter vectors over the network (§2.5).
+//! This codec is the one report format, on the network and on disk (a
+//! spool is one stream written to a file): a stream begins with a fixed
+//! header identifying the codec version and the *counter layout* of the
+//! instrumented binary that produced the reports, followed by
+//! length-prefixed report frames.  At the paper's densities
 //! almost every counter is zero, so a frame lists only its nonzero
 //! counters, each as the gap since the previous one and its value.
 //!
@@ -879,15 +879,15 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_smaller_than_jsonl() {
+    fn binary_is_smaller_than_dense() {
         let reports = sample();
         let bytes = encode_reports(&reports, 0, 5).unwrap();
-        let jsonl: usize = reports.iter().map(|r| r.to_json().unwrap().len() + 1).sum();
+        let dense: usize = reports.iter().map(|r| 8 * r.counters.len()).sum();
         assert!(
-            bytes.len() < jsonl,
-            "wire {} bytes >= jsonl {} bytes",
+            bytes.len() < dense,
+            "wire {} bytes >= dense {} bytes",
             bytes.len(),
-            jsonl
+            dense
         );
     }
 }

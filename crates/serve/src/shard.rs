@@ -241,8 +241,6 @@ pub(crate) fn fold_ordered(
         Ok(())
     };
     aggregator.train_beside(payloads, fold)?;
-    if !aggregator.runs().is_multiple_of(config.epoch_len) || aggregator.snapshots().is_empty() {
-        aggregator.snapshot_now();
-    }
+    aggregator.close();
     Ok((aggregator, config.keep_reports.then_some(archive)))
 }

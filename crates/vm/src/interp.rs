@@ -297,7 +297,7 @@ impl<'a> Vm<'a> {
         let mut counter_layout = Vec::new();
         let total_counters = match self.sites {
             Some(t) => {
-                counter_layout = t.iter().map(|s| (s.counter_base, s.kind.arity())).collect();
+                counter_layout = t.groups();
                 t.total_counters()
             }
             None => 0,
@@ -402,6 +402,29 @@ mod tests {
     fn run_with_input(src: &str, input: Vec<i64>) -> RunResult {
         let p = parse(src).unwrap();
         Vm::new(&p).with_input(input).run().unwrap()
+    }
+
+    /// Bounded trace capture (§2.5 future work): off unless asked for,
+    /// and then a ring buffer of the last `limit` observations.
+    #[test]
+    fn trace_is_bounded_and_off_by_default() {
+        let p = parse(
+            "fn g(int i) -> int { return i % 3 - 1; }\n\
+             fn main() -> int { int i = 0; while (i < 20) { int v = g(i); i = i + 1; } return 0; }",
+        )
+        .unwrap();
+        let inst = cbi_instrument::instrument(&p, cbi_instrument::Scheme::Returns).unwrap();
+        let run = |limit: Option<usize>| {
+            let mut vm = Vm::new(&inst.program);
+            vm.with_sites(&inst.sites);
+            if let Some(limit) = limit {
+                vm.with_trace(limit);
+            }
+            vm.run().unwrap()
+        };
+        assert!(run(None).trace.is_empty());
+        assert_eq!(run(Some(5)).trace.len(), 5);
+        assert_eq!(run(Some(64)).trace.len(), 20);
     }
 
     #[test]

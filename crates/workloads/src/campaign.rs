@@ -90,18 +90,6 @@ pub struct CampaignResult {
     pub dropped: usize,
 }
 
-impl CampaignResult {
-    /// Site `(counter_base, arity)` groups, as the elimination strategies
-    /// expect them.
-    pub fn site_groups(&self) -> Vec<(usize, usize)> {
-        self.instrumented
-            .sites
-            .iter()
-            .map(|s| (s.counter_base, s.kind.arity()))
-            .collect()
-    }
-}
-
 /// The outcome of a campaign emitted into an external sink: everything
 /// [`CampaignResult`] records except the reports themselves, which went
 /// wherever the sink sent them.
@@ -113,18 +101,6 @@ pub struct CampaignRun {
     pub dropped: usize,
     /// Reports accepted by the sink.
     pub emitted: usize,
-}
-
-impl CampaignRun {
-    /// Site `(counter_base, arity)` groups, as the elimination strategies
-    /// expect them.
-    pub fn site_groups(&self) -> Vec<(usize, usize)> {
-        self.instrumented
-            .sites
-            .iter()
-            .map(|s| (s.counter_base, s.kind.arity()))
-            .collect()
-    }
 }
 
 /// Instruments `program` with `config.scheme`, transforms it (when a
@@ -338,7 +314,7 @@ mod tests {
         assert!(result.collector.failure_count() > 0, "some runs crash");
         assert!(result.collector.success_count() > 250);
         assert_eq!(result.dropped, 0);
-        assert!(!result.site_groups().is_empty());
+        assert!(!result.instrumented.sites.groups().is_empty());
     }
 
     #[test]

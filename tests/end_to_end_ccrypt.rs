@@ -60,7 +60,7 @@ fn elimination_subset_relations_hold_on_real_data() {
     use cbi::stats::elimination::{apply, survivors, Strategy};
     let result = campaign(800, 13, SamplingDensity::one_in(25));
     let stats: SufficientStats = result.collector.reports().iter().cloned().collect();
-    let groups = result.site_groups();
+    let groups = result.instrumented.sites.groups();
 
     let uf = survivors(&apply(&stats, Strategy::UniversalFalsehood, &groups));
     let cov = survivors(&apply(&stats, Strategy::LackOfFailingCoverage, &groups));
@@ -81,7 +81,7 @@ fn progressive_elimination_shrinks_with_more_runs() {
 
     let result = campaign(1200, 19, SamplingDensity::one_in(25));
     let stats: SufficientStats = result.collector.reports().iter().cloned().collect();
-    let groups = result.site_groups();
+    let groups = result.instrumented.sites.groups();
     let candidates = survivors(&apply(&stats, Strategy::UniversalFalsehood, &groups));
 
     let points = progressive_elimination(

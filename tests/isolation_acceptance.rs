@@ -210,7 +210,7 @@ fn indexed_campaign(
     for report in result.collector.reports() {
         index.accept(report.clone()).unwrap();
     }
-    (index, result.site_groups())
+    (index, result.instrumented.sites.groups())
 }
 
 #[test]

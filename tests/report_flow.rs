@@ -4,6 +4,7 @@
 //! traces.
 
 use cbi::prelude::*;
+use cbi::reports::wire;
 use cbi::stats::elimination::{apply, Strategy};
 use cbi::workloads::{ccrypt_program, ccrypt_trials, CcryptTrialConfig};
 
@@ -17,9 +18,15 @@ fn small_campaign() -> CampaignResult {
 #[test]
 fn reports_survive_the_wire_format() {
     let result = small_campaign();
-    let mut wire = Vec::new();
-    result.collector.write_jsonl(&mut wire).expect("serialize");
-    let back = Collector::read_jsonl(wire.as_slice()).expect("deserialize");
+    let sites = &result.instrumented.sites;
+    let spool = wire::encode_reports(
+        result.collector.reports(),
+        sites.layout_hash(),
+        sites.total_counters(),
+    )
+    .expect("serialize");
+    let (back, header) = wire::read_collector(spool.as_slice()).expect("deserialize");
+    assert_eq!(header.layout_hash, sites.layout_hash());
     assert_eq!(back.reports(), result.collector.reports());
     assert_eq!(back.failure_count(), result.collector.failure_count());
 }
@@ -30,7 +37,7 @@ fn sufficient_statistics_reproduce_elimination_results() {
     // raw traces, and verify every elimination strategy gives identical
     // answers to the raw-report path.
     let result = small_campaign();
-    let groups = result.site_groups();
+    let groups = result.instrumented.sites.groups();
 
     let from_raw: SufficientStats = result.collector.reports().iter().cloned().collect();
 

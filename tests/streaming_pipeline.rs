@@ -135,9 +135,7 @@ fn loopback_campaign_matches_in_process_analysis() {
     for report in local.reports() {
         local_epochs.accept(report.clone()).unwrap();
     }
-    if !local_epochs.runs().is_multiple_of(serve.epoch_len) {
-        local_epochs.snapshot_now();
-    }
+    local_epochs.close();
     assert_eq!(
         render_analysis(&outcome.aggregator, 10),
         render_analysis(&local_epochs, 10)

@@ -5,12 +5,14 @@
 //! mutex rather than relying on test-runner ordering.
 
 use cbi::prelude::*;
+use cbi::reports::wire;
 use cbi::workloads::{ccrypt_program, ccrypt_trials, CcryptTrialConfig};
 use std::sync::Mutex;
 
 static GATE: Mutex<()> = Mutex::new(());
 
-fn campaign_jsonl(jobs: usize, telemetry_on: bool) -> Vec<u8> {
+/// The campaign's reports as the spool bytes `cbi campaign --spool` writes.
+fn campaign_spool(jobs: usize, telemetry_on: bool) -> Vec<u8> {
     if telemetry_on {
         cbi::telemetry::reset();
         cbi::telemetry::enable();
@@ -24,16 +26,20 @@ fn campaign_jsonl(jobs: usize, telemetry_on: bool) -> Vec<u8> {
     if telemetry_on {
         cbi::telemetry::disable();
     }
-    let mut wire = Vec::new();
-    result.collector.write_jsonl(&mut wire).expect("serialize");
-    wire
+    let sites = &result.instrumented.sites;
+    wire::encode_reports(
+        result.collector.reports(),
+        sites.layout_hash(),
+        sites.total_counters(),
+    )
+    .expect("serialize")
 }
 
 #[test]
 fn collector_output_is_identical_with_telemetry_on_or_off() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let off = campaign_jsonl(1, false);
-    let on = campaign_jsonl(1, true);
+    let off = campaign_spool(1, false);
+    let on = campaign_spool(1, true);
     let metrics = cbi::telemetry::collect();
     assert_eq!(off, on, "telemetry recording changed campaign output");
     // And the recording actually happened: the run left real measurements.
@@ -44,9 +50,9 @@ fn collector_output_is_identical_with_telemetry_on_or_off() {
 #[test]
 fn collector_output_is_identical_across_job_counts_with_telemetry_on() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let serial = campaign_jsonl(1, true);
+    let serial = campaign_spool(1, true);
     cbi::telemetry::collect(); // drain between runs
-    let parallel = campaign_jsonl(4, true);
+    let parallel = campaign_spool(4, true);
     let metrics = cbi::telemetry::collect();
     assert_eq!(
         serial, parallel,
@@ -64,7 +70,7 @@ fn collector_output_is_identical_across_job_counts_with_telemetry_on() {
 #[test]
 fn metrics_capture_is_internally_consistent() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = campaign_jsonl(2, true);
+    let _ = campaign_spool(2, true);
     let m = cbi::telemetry::collect();
 
     // Every trial ran exactly one VM execution; per-worker trial counts

@@ -74,7 +74,7 @@ fn empty_stream_and_empty_campaign_are_handled() {
     let sites = &result.instrumented.sites;
     let n = sites.total_counters();
     let stats = SufficientStats::new(n);
-    let elim = cbi::eliminate_stats(&stats, &result.site_groups(), sites);
+    let elim = cbi::eliminate_stats(&stats, &sites.groups(), sites);
     assert_eq!(elim.runs, 0);
     assert_eq!(elim.failures, 0);
     assert_eq!(elim.independent_survivors[0], 0);
