@@ -17,20 +17,22 @@
 //!   matching engine ops charge dynamically, like the walker.
 //!
 //! Synthesized statements (the sampling transformation's countdown
-//! bookkeeping) compile to fused single instructions when they match the
-//! five shapes `cbi-instrument` emits; any other synthesized shape takes
-//! a generic path that brackets its operand code with
-//! [`Op::FreeEnter`]/[`Op::FreeExit`] so per-node charges are suspended
-//! at run time, exactly like the walker's `eval_uncharged`.
+//! bookkeeping) compile to register ops: every reference to `__cd` or
+//! `__gcd` resolves to a [`CdReg`], and each canonical shape
+//! `cbi-instrument` emits — import, export, decrement, refill, threshold
+//! test, sample guard — becomes one instruction.  Any other synthesized
+//! shape is a compiler bug upstream and panics, naming the shape.
 
 use crate::instr::{
-    BcFunction, BcProgram, BcRef, BinSpec, BrSpec, CallSpec, CdSpec, Costs, Dest, GateSpec,
-    IdxSpec, LdSpec, MvSpec, Op, Operand, RetSpec, StSpec,
+    BcFunction, BcProgram, BinSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest, IdxSpec, LdSpec,
+    MvSpec, Op, Operand, RetSpec, StSpec,
 };
 use cbi_minic::ast::{BinOp, Type};
+use cbi_minic::builtins::LOCAL_COUNTDOWN;
 use cbi_minic::slots::{Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotStmt};
 use cbi_minic::Builtin;
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 /// Compiles a slot-lowered program, baking charges from
 /// [`Costs::default`].
@@ -40,7 +42,6 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
         ops: Vec::new(),
         names: Vec::new(),
         name_idx: HashMap::new(),
-        specs: Vec::new(),
         costs,
     };
     let mut functions = Vec::with_capacity(prog.functions.len());
@@ -71,7 +72,6 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
         main: prog.main,
         gcd_global: prog.gcd_global,
         names: cx.names,
-        specs: cx.specs,
         bins: Vec::new(),
         brs: Vec::new(),
         idxs: Vec::new(),
@@ -79,7 +79,6 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
         lds: Vec::new(),
         sts: Vec::new(),
         mvs: Vec::new(),
-        gates: Vec::new(),
         calls: Vec::new(),
         costs,
     };
@@ -92,7 +91,6 @@ struct Cx {
     ops: Vec<Op>,
     names: Vec<Box<str>>,
     name_idx: HashMap<Box<str>, u32>,
-    specs: Vec<CdSpec>,
     costs: Costs,
 }
 
@@ -105,16 +103,6 @@ impl Cx {
         self.names.push(s.into());
         self.name_idx.insert(s.into(), i);
         i
-    }
-
-    fn spec(&mut self, s: CdSpec) -> u32 {
-        // Specs repeat heavily (every region entry decrements by similar
-        // shapes); interning keeps the table small and the listing stable.
-        if let Some(i) = self.specs.iter().position(|x| *x == s) {
-            return i as u32;
-        }
-        self.specs.push(s);
-        (self.specs.len() - 1) as u32
     }
 }
 
@@ -209,38 +197,29 @@ impl FnCompiler<'_> {
                 | Op::DeferPush(t)
                 | Op::DeferNext(t)
                 | Op::CdBranch { els: t, .. }
-                | Op::SynthCheck { els: t, .. } => *t = target,
+                | Op::CdZero { els: t, .. } => *t = target,
                 _ => unreachable!("patched op always carries a jump target"),
             }
         }
         self.fuse = None;
     }
 
-    fn bc_ref(&mut self, r: &SlotRef) -> BcRef {
-        match r {
-            SlotRef::Local(s) => BcRef::Local(*s),
-            SlotRef::Global(g) => BcRef::Global(*g),
-            SlotRef::LocalOrGlobal(s, g) => BcRef::LocalOrGlobal(*s, *g),
-            SlotRef::Undefined(n) => BcRef::Undefined(self.cx.name(n)),
-        }
-    }
-
     fn load(&mut self, r: &SlotRef) {
-        let op = match self.bc_ref(r) {
-            BcRef::Local(s) => Op::LoadLocal(s),
-            BcRef::Global(g) => Op::LoadGlobal(g),
-            BcRef::LocalOrGlobal(s, g) => Op::LoadLocalOr(s, g),
-            BcRef::Undefined(n) => Op::LoadUndef(n),
+        let op = match r {
+            SlotRef::Local(s) => Op::LoadLocal(*s),
+            SlotRef::Global(g) => Op::LoadGlobal(*g),
+            SlotRef::LocalOrGlobal(s, g) => Op::LoadLocalOr(*s, *g),
+            SlotRef::Undefined(n) => Op::LoadUndef(self.cx.name(n)),
         };
         self.emit(op);
     }
 
     fn assign(&mut self, r: &SlotRef) {
-        let op = match self.bc_ref(r) {
-            BcRef::Local(s) => Op::AssignLocal(s),
-            BcRef::Global(g) => Op::AssignGlobal(g),
-            BcRef::LocalOrGlobal(s, g) => Op::AssignLocalOr(s, g),
-            BcRef::Undefined(n) => Op::AssignUndef(n),
+        let op = match r {
+            SlotRef::Local(s) => Op::AssignLocal(*s),
+            SlotRef::Global(g) => Op::AssignGlobal(*g),
+            SlotRef::LocalOrGlobal(s, g) => Op::AssignLocalOr(*s, *g),
+            SlotRef::Undefined(n) => Op::AssignUndef(self.cx.name(n)),
         };
         self.emit(op);
     }
@@ -398,135 +377,103 @@ impl FnCompiler<'_> {
 
     // ---- synthesized (sampling bookkeeping) statements -----------------
 
-    /// `int __cd = __gcd;` — region-entry countdown import.
-    fn synth_decl(&mut self, ty: Type, slot: u32, init: &Option<SlotExpr>) {
-        if let Some(SlotExpr::Var(r)) = init {
-            let src = self.bc_ref(r);
-            let spec = self.cx.spec(CdSpec {
-                dst: BcRef::Local(slot),
-                src,
-                op: BinOp::Add,
-                k: 0,
-            });
-            self.emit(Op::CdDecl(spec));
-            return;
-        }
-        // Generic fallback: flat bookkeeping charge, operands evaluated
-        // charge-free (the Charge ops inside are suspended at run time).
-        self.stmt_charge(self.cx.costs.bookkeeping);
-        match init {
-            Some(e) => {
-                self.emit(Op::FreeEnter);
-                self.expr(e);
-                self.emit(Op::FreeExit);
+    /// The countdown register `r` names: the local `__cd` slot or the
+    /// `__gcd` global.  The transformation refuses user code that names
+    /// either, so these names mean the countdown wherever they appear.
+    fn cd_reg(&self, r: &SlotRef) -> Option<CdReg> {
+        match r {
+            SlotRef::Local(s) if self.f.slot_names[*s as usize] == LOCAL_COUNTDOWN => {
+                Some(CdReg::Local)
             }
-            None => self.push_zero(ty),
+            SlotRef::Global(g) if self.prog.gcd_global == Some(*g) => Some(CdReg::Global),
+            _ => None,
         }
-        self.emit(Op::BindLocal(slot));
     }
 
-    /// Countdown copies (`__cd = __gcd`), decrements (`cd = cd - k`),
-    /// and refills (`cd = __next_cd()`).
+    /// The register a countdown operand names, if the operand is one.
+    fn cd_var(&self, e: &SlotExpr) -> Option<CdReg> {
+        match e {
+            SlotExpr::Var(r) => self.cd_reg(r),
+            _ => None,
+        }
+    }
+
+    /// `int __cd = __gcd;` — the region-entry import.
+    fn synth_decl(&mut self, ty: Type, slot: u32, init: &Option<SlotExpr>) {
+        let dst = self.cd_reg(&SlotRef::Local(slot));
+        match (ty, dst, init.as_ref().and_then(|e| self.cd_var(e))) {
+            (Type::Int, Some(CdReg::Local), Some(CdReg::Global)) => {
+                self.emit(Op::CdMove(CdMove::Import));
+            }
+            _ => panic!(
+                "non-canonical synthesized declaration: {ty} `{}` = {init:?}",
+                self.f.slot_names[slot as usize]
+            ),
+        }
+    }
+
+    /// Countdown imports (`__cd = __gcd`), exports (`__gcd = __cd`),
+    /// decrements (`cd = cd - k`) and refills (`cd = __next_cd()`).
     fn synth_assign(&mut self, target: &SlotRef, value: &SlotExpr) {
-        let dst = self.bc_ref(target);
-        match value {
-            SlotExpr::Var(r) => {
-                let src = self.bc_ref(r);
-                let spec = self.cx.spec(CdSpec {
-                    dst,
-                    src,
-                    op: BinOp::Add,
-                    k: 0,
-                });
-                self.emit(Op::CdCopy(spec));
-                return;
-            }
-            SlotExpr::Binary { op, lhs, rhs } if *op != BinOp::And && *op != BinOp::Or => {
-                // Short-circuit shapes are excluded: their right operand
-                // is conditional and their traps differ from the fused
-                // evaluation below.
-                if let (SlotExpr::Var(r), SlotExpr::Int(k)) = (&**lhs, &**rhs) {
-                    let src = self.bc_ref(r);
-                    let spec = self.cx.spec(CdSpec {
-                        dst,
-                        src,
-                        op: *op,
-                        k: *k,
-                    });
-                    self.emit(Op::CdUpdate(spec));
-                    return;
-                }
-            }
+        let op = self.cd_reg(target).and_then(|dst| match value {
+            SlotExpr::Var(_) => match (dst, self.cd_var(value)?) {
+                (CdReg::Local, CdReg::Global) => Some(Op::CdMove(CdMove::Import)),
+                (CdReg::Global, CdReg::Local) => Some(Op::CdMove(CdMove::Export)),
+                _ => None,
+            },
+            SlotExpr::Binary {
+                op: BinOp::Sub,
+                lhs,
+                rhs,
+            } => match &**rhs {
+                SlotExpr::Int(k) if self.cd_var(lhs) == Some(dst) && *k > 0 => Some(Op::CdDec {
+                    reg: dst,
+                    k: u32::try_from(*k).ok()?,
+                }),
+                _ => None,
+            },
             SlotExpr::Call {
                 callee: Callee::Builtin(Builtin::NextCountdown),
-                ..
-            } => {
-                // The walker never evaluates `__next_cd` arguments, so any
-                // argument list fuses.
-                let spec = self.cx.spec(CdSpec {
-                    dst,
-                    src: dst,
-                    op: BinOp::Add,
-                    k: 0,
-                });
-                self.emit(Op::CdRefill(spec));
-                return;
+                args,
+            } if args.is_empty() => Some(Op::CdRefill(dst)),
+            _ => None,
+        });
+        match op {
+            Some(op) => {
+                self.emit(op);
             }
-            _ => {}
+            None => panic!("non-canonical synthesized assignment: {target:?} = {value:?}"),
         }
-        self.stmt_charge(self.cx.costs.bookkeeping);
-        self.emit(Op::FreeEnter);
-        self.expr(value);
-        self.emit(Op::FreeExit);
-        self.assign(target);
     }
 
-    /// Threshold tests: `if (cd > w) {fast} else {slow}` and the
-    /// slow-path `if (cd == 0) {sample; refill}` guard.
+    /// Threshold tests `if (cd > w) {fast} else {slow}` and the slow-path
+    /// sample guard `if (cd == 0) {sample; refill}`.
     fn synth_if(
         &mut self,
         cond: &SlotExpr,
         then_block: &[SlotStmt],
         else_block: Option<&[SlotStmt]>,
     ) {
-        let fused = match cond {
-            SlotExpr::Binary { op, lhs, rhs } if op.is_comparison() => match (&**lhs, &**rhs) {
-                (SlotExpr::Var(r), SlotExpr::Int(k)) => Some((self.bc_ref(r), *op, *k)),
+        let test = match cond {
+            SlotExpr::Binary { op, lhs, rhs } => match (op, self.cd_var(lhs), &**rhs) {
+                (BinOp::Gt, Some(reg), SlotExpr::Int(w)) => {
+                    u32::try_from(*w).ok().map(|w| Op::CdBranch {
+                        reg,
+                        w,
+                        els: u32::MAX,
+                    })
+                }
+                (BinOp::Eq, Some(reg), SlotExpr::Int(0)) => Some(Op::CdZero { reg, els: u32::MAX }),
                 _ => None,
             },
             _ => None,
         };
+        let Some(test) = test else {
+            panic!("non-canonical synthesized condition: if ({cond:?})");
+        };
         let mut els = Label::new();
-        match fused {
-            Some((src, op, k)) => {
-                let spec = self.cx.spec(CdSpec {
-                    dst: src,
-                    src,
-                    op,
-                    k,
-                });
-                let at = self.emit(Op::CdBranch {
-                    spec,
-                    els: u32::MAX,
-                });
-                els.push(at);
-            }
-            None => {
-                self.stmt_charge(self.cx.costs.bookkeeping);
-                self.emit(Op::FreeEnter);
-                self.expr(cond);
-                self.emit(Op::FreeExit);
-                let op_code = match cond {
-                    SlotExpr::Binary { op, .. } => *op as u32 + 1,
-                    _ => 0,
-                };
-                let at = self.emit(Op::SynthCheck {
-                    op: op_code,
-                    els: u32::MAX,
-                });
-                els.push(at);
-            }
-        }
+        let at = self.emit(test);
+        els.push(at);
         self.block(then_block);
         match else_block {
             Some(e) => {
@@ -741,7 +688,8 @@ enum Fused {
     Load(LdSpec),
     Store(StSpec),
     Mov(MvSpec),
-    Gate(GateSpec, u32),
+    /// A countdown gate, complete: its operands are immediates.
+    Gate(Op),
     Call(CallSpec),
 }
 
@@ -760,7 +708,7 @@ fn peephole(p: &mut BcProgram) {
         | Op::DeferPush(t)
         | Op::DeferNext(t)
         | Op::CdBranch { els: t, .. }
-        | Op::SynthCheck { els: t, .. } = op
+        | Op::CdZero { els: t, .. } = op
         {
             // `u32::MAX` placeholders (break outside a loop in a
             // constructed AST) stay dangling, as before the pass.
@@ -792,10 +740,7 @@ fn peephole(p: &mut BcProgram) {
                         spec: intern(&mut p.bins, s),
                         target: t,
                     },
-                    Fused::Gate(s, t) => Op::CdGate {
-                        spec: intern(&mut p.gates, s),
-                        els: t,
-                    },
+                    Fused::Gate(op) => op,
                     Fused::Call(s) => Op::CallBind(intern(&mut p.calls, s)),
                 };
                 new_ops.push(op);
@@ -816,7 +761,7 @@ fn peephole(p: &mut BcProgram) {
         | Op::DeferPush(t)
         | Op::DeferNext(t)
         | Op::CdBranch { els: t, .. }
-        | Op::SynthCheck { els: t, .. }
+        | Op::CdZero { els: t, .. }
         | Op::FusedBr { target: t, .. }
         | Op::FusedBinJ { target: t, .. }
         | Op::CdGate { els: t, .. } = op
@@ -867,37 +812,34 @@ fn fuse_at(ops: &[Op], tgt: &[bool]) -> Option<(Fused, usize)> {
         }
     };
 
-    // Countdown region gate: `[CdDecl|CdCopy] CdBranch [CdUpdate]` (and
-    // the bare `CdBranch CdUpdate` pair) — the sequence the sampling
-    // transformation plants at every region entry.
-    let (pre, pre_decl, jg) = match at(0) {
-        Some(Op::CdDecl(s)) => (Some(s), true, 1),
-        Some(Op::CdCopy(s)) => (Some(s), false, 1),
-        _ => (None, false, 0),
+    // Countdown region gate: `CdMove CdBranch [CdDec]` (and the bare
+    // `CdBranch CdDec` pair) — the sequence the sampling transformation
+    // plants at every region entry.
+    let pre = match at(0) {
+        Some(Op::CdMove(m)) => Some(m),
+        _ => None,
     };
-    if let Some(Op::CdBranch { spec, els }) = at(jg) {
-        let (dec, len) = match at(jg + 1) {
-            Some(Op::CdUpdate(d)) => (Some(d), jg + 2),
-            _ => (None, jg + 1),
+    let jg = usize::from(pre.is_some());
+    if let Some(Op::CdBranch { reg, w, els }) = at(jg) {
+        let dec = match at(jg + 1) {
+            Some(Op::CdDec { reg: r, k }) if r == reg => NonZeroU32::new(k),
+            _ => None,
         };
+        let len = jg + 1 + usize::from(dec.is_some());
         if len >= 2 {
-            return Some((
-                Fused::Gate(
-                    GateSpec {
-                        pre,
-                        pre_decl,
-                        br: spec,
-                        dec,
-                    },
-                    els,
-                ),
-                len,
-            ));
+            let gate = Op::CdGate {
+                pre,
+                reg,
+                w,
+                dec,
+                els,
+            };
+            return Some((Fused::Gate(gate), len));
         }
     }
 
-    // Region-exit countdown copy folded into the following return.
-    if let Some(Op::CdCopy(c)) = at(0) {
+    // Region-exit countdown move folded into the following return.
+    if let Some(c) = pre {
         let (stmt, chg, j) = match at(1) {
             Some(Op::Stmt(u)) => (true, u, 2),
             Some(Op::Charge(u)) if u > 0 => (false, u, 2),
@@ -936,17 +878,14 @@ fn fuse_at(ops: &[Op], tgt: &[bool]) -> Option<(Fused, usize)> {
             let attached = match f {
                 Fused::Bin(mut s) if s.pre.is_none() => {
                     s.pre = pre;
-                    s.pre_decl = pre_decl;
                     Some(Fused::Bin(s))
                 }
                 Fused::BinJ(mut s, t) if s.pre.is_none() => {
                     s.pre = pre;
-                    s.pre_decl = pre_decl;
                     Some(Fused::BinJ(s, t))
                 }
                 Fused::Mov(mut s) if s.pre.is_none() => {
                     s.pre = pre;
-                    s.pre_decl = pre_decl;
                     Some(Fused::Mov(s))
                 }
                 _ => None,
@@ -1145,7 +1084,6 @@ fn fuse_at(ops: &[Op], tgt: &[bool]) -> Option<(Fused, usize)> {
         return Some((
             Fused::Mov(MvSpec {
                 pre: None,
-                pre_decl: false,
                 stmt,
                 chg: lead,
                 a,
@@ -1211,7 +1149,6 @@ fn fuse_at(ops: &[Op], tgt: &[bool]) -> Option<(Fused, usize)> {
             }
             let spec = BinSpec {
                 pre: None,
-                pre_decl: false,
                 stmt,
                 chg_a,
                 a,

@@ -1,11 +1,11 @@
 //! Deterministic textual listing of compiled programs.
 //!
 //! The output is stable across runs and platforms — ops print in program
-//! order with absolute indices, interned names and countdown specs are
-//! rendered inline, and nothing depends on hash-map iteration order — so
+//! order with absolute indices, interned names and countdown registers
+//! are rendered inline, and nothing depends on hash-map iteration order — so
 //! listings are usable as golden files (`cbi disasm` and its tests).
 
-use crate::instr::{BcProgram, BcRef, CdSpec, Dest, Op, Operand};
+use crate::instr::{BcProgram, CdMove, CdReg, Dest, Op, Operand};
 use std::fmt::Write as _;
 
 /// Renders the full program listing.
@@ -65,29 +65,19 @@ fn global_name(prog: &BcProgram, g: u32) -> &str {
         .unwrap_or("?")
 }
 
-fn bc_ref(prog: &BcProgram, func: usize, r: BcRef) -> String {
+/// The register's name in listings: `cd` (frame-local) or `gcd`.
+fn reg(r: CdReg) -> &'static str {
     match r {
-        BcRef::Local(s) => format!("%{s} ({})", slot_name(prog, func, s)),
-        BcRef::Global(g) => format!("@{g} ({})", global_name(prog, g)),
-        BcRef::LocalOrGlobal(s, g) => format!(
-            "%{s}|@{g} ({})",
-            prog.functions[func]
-                .slot_names
-                .get(s as usize)
-                .map(String::as_str)
-                .unwrap_or_else(|| global_name(prog, g))
-        ),
-        BcRef::Undefined(n) => format!("?{}", name(prog, n)),
+        CdReg::Local => "cd",
+        CdReg::Global => "gcd",
     }
 }
 
-fn spec(prog: &BcProgram, func: usize, idx: u32) -> String {
-    let CdSpec { dst, src, op, k } = prog.specs[idx as usize];
-    format!(
-        "{} <- {} {op} {k}",
-        bc_ref(prog, func, dst),
-        bc_ref(prog, func, src)
-    )
+fn cd_move(m: CdMove) -> &'static str {
+    match m {
+        CdMove::Import => "cd <- gcd",
+        CdMove::Export => "gcd <- cd",
+    }
 }
 
 fn name(prog: &BcProgram, idx: u32) -> &str {
@@ -95,10 +85,9 @@ fn name(prog: &BcProgram, idx: u32) -> &str {
 }
 
 /// Renders a fused region-boundary countdown prefix.
-fn cd_pfx(prog: &BcProgram, func: usize, pre: Option<u32>, decl: bool) -> String {
+fn cd_pfx(pre: Option<CdMove>) -> String {
     match pre {
-        Some(p) if decl => format!("[cd_decl {}] ", spec(prog, func, p)),
-        Some(p) => format!("[cd_copy {}] ", spec(prog, func, p)),
+        Some(m) => format!("[{}] ", cd_move(m)),
         None => String::new(),
     }
 }
@@ -190,14 +179,11 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
         Op::FreeExit => "free_exit".into(),
         Op::DeferPush(t) => format!("defer_push  -> {t}"),
         Op::DeferNext(t) => format!("defer_next  -> {t}"),
-        Op::CdDecl(s) => format!("cd_decl     {}", spec(prog, func, s)),
-        Op::CdCopy(s) => format!("cd_copy     {}", spec(prog, func, s)),
-        Op::CdUpdate(s) => format!("cd_update   {}", spec(prog, func, s)),
-        Op::CdRefill(s) => format!("cd_refill   {}", spec(prog, func, s)),
-        Op::CdBranch { spec: s, els } => {
-            format!("cd_branch   {} else -> {els}", spec(prog, func, s))
-        }
-        Op::SynthCheck { op, els } => format!("synth_check op={op} else -> {els}"),
+        Op::CdMove(m) => format!("cd_move     {}", cd_move(m)),
+        Op::CdDec { reg: r, k } => format!("cd_dec      {} - {k}", reg(r)),
+        Op::CdRefill(r) => format!("cd_refill   {}", reg(r)),
+        Op::CdBranch { reg: r, w, els } => format!("cd_branch   {} > {w} else -> {els}", reg(r)),
+        Op::CdZero { reg: r, els } => format!("cd_zero     {} == 0 else -> {els}", reg(r)),
         Op::MissingArg => "missing_arg".into(),
         Op::FusedBin(s) => {
             let sp = prog.bins[s as usize];
@@ -208,7 +194,7 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
             };
             format!(
                 "fused_bin   {}{}{} {} {cb}{} -> {}",
-                cd_pfx(prog, func, sp.pre, sp.pre_decl),
+                cd_pfx(sp.pre),
                 charge_pfx(sp.stmt, sp.chg_a),
                 operand(prog, func, sp.a),
                 sp.op,
@@ -245,7 +231,7 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
         }
         Op::FusedRet(s) => {
             let sp = prog.rets[s as usize];
-            let pre = cd_pfx(prog, func, sp.pre, false);
+            let pre = cd_pfx(sp.pre);
             format!(
                 "fused_ret   {pre}{}{}",
                 charge_pfx(sp.stmt, sp.chg),
@@ -277,7 +263,7 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
             let sp = prog.mvs[s as usize];
             format!(
                 "fused_mov   {}{}{} -> {}",
-                cd_pfx(prog, func, sp.pre, sp.pre_decl),
+                cd_pfx(sp.pre),
                 charge_pfx(sp.stmt, sp.chg),
                 operand(prog, func, sp.a),
                 dest(prog, func, sp.dst)
@@ -292,7 +278,7 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
             };
             format!(
                 "fused_bin_j {}{}{} {} {cb}{} -> {} jump -> {target}",
-                cd_pfx(prog, func, sp.pre, sp.pre_decl),
+                cd_pfx(sp.pre),
                 charge_pfx(sp.stmt, sp.chg_a),
                 operand(prog, func, sp.a),
                 sp.op,
@@ -300,16 +286,21 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
                 dest(prog, func, sp.dst)
             )
         }
-        Op::CdGate { spec: s, els } => {
-            let sp = prog.gates[s as usize];
-            let pre = cd_pfx(prog, func, sp.pre, sp.pre_decl);
-            let dec = match sp.dec {
-                Some(d) => format!(" [cd_update {}]", spec(prog, func, d)),
+        Op::CdGate {
+            pre,
+            reg: r,
+            w,
+            dec,
+            els,
+        } => {
+            let dec = match dec {
+                Some(k) => format!(" [{} - {k}]", reg(r)),
                 None => String::new(),
             };
             format!(
-                "cd_gate     {pre}{} else -> {els}{dec}",
-                spec(prog, func, sp.br)
+                "cd_gate     {}{} > {w} else -> {els}{dec}",
+                cd_pfx(pre),
+                reg(r)
             )
         }
         Op::CallBind(s) => {

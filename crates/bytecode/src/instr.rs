@@ -2,6 +2,7 @@
 
 use cbi_minic::ast::{BinOp, Type, UnOp};
 use cbi_minic::slots::SlotGlobal;
+use std::num::NonZeroU32;
 
 /// The deterministic operation-cost model: abstract units per runtime
 /// event, standing in for wall-clock time.
@@ -29,9 +30,10 @@ pub struct Costs {
     pub refill: u64,
     /// Flat cost of one synthesized countdown-bookkeeping statement (a
     /// threshold check, countdown decrement, or import/export).  The
-    /// native compiler keeps the local countdown in a register (§2.4), so
-    /// these cost far less than interpreted statements; the flat charge
-    /// covers the statement and its trivial operand arithmetic.
+    /// native compiler keeps the local countdown in a register (§2.4),
+    /// and so does the VM: both countdowns are registers of its dispatch
+    /// loop ([`CdReg`]), so these cost far less than interpreted
+    /// statements, and the flat charge prices the register operation.
     pub bookkeeping: u64,
 }
 
@@ -49,19 +51,26 @@ impl Default for Costs {
     }
 }
 
-/// A statically resolved variable reference inside a [`CdSpec`] —
-/// the bytecode mirror of [`cbi_minic::slots::SlotRef`], with undefined
-/// names interned in [`BcProgram::names`].
+/// One of the dispatch loop's two countdown registers (§2.4).  The
+/// compiler resolves every countdown reference the sampling
+/// transformation synthesizes to one of them, so no countdown op reads a
+/// frame slot or a global, and none can trap on a type error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BcRef {
-    /// Frame slot; traps if the declaration has not executed yet.
-    Local(u32),
-    /// Direct global index.
-    Global(u32),
-    /// Frame slot if bound, else the global (dynamic shadowing).
-    LocalOrGlobal(u32, u32),
-    /// Always a runtime trap; payload indexes [`BcProgram::names`].
-    Undefined(u32),
+pub enum CdReg {
+    /// The frame-local countdown `__cd`: each call saves the caller's
+    /// value and its return restores it.
+    Local,
+    /// The global countdown `__gcd`, seeded before the first instruction.
+    Global,
+}
+
+/// A countdown import or export: a move between the two [`CdReg`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CdMove {
+    /// `int __cd = __gcd;` / `__cd = __gcd;` — the region-entry import.
+    Import,
+    /// `__gcd = __cd;` — the export before calls and returns.
+    Export,
 }
 
 /// Where a fused instruction's operand comes from.
@@ -116,12 +125,9 @@ pub enum Dest {
 /// `dst`.  Each step traps exactly where the unfused op sequence did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinSpec {
-    /// Fused leading region-boundary countdown op, as an index into
-    /// [`BcProgram::specs`]; executed before the statement head.
-    pub pre: Option<u32>,
-    /// `true` = the prefix is a [`Op::CdDecl`] (binds); `false` = a
-    /// [`Op::CdCopy`] (assigns).
-    pub pre_decl: bool,
+    /// Fused leading region-boundary countdown move ([`Op::CdMove`]);
+    /// executed before the statement head.
+    pub pre: Option<CdMove>,
     /// Bump the telemetry step counter first (the fused [`Op::Stmt`]).
     pub stmt: bool,
     /// Units charged before `a` (with `stmt`, charged even when zero —
@@ -183,22 +189,22 @@ pub struct IdxSpec {
     pub idx: Operand,
 }
 
-/// One fused return: an optional region-exit countdown copy, an optional
+/// One fused return: an optional region-exit countdown export, an optional
 /// statement head, the baked charge, the operand fetch, and the frame
 /// pop — a whole `__gcd = __cd; return x;` in one dispatch.  Stored in
 /// [`BcProgram::rets`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetSpec {
-    /// Fused leading [`Op::CdCopy`], as an index into
-    /// [`BcProgram::specs`].
-    pub pre: Option<u32>,
+    /// Fused leading countdown move ([`Op::CdMove`]): the region-exit
+    /// export.
+    pub pre: Option<CdMove>,
     /// Bump the telemetry step counter first.
     pub stmt: bool,
     /// Units charged before the operand fetch (with `stmt`, charged even
     /// when zero).
     pub chg: u32,
     /// The returned operand ([`Operand::Stack`] only with `pre` set — a
-    /// fused copy before a plain [`Op::Ret`]).
+    /// fused move before a plain [`Op::Ret`]).
     pub a: Operand,
 }
 
@@ -208,12 +214,9 @@ pub struct RetSpec {
 /// [`BcProgram::mvs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MvSpec {
-    /// Fused leading region-boundary countdown op, as an index into
-    /// [`BcProgram::specs`]; executed before the statement head.
-    pub pre: Option<u32>,
-    /// `true` = the prefix is a [`Op::CdDecl`] (binds); `false` = a
-    /// [`Op::CdCopy`] (assigns).
-    pub pre_decl: bool,
+    /// Fused leading region-boundary countdown move ([`Op::CdMove`]);
+    /// executed before the statement head.
+    pub pre: Option<CdMove>,
     /// Bump the telemetry step counter first.
     pub stmt: bool,
     /// Units charged before the fetch (with `stmt`, charged even when
@@ -223,25 +226,6 @@ pub struct MvSpec {
     pub a: Operand,
     /// Destination; never [`Dest::Ret`] (that shape is [`Op::FusedRet`]).
     pub dst: Dest,
-}
-
-/// One fused countdown gate — the region-entry sequence the sampling
-/// transformation plants everywhere: an optional countdown import
-/// ([`Op::CdDecl`] or [`Op::CdCopy`]), the threshold test, and the
-/// fast-path decrement executed only when the test falls through.
-/// Stored in [`BcProgram::gates`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateSpec {
-    /// Leading import, as an index into [`BcProgram::specs`].
-    pub pre: Option<u32>,
-    /// `true` = the import is a [`Op::CdDecl`] (binds); `false` = a
-    /// [`Op::CdCopy`] (assigns).
-    pub pre_decl: bool,
-    /// The [`Op::CdBranch`] threshold spec.
-    pub br: u32,
-    /// The fall-through [`Op::CdUpdate`] spec, executed only when the
-    /// threshold test passes.
-    pub dec: Option<u32>,
 }
 
 /// One fused call with a result destination: the call itself plus the
@@ -280,20 +264,6 @@ pub struct StSpec {
     pub c_val: u32,
     /// The stored value.
     pub val: Operand,
-}
-
-/// The operands of one fused synthesized-countdown instruction, stored in
-/// [`BcProgram::specs`] and referenced by index so [`Op`] stays compact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CdSpec {
-    /// Destination of the bound/assigned value.
-    pub dst: BcRef,
-    /// Source variable (`__cd` / `__gcd`).
-    pub src: BcRef,
-    /// Operator of the fused arithmetic or threshold test.
-    pub op: BinOp,
-    /// Immediate right-hand operand.
-    pub k: i64,
 }
 
 /// One bytecode instruction.
@@ -407,30 +377,35 @@ pub enum Op {
     DeferPush(u32),
     /// Advance the deferred-error capture to the next argument boundary.
     DeferNext(u32),
-    /// Fused `int __cd = __gcd;`: bookkeeping charge, copy, bind.
-    CdDecl(u32),
-    /// Fused `__gcd = __cd;` / `__cd = __gcd;`: bookkeeping charge, copy.
-    CdCopy(u32),
-    /// Fused `cd = cd <op> k;`: bookkeeping charge, arithmetic, store —
-    /// the coalesced region decrement is one of these.
-    CdUpdate(u32),
-    /// Fused `cd = __next_cd();`: bookkeeping + refill charge, store.
-    CdRefill(u32),
-    /// Fused `if (cd <op> k)` threshold test selecting the fast or slow
-    /// block: bookkeeping charge, compare, fall through or jump to `els`.
+    /// `int __cd = __gcd;`, `__cd = __gcd;` or `__gcd = __cd;`:
+    /// bookkeeping charge, register move.
+    CdMove(CdMove),
+    /// `cd = cd - k;`: bookkeeping charge, register decrement — the
+    /// coalesced region decrement is one of these.
+    CdDec {
+        /// The decremented register.
+        reg: CdReg,
+        /// The decrement.
+        k: u32,
+    },
+    /// `cd = __next_cd();`: bookkeeping + refill charge, register load.
+    CdRefill(CdReg),
+    /// `if (cd > w)` threshold test selecting the fast or slow block:
+    /// bookkeeping charge, compare, fall through or jump to `els`.
     CdBranch {
-        /// Index into [`BcProgram::specs`].
-        spec: u32,
-        /// Jump target when the condition is false.
+        /// The tested register.
+        reg: CdReg,
+        /// The region weight.
+        w: u32,
+        /// Jump target when the test fails (the slow block).
         els: u32,
     },
-    /// Generic synthesized-conditional tail: pop the condition, trap on
-    /// non-integers, record the region-telemetry class, branch.
-    SynthCheck {
-        /// Condition operator for telemetry classification, encoded as
-        /// discriminant + 1, or 0 when the condition is not a binary op.
-        op: u32,
-        /// Jump target when the condition is false.
+    /// `if (cd == 0)` slow-path sample guard: bookkeeping charge,
+    /// compare, fall through or jump to `els`.
+    CdZero {
+        /// The tested register.
+        reg: CdReg,
+        /// Jump target when the register is nonzero.
         els: u32,
     },
     /// A builtin was called with too few arguments; panics at execution
@@ -470,12 +445,19 @@ pub enum Op {
         /// Absolute jump target after the store.
         target: u32,
     },
-    /// Peephole-fused countdown region gate; payload indexes
-    /// [`BcProgram::gates`], jumping to `els` when the threshold test
-    /// fails.
+    /// Peephole-fused countdown region gate — the region-entry sequence
+    /// the sampling transformation plants everywhere: an optional
+    /// [`Op::CdMove`] import, the [`Op::CdBranch`] threshold test, and the
+    /// [`Op::CdDec`] decrement executed only when the test falls through.
     CdGate {
-        /// Index into [`BcProgram::gates`].
-        spec: u32,
+        /// The leading import, if fused.
+        pre: Option<CdMove>,
+        /// The tested (and decremented) register.
+        reg: CdReg,
+        /// The region weight.
+        w: u32,
+        /// The fall-through decrement, if fused.
+        dec: Option<NonZeroU32>,
         /// Jump target when the threshold test fails (the slow path).
         els: u32,
     },
@@ -483,6 +465,9 @@ pub enum Op {
     /// destination; payload indexes [`BcProgram::calls`].
     CallBind(u32),
 }
+
+// Countdown operands ride in the op as immediates; none may widen it.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// A compiled function.
 #[derive(Debug, Clone, PartialEq)]
@@ -522,8 +507,6 @@ pub struct BcProgram {
     /// Interned names for trap messages about statically unresolved
     /// variables, callees, and store targets.
     pub names: Vec<Box<str>>,
-    /// Operand records for the fused countdown instructions.
-    pub specs: Vec<CdSpec>,
     /// Operand records for [`Op::FusedBin`] instructions.
     pub bins: Vec<BinSpec>,
     /// Operand records for [`Op::FusedBr`] instructions.
@@ -538,8 +521,6 @@ pub struct BcProgram {
     pub sts: Vec<StSpec>,
     /// Operand records for [`Op::FusedMov`] instructions.
     pub mvs: Vec<MvSpec>,
-    /// Operand records for [`Op::CdGate`] instructions.
-    pub gates: Vec<GateSpec>,
     /// Operand records for [`Op::CallBind`] instructions.
     pub calls: Vec<CallSpec>,
     /// The cost model the charges were baked against.

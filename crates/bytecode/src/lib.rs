@@ -18,13 +18,14 @@
 //!   target between them fold into one [`Op::Charge`]/[`Op::Stmt`], so a
 //!   statement head and its first expression node cost one add, not two
 //!   dispatches.
-//! * **Fused countdown ops** — the five statement shapes the sampling
+//! * **Countdown registers** — the statement shapes the sampling
 //!   transformation synthesizes on every region boundary (`int __cd =
 //!   __gcd`, `cd = cd - k`, `cd = __gcd` / `__gcd = cd`, `cd =
 //!   __next_cd()`, `if (cd > w)` / `if (cd == 0)`) each compile to one
-//!   [`Op`] carrying a [`CdSpec`], so the instrumented fast path between
-//!   region boundaries is straight-line: one threshold branch, one fused
-//!   decrement, then the user's own code.
+//!   [`Op`] over a [`CdReg`] with its constant as an immediate, so the
+//!   instrumented fast path between region boundaries is straight-line:
+//!   one threshold branch, one register decrement, then the user's own
+//!   code.
 //! * **Superinstruction fusion** — a peephole pass over the patched code
 //!   collapses the dominant op sequences into single instructions: a
 //!   whole `x = a <op> b;` statement (statement head, charges, two
@@ -39,7 +40,7 @@
 //! The instrumentation schemes' fast/slow dual paths (cloned at the AST
 //! level by `cbi-instrument`) therefore become dual bytecode *blocks*:
 //! the fast block has its observation sites stripped and decrements
-//! coalesced (one `CdUpdate` per basic block), the slow block keeps the
+//! coalesced (one `CdDec` per basic block), the slow block keeps the
 //! sites live, and a single [`Op::CdBranch`] threshold test selects
 //! between them.
 //!
@@ -56,6 +57,6 @@ mod instr;
 pub use compile::compile;
 pub use disasm::disassemble;
 pub use instr::{
-    BcFunction, BcProgram, BcRef, BinSpec, BrSpec, CallSpec, CdSpec, Costs, Dest, GateSpec,
-    IdxSpec, LdSpec, MvSpec, Op, Operand, RetSpec, StSpec,
+    BcFunction, BcProgram, BinSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest, IdxSpec, LdSpec,
+    MvSpec, Op, Operand, RetSpec, StSpec,
 };

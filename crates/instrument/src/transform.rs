@@ -157,7 +157,8 @@ fn ratio(num: f64, den: f64) -> f64 {
 /// # Errors
 ///
 /// Returns [`InstrumentError`] if the program was already transformed
-/// (it declares `__gcd`).
+/// (it declares `__gcd`), or if user code names `__cd` or `__gcd` — such a
+/// variable would alias the countdown the transformation synthesizes.
 pub fn apply_sampling(
     program: &Program,
     options: &TransformOptions,
@@ -166,6 +167,21 @@ pub fn apply_sampling(
         return Err(InstrumentError::new(
             "program already contains the sampling countdown; refusing to transform twice",
         ));
+    }
+    if program.global(LOCAL_COUNTDOWN).is_some() {
+        return Err(InstrumentError::new(format!(
+            "program declares a global `{LOCAL_COUNTDOWN}`, the sampling countdown's name; \
+             refusing to transform"
+        )));
+    }
+    for f in &program.functions {
+        let named = f.params.iter().find_map(|p| countdown_name(&p.name));
+        if let Some(name) = named.or_else(|| block_names_countdown(&f.body)) {
+            return Err(InstrumentError::new(format!(
+                "function `{}` names `{name}`, the sampling countdown's name; refusing to transform",
+                f.name
+            )));
+        }
     }
 
     let weightless = weightless_functions(program, options.interprocedural);
@@ -218,6 +234,60 @@ pub fn apply_sampling(
         });
     }
     Ok((out, stats))
+}
+
+/// `name` if it is one of the two countdown names.
+fn countdown_name(name: &str) -> Option<&'static str> {
+    [LOCAL_COUNTDOWN, GLOBAL_COUNTDOWN]
+        .into_iter()
+        .find(|c| *c == name)
+}
+
+fn expr_names_countdown(e: &Expr) -> Option<&'static str> {
+    let mut found = None;
+    e.any(&mut |x| {
+        if let Expr::Var { name, .. } = x {
+            found = countdown_name(name);
+        }
+        found.is_some()
+    });
+    found
+}
+
+/// The first countdown name a block declares, assigns, stores through or
+/// reads, at any depth.
+fn block_names_countdown(b: &Block) -> Option<&'static str> {
+    b.stmts.iter().find_map(|s| match s {
+        Stmt::Decl { name, init, .. } => {
+            countdown_name(name).or_else(|| init.as_ref().and_then(expr_names_countdown))
+        }
+        Stmt::Assign { name, value, .. } => {
+            countdown_name(name).or_else(|| expr_names_countdown(value))
+        }
+        Stmt::Store {
+            target,
+            index,
+            value,
+            ..
+        } => countdown_name(target)
+            .or_else(|| expr_names_countdown(index))
+            .or_else(|| expr_names_countdown(value)),
+        Stmt::If {
+            cond,
+            then_block,
+            else_block,
+            ..
+        } => expr_names_countdown(cond)
+            .or_else(|| block_names_countdown(then_block))
+            .or_else(|| else_block.as_ref().and_then(block_names_countdown)),
+        Stmt::While { cond, body, .. } => {
+            expr_names_countdown(cond).or_else(|| block_names_countdown(body))
+        }
+        Stmt::Return { value, .. } => value.as_ref().and_then(expr_names_countdown),
+        Stmt::Check { cond, .. } => expr_names_countdown(cond),
+        Stmt::Expr { expr, .. } => expr_names_countdown(expr),
+        Stmt::Break { .. } | Stmt::Continue { .. } => None,
+    })
 }
 
 /// Counts instrumentation sites in a block, recursively.
@@ -902,6 +972,39 @@ mod tests {
         let p = parse(TWO_SITES).unwrap();
         let (q, _) = apply_sampling(&p, &TransformOptions::default()).unwrap();
         assert!(apply_sampling(&q, &TransformOptions::default()).is_err());
+    }
+
+    #[test]
+    fn user_countdown_names_rejected() {
+        // A user local named `__cd` would become the countdown: its
+        // initializer would reset it and the transform would decrement it.
+        let src = "fn h(int x) -> int { return x - 3; }\n\
+            fn g(int x) -> int { int __cd = 1000; int y = h(x); print(__cd); return y + h(y); }\n\
+            fn main() -> int { int a = g(read()); print(a); return 0; }";
+        let err = apply_sampling(&parse(src).unwrap(), &TransformOptions::default()).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "function `g` names `__cd`, the sampling countdown's name; refusing to transform"
+        );
+        for (src, who) in [
+            (
+                "fn f(int __cd) -> int { return __cd; }",
+                "function `f` names `__cd`",
+            ),
+            (
+                "fn f() -> int { int __gcd = 1; return __gcd; }",
+                "function `f` names `__gcd`",
+            ),
+            (
+                "fn f() -> int { print(__cd); return 0; }",
+                "function `f` names `__cd`",
+            ),
+            ("int __cd = 1; fn f() -> int { return 0; }", "global `__cd`"),
+        ] {
+            let err =
+                apply_sampling(&parse(src).unwrap(), &TransformOptions::default()).unwrap_err();
+            assert!(err.message().contains(who), "{src}: {}", err.message());
+        }
     }
 
     #[test]

@@ -15,35 +15,23 @@
 //!   skips the `depth -= 1` / `stack.truncate` in `call_function`, so a
 //!   captured error from inside a callee leaks both — and a later
 //!   stack-overflow check must see the same leaked depth.
-//! * **Fused countdown ops** (`CdDecl`/`CdCopy`/`CdUpdate`/`CdRefill`/
-//!   `CdBranch`) reproduce the walker's synthesized-statement path:
-//!   telemetry step bump, flat bookkeeping charge, the
-//!   `eval_uncharged` integer shortcut, and the generic
-//!   [`RunCore::binary_values`] fallback for non-integer operands.
+//! * **Countdown registers.**  The walker keeps `__cd` in a frame slot
+//!   and `__gcd` in a global; here they are two `i64` registers of the
+//!   dispatch loop, `cd` and `gcd`.  Each call saves the caller's `cd` in
+//!   its [`Frame`], and the return — or a deferred-error rewind past the
+//!   frame — restores it, so every frame sees its own `cd` as the walker
+//!   sees its own slot.  The countdown ops (`CdMove`/`CdDec`/`CdRefill`/
+//!   `CdBranch`/`CdZero`/`CdGate`) keep the walker's synthesized-statement
+//!   effects in order — telemetry step bump, flat bookkeeping charge,
+//!   region telemetry — with nothing that can trap but the charge itself
+//!   and the refill.
 
 use crate::interp::{RunResult, VmError};
 use crate::outcome::CrashKind;
 use crate::runtime::{saturating_i64, RunCore, Trap};
 use crate::value::Value;
-use cbi_bytecode::{BcProgram, BcRef, CdSpec, Dest, Op, Operand};
+use cbi_bytecode::{BcProgram, CdMove, CdReg, Dest, Op, Operand};
 use cbi_minic::ast::{BinOp, Type};
-
-/// Decodes the `SynthCheck` operator payload (discriminant + 1).
-const BINOPS: [BinOp; 13] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::Div,
-    BinOp::Mod,
-    BinOp::Eq,
-    BinOp::Ne,
-    BinOp::Lt,
-    BinOp::Le,
-    BinOp::Gt,
-    BinOp::Ge,
-    BinOp::And,
-    BinOp::Or,
-];
 
 /// A live call frame.
 struct Frame {
@@ -56,6 +44,8 @@ struct Frame {
     /// Where the return value goes in the caller ([`Dest::Push`] for a
     /// plain call; a store destination for [`Op::CallBind`]).
     dst: Dest,
+    /// The caller's `cd` register, restored when this frame goes.
+    cd: i64,
 }
 
 /// Snapshot for deferred-error capture inside `__cmp`/`__obs_sign`
@@ -88,7 +78,11 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
         })
         .collect();
 
-    // Seed the global countdown before the first instruction (§2.1).
+    // The countdown registers.  Seed the global one before the first
+    // instruction (§2.1); its global slot gets the seed too, for code
+    // that spells the countdown out as ordinary statements.
+    let mut cd: i64 = 0;
+    let mut gcd: i64 = 0;
     if let Some(g) = prog.gcd_global {
         let seed = match core.sampling.as_deref_mut() {
             Some(src) => saturating_i64(src.next_countdown()),
@@ -98,6 +92,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 ))
             }
         };
+        gcd = seed;
         globals[g as usize] = Value::Int(seed);
     }
 
@@ -125,6 +120,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
         base: 0,
         fn_idx: main_idx,
         dst: Dest::Push,
+        cd: 0,
     }];
     let mut defers: Vec<Defer> = Vec::new();
     let mut pc = main.entry as usize;
@@ -141,6 +137,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
             let fr = frames.pop().expect("ret with no live frame");
             core.depth -= 1;
             locals.truncate(fr.base);
+            cd = fr.cd;
             match frames.last() {
                 Some(caller) => {
                     base = caller.base;
@@ -209,33 +206,39 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
         }};
     }
 
-    /// Executes a fused region-boundary countdown prefix: the telemetry
-    /// bump, bookkeeping charge, lookup, and bind (`$decl`) or assign of
-    /// the synthesized statement the compiler absorbed.
-    macro_rules! cd_pre {
-        ($op:lifetime, $p:expr, $decl:expr) => {{
+    /// The bookkeeping every countdown op opens with, as the walker's
+    /// synthesized statement does: the telemetry step bump and the flat
+    /// charge.
+    macro_rules! bookkeeping {
+        ($op:lifetime) => {{
             if core.tm.on {
                 core.tm.steps += 1;
             }
             if let Err(t) = core.charge(core.costs.bookkeeping) {
                 break $op t;
             }
-            let cs = prog.specs[$p as usize];
-            let v = match cd_lookup(cs.src, &locals, base, &globals, prog, cur_fn, &core) {
-                Ok(v) => v,
-                Err(t) => break $op t,
-            };
-            if $decl {
-                let BcRef::Local(slot) = cs.dst else {
-                    unreachable!("synthesized decl always targets a local slot");
-                };
-                locals[base + slot as usize] = Some(v);
-            } else if let Err(t) =
-                cd_assign(cs.dst, v, &mut locals, base, &mut globals, prog, cur_fn, &core)
-            {
-                break $op t;
+        }};
+    }
+
+    /// A countdown import or export between the two registers.
+    macro_rules! cd_move {
+        ($op:lifetime, $m:expr) => {{
+            bookkeeping!($op);
+            match $m {
+                CdMove::Import => cd = gcd,
+                CdMove::Export => gcd = cd,
             }
         }};
+    }
+
+    /// The register `$r` names, as a place.
+    macro_rules! reg {
+        ($r:expr) => {
+            *match $r {
+                CdReg::Local => &mut cd,
+                CdReg::Global => &mut gcd,
+            }
+        };
     }
 
     let result: Result<Option<Value>, Trap> = 'run: loop {
@@ -457,6 +460,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                         base: nbase,
                         fn_idx: func as usize,
                         dst: Dest::Push,
+                        cd,
                     });
                     base = nbase;
                     cur_fn = func as usize;
@@ -614,136 +618,39 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     d.operand_len = stack.len();
                     continue 'run;
                 }
-                Op::CdDecl(s) => {
-                    if core.tm.on {
-                        core.tm.steps += 1;
-                    }
-                    if let Err(t) = core.charge(core.costs.bookkeeping) {
-                        break 'op t;
-                    }
-                    let spec = prog.specs[s as usize];
-                    let v = match cd_lookup(spec.src, &locals, base, &globals, prog, cur_fn, &core)
-                    {
-                        Ok(v) => v,
-                        Err(t) => break 'op t,
-                    };
-                    let BcRef::Local(slot) = spec.dst else {
-                        unreachable!("synthesized decl always targets a local slot");
-                    };
-                    locals[base + slot as usize] = Some(v);
+                Op::CdMove(m) => {
+                    cd_move!('op, m);
                     continue 'run;
                 }
-                Op::CdCopy(s) | Op::CdUpdate(s) => {
-                    if core.tm.on {
-                        core.tm.steps += 1;
-                    }
-                    if let Err(t) = core.charge(core.costs.bookkeeping) {
-                        break 'op t;
-                    }
-                    let spec = prog.specs[s as usize];
-                    let v = match cd_lookup(spec.src, &locals, base, &globals, prog, cur_fn, &core)
-                    {
-                        Ok(v) => v,
-                        Err(t) => break 'op t,
-                    };
-                    let v = if matches!(op, Op::CdCopy(_)) {
-                        v
-                    } else {
-                        match cd_arith(&core, spec, v) {
-                            Ok(v) => v,
-                            Err(t) => break 'op t,
-                        }
-                    };
-                    match cd_assign(
-                        spec.dst,
-                        v,
-                        &mut locals,
-                        base,
-                        &mut globals,
-                        prog,
-                        cur_fn,
-                        &core,
-                    ) {
-                        Ok(()) => continue 'run,
-                        Err(t) => break 'op t,
-                    }
+                Op::CdDec { reg, k } => {
+                    bookkeeping!('op);
+                    reg!(reg) = reg!(reg).wrapping_sub(i64::from(k));
+                    continue 'run;
                 }
-                Op::CdRefill(s) => {
-                    if core.tm.on {
-                        core.tm.steps += 1;
-                    }
-                    if let Err(t) = core.charge(core.costs.bookkeeping) {
-                        break 'op t;
-                    }
-                    let v = match core.next_countdown_value() {
-                        Ok(v) => v,
-                        Err(t) => break 'op t,
-                    };
-                    let spec = prog.specs[s as usize];
-                    match cd_assign(
-                        spec.dst,
-                        v,
-                        &mut locals,
-                        base,
-                        &mut globals,
-                        prog,
-                        cur_fn,
-                        &core,
-                    ) {
-                        Ok(()) => continue 'run,
+                Op::CdRefill(reg) => {
+                    bookkeeping!('op);
+                    match core.next_countdown() {
+                        Ok(v) => reg!(reg) = v,
                         Err(t) => break 'op t,
                     }
+                    continue 'run;
                 }
-                Op::CdBranch { spec, els } => {
+                Op::CdBranch { reg, w, els } => {
+                    bookkeeping!('op);
+                    let taken = reg!(reg) > i64::from(w);
                     if core.tm.on {
-                        core.tm.steps += 1;
-                    }
-                    if let Err(t) = core.charge(core.costs.bookkeeping) {
-                        break 'op t;
-                    }
-                    let spec = prog.specs[spec as usize];
-                    let v = match cd_lookup(spec.src, &locals, base, &globals, prog, cur_fn, &core)
-                    {
-                        Ok(v) => v,
-                        Err(t) => break 'op t,
-                    };
-                    let taken = match v {
-                        Value::Int(a) => {
-                            let k = spec.k;
-                            match spec.op {
-                                BinOp::Eq => a == k,
-                                BinOp::Ne => a != k,
-                                BinOp::Lt => a < k,
-                                BinOp::Le => a <= k,
-                                BinOp::Gt => a > k,
-                                BinOp::Ge => a >= k,
-                                _ => unreachable!("cd_branch fuses only comparisons"),
-                            }
-                        }
-                        other => match core.binary_values(spec.op, other, Value::Int(spec.k)) {
-                            Ok(Value::Int(x)) => x != 0,
-                            Ok(_) => unreachable!("comparisons yield integers"),
-                            Err(t) => break 'op t,
-                        },
-                    };
-                    if core.tm.on {
-                        core.tm.synthesized_if(spec.op, taken);
+                        core.tm.synthesized_if(BinOp::Gt, taken);
                     }
                     if !taken {
                         pc = els as usize;
                     }
                     continue 'run;
                 }
-                Op::SynthCheck { op, els } => {
-                    let taken = match stack.pop().expect("synth_check with empty operand stack") {
-                        Value::Int(v) => v != 0,
-                        other => {
-                            break 'op core
-                                .type_error(format!("synthesized condition evaluated to {other}"))
-                        }
-                    };
-                    if core.tm.on && op != 0 {
-                        core.tm.synthesized_if(BINOPS[(op - 1) as usize], taken);
+                Op::CdZero { reg, els } => {
+                    bookkeeping!('op);
+                    let taken = reg!(reg) == 0;
+                    if core.tm.on {
+                        core.tm.synthesized_if(BinOp::Eq, taken);
                     }
                     if !taken {
                         pc = els as usize;
@@ -755,8 +662,8 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 }
                 Op::FusedBin(s) => {
                     let sp = &prog.bins[s as usize];
-                    if let Some(p) = sp.pre {
-                        cd_pre!('op, p, sp.pre_decl);
+                    if let Some(m) = sp.pre {
+                        cd_move!('op, m);
                     }
                     if sp.stmt {
                         if core.tm.on {
@@ -937,8 +844,8 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 }
                 Op::FusedRet(s) => {
                     let sp = &prog.rets[s as usize];
-                    if let Some(p) = sp.pre {
-                        cd_pre!('op, p, false);
+                    if let Some(m) = sp.pre {
+                        cd_move!('op, m);
                     }
                     if sp.stmt {
                         if core.tm.on {
@@ -1086,8 +993,8 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 }
                 Op::FusedMov(s) => {
                     let sp = &prog.mvs[s as usize];
-                    if let Some(p) = sp.pre {
-                        cd_pre!('op, p, sp.pre_decl);
+                    if let Some(m) = sp.pre {
+                        cd_move!('op, m);
                     }
                     if sp.stmt {
                         if core.tm.on {
@@ -1112,8 +1019,8 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 }
                 Op::FusedBinJ { spec, target } => {
                     let sp = &prog.bins[spec as usize];
-                    if let Some(p) = sp.pre {
-                        cd_pre!('op, p, sp.pre_decl);
+                    if let Some(m) = sp.pre {
+                        cd_move!('op, m);
                     }
                     if sp.stmt {
                         if core.tm.on {
@@ -1159,43 +1066,20 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     pc = target as usize;
                     continue 'run;
                 }
-                Op::CdGate { spec, els } => {
-                    let g = &prog.gates[spec as usize];
-                    if let Some(p) = g.pre {
-                        cd_pre!('op, p, g.pre_decl);
+                Op::CdGate {
+                    pre,
+                    reg,
+                    w,
+                    dec,
+                    els,
+                } => {
+                    if let Some(m) = pre {
+                        cd_move!('op, m);
                     }
+                    bookkeeping!('op);
+                    let taken = reg!(reg) > i64::from(w);
                     if core.tm.on {
-                        core.tm.steps += 1;
-                    }
-                    if let Err(t) = core.charge(core.costs.bookkeeping) {
-                        break 'op t;
-                    }
-                    let bs = prog.specs[g.br as usize];
-                    let v = match cd_lookup(bs.src, &locals, base, &globals, prog, cur_fn, &core) {
-                        Ok(v) => v,
-                        Err(t) => break 'op t,
-                    };
-                    let taken = match v {
-                        Value::Int(a) => {
-                            let k = bs.k;
-                            match bs.op {
-                                BinOp::Eq => a == k,
-                                BinOp::Ne => a != k,
-                                BinOp::Lt => a < k,
-                                BinOp::Le => a <= k,
-                                BinOp::Gt => a > k,
-                                BinOp::Ge => a >= k,
-                                _ => unreachable!("cd_branch fuses only comparisons"),
-                            }
-                        }
-                        other => match core.binary_values(bs.op, other, Value::Int(bs.k)) {
-                            Ok(Value::Int(x)) => x != 0,
-                            Ok(_) => unreachable!("comparisons yield integers"),
-                            Err(t) => break 'op t,
-                        },
-                    };
-                    if core.tm.on {
-                        core.tm.synthesized_if(bs.op, taken);
+                        core.tm.synthesized_if(BinOp::Gt, taken);
                     }
                     if !taken {
                         pc = els as usize;
@@ -1203,35 +1087,9 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     }
                     // The decrement sits on the fall-through (taken) edge
                     // only; the `els` jump skips it, like the unfused pair.
-                    if let Some(d) = g.dec {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(core.costs.bookkeeping) {
-                            break 'op t;
-                        }
-                        let ds = prog.specs[d as usize];
-                        let v =
-                            match cd_lookup(ds.src, &locals, base, &globals, prog, cur_fn, &core) {
-                                Ok(v) => v,
-                                Err(t) => break 'op t,
-                            };
-                        let v = match cd_arith(&core, ds, v) {
-                            Ok(v) => v,
-                            Err(t) => break 'op t,
-                        };
-                        if let Err(t) = cd_assign(
-                            ds.dst,
-                            v,
-                            &mut locals,
-                            base,
-                            &mut globals,
-                            prog,
-                            cur_fn,
-                            &core,
-                        ) {
-                            break 'op t;
-                        }
+                    if let Some(k) = dec {
+                        bookkeeping!('op);
+                        reg!(reg) = reg!(reg).wrapping_sub(i64::from(k.get()));
                     }
                     continue 'run;
                 }
@@ -1258,6 +1116,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                         base: nbase,
                         fn_idx: cs.func as usize,
                         dst: cs.dst,
+                        cd,
                     });
                     base = nbase;
                     cur_fn = cs.func as usize;
@@ -1269,14 +1128,18 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
 
         // Recovery: an armed defer captures the first error, rewinds the
         // operand and frame stacks to its snapshot (the locals arena and
-        // `core.depth` deliberately leak — see the module docs), stands in
-        // a placeholder argument value, and resumes at the next argument.
+        // `core.depth` deliberately leak — see the module docs), restores
+        // the snapshot frame's `cd` if a callee frame goes, stands in a
+        // placeholder argument value, and resumes at the next argument.
         match defers.last_mut() {
             Some(d) => {
                 if d.err.is_none() {
                     d.err = Some(trap);
                 }
                 stack.truncate(d.operand_len);
+                if let Some(callee) = frames.get(d.frame_len) {
+                    cd = callee.cd;
+                }
                 frames.truncate(d.frame_len);
                 core.free_depth = d.free_depth;
                 let fr = frames.last().expect("defer snapshot frame is live");
@@ -1320,98 +1183,4 @@ fn fetch(
         Operand::LocalOr(s, g) => Ok(locals[base + s as usize].unwrap_or(globals[g as usize])),
         Operand::Stack => Ok(stack.pop().expect("fused operand with empty stack")),
     }
-}
-
-/// The walker's uncharged countdown-variable lookup, with its exact trap
-/// messages.
-#[inline]
-fn cd_lookup(
-    r: BcRef,
-    locals: &[Option<Value>],
-    base: usize,
-    globals: &[Value],
-    prog: &BcProgram,
-    cur_fn: usize,
-    core: &RunCore<'_>,
-) -> Result<Value, Trap> {
-    match r {
-        BcRef::Local(s) => locals[base + s as usize].ok_or_else(|| {
-            core.type_error(format!(
-                "undefined variable `{}`",
-                prog.functions[cur_fn].slot_names[s as usize]
-            ))
-        }),
-        BcRef::Global(g) => Ok(globals[g as usize]),
-        BcRef::LocalOrGlobal(s, g) => Ok(locals[base + s as usize].unwrap_or(globals[g as usize])),
-        BcRef::Undefined(n) => {
-            Err(core.type_error(format!("undefined variable `{}`", prog.names[n as usize])))
-        }
-    }
-}
-
-/// The walker's countdown assignment, with its exact trap messages.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn cd_assign(
-    r: BcRef,
-    v: Value,
-    locals: &mut [Option<Value>],
-    base: usize,
-    globals: &mut [Value],
-    prog: &BcProgram,
-    cur_fn: usize,
-    core: &RunCore<'_>,
-) -> Result<(), Trap> {
-    match r {
-        BcRef::Local(s) => {
-            let slot = &mut locals[base + s as usize];
-            if slot.is_some() {
-                *slot = Some(v);
-                Ok(())
-            } else {
-                Err(core.type_error(format!(
-                    "assignment to undefined variable `{}`",
-                    prog.functions[cur_fn].slot_names[s as usize]
-                )))
-            }
-        }
-        BcRef::Global(g) => {
-            globals[g as usize] = v;
-            Ok(())
-        }
-        BcRef::LocalOrGlobal(s, g) => {
-            let slot = &mut locals[base + s as usize];
-            if slot.is_some() {
-                *slot = Some(v);
-            } else {
-                globals[g as usize] = v;
-            }
-            Ok(())
-        }
-        BcRef::Undefined(n) => Err(core.type_error(format!(
-            "assignment to undefined variable `{}`",
-            prog.names[n as usize]
-        ))),
-    }
-}
-
-/// `cd <op> k` with the walker's `eval_uncharged` integer shortcut and
-/// their generic fallback for everything else.
-#[inline]
-fn cd_arith(core: &RunCore<'_>, spec: CdSpec, v: Value) -> Result<Value, Trap> {
-    if let Value::Int(a) = v {
-        let k = spec.k;
-        match spec.op {
-            BinOp::Sub => return Ok(Value::Int(a.wrapping_sub(k))),
-            BinOp::Add => return Ok(Value::Int(a.wrapping_add(k))),
-            BinOp::Eq => return Ok(Value::Int(i64::from(a == k))),
-            BinOp::Ne => return Ok(Value::Int(i64::from(a != k))),
-            BinOp::Lt => return Ok(Value::Int(i64::from(a < k))),
-            BinOp::Le => return Ok(Value::Int(i64::from(a <= k))),
-            BinOp::Gt => return Ok(Value::Int(i64::from(a > k))),
-            BinOp::Ge => return Ok(Value::Int(i64::from(a >= k))),
-            _ => {}
-        }
-    }
-    core.binary_values(spec.op, v, Value::Int(spec.k))
 }

@@ -141,8 +141,6 @@ impl Heap {
     ///
     /// Returns a crash kind for out-of-capacity, freed, or invalid access.
     pub fn store(&mut self, ptr: PtrVal, index: i64, value: Value) -> Result<(), CrashKind> {
-        let slack = self.slack;
-        let _ = slack;
         let b = self
             .blocks
             .get_mut(ptr.block as usize)

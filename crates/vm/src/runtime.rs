@@ -413,15 +413,20 @@ impl<'a> RunCore<'a> {
 
     /// `__next_cd()`: the refill charge (never suspended) and the next
     /// countdown from the configured source.
-    pub(crate) fn next_countdown_value(&mut self) -> Result<Value, Trap> {
+    pub(crate) fn next_countdown(&mut self) -> Result<i64, Trap> {
         self.charge_always(self.costs.refill)?;
         match self.sampling.as_deref_mut() {
-            Some(src) => Ok(Value::Int(saturating_i64(src.next_countdown()))),
+            Some(src) => Ok(saturating_i64(src.next_countdown())),
             None => {
                 Err(self
                     .type_error("program called __next_cd() but no countdown source is configured"))
             }
         }
+    }
+
+    /// [`RunCore::next_countdown`] as a value.
+    pub(crate) fn next_countdown_value(&mut self) -> Result<Value, Trap> {
+        self.next_countdown().map(Value::Int)
     }
 
     /// Maps the result of running `main` to a [`RunOutcome`].

@@ -7,7 +7,7 @@
 //! and inside the owning function's body.
 
 use cbi::prelude::*;
-use cbi_vm::bytecode::{BcProgram, Op};
+use cbi_vm::bytecode::{BcProgram, CdReg, Op};
 
 fn check_jump_targets(label: &str, bc: &BcProgram) {
     for f in &bc.functions {
@@ -19,7 +19,7 @@ fn check_jump_targets(label: &str, bc: &BcProgram) {
                 | Op::DeferPush(t)
                 | Op::DeferNext(t)
                 | Op::CdBranch { els: t, .. }
-                | Op::SynthCheck { els: t, .. }
+                | Op::CdZero { els: t, .. }
                 | Op::FusedBr { target: t, .. }
                 | Op::FusedBinJ { target: t, .. }
                 | Op::CdGate { els: t, .. } => t,
@@ -225,17 +225,19 @@ fn whole_corpus_compiles_structurally_valid() {
                 apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
             let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(&sampled));
             check_jump_targets(&format!("{name} {scheme}"), &bc);
-            // Fused countdown specs must all be referenced in-range.
+            // The default local countdown: every test, decrement and
+            // refill works on the frame-local register.
             for op in &bc.ops {
-                if let Op::CdDecl(s)
-                | Op::CdCopy(s)
-                | Op::CdUpdate(s)
-                | Op::CdRefill(s)
-                | Op::CdBranch { spec: s, .. } = op
+                if let Op::CdDec { reg, .. }
+                | Op::CdRefill(reg)
+                | Op::CdBranch { reg, .. }
+                | Op::CdZero { reg, .. }
+                | Op::CdGate { reg, .. } = op
                 {
-                    assert!(
-                        (*s as usize) < bc.specs.len(),
-                        "{name} {scheme}: dangling spec index {s}"
+                    assert_eq!(
+                        *reg,
+                        CdReg::Local,
+                        "{name} {scheme}: countdown op on the global register"
                     );
                 }
             }

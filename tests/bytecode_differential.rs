@@ -6,6 +6,8 @@
 //! Trap behaviour is fuzzed separately with handwritten programs that
 //! crash in every category (the generator only emits clean programs).
 
+use cbi::instrument::SiteKind;
+use cbi::minic::Span;
 use cbi::prelude::*;
 use cbi_testgen::program_for_seed;
 
@@ -17,7 +19,7 @@ fn run_both(
     sites: Option<&SiteTable>,
     density: Option<(u64, u64)>,
     input: &[i64],
-) {
+) -> cbi_vm::RunResult {
     let slots = cbi::minic::lower(program);
     let bytecode = cbi_vm::bytecode::compile(&slots);
 
@@ -36,6 +38,7 @@ fn run_both(
     let s = slot_vm.run().expect("slot vm config");
     let b = bc_vm.run().expect("bytecode vm config");
     assert_eq!(s, b, "{label}: bytecode engine diverged from slot engine");
+    s
 }
 
 #[test]
@@ -249,5 +252,228 @@ fn dynamic_name_semantics_agree() {
     for (name, src) in cases {
         let program = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         run_both(name, &program, None, None, &[]);
+    }
+}
+
+// ---- the countdown registers' edges -------------------------------------
+//
+// The bytecode engine keeps `__cd`/`__gcd` in two registers of its
+// dispatch loop, saved per call frame; the oracle keeps them in a frame
+// slot and a global.  These programs carry handwritten observation sites
+// so that sampling puts countdown imports, gates, decrements, refills and
+// exports next to every way a frame can go: a deferred-error rewind, the
+// op limit, and a stack overflow.
+
+/// A site table for handwritten sites: site `i` has kind `kinds[i]`.
+fn site_table(kinds: &[SiteKind]) -> SiteTable {
+    let mut table = SiteTable::new();
+    for (i, kind) in kinds.iter().enumerate() {
+        table.add(
+            "handwritten",
+            Span::synthesized(),
+            *kind,
+            format!("site {i}"),
+        );
+    }
+    table
+}
+
+/// Parses and sampling-transforms `src` under the default options.
+fn sampled(src: &str) -> Program {
+    let program = parse(src).expect("parse");
+    apply_sampling(&program, &TransformOptions::default())
+        .expect("transform")
+        .0
+}
+
+#[test]
+fn deferred_error_in_a_weighted_callee_agrees() {
+    // `boom` and `mid` carry sites, so each imports the countdown on
+    // entry.  Whenever `mid`'s `__cmp` site is sampled, `boom` divides by
+    // zero with its frame live, and `mid`'s deferred argument list
+    // captures the error: a rewind past a frame holding a saved
+    // countdown.  When `main`'s `__cmp` site was sampled too, `main`'s
+    // own deferred list captures `mid`'s re-raised error: a second rewind.
+    let src = "fn boom(int x) -> int { __obs_sign(2, x); int z = x - x; return x / z; }\n\
+        fn mid(int x) -> int { __cmp(0, boom(x), print(x)); __check(1, x >= 0); return x; }\n\
+        fn main() -> int {\n\
+            int i = 0;\n\
+            while (i < 1000) { __check(1, i >= 0); __cmp(3, mid(i), i); int r = mid(i); i = i + 1; }\n\
+            return 0;\n\
+        }";
+    let program = sampled(src);
+    let sites = site_table(&[
+        SiteKind::ScalarPair,
+        SiteKind::Assert,
+        SiteKind::ReturnSign,
+        SiteKind::ScalarPair,
+    ]);
+    for density in [1u64, 2, 100] {
+        for seed in 0..4 {
+            let label = format!("deferred callee error 1/{density} seed {seed}");
+            let r = run_both(&label, &program, Some(&sites), Some((density, seed)), &[]);
+            // The error surfaced only after the argument behind it ran.
+            assert_eq!(
+                r.outcome,
+                RunOutcome::Crash(cbi_vm::CrashKind::DivideByZero),
+                "{label}"
+            );
+            assert!(!r.output.is_empty(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn weighted_calls_inside_expressions_agree() {
+    // `instrument` hoists calls into statements of their own, which the
+    // transformation brackets with a countdown export and import; calls
+    // left inside a condition or an operand are not bracketed.  There the
+    // callee imports the global countdown and exports its own on return,
+    // while the caller's `__cd` must come back unchanged: the frame's
+    // saved register.
+    let src = "fn g(int x) -> int { __check(0, x >= 0); __obs_sign(1, x - 5); return x % 7; }\n\
+        fn main() -> int {\n\
+            int i = 0; int s = 0;\n\
+            while (g(i) < 6) {\n\
+                __check(0, i >= 0);\n\
+                if (g(i + 1) > 2) { s = s + g(i) * 2; __obs_sign(1, s); }\n\
+                i = i + 1;\n\
+                if (i > 200) { return s; }\n\
+            }\n\
+            print(s);\n\
+            return i;\n\
+        }";
+    let program = sampled(src);
+    let sites = site_table(&[SiteKind::Assert, SiteKind::ReturnSign]);
+    for density in [1u64, 2, 100] {
+        for seed in 0..4 {
+            run_both(
+                &format!("unbracketed weighted calls 1/{density} seed {seed}"),
+                &program,
+                Some(&sites),
+                Some((density, seed)),
+                &[],
+            );
+        }
+    }
+}
+
+/// A small sampled recursive program: every call imports the countdown,
+/// exports it around the recursive call and before each return.
+const SAMPLED_RECURSION: &str = "fn f(int n) -> int {\n\
+        __check(0, n >= 0);\n\
+        if (n < 1) { return 0; }\n\
+        int r = f(n - 1);\n\
+        __obs_sign(1, r - n);\n\
+        return r + n;\n\
+    }\n\
+    fn main() -> int { __check(0, 1 > 0); print(f(5)); return 0; }";
+
+#[test]
+fn op_limit_sweep_through_countdown_ops_agrees() {
+    // Every limit from 1 to the full run traps at a different op, so the
+    // sweep stops the run inside imports, gates, decrements, refills and
+    // exports alike.  A limit trap leaves the op count past the limit by
+    // the trapping charge, which charge fusion may have folded (see
+    // `op_limit_aborts_agree_on_outcome`); everything else must agree.
+    let program = sampled(SAMPLED_RECURSION);
+    let sites = site_table(&[SiteKind::Assert, SiteKind::ReturnSign]);
+    let slots = cbi::minic::lower(&program);
+    let bytecode = cbi_vm::bytecode::compile(&slots);
+    for density in [1u64, 2] {
+        let run = |limit: u64, oracle: bool| {
+            let mut engine = if oracle {
+                Vm::from_slots(&slots)
+            } else {
+                Vm::from_bytecode(&bytecode)
+            };
+            engine
+                .with_sites(&sites)
+                .with_trace(16)
+                .with_op_limit(limit)
+                .with_sampling(Box::new(Geometric::new(
+                    SamplingDensity::one_in(density),
+                    9,
+                )))
+                .run()
+                .expect("vm config")
+        };
+        let full = run(u64::MAX, true);
+        assert!(full.outcome.is_success(), "{:?}", full.outcome);
+        for limit in 1..=full.ops {
+            let s = run(limit, true);
+            let b = run(limit, false);
+            if s.outcome == RunOutcome::OpLimit {
+                assert!(b.ops > limit, "1/{density} limit {limit}: {}", b.ops);
+                assert_eq!(
+                    (&s.outcome, &s.counters, &s.output, &s.trace),
+                    (&b.outcome, &b.counters, &b.output, &b.trace),
+                    "1/{density} limit {limit}"
+                );
+            } else {
+                assert_eq!(s, b, "1/{density} limit {limit}");
+            }
+        }
+    }
+}
+
+#[test]
+fn reparsed_sampled_source_agrees() {
+    // Printed and parsed again, the transformed program spells the
+    // countdown out as ordinary code: a `__cd` local and a `__gcd` global
+    // the engine must seed exactly as the oracle does, not its registers.
+    let reparsed = parse(&pretty(&sampled(SAMPLED_RECURSION))).expect("reparse");
+    let sites = site_table(&[SiteKind::Assert, SiteKind::ReturnSign]);
+    for density in [1u64, 2, 5] {
+        run_both(
+            &format!("re-parsed source 1/{density}"),
+            &reparsed,
+            Some(&sites),
+            Some((density, 3)),
+            &[],
+        );
+    }
+}
+
+#[test]
+fn stack_overflow_in_a_sampled_recursion_agrees() {
+    let src = "fn f(int n) -> int { __check(0, n >= 0); __obs_sign(1, n); return f(n + 1); }\n\
+        fn main() -> int { return f(0); }";
+    let program = sampled(src);
+    let sites = site_table(&[SiteKind::Assert, SiteKind::ReturnSign]);
+    let slots = cbi::minic::lower(&program);
+    let bytecode = cbi_vm::bytecode::compile(&slots);
+    for density in [1u64, 2, 100] {
+        // Depth-limited for the debug-build walker, as above.
+        for depth in [1usize, 2, 64] {
+            let run = |oracle: bool| {
+                let mut engine = if oracle {
+                    Vm::from_slots(&slots)
+                } else {
+                    Vm::from_bytecode(&bytecode)
+                };
+                engine
+                    .with_sites(&sites)
+                    .with_trace(16)
+                    .with_max_depth(depth)
+                    .with_sampling(Box::new(Geometric::new(
+                        SamplingDensity::one_in(density),
+                        4,
+                    )))
+                    .run()
+                    .expect("vm config")
+            };
+            let s = run(true);
+            let b = run(false);
+            assert_eq!(s, b, "1/{density} depth {depth}");
+            assert!(
+                matches!(
+                    s.outcome,
+                    RunOutcome::Crash(cbi_vm::CrashKind::StackOverflow)
+                ),
+                "1/{density} depth {depth}: {:?}",
+                s.outcome
+            );
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! count, counter vector, program output, and the bounded observation
 //! trace.
 
+use cbi::instrument::CountdownStorage;
 use cbi::prelude::*;
 use cbi::workloads::{BC_SOURCE, BENCHMARK_SOURCES, CCRYPT_SOURCE};
 
@@ -112,6 +113,52 @@ fn engines_match_across_sampling_density_sweep() {
                 &transformed,
                 &inst.sites,
                 Some(SamplingDensity::one_in(d)),
+                &INPUT,
+            );
+        }
+    }
+}
+
+/// Every [`TransformOptions`]: countdown storage × coalescing ×
+/// interprocedural analysis × region weighting.
+fn all_transform_options() -> Vec<TransformOptions> {
+    let mut all = Vec::new();
+    for countdown in [CountdownStorage::Local, CountdownStorage::Global] {
+        for coalesce in [true, false] {
+            for interprocedural in [true, false] {
+                for regions in [true, false] {
+                    all.push(TransformOptions {
+                        countdown,
+                        coalesce,
+                        interprocedural,
+                        regions,
+                    });
+                }
+            }
+        }
+    }
+    all
+}
+
+#[test]
+fn engines_match_under_every_transform_option_set() {
+    // Each option set synthesizes a different mix of countdown
+    // statements — the global countdown, uncoalesced decrements, calls
+    // that break regions, devolved per-site checks — and every one must
+    // compile to the engine's countdown-register ops (the compiler
+    // panics on any other shape) and run as the oracle does.  One
+    // scheme keeps the sweep affordable in a debug build: `branches`,
+    // which places sites in every function that branches.
+    for (name, src) in corpus() {
+        let program = parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let inst = instrument(&program, Scheme::Branches).expect("instrument");
+        for options in all_transform_options() {
+            let (transformed, _) = apply_sampling(&inst.program, &options).expect("transform");
+            assert_engines_agree(
+                &format!("{name} {options:?}"),
+                &transformed,
+                &inst.sites,
+                Some(SamplingDensity::one_in(3)),
                 &INPUT,
             );
         }
