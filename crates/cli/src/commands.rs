@@ -750,7 +750,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         shards,
         queue_cap,
         epoch_len,
-        streaming: StreamingConfig::default(),
+        streaming: TrainConfig::default(),
         flight_capacity: args.flag_or("flight-cap", 64usize)?,
         target_counter: None,
         keep_reports: args.flag("spool").is_some() || matches!(mode, "regress" | "both"),
@@ -803,19 +803,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         print_elimination(&outcome.aggregator.analyzer().eliminate(&inst.sites));
     }
     if matches!(mode, "regress" | "both") {
-        // The ℓ₁ trainer works on a dense design matrix.
-        let collector = outcome
+        let archive = outcome
             .collector
-            .expect("keep_reports is set for regression modes")
-            .to_collector();
-        let n = collector.len();
-        let result = cbi::workloads::CampaignResult {
-            instrumented: inst,
-            collector,
-            dropped: 0,
-        };
-        let study = cbi::regress(&result, &RegressionConfig::paper_proportions(n))
-            .map_err(|e| e.to_string())?;
+            .expect("keep_reports is set for regression modes");
+        let config = RegressionConfig::paper_proportions(archive.len());
+        let study =
+            cbi::regress_rows(&inst.sites, archive.rows(), &config).map_err(|e| e.to_string())?;
         print_regression(&study);
     }
     if recording {
@@ -1385,13 +1378,9 @@ fn replay_spool(args: &Args, path: &str) -> Result<cbi::EpochAggregator, String>
         .expect_layout(layout.layout_hash, layout.counters)
         .map_err(|e| format!("{path}: {e}"))?;
 
-    let mut aggregator = cbi::EpochAggregator::new(
-        inst.sites.clone(),
-        epoch_len,
-        StreamingConfig::default(),
-        None,
-    )
-    .with_flight_capacity(args.flag_or("flight-cap", 64usize)?);
+    let mut aggregator =
+        cbi::EpochAggregator::new(inst.sites.clone(), epoch_len, TrainConfig::default(), None)
+            .with_flight_capacity(args.flag_or("flight-cap", 64usize)?);
     aggregator.begin(layout).map_err(|e| e.to_string())?;
 
     loop {

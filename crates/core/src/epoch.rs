@@ -8,21 +8,44 @@
 //! [`FirstObservation`] record, and every `epoch_len` runs it closes an
 //! epoch and snapshots the questions a deployment operator asks —
 //! detection latency of a target predicate, elimination-survivor count,
-//! regression rank against ground truth, failure counts, and bytes on
-//! the wire.
+//! the target's rank under the Ochiai measure, failure counts, and bytes
+//! on the wire.  Every one of them is an integer function of the folded
+//! statistics; the fold holds no float state.
+//!
+//! The §3.3 crash predictor is trained over the same rows, not folded:
+//! [`EpochAggregator::fold_and_train`] runs [`cbi_stats::train`] on a
+//! second core beside a whole-stream fold and attaches the model as a
+//! result.
 //!
 //! The aggregator is itself a [`ReportSink`], so it can sit behind the
 //! transactional batch ingest exactly where a plain analyzer would.
 
 use crate::detection::FirstObservation;
-use crate::streaming::{StreamingAnalyzer, StreamingConfig};
+use crate::streaming::StreamingAnalyzer;
 use cbi_instrument::SiteTable;
 use cbi_reports::{
     nonzero, BatchStats, CollectError, DecodeOutcome, Label, Provenance, Report, ReportLayout,
-    ReportSink, SinkError, SparseArchive, WireErrorKind, WireReader,
+    ReportSink, SinkError, SparseArchive, WireErrorKind,
 };
-use cbi_stats::OnlineTrainer;
+use cbi_scoring::score::Ochiai;
+use cbi_scoring::{rank_of, rank_tables};
+use cbi_stats::{contingency_tables, train, LogisticModel, Row, TrainConfig};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
+use std::sync::mpsc;
+
+/// Rows plus nonzero counters a [`RowFeed`] gathers before it hands
+/// them to the trainer: the first chunk is this small, so the trainer
+/// starts early on a short stream, and each next one twice as large up
+/// to [`CHUNK_ENTRIES`].
+const FIRST_CHUNK: usize = 1 << 6;
+
+/// The largest chunk: few enough hand-overs that a long narrow stream
+/// does not pay one per batch, and little memory in flight.
+const CHUNK_ENTRIES: usize = 1 << 12;
+
+/// Chunks the fold may run ahead of the trainer by.
+const QUEUED_CHUNKS: usize = 4;
 
 /// Per-cohort ingest accounting: batches, bytes, corruption, rejection,
 /// and retry totals attributable to one client cohort (e.g.
@@ -169,7 +192,8 @@ pub struct EpochSnapshot {
     pub survivors: usize,
     /// Detection latency of the target counter (runs, 1-based).
     pub target_latency: Option<usize>,
-    /// 0-based rank of the target counter in the regression ordering.
+    /// 0-based rank of the target counter under the Ochiai measure over
+    /// this snapshot's contingency tables.
     pub target_rank: Option<usize>,
     /// Wire bytes accepted so far (as attributed by the transport).
     pub bytes: u64,
@@ -213,13 +237,16 @@ pub struct EpochAggregator {
     snapshots: Vec<EpochSnapshot>,
     /// Scratch: the current report's nonzero `(counter, value)` pairs.
     scratch: Vec<(usize, u64)>,
+    /// The §3.3 model of the whole stream, once one is attached.
+    model: Option<LogisticModel>,
 }
 
 impl EpochAggregator {
     /// Creates an aggregator for a stream instrumented per `sites`,
     /// snapshotting every `epoch_len` runs.  `target_counter` is the
     /// ground-truth counter (e.g. a planted bug's true predicate) whose
-    /// latency and rank each snapshot reports.
+    /// latency and rank each snapshot reports.  `config` is what
+    /// [`fold_and_train`](Self::fold_and_train) trains the §3.3 model with.
     ///
     /// # Panics
     ///
@@ -227,7 +254,7 @@ impl EpochAggregator {
     pub fn new(
         sites: SiteTable,
         epoch_len: u64,
-        config: StreamingConfig,
+        config: TrainConfig,
         target_counter: Option<usize>,
     ) -> Self {
         assert!(epoch_len > 0, "epoch length must be nonzero");
@@ -251,6 +278,7 @@ impl EpochAggregator {
             flight: FlightRecorder::default(),
             snapshots: Vec::new(),
             scratch: Vec::new(),
+            model: None,
         }
     }
 
@@ -372,73 +400,84 @@ impl EpochAggregator {
         Ok(walked)
     }
 
-    /// Runs `fold` with the §3.3 trainer on a second thread: the
-    /// whole-stream fold of an ingest server or fleet, split over two
-    /// cores without changing a bit of its result.
+    /// Runs `fold` on this thread while a scoped thread trains the §3.3
+    /// model, then attaches the model: the whole-stream fold of an
+    /// ingest server or fleet, split over two cores.
     ///
-    /// `fold` must fold exactly the wire batches `payloads` yields, in
-    /// that order, each through [`fold_batch`](Self::fold_batch), and
-    /// nothing else.  While it runs on the caller's thread — notes,
-    /// retries, rejections, the archive, the integer statistics, first
-    /// observations and epoch snapshots — the analyzer's trainer is
-    /// detached and a scoped thread walks the same payload bytes a second
-    /// time, feeding each report's nonzero counters to it in the same
-    /// order.  The trainer is reinstalled when both are done, before
-    /// anything can read the model.  The thread also notes the target
-    /// counter's rank after every `epoch_len`-th report — exactly where
-    /// the fold closes an epoch — and those ranks are written into the
-    /// snapshots `fold` took, so every [`EpochSnapshot`] is the one an
-    /// inline fold takes.  `fold` must not call [`close`](Self::close):
-    /// close the stream after this returns.
+    /// `fold` walks every batch it folds into [`RowFeed::rows`] with
+    /// [`fold_batch`](Self::fold_batch).  The feed hands the rows to the
+    /// trainer thread in chunks, in fold order, and the thread runs
+    /// [`cbi_stats::train`] over them — one pass with the analyzer's
+    /// [`config`](StreamingAnalyzer::config) — so the model is the one
+    /// training over the same rows after the fold gives, to the bit.
+    /// The fold itself moves only integers.  With `keep_rows` every row
+    /// is also kept, in fold order, and returned.
     ///
-    /// Before `begin` there is no trainer and `fold` runs alone.
+    /// Before `begin` there is no layout: `fold` runs alone and no model
+    /// is attached.
     ///
     /// # Errors
     ///
-    /// Whatever `fold` returns.  The trainer is reinstalled either way;
-    /// after an error it may have seen reports the fold did not finish.
+    /// Whatever `fold` returns; no model is attached then.
     ///
     /// # Panics
     ///
-    /// Panics if `fold` succeeds but folded other reports than
-    /// `payloads` holds or took a snapshot off an epoch boundary, or if
-    /// the trainer thread panics.
-    pub fn train_beside<'p, T, E>(
+    /// Panics if the trainer thread panics: a row named a counter
+    /// outside the layout.
+    pub fn fold_and_train<T, E>(
         &mut self,
-        payloads: impl Iterator<Item = &'p [u8]> + Send,
-        fold: impl FnOnce(&mut Self) -> Result<T, E>,
-    ) -> Result<T, E> {
-        let (Some(layout), Some(trainer)) =
-            (self.analyzer.layout(), self.analyzer.detach_trainer())
-        else {
-            return fold(self);
-        };
-        let first_snapshot = self.snapshots.len();
-        let cuts = EpochCuts {
-            runs: self.runs,
-            epoch_len: self.epoch_len,
-            target: self.target_counter,
-        };
-        let (folded, (trainer, ranks)) = std::thread::scope(|scope| {
-            let training = scope.spawn(move || train_payloads(trainer, layout, payloads, cuts));
-            let folded = fold(self);
-            let trained = training
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (folded, trained)
+        keep_rows: bool,
+        fold: impl FnOnce(&mut Self, &mut RowFeed) -> Result<T, E>,
+    ) -> Result<(T, Option<SparseArchive>), E> {
+        let config = *self.analyzer.config();
+        let layout = self.analyzer.layout();
+        let (folded, model, kept) = std::thread::scope(|scope| {
+            // Before `begin` nothing folds; an empty layout stands in.  A
+            // panicking `fold` drops the feed, and with it the channel the
+            // trainer waits on, before the scope joins the trainer.
+            let mut feed = RowFeed::new(
+                layout.unwrap_or(ReportLayout {
+                    counters: 0,
+                    layout_hash: 0,
+                }),
+                keep_rows,
+            );
+            let training = layout.map(|layout| {
+                let (to_trainer, chunks) = mpsc::sync_channel::<SparseArchive>(QUEUED_CHUNKS);
+                feed.to_trainer = Some(to_trainer);
+                scope.spawn(move || {
+                    let rows = chunks.into_iter().flat_map(|chunk| {
+                        let chunk = Rc::new(chunk);
+                        (0..chunk.len()).map(move |r| ChunkRow(Rc::clone(&chunk), r))
+                    });
+                    train(layout.counters, rows, &config)
+                })
+            });
+            let folded = fold(self, &mut feed);
+            feed.hand_over();
+            feed.to_trainer = None;
+            let model = training.map(|training| {
+                training
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (folded, model, feed.kept)
         });
-        let trained = trainer.seen();
-        self.analyzer.attach_trainer(trainer);
         let folded = folded?;
-        let taken = &mut self.snapshots[first_snapshot..];
-        assert!(
-            trained == self.analyzer.seen() && ranks.len() == taken.len(),
-            "train_beside: the fold and its payloads disagree"
-        );
-        for (snapshot, rank) in taken.iter_mut().zip(ranks) {
-            snapshot.target_rank = rank;
-        }
-        Ok(folded)
+        self.model = model;
+        Ok((folded, kept))
+    }
+
+    /// Attaches a §3.3 model of this stream, trained elsewhere over the
+    /// rows this aggregator folded (see [`model`](Self::model)).
+    pub fn attach_model(&mut self, model: LogisticModel) {
+        self.model = Some(model);
+    }
+
+    /// The §3.3 model of the whole stream, if one was trained beside the
+    /// fold or attached.
+    pub fn model(&self) -> Option<&LogisticModel> {
+        self.model.as_ref()
     }
 
     /// Closes the stream: snapshots a partial final epoch, or the empty
@@ -458,10 +497,8 @@ impl EpochAggregator {
     fn snapshot(&self, epoch: usize) -> EpochSnapshot {
         let survivors = self.analyzer.eliminate(&self.sites).combined.len();
         let target_rank = self.target_counter.and_then(|c| {
-            self.analyzer
-                .ranking()
-                .iter()
-                .position(|&(counter, _)| counter == c)
+            let tables = contingency_tables(self.analyzer.stats(), &self.sites.groups());
+            rank_of(&rank_tables(&Ochiai, &tables), c)
         });
         EpochSnapshot {
             epoch,
@@ -546,53 +583,64 @@ impl EpochAggregator {
     }
 }
 
-/// Where [`EpochAggregator::accept_nonzero`] closes epochs, for the
-/// trainer thread of [`EpochAggregator::train_beside`].
-#[derive(Debug, Clone, Copy)]
-struct EpochCuts {
-    /// Runs folded before the first payload.
-    runs: u64,
-    epoch_len: u64,
-    target: Option<usize>,
+/// Where the fold of [`EpochAggregator::fold_and_train`] walks its
+/// batches, and how their rows reach the trainer beside it.
+#[derive(Debug)]
+pub struct RowFeed {
+    layout: ReportLayout,
+    rows: SparseArchive,
+    chunk: usize,
+    kept: Option<SparseArchive>,
+    to_trainer: Option<mpsc::SyncSender<SparseArchive>>,
 }
 
-/// The trainer's half of [`EpochAggregator::train_beside`]: every report
-/// of every payload, in order, through `trainer`, with the target's rank
-/// noted at each epoch boundary.  A payload that does not walk against
-/// `layout` ends the training: the fold rejects that batch too.
-fn train_payloads<'p>(
-    mut trainer: OnlineTrainer,
-    layout: ReportLayout,
-    payloads: impl Iterator<Item = &'p [u8]>,
-    cuts: EpochCuts,
-) -> (OnlineTrainer, Vec<Option<usize>>) {
-    let mut runs = cuts.runs;
-    let mut ranks = Vec::new();
-    let mut row: Vec<(usize, u64)> = Vec::new();
-    for payload in payloads {
-        // The fold's walk counted these frames already.
-        let Ok(mut reader) = WireReader::new(payload).map(WireReader::uncounted) else {
-            break;
-        };
-        if reader
-            .expect_layout(layout.layout_hash, layout.counters)
-            .is_err()
-        {
-            break;
-        }
-        loop {
-            row.clear();
-            let Ok(Some((_, label))) = reader.read_nonzero(|i, value| row.push((i, value))) else {
-                break;
-            };
-            trainer.update_nonzero(row.iter().copied(), label == Label::Failure);
-            runs += 1;
-            if runs.is_multiple_of(cuts.epoch_len) {
-                ranks.push(cuts.target.and_then(|c| trainer.model().rank_of(c)));
-            }
+impl RowFeed {
+    fn new(layout: ReportLayout, keep_rows: bool) -> RowFeed {
+        RowFeed {
+            layout,
+            rows: SparseArchive::new(layout),
+            chunk: FIRST_CHUNK,
+            kept: keep_rows.then(|| SparseArchive::new(layout)),
+            to_trainer: None,
         }
     }
-    (trainer, ranks)
+
+    /// The archive to walk the next batch into, with
+    /// [`EpochAggregator::fold_batch`].  The rows walked into it before
+    /// go to the trainer first once there are enough of them.
+    pub fn rows(&mut self) -> &mut SparseArchive {
+        if self.rows.len() + self.rows.nonzeros() >= self.chunk {
+            self.hand_over();
+            self.chunk = (2 * self.chunk).min(CHUNK_ENTRIES);
+        }
+        &mut self.rows
+    }
+
+    /// Hands the rows walked so far to the trainer (and to the kept
+    /// archive) and starts a fresh chunk.
+    fn hand_over(&mut self) {
+        if let Some(kept) = self.kept.as_mut() {
+            kept.append(&self.rows);
+        }
+        let rows = std::mem::replace(&mut self.rows, SparseArchive::new(self.layout));
+        if let Some(to_trainer) = &self.to_trainer {
+            // A send fails only if the trainer panicked; `join` says so.
+            let _ = to_trainer.send(rows);
+        }
+    }
+}
+
+/// One row of a chunk on the trainer thread.
+struct ChunkRow(Rc<SparseArchive>, usize);
+
+impl Row for ChunkRow {
+    fn failed(&self) -> bool {
+        self.0.row(self.1).label == Label::Failure
+    }
+
+    fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> {
+        self.0.row(self.1).nonzero()
+    }
 }
 
 impl ReportSink for EpochAggregator {
@@ -636,7 +684,7 @@ mod tests {
     }
 
     fn aggregator(epoch_len: u64, target: Option<usize>) -> EpochAggregator {
-        EpochAggregator::new(sites(), epoch_len, StreamingConfig::default(), target)
+        EpochAggregator::new(sites(), epoch_len, TrainConfig::default(), target)
     }
 
     fn report(run_id: u64, fail: bool, hot: usize, counters: usize) -> Report {
@@ -801,52 +849,6 @@ mod tests {
         assert!(!rendered.contains('.'), "integer-only: {rendered}");
     }
 
-    #[test]
-    fn accept_nonzero_leaves_the_state_accept_does() {
-        use cbi_sampler::SamplingDensity;
-        use cbi_workloads::{run_campaign, CampaignConfig};
-
-        // A seeded sampled campaign over a crashing program: reports
-        // with a mix of zero and nonzero counters and both labels.
-        let program = cbi_minic::parse(
-            "fn g() -> int { if (has_input() == 0) { return 0; } return read(); }\n\
-             fn main() -> int { int v = g(); print(100 / v); return 0; }",
-        )
-        .unwrap();
-        let trials: Vec<Vec<i64>> = (0..300)
-            .map(|i| if i % 7 == 0 { vec![] } else { vec![i % 5 + 1] })
-            .collect();
-        let mut config = CampaignConfig::sampled(Scheme::Returns, SamplingDensity::one_in(3));
-        config.seed = 0x5ca7;
-        let result = run_campaign(&program, &trials, &config).unwrap();
-        let table = result.instrumented.sites.clone();
-        let layout = ReportLayout {
-            counters: table.total_counters(),
-            layout_hash: table.layout_hash(),
-        };
-
-        let fresh = || EpochAggregator::new(table.clone(), 64, StreamingConfig::default(), Some(0));
-        let (mut dense, mut sparse) = (fresh(), fresh());
-        dense.begin(layout).unwrap();
-        sparse.begin(layout).unwrap();
-        for report in result.collector.reports() {
-            dense.accept(report.clone()).unwrap();
-            sparse
-                .accept_nonzero(report.run_id, report.label, nonzero(&report.counters))
-                .unwrap();
-        }
-        assert!(dense.failures() > 0 && dense.failures() < dense.runs());
-        assert_eq!(sparse.snapshots(), dense.snapshots());
-        assert_eq!(sparse.snapshots().len(), 300 / 64);
-        assert_eq!(sparse.first_observation(), dense.first_observation());
-        let bits = |agg: &EpochAggregator| {
-            let model = agg.analyzer().model().unwrap();
-            let weights: Vec<u64> = model.weights.iter().map(|w| w.to_bits()).collect();
-            (model.bias.to_bits(), weights)
-        };
-        assert_eq!(bits(&sparse), bits(&dense));
-    }
-
     /// A seeded sampled campaign over a crashing program, its site
     /// table, and its reports encoded as wire batches of seven.
     fn campaign_batches() -> (SiteTable, ReportLayout, Vec<Report>, Vec<Vec<u8>>) {
@@ -878,8 +880,29 @@ mod tests {
         (table, layout, reports, batches)
     }
 
-    fn model_bits(agg: &EpochAggregator) -> (u64, Vec<u64>) {
-        let model = agg.analyzer().model().unwrap();
+    #[test]
+    fn accept_nonzero_leaves_the_state_accept_does() {
+        // Reports with a mix of zero and nonzero counters and both labels.
+        let (table, layout, reports, _) = campaign_batches();
+        let fresh = || EpochAggregator::new(table.clone(), 64, TrainConfig::default(), Some(0));
+        let (mut dense, mut sparse) = (fresh(), fresh());
+        dense.begin(layout).unwrap();
+        sparse.begin(layout).unwrap();
+        for report in &reports {
+            dense.accept(report.clone()).unwrap();
+            sparse
+                .accept_nonzero(report.run_id, report.label, nonzero(&report.counters))
+                .unwrap();
+        }
+        assert!(dense.failures() > 0 && dense.failures() < dense.runs());
+        assert_eq!(sparse.snapshots(), dense.snapshots());
+        assert_eq!(sparse.snapshots().len(), 300 / 64);
+        assert_eq!(sparse.first_observation(), dense.first_observation());
+        assert_eq!(sparse.analyzer().stats(), dense.analyzer().stats());
+        assert!(dense.model().is_none(), "accepting a report trains nothing");
+    }
+
+    fn model_bits(model: &LogisticModel) -> (u64, Vec<u64>) {
         let weights = model.weights.iter().map(|w| w.to_bits()).collect();
         (model.bias.to_bits(), weights)
     }
@@ -887,76 +910,159 @@ mod tests {
     #[test]
     fn training_beside_the_fold_leaves_the_state_an_inline_fold_does() {
         let (table, layout, reports, batches) = campaign_batches();
-        // 300 reports in epochs of 64: four boundaries and a partial
-        // epoch.  The target is the counter the full stream ranks first.
-        let target = {
-            let mut probe =
-                EpochAggregator::new(table.clone(), 64, StreamingConfig::default(), None);
-            probe.begin(layout).unwrap();
-            for report in &reports {
-                probe.accept(report.clone()).unwrap();
-            }
-            probe.analyzer().ranking()[0].0
-        };
+        // The campaign's batches 150 times over — enough rows for the
+        // feed to hand several chunks to the trainer mid-fold — in epochs
+        // of 64 with a partial last one.  The target is the counter the
+        // stream's model ranks first.
+        const PASSES: usize = 150;
+        let stream = || (0..PASSES).flat_map(|_| batches.iter()).enumerate();
+        let config = TrainConfig::default();
+        let target = train(layout.counters, &reports, &config).ranked_features()[0];
         let fresh = || {
-            let mut agg =
-                EpochAggregator::new(table.clone(), 64, StreamingConfig::default(), Some(target));
+            let mut agg = EpochAggregator::new(table.clone(), 64, config, Some(target));
             agg.begin(layout).unwrap();
             agg
         };
-        let fold_all = |agg: &mut EpochAggregator| -> Result<u64, SinkError> {
-            let mut archive = SparseArchive::new(layout);
-            for (client, batch) in batches.iter().enumerate() {
-                let prov = Provenance::new(client as u64, 0);
-                agg.fold_batch(&prov, DecodeOutcome::Clean, batch, &mut archive)?;
-            }
-            Ok(archive.len() as u64)
-        };
 
+        // Inline: fold everything into one archive, then train over it.
         let mut inline = fresh();
-        fold_all(&mut inline).unwrap();
+        let mut archive = SparseArchive::new(layout);
+        for (client, batch) in stream() {
+            let prov = Provenance::new(client as u64, 0);
+            inline
+                .fold_batch(&prov, DecodeOutcome::Clean, batch, &mut archive)
+                .unwrap();
+        }
         inline.close();
+        inline.attach_model(train(layout.counters, archive.rows(), &config));
+
         let mut beside = fresh();
-        let payloads = batches.iter().map(Vec::as_slice);
-        let folded = beside.train_beside(payloads, fold_all).unwrap();
+        let (folded, kept) = beside
+            .fold_and_train(true, |agg, feed| -> Result<usize, SinkError> {
+                let mut folded = 0;
+                for (client, batch) in stream() {
+                    let prov = Provenance::new(client as u64, 0);
+                    let walked = agg.fold_batch(&prov, DecodeOutcome::Clean, batch, feed.rows())?;
+                    folded += walked.reports;
+                }
+                Ok(folded)
+            })
+            .unwrap();
         beside.close();
 
-        assert_eq!(folded, 300);
-        assert_eq!(beside.snapshots().len(), 5);
+        assert_eq!(folded, 300 * PASSES);
+        assert!(archive.len() + archive.nonzeros() > 2 * CHUNK_ENTRIES);
+        assert_eq!(kept.as_ref(), Some(&archive));
+        assert_eq!(beside.snapshots().len(), 300 * PASSES / 64 + 1);
         let ranks: Vec<Option<usize>> = beside.snapshots().iter().map(|s| s.target_rank).collect();
         assert!(ranks.iter().all(Option::is_some), "{ranks:?}");
         assert_eq!(beside.snapshots(), inline.snapshots());
-        assert_eq!(model_bits(&beside), model_bits(&inline));
+        let (model, expected) = (beside.model().unwrap(), inline.model().unwrap());
+        assert_eq!(model_bits(model), model_bits(expected));
+        // The dense reports train to the same bits as their rows.
+        let dense = (0..PASSES).flat_map(|_| reports.iter());
+        assert_eq!(
+            model_bits(model),
+            model_bits(&train(layout.counters, dense, &config))
+        );
         assert_eq!(beside.analyzer().stats(), inline.analyzer().stats());
         assert_eq!(beside.first_observation(), inline.first_observation());
-        assert_eq!(beside.analyzer().seen(), 300);
     }
 
     #[test]
-    fn train_beside_before_begin_runs_the_fold_alone() {
+    fn fold_and_train_before_begin_runs_the_fold_alone() {
         let mut agg = aggregator(4, None);
         let err = agg
-            .train_beside(std::iter::empty(), |agg| {
+            .fold_and_train(false, |agg, _| {
                 agg.accept_nonzero(0, Label::Success, std::iter::empty())
             })
             .unwrap_err();
         assert!(matches!(err, SinkError::NotBegun));
-        assert!(agg.analyzer().model().is_none());
+        assert!(agg.model().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "disagree")]
-    fn train_beside_panics_when_the_fold_skips_a_payload() {
-        let (table, layout, _, batches) = campaign_batches();
-        let mut agg = EpochAggregator::new(table, 64, StreamingConfig::default(), None);
-        agg.begin(layout).unwrap();
-        let payloads = batches.iter().map(Vec::as_slice);
-        let _ = agg.train_beside(payloads, |agg| -> Result<(), SinkError> {
-            let mut archive = SparseArchive::new(layout);
-            let prov = Provenance::new(0, 0);
-            agg.fold_batch(&prov, DecodeOutcome::Clean, &batches[0], &mut archive)?;
-            Ok(())
+    #[should_panic(expected = "the fold panicked")]
+    fn a_panicking_fold_stops_the_trainer_instead_of_waiting_on_it() {
+        let n = sites().total_counters();
+        let mut agg = aggregator(4, None);
+        let layout_hash = sites().layout_hash();
+        agg.begin(ReportLayout {
+            counters: n,
+            layout_hash,
+        })
+        .unwrap();
+        let _ = agg.fold_and_train(false, |_, _| -> Result<(), SinkError> {
+            panic!("the fold panicked")
         });
+    }
+
+    #[test]
+    fn a_failed_fold_attaches_no_model() {
+        let (table, layout, _, batches) = campaign_batches();
+        let mut agg = EpochAggregator::new(table, 64, TrainConfig::default(), None);
+        agg.begin(layout).unwrap();
+        let torn = &batches[1][..batches[1].len() - 1];
+        let err = agg
+            .fold_and_train(false, |agg, feed| -> Result<(), SinkError> {
+                for payload in [&batches[0][..], torn] {
+                    let prov = Provenance::new(0, 0);
+                    agg.fold_batch(&prov, DecodeOutcome::Clean, payload, feed.rows())?;
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, SinkError::Wire(_)), "{err:?}");
+        assert!(agg.model().is_none());
+        assert_eq!(agg.runs(), 7, "the first batch folded, the torn one not");
+    }
+
+    #[test]
+    fn final_statistics_are_the_same_under_any_batch_order() {
+        use cbi_sampler::Pcg32;
+
+        let (table, layout, _, batches) = campaign_batches();
+        // Every batch with its provenance, a retry count and, for every
+        // third, a rejected first delivery.
+        let fold = |order: &[usize]| {
+            let mut agg = EpochAggregator::new(table.clone(), 16, TrainConfig::default(), Some(3));
+            agg.begin(layout).unwrap();
+            for &b in order {
+                let cohort = if b % 2 == 0 { "1/3" } else { "1/3+stale" };
+                if b % 3 == 0 {
+                    let kind = DecodeOutcome::Rejected(WireErrorKind::LayoutHashMismatch);
+                    agg.note_batch(&Provenance::new(b as u64, 0).with_cohort(cohort), kind, 0);
+                    agg.note_retries(cohort, 1);
+                }
+                let prov = Provenance::new(b as u64, 1).with_cohort(cohort);
+                let mut rows = SparseArchive::new(layout);
+                agg.fold_batch(&prov, DecodeOutcome::Clean, &batches[b], &mut rows)
+                    .unwrap();
+            }
+            agg.close();
+            agg
+        };
+        let in_order: Vec<usize> = (0..batches.len()).collect();
+        let reference = fold(&in_order);
+        let mut rng = Pcg32::new(0x5eed);
+        for _ in 0..8 {
+            let mut order = in_order.clone();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below((i + 1) as u64) as usize);
+            }
+            let permuted = fold(&order);
+            assert_eq!(permuted.analyzer().stats(), reference.analyzer().stats());
+            assert_eq!(permuted.first_observation(), reference.first_observation());
+            assert_eq!(
+                (permuted.runs(), permuted.failures(), permuted.bytes()),
+                (reference.runs(), reference.failures(), reference.bytes())
+            );
+            assert_eq!(permuted.corrupt_batches(), reference.corrupt_batches());
+            assert_eq!(permuted.rejected_by_kind(), reference.rejected_by_kind());
+            assert_eq!(permuted.cohorts(), reference.cohorts());
+        }
+        assert_eq!(reference.runs(), 300);
+        assert!(reference.failures() > 0);
     }
 
     #[test]

@@ -69,13 +69,15 @@ mod traces;
 
 pub use coverage::{coverage, CoverageReport};
 pub use detection::FirstObservation;
-pub use epoch::{CohortStats, EpochAggregator, EpochSnapshot, FlightRecorder, IngestEvent};
+pub use epoch::{
+    CohortStats, EpochAggregator, EpochSnapshot, FlightRecorder, IngestEvent, RowFeed,
+};
 pub use health::{
     health_registry, render_health, EpochIndicators, HealthConfig, HealthEvent, HealthMonitor,
 };
 pub use pipeline::{
-    eliminate, eliminate_stats, regress, EliminationReport, PipelineError, RegressionConfig,
-    RegressionStudy,
+    eliminate, eliminate_stats, regress, regress_rows, EliminationReport, PipelineError,
+    RegressionConfig, RegressionStudy,
 };
 pub use streaming::{StreamingAnalyzer, StreamingConfig};
 
@@ -102,7 +104,7 @@ pub mod prelude {
         Collector, Label, Report, ReportLayout, ReportSink, SufficientStats, TransmitSink, WireSink,
     };
     pub use cbi_sampler::{CountdownSource, Geometric, LazyBank, SamplingDensity};
-    pub use cbi_stats::{Dataset, LogisticModel, Strategy, TrainConfig};
+    pub use cbi_stats::{train, LogisticModel, Strategy, TrainConfig};
     pub use cbi_vm::{RunOutcome, Vm};
     pub use cbi_workloads::{
         run_campaign, run_campaign_into, CampaignConfig, CampaignResult, CampaignRun,

@@ -8,7 +8,7 @@
 use cbi_instrument::SiteTable;
 use cbi_reports::SufficientStats;
 use cbi_stats::elimination::{apply, combine, survivor_count, survivors, Strategy};
-use cbi_stats::{choose_lambda, CrossvalError, Dataset, LogisticModel, TrainConfig};
+use cbi_stats::{choose_lambda, split, CrossvalError, Row, TrainConfig};
 use cbi_workloads::CampaignResult;
 use std::error::Error;
 use std::fmt;
@@ -119,7 +119,8 @@ pub fn eliminate_stats(
 pub struct RegressionStudy {
     /// Total counters in the report layout.
     pub total_counters: usize,
-    /// Features surviving universal-falsehood preprocessing.
+    /// Counters nonzero in at least one report: the features universal
+    /// falsehood leaves (§3.3.3).
     pub effective_features: usize,
     /// Cross-validated regularization strength.
     pub lambda: f64,
@@ -127,7 +128,8 @@ pub struct RegressionStudy {
     pub test_accuracy: f64,
     /// Failed-run fraction of the analyzed reports.
     pub failure_rate: f64,
-    /// Predicate names ranked by |β|, largest first, with their β.
+    /// The effective features' predicate names ranked by |β|, largest
+    /// first (ties by counter index), with their β.
     pub ranked: Vec<(String, f64)>,
     /// Counter index per ranked entry (parallel to `ranked`).
     pub ranked_counters: Vec<usize>,
@@ -157,6 +159,7 @@ pub struct RegressionConfig {
     /// Candidate λ values for cross-validation.
     pub lambdas: Vec<f64>,
     /// Base training hyper-parameters (λ is overridden by the sweep).
+    /// The default is the paper's regime: sixty shuffled passes.
     pub train_config: TrainConfig,
     /// Split shuffle seed.
     pub split_seed: u64,
@@ -168,7 +171,12 @@ impl Default for RegressionConfig {
             train: 0,
             cv: 0,
             lambdas: vec![0.1, 0.3, 1.0],
-            train_config: TrainConfig::default(),
+            train_config: TrainConfig {
+                lambda: 0.3,
+                learning_rate: 0.01,
+                epochs: 60,
+                seed: 1729,
+            },
             split_seed: 4390,
         }
     }
@@ -186,68 +194,90 @@ impl RegressionConfig {
 }
 
 /// Trains the §3.3 crash predictor over a campaign's reports and ranks
-/// predicates by coefficient magnitude.
+/// predicates by coefficient magnitude; [`regress_rows`] over the
+/// collector's rows.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::NoReports`] if the campaign produced no
-/// reports, [`PipelineError::SplitExceedsReports`] if the configured
-/// split sizes exceed the report count, and [`PipelineError::Crossval`]
-/// if the train or cross-validation split is empty (as
-/// [`RegressionConfig::paper_proportions`] makes it below 14 reports) or
-/// `lambdas` is.
+/// As [`regress_rows`].
 pub fn regress(
     result: &CampaignResult,
     config: &RegressionConfig,
 ) -> Result<RegressionStudy, PipelineError> {
+    regress_rows(
+        &result.instrumented.sites,
+        result.collector.reports(),
+        config,
+    )
+}
+
+/// Trains the §3.3 crash predictor over reports instrumented per
+/// `sites`, given as rows — a [`Collector`](cbi_reports::Collector)'s
+/// reports or a [`SparseArchive`](cbi_reports::SparseArchive)'s rows —
+/// and ranks predicates by coefficient magnitude.
+///
+/// The rows are split into train, cross-validation and test sets by a
+/// seeded shuffle; [`choose_lambda`] trains one model per candidate λ
+/// with [`cbi_stats::train`] and keeps the best on the cross-validation
+/// split; the test split, scaled by that model's final running
+/// statistics, gives the accuracy.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::NoReports`] if there are no rows,
+/// [`PipelineError::SplitExceedsReports`] if the configured split sizes
+/// exceed the row count, and [`PipelineError::Crossval`] if `lambdas` or
+/// the train or cross-validation split is empty (as
+/// [`RegressionConfig::paper_proportions`] makes it below 14 reports).
+pub fn regress_rows<R: Row + Copy>(
+    sites: &SiteTable,
+    rows: impl IntoIterator<Item = R>,
+    config: &RegressionConfig,
+) -> Result<RegressionStudy, PipelineError> {
     let _span = cbi_telemetry::span("analyze.regress");
-    let reports = result.collector.reports();
-    if reports.is_empty() {
+    let rows: Vec<R> = rows.into_iter().collect();
+    if rows.is_empty() {
         return Err(PipelineError::NoReports);
     }
-    if config.train + config.cv > reports.len() {
+    if config.train + config.cv > rows.len() {
         return Err(PipelineError::SplitExceedsReports {
             train: config.train,
             cv: config.cv,
-            total: reports.len(),
+            total: rows.len(),
         });
     }
-    // Scaling fits on the training split, so an empty one must stop here.
-    if config.train == 0 || config.cv == 0 {
-        return Err(PipelineError::Crossval(CrossvalError::EmptySplit));
+
+    let counters = sites.total_counters();
+    let mut observed = vec![false; counters];
+    let mut failures = 0usize;
+    for row in &rows {
+        failures += usize::from(row.failed());
+        for (c, _) in row.nonzero() {
+            observed[c] = true;
+        }
     }
 
-    let dataset = Dataset::from_reports(reports);
-    let failure_rate = dataset.failure_count() as f64 / dataset.len() as f64;
-
-    let (mut train, mut cv, mut test) = dataset.split(config.train, config.cv, config.split_seed);
-    let scaler = train.fit_scale();
-    cv.scale_with(&scaler);
-    test.scale_with(&scaler);
-
-    let choice = choose_lambda(&train, &cv, &config.lambdas, &config.train_config)
+    let [train, cv, test] = split(&rows, config.train, config.cv, config.split_seed);
+    let choice = choose_lambda(counters, &train, &cv, &config.lambdas, &config.train_config)
         .map_err(PipelineError::Crossval)?;
-    let model: &LogisticModel = &choice.model;
-    let test_accuracy = model.accuracy(&test);
+    let model = &choice.model;
 
-    let ranked_features = model.ranked_features();
-    let mut ranked = Vec::with_capacity(ranked_features.len());
-    let mut ranked_counters = Vec::with_capacity(ranked_features.len());
-    for &f in &ranked_features {
-        let counter = dataset.feature_counters[f];
-        ranked.push((
-            result.instrumented.sites.predicate_name(counter),
-            model.weights[f],
-        ));
-        ranked_counters.push(counter);
-    }
+    let ranked_counters: Vec<usize> = model
+        .ranked_features()
+        .into_iter()
+        .filter(|&c| observed[c])
+        .collect();
+    let ranked = ranked_counters
+        .iter()
+        .map(|&c| (sites.predicate_name(c), model.weights[c]))
+        .collect();
 
     Ok(RegressionStudy {
-        total_counters: result.instrumented.sites.total_counters(),
-        effective_features: dataset.feature_count(),
+        total_counters: counters,
+        effective_features: observed.iter().filter(|&&o| o).count(),
         lambda: choice.lambda,
-        test_accuracy,
-        failure_rate,
+        test_accuracy: model.accuracy(test),
+        failure_rate: failures as f64 / rows.len() as f64,
         ranked,
         ranked_counters,
     })

@@ -2,89 +2,59 @@
 //! statistics" made operational.
 //!
 //! A [`StreamingAnalyzer`] is a [`ReportSink`] that folds each report
-//! into fixed-size state the moment it arrives and then discards it:
-//! per-counter [`SufficientStats`] for the §3.2 elimination strategies,
-//! and an [`OnlineTrainer`] for the §3.3 crash predictor.  Memory use is
-//! `O(counters)`, independent of how many trials stream through — the
-//! [`high_water`](StreamingAnalyzer::high_water) gauge proves no report
-//! vector ever accumulates.
-//!
-//! Because the analyzer's update sequence is determined entirely by the
-//! report stream, a local analyzer fed by the campaign driver and a
-//! remote one fed over the wire reach bit-identical state whenever the
-//! streams are bit-identical — which the ordered campaign merge and the
-//! framed wire format guarantee.
+//! into per-counter [`SufficientStats`] the moment it arrives and then
+//! discards it: integer state of a size fixed by the counter layout,
+//! independent of how many trials stream through, and the same whatever
+//! order the reports arrive in.  It trains no model: the §3.3 crash
+//! predictor is [`cbi_stats::train`] over the rows, which a caller that
+//! wants it runs beside the fold
+//! ([`EpochAggregator::fold_and_train`](crate::EpochAggregator::fold_and_train)).
 //!
 //! A report of the wrong width is a typed
 //! [`CollectError::LayoutMismatch`], as in [`cbi_reports::Collector`].
-//! The trainer can be detached for the length of a whole-stream fold,
-//! which then moves only the integer statistics while the trainer is fed
-//! the same reports on another thread
-//! ([`EpochAggregator::train_beside`](crate::EpochAggregator::train_beside));
-//! a report accepted one at a time trains inline.
 
 use crate::pipeline::{eliminate_stats, EliminationReport};
 use cbi_instrument::SiteTable;
 use cbi_reports::{
     nonzero, CollectError, Label, Report, ReportLayout, ReportSink, SinkError, SufficientStats,
 };
-use cbi_stats::{LogisticModel, OnlineTrainer};
+use cbi_stats::TrainConfig;
 
-/// Hyper-parameters for the streaming crash predictor.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamingConfig {
-    /// Stochastic-gradient learning rate.
-    pub learning_rate: f64,
-    /// ℓ₁ regularization strength.
-    pub lambda: f64,
-}
-
-impl Default for StreamingConfig {
-    fn default() -> Self {
-        StreamingConfig {
-            learning_rate: 0.05,
-            lambda: 0.02,
-        }
-    }
-}
+/// The streaming crash predictor's settings: the one [`TrainConfig`],
+/// whose default is a single pass over the reports in arrival order.
+pub use cbi_stats::TrainConfig as StreamingConfig;
 
 /// A [`ReportSink`] that analyzes reports as they arrive and keeps none.
 #[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
-    config: StreamingConfig,
+    config: TrainConfig,
     layout: Option<ReportLayout>,
     stats: SufficientStats,
-    trainer: Option<OnlineTrainer>,
-    resident: usize,
-    high_water: usize,
     seen: u64,
 }
 
 impl StreamingAnalyzer {
-    /// Creates an analyzer with the given predictor hyper-parameters.
-    /// The counter layout is adopted from the sink's `begin` call.
-    pub fn new(config: StreamingConfig) -> Self {
+    /// Creates an analyzer for a stream whose crash predictor is trained
+    /// with `config` (see [`config`](Self::config)).  The counter layout
+    /// is adopted from the sink's `begin` call.
+    pub fn new(config: TrainConfig) -> Self {
         StreamingAnalyzer {
             config,
             layout: None,
             stats: SufficientStats::new(0),
-            trainer: None,
-            resident: 0,
-            high_water: 0,
             seen: 0,
         }
+    }
+
+    /// The settings a §3.3 model of this stream is trained with; the
+    /// analyzer itself keeps no model.
+    pub fn config(&self) -> &TrainConfig {
+        &self.config
     }
 
     /// Reports folded in so far.
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// The most reports ever resident in the analyzer at once.  Stays at
-    /// `1` no matter how long the stream: each report is folded into the
-    /// aggregates and dropped before the next is accepted.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// The layout announced by the stream, if any yet.
@@ -97,59 +67,10 @@ impl StreamingAnalyzer {
         &self.stats
     }
 
-    /// A snapshot of the streaming crash-prediction model, or `None`
-    /// before the first `begin`.
-    pub fn model(&self) -> Option<LogisticModel> {
-        self.trainer.as_ref().map(OnlineTrainer::model)
-    }
-
     /// Runs the §3.2 elimination strategies over the accumulated
     /// aggregates, naming survivors from `sites`.
     pub fn eliminate(&self, sites: &SiteTable) -> EliminationReport {
         eliminate_stats(&self.stats, &sites.groups(), sites)
-    }
-
-    /// Counter indices ranked by streaming-model coefficient magnitude,
-    /// largest first, with their weights.  Unlike the batch study the
-    /// feature space is the full counter layout (no preprocessing), so
-    /// indices are counter indices directly.
-    pub fn ranking(&self) -> Vec<(usize, f64)> {
-        match self.model() {
-            Some(model) => model
-                .ranked_features()
-                .into_iter()
-                .map(|f| (f, model.weights[f]))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// The top `n` ranked counters with human-readable predicate names.
-    pub fn top_named(&self, sites: &SiteTable, n: usize) -> Vec<(String, f64)> {
-        self.ranking()
-            .into_iter()
-            .take(n)
-            .map(|(c, w)| (sites.predicate_name(c), w))
-            .collect()
-    }
-
-    /// Per-counter contingency tables over the accumulated aggregates,
-    /// with site-reach estimates from the site layout — the input every
-    /// `cbi-scoring` measure consumes.
-    fn contingency(&self, sites: &SiteTable) -> Vec<cbi_stats::Contingency> {
-        cbi_stats::contingency_tables(&self.stats, &sites.groups())
-    }
-
-    /// Counter indices ranked by a statistical scorer over the streamed
-    /// aggregates, best first, scores in fixed-point per-mille.  Pure
-    /// integer arithmetic end to end: byte-identical at any worker
-    /// count, unlike the float-weighted regression [`ranking`](Self::ranking).
-    pub fn scored_ranking(
-        &self,
-        sites: &SiteTable,
-        scorer: &dyn cbi_scoring::Scorer,
-    ) -> Vec<(usize, i64)> {
-        cbi_scoring::rank_tables(scorer, &self.contingency(sites))
     }
 }
 
@@ -160,11 +81,6 @@ impl ReportSink for StreamingAnalyzer {
         match self.layout {
             None => {
                 self.stats = SufficientStats::new(layout.counters);
-                self.trainer = Some(OnlineTrainer::new(
-                    layout.counters,
-                    self.config.learning_rate,
-                    self.config.lambda,
-                ));
                 self.layout = Some(layout);
                 Ok(())
             }
@@ -190,8 +106,7 @@ impl StreamingAnalyzer {
     /// counters (ascending `(index, value)` pairs), so a caller that
     /// already holds them — [`EpochAggregator`](crate::EpochAggregator),
     /// from one scan of a dense report or straight from wire bytes —
-    /// needs no dense vector.  While the trainer is
-    /// [detached](Self::detach_trainer) only the integer statistics move.
+    /// needs no dense vector.
     ///
     /// # Errors
     ///
@@ -201,7 +116,7 @@ impl StreamingAnalyzer {
         &mut self,
         label: Label,
         width: usize,
-        counters: impl Iterator<Item = (usize, u64)> + Clone,
+        counters: impl Iterator<Item = (usize, u64)>,
     ) -> Result<(), SinkError> {
         if self.layout.is_none() {
             return Err(SinkError::NotBegun);
@@ -212,29 +127,9 @@ impl StreamingAnalyzer {
                 got: width,
             }));
         }
-        self.resident += 1;
-        self.high_water = self.high_water.max(self.resident);
-        self.stats.update_nonzero(label, counters.clone());
-        if let Some(trainer) = self.trainer.as_mut() {
-            trainer.update_nonzero(counters, label == Label::Failure);
-        }
+        self.stats.update_nonzero(label, counters);
         self.seen += 1;
-        // Nothing above retains the report: the caller drops it next.
-        self.resident -= 1;
         Ok(())
-    }
-
-    /// Takes the §3.3 trainer out, so the folds that follow update the
-    /// integer statistics alone while the trainer is fed elsewhere; `None`
-    /// before `begin`.  [`attach_trainer`](Self::attach_trainer) puts it
-    /// back; until then [`model`](Self::model) is `None`.
-    pub(crate) fn detach_trainer(&mut self) -> Option<OnlineTrainer> {
-        self.trainer.take()
-    }
-
-    /// Reinstalls a trainer taken by [`detach_trainer`](Self::detach_trainer).
-    pub(crate) fn attach_trainer(&mut self, trainer: OnlineTrainer) {
-        self.trainer = Some(trainer);
     }
 }
 
@@ -252,7 +147,7 @@ mod tests {
 
     #[test]
     fn accept_before_begin_is_rejected() {
-        let mut a = StreamingAnalyzer::new(StreamingConfig::default());
+        let mut a = StreamingAnalyzer::new(TrainConfig::default());
         let err = a
             .accept(Report::new(0, Label::Success, vec![1]))
             .unwrap_err();
@@ -261,23 +156,21 @@ mod tests {
 
     #[test]
     fn aggregates_match_direct_updates() {
-        let mut a = StreamingAnalyzer::new(StreamingConfig::default());
+        let mut a = StreamingAnalyzer::new(TrainConfig::default());
         a.begin(layout(2)).unwrap();
         a.accept(Report::new(0, Label::Success, vec![1, 0]))
             .unwrap();
         a.accept(Report::new(1, Label::Failure, vec![0, 3]))
             .unwrap();
         assert_eq!(a.seen(), 2);
-        assert_eq!(a.high_water(), 1);
         assert_eq!(a.stats().failure_runs(), 1);
         assert_eq!(a.stats().nonzero_failures(1), 1);
-        let model = a.model().unwrap();
-        assert_eq!(model.weights.len(), 2);
+        assert_eq!(a.stats().nonzero_successes(0), 1);
     }
 
     #[test]
     fn a_report_of_the_wrong_width_is_a_typed_error() {
-        let mut a = StreamingAnalyzer::new(StreamingConfig::default());
+        let mut a = StreamingAnalyzer::new(TrainConfig::default());
         a.begin(layout(3)).unwrap();
         for width in [2, 4] {
             let err = a
@@ -298,7 +191,7 @@ mod tests {
 
     #[test]
     fn later_begin_must_match_layout() {
-        let mut a = StreamingAnalyzer::new(StreamingConfig::default());
+        let mut a = StreamingAnalyzer::new(TrainConfig::default());
         a.begin(layout(2)).unwrap();
         a.begin(layout(2)).unwrap();
         assert!(a.begin(layout(3)).is_err());

@@ -155,3 +155,25 @@ fn regress_reports_no_lambda_candidates_as_typed_error() {
     assert_eq!(err, PipelineError::Crossval(CrossvalError::NoCandidates));
     assert!(err.to_string().contains("lambda candidate"));
 }
+
+#[test]
+fn regression_ranks_only_the_observed_counters() {
+    // Universal falsehood as preprocessing (§3.3.3): a counter nonzero in
+    // no report is no feature, so it is neither counted nor ranked.
+    let result = campaign(HEALTHY, 40);
+    let config = RegressionConfig {
+        train: 25,
+        cv: 8,
+        ..RegressionConfig::default()
+    };
+    let study = cbi::regress(&result, &config).unwrap();
+    let stats = result.collector.stats();
+    let observed: Vec<usize> = (0..study.total_counters)
+        .filter(|&c| stats.ever_observed(c))
+        .collect();
+    assert!(!observed.is_empty() && observed.len() < study.total_counters);
+    assert_eq!(study.effective_features, observed.len());
+    let mut ranked = study.ranked_counters.clone();
+    ranked.sort_unstable();
+    assert_eq!(ranked, observed);
+}

@@ -1,14 +1,14 @@
 //! The isolation-quality evaluation harness.
 //!
-//! For each corpus entry and sampling density, the harness streams a
-//! campaign through [`StreamingAnalyzer`] (the same engine the paper
-//! pipeline uses) and scores the analysis against the manifest's ground
-//! truth:
+//! For each corpus entry and sampling density, the harness runs a
+//! campaign, analyses its reports with the paper pipeline's engines, and
+//! scores the analysis against the manifest's ground truth:
 //!
 //! * **survival** — does the true predicate survive the combined §3.2
 //!   elimination (universal falsehood ∧ successful counterexample)?
 //! * **rank** — the true counter's 0-based position in the streaming
-//!   regression ordering (the paper's §3.3 ordering made streaming);
+//!   regression ordering (the paper's §3.3 model trained in one pass over
+//!   the reports in campaign order, [`cbi_stats::train`]);
 //! * **recall@k** — whether the truth lands in the top k;
 //! * **wasted effort** — rank normalized by the counter count, an
 //!   EXAM-style "fraction of predicates a developer would inspect before
@@ -22,12 +22,12 @@
 
 use crate::generate::{trials_for, CorpusEntry};
 use crate::CorpusError;
-use cbi::{StreamingAnalyzer, StreamingConfig};
 use cbi_instrument::{instrument, Scheme};
 use cbi_minic::parse;
 use cbi_sampler::SamplingDensity;
-use cbi_scoring::scorer_by_name;
-use cbi_workloads::{run_campaign_into, CampaignConfig};
+use cbi_scoring::{rank_tables, scorer_by_name};
+use cbi_stats::{contingency_tables, train, LogisticModel, TrainConfig};
+use cbi_workloads::{run_campaign, CampaignConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -56,19 +56,16 @@ impl Default for EvalConfig {
     }
 }
 
-/// Deterministic rank order for float-weighted rankings: magnitude
-/// descending, ties broken by counter (site) index ascending.  The
-/// regression model emits this order already, but evaluation re-sorts
-/// so the reported rank and wasted-effort numbers cannot permute
-/// between equal-scored predicates no matter which ranking source fed
-/// them.
-fn break_ties(ranking: &mut [(usize, f64)]) {
-    ranking.sort_by(|a, b| {
-        b.1.abs()
-            .partial_cmp(&a.1.abs())
-            .expect("ranking weights are finite")
-            .then(a.0.cmp(&b.0))
-    });
+/// Counters with their weights in the model's rank order: magnitude
+/// descending, ties broken by counter (site) index ascending, so the
+/// reported rank and wasted-effort numbers cannot permute between
+/// equal-weighted predicates.
+fn model_ranking(model: &LogisticModel) -> Vec<(usize, f64)> {
+    model
+        .ranked_features()
+        .into_iter()
+        .map(|c| (c, model.weights[c]))
+        .collect()
 }
 
 /// Scores for one corpus entry at one sampling density.
@@ -159,30 +156,29 @@ pub fn evaluate(entries: &[CorpusEntry], cfg: &EvalConfig) -> Result<EvalReport,
         for &density in &cfg.densities {
             let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(density))
                 .with_jobs(cfg.jobs.max(1));
-            let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
             let run =
-                run_campaign_into(&program, &trials, &config, &mut analyzer).map_err(|e| {
-                    CorpusError::Campaign {
-                        id: bug.id.clone(),
-                        message: e.to_string(),
-                    }
+                run_campaign(&program, &trials, &config).map_err(|e| CorpusError::Campaign {
+                    id: bug.id.clone(),
+                    message: e.to_string(),
                 })?;
-            let elim = analyzer.eliminate(&run.instrumented.sites);
+            let elim = cbi::eliminate(&run);
             let ranking: Vec<(usize, f64)> = match scorer {
                 // Scorer rankings arrive already ordered (score
                 // descending, counter ascending) in pure integers;
                 // re-sorting by magnitude would misplace negative
                 // Increase scores.
-                Some(s) => analyzer
-                    .scored_ranking(&run.instrumented.sites, s)
-                    .into_iter()
-                    .map(|(c, score)| (c, score as f64 / 1000.0))
-                    .collect(),
-                None => {
-                    let mut r = analyzer.ranking();
-                    break_ties(&mut r);
-                    r
+                Some(s) => {
+                    let groups = run.instrumented.sites.groups();
+                    rank_tables(s, &contingency_tables(run.collector.stats(), &groups))
+                        .into_iter()
+                        .map(|(c, score)| (c, score as f64 / 1000.0))
+                        .collect()
                 }
+                None => model_ranking(&train(
+                    run.instrumented.sites.total_counters(),
+                    run.collector.reports(),
+                    &TrainConfig::default(),
+                )),
             };
             let rank = ranking
                 .iter()
@@ -464,12 +460,26 @@ mod tests {
 
     #[test]
     fn ties_break_by_site_index() {
-        // Three predicates tie at magnitude 0.5 (one negatively); the
-        // deterministic order is strictly by counter index among them.
-        let mut r = vec![(3, 0.5), (0, -0.5), (2, 0.7), (1, 0.5)];
-        break_ties(&mut r);
-        let order: Vec<usize> = r.iter().map(|&(c, _)| c).collect();
-        assert_eq!(order, vec![2, 0, 1, 3]);
+        // Three predicates tie in magnitude (negatively); the
+        // deterministic order is strictly by counter index among them,
+        // after the larger-magnitude one.
+        use cbi_reports::{Label, Report};
+        let runs = [
+            Report::new(0, Label::Success, vec![0, 0, 0, 0]),
+            Report::new(1, Label::Failure, vec![0, 0, 1, 0]),
+            Report::new(2, Label::Success, vec![1, 1, 0, 1]),
+        ];
+        let model = train(4, &runs, &TrainConfig::default());
+        let w = &model.weights;
+        assert!(w[2] > 0.0 && w[0] < 0.0, "{w:?}");
+        assert!(w[0] == w[1] && w[1] == w[3], "{w:?}");
+        let order: Vec<usize> = model_ranking(&model).iter().map(|&(c, _)| c).collect();
+        let top = if w[2] > -w[0] {
+            [2, 0, 1, 3]
+        } else {
+            [0, 1, 3, 2]
+        };
+        assert_eq!(order, top);
     }
 
     #[test]

@@ -17,15 +17,13 @@ use crate::channel::{send_batch, ChannelSpec, SendOutcome, SendResult};
 use crate::profile::{draw_profiles, ClientProfile};
 use crate::FleetError;
 use cbi::epoch::{EpochAggregator, EpochSnapshot};
-use cbi::streaming::StreamingConfig;
+use cbi::stats::TrainConfig;
 use cbi_instrument::{
     apply_sampling, instrument, single_function_variants, Scheme, SiteTable, TransformOptions,
 };
 use cbi_minic::Program;
 use cbi_reports::wire::encode_reports;
-use cbi_reports::{
-    DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink, SparseArchive,
-};
+use cbi_reports::{DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink};
 use cbi_sampler::{LazyBank, Pcg32, Zipf};
 use cbi_telemetry as telemetry;
 use cbi_vm::{bytecode::BcProgram, RunOutcome, Vm};
@@ -72,8 +70,8 @@ pub struct FleetSpec {
     pub heap_slack: usize,
     /// Countdown-bank size per run.
     pub bank_size: usize,
-    /// Streaming-analyzer hyper-parameters for the server.
-    pub streaming: StreamingConfig,
+    /// Settings of the server's §3.3 model, trained beside the merge.
+    pub streaming: TrainConfig,
     /// Server-side flight-recorder capacity (last N ingest events kept
     /// for anomaly dumps; `0` disables retention).
     pub flight_recorder: usize,
@@ -100,7 +98,7 @@ impl FleetSpec {
             op_limit: cbi_vm::DEFAULT_OP_LIMIT,
             heap_slack: cbi_vm::heap::DEFAULT_SLACK,
             bank_size: 1024,
-            streaming: StreamingConfig::default(),
+            streaming: TrainConfig::default(),
             flight_recorder: 64,
         }
     }
@@ -371,8 +369,8 @@ pub fn run_fleet(
 
     // ---- Merge: push every batch through the channel, then fold the
     // survivors in last-run order — the serial schedule — through the
-    // fold body the ingest server uses, with the trainer reading the
-    // delivered payloads on a second core.
+    // fold body the ingest server uses, with the §3.3 model trained over
+    // the folded rows on a second core.
     let _merge = telemetry::span("fleet.merge");
     let mut aggregator = EpochAggregator::new(
         sites.clone(),
@@ -382,7 +380,6 @@ pub fn run_fleet(
     )
     .with_flight_capacity(spec.flight_recorder);
     aggregator.begin(*layout)?;
-    let mut archive = SparseArchive::new(*layout);
 
     // A send is a pure function of the batch bytes and the seed.  A
     // clean delivery is the batch's own bytes, so its copy is dropped.
@@ -407,11 +404,7 @@ pub fn run_fleet(
         })
         .collect();
     let mut summary = summary_skeleton(spec, profiles, layout.counters);
-    let payloads = batches
-        .iter()
-        .zip(&sends)
-        .filter_map(|(batch, send)| delivered(batch, send));
-    aggregator.train_beside(payloads, |aggregator| -> Result<(), FleetError> {
+    aggregator.fold_and_train(false, |aggregator, feed| -> Result<(), FleetError> {
         for (batch, send) in batches.iter().zip(&sends) {
             let cohort = profiles[batch.client].cohort();
             let provenance = |attempt: u32| {
@@ -448,10 +441,9 @@ pub fn run_fleet(
                         &provenance(send.attempts.saturating_sub(1)),
                         outcome,
                         payload,
-                        &mut archive,
+                        feed.rows(),
                     )?;
                     summary.bytes_accepted += walked.bytes;
-                    archive.clear();
                 }
                 SendOutcome::Stale => summary.stale_batches += 1,
                 SendOutcome::Lost => summary.lost_batches += 1,
@@ -476,13 +468,7 @@ pub fn run_fleet(
     telemetry::count("fleet.stale_rejections", summary.stale_rejections);
     telemetry::count("fleet.bytes_sent", summary.bytes_sent);
 
-    let target_rank = target_counter.and_then(|c| {
-        aggregator
-            .analyzer()
-            .ranking()
-            .iter()
-            .position(|&(counter, _)| counter == c)
-    });
+    let target_rank = target_counter.and_then(|c| aggregator.model()?.rank_of(c));
     let epochs = aggregator.snapshots().to_vec();
     Ok(FleetReport {
         summary,
@@ -641,6 +627,8 @@ fn summary_skeleton(spec: &FleetSpec, profiles: &[ClientProfile], counters: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbi::stats::train;
+    use cbi_reports::SparseArchive;
 
     const RARE: &str = "fn rare(int v) -> int { if (v % 12 == 0) { return 1; } return 0; }\n\
          fn main() -> int { int v = read(); int hit = rare(v); print(hit); return 0; }";
@@ -719,10 +707,10 @@ mod tests {
         );
     }
 
-    /// The merge as it was before the trainer moved to its own thread:
-    /// one pass, each delivered batch folded as it comes off the
-    /// channel, the trainer updated inline.  Kept as the oracle the
-    /// two-phase merge of [`run_fleet`] is held to.
+    /// The merge with no second thread: one pass, each delivered batch
+    /// folded as it comes off the channel and archived, then the model
+    /// trained over the archive.  The oracle the two-core merge of
+    /// [`run_fleet`] is held to.
     fn inline_merge(
         production: &FleetProduction,
         spec: &FleetSpec,
@@ -765,10 +753,11 @@ mod tests {
                 aggregator
                     .fold_batch(&prov, outcome, payload, &mut archive)
                     .unwrap();
-                archive.clear();
             }
         }
         aggregator.close();
+        let model = train(layout.counters, archive.rows(), &spec.streaming);
+        aggregator.attach_model(model);
         aggregator
     }
 
@@ -800,12 +789,12 @@ mod tests {
         assert!(report.epochs.iter().all(|e| e.target_rank.is_some()));
         assert_eq!(report.epochs, inline.snapshots());
         let bits = |agg: &EpochAggregator| {
-            let model = agg.analyzer().model().unwrap();
+            let model = agg.model().unwrap();
             let weights: Vec<u64> = model.weights.iter().map(|w| w.to_bits()).collect();
             (model.bias.to_bits(), weights)
         };
         assert_eq!(bits(&report.aggregator), bits(&inline));
-        let inline_rank = inline.analyzer().model().unwrap().rank_of(target);
+        let inline_rank = inline.model().unwrap().rank_of(target);
         assert_eq!(report.target_rank, inline_rank);
         assert!(report.target_rank.is_some());
     }

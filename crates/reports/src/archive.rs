@@ -4,17 +4,15 @@
 //! At the paper's densities almost every counter of almost every report
 //! is zero (§2.5), and everything the analyses compute is a function of
 //! which counters were *observed* in failing and in passing runs.  A
-//! [`Collector`] keeps each report as a dense `Vec<u64>` — 8 bytes per
-//! counter, zero or not.  A [`SparseArchive`] keeps the same reports in
-//! compressed-row form: per report its run id, label and row end, and
-//! per nonzero counter a `u32` index and a `u64` value (12 bytes), so an
-//! ingest server can retain a whole campaign at the size of what was
-//! actually sampled.  It is filled straight from wire bytes — no dense
-//! report exists on the way in — and hands reports back out one at a
-//! time, or densifies once into a [`Collector`] for an analysis that
-//! needs the full design matrix.
+//! [`Collector`](crate::Collector) keeps each report as a dense
+//! `Vec<u64>` — 8 bytes per counter, zero or not.  A [`SparseArchive`]
+//! keeps the same reports in compressed-row form: per report its run id,
+//! label and row end, and per nonzero counter a `u32` index and a `u64`
+//! value (12 bytes), so an ingest server can retain a whole campaign at
+//! the size of what was actually sampled.  It is filled straight from wire bytes — no dense
+//! report exists on the way in — and hands reports back out as rows, the
+//! compressed form the §3.3 trainer reads, or one dense report at a time.
 
-use crate::collector::Collector;
 use crate::ingest::{walk_batch, BatchRejected, BatchStats};
 use crate::report::{Label, Report};
 use crate::sink::ReportLayout;
@@ -43,7 +41,6 @@ use crate::sink::ReportLayout;
 /// let row = archive.row(0);
 /// assert_eq!(row.nonzero().collect::<Vec<_>>(), vec![(1, 3), (4, 1)]);
 /// assert_eq!(archive.reports().collect::<Vec<_>>(), sent);
-/// assert_eq!(archive.to_collector().reports(), &sent[..]);
 /// # Ok::<(), cbi_reports::WireError>(())
 /// ```
 ///
@@ -192,23 +189,48 @@ impl SparseArchive {
         }
     }
 
+    /// Every archived report, in arrival order.
+    pub fn rows(&self) -> impl Iterator<Item = SparseRow<'_>> {
+        (0..self.len()).map(|r| self.row(r))
+    }
+
     /// All reports in arrival order, each materialised as an owned dense
     /// [`Report`] when the iterator reaches it — one report's worth of
     /// dense memory at a time.
     pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
-        (0..self.len()).map(|r| self.row(r).to_report(self.layout.counters))
+        self.rows().map(|row| row.to_report(self.layout.counters))
     }
 
-    /// Densifies the whole archive into a [`Collector`], for an analysis
-    /// that needs every report's full counter vector at once.
-    pub fn to_collector(&self) -> Collector {
-        let mut collector = Collector::new(self.layout.counters);
-        for report in self.reports() {
-            collector
-                .add(report)
-                .expect("every row is as wide as the archive's layout");
-        }
-        collector
+    /// Appends every report of `other`, in its order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` holds reports of another layout.
+    pub fn append(&mut self, other: &SparseArchive) {
+        assert_eq!(self.layout, other.layout, "archives of different layouts");
+        let base = self.indices.len();
+        grow(&mut self.run_ids, other.len());
+        grow(&mut self.labels, other.len());
+        grow(&mut self.row_end, other.len());
+        grow(&mut self.indices, other.nonzeros());
+        grow(&mut self.values, other.nonzeros());
+        self.run_ids.extend_from_slice(&other.run_ids);
+        self.labels.extend_from_slice(&other.labels);
+        self.row_end
+            .extend(other.row_end.iter().map(|end| base + end));
+        self.indices.extend_from_slice(&other.indices);
+        self.values.extend_from_slice(&other.values);
+    }
+}
+
+/// Makes room for `more` elements the way pushing them one at a time
+/// would — capacities stay powers of two — so an archive built by
+/// [`SparseArchive::append`] takes the memory one built by
+/// [`SparseArchive::extend_from_batch`] does, not up to half again more.
+fn grow<T>(v: &mut Vec<T>, more: usize) {
+    let needed = v.len() + more;
+    if needed > v.capacity() {
+        v.reserve_exact(needed.next_power_of_two() - v.len());
     }
 }
 
@@ -272,5 +294,20 @@ mod tests {
         archive.clear();
         assert!(archive.is_empty());
         assert_eq!(archive.nonzeros(), 0);
+    }
+
+    #[test]
+    fn appending_archives_concatenates_their_rows() {
+        let reports = sample();
+        let encode = |r: &[Report]| encode_reports(r, LAYOUT.layout_hash, LAYOUT.counters).unwrap();
+        let mut whole = SparseArchive::new(LAYOUT);
+        whole.extend_from_batch(&encode(&reports)).unwrap();
+        let mut head = SparseArchive::new(LAYOUT);
+        head.extend_from_batch(&encode(&reports[..2])).unwrap();
+        let mut tail = SparseArchive::new(LAYOUT);
+        tail.extend_from_batch(&encode(&reports[2..])).unwrap();
+        head.append(&tail);
+        assert_eq!(head, whole);
+        assert!(head.rows().eq(whole.rows()));
     }
 }

@@ -15,7 +15,7 @@
 //! * [`TransmitSink`] — the same frames, sent as one acked batch
 //!   envelope over a TCP socket to a `cbi serve` ingest daemon;
 //! * `StreamingAnalyzer` (in the `cbi` crate) — sufficient statistics
-//!   plus an online trainer, retaining no raw reports at all.
+//!   only, retaining no raw reports at all.
 //!
 //! Sinks compose: `(&mut a, &mut b)` fans each report out to both, and
 //! `Option<S>` is a sink that may be absent.

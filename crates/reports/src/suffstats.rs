@@ -41,6 +41,13 @@ impl SufficientStats {
         self.nonzero_in_success.len()
     }
 
+    /// Bytes the accumulator holds on the heap: fixed by the layout when
+    /// it is created, however many runs are folded in afterwards.
+    pub fn heap_bytes(&self) -> usize {
+        let slots = self.nonzero_in_success.capacity() + self.nonzero_in_failure.capacity();
+        slots * std::mem::size_of::<u64>()
+    }
+
     /// Folds in one report; the report may then be discarded.
     ///
     /// # Panics

@@ -476,7 +476,6 @@ pub struct WireReader<R: Read> {
     buf: Vec<u8>,
     reports: u64,
     bytes: u64,
-    counted: bool,
 }
 
 impl<R: Read> WireReader<R> {
@@ -545,17 +544,7 @@ impl<R: Read> WireReader<R> {
             buf: Vec::with_capacity(64),
             reports: 0,
             bytes,
-            counted: true,
         })
-    }
-
-    /// Leaves this reader's frames out of the `wire.frames_in` and
-    /// `wire.bytes_in` telemetry counters — for a second walk of bytes
-    /// another reader has already counted, so each frame counts once.
-    #[must_use]
-    pub fn uncounted(mut self) -> Self {
-        self.counted = false;
-        self
     }
 
     /// The stream's header.
@@ -684,10 +673,8 @@ impl<R: Read> WireReader<R> {
         let frame = visit(&self.buf, self.header.counters)?;
         self.reports += 1;
         self.bytes += len_bytes + len as u64;
-        if self.counted {
-            cbi_telemetry::count("wire.frames_in", 1);
-            cbi_telemetry::count("wire.bytes_in", len_bytes + len as u64);
-        }
+        cbi_telemetry::count("wire.frames_in", 1);
+        cbi_telemetry::count("wire.bytes_in", len_bytes + len as u64);
         Ok(Some(frame))
     }
 

@@ -9,7 +9,8 @@
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::shard::{fold_ordered, CommittedBatch, RejectEvent, ShardState, ShardStats};
 use crate::ServeError;
-use cbi::{EpochAggregator, StreamingConfig};
+use cbi::stats::TrainConfig;
+use cbi::EpochAggregator;
 use cbi_instrument::SiteTable;
 use cbi_reports::{AckVerdict, BatchEnvelope, ReportLayout, SparseArchive};
 use std::path::PathBuf;
@@ -25,19 +26,18 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Runs per epoch snapshot in the folded analysis.
     pub epoch_len: u64,
-    /// Streaming-analyzer hyperparameters.
-    pub streaming: StreamingConfig,
+    /// Settings of the §3.3 model trained beside the shutdown fold.
+    pub streaming: TrainConfig,
     /// Flight-recorder capacity of the folded aggregator.
     pub flight_capacity: usize,
     /// Ground-truth counter whose latency/rank snapshots report.
     pub target_counter: Option<usize>,
-    /// Also keep every accepted report, in fold order, in the
-    /// [`SparseArchive`] the fold walks the payload bytes into
-    /// ([`ServeOutcome::collector`]).  The aggregates need no report
-    /// once it is folded; per-report analyses — `cbi-scoring`'s
-    /// `FailureIndex`, the ℓ₁ regression, `cbi serve --spool` — do.
-    /// Costs 12 bytes per nonzero counter plus 17 per report, not 8
-    /// bytes per counter.
+    /// Also keep every accepted report, in fold order, in a
+    /// [`SparseArchive`] ([`ServeOutcome::collector`]).  The aggregates
+    /// need no report once it is folded; per-report analyses —
+    /// `cbi-scoring`'s `FailureIndex`, the cross-validated ℓ₁
+    /// regression, `cbi serve --spool` — do.  Costs 12 bytes per
+    /// nonzero counter plus 17 per report, not 8 bytes per counter.
     pub keep_reports: bool,
 }
 
@@ -47,7 +47,7 @@ impl Default for ServeConfig {
             shards: 1,
             queue_cap: 64,
             epoch_len: 256,
-            streaming: StreamingConfig::default(),
+            streaming: TrainConfig::default(),
             flight_capacity: 64,
             target_counter: None,
             keep_reports: false,
@@ -158,15 +158,17 @@ pub struct ServeOutcome {
     pub aggregator: EpochAggregator,
     /// Every accepted report in fold order — `(seq, client)`, then
     /// frame order within a batch — when [`ServeConfig::keep_reports`]
-    /// was set.  [`SparseArchive::reports`] materialises them one at a
-    /// time; [`SparseArchive::to_collector`] densifies the lot for an
-    /// analysis that needs the whole design matrix.
+    /// was set.  [`SparseArchive::rows`] hands them out as the rows the
+    /// §3.3 trainer reads; [`SparseArchive::reports`] materialises them
+    /// as dense reports one at a time.
     pub collector: Option<SparseArchive>,
 }
 
 /// Renders the canonical analysis of a folded aggregator: integers and
 /// predicate names only, so the rendering is byte-comparable across
-/// shard counts, transports, and crash/replay histories.
+/// shard counts, transports, and crash/replay histories.  The top
+/// predicates are the attached §3.3 model's
+/// ([`EpochAggregator::model`]); an aggregator without one lists none.
 ///
 /// Deliberately excluded: anything the server cannot observe or that
 /// is transport-specific — corruption flags (a client-side fact),
@@ -187,8 +189,13 @@ pub fn render_analysis(aggregator: &EpochAggregator, top: usize) -> String {
         out.push_str(&format!("  {name}\n"));
     }
     out.push_str(&format!("top {top} predicates:\n"));
-    for (i, (name, _weight)) in analyzer.top_named(sites, top).iter().enumerate() {
-        out.push_str(&format!("  {:>2}. {name}\n", i + 1));
+    let ranked = aggregator.model().map(|m| m.ranked_features());
+    for (i, &counter) in ranked.iter().flatten().take(top).enumerate() {
+        out.push_str(&format!(
+            "  {:>2}. {}\n",
+            i + 1,
+            sites.predicate_name(counter)
+        ));
     }
     out.push_str("epoch  runs  failures  observed  survivors\n");
     for snap in aggregator.snapshots() {

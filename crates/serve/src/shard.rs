@@ -13,13 +13,14 @@
 //! driver uses to keep `--jobs` out of its output.  Shard count,
 //! arrival interleaving, and crash/replay history therefore cannot leak
 //! into the result: any history committing the same batch set folds to
-//! the same bytes.  The §3.3 trainer reads the same payloads, in the
-//! same order, on a second thread ([`EpochAggregator::train_beside`]),
-//! so the fold's two costs overlap without changing a bit of it.
+//! the same bytes.  The §3.3 model is trained over the rows the fold
+//! walks, in the same order, on a second thread
+//! ([`EpochAggregator::fold_and_train`]), so the fold's two costs
+//! overlap without changing a bit of either.
 
 use crate::journal::Journal;
 use crate::{ServeConfig, ServeError};
-use cbi::EpochAggregator;
+use cbi::{EpochAggregator, RowFeed};
 use cbi_instrument::SiteTable;
 use cbi_reports::{
     validate_batch, AckVerdict, BatchEnvelope, DecodeOutcome, Provenance, ReportLayout, ReportSink,
@@ -183,12 +184,11 @@ fn provenance(client: u64, attempt: u32, origin: Option<&str>) -> Provenance {
 /// delivery) into a fresh [`EpochAggregator`] in `(seq, client,
 /// attempt)` order, each batch straight from its payload bytes through
 /// [`EpochAggregator::fold_batch`] — the fold body the in-memory fleet
-/// uses too — with the §3.3 trainer reading the same payloads on a
-/// second core ([`EpochAggregator::train_beside`]).
+/// uses too — with the §3.3 model trained over each batch's rows on a
+/// second core ([`EpochAggregator::fold_and_train`]).
 ///
-/// With [`ServeConfig::keep_reports`] the archive the batches are walked
-/// into is returned holding every accepted report; without it, it is
-/// emptied after each batch.
+/// With [`ServeConfig::keep_reports`] an archive holding every accepted
+/// report, in fold order, is returned too.
 ///
 /// # Errors
 ///
@@ -213,13 +213,11 @@ pub(crate) fn fold_ordered(
     )
     .with_flight_capacity(config.flight_capacity);
     aggregator.begin(layout)?;
-    let mut archive = SparseArchive::new(layout);
 
     // Merge the two sorted runs; a rejected delivery of a batch sorts
-    // before the delivery that finally committed it.  The trainer reads
-    // the committed payloads on a second thread meanwhile.
-    let payloads = committed.iter().map(|batch| batch.payload.as_slice());
-    let fold = |aggregator: &mut EpochAggregator| -> Result<(), ServeError> {
+    // before the delivery that finally committed it.  Each batch is
+    // walked into the feed that carries its rows to the trainer.
+    let fold = |aggregator: &mut EpochAggregator, feed: &mut RowFeed| -> Result<(), ServeError> {
         let mut rejects = rejects.into_iter().peekable();
         for batch in &committed {
             while let Some(r) = rejects.next_if(|r| (r.seq, r.client) <= (batch.seq, batch.client))
@@ -229,10 +227,7 @@ pub(crate) fn fold_ordered(
             }
             let prov = provenance(batch.client, batch.attempt, batch.origin.as_deref());
             aggregator.note_retries(prov.cohort_label(), batch.attempt as u64);
-            aggregator.fold_batch(&prov, DecodeOutcome::Clean, &batch.payload, &mut archive)?;
-            if !config.keep_reports {
-                archive.clear();
-            }
+            aggregator.fold_batch(&prov, DecodeOutcome::Clean, &batch.payload, feed.rows())?;
         }
         for r in rejects {
             let prov = provenance(r.client, r.attempt, r.origin.as_deref());
@@ -240,7 +235,7 @@ pub(crate) fn fold_ordered(
         }
         Ok(())
     };
-    aggregator.train_beside(payloads, fold)?;
+    let ((), kept) = aggregator.fold_and_train(config.keep_reports, fold)?;
     aggregator.close();
-    Ok((aggregator, config.keep_reports.then_some(archive)))
+    Ok((aggregator, kept))
 }

@@ -14,9 +14,10 @@
 //!   straight from sufficient statistics, the common input of every
 //!   coverage-based fault-localisation measure (see `cbi-scoring`);
 //! * [`logistic`] — ℓ₁-regularized logistic regression trained by
-//!   stochastic gradient ascent for non-deterministic bugs (§3.3), with
-//!   [`scaling`] and [`crossval`] for λ selection, over a [`dataset::Dataset`]
-//!   built from raw reports.
+//!   stochastic gradient ascent for non-deterministic bugs (§3.3): one
+//!   trainer, [`train`], over compressed rows (a label and the nonzero
+//!   counters), whose one update is [`online`]'s; [`crossval`] splits the
+//!   rows and picks λ.
 //!
 //! # Example: isolating a deterministic bug
 //!
@@ -41,19 +42,14 @@
 pub mod confidence;
 pub mod contingency;
 pub mod crossval;
-pub mod dataset;
 pub mod elimination;
 pub mod logistic;
 pub mod online;
 pub mod progressive;
-pub mod scaling;
 
 pub use confidence::{detection_probability, runs_needed};
 pub use contingency::{contingency_tables, Contingency};
-pub use crossval::{choose_lambda, CrossvalError, LambdaChoice};
-pub use dataset::Dataset;
+pub use crossval::{choose_lambda, split, CrossvalError, LambdaChoice};
 pub use elimination::{apply, combine, survivor_count, survivors, KeepMask, Strategy};
-pub use logistic::{sigmoid, LogisticModel, TrainConfig};
-pub use online::OnlineTrainer;
+pub use logistic::{train, LogisticModel, Row, TrainConfig};
 pub use progressive::{progressive_elimination, ProgressiveConfig, ProgressivePoint};
-pub use scaling::FeatureScaler;

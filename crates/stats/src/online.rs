@@ -1,35 +1,31 @@
-//! Online (streaming) training — the §5 privacy argument for regression.
+//! The one ℓ₁ update behind [`train`](crate::train) — and the §5
+//! privacy argument for regression.
 //!
 //! "Once the logistic regression parameters have been updated with a new
 //! trace, the trace itself may be discarded.  If the analysis host is
 //! compromised, an attacker cannot recover the precise details of any
 //! single past trace."
 //!
-//! [`OnlineTrainer`] consumes one report at a time: it updates the model
+//! `OnlineTrainer` consumes one row at a time: it updates the model
 //! parameters (and the running feature-scaling statistics) and retains
-//! nothing else.  Feature scaling uses running min/max and variance
-//! estimates rather than the batch statistics of
-//! [`crate::scaling::FeatureScaler`], so early updates see slightly
-//! different scales than late ones — the price of never storing traces.
+//! nothing else.  Scaling uses running min/max and variance estimates,
+//! so early updates see slightly different scales than late ones — the
+//! price of never storing traces.
 //!
 //! Everything the trainer keeps about a counter is one record, so an
-//! update touches one cache line per nonzero counter.  The trainer is
-//! the costliest part of a fold; a whole-stream fold runs it on a thread
-//! of its own, over its own walk of the report bytes (see
-//! `cbi::EpochAggregator::train_beside`).  The floats, and the order
-//! they are combined in, are the same wherever it runs.
+//! update touches one cache line per nonzero counter.
 
-use crate::logistic::{sigmoid, LogisticModel};
+use crate::logistic::{sigmoid, LogisticModel, Row, Scale, TrainConfig};
 
 /// Streaming trainer for the crash-prediction model.
 ///
-/// One update costs what the report contains, not how wide the layout
-/// is: a zero counter leaves its running sums and its scaled feature at
+/// One update costs what the row contains, not how wide the layout is:
+/// a zero counter leaves its running sums and its scaled feature at
 /// zero, so the trainer visits only the nonzero counters and — for the
 /// cumulative ℓ₁ penalty, which every step applies to every nonzero
 /// weight — the weights that are currently nonzero.
 #[derive(Debug, Clone)]
-pub struct OnlineTrainer {
+pub(crate) struct OnlineTrainer {
     features: Vec<Feature>,
     bias: f64,
     learning_rate: f64,
@@ -75,13 +71,14 @@ impl Feature {
 }
 
 impl OnlineTrainer {
-    /// Creates a trainer for reports with `features` counters.
-    pub fn new(features: usize, learning_rate: f64, lambda: f64) -> Self {
+    /// A trainer for rows of `features` counters, stepping at `config`'s
+    /// learning rate and λ.
+    pub(crate) fn new(features: usize, config: &TrainConfig) -> Self {
         OnlineTrainer {
             features: vec![Feature::FRESH; features],
             bias: 0.0,
-            learning_rate,
-            lambda,
+            learning_rate: config.learning_rate,
+            lambda: config.lambda,
             seen: 0,
             u: 0.0,
             live: Vec::new(),
@@ -89,51 +86,20 @@ impl OnlineTrainer {
         }
     }
 
-    /// Number of reports folded in so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Number of features.
-    pub fn feature_count(&self) -> usize {
-        self.features.len()
-    }
-
-    /// Folds in one run: raw counter values plus the failure flag.  The
-    /// caller may discard the counters immediately afterwards.
+    /// Folds in one row.  The caller may discard it immediately
+    /// afterwards.
     ///
     /// # Panics
     ///
-    /// Panics if `counters` has the wrong length.
-    pub fn update(&mut self, counters: &[u64], failed: bool) {
-        assert_eq!(
-            counters.len(),
-            self.feature_count(),
-            "feature count mismatch"
-        );
-        self.update_nonzero(cbi_reports::nonzero(counters), failed);
-    }
-
-    /// Folds in one run given only its nonzero counters, as `(index,
-    /// value)` pairs in ascending index order with no index repeated;
-    /// every counter not listed is zero.  Every float this produces is
-    /// the one [`update`](Self::update) over the dense vector produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is outside the feature range.
-    pub fn update_nonzero(
-        &mut self,
-        counters: impl IntoIterator<Item = (usize, u64)>,
-        failed: bool,
-    ) {
+    /// Panics if the row names a counter outside the feature range.
+    pub(crate) fn update(&mut self, row: &impl Row) {
         let before_this = self.seen;
         self.seen += 1;
         let n = self.seen as f64;
 
         // Update running scale statistics, then scale this row with them.
         self.row.clear();
-        for (j, c) in counters {
+        for (j, c) in row.nonzero() {
             let v = c as f64;
             let f = &mut self.features[j];
             if f.last_nonzero != before_this {
@@ -155,7 +121,7 @@ impl OnlineTrainer {
             }
         }
 
-        let y = if failed { 1.0 } else { 0.0 };
+        let y = if row.failed() { 1.0 } else { 0.0 };
         // The zero terms of the dot product are skipped; the rest are
         // added in the same ascending order.
         let z = self.bias
@@ -191,22 +157,69 @@ impl OnlineTrainer {
         });
     }
 
-    /// A snapshot of the current model.
-    pub fn model(&self) -> LogisticModel {
-        LogisticModel {
-            bias: self.bias,
-            weights: self.features.iter().map(|f| f.weight).collect(),
-        }
+    /// The current model, with each counter's scaling as it stands: a
+    /// counter that has been zero since its last nonzero value has
+    /// minimum 0, as its next nonzero value would find it, and one never
+    /// nonzero scales by 1.
+    pub(crate) fn model(&self) -> LogisticModel {
+        let n = self.seen as f64;
+        let scales = self
+            .features
+            .iter()
+            .map(|f| {
+                let current = f.last_nonzero == self.seen && self.seen > 0;
+                let min = if current { f.min } else { 0.0 };
+                let mean = f.sum / n;
+                let sd = (f.sq_sum / n - mean * mean).max(0.0).sqrt();
+                Scale {
+                    min,
+                    range: (f.max - min).max(1.0),
+                    sd: if sd > 1e-12 { sd } else { 1.0 },
+                }
+            })
+            .collect();
+        let weights = self.features.iter().map(|f| f.weight).collect();
+        LogisticModel::new(self.bias, weights, scales)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logistic::train;
+    use cbi_reports::{Label, Report};
     use cbi_sampler::Pcg32;
 
+    fn config(learning_rate: f64, lambda: f64) -> TrainConfig {
+        TrainConfig {
+            lambda,
+            learning_rate,
+            ..TrainConfig::default()
+        }
+    }
+
+    fn trainer(features: usize, learning_rate: f64, lambda: f64) -> OnlineTrainer {
+        OnlineTrainer::new(features, &config(learning_rate, lambda))
+    }
+
+    fn report(counters: &[u64], failed: bool) -> Report {
+        let label = if failed {
+            Label::Failure
+        } else {
+            Label::Success
+        };
+        Report::new(0, label, counters.to_vec())
+    }
+
+    impl OnlineTrainer {
+        /// Folds in one dense counter vector.
+        fn update_dense(&mut self, counters: &[u64], failed: bool) {
+            self.update(&&report(counters, failed));
+        }
+    }
+
     /// Stream of runs where feature 1 predicts failure.
-    fn stream(n: usize, seed: u64) -> Vec<(Vec<u64>, bool)> {
+    fn stream(n: usize, seed: u64) -> Vec<Report> {
         let mut rng = Pcg32::new(seed);
         (0..n)
             .map(|_| {
@@ -220,18 +233,18 @@ mod tests {
                         }
                     })
                     .collect();
-                (counters, crash)
+                report(&counters, crash)
             })
             .collect()
     }
 
     #[test]
     fn online_training_finds_the_signal() {
-        let mut t = OnlineTrainer::new(5, 0.05, 0.02);
+        let mut t = trainer(5, 0.05, 0.02);
         // Stream three epochs' worth of fresh runs, discarding each.
         for seed in 0..3 {
-            for (counters, failed) in stream(2000, seed) {
-                t.update(&counters, failed);
+            for run in &stream(2000, seed) {
+                t.update(&run);
             }
         }
         let model = t.model();
@@ -242,26 +255,14 @@ mod tests {
             model.weights
         );
         assert!(model.weights[1] > 0.0);
-        assert_eq!(t.seen(), 6000);
+        assert_eq!(t.seen, 6000);
     }
 
     #[test]
     fn online_model_predicts_held_out_runs() {
-        let mut t = OnlineTrainer::new(5, 0.05, 0.02);
-        for (counters, failed) in stream(4000, 9) {
-            t.update(&counters, failed);
-        }
-        let model = t.model();
-        // Score on a fresh stream, scaling roughly like the trainer does.
-        let mut correct = 0;
-        let test = stream(1000, 99);
-        for (counters, failed) in &test {
-            let row: Vec<f64> = counters.iter().map(|&c| c as f64 / 4.0).collect();
-            if model.classify(&row) == *failed {
-                correct += 1;
-            }
-        }
-        let acc = correct as f64 / test.len() as f64;
+        let model = train(5, &stream(4000, 9), &config(0.05, 0.02));
+        // Held-out runs are scaled by the trainer's final statistics.
+        let acc = model.accuracy(&stream(1000, 99));
         assert!(acc > 0.8, "online accuracy {acc}");
     }
 
@@ -269,15 +270,42 @@ mod tests {
     fn trainer_retains_no_traces() {
         // The trainer's entire state is parameter vectors of fixed size —
         // independent of how many runs were folded in.
-        let mut t = OnlineTrainer::new(5, 0.05, 0.02);
+        let mut t = trainer(5, 0.05, 0.02);
         let before =
             std::mem::size_of_val(&t) + t.features.capacity() * std::mem::size_of::<Feature>();
-        for (counters, failed) in stream(500, 3) {
-            t.update(&counters, failed);
+        for run in &stream(500, 3) {
+            t.update(&run);
         }
         let after =
             std::mem::size_of_val(&t) + t.features.capacity() * std::mem::size_of::<Feature>();
         assert_eq!(before, after, "state must not grow with the stream");
+    }
+
+    #[test]
+    fn every_update_accrues_learning_rate_times_lambda_of_penalty() {
+        // The penalty owed grows by lr·λ per row, whatever the row holds:
+        // one pass over n rows charges n·λ‖β‖₁ against Σ LLᵢ.
+        let (lr, lambda) = (0.05, 0.3);
+        let mut t = trainer(5, lr, lambda);
+        let mut owed = 0.0;
+        for (k, run) in stream(40, 5).iter().enumerate() {
+            t.update(&run);
+            owed += lr * lambda;
+            assert_eq!(t.u.to_bits(), owed.to_bits(), "after {} updates", k + 1);
+            assert!((t.u - (k + 1) as f64 * lr * lambda).abs() < 1e-12);
+        }
+        // A weight that no gradient touches pays exactly that: a counter
+        // that fires once is clipped by each later update until it is 0.
+        let mut t = trainer(2, lr, 0.001);
+        t.update_dense(&[0, 0], false);
+        t.update_dense(&[4, 0], true);
+        let w0 = t.features[0].weight;
+        assert!(w0 > 0.0);
+        for k in 1..=3u32 {
+            t.update_dense(&[0, 1], false);
+            let paid = w0 - t.features[0].weight;
+            assert!((paid - f64::from(k) * lr * 0.001).abs() < 1e-12, "{paid}");
+        }
     }
 
     /// The trainer as it was before it learned to skip zero counters:
@@ -388,33 +416,34 @@ mod tests {
         );
         let sq_sums = field_bits(sparse, |f| f.sq_sum);
         assert_eq!(sq_sums, bits(&dense.sq_sums), "sq_sums {at}");
-        let (mins, maxs): (Vec<f64>, Vec<f64>) = (0..sparse.feature_count())
+        let (mins, maxs): (Vec<f64>, Vec<f64>) = (0..sparse.features.len())
             .map(|j| sparse.min_max(j))
             .unzip();
         assert_eq!(bits(&mins), bits(&dense.mins), "mins {at}");
         assert_eq!(bits(&maxs), bits(&dense.maxs), "maxs {at}");
         let mut live = sparse.live.clone();
         live.sort_unstable();
-        let nonzero: Vec<usize> = (0..sparse.feature_count())
+        let nonzero: Vec<usize> = (0..sparse.features.len())
             .filter(|&j| dense.weights[j] != 0.0)
             .collect();
         assert_eq!(live, nonzero, "live set {at}");
     }
 
-    /// Feeds one stream to both trainers through both entry points,
-    /// comparing after every update.
+    /// Feeds one stream to the dense oracle and the trainer, comparing
+    /// after every update, then trains over the same stream in one pass
+    /// of [`train`]: its model must be the oracle's to the bit.
     fn check_stream(name: &str, features: usize, lambda: f64, runs: &[(Vec<u64>, bool)]) {
         let mut dense = DenseTrainer::new(features, 0.05, lambda);
-        let mut via_dense_entry = OnlineTrainer::new(features, 0.05, lambda);
-        let mut via_sparse_entry = OnlineTrainer::new(features, 0.05, lambda);
+        let mut sparse = trainer(features, 0.05, lambda);
         for (i, (counters, failed)) in runs.iter().enumerate() {
             dense.update(counters, *failed);
-            via_dense_entry.update(counters, *failed);
-            via_sparse_entry.update_nonzero(cbi_reports::nonzero(counters), *failed);
-            let at = format!("({name}, after run {i})");
-            assert_identical(&via_dense_entry, &dense, &at);
-            assert_identical(&via_sparse_entry, &dense, &at);
+            sparse.update_dense(counters, *failed);
+            assert_identical(&sparse, &dense, &format!("({name}, after run {i})"));
         }
+        let rows: Vec<Report> = runs.iter().map(|(c, f)| report(c, *f)).collect();
+        let model = train(features, &rows, &config(0.05, lambda));
+        assert_eq!(bits(&model.weights), bits(&dense.weights), "train ({name})");
+        assert_eq!(model.bias.to_bits(), dense.bias.to_bits(), "train ({name})");
     }
 
     /// A mostly-zero stream shaped like sparse sampling: counter 0
@@ -448,7 +477,11 @@ mod tests {
             check_stream("seeded", 40, 0.02, &runs);
         }
         // Dense vectors (density 1/1) go through the same code.
-        check_stream("dense", 5, 0.02, &stream(500, 11));
+        let runs: Vec<(Vec<u64>, bool)> = stream(500, 11)
+            .into_iter()
+            .map(|r| (r.counters, r.label == Label::Failure))
+            .collect();
+        check_stream("dense", 5, 0.02, &runs);
     }
 
     #[test]
@@ -475,11 +508,11 @@ mod tests {
             vec![(vec![0, 0], false), (vec![3, 0], true), (vec![1, 0], true)];
         runs.extend((0..40).map(|_| (vec![0, 1], false)));
         runs.extend((0..5).map(|i| (vec![2 + i, 0], true)));
-        let mut probe = OnlineTrainer::new(2, 0.05, 0.1);
+        let mut probe = trainer(2, 0.05, 0.1);
         let mut was_live = false;
         let mut clipped_then_revived = false;
         for (counters, failed) in &runs {
-            probe.update(counters, *failed);
+            probe.update_dense(counters, *failed);
             let live = probe.features[0].weight != 0.0;
             clipped_then_revived |= was_live && !live;
             was_live |= live;
@@ -491,10 +524,10 @@ mod tests {
         // then successes with it high.
         let mut runs: Vec<(Vec<u64>, bool)> = (0..30).map(|i| (vec![4 + i % 2, 1], true)).collect();
         runs.extend((0..200).map(|i| (vec![4 + i % 2, i % 2], false)));
-        let mut probe = OnlineTrainer::new(2, 0.05, 0.001);
+        let mut probe = trainer(2, 0.05, 0.001);
         let mut signs = (false, false);
         for (counters, failed) in &runs {
-            probe.update(counters, *failed);
+            probe.update_dense(counters, *failed);
             signs.0 |= probe.features[0].weight > 0.0;
             signs.1 |= probe.features[0].weight < 0.0;
         }
@@ -512,9 +545,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mismatch")]
+    #[should_panic(expected = "index out of bounds")]
     fn wrong_width_panics() {
-        let mut t = OnlineTrainer::new(3, 0.1, 0.1);
-        t.update(&[1, 2], false);
+        // A row naming a counter outside the layout is a caller bug.
+        let _ = train(2, [&report(&[1, 2, 3], false)], &TrainConfig::default());
     }
 }

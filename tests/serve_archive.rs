@@ -68,7 +68,7 @@ fn assert_archive_is(outcome: &ServeOutcome, reports: &[Report], context: &str) 
         archive.reports().eq(reports.iter().cloned()),
         "{context}: archived reports differ from the submitted ones"
     );
-    assert_eq!(archive.to_collector().reports(), reports, "{context}");
+    assert_eq!(archive.reports().collect::<Vec<_>>(), reports, "{context}");
     assert_eq!(outcome.aggregator.runs(), reports.len() as u64, "{context}");
 }
 

@@ -3,8 +3,8 @@
 //! agree exactly with the in-process ones — same elimination survivors,
 //! same regression top-10, bit-identical report archive, the same
 //! rendered analysis as an in-process epoch fold.  Streaming analysis
-//! must also stay memory-bounded: one report resident at a time no
-//! matter how many trials stream through.
+//! must also stay memory-bounded: the analyzer's state is as large after
+//! fifty thousand reports as after one.
 
 use cbi::prelude::*;
 use cbi::reports::{AckVerdict, SinkError, WireErrorKind};
@@ -73,15 +73,14 @@ fn loopback_campaign_matches_in_process_analysis() {
     let run = run_campaign_into(&program, &trial_set, &config(), &mut transmit).unwrap();
     assert_eq!(transmit.verdict(), Some(AckVerdict::Accepted));
     let outcome = server.join().unwrap();
-    let remote = outcome
-        .collector
-        .as_ref()
-        .expect("keep_reports")
-        .to_collector();
+    let remote = outcome.collector.as_ref().expect("keep_reports");
 
     // The wire preserved the stream bit-for-bit.
     assert_eq!(outcome.summary.reports as usize, run.emitted);
-    assert_eq!(remote.reports(), local_result.collector.reports());
+    assert_eq!(
+        remote.reports().collect::<Vec<_>>(),
+        local_result.collector.reports()
+    );
 
     // Elimination: streaming (remote, aggregates only) equals in-process.
     let local_elim = cbi::eliminate(&local_result);
@@ -106,24 +105,24 @@ fn loopback_campaign_matches_in_process_analysis() {
     let n = local_result.collector.len();
     let rc = RegressionConfig::paper_proportions(n);
     let local_study = cbi::regress(&local_result, &rc).unwrap();
-    let remote_result = cbi::workloads::CampaignResult {
-        instrumented: baseline.instrumented,
-        collector: remote,
-        dropped: 0,
-    };
-    let remote_study = cbi::regress(&remote_result, &rc).unwrap();
+    let remote_study = cbi::regress_rows(&sites, remote.rows(), &rc).unwrap();
     assert_eq!(remote_study.top(10), local_study.top(10));
     assert_eq!(remote_study.ranked_counters, local_study.ranked_counters);
 
-    // Streaming regression reaches bit-identical state local vs remote:
-    // the deterministic update sequence saw the same stream.
+    // The server's streaming model is bit-identical to one pass over the
+    // local stream: the deterministic update sequence saw the same rows.
+    let serve = ServeConfig::default();
+    let width = sites.total_counters();
+    let local_model = train(width, local.reports(), &serve.streaming);
+    let remote_model = outcome.aggregator.model().expect("trained beside the fold");
+    let bits = |m: &LogisticModel| -> Vec<u64> { m.weights.iter().map(|w| w.to_bits()).collect() };
+    assert_eq!(bits(remote_model), bits(&local_model));
+    assert_eq!(remote_model.bias.to_bits(), local_model.bias.to_bits());
     assert_eq!(remote_analyzer.seen(), local_analyzer.seen());
-    assert_eq!(remote_analyzer.ranking(), local_analyzer.ranking());
     assert_eq!(remote_analyzer.stats(), local_analyzer.stats());
 
     // The rendered analysis equals an in-process epoch fold of the
-    // same reports.
-    let serve = ServeConfig::default();
+    // same reports, with that model attached.
     let mut local_epochs =
         EpochAggregator::new(sites.clone(), serve.epoch_len, serve.streaming, None);
     local_epochs
@@ -136,6 +135,7 @@ fn loopback_campaign_matches_in_process_analysis() {
         local_epochs.accept(report.clone()).unwrap();
     }
     local_epochs.close();
+    local_epochs.attach_model(local_model);
     assert_eq!(
         render_analysis(&outcome.aggregator, 10),
         render_analysis(&local_epochs, 10)
@@ -144,22 +144,29 @@ fn loopback_campaign_matches_in_process_analysis() {
 
 #[test]
 fn streaming_analysis_never_materializes_the_report_vector() {
-    // 50k trials, serial jobs so reports flow one-at-a-time from the VM
-    // into the sink: the analyzer's high-water mark must stay at one
-    // resident report — O(counters) memory, independent of trial count.
+    // 50k trials streamed into the analyzer: its state — the counter
+    // width and what the sufficient statistics hold on the heap — is
+    // what it was after one report, O(counters) whatever the trial count.
     let program = parse(BUGGY).unwrap();
-    let trial_set = trials(50_000);
-    let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
-    let run = run_campaign_into(&program, &trial_set, &config(), &mut analyzer).unwrap();
+    let state = |trials: &[Vec<i64>]| {
+        let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
+        let run = run_campaign_into(&program, trials, &config(), &mut analyzer).unwrap();
+        assert_eq!(run.emitted as u64, analyzer.seen());
+        analyzer
+    };
+    let one = state(&trials(1));
+    let many = state(&trials(50_000));
 
-    assert_eq!(run.emitted, 50_000);
-    assert_eq!(analyzer.seen(), 50_000);
+    assert_eq!(many.seen(), 50_000);
+    assert!(many.stats().failure_runs() > 0);
+    let width = one.stats().counter_count();
+    assert!(width > 0);
+    assert_eq!(many.stats().counter_count(), width);
+    assert_eq!(many.stats().heap_bytes(), one.stats().heap_bytes());
     assert_eq!(
-        analyzer.high_water(),
-        1,
-        "streaming analysis must hold at most one report at a time"
+        one.stats().heap_bytes(),
+        2 * width * std::mem::size_of::<u64>()
     );
-    assert!(analyzer.stats().failure_runs() > 0);
 }
 
 #[test]

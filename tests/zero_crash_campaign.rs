@@ -26,13 +26,15 @@ fn zero_crash_campaign_yields_empty_survivor_sets() {
     for seed in 0..200 {
         let program = cbi_testgen::program_for_seed(seed);
         let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
-        let run = run_campaign_into(&program, &trial_set, &config(), &mut analyzer).unwrap();
+        let mut collector = Collector::default();
+        let mut sink = (&mut collector, &mut analyzer);
+        let run = run_campaign_into(&program, &trial_set, &config(), &mut sink).unwrap();
         if run.emitted == trial_set.len() && analyzer.stats().failure_runs() == 0 {
-            found = Some((analyzer, run));
+            found = Some((analyzer, collector, run));
             break;
         }
     }
-    let (analyzer, run) = found.expect("some testgen seed in 0..200 is crash-free");
+    let (analyzer, collector, run) = found.expect("some testgen seed in 0..200 is crash-free");
     assert_eq!(analyzer.seen(), trial_set.len() as u64);
 
     let elim = analyzer.eliminate(&run.instrumented.sites);
@@ -52,10 +54,12 @@ fn zero_crash_campaign_yields_empty_survivor_sets() {
     assert!(elim.combined.is_empty(), "combined: {:?}", elim.combined);
     assert!(elim.combined_names.is_empty());
 
-    // The streaming ranking is still total over the counter layout: the
-    // model saw only successes, but ranking must not panic or shrink.
-    let ranking = analyzer.ranking();
-    assert_eq!(ranking.len(), run.instrumented.sites.total_counters());
+    // The streaming model's ranking is still total over the counter
+    // layout: it saw only successes, but ranking must not panic or shrink.
+    let n = run.instrumented.sites.total_counters();
+    let model = train(n, collector.reports(), analyzer.config());
+    assert_eq!(model.ranked_features().len(), n);
+    assert!(model.bias < 0.0, "only successes: the model predicts none");
 }
 
 #[test]
@@ -92,11 +96,13 @@ fn empty_stream_and_empty_campaign_are_handled() {
     let elim = analyzer.eliminate(sites);
     assert_eq!(elim.runs, 0);
     assert!(elim.combined.is_empty());
-    assert_eq!(analyzer.ranking().len(), n);
+    // A model over no rows is the zero model, its ranking total.
+    let model = train(n, std::iter::empty::<&Report>(), analyzer.config());
+    assert_eq!(model.ranked_features().len(), n);
 
-    // Before any `begin` there is no model: ranking is empty, not a
-    // panic.
+    // Before any `begin` there is no layout to train a model of, and
+    // the analyzer reports nothing rather than panicking.
     let fresh = StreamingAnalyzer::new(StreamingConfig::default());
-    assert!(fresh.ranking().is_empty());
+    assert!(fresh.layout().is_none());
     assert_eq!(fresh.seen(), 0);
 }
