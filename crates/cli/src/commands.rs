@@ -32,13 +32,11 @@ usage:
                  [--flight-cap N] [--metrics] [--metrics-out metrics.jsonl]
   cbi transmit   <reports.cbr> --to HOST:PORT
   cbi corpus     generate <dir> [--size N] [--seed N] [--trials N] [--bugs N]
-  cbi corpus     evaluate <dir> [--densities 1,10,100,1000] [--jobs N]
-                 [--scorer ochiai|tarantula|jaccard|increase|importance|posterior|odds]
-                 [--out report.txt] [--summary-out summary.txt]
+  cbi corpus     evaluate <dir> [--densities 1,10,100,1000]
+                 [--scorers ochiai,tarantula,jaccard,increase,importance,posterior,odds]
+                 [--jobs N] [--out report.txt] [--summary-out summary.txt]
   cbi isolate    <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]
                  [--jobs N] [--scorer S] [--top N]
-  cbi isolate    --corpus <dir> [--densities 1,10,100] [--scorers ochiai,importance]
-                 [--jobs N] [--out report.txt] [--summary-out summary.txt]
   cbi fleet      <file.mc> <inputs.txt> [--scheme S] [--clients N] [--runs N]
                  [--batch-size N] [--epoch-len N] [--densities 100:1,1000:3]
                  [--zipf S] [--variant-fraction F] [--stale-fraction F]
@@ -100,22 +98,20 @@ usage:
   validating each by an instrumented campaign, and writes
   <dir>/manifest.jsonl plus <dir>/programs/.  With --bugs N (2 or 3)
   it instead plants N interacting deterministic bugs per program and
-  writes a schema-2 multi-bug manifest.  `cbi corpus evaluate` replays
-  a campaign per entry across the density sweep, scoring elimination
-  survival, regression rank, recall@k, and wasted effort against the
-  manifest; --scorer swaps the float regression ranking for a pure
-  integer statistical scorer (byte-identical at any --jobs).
+  writes a schema-2 multi-bug manifest.  `cbi corpus evaluate` runs one
+  campaign per entry and density (the density-1 one always, for
+  ground-truth run attribution) and scores it against the manifest:
+  elimination survival, regression rank, recall@k and wasted effort for
+  the primary fault, then per --scorers entry the isolation loop's
+  cluster purity, per-bug rank and iterations-to-isolation for every
+  fault.  Output is byte-identical at any --jobs.
 
   Iterative isolation: `cbi isolate` runs the paper's multi-bug
-  redundancy-elimination loop — rank all predicates with --scorer
-  (default ochiai), attribute the top predicate to a bug cluster,
-  discard the failing runs it explains, re-rank, repeat until no
-  failures remain.  Program mode streams a campaign over an input file
-  and prints the per-iteration trace; --corpus mode sweeps every
-  manifest entry across --densities x --scorers and scores cluster
-  purity, per-bug rank, and iterations-to-isolation against planted
-  ground truth.  All output is integer-only and byte-identical at any
-  --jobs value.
+  redundancy-elimination loop over a campaign on an input file — rank
+  all predicates with --scorer (default ochiai), attribute the top
+  predicate to a bug cluster, discard the failing runs it explains,
+  re-rank, repeat until no failures remain — and prints the
+  per-iteration trace, integer-only and byte-identical at any --jobs.
 
   Fleet simulation: `cbi fleet` drives a seeded community of simulated
   clients through the whole remote pipeline — each client draws a
@@ -150,15 +146,33 @@ usage:
 /// Valueless boolean switches accepted by the subcommands.
 const SWITCHES: &[&str] = &["global-countdown", "no-regions", "metrics"];
 
-/// Flags that were removed, with the answer a caller still passing one
-/// gets.  `Args` ignores flags it does not know, so without this a
-/// script would silently get different behaviour than it asked for.
-const REMOVED_FLAGS: &[(&str, &str)] = &[
+/// Flags that were removed, with the subcommand they were removed from
+/// (`None`: every one) and the answer a caller still passing one gets.
+/// `Args` ignores flags it does not know, so without this a script
+/// would silently get different behaviour than it asked for.
+const REMOVED_FLAGS: &[(Option<&str>, &str, &str)] = &[
     (
+        None,
         "engine",
         "--engine was removed: bytecode is the only engine",
     ),
-    ("max-conns", "--max-conns was removed: use --max-clients"),
+    (
+        None,
+        "max-conns",
+        "--max-conns was removed: use --max-clients",
+    ),
+    (
+        Some("isolate"),
+        "corpus",
+        "`cbi isolate --corpus` was removed: use `cbi corpus evaluate DIR --scorers S,...`, \
+         which prints the isolation block beside survival and model rank",
+    ),
+    (
+        Some("corpus"),
+        "scorer",
+        "`cbi corpus evaluate --scorer` was removed: use `cbi corpus evaluate DIR --scorers S,...`; \
+         each scorer's per-bug rank is the isolation block's ranksum column",
+    ),
 ];
 
 /// Dispatches a raw argument vector to a subcommand.
@@ -168,10 +182,9 @@ const REMOVED_FLAGS: &[(&str, &str)] = &[
 /// Returns a user-facing message for any parse, I/O, or pipeline failure.
 pub fn dispatch(raw: Vec<String>) -> Result<(), String> {
     let args = Args::parse_with_switches(raw, SWITCHES)?;
-    if let Some((_, answer)) = REMOVED_FLAGS
-        .iter()
-        .find(|(flag, _)| args.flag(flag).is_some())
-    {
+    if let Some((_, _, answer)) = REMOVED_FLAGS.iter().find(|(command, flag, _)| {
+        command.is_none_or(|c| args.positional(0) == Some(c)) && args.flag(flag).is_some()
+    }) {
         return Err(answer.to_string());
     }
     match args.positional(0) {
@@ -880,33 +893,47 @@ fn corpus_dir(args: &Args) -> Result<&str, String> {
 fn cmd_corpus_generate(args: &Args) -> Result<(), String> {
     let dir = corpus_dir(args)?;
     let bugs: usize = args.flag_or("bugs", 1usize)?;
-    if bugs > 1 {
-        return cmd_corpus_generate_multi(args, dir, bugs);
-    }
-    let config = cbi_corpus::GenerateConfig {
-        size: args.flag_or("size", 100usize)?,
-        seed: args.flag_or("seed", 0xc0deu64)?,
-        trials: args.flag_or("trials", 48usize)?,
-    };
-    if config.size == 0 || config.trials == 0 {
+    // Multi-bug corpora default to fewer, longer-trialled entries.
+    let (size, trials) = if bugs > 1 { (12, 96) } else { (100, 48) };
+    let size: usize = args.flag_or("size", size)?;
+    let seed: u64 = args.flag_or("seed", 0xc0deu64)?;
+    let trials: usize = args.flag_or("trials", trials)?;
+    if size == 0 || trials == 0 {
         return Err("--size and --trials must be positive".to_string());
     }
-    let corpus = cbi_corpus::generate_corpus(&config).map_err(|e| e.to_string())?;
+    let corpus = if bugs > 1 {
+        cbi_corpus::generate_multi_corpus(&cbi_corpus::MultiGenerateConfig {
+            size,
+            seed,
+            trials,
+            bugs_per_entry: bugs,
+        })
+    } else {
+        cbi_corpus::generate_corpus(&cbi_corpus::GenerateConfig { size, seed, trials })
+    }
+    .map_err(|e| e.to_string())?;
     for note in &corpus.log {
         eprintln!("note: {note}");
     }
     cbi_corpus::write_corpus(std::path::Path::new(dir), &corpus).map_err(|e| e.to_string())?;
-    let dets = corpus
-        .entries
-        .iter()
-        .filter(|e| e.bug.deterministic())
-        .count();
-    println!(
-        "{} entries written to {dir} ({} deterministic, {} input-conditioned or sampling-dependent)",
-        corpus.entries.len(),
-        dets,
-        corpus.entries.len() - dets
-    );
+    let n = corpus.entries.len();
+    if bugs > 1 {
+        let faults: usize = corpus.entries.iter().map(|e| e.bug.faults.len()).sum();
+        println!(
+            "{n} multi-bug entries written to {dir} ({faults} planted faults, schema {})",
+            cbi_corpus::MANIFEST_SCHEMA
+        );
+    } else {
+        let dets = corpus
+            .entries
+            .iter()
+            .filter(|e| e.bug.deterministic())
+            .count();
+        println!(
+            "{n} entries written to {dir} ({dets} deterministic, {} input-conditioned or sampling-dependent)",
+            n - dets
+        );
+    }
     Ok(())
 }
 
@@ -926,80 +953,32 @@ fn cmd_corpus_evaluate(args: &Args) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let config = cbi_corpus::EvalConfig {
         densities,
+        scorers: args
+            .flag("scorers")
+            .unwrap_or("ochiai,importance")
+            .split(',')
+            .map(|t| t.trim().to_string())
+            .collect(),
         jobs: jobs_of(args)?,
-        scorer: args.flag("scorer").map(str::to_string),
     };
     let entries = cbi_corpus::load_corpus(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     eprintln!("evaluating {} entries from {dir}", entries.len());
     let report = cbi_corpus::evaluate(&entries, &config).map_err(|e| e.to_string())?;
-
-    let rendered = cbi_corpus::render_report(&report);
-    match args.flag("out") {
-        Some(path) => {
-            fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("score report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-    let summary = cbi_corpus::render_summary(&report);
-    match args.flag("summary-out") {
-        Some(path) => {
-            fs::write(path, &summary).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("summary written to {path}");
-        }
-        None => print!("{summary}"),
-    }
-    Ok(())
-}
-
-fn cmd_corpus_generate_multi(args: &Args, dir: &str, bugs: usize) -> Result<(), String> {
-    let config = cbi_corpus::MultiGenerateConfig {
-        size: args.flag_or("size", 12usize)?,
-        seed: args.flag_or("seed", 0xc0deu64)?,
-        trials: args.flag_or("trials", 96usize)?,
-        bugs_per_entry: bugs,
-    };
-    if config.size == 0 || config.trials == 0 {
-        return Err("--size and --trials must be positive".to_string());
-    }
-    let corpus = cbi_corpus::generate_multi_corpus(&config).map_err(|e| e.to_string())?;
-    for note in &corpus.log {
-        eprintln!("note: {note}");
-    }
-    cbi_corpus::write_corpus(std::path::Path::new(dir), &corpus).map_err(|e| e.to_string())?;
-    let faults: usize = corpus.entries.iter().map(|e| e.bug.faults.len()).sum();
-    println!(
-        "{} multi-bug entries written to {dir} ({} planted faults, schema {})",
-        corpus.entries.len(),
-        faults,
-        cbi_corpus::MANIFEST_SCHEMA
-    );
-    Ok(())
-}
-
-/// Comma-separated scorer names, each validated against the registry.
-fn scorer_list(args: &Args, default: &str) -> Result<Vec<String>, String> {
-    args.flag("scorers")
-        .unwrap_or(default)
-        .split(',')
-        .map(|t| {
-            let t = t.trim();
-            cbi_scoring::scorer_by_name(t)
-                .map(|_| t.to_string())
-                .ok_or_else(|| {
-                    format!(
-                        "unknown scorer `{t}` (expected one of {})",
-                        cbi_scoring::SCORER_NAMES.join(", ")
-                    )
-                })
-        })
-        .collect()
+    write_or_print(
+        args,
+        "out",
+        &cbi_corpus::render_report(&report),
+        "score report",
+    )?;
+    write_or_print(
+        args,
+        "summary-out",
+        &cbi_corpus::render_summary(&report),
+        "summary",
+    )
 }
 
 fn cmd_isolate(args: &Args) -> Result<(), String> {
-    if let Some(dir) = args.flag("corpus") {
-        return cmd_isolate_corpus(args, dir);
-    }
     let (program, trials, config) = campaign_setup(args)?;
     let scheme = scheme_of(args)?;
     let scorer_name = args.flag("scorer").unwrap_or("ochiai");
@@ -1066,40 +1045,15 @@ fn cmd_isolate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_isolate_corpus(args: &Args, dir: &str) -> Result<(), String> {
-    let densities: Vec<u64> = args
-        .flag("densities")
-        .unwrap_or("1,10,100")
-        .split(',')
-        .map(|t| {
-            let t = t.trim();
-            t.parse::<u64>()
-                .ok()
-                .filter(|&d| d > 0)
-                .ok_or_else(|| format!("bad density `{t}` (expected positive integers)"))
-        })
-        .collect::<Result<_, _>>()?;
-    let config = cbi_corpus::MultiEvalConfig {
-        densities,
-        scorers: scorer_list(args, "ochiai,importance")?,
-        jobs: jobs_of(args)?,
-    };
-    let entries = cbi_corpus::load_corpus(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
-    eprintln!("isolating {} entries from {dir}", entries.len());
-    let report = cbi_corpus::evaluate_multi(&entries, &config).map_err(|e| e.to_string())?;
-
-    let rendered = cbi_corpus::render_multi_report(&report);
-    match args.flag("out") {
+/// Writes `text` to the file the `flag` option names (announcing
+/// `what` on stderr), or prints it when the option is absent.
+fn write_or_print(args: &Args, flag: &str, text: &str, what: &str) -> Result<(), String> {
+    match args.flag(flag) {
         Some(path) => {
-            fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("isolation report written to {path}");
+            fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("{what} written to {path}");
         }
-        None => print!("{rendered}"),
-    }
-    if let Some(path) = args.flag("summary-out") {
-        let summary = cbi_corpus::render_multi_summary(&report);
-        fs::write(path, &summary).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("summary written to {path}");
+        None => print!("{text}"),
     }
     Ok(())
 }
@@ -1263,15 +1217,7 @@ fn socket_fleet(args: &Args, addr: &str) -> Result<(), String> {
         cbi_fleet::run_fleet_over_socket(&program, &pool, &spec, addr, &options)
     })
     .map_err(|e| e.to_string())?;
-    let rendered = summary.render();
-    match args.flag("summary-out") {
-        Some(path) => {
-            fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("fleet summary written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-    Ok(())
+    write_or_print(args, "summary-out", &summary.render(), "fleet summary")
 }
 
 fn cmd_fleet(args: &Args) -> Result<(), String> {
@@ -1292,13 +1238,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         eprintln!("target rank: {rank} (0-based, regression ordering)");
     }
     let summary = cbi_fleet::render_summary(&report.summary, &report.epochs);
-    match args.flag("summary-out") {
-        Some(path) => {
-            fs::write(path, &summary).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("fleet summary written to {path}");
-        }
-        None => print!("{summary}"),
-    }
+    write_or_print(args, "summary-out", &summary, "fleet summary")?;
 
     // The deployment-metric exports ride along without the full monitor:
     // a default-config health pass supplies the detector gauges.
@@ -1491,13 +1431,7 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
     if !events.is_empty() {
         rendered.push_str(&aggregator.flight_recorder().render());
     }
-    match args.flag("health-out") {
-        Some(path) => {
-            fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("health report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_or_print(args, "health-out", &rendered, "health report")?;
 
     let registry = cbi::health_registry(&aggregator, &monitor);
     write_metric_exports(args, &registry)?;
@@ -1930,6 +1864,52 @@ mod tests {
         let err =
             dispatch_strs(&["corpus", "evaluate", "/tmp/x", "--densities", "1,0"]).unwrap_err();
         assert!(err.contains("density"), "{err}");
+    }
+
+    #[test]
+    fn removed_corpus_spellings_name_the_one_command() {
+        for argv in [
+            &["isolate", "--corpus", "/tmp/x"][..],
+            &["isolate", "--corpus", "/tmp/x", "--scorers", "ochiai"],
+            &["corpus", "evaluate", "/tmp/x", "--scorer", "ochiai"],
+        ] {
+            let err = dispatch_strs(argv).unwrap_err();
+            assert!(
+                err.contains("cbi corpus evaluate DIR --scorers"),
+                "{argv:?}: {err}"
+            );
+        }
+        assert!(!USAGE.contains("isolate    --corpus"));
+        // `--scorer` still picks the program-mode isolation scorer.
+        let p = tmp("prog-isolate.mc", PROG);
+        let inputs = tmp("inputs-isolate.txt", "5\n4\n9\n2\n");
+        dispatch_strs(&[
+            "isolate",
+            p.to_str().unwrap(),
+            inputs.to_str().unwrap(),
+            "--scorer",
+            "tarantula",
+        ])
+        .unwrap();
+    }
+
+    #[test]
+    fn corpus_with_an_out_of_range_true_counter_is_refused() {
+        let dir = std::env::temp_dir().join("cbi-cli-test-corpus-range");
+        let _ = fs::remove_dir_all(&dir);
+        let d = dir.to_str().unwrap();
+        dispatch_strs(&["corpus", "generate", d, "--size", "2", "--trials", "16"]).unwrap();
+        let manifest = dir.join("manifest.jsonl");
+        let text = fs::read_to_string(&manifest).unwrap();
+        let (first, rest) = text.split_once('\n').unwrap();
+        let at = first.find("\"true_counter\":").unwrap() + "\"true_counter\":".len();
+        let digits = first[at..].find(',').unwrap();
+        let edited = format!("{}99999{}\n{rest}", &first[..at], &first[at + digits..]);
+        fs::write(&manifest, edited).unwrap();
+        let err = dispatch_strs(&["corpus", "evaluate", d, "--densities", "1"]).unwrap_err();
+        assert!(err.contains("manifest line 1"), "{err}");
+        assert!(err.contains("true_counter 99999 is out of range"), "{err}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

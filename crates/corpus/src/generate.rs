@@ -120,13 +120,19 @@ pub fn corpus_ccrypt_config() -> CcryptTrialConfig {
     }
 }
 
+/// `n` inputs from `workload`'s corpus trial distribution, seeded by
+/// `seed`: what generation validates each bug against.
+pub fn workload_trials(workload: Workload, n: usize, seed: u64) -> Vec<Vec<i64>> {
+    match workload {
+        Workload::Testgen => testgen_trials(n, seed),
+        Workload::Ccrypt => ccrypt_trials(n, seed, &corpus_ccrypt_config()),
+        Workload::Bc => bc_trials(n, seed, &BcTrialConfig::default()),
+    }
+}
+
 /// Regenerates the trial inputs recorded for `bug`.
 pub fn trials_for(bug: &PlantedBug) -> Vec<Vec<i64>> {
-    match bug.workload {
-        Workload::Testgen => testgen_trials(bug.trials, bug.trial_seed),
-        Workload::Ccrypt => ccrypt_trials(bug.trials, bug.trial_seed, &corpus_ccrypt_config()),
-        Workload::Bc => bc_trials(bug.trials, bug.trial_seed, &BcTrialConfig::default()),
-    }
+    workload_trials(bug.workload, bug.trials, bug.trial_seed)
 }
 
 /// What validation learned about an accepted candidate.
@@ -174,14 +180,7 @@ fn validate(source: &str, mutation: &Mutation, trials: &[Vec<i64>]) -> Option<Va
         }
         "conditional"
     };
-    let mut baseline_failures = 0usize;
-    for trial in trials {
-        let failed = match Vm::new(&program).with_input(trial.clone()).run() {
-            Ok(result) => !result.outcome.is_success(),
-            Err(_) => true,
-        };
-        baseline_failures += usize::from(failed);
-    }
+    let baseline_failures = baseline_failures(&program, trials);
     if mutation.deterministic && baseline_failures != failures {
         // A "deterministic" bug must fail the same trials with and
         // without instrumentation; otherwise the label would lie.
@@ -195,6 +194,20 @@ fn validate(source: &str, mutation: &Mutation, trials: &[Vec<i64>]) -> Option<Va
         trigger,
         baseline_failures,
     })
+}
+
+/// Failures of the uninstrumented program over `trials`: the baseline
+/// a deterministic bug's instrumented failures must equal.
+fn baseline_failures(program: &Program, trials: &[Vec<i64>]) -> usize {
+    trials
+        .iter()
+        .filter(|trial| {
+            !Vm::new(program)
+                .with_input(trial.to_vec())
+                .run()
+                .is_ok_and(|result| result.outcome.is_success())
+        })
+        .count()
 }
 
 /// Normalizes a mutant: pretty-print, re-parse, pretty-print.  The
@@ -249,15 +262,10 @@ pub fn generate_corpus(cfg: &GenerateConfig) -> Result<Corpus, CorpusError> {
 
     // ccrypt and bc entries: scan (store, offset) pairs until the quota
     // is met or the candidates run out.
-    for (workload, program) in [
-        (Workload::Ccrypt, ccrypt_program()),
-        (Workload::Bc, bc_program()),
+    for (workload, tag, program) in [
+        (Workload::Ccrypt, "cc", ccrypt_program()),
+        (Workload::Bc, "bc", bc_program()),
     ] {
-        let tag = match workload {
-            Workload::Ccrypt => "cc",
-            Workload::Bc => "bc",
-            Workload::Testgen => unreachable!(),
-        };
         let candidates = workload_candidates(&program);
         let mut accepted = 0usize;
         'pairs: for nth in 0..candidates {
@@ -275,13 +283,7 @@ pub fn generate_corpus(cfg: &GenerateConfig) -> Result<Corpus, CorpusError> {
                     .seed
                     .wrapping_add(0x1000 * (1 + workload as u64))
                     .wrapping_add(accepted as u64);
-                let trials = match workload {
-                    Workload::Ccrypt => {
-                        ccrypt_trials(cfg.trials, trial_seed, &corpus_ccrypt_config())
-                    }
-                    Workload::Bc => bc_trials(cfg.trials, trial_seed, &BcTrialConfig::default()),
-                    Workload::Testgen => unreachable!(),
-                };
+                let trials = workload_trials(workload, cfg.trials, trial_seed);
                 let Some(v) = validate(&source, &mutation, &trials) else {
                     continue;
                 };
@@ -480,14 +482,7 @@ fn validate_multi(
             true_predicate: sites.predicate_name(tc),
         });
     }
-    let mut baseline_failures = 0usize;
-    for trial in trials {
-        let failed = match Vm::new(&program).with_input(trial.clone()).run() {
-            Ok(result) => !result.outcome.is_success(),
-            Err(_) => true,
-        };
-        baseline_failures += usize::from(failed);
-    }
+    let baseline_failures = baseline_failures(&program, trials);
     if planted.iter().all(|(_, _, d)| *d) && baseline_failures != failures {
         return None;
     }

@@ -21,11 +21,13 @@
 //!    mutation is validated by an instrumented density-1 campaign plus an
 //!    uninstrumented baseline sweep before it is admitted, so every
 //!    manifest line is a *demonstrated* bug, not a hoped-for one.
-//! 4. [`eval`] — the scoring harness: per entry and sampling density it
-//!    streams a campaign through [`cbi::StreamingAnalyzer`], then scores
-//!    the analysis against ground truth — survival of the true predicate
-//!    under §3.2 elimination, its rank in the regression ordering,
-//!    recall@k, and a wasted-effort (EXAM-style) score.
+//! 4. [`eval`] — the one evaluator: per entry and sampling density it
+//!    runs one campaign into a [`cbi_scoring::FailureIndex`] and a
+//!    [`cbi_reports::Collector`] at once, then scores every analysis of
+//!    it against ground truth — survival of the true predicate under
+//!    §3.2 elimination, its rank in the §3.3 regression ordering,
+//!    recall@k and wasted effort (EXAM-style), and per scorer the
+//!    isolation loop's cluster purity, per-bug rank and recovery.
 //!
 //! Everything is deterministic: corpus generation from a seed, trial
 //! regeneration from the manifest, and evaluation output byte-for-byte
@@ -36,15 +38,13 @@
 #![warn(missing_docs)]
 
 pub mod eval;
-pub mod eval_multi;
 pub mod generate;
 pub mod manifest;
 pub mod mutate;
 
-pub use eval::{evaluate, render_report, render_summary, EntryScore, EvalConfig, EvalReport};
-pub use eval_multi::{
-    evaluate_multi, render_multi_report, render_multi_summary, BugOutcome, MultiEntryScore,
-    MultiEvalConfig, MultiEvalReport,
+pub use eval::{
+    evaluate, instrument_entry, render_report, render_summary, EntryScore, EvalConfig, EvalReport,
+    Isolation,
 };
 pub use generate::{
     corpus_gen_config, generate_corpus, generate_multi_corpus, load_corpus, testgen_trials,
@@ -65,25 +65,15 @@ use std::fmt;
 pub enum CorpusError {
     /// Filesystem error reading or writing a corpus directory.
     Io(std::io::Error),
-    /// A corpus program failed to parse.
-    Parse {
-        /// Entry id (or a description during generation).
-        id: String,
-        /// Parser diagnostic.
-        message: String,
-    },
-    /// A corpus program failed to instrument.
-    Instrument {
+    /// A corpus entry's program failed to parse or instrument, or its
+    /// campaign failed outright.
+    Entry {
         /// Entry id.
         id: String,
-        /// Instrumenter diagnostic.
-        message: String,
-    },
-    /// A campaign over a corpus entry failed outright.
-    Campaign {
-        /// Entry id.
-        id: String,
-        /// Campaign diagnostic.
+        /// The stage that failed: `parse`, `instrumentation` or
+        /// `campaign`.
+        stage: &'static str,
+        /// The stage's diagnostic.
         message: String,
     },
     /// A manifest line could not be decoded.
@@ -133,14 +123,8 @@ impl fmt::Display for CorpusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CorpusError::Io(e) => write!(f, "corpus io error: {e}"),
-            CorpusError::Parse { id, message } => {
-                write!(f, "corpus entry {id}: parse failed: {message}")
-            }
-            CorpusError::Instrument { id, message } => {
-                write!(f, "corpus entry {id}: instrumentation failed: {message}")
-            }
-            CorpusError::Campaign { id, message } => {
-                write!(f, "corpus entry {id}: campaign failed: {message}")
+            CorpusError::Entry { id, stage, message } => {
+                write!(f, "corpus entry {id}: {stage} failed: {message}")
             }
             CorpusError::Manifest { line, error } => {
                 write!(f, "manifest line {line}: {error}")

@@ -28,6 +28,13 @@ pub enum ManifestError {
     Schema(Option<u64>),
     /// The line is not a well-formed schema-2 entry.
     Malformed(String),
+    /// A fault's `true_counter` indexes past the entry's `counters`.
+    CounterOutOfRange {
+        /// The fault's recorded counter index.
+        true_counter: usize,
+        /// The entry's recorded counter count.
+        counters: usize,
+    },
 }
 
 impl fmt::Display for ManifestError {
@@ -42,6 +49,13 @@ impl fmt::Display for ManifestError {
                 "unsupported manifest schema {v} (this reader understands {MANIFEST_SCHEMA})"
             ),
             ManifestError::Malformed(message) => f.write_str(message),
+            ManifestError::CounterOutOfRange {
+                true_counter,
+                counters,
+            } => write!(
+                f,
+                "true_counter {true_counter} is out of range for an entry of {counters} counters"
+            ),
         }
     }
 }
@@ -289,12 +303,19 @@ impl PlantedBug {
             ));
         }
         let req = |name: &str| format!("missing field {name:?}");
+        let counters = counters.ok_or_else(|| req("counters"))?;
+        if let Some(f) = faults.iter().find(|f| f.true_counter >= counters) {
+            return Err(ManifestError::CounterOutOfRange {
+                true_counter: f.true_counter,
+                counters,
+            });
+        }
         Ok(PlantedBug {
             id: id.ok_or_else(|| req("id"))?,
             workload: workload.ok_or_else(|| req("workload"))?,
             source: source.ok_or_else(|| req("source"))?,
             layout_hash: layout_hash.ok_or_else(|| req("layout_hash"))?,
-            counters: counters.ok_or_else(|| req("counters"))?,
+            counters,
             trials: trials.ok_or_else(|| req("trials"))?,
             trial_seed: trial_seed.ok_or_else(|| req("trial_seed"))?,
             baseline_failures: baseline_failures.ok_or_else(|| req("baseline_failures"))?,
@@ -653,5 +674,37 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("no faults"), "{err}");
+    }
+
+    #[test]
+    fn true_counter_past_the_layout_is_rejected() {
+        // A counter index at or past `counters` would name no predicate:
+        // the decoder refuses the line instead of letting evaluation
+        // index out of the site table.
+        let last = sample()
+            .to_json()
+            .replace("\"true_counter\":12", "\"true_counter\":39");
+        assert_eq!(
+            PlantedBug::from_json(&last).unwrap().primary().true_counter,
+            39
+        );
+        let past = sample_multi()
+            .to_json()
+            .replace("\"true_counter\":30", "\"true_counter\":64");
+        assert_eq!(
+            PlantedBug::from_json(&past),
+            Err(ManifestError::CounterOutOfRange {
+                true_counter: 64,
+                counters: 64
+            })
+        );
+        let text = format!("{}\n{past}\n", sample().to_json());
+        match read_manifest(text.as_bytes()).unwrap_err() {
+            CorpusError::Manifest { line, error } => {
+                assert_eq!(line, 2);
+                assert!(error.to_string().contains("out of range"), "{error}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 }

@@ -1,30 +1,19 @@
 //! Driving a fleet against corpus ground truth.
 //!
-//! A [`PlantedBug`] manifest records the mutated source, the true
-//! counter, and the layout hash that pins them together.  This module
-//! parses the source, regenerates an input population from the bug's
-//! workload distribution (sized for a community, not a trial list),
-//! verifies the layout has not drifted, and runs the fleet with the true
-//! counter as the detection target — so the epoch trajectory reports
-//! detection latency and rank *of a demonstrated bug*.
+//! A [`cbi_corpus::PlantedBug`] manifest records the mutated source,
+//! the true counter, and the layout hash that pins them together.  This
+//! module checks the entry with [`instrument_entry`] (the corpus
+//! evaluator's own drift check), regenerates an input population from
+//! the bug's workload distribution (sized for a community, not a trial
+//! list), and runs the fleet with the true counter as the detection
+//! target — so the epoch trajectory reports detection latency and rank
+//! *of a demonstrated bug*.
 
 use crate::sim::{run_fleet, FleetReport, FleetSpec};
 use crate::FleetError;
-use cbi_corpus::generate::{corpus_ccrypt_config, testgen_trials};
-use cbi_corpus::{CorpusEntry, PlantedBug, Workload};
-use cbi_instrument::{instrument, Scheme};
-use cbi_workloads::{bc_trials, ccrypt_trials, BcTrialConfig};
-
-/// Regenerates an input population for `bug`'s workload: the same
-/// distribution the corpus validated the bug against, but sized and
-/// seeded for a community pool rather than a fixed trial list.
-pub fn corpus_pool(bug: &PlantedBug, n: usize, seed: u64) -> Vec<Vec<i64>> {
-    match bug.workload {
-        Workload::Testgen => testgen_trials(n, seed),
-        Workload::Ccrypt => ccrypt_trials(n, seed, &corpus_ccrypt_config()),
-        Workload::Bc => bc_trials(n, seed, &BcTrialConfig::default()),
-    }
-}
+use cbi_corpus::generate::workload_trials;
+use cbi_corpus::{instrument_entry, CorpusEntry};
+use cbi_instrument::Scheme;
 
 /// Runs a fleet against a corpus entry, drawing inputs from a pool of
 /// `pool_size` regenerated workload inputs and targeting the planted
@@ -36,35 +25,31 @@ pub fn corpus_pool(bug: &PlantedBug, n: usize, seed: u64) -> Vec<Vec<i64>> {
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::Parse`] if the entry's source no longer
-/// parses, [`FleetError::LayoutDrift`] if the instrumented layout hash
-/// disagrees with the manifest (the recorded true counter would point at
-/// the wrong predicate), or any simulation error from [`run_fleet`].
+/// Returns [`FleetError::Corpus`] if [`instrument_entry`] refuses the
+/// entry, or any simulation error from [`run_fleet`].
 pub fn run_corpus_fleet(
     entry: &CorpusEntry,
     pool_size: usize,
     spec: &FleetSpec,
 ) -> Result<FleetReport, FleetError> {
-    let bug = &entry.bug;
-    let program = cbi_minic::parse(&entry.source)
-        .map_err(|e| FleetError::Parse(format!("{}: {e}", bug.id)))?;
+    let (program, _) = instrument_entry(entry).map_err(FleetError::Corpus)?;
     let mut spec = spec.clone();
     spec.scheme = Scheme::Checks;
-    let sites = instrument(&program, spec.scheme)?.sites;
-    if sites.layout_hash() != bug.layout_hash || sites.total_counters() != bug.counters {
-        return Err(FleetError::LayoutDrift {
-            expected: bug.layout_hash,
-            got: sites.layout_hash(),
-        });
-    }
-    let pool = corpus_pool(bug, pool_size, spec.seed ^ 0xc0_70_01);
-    run_fleet(&program, &pool, &spec, Some(bug.primary().true_counter))
+    // The distribution the corpus validated the bug against, sized and
+    // seeded for a community pool rather than the recorded trial list.
+    let pool = workload_trials(entry.bug.workload, pool_size, spec.seed ^ 0xc0_70_01);
+    run_fleet(
+        &program,
+        &pool,
+        &spec,
+        Some(entry.bug.primary().true_counter),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbi_corpus::{generate_corpus, GenerateConfig};
+    use cbi_corpus::{generate_corpus, CorpusError, GenerateConfig};
 
     fn one_entry() -> CorpusEntry {
         let cfg = GenerateConfig {
@@ -107,7 +92,7 @@ mod tests {
         let spec = FleetSpec::new(4, 20);
         assert!(matches!(
             run_corpus_fleet(&entry, 8, &spec),
-            Err(FleetError::LayoutDrift { .. })
+            Err(FleetError::Corpus(CorpusError::LayoutDrift { .. }))
         ));
     }
 
@@ -118,7 +103,10 @@ mod tests {
         let spec = FleetSpec::new(4, 20);
         assert!(matches!(
             run_corpus_fleet(&entry, 8, &spec),
-            Err(FleetError::Parse(_))
+            Err(FleetError::Corpus(CorpusError::Entry {
+                stage: "parse",
+                ..
+            }))
         ));
     }
 }

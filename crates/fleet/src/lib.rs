@@ -58,7 +58,7 @@ pub mod summary;
 pub use channel::{
     send_batch, transmit, ChannelSpec, Delivery, Rejection, SendOutcome, SendResult,
 };
-pub use corpus::{corpus_pool, run_corpus_fleet};
+pub use corpus::run_corpus_fleet;
 pub use profile::{draw_profiles, ClientProfile};
 pub use sim::{run_fleet, FleetReport, FleetSpec, FleetSummary};
 pub use socket::{run_fleet_over_socket, SocketFleetSummary, SocketOptions};
@@ -81,16 +81,10 @@ pub enum FleetError {
     Wire(cbi_reports::WireError),
     /// The server sink rejected the stream at setup.
     Sink(cbi_reports::SinkError),
-    /// A corpus entry's recorded layout no longer matches the
-    /// instrumented program (ground truth would be meaningless).
-    LayoutDrift {
-        /// The manifest's recorded layout hash.
-        expected: u64,
-        /// The freshly instrumented layout hash.
-        got: u64,
-    },
-    /// A corpus entry's source failed to parse.
-    Parse(String),
+    /// A corpus entry's source no longer parses or instruments, or its
+    /// layout or true predicate drifted from the manifest (ground truth
+    /// would be meaningless).
+    Corpus(cbi_corpus::CorpusError),
 }
 
 impl fmt::Display for FleetError {
@@ -100,11 +94,7 @@ impl fmt::Display for FleetError {
             FleetError::Workload(e) => write!(f, "fleet: {e}"),
             FleetError::Wire(e) => write!(f, "fleet spool: {e}"),
             FleetError::Sink(e) => write!(f, "fleet server: {e}"),
-            FleetError::LayoutDrift { expected, got } => write!(
-                f,
-                "corpus layout drift: manifest pins {expected:#018x}, got {got:#018x}"
-            ),
-            FleetError::Parse(m) => write!(f, "corpus source: {m}"),
+            FleetError::Corpus(e) => write!(f, "fleet: {e}"),
         }
     }
 }
@@ -115,6 +105,7 @@ impl Error for FleetError {
             FleetError::Workload(e) => Some(e),
             FleetError::Wire(e) => Some(e),
             FleetError::Sink(e) => Some(e),
+            FleetError::Corpus(e) => Some(e),
             _ => None,
         }
     }

@@ -41,8 +41,8 @@ fn hundred_entry_corpus_evaluates_deterministically_and_truth_survives() {
             &corpus.entries,
             &EvalConfig {
                 densities: vec![1, 100],
+                scorers: vec!["ochiai".to_string(), "importance".to_string()],
                 jobs,
-                ..EvalConfig::default()
             },
         )
         .unwrap()

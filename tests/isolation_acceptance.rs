@@ -7,10 +7,7 @@
 //! incremental loop also traces exactly what a full re-tabling each
 //! iteration does, under every scorer.
 
-use cbi_corpus::{
-    evaluate_multi, generate_multi_corpus, render_multi_report, MultiEvalConfig,
-    MultiGenerateConfig,
-};
+use cbi_corpus::{evaluate, generate_multi_corpus, render_report, EvalConfig, MultiGenerateConfig};
 
 fn corpus() -> Vec<cbi_corpus::CorpusEntry> {
     generate_multi_corpus(&MultiGenerateConfig {
@@ -23,8 +20,8 @@ fn corpus() -> Vec<cbi_corpus::CorpusEntry> {
     .entries
 }
 
-fn config(jobs: usize) -> MultiEvalConfig {
-    MultiEvalConfig {
+fn config(jobs: usize) -> EvalConfig {
+    EvalConfig {
         densities: vec![1],
         scorers: vec!["ochiai".to_string()],
         jobs,
@@ -35,23 +32,23 @@ fn config(jobs: usize) -> MultiEvalConfig {
 fn density_one_isolates_every_planted_bug_with_pure_clusters() {
     let entries = corpus();
     assert!(!entries.is_empty(), "corpus generation produced no entries");
-    let report = evaluate_multi(&entries, &config(1)).expect("evaluate");
+    let report = evaluate(&entries, &config(1)).expect("evaluate");
     assert_eq!(report.scores.len(), entries.len());
     for s in &report.scores {
+        let iso = &s.isolation[0];
         assert_eq!(
-            s.purity_mille, 1000,
+            iso.purity_mille, 1000,
             "{}: every cluster must contain a single bug's runs",
             s.id
         );
-        assert_eq!(s.unexplained, 0, "{}: every failing run attributed", s.id);
+        assert_eq!(iso.unexplained, 0, "{}: every failing run attributed", s.id);
         assert_eq!(
-            s.recovered(),
-            s.bugs,
+            iso.recovered, s.bugs,
             "{}: every planted bug owns a cluster",
             s.id
         );
         assert_eq!(
-            s.iterations, s.bugs,
+            iso.iterations, s.bugs,
             "{}: exactly one elimination iteration per bug",
             s.id
         );
@@ -61,9 +58,7 @@ fn density_one_isolates_every_planted_bug_with_pure_clusters() {
 #[test]
 fn isolation_report_is_byte_identical_at_any_jobs() {
     let entries = corpus();
-    let render = |jobs: usize| {
-        render_multi_report(&evaluate_multi(&entries, &config(jobs)).expect("evaluate"))
-    };
+    let render = |jobs: usize| render_report(&evaluate(&entries, &config(jobs)).expect("evaluate"));
     let solo = render(1);
     assert_eq!(solo, render(2), "jobs 1 vs 2 diverged");
     assert_eq!(solo, render(4), "jobs 1 vs 4 diverged");
@@ -195,22 +190,12 @@ fn indexed_campaign(
     scheme: cbi::instrument::Scheme,
     density: cbi::sampler::SamplingDensity,
 ) -> (cbi_scoring::FailureIndex, Vec<(usize, usize)>) {
-    use cbi::reports::{ReportLayout, ReportSink};
     let mut config = cbi::workloads::CampaignConfig::sampled(scheme, density);
     config.seed = 0x15_0a7e;
-    let result = cbi::workloads::run_campaign(program, trials, &config).expect("campaign");
-    let sites = &result.instrumented.sites;
     let mut index = cbi_scoring::FailureIndex::new();
-    index
-        .begin(ReportLayout {
-            counters: sites.total_counters(),
-            layout_hash: sites.layout_hash(),
-        })
-        .unwrap();
-    for report in result.collector.reports() {
-        index.accept(report.clone()).unwrap();
-    }
-    (index, result.instrumented.sites.groups())
+    let run =
+        cbi::workloads::run_campaign_into(program, trials, &config, &mut index).expect("campaign");
+    (index, run.instrumented.sites.groups())
 }
 
 #[test]
