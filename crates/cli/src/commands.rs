@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use cbi::prelude::*;
-use cbi::reports::wire;
+use cbi::reports::{wire, SparseArchive};
 use cbi::{EliminationReport, RegressionConfig, RegressionStudy};
 use std::fs;
 use std::io::Write as _;
@@ -469,8 +469,8 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
 
     let (program, trials, config) = campaign_setup(args)?;
 
-    // Reports land in the collector (for the summary) and simultaneously
-    // in an optional spool file and transmit socket.
+    // Reports fold into statistics (for the summary) and land
+    // simultaneously in an optional spool file and transmit socket.
     let spool = match args.flag("spool") {
         Some(path) => {
             Some(WireSink::create(path).map_err(|e| format!("cannot create spool {path}: {e}"))?)
@@ -483,19 +483,23 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         ),
         None => None,
     };
-    let mut sink = (Collector::default(), (spool, transmit));
+    let mut sink = (
+        StreamingAnalyzer::new(StreamingConfig::default()),
+        (spool, transmit),
+    );
 
     let run = cbi::telemetry::time("phase.campaign", || {
         run_campaign_into(&program, &trials, &config, &mut sink)
     })
     .map_err(|e| e.to_string())?;
-    let (collector, (spool, transmit)) = sink;
+    let (analyzer, (spool, transmit)) = sink;
+    let stats = analyzer.stats();
 
     eprintln!(
         "{} runs: {} success, {} failure, {} dropped",
-        collector.len(),
-        collector.success_count(),
-        collector.failure_count(),
+        analyzer.seen(),
+        stats.success_runs(),
+        stats.failure_runs(),
         run.dropped
     );
     if let (Some(path), Some(s)) = (args.flag("spool"), &spool) {
@@ -658,13 +662,16 @@ fn print_regression(study: &RegressionStudy) {
     }
 }
 
-/// Loads a binary report spool (what `--spool` writes): its reports and
-/// the producing binary's layout hash from the stream header.
-fn load_reports(path: &str) -> Result<(Collector, u64), String> {
+/// Loads a binary report spool (what `--spool` writes) as rows, with the
+/// producing binary's layout from the stream header.
+fn load_reports(path: &str) -> Result<(SparseArchive, ReportLayout), String> {
     let file = fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let (collector, header) = wire::read_collector(std::io::BufReader::new(file))
+    let archive = SparseArchive::read_stream(std::io::BufReader::new(file))
         .map_err(|e| format!("{path}: {e} (expected a binary report spool, as --spool writes)"))?;
-    Ok((collector, header.layout_hash))
+    let layout = archive
+        .layout()
+        .expect("a read stream has its header's layout");
+    Ok((archive, layout))
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
@@ -675,11 +682,12 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let scheme = scheme_of(args)?;
     let mode = args.flag("mode").unwrap_or("eliminate");
 
-    let (collector, layout_hash) = load_reports(reports_path)?;
+    let (archive, layout) = load_reports(reports_path)?;
+    let stats = archive.stats();
     eprintln!(
         "{} reports ({} failures)",
-        collector.len(),
-        collector.failure_count()
+        archive.len(),
+        stats.failure_runs()
     );
 
     // Rebuild the site table so predicates can be named.  The spool's
@@ -687,25 +695,21 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     // recorded from another instrumented binary is refused even when the
     // counter counts coincide.
     let inst = instrument(&program, scheme).map_err(|e| e.to_string())?;
-    let expected = inst.sites.layout_hash();
+    let sites = &inst.sites;
+    let (layout_hash, expected) = (layout.layout_hash, sites.layout_hash());
     if layout_hash != expected {
         return Err(format!(
             "report layout mismatch: spool was recorded from a different \
              instrumented binary (layout hash {layout_hash:#018x}, program has {expected:#018x})"
         ));
     }
-    let result = cbi::workloads::CampaignResult {
-        instrumented: inst,
-        collector,
-        dropped: 0,
-    };
 
     match mode {
-        "eliminate" => print_elimination(&cbi::eliminate(&result)),
+        "eliminate" => print_elimination(&cbi::eliminate_stats(&stats, &sites.groups(), sites)),
         "regress" => {
-            let n = result.collector.len();
-            let study = cbi::regress(&result, &RegressionConfig::paper_proportions(n))
-                .map_err(|e| e.to_string())?;
+            let config = RegressionConfig::paper_proportions(archive.len());
+            let study =
+                cbi::regress_rows(sites, archive.rows(), &config).map_err(|e| e.to_string())?;
             print_regression(&study);
         }
         other => return Err(format!("unknown mode `{other}`")),
@@ -844,16 +848,12 @@ fn cmd_transmit(args: &Args) -> Result<(), String> {
         );
     }
 
-    let (collector, layout_hash) = load_reports(reports_path)?;
+    let (archive, layout) = load_reports(reports_path)?;
     let mut sink =
         TransmitSink::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    sink.begin(ReportLayout {
-        counters: collector.counter_count(),
-        layout_hash,
-    })
-    .map_err(|e| e.to_string())?;
-    for report in collector.reports() {
-        sink.accept(report.clone()).map_err(|e| e.to_string())?;
+    sink.begin(layout).map_err(|e| e.to_string())?;
+    for report in archive.reports() {
+        sink.accept(report).map_err(|e| e.to_string())?;
     }
     sink.finish().map_err(|e| e.to_string())?;
     print_transmitted(&sink, addr);
@@ -893,6 +893,12 @@ fn corpus_dir(args: &Args) -> Result<&str, String> {
 fn cmd_corpus_generate(args: &Args) -> Result<(), String> {
     let dir = corpus_dir(args)?;
     let bugs: usize = args.flag_or("bugs", 1usize)?;
+    let most = cbi_corpus::MULTI_FAULT_VARS.len();
+    if !(1..=most).contains(&bugs) {
+        return Err(format!(
+            "--bugs must be from 1 to {most} planted faults per entry (got {bugs})"
+        ));
+    }
     // Multi-bug corpora default to fewer, longer-trialled entries.
     let (size, trials) = if bugs > 1 { (12, 96) } else { (100, 48) };
     let size: usize = args.flag_or("size", size)?;
@@ -996,11 +1002,12 @@ fn cmd_isolate(args: &Args) -> Result<(), String> {
 
     let mut index = cbi_scoring::FailureIndex::new();
     run_campaign_into(&program, &trials, &config, &mut index).map_err(|e| e.to_string())?;
+    let stats = index.stats();
     eprintln!(
         "{} runs: {} failing retained, {} successes folded",
-        index.failure_runs() + index.success_runs(),
-        index.failure_runs(),
-        index.success_runs()
+        stats.failure_runs() + stats.success_runs(),
+        stats.failure_runs(),
+        stats.success_runs()
     );
 
     let run = cbi_scoring::isolate(&index, &groups, scorer);

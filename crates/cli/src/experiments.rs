@@ -404,9 +404,9 @@ fn fig2(out: &mut String) -> Outcome {
 
     // Candidates: counters ever observed true on any run (§3.2.4 starts
     // from the 141 universal-falsehood survivors).
-    let stats: SufficientStats = result.collector.reports().iter().cloned().collect();
+    let stats = result.collector.stats();
     let groups = result.instrumented.sites.groups();
-    let uf = apply(&stats, Strategy::UniversalFalsehood, &groups);
+    let uf = apply(stats, Strategy::UniversalFalsehood, &groups);
     let candidates = survivors(&uf);
 
     writeln!(

@@ -8,7 +8,6 @@
 //! true — dead configuration space or genuinely unreachable behaviour.
 
 use cbi_instrument::{Site, SiteId};
-use cbi_reports::SufficientStats;
 use cbi_workloads::CampaignResult;
 
 /// Coverage summary over a campaign.
@@ -38,12 +37,7 @@ impl CoverageReport {
 
 /// Computes deployment coverage from a campaign's reports.
 pub fn coverage(result: &CampaignResult) -> CoverageReport {
-    let stats = if result.collector.is_empty() {
-        // No reports: an all-zero accumulator sized to the site table.
-        SufficientStats::new(result.instrumented.sites.total_counters())
-    } else {
-        result.collector.reports().iter().cloned().collect()
-    };
+    let stats = result.collector.stats();
     let sites: Vec<&Site> = result.instrumented.sites.iter().collect();
 
     let mut covered = 0;

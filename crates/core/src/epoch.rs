@@ -223,8 +223,6 @@ pub struct EpochAggregator {
     epoch_len: u64,
     analyzer: StreamingAnalyzer,
     first: FirstObservation,
-    runs: u64,
-    failures: u64,
     bytes: u64,
     batches: u64,
     rejected_batches: u64,
@@ -265,8 +263,6 @@ impl EpochAggregator {
             epoch_len,
             analyzer: StreamingAnalyzer::new(config),
             first: FirstObservation::new(counters),
-            runs: 0,
-            failures: 0,
             bytes: 0,
             batches: 0,
             rejected_batches: 0,
@@ -357,11 +353,7 @@ impl EpochAggregator {
         self.analyzer.fold(label, width, counters.clone())?;
         self.first
             .record_observed(run_id as usize, counters.map(|(c, _)| c));
-        if label == Label::Failure {
-            self.failures += 1;
-        }
-        self.runs += 1;
-        if self.runs.is_multiple_of(self.epoch_len) {
+        if self.runs().is_multiple_of(self.epoch_len) {
             self.snapshot_now();
         }
         Ok(())
@@ -484,7 +476,7 @@ impl EpochAggregator {
     /// one when no report arrived, unless the last snapshot already
     /// covers every run.
     pub fn close(&mut self) {
-        if self.snapshots.last().is_none_or(|s| s.runs != self.runs) {
+        if self.snapshots.last().is_none_or(|s| s.runs != self.runs()) {
             self.snapshot_now();
         }
     }
@@ -502,8 +494,8 @@ impl EpochAggregator {
         });
         EpochSnapshot {
             epoch,
-            runs: self.runs,
-            failures: self.failures,
+            runs: self.runs(),
+            failures: self.failures(),
             observed: self.first.observed_count(),
             survivors,
             target_latency: self
@@ -549,12 +541,12 @@ impl EpochAggregator {
 
     /// Community runs folded so far.
     pub fn runs(&self) -> u64 {
-        self.runs
+        self.analyzer.seen()
     }
 
     /// Failure-labelled runs folded so far.
     pub fn failures(&self) -> u64 {
-        self.failures
+        self.analyzer.stats().failure_runs()
     }
 
     /// Wire bytes attributed via [`note_batch`](Self::note_batch).

@@ -30,7 +30,6 @@ pub struct StreamingAnalyzer {
     config: TrainConfig,
     layout: Option<ReportLayout>,
     stats: SufficientStats,
-    seen: u64,
 }
 
 impl StreamingAnalyzer {
@@ -42,7 +41,6 @@ impl StreamingAnalyzer {
             config,
             layout: None,
             stats: SufficientStats::new(0),
-            seen: 0,
         }
     }
 
@@ -54,7 +52,7 @@ impl StreamingAnalyzer {
 
     /// Reports folded in so far.
     pub fn seen(&self) -> u64 {
-        self.seen
+        self.stats.success_runs() + self.stats.failure_runs()
     }
 
     /// The layout announced by the stream, if any yet.
@@ -75,21 +73,14 @@ impl StreamingAnalyzer {
 }
 
 impl ReportSink for StreamingAnalyzer {
-    /// The first `begin` fixes the layout; later ones (stream
-    /// continuations, further connections) must match it.
+    /// Follows [`ReportLayout::fix`]: the first `begin` fixes the layout;
+    /// later ones (stream continuations, further batches and
+    /// connections) must match it.
     fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
-        match self.layout {
-            None => {
-                self.stats = SufficientStats::new(layout.counters);
-                self.layout = Some(layout);
-                Ok(())
-            }
-            Some(prev) if prev == layout => Ok(()),
-            Some(prev) => Err(SinkError::Collect(CollectError::LayoutMismatch {
-                expected: prev.counters,
-                got: layout.counters,
-            })),
+        if ReportLayout::fix(&mut self.layout, layout)? {
+            self.stats = SufficientStats::new(layout.counters);
         }
+        Ok(())
     }
 
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
@@ -128,7 +119,6 @@ impl StreamingAnalyzer {
             }));
         }
         self.stats.update_nonzero(label, counters);
-        self.seen += 1;
         Ok(())
     }
 }

@@ -1,9 +1,9 @@
 //! The isolation-quality evaluator.
 //!
 //! For each corpus entry and sampling density the evaluator runs one
-//! campaign, streams it into a [`FailureIndex`] and a [`Collector`] at
-//! once, and scores every analysis of that one report stream against the
-//! manifest's ground truth.  For the entry's primary fault:
+//! campaign, streams it into a [`FailureIndex`] and a [`SparseArchive`]
+//! at once, and scores every analysis of that one report stream against
+//! the manifest's ground truth.  For the entry's primary fault:
 //!
 //! * **survival** — does the true predicate survive the combined §3.2
 //!   elimination (universal falsehood ∧ successful counterexample)?
@@ -48,7 +48,7 @@ use crate::manifest::PlantedBug;
 use crate::CorpusError;
 use cbi_instrument::{instrument, Instrumented, Scheme};
 use cbi_minic::{parse, Program};
-use cbi_reports::Collector;
+use cbi_reports::SparseArchive;
 use cbi_sampler::SamplingDensity;
 use cbi_scoring::{isolate, rank_of, scorer_by_name, FailureIndex, IsolationRun, SCORER_NAMES};
 use cbi_stats::{train, TrainConfig};
@@ -138,12 +138,12 @@ pub struct EvalReport {
     pub scores: Vec<EntryScore>,
 }
 
-/// One campaign's report stream, kept twice: failing runs sparse with
-/// success aggregates (for isolation), and every row dense (for
-/// elimination and training).
+/// One campaign's report stream: the statistics of every run with the
+/// failing rows (for elimination and isolation), and every row (for
+/// training).
 struct Campaign {
     index: FailureIndex,
-    collector: Collector,
+    rows: SparseArchive,
     dropped: usize,
 }
 
@@ -219,7 +219,7 @@ pub fn evaluate(entries: &[CorpusEntry], cfg: &EvalConfig) -> Result<EvalReport,
         let campaign = |density: u64| -> Result<Campaign, CorpusError> {
             let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(density))
                 .with_jobs(cfg.jobs.max(1));
-            let mut sink = (FailureIndex::new(), Collector::new(0));
+            let mut sink = (FailureIndex::new(), SparseArchive::default());
             let run = run_campaign_into(&program, &trials, &config, &mut sink).map_err(|e| {
                 CorpusError::Entry {
                     id: bug.id.clone(),
@@ -227,10 +227,10 @@ pub fn evaluate(entries: &[CorpusEntry], cfg: &EvalConfig) -> Result<EvalReport,
                     message: e.to_string(),
                 }
             })?;
-            let (index, collector) = sink;
+            let (index, rows) = sink;
             Ok(Campaign {
                 index,
-                collector,
+                rows,
                 dropped: run.dropped,
             })
         };
@@ -244,10 +244,10 @@ pub fn evaluate(entries: &[CorpusEntry], cfg: &EvalConfig) -> Result<EvalReport,
                 fresh = campaign(density)?;
                 &fresh
             };
-            let elim = cbi::eliminate_stats(run.collector.stats(), &groups, sites);
+            let elim = cbi::eliminate_stats(run.index.stats(), &groups, sites);
             let model = train(
                 sites.total_counters(),
-                run.collector.reports(),
+                run.rows.rows(),
                 &TrainConfig::default(),
             );
             let primary = bug.primary().true_counter;
@@ -287,14 +287,14 @@ pub fn evaluate(entries: &[CorpusEntry], cfg: &EvalConfig) -> Result<EvalReport,
 /// left unattributed.
 fn attribute(bug: &PlantedBug, index: &FailureIndex) -> BTreeMap<u64, usize> {
     let mut map = BTreeMap::new();
-    for failing in index.failures() {
+    for failing in index.failures().rows() {
         let mut owners = bug
             .faults
             .iter()
             .enumerate()
-            .filter(|(_, f)| failing.nonzero.contains(&(f.true_counter as u32)));
+            .filter(|(_, f)| failing.nonzero().any(|(c, _)| c == f.true_counter));
         if let (Some((b, _)), None) = (owners.next(), owners.next()) {
-            map.insert(failing.trial, b);
+            map.insert(failing.run_id, b);
         }
     }
     map
@@ -439,6 +439,7 @@ fn aggregate_isolation(report: &EvalReport) -> BTreeMap<(usize, u64), IsolationC
 /// density × scorer, then [`render_summary`]'s scorer × density
 /// aggregate).  Byte-identical across runs and `jobs` settings.
 pub fn render_report(report: &EvalReport) -> String {
+    let op = operator_width(report);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -450,7 +451,7 @@ pub fn render_report(report: &EvalReport) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "{:<9} {:<22} {:>3} {:>8} {:>5} {:>5} {:>5} {:>9} {:>9} {:>6} {:>9}",
+        "{:<9} {:<op$} {:>3} {:>8} {:>5} {:>5} {:>5} {:>9} {:>9} {:>6} {:>9}",
         "id",
         "operator",
         "det",
@@ -466,7 +467,7 @@ pub fn render_report(report: &EvalReport) -> String {
     for s in &report.scores {
         let _ = writeln!(
             out,
-            "{:<9} {:<22} {:>3} {:>8} {:>5} {:>5} {:>5} {:>9} {:>9} {:>6} {:>9.3}",
+            "{:<9} {:<op$} {:>3} {:>8} {:>5} {:>5} {:>5} {:>9} {:>9} {:>6} {:>9.3}",
             s.id,
             s.operator,
             if s.deterministic { "yes" } else { "no" },
@@ -484,14 +485,14 @@ pub fn render_report(report: &EvalReport) -> String {
     let _ = writeln!(out, "aggregate by operator x density");
     let _ = writeln!(
         out,
-        "{:<22} {:>8} {:>7} {:>8} {:>9} {:>6} {:>6} {:>6} {:>7}",
+        "{:<op$} {:>8} {:>7} {:>8} {:>9} {:>6} {:>6} {:>6} {:>7}",
         "operator", "density", "entries", "survival", "mean-rank", "r@1", "r@5", "r@10", "wasted"
     );
     let (operators, cells) = aggregate(report);
     for (op_idx, operator) in operators.iter().enumerate() {
         for &density in &report.densities {
             if let Some(c) = cells.get(&(op_idx, density)) {
-                write_aggregate_row(&mut out, operator, density, c);
+                write_aggregate_row(&mut out, op, operator, density, c);
             }
         }
     }
@@ -501,7 +502,7 @@ pub fn render_report(report: &EvalReport) -> String {
         for s in report.scores.iter().filter(|s| s.density == density) {
             all.add(s);
         }
-        write_aggregate_row(&mut out, "all", density, &all);
+        write_aggregate_row(&mut out, op, "all", density, &all);
     }
 
     let _ = writeln!(out);
@@ -549,12 +550,21 @@ pub fn render_report(report: &EvalReport) -> String {
     out
 }
 
-/// One row of `render_report`'s aggregate block.
-fn write_aggregate_row(out: &mut String, operator: &str, density: u64, c: &Cell) {
+/// The width of the corpus blocks' `operator` column: 22, or the
+/// longest operator label in the report (a multi-fault entry joins its
+/// faults' labels with `+`).
+fn operator_width(report: &EvalReport) -> usize {
+    let longest = report.scores.iter().map(|s| s.operator.len()).max();
+    longest.unwrap_or(0).max(22)
+}
+
+/// One row of `render_report`'s aggregate block, its operator column
+/// `op` wide.
+fn write_aggregate_row(out: &mut String, op: usize, operator: &str, density: u64, c: &Cell) {
     let n = c.entries.max(1) as f64;
     let _ = writeln!(
         out,
-        "{:<22} {:>8} {:>7} {:>8.3} {:>9.2} {:>6.3} {:>6.3} {:>6.3} {:>7.3}",
+        "{:<op$} {:>8} {:>7} {:>8.3} {:>9.2} {:>6.3} {:>6.3} {:>6.3} {:>7.3}",
         operator,
         format!("1/{density}"),
         c.entries,
@@ -573,6 +583,7 @@ fn write_aggregate_row(out: &mut String, operator: &str, density: u64, c: &Cell)
 /// aggregate (purity in per-mille, counts, and rank sums), with no
 /// floating-point formatting to drift.
 pub fn render_summary(report: &EvalReport) -> String {
+    let op = operator_width(report);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -581,7 +592,7 @@ pub fn render_summary(report: &EvalReport) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<22} {:>8} {:>7} {:>8} {:>8} {:>7}",
+        "{:<op$} {:>8} {:>7} {:>8} {:>8} {:>7}",
         "operator", "density", "entries", "survived", "failures", "dropped"
     );
     let (operators, cells) = aggregate(report);
@@ -596,7 +607,7 @@ pub fn render_summary(report: &EvalReport) -> String {
             total_scores += c.entries;
             let _ = writeln!(
                 out,
-                "{:<22} {:>8} {:>7} {:>8} {:>8} {:>7}",
+                "{:<op$} {:>8} {:>7} {:>8} {:>8} {:>7}",
                 operator,
                 format!("1/{density}"),
                 c.entries,
@@ -790,6 +801,26 @@ mod tests {
             // violated slot itself, so `isolated` is not asserted —
             // cluster purity is the recovery criterion, per §3.3.
             assert_eq!(iso.iterations, s.bugs, "{}: one iteration per bug", s.id);
+        }
+    }
+
+    #[test]
+    fn the_operator_column_fits_the_longest_label() {
+        let report = evaluate(&small_multi_corpus(), &config(&[1], &["ochiai"], 1)).unwrap();
+        let longest = report.scores.iter().map(|s| s.operator.len()).max();
+        assert!(longest.unwrap() > 22, "a joined multi-fault label");
+        for text in [render_report(&report), render_summary(&report)] {
+            // In each corpus-block table, the density column ends at the
+            // same byte on the header and on every row.
+            for table in text.split("\n\n").filter(|t| t.contains("operator")) {
+                let lines: Vec<&str> = table.lines().filter(|l| l.contains("1/1")).collect();
+                let is_header = |l: &&str| l.contains("density") && !l.contains(" x ");
+                let header = table.lines().find(is_header).unwrap();
+                let end = header.find("density").unwrap() + "density".len();
+                for line in lines {
+                    assert_eq!(line.find("1/1").unwrap() + "1/1".len(), end, "{line}");
+                }
+            }
         }
     }
 

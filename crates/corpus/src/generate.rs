@@ -400,8 +400,8 @@ pub struct MultiGenerateConfig {
     pub seed: u64,
     /// Trials per entry.
     pub trials: usize,
-    /// Interacting faults planted per entry (clamped to the fault
-    /// temporary pool, currently 3).
+    /// Interacting faults planted per entry: from 2 to the size of the
+    /// fault temporary pool, [`MULTI_FAULT_VARS`] (3).
     pub bugs_per_entry: usize,
 }
 
@@ -508,8 +508,22 @@ fn validate_multi(
 /// store leaves the candidate list, so lower indices stay valid), each
 /// routed through its own temporary from
 /// [`MULTI_FAULT_VARS`].
+///
+/// # Errors
+///
+/// Returns [`CorpusError::Config`] if `bugs_per_entry` is outside
+/// `2..=MULTI_FAULT_VARS.len()`, and [`CorpusError::Exhausted`] if too
+/// few entries validate.
 pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, CorpusError> {
-    let bugs = cfg.bugs_per_entry.clamp(2, MULTI_FAULT_VARS.len());
+    let bugs = cfg.bugs_per_entry;
+    if !(2..=MULTI_FAULT_VARS.len()).contains(&bugs) {
+        return Err(CorpusError::Config {
+            message: format!(
+                "{bugs} faults per entry (a multi-bug entry plants 2 to {})",
+                MULTI_FAULT_VARS.len()
+            ),
+        });
+    }
     let ops = [
         Operator::OffByOneIndex,
         Operator::DroppedBoundsCheck,
@@ -702,6 +716,21 @@ mod tests {
             assert_eq!(a.source, b.source);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unplantable_fault_count_is_a_config_error() {
+        for bugs_per_entry in [0, 1, MULTI_FAULT_VARS.len() + 1] {
+            let cfg = MultiGenerateConfig {
+                size: 1,
+                seed: 31,
+                trials: 48,
+                bugs_per_entry,
+            };
+            let err = generate_multi_corpus(&cfg).unwrap_err();
+            assert!(matches!(err, CorpusError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("2 to 3"), "{err}");
+        }
     }
 
     #[test]

@@ -104,8 +104,9 @@ pub enum CorpusError {
         /// Predicate observed now.
         got: String,
     },
-    /// An evaluation configuration is invalid (e.g. an unknown scorer
-    /// name).
+    /// A generation or evaluation configuration is invalid (e.g. an
+    /// unknown scorer name, or more faults per entry than can be
+    /// planted).
     Config {
         /// What was wrong.
         message: String,
@@ -139,7 +140,7 @@ impl fmt::Display for CorpusError {
                 "corpus entry {id}: true counter names {got:?}, manifest says {expected:?}"
             ),
             CorpusError::Config { message } => {
-                write!(f, "evaluation config error: {message}")
+                write!(f, "corpus config error: {message}")
             }
             CorpusError::Exhausted { wanted, got } => write!(
                 f,

@@ -20,13 +20,6 @@ pub enum CollectError {
         /// Received counter count.
         got: usize,
     },
-    /// An ordered merge would break the run-id ordering invariant.
-    OutOfOrder {
-        /// Last run id already in the collector.
-        prev: u64,
-        /// Offending run id from the incoming reports.
-        next: u64,
-    },
 }
 
 impl fmt::Display for CollectError {
@@ -35,10 +28,6 @@ impl fmt::Display for CollectError {
             CollectError::LayoutMismatch { expected, got } => write!(
                 f,
                 "report layout mismatch: expected {expected} counters, got {got}"
-            ),
-            CollectError::OutOfOrder { prev, next } => write!(
-                f,
-                "ordered merge out of order: run {next} arrived after run {prev}"
             ),
         }
     }
@@ -51,13 +40,12 @@ impl Error for CollectError {}
 /// Alongside the raw reports, the collector folds every arrival into an
 /// incrementally-updated [`SufficientStats`] accumulator, so analyses
 /// that only need per-counter aggregates (§3.2, §5) never rescan the
-/// report archive.
+/// report archive; its width and run counts are the statistics'.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
-    counters: usize,
+    /// The layout fixed by the first [`ReportSink::begin`].
+    layout: Option<ReportLayout>,
     reports: Vec<Report>,
-    successes: usize,
-    failures: usize,
     stats: SufficientStats,
 }
 
@@ -65,10 +53,8 @@ impl Collector {
     /// Creates a collector for reports with `counters` counters each.
     pub fn new(counters: usize) -> Self {
         Collector {
-            counters,
+            layout: None,
             reports: Vec::new(),
-            successes: 0,
-            failures: 0,
             stats: SufficientStats::new(counters),
         }
     }
@@ -80,15 +66,11 @@ impl Collector {
     /// Returns [`CollectError::LayoutMismatch`] if the report's counter
     /// vector has the wrong length.
     pub fn add(&mut self, report: Report) -> Result<(), CollectError> {
-        if report.counters.len() != self.counters {
+        if report.counters.len() != self.counter_count() {
             return Err(CollectError::LayoutMismatch {
-                expected: self.counters,
+                expected: self.counter_count(),
                 got: report.counters.len(),
             });
-        }
-        match report.label {
-            Label::Success => self.successes += 1,
-            Label::Failure => self.failures += 1,
         }
         self.stats.update(&report);
         self.reports.push(report);
@@ -103,7 +85,7 @@ impl Collector {
 
     /// Number of counters per report.
     pub fn counter_count(&self) -> usize {
-        self.counters
+        self.stats.counter_count()
     }
 
     /// Total reports collected.
@@ -118,12 +100,12 @@ impl Collector {
 
     /// Number of successful runs.
     pub fn success_count(&self) -> usize {
-        self.successes
+        self.stats.success_runs() as usize
     }
 
     /// Number of failed runs.
     pub fn failure_count(&self) -> usize {
-        self.failures
+        self.stats.failure_runs() as usize
     }
 
     /// All reports, in arrival order.
@@ -135,75 +117,24 @@ impl Collector {
     pub fn with_label(&self, label: Label) -> impl Iterator<Item = &Report> {
         self.reports.iter().filter(move |r| r.label == label)
     }
-
-    /// Appends reports while enforcing that run ids stay strictly
-    /// increasing, so a collector assembled from ordered shards is
-    /// bit-identical to one filled serially.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError::LayoutMismatch`] on a counter-length
-    /// mismatch or [`CollectError::OutOfOrder`] if a run id does not
-    /// strictly exceed its predecessor.  Reports before the offending one
-    /// remain ingested.
-    fn extend_ordered<I: IntoIterator<Item = Report>>(
-        &mut self,
-        reports: I,
-    ) -> Result<(), CollectError> {
-        for report in reports {
-            if let Some(last) = self.reports.last() {
-                if report.run_id <= last.run_id {
-                    return Err(CollectError::OutOfOrder {
-                        prev: last.run_id,
-                        next: report.run_id,
-                    });
-                }
-            }
-            self.add(report)?;
-        }
-        Ok(())
-    }
-
-    /// Merges another collector's reports onto the end of this one,
-    /// preserving run-id order.  The shard-merge primitive of the parallel
-    /// campaign engine: workers fill private collectors, then the driver
-    /// merges them back in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError::LayoutMismatch`] if the collectors disagree
-    /// on counter layout, or [`CollectError::OutOfOrder`] if the incoming
-    /// run ids do not continue this collector's sequence.
-    pub fn merge(&mut self, other: Collector) -> Result<(), CollectError> {
-        let _span = cbi_telemetry::span("collector.merge");
-        cbi_telemetry::count("collector.merged_reports", other.reports.len() as u64);
-        if other.counters != self.counters {
-            return Err(CollectError::LayoutMismatch {
-                expected: self.counters,
-                got: other.counters,
-            });
-        }
-        self.reports.reserve(other.reports.len());
-        self.extend_ordered(other.reports)
-    }
 }
 
 impl ReportSink for Collector {
-    /// An empty collector adopts the announced layout; a non-empty one
-    /// requires it to match.
+    /// Follows [`ReportLayout::fix`]: the first layout is fixed — an
+    /// empty collector takes its width, one already holding reports
+    /// [`add`](Collector::add)ed must match it — a later equal one is a
+    /// no-op, and any other is refused.
     fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
-        if self.is_empty() {
-            self.counters = layout.counters;
-            self.stats = SufficientStats::new(layout.counters);
-            Ok(())
-        } else if self.counters == layout.counters {
-            Ok(())
-        } else {
-            Err(SinkError::Collect(CollectError::LayoutMismatch {
-                expected: self.counters,
+        if !self.is_empty() && layout.counters != self.counter_count() {
+            return Err(SinkError::Collect(CollectError::LayoutMismatch {
+                expected: self.counter_count(),
                 got: layout.counters,
-            }))
+            }));
         }
+        if ReportLayout::fix(&mut self.layout, layout)? && self.is_empty() {
+            self.stats = SufficientStats::new(layout.counters);
+        }
+        Ok(())
     }
 
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
@@ -269,12 +200,35 @@ mod tests {
             err,
             SinkError::Collect(CollectError::LayoutMismatch { .. })
         ));
-        // The matching layout is fine (stream continuation).
+        // The same width from another binary is rejected too.
+        let err = c
+            .begin(ReportLayout {
+                counters: 2,
+                layout_hash: 9,
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SinkError::Collect(CollectError::LayoutMismatch { .. })
+        ));
+        // The matching layout is fine (stream continuation) and clears
+        // nothing.
         c.begin(ReportLayout {
             counters: 2,
-            layout_hash: 9,
+            layout_hash: 0,
         })
         .unwrap();
+        assert_eq!(c.len(), 1);
+        // A collector filled by `add` keeps its width.
+        let mut added = Collector::new(2);
+        added
+            .add(Report::new(0, Label::Failure, vec![0, 1]))
+            .unwrap();
+        let three = ReportLayout {
+            counters: 3,
+            layout_hash: 0,
+        };
+        assert!(added.begin(three).is_err());
     }
 
     #[test]
@@ -317,58 +271,5 @@ mod tests {
     fn extend_panics_on_mismatch() {
         let mut c = Collector::new(2);
         c.extend(vec![Report::new(0, Label::Success, vec![1])]);
-    }
-
-    #[test]
-    fn merge_preserves_serial_order_and_counts() {
-        let mut serial = Collector::new(2);
-        let reports: Vec<Report> = (0..6)
-            .map(|i| {
-                let label = if i % 2 == 0 {
-                    Label::Success
-                } else {
-                    Label::Failure
-                };
-                Report::new(i, label, vec![i, i + 1])
-            })
-            .collect();
-        for r in &reports {
-            serial.add(r.clone()).unwrap();
-        }
-
-        let mut shard_a = Collector::new(2);
-        let mut shard_b = Collector::new(2);
-        shard_a.extend_ordered(reports[..3].to_vec()).unwrap();
-        shard_b.extend_ordered(reports[3..].to_vec()).unwrap();
-
-        let mut merged = Collector::new(2);
-        merged.merge(shard_a).unwrap();
-        merged.merge(shard_b).unwrap();
-
-        assert_eq!(merged.reports(), serial.reports());
-        assert_eq!(merged.success_count(), serial.success_count());
-        assert_eq!(merged.failure_count(), serial.failure_count());
-    }
-
-    #[test]
-    fn merge_rejects_out_of_order_and_mismatched_shards() {
-        let mut c = Collector::new(1);
-        c.add(Report::new(5, Label::Success, vec![0])).unwrap();
-
-        let mut stale = Collector::new(1);
-        stale.add(Report::new(3, Label::Success, vec![0])).unwrap();
-        let err = c.merge(stale).unwrap_err();
-        assert!(matches!(err, CollectError::OutOfOrder { prev: 5, next: 3 }));
-        assert!(err.to_string().contains("out of order"));
-
-        let wrong_layout = Collector::new(2);
-        assert!(matches!(
-            c.merge(wrong_layout).unwrap_err(),
-            CollectError::LayoutMismatch {
-                expected: 1,
-                got: 2
-            }
-        ));
-        assert_eq!(c.len(), 1, "failed merges must not corrupt the collector");
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! Instrumented clients emit one [`Report`] per run: a counter vector (one
 //! counter per predicate, ordering information discarded) plus a binary
-//! success/failure [`Label`].  A [`Collector`] models the central database
-//! with every report kept dense; a [`SparseArchive`] keeps the same reports
-//! as their nonzero counters only, which is what an ingest server retains;
-//! [`SufficientStats`] models the privacy-preserving alternative that folds
-//! each report into per-counter aggregates and discards the raw trace.
+//! success/failure [`Label`].  [`SufficientStats`] folds each report into
+//! the per-counter aggregates every analysis reads (§5), and a
+//! [`SparseArchive`] is the one store of report rows, each kept as its
+//! nonzero counters — what an ingest server, a spool reader and the
+//! isolation index retain.  A [`Collector`] models the central database
+//! with every report kept dense beside its statistics.
 //!
 //! Collection policy is abstracted behind [`ReportSink`]: the campaign
-//! driver emits into any sink — the in-memory [`Collector`], a
-//! [`WireSink`] spooling to disk, or the framed-socket [`TransmitSink`] —
+//! driver emits into any sink — a [`SparseArchive`], the in-memory
+//! [`Collector`], a [`WireSink`] spooling to disk, or the framed-socket
+//! [`TransmitSink`] —
 //! and the [`wire`] module defines the versioned, layout-hashed binary
 //! format those streams use on disk and on the network.
 //!
@@ -24,7 +26,7 @@
 //! db.add(Report::new(1, Label::Failure, vec![0, 1]))?;
 //! assert_eq!(db.failure_count(), 1);
 //!
-//! let stats: SufficientStats = db.reports().iter().cloned().collect();
+//! let stats: &SufficientStats = db.stats();
 //! assert_eq!(stats.nonzero_failures(1), 1);
 //! # Ok::<(), cbi_reports::CollectError>(())
 //! ```

@@ -38,14 +38,28 @@ impl fmt::Display for Label {
 
 /// The nonzero entries of a dense counter vector as `(index, value)`
 /// pairs in ascending index order.  Sparse sampling leaves almost every
-/// counter zero (§2.5), so the server-side folds iterate these instead
-/// of the vector.
+/// counter zero (§2.5), so every fold of a dense report iterates these
+/// instead of the vector, and the scan passes over each block of eight
+/// counters (the last one may be shorter) whose OR is zero with one test
+/// instead of eight.
 pub fn nonzero(counters: &[u64]) -> impl Iterator<Item = (usize, u64)> + Clone + '_ {
-    counters
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|&(_, c)| c != 0)
+    // `i` is the first counter not yet visited.
+    let mut i = 0usize;
+    std::iter::from_fn(move || loop {
+        if i.is_multiple_of(8) {
+            while let Some(block) = counters.get(i..i + 8) {
+                if block.iter().fold(0, |any, &v| any | v) != 0 {
+                    break;
+                }
+                i += 8;
+            }
+        }
+        let value = *counters.get(i)?;
+        i += 1;
+        if value != 0 {
+            return Some((i - 1, value));
+        }
+    })
 }
 
 /// One execution's feedback report.
@@ -94,6 +108,23 @@ mod tests {
         assert_eq!(Label::Success.as_target(), 0.0);
         assert_eq!(Label::Failure.as_target(), 1.0);
         assert_eq!(Label::Failure.to_string(), "failure");
+    }
+
+    #[test]
+    fn nonzero_skips_zero_blocks_and_finds_every_nonzero_counter() {
+        // Nineteen counters: two full blocks of eight and a tail of
+        // three, with nonzeros at block edges and in the tail.
+        let mut counters = vec![0u64; 19];
+        for &i in &[0usize, 7, 16, 18] {
+            counters[i] = 1 + i as u64;
+        }
+        let found: Vec<(usize, u64)> = nonzero(&counters).collect();
+        assert_eq!(found, vec![(0, 1), (7, 8), (16, 17), (18, 19)]);
+        let every: Vec<(usize, u64)> = (0..19).map(|i| (i, i as u64 + 1)).collect();
+        let dense: Vec<u64> = every.iter().map(|&(_, v)| v).collect();
+        assert_eq!(nonzero(&dense).collect::<Vec<_>>(), every);
+        assert_eq!(nonzero(&[0; 19]).count(), 0);
+        assert_eq!(nonzero(&[]).count(), 0);
     }
 
     #[test]

@@ -4,18 +4,24 @@
 //! policy* — keep them in memory, spool them to disk, transmit them to a
 //! remote analysis server, or fold them into aggregates and discard them —
 //! is the sink's business, not the driver's.  A sink receives the counter
-//! layout once ([`ReportSink::begin`]), then reports in run-id order
+//! layout ([`ReportSink::begin`]), then reports in run-id order
 //! ([`ReportSink::accept`]), then a final flush ([`ReportSink::finish`]).
 //!
 //! In-tree implementations:
 //!
-//! * [`Collector`](crate::Collector) — the in-memory central database;
+//! * [`SparseArchive`](crate::SparseArchive) — the one store of report
+//!   rows, each kept as its nonzero counters;
+//! * [`Collector`](crate::Collector) — the in-memory central database,
+//!   every report dense, with its [`SufficientStats`](crate::SufficientStats);
 //! * [`WireSink`] — length-prefixed binary frames onto any writer; its
 //!   [`create`](WireSink::create) spools them to a file on disk;
 //! * [`TransmitSink`] — the same frames, sent as one acked batch
 //!   envelope over a TCP socket to a `cbi serve` ingest daemon;
 //! * `StreamingAnalyzer` (in the `cbi` crate) — sufficient statistics
-//!   only, retaining no raw reports at all.
+//!   only, retaining no raw reports at all;
+//! * `FailureIndex` (in `cbi-scoring`) — sufficient statistics plus the
+//!   failing runs as `SparseArchive` rows, what the §3.3 isolation loop
+//!   reads.
 //!
 //! Sinks compose: `(&mut a, &mut b)` fans each report out to both, and
 //! `Option<S>` is a sink that may be absent.
@@ -42,10 +48,36 @@ pub struct ReportLayout {
     pub layout_hash: u64,
 }
 
+impl ReportLayout {
+    /// The [`ReportSink::begin`] rule of every sink that keeps reports or
+    /// their statistics: the first layout announced is fixed in `slot`, a
+    /// later equal one is a no-op, and any other is a
+    /// [`CollectError::LayoutMismatch`].  Nothing is cleared.  Returns
+    /// whether `layout` was newly fixed, so the caller sizes its state
+    /// then and only then.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SinkError::Collect`] if `slot` holds another layout.
+    pub fn fix(slot: &mut Option<ReportLayout>, layout: ReportLayout) -> Result<bool, SinkError> {
+        match *slot {
+            None => {
+                *slot = Some(layout);
+                Ok(true)
+            }
+            Some(fixed) if fixed == layout => Ok(false),
+            Some(fixed) => Err(SinkError::Collect(CollectError::LayoutMismatch {
+                expected: fixed.counters,
+                got: layout.counters,
+            })),
+        }
+    }
+}
+
 /// Error from a report sink.
 #[derive(Debug)]
 pub enum SinkError {
-    /// A collection error (layout mismatch or ordering violation).
+    /// A collection error (a layout mismatch).
     Collect(CollectError),
     /// A wire-format error (encoding or transport).
     Wire(WireError),
@@ -92,8 +124,12 @@ impl From<WireError> for SinkError {
 
 /// A destination for a stream of reports sharing one counter layout.
 pub trait ReportSink {
-    /// Announces the layout before any report arrives.  Called exactly
-    /// once per stream.
+    /// Announces the layout before any report arrives.  A stream may
+    /// announce it more than once — [`BatchIngest`](crate::BatchIngest)
+    /// calls `begin` before every batch — so a sink that keeps reports
+    /// follows [`ReportLayout::fix`]: the first layout is fixed, a later
+    /// equal one is a no-op, any other is refused, and nothing is
+    /// cleared.
     ///
     /// # Errors
     ///
@@ -331,8 +367,7 @@ impl ReportSink for TransmitSink {
 mod tests {
     use super::*;
     use crate::report::Label;
-    use crate::wire::read_collector;
-    use crate::Collector;
+    use crate::{Collector, SparseArchive};
 
     fn layout() -> ReportLayout {
         ReportLayout {
@@ -356,10 +391,10 @@ mod tests {
         feed(&mut sink);
         assert_eq!(sink.reports_written(), 2);
         let bytes = sink.writer.unwrap().into_inner().unwrap();
-        let (c, header) = read_collector(bytes.as_slice()).unwrap();
-        assert_eq!(header.layout_hash, 77);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.failure_count(), 1);
+        let archive = SparseArchive::read_stream(bytes.as_slice()).unwrap();
+        assert_eq!(archive.layout(), Some(layout()));
+        assert_eq!(archive.len(), 2);
+        assert_eq!(archive.stats().failure_runs(), 1);
     }
 
     #[test]
@@ -396,9 +431,9 @@ mod tests {
         feed(&mut sink);
         assert!(sink.bytes_written() > 0);
         let file = File::open(&path).unwrap();
-        let (c, header) = read_collector(std::io::BufReader::new(file)).unwrap();
-        assert_eq!(header.counters, 2);
-        assert_eq!(c.len(), 2);
+        let archive = SparseArchive::read_stream(std::io::BufReader::new(file)).unwrap();
+        assert_eq!(archive.counter_count(), 2);
+        assert_eq!(archive.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 }

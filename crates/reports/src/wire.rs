@@ -27,7 +27,6 @@
 //! [`WireError::LayoutHashMismatch`] — instead of deep inside an analysis.
 //! Varints are LEB128: 7 value bits per byte, high bit set on continuation.
 
-use crate::collector::Collector;
 use crate::report::{nonzero, Label, Report};
 use std::error::Error;
 use std::fmt;
@@ -706,24 +705,6 @@ pub fn encode_reports(
     w.into_inner()
 }
 
-/// Reads a whole wire stream into a collector, returning the stream
-/// header alongside it.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on any malformed header or frame.
-pub fn read_collector<R: Read>(r: R) -> Result<(Collector, StreamHeader), WireError> {
-    let mut reader = WireReader::new(r)?;
-    let header = reader.header();
-    let mut collector = Collector::new(header.counters);
-    while let Some(report) = reader.read_report()? {
-        collector
-            .add(report)
-            .expect("frames validated against the stream layout");
-    }
-    Ok((collector, header))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,12 +838,12 @@ mod tests {
     }
 
     #[test]
-    fn read_collector_round_trips() {
+    fn read_stream_round_trips() {
         let bytes = encode_reports(&sample(), 5, 5).unwrap();
-        let (c, header) = read_collector(bytes.as_slice()).unwrap();
-        assert_eq!(c.reports(), &sample()[..]);
-        assert_eq!(header.layout_hash, 5);
-        assert_eq!(c.failure_count(), 1);
+        let archive = crate::SparseArchive::read_stream(bytes.as_slice()).unwrap();
+        assert!(archive.reports().eq(sample()));
+        assert_eq!(archive.layout().map(|l| l.layout_hash), Some(5));
+        assert_eq!(archive.stats().failure_runs(), 1);
     }
 
     #[test]

@@ -435,6 +435,6 @@ fn a_header_past_the_width_ceiling_is_refused_before_it_sizes_anything() {
     assert!(too_wide(&rejected.error), "{}", rejected.error);
     let rejected = validate_batch(&bytes, None).unwrap_err();
     assert!(too_wide(&rejected.error), "{}", rejected.error);
-    let err = wire::read_collector(bytes.as_slice()).unwrap_err();
+    let err = SparseArchive::read_stream(bytes.as_slice()).unwrap_err();
     assert!(too_wide(&err), "{err}");
 }

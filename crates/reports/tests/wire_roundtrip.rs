@@ -6,7 +6,7 @@
 //! reproducible from its seed.
 
 use cbi_reports::wire::{self, WireError, WireReader, WireWriter};
-use cbi_reports::{Label, Report};
+use cbi_reports::{Label, Report, SparseArchive};
 use cbi_sampler::Pcg32;
 
 /// A random report stream with a mix of small, large, and zero counters
@@ -42,10 +42,11 @@ fn randomized_streams_round_trip_exactly() {
         let counters = 1 + (seed as usize * 7) % 40;
         let reports = random_reports(seed, 50, counters);
         let bytes = wire::encode_reports(&reports, 0x1234_5678_9abc_def0, counters).unwrap();
-        let (collector, header) = wire::read_collector(bytes.as_slice()).unwrap();
-        assert_eq!(header.layout_hash, 0x1234_5678_9abc_def0, "seed {seed}");
-        assert_eq!(header.counters, counters, "seed {seed}");
-        assert_eq!(collector.reports(), &reports[..], "seed {seed}");
+        let archive = SparseArchive::read_stream(bytes.as_slice()).unwrap();
+        let layout = archive.layout().unwrap();
+        assert_eq!(layout.layout_hash, 0x1234_5678_9abc_def0, "seed {seed}");
+        assert_eq!(layout.counters, counters, "seed {seed}");
+        assert!(archive.reports().eq(reports.iter().cloned()), "seed {seed}");
     }
 }
 

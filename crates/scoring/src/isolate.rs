@@ -11,11 +11,11 @@
 //! Running that loop needs one thing sufficient statistics cannot give:
 //! which *individual* failing runs a predicate covers, so they can be
 //! removed.  [`FailureIndex`] is a [`ReportSink`] that retains exactly
-//! that and nothing more — per failing run, the sparse set of nonzero
-//! counter indices; successful runs fold into per-counter aggregates
-//! and are dropped.  Memory is O(failures × nonzero counters), not
-//! O(runs × layout width), so the index scales to the same deployments
-//! the streaming analyzer does.
+//! that and nothing more — the [`SufficientStats`] of every run, plus
+//! the failing runs as [`SparseArchive`] rows; a successful run leaves
+//! nothing behind but its fold.  Memory is O(failures × nonzero
+//! counters), not O(runs × layout width), so the index scales to the
+//! same deployments the streaming analyzer does.
 //!
 //! [`isolate`] then runs the loop to completion with any [`Scorer`],
 //! emitting a typed [`IsolationRun`] trace: the initial whole-corpus
@@ -26,38 +26,29 @@
 //! worker count.
 //!
 //! A scorer reads nothing but a predicate's contingency table, so the
-//! loop never re-tables: it builds the full-corpus tables and a
-//! per-counter list of the failing runs each counter covers once, then
-//! subtracts each removed run from the tables.  An iteration costs one
-//! scoring pass over the counters plus the removed runs' counters, and
-//! picks exactly what ranking freshly built tables would.
+//! loop never re-tables: it takes the full-corpus tables from the
+//! statistics and the failing rows, builds the transpose of the rows
+//! (per counter, the failing runs it covers) once, then subtracts each
+//! removed run from the tables.  An iteration costs one scoring pass
+//! over the counters plus the removed runs' counters, and picks exactly
+//! what ranking freshly built tables would.
 
 use crate::score::{rank_tables, Scorer};
-use cbi_reports::{CollectError, Label, Report, ReportLayout, ReportSink, SinkError};
-use cbi_stats::Contingency;
-
-/// One failing run, reduced to its sparse observation set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailingRun {
-    /// The run id the campaign assigned (trial index).
-    pub trial: u64,
-    /// Indices of counters observed nonzero in this run, ascending.
-    pub nonzero: Vec<u32>,
-}
+use cbi_reports::{
+    CollectError, Label, Report, ReportLayout, ReportSink, SinkError, SparseArchive, SparseRow,
+    SufficientStats,
+};
+use cbi_stats::{contingency_tables, Contingency};
 
 /// A [`ReportSink`] retaining per-run detail for failures only.
 ///
-/// Successful runs contribute to per-counter aggregates (`ep` and the
-/// site-reach estimate) and are immediately discarded; failing runs
-/// keep their sparse nonzero set so the isolation loop can attribute
-/// and remove them one cluster at a time.
+/// Every run folds into the [`SufficientStats`]; a failing run is also
+/// kept as a [`SparseArchive`] row so the isolation loop can attribute
+/// and remove it one cluster at a time.
 #[derive(Debug, Default)]
 pub struct FailureIndex {
-    layout: Option<ReportLayout>,
-    failures: Vec<FailingRun>,
-    successes: u64,
-    /// Per counter: successful runs in which it was nonzero.
-    success_nonzero: Vec<u64>,
+    stats: SufficientStats,
+    failures: SparseArchive,
 }
 
 impl FailureIndex {
@@ -66,34 +57,15 @@ impl FailureIndex {
         Self::default()
     }
 
-    /// Counters per report, 0 before [`ReportSink::begin`].
-    pub fn counter_count(&self) -> usize {
-        self.layout.map_or(0, |l| l.counters)
+    /// The statistics of every run folded, failing or not.
+    pub fn stats(&self) -> &SufficientStats {
+        &self.stats
     }
 
-    /// The layout hash announced at [`ReportSink::begin`], if any.
-    pub fn layout_hash(&self) -> Option<u64> {
-        self.layout.map(|l| l.layout_hash)
-    }
-
-    /// Total successful runs folded (and discarded).
-    pub fn success_runs(&self) -> u64 {
-        self.successes
-    }
-
-    /// Total failing runs retained.
-    pub fn failure_runs(&self) -> u64 {
-        self.failures.len() as u64
-    }
-
-    /// The retained failing runs, in run-id order.
-    pub fn failures(&self) -> &[FailingRun] {
+    /// The retained failing runs, in run-id order; a row's run id is
+    /// the trial index the campaign assigned.
+    pub fn failures(&self) -> &SparseArchive {
         &self.failures
-    }
-
-    /// Successful runs in which `counter` was observed nonzero.
-    pub fn success_nonzero(&self, counter: usize) -> u64 {
-        self.success_nonzero.get(counter).copied().unwrap_or(0)
     }
 
     /// Contingency tables over the full corpus (every failing run
@@ -119,81 +91,74 @@ fn group_map(n: usize, groups: &[(usize, usize)]) -> Vec<Option<usize>> {
 /// and its distinct sites from `site_f`.  The success side is the
 /// full-corpus aggregate throughout — the loop only ever removes
 /// *failing* runs.
-struct LiveTables<'a> {
-    index: &'a FailureIndex,
+struct LiveTables {
+    /// The statistics' tables: `ep`, `s` and the success-side reach.
+    full: Vec<Contingency>,
     group_of: Vec<Option<usize>>,
-    /// Per site: clamped-sum estimate of the successful runs reaching it.
-    site_s: Vec<u64>,
     /// Per counter: live failing runs in which it was nonzero.
     ef: Vec<u64>,
     /// Per site: live failing runs that reached it.
     site_f: Vec<u64>,
     /// Live failing runs.
     f: u64,
-    /// Per site: the last tally that counted it, so a run touching a
-    /// site through several counters counts it once.
+    /// Per site: the last run that counted it, so a run touching a site
+    /// through several counters counts it once.
     stamp: Vec<u64>,
-    tallies: u64,
+    visits: u64,
 }
 
-impl<'a> LiveTables<'a> {
-    /// The tables with every failing run of `index` live.
-    fn new(index: &'a FailureIndex, groups: &[(usize, usize)]) -> Self {
-        let n = index.counter_count();
-        // Success side: clamped-sum site estimates from aggregates,
-        // identical in shape to `cbi_stats::contingency_tables`.
-        let site_s = groups
-            .iter()
-            .map(|&(base, arity)| {
-                (base..(base + arity).min(n))
-                    .map(|c| index.success_nonzero[c])
-                    .sum::<u64>()
-                    .min(index.successes)
-            })
-            .collect();
+impl LiveTables {
+    /// The tables with every failing run of `index` live: `ef`, `f`,
+    /// `ep`, `s` and the success-side reach from the statistics, the
+    /// failure-side reach from the failing rows.
+    fn new(index: &FailureIndex, groups: &[(usize, usize)]) -> Self {
+        let full = contingency_tables(&index.stats, groups);
         let mut tables = LiveTables {
-            index,
-            group_of: group_map(n, groups),
-            site_s,
-            ef: vec![0; n],
+            group_of: group_map(full.len(), groups),
+            ef: full.iter().map(|t| t.ef).collect(),
             site_f: vec![0; groups.len()],
-            f: 0,
+            f: index.stats.failure_runs(),
             stamp: vec![0; groups.len()],
-            tallies: 0,
+            visits: 0,
+            full,
         };
-        for run in &index.failures {
-            tables.tally(run, |n| *n += 1);
+        for run in index.failures.rows() {
+            tables.reach(run, |n| *n += 1);
         }
         tables
     }
 
-    /// Adds (`step` increments) or removes (`step` decrements) one
-    /// failing run: its counters and each site it reached, once.
-    fn tally(&mut self, run: &FailingRun, step: impl Fn(&mut u64)) {
-        self.tallies += 1;
-        step(&mut self.f);
-        for &c in &run.nonzero {
-            let c = c as usize;
-            step(&mut self.ef[c]);
+    /// Steps (increments or decrements) the failure reach of each site
+    /// `run` touches, once per site.
+    fn reach(&mut self, run: SparseRow<'_>, step: impl Fn(&mut u64)) {
+        self.visits += 1;
+        for (c, _) in run.nonzero() {
             if let Some(g) = self.group_of[c] {
-                if self.stamp[g] != self.tallies {
-                    self.stamp[g] = self.tallies;
+                if self.stamp[g] != self.visits {
+                    self.stamp[g] = self.visits;
                     step(&mut self.site_f[g]);
                 }
             }
         }
     }
 
+    /// Removes one live failing run: its counters and each site it
+    /// reached, once.
+    fn remove(&mut self, run: SparseRow<'_>) {
+        self.f -= 1;
+        for (c, _) in run.nonzero() {
+            self.ef[c] -= 1;
+        }
+        self.reach(run, |n| *n -= 1);
+    }
+
     /// Counter `c`'s table over the live runs.
     fn table(&self, c: usize) -> Contingency {
-        let ep = self.index.success_nonzero[c];
         Contingency {
             ef: self.ef[c],
-            ep,
             f: self.f,
-            s: self.index.successes,
             obs_f: self.group_of[c].map_or(self.ef[c], |g| self.site_f[g]),
-            obs_s: self.group_of[c].map_or(ep, |g| self.site_s[g]),
+            ..self.full[c]
         }
     }
 
@@ -217,9 +182,9 @@ impl<'a> LiveTables<'a> {
     }
 }
 
-/// For each counter, the failing runs (indices into
+/// For each counter, the failing runs (row indices into
 /// [`FailureIndex::failures`]) it was nonzero in, ascending: the
-/// transpose of the runs' nonzero sets, in compressed-row form.
+/// transpose of the failing rows, in compressed-row form.
 struct Postings {
     /// Counter `c`'s runs are `runs[start[c]..start[c + 1]]`.
     start: Vec<usize>,
@@ -228,23 +193,20 @@ struct Postings {
 
 impl Postings {
     fn new(index: &FailureIndex) -> Self {
-        let n = index.counter_count();
+        let n = index.stats.counter_count();
+        // Counter `c` covers exactly the failing runs the statistics
+        // counted for it.
         let mut start = vec![0usize; n + 1];
-        for run in &index.failures {
-            for &c in &run.nonzero {
-                start[c as usize + 1] += 1;
-            }
-        }
         for c in 0..n {
-            start[c + 1] += start[c];
+            start[c + 1] = start[c] + index.stats.nonzero_failures(c) as usize;
         }
         let mut next = start.clone();
         let mut runs = vec![0u32; start[n]];
-        for (r, run) in index.failures.iter().enumerate() {
+        for (r, run) in index.failures.rows().enumerate() {
             let r = u32::try_from(r).expect("fewer than 2^32 failing runs");
-            for &c in &run.nonzero {
-                runs[next[c as usize]] = r;
-                next[c as usize] += 1;
+            for (c, _) in run.nonzero() {
+                runs[next[c]] = r;
+                next[c] += 1;
             }
         }
         Postings { start, runs }
@@ -255,73 +217,43 @@ impl Postings {
     }
 }
 
-/// Calls `visit` with every block of eight counters (the last one may
-/// be shorter) that holds a nonzero value, and the index of its first
-/// counter.  Sparse sampling leaves most blocks all zero, and one OR
-/// over a block is cheaper than eight tests.
-fn nonzero_blocks(counters: &[u64], mut visit: impl FnMut(usize, &[u64])) {
-    let mut blocks = counters.chunks_exact(8);
-    for (b, block) in blocks.by_ref().enumerate() {
-        if block.iter().fold(0, |any, &v| any | v) != 0 {
-            visit(b * 8, block);
-        }
-    }
-    let tail = blocks.remainder();
-    if tail.iter().any(|&v| v != 0) {
-        visit(counters.len() - tail.len(), tail);
-    }
-}
-
 impl ReportSink for FailureIndex {
+    /// Follows [`ReportLayout::fix`]: the first layout sizes the
+    /// statistics, a later equal one is a no-op, any other is refused,
+    /// and nothing is cleared — so a
+    /// [`BatchIngest`](cbi_reports::BatchIngest) keeps every batch.
     fn begin(&mut self, layout: ReportLayout) -> Result<(), SinkError> {
-        self.layout = Some(layout);
-        self.success_nonzero = vec![0; layout.counters];
-        self.failures.clear();
-        self.successes = 0;
+        let first = self.failures.layout().is_none();
+        self.failures.begin(layout)?;
+        if first {
+            self.stats = SufficientStats::new(layout.counters);
+        }
         Ok(())
     }
 
-    /// Folds one report: a failure keeps its nonzero set, a success
-    /// bumps the per-counter aggregates and is dropped.
+    /// Folds one report into the statistics; a failure is also kept as
+    /// a row.
     ///
     /// # Errors
     ///
     /// Returns [`SinkError::NotBegun`] before `begin`, and a
     /// [`CollectError::LayoutMismatch`] for a report of another width.
     fn accept(&mut self, report: Report) -> Result<(), SinkError> {
-        let Some(layout) = self.layout else {
-            return Err(SinkError::NotBegun);
-        };
-        if report.counters.len() != layout.counters {
+        let counters = self.failures.layout().ok_or(SinkError::NotBegun)?.counters;
+        if report.counters.len() != counters {
             return Err(SinkError::Collect(CollectError::LayoutMismatch {
-                expected: layout.counters,
+                expected: counters,
                 got: report.counters.len(),
             }));
         }
         match report.label {
             Label::Failure => {
-                let mut nonzero = Vec::new();
-                nonzero_blocks(&report.counters, |base, block| {
-                    for (i, &v) in (base..).zip(block) {
-                        if v != 0 {
-                            nonzero.push(i as u32);
-                        }
-                    }
-                });
-                self.failures.push(FailingRun {
-                    trial: report.run_id,
-                    nonzero,
-                });
+                // One scan of the dense report: the row, then its fold.
+                self.failures.accept(report)?;
+                let row = self.failures.row(self.failures.len() - 1);
+                self.stats.update_nonzero(Label::Failure, row.nonzero());
             }
-            Label::Success => {
-                self.successes += 1;
-                let seen = &mut self.success_nonzero;
-                nonzero_blocks(&report.counters, |base, block| {
-                    for (slot, &v) in seen[base..].iter_mut().zip(block) {
-                        *slot += u64::from(v != 0);
-                    }
-                });
-            }
+            Label::Success => self.stats.update(&report),
         }
         Ok(())
     }
@@ -410,7 +342,7 @@ pub fn isolate(
     let mut tables = LiveTables::new(index, groups);
     let initial_ranking = rank_tables(scorer, &tables.all());
     let postings = Postings::new(index);
-    let mut active: Vec<bool> = vec![true; index.failures().len()];
+    let mut active: Vec<bool> = vec![true; index.failures.len()];
     let mut steps = Vec::new();
 
     while tables.f > 0 {
@@ -423,9 +355,9 @@ pub fn isolate(
             let r = r as usize;
             if active[r] {
                 active[r] = false;
-                let run = &index.failures()[r];
-                trials.push(run.trial);
-                tables.tally(run, |n| *n -= 1);
+                let run = index.failures.row(r);
+                trials.push(run.run_id);
+                tables.remove(run);
             }
         }
         steps.push(IsolationStep {
@@ -441,11 +373,11 @@ pub fn isolate(
     }
 
     let unexplained: Vec<u64> = index
-        .failures()
-        .iter()
+        .failures
+        .rows()
         .zip(&active)
         .filter(|(_, &a)| a)
-        .map(|(run, _)| run.trial)
+        .map(|(run, _)| run.run_id)
         .collect();
 
     IsolationRun {
@@ -494,15 +426,69 @@ mod tests {
     #[test]
     fn index_retains_failures_and_folds_successes() {
         let index = two_bug_index();
-        assert_eq!(index.failure_runs(), 4);
-        assert_eq!(index.success_runs(), 5);
-        assert_eq!(index.failures()[0].nonzero, vec![0, 1]);
-        assert_eq!(index.success_nonzero(1), 5);
-        assert_eq!(index.success_nonzero(0), 0);
+        let stats = index.stats();
+        assert_eq!(stats.failure_runs(), 4);
+        assert_eq!(stats.success_runs(), 5);
+        assert_eq!(index.failures().len(), 4);
+        assert_eq!(observed(index.failures().row(0)), vec![0, 1]);
+        assert_eq!(stats.nonzero_successes(1), 5);
+        assert_eq!(stats.nonzero_successes(0), 0);
+        assert_eq!(stats.nonzero_failures(1), 4);
         // Full-corpus tables agree with the aggregates.
         let t = index.tables(&[]);
         assert_eq!((t[0].ef, t[0].ep, t[0].f, t[0].s), (2, 0, 4, 5));
         assert_eq!((t[1].ef, t[1].ep), (4, 5));
+    }
+
+    /// The counters a row observed, ascending.
+    fn observed(row: SparseRow<'_>) -> Vec<usize> {
+        row.nonzero().map(|(c, _)| c).collect()
+    }
+
+    #[test]
+    fn batch_ingest_keeps_every_batch() {
+        // `BatchIngest` announces the layout before every batch: the
+        // index must keep what earlier batches brought.
+        use cbi_reports::{wire::encode_reports, BatchIngest};
+        let layout = layout(3);
+        let batches = [
+            vec![
+                Report::new(0, Label::Failure, vec![1, 0, 0]),
+                Report::new(1, Label::Success, vec![0, 1, 0]),
+            ],
+            vec![Report::new(2, Label::Failure, vec![0, 0, 1])],
+        ];
+        let mut ingest = BatchIngest::new(FailureIndex::new(), Some(layout));
+        for batch in &batches {
+            let bytes = encode_reports(batch, layout.layout_hash, layout.counters).unwrap();
+            ingest.ingest(&bytes).unwrap();
+        }
+        let index = ingest.sink();
+        let t = index.tables(&[]);
+        assert_eq!((t[0].f, t[0].s), (2, 1), "the runs of both batches");
+        assert_eq!((t[0].ef, t[1].ep, t[2].ef), (1, 1, 1));
+        assert_eq!(index.failures().len(), 2);
+    }
+
+    #[test]
+    fn begin_fixes_the_first_layout() {
+        let mut index = two_bug_index();
+        index.begin(layout(4)).unwrap();
+        assert_eq!(index.failures().len(), 4, "an equal begin clears nothing");
+        for other in [
+            layout(5),
+            ReportLayout {
+                counters: 4,
+                layout_hash: 0xbeef,
+            },
+        ] {
+            assert!(matches!(
+                index.begin(other),
+                Err(SinkError::Collect(CollectError::LayoutMismatch { .. }))
+            ));
+        }
+        assert_eq!(index.failures().layout(), Some(layout(4)));
+        assert_eq!(index.stats().success_runs(), 5);
     }
 
     #[test]
@@ -533,7 +519,9 @@ mod tests {
                 "{err:?}"
             );
         }
-        assert_eq!((index.failure_runs(), index.success_runs()), (0, 0));
+        let stats = index.stats();
+        assert_eq!((stats.failure_runs(), stats.success_runs()), (0, 0));
+        assert!(index.failures().is_empty());
     }
 
     #[test]
@@ -555,14 +543,16 @@ mod tests {
         index
             .accept(Report::new(2, Label::Success, vec![0; 19]))
             .unwrap();
-        assert_eq!(index.failures()[0].nonzero, vec![0, 7, 16, 18]);
-        let seen: Vec<u64> = (0..19).map(|c| index.success_nonzero(c)).collect();
+        assert_eq!(observed(index.failures().row(0)), vec![0, 7, 16, 18]);
+        let seen: Vec<u64> = (0..19)
+            .map(|c| index.stats().nonzero_successes(c))
+            .collect();
         let mut expected = vec![0u64; 19];
         for &i in &[0usize, 7, 16, 18] {
             expected[i] = 1;
         }
         assert_eq!(seen, expected);
-        assert_eq!(index.success_runs(), 2);
+        assert_eq!(index.stats().success_runs(), 2);
     }
 
     #[test]

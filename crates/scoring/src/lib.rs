@@ -32,9 +32,7 @@
 pub mod isolate;
 pub mod score;
 
-pub use isolate::{
-    isolate, FailingRun, FailureIndex, IsolationCluster, IsolationRun, IsolationStep,
-};
+pub use isolate::{isolate, FailureIndex, IsolationCluster, IsolationRun, IsolationStep};
 pub use score::{
     all_scorers, rank_of, rank_tables, scorer_by_name, Scorer, SCORER_NAMES, SCORE_ONE,
 };

@@ -12,7 +12,8 @@
 #
 # Any drift in generation, instrumentation layout, campaign scheduling,
 # elimination, scoring arithmetic, or cluster attribution shows up as a
-# diff.
+# diff.  A fault count per entry outside 1..=3 must be refused with
+# exit 1 and a message naming the range.
 #
 # Usage: scripts/corpus_smoke.sh [path-to-cbi-binary]
 set -euo pipefail
@@ -33,6 +34,18 @@ for jobs in 1 4; do
     --out "$OUT/isolate_report_j$jobs.txt" --summary-out "$OUT/isolate_summary_j$jobs.txt"
 done
 
+echo "--- --bugs outside 1..=3 is refused ---"
+for bugs in 0 4; do
+  status=0
+  "$CBI" corpus generate "$OUT/refused-corpus" --size 1 --bugs "$bugs" \
+    2>"$OUT/bugs_$bugs.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "from 1 to 3" "$OUT/bugs_$bugs.err"; then
+    echo "FAIL: --bugs $bugs exited $status" >&2
+    cat "$OUT/bugs_$bugs.err" >&2
+    exit 1
+  fi
+done
+
 echo "--- score summary vs golden ---"
 diff -u tests/golden/corpus_smoke_summary.txt "$OUT/corpus_summary.txt"
 
@@ -42,4 +55,4 @@ diff -u "$OUT/isolate_report_j1.txt" "$OUT/isolate_report_j4.txt"
 echo "--- multi-bug summary vs golden ---"
 diff -u tests/golden/isolate_smoke_summary.txt "$OUT/isolate_summary_j1.txt"
 
-echo "PASS: both summaries match their goldens and the reports are jobs-invariant"
+echo "PASS: both summaries match their goldens, the reports are jobs-invariant, and bad --bugs is refused"

@@ -67,7 +67,9 @@ fn isolation_report_is_byte_identical_at_any_jobs() {
 /// The isolation loop as it was before it learned to update its tables
 /// in place: every iteration re-tables every active failing run from
 /// scratch and sorts the full ranking.  Written against `FailureIndex`'s
-/// public accessors and kept as the oracle `isolate` is held to.
+/// public accessors — the failure side from its failing rows alone, the
+/// success side from its statistics — and kept as the oracle `isolate`
+/// is held to.
 mod oracle {
     use cbi_scoring::{
         rank_tables, FailureIndex, IsolationCluster, IsolationRun, IsolationStep, Scorer,
@@ -79,7 +81,7 @@ mod oracle {
         active: &[bool],
         groups: &[(usize, usize)],
     ) -> Vec<Contingency> {
-        let n = index.counter_count();
+        let n = index.stats().counter_count();
         let f_active = active.iter().filter(|&&a| a).count() as u64;
         let mut group_of = vec![None; n];
         for (g, &(base, arity)) in groups.iter().enumerate() {
@@ -90,13 +92,12 @@ mod oracle {
         let mut ef = vec![0u64; n];
         let mut site_f = vec![0u64; groups.len()];
         let mut touched: Vec<usize> = Vec::new();
-        for (run, act) in index.failures().iter().zip(active) {
+        for (run, act) in index.failures().rows().zip(active) {
             if !act {
                 continue;
             }
             touched.clear();
-            for &c in &run.nonzero {
-                let c = c as usize;
+            for (c, _) in run.nonzero() {
                 ef[c] += 1;
                 if let Some(g) = group_of[c] {
                     if !touched.contains(&g) {
@@ -106,23 +107,24 @@ mod oracle {
                 }
             }
         }
+        let stats = index.stats();
         let site_s: Vec<u64> = groups
             .iter()
             .map(|&(base, arity)| {
                 (base..(base + arity).min(n))
-                    .map(|c| index.success_nonzero(c))
+                    .map(|c| stats.nonzero_successes(c))
                     .sum::<u64>()
-                    .min(index.success_runs())
+                    .min(stats.success_runs())
             })
             .collect();
         (0..n)
             .map(|c| Contingency {
                 ef: ef[c],
-                ep: index.success_nonzero(c),
+                ep: stats.nonzero_successes(c),
                 f: f_active,
-                s: index.success_runs(),
+                s: stats.success_runs(),
                 obs_f: group_of[c].map_or(ef[c], |g| site_f[g]),
-                obs_s: group_of[c].map_or(index.success_nonzero(c), |g| site_s[g]),
+                obs_s: group_of[c].map_or(stats.nonzero_successes(c), |g| site_s[g]),
             })
             .collect()
     }
@@ -149,9 +151,9 @@ mod oracle {
                 break;
             };
             let mut trials = Vec::new();
-            for (i, run) in index.failures().iter().enumerate() {
-                if active[i] && run.nonzero.contains(&(counter as u32)) {
-                    trials.push(run.trial);
+            for (i, run) in index.failures().rows().enumerate() {
+                if active[i] && run.nonzero().any(|(c, _)| c == counter) {
+                    trials.push(run.run_id);
                     active[i] = false;
                 }
             }
@@ -169,10 +171,10 @@ mod oracle {
         }
         let unexplained = index
             .failures()
-            .iter()
+            .rows()
             .zip(&active)
             .filter(|(_, &a)| a)
-            .map(|(run, _)| run.trial)
+            .map(|(run, _)| run.run_id)
             .collect();
         IsolationRun {
             scorer: scorer.name(),
@@ -222,7 +224,10 @@ fn isolate_matches_the_re_tabling_oracle_for_every_scorer() {
     for (name, program, trials, scheme) in [bc, ccrypt] {
         for density in [SamplingDensity::one_in(1), SamplingDensity::one_in(100)] {
             let (index, groups) = indexed_campaign(&program, &trials, scheme, density);
-            assert!(index.failure_runs() > 0, "{name}: no failures to isolate");
+            assert!(
+                !index.failures().is_empty(),
+                "{name}: no failures to isolate"
+            );
             let all = vec![true; index.failures().len()];
             assert_eq!(
                 index.tables(&groups),
