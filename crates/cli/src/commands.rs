@@ -41,8 +41,9 @@ usage:
                  [--batch-size N] [--epoch-len N] [--densities 100:1,1000:3]
                  [--zipf S] [--variant-fraction F] [--stale-fraction F]
                  [--drop F] [--truncate F] [--bit-flip F] [--max-retries N]
-                 [--target PRED] [--seed N] [--jobs N] [--summary-out FILE]
-                 [--flight-cap N] [--prom-out FILE] [--timeline-out FILE]
+                 [--backoff-base N] [--target PRED] [--seed N] [--jobs N]
+                 [--summary-out FILE] [--flight-cap N] [--prom-out FILE]
+                 [--timeline-out FILE]
                  [--metrics] [--metrics-out metrics.jsonl] [--trace-out trace.json]
   cbi fleet      --corpus <dir> [--entry ID] [--pool N] [same knobs]
   cbi fleet      <file.mc> <inputs.txt> --serve HOST:PORT [--ack-drop F]
@@ -120,7 +121,8 @@ usage:
   (--stale-fraction, rejected at the layout handshake and counted),
   picks inputs Zipf(--zipf)-skewed from the pool, spools reports, and
   transmits batches over a lossy channel (--drop/--truncate/--bit-flip
-  per attempt, bounded retry with exponential backoff).  The server
+  per attempt, at most --max-retries retries, the k-th after a backoff
+  of --backoff-base << k ticks).  The server
   folds surviving batches into per-epoch aggregates (--epoch-len) and
   prints an integer-only summary that is byte-identical at any --jobs.
   With --corpus the fleet runs a generated corpus entry and tracks its
@@ -767,9 +769,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         shards,
         queue_cap,
         epoch_len,
-        streaming: TrainConfig::default(),
         flight_capacity: args.flag_or("flight-cap", 64usize)?,
-        target_counter: None,
         keep_reports: args.flag("spool").is_some() || matches!(mode, "regress" | "both"),
     };
     let core = cbi_serve::IngestCore::new(inst.sites.clone(), config).map_err(|e| e.to_string())?;
@@ -1271,7 +1271,6 @@ fn health_config(args: &Args) -> Result<cbi::HealthConfig, String> {
         rejection_spike_pm: args.flag_or("rejection-pm", defaults.rejection_spike_pm)?,
         stale_surge_pm: args.flag_or("stale-pm", defaults.stale_surge_pm)?,
         stall_epochs: args.flag_or("stall-epochs", defaults.stall_epochs)?,
-        ..defaults
     };
     if config.stall_epochs == 0 {
         return Err("--stall-epochs must be a positive integer (got 0)".to_string());
@@ -1330,16 +1329,24 @@ fn replay_spool(args: &Args, path: &str) -> Result<cbi::EpochAggregator, String>
             .with_flight_capacity(args.flag_or("flight-cap", 64usize)?);
     aggregator.begin(layout).map_err(|e| e.to_string())?;
 
+    // One group of frames: each run's id, label and end in `nonzero`,
+    // the group's nonzero `(counter, value)` pairs run after run.
+    let mut runs: Vec<(u64, Label, usize)> = Vec::new();
+    let mut nonzero: Vec<(usize, u64)> = Vec::new();
     loop {
-        let mut group = Vec::new();
+        runs.clear();
+        nonzero.clear();
         let before = reader.bytes_read();
-        while (group.len() as u64) < batch_size {
-            match reader.read_report().map_err(|e| format!("{path}: {e}"))? {
-                Some(report) => group.push(report),
+        while (runs.len() as u64) < batch_size {
+            let frame = reader
+                .read_nonzero(|i, value| nonzero.push((i, value)))
+                .map_err(|e| format!("{path}: {e}"))?;
+            match frame {
+                Some((run_id, label)) => runs.push((run_id, label, nonzero.len())),
                 None => break,
             }
         }
-        if group.is_empty() {
+        if runs.is_empty() {
             break;
         }
         // Batch accounting lands before its reports, mirroring the live
@@ -1349,8 +1356,12 @@ fn replay_spool(args: &Args, path: &str) -> Result<cbi::EpochAggregator, String>
             DecodeOutcome::Clean,
             reader.bytes_read() - before,
         );
-        for report in group {
-            aggregator.accept(report).map_err(|e| e.to_string())?;
+        let mut start = 0;
+        for &(run_id, label, end) in &runs {
+            aggregator
+                .accept_nonzero(run_id, label, nonzero[start..end].iter().copied())
+                .map_err(|e| e.to_string())?;
+            start = end;
         }
     }
     eprintln!(
@@ -1461,6 +1472,25 @@ mod tests {
 
     fn dispatch_strs(parts: &[&str]) -> Result<(), String> {
         dispatch(parts.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn usage_documents_every_flag_the_commands_read() {
+        let source = include_str!("commands.rs");
+        let mut names = Vec::new();
+        for call in ["flag(\"", "flag_or(\""] {
+            for (at, _) in source.match_indices(call) {
+                let rest = &source[at + call.len()..];
+                names.push(&rest[..rest.find('"').unwrap()]);
+            }
+        }
+        assert!(names.contains(&"backoff-base"), "the scan finds the flags");
+        for name in names {
+            assert!(
+                USAGE.contains(&format!("--{name}")),
+                "--{name} is read but missing from USAGE"
+            );
+        }
     }
 
     #[test]
@@ -2073,6 +2103,69 @@ mod tests {
         assert!(err.contains("layout"), "{err}");
         fs::remove_file(&spool).ok();
         fs::remove_file(&health).ok();
+    }
+
+    /// The health table, Prometheus text and timeline of a replayed
+    /// spool, pinned byte for byte.
+    #[test]
+    fn monitor_replay_of_a_spool_is_pinned() {
+        let p = tmp("prog-mon-pin.mc", PROG);
+        let inputs: String = (0..60)
+            .map(|i| format!("{}\n", if i % 7 == 3 { 0 } else { i % 9 + 1 }))
+            .collect();
+        let inputs = tmp("inputs-mon-pin.txt", &inputs);
+        let out = |name: &str| std::env::temp_dir().join(format!("cbi-cli-test-mon-pin-{name}"));
+        let spool = out("spool.cbr");
+        let [health, prom, timeline] = ["health", "prom", "timeline"].map(out);
+        dispatch_strs(&[
+            "campaign",
+            p.to_str().unwrap(),
+            inputs.to_str().unwrap(),
+            "--scheme",
+            "returns",
+            "--density",
+            "1",
+            "--spool",
+            spool.to_str().unwrap(),
+        ])
+        .unwrap();
+        dispatch_strs(&[
+            "monitor",
+            "--replay",
+            spool.to_str().unwrap(),
+            p.to_str().unwrap(),
+            "--scheme",
+            "returns",
+            "--epoch-len",
+            "8",
+            "--batch-size",
+            "3",
+            "--health-out",
+            health.to_str().unwrap(),
+            "--prom-out",
+            prom.to_str().unwrap(),
+            "--timeline-out",
+            timeline.to_str().unwrap(),
+        ])
+        .unwrap();
+        for (path, golden) in [
+            (
+                &health,
+                include_str!("../../../tests/golden/monitor_replay/health.txt"),
+            ),
+            (
+                &prom,
+                include_str!("../../../tests/golden/monitor_replay/prom.txt"),
+            ),
+            (
+                &timeline,
+                include_str!("../../../tests/golden/monitor_replay/timeline.jsonl"),
+            ),
+        ] {
+            assert_eq!(fs::read_to_string(path).unwrap(), golden, "{path:?}");
+            fs::remove_file(path).ok();
+        }
+        fs::remove_file(&spool).ok();
     }
 
     #[test]

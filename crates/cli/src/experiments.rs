@@ -485,7 +485,6 @@ fn ccrypt_overhead(out: &mut String) -> Outcome {
         let config = OverheadConfig {
             scheme: Scheme::Returns,
             transform,
-            ..OverheadConfig::default()
         };
         let m = measure_overhead("ccrypt", &program, &input, &densities, &config)?;
         writeln!(out)?;
@@ -708,7 +707,6 @@ fn ablation(out: &mut String) -> Outcome {
         let config = OverheadConfig {
             scheme: Scheme::Checks,
             transform,
-            ..OverheadConfig::default()
         };
         let m = measure_overhead(b.name, &b.program, &[], &density, &config)?;
         writeln!(

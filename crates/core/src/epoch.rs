@@ -66,6 +66,23 @@ pub struct CohortStats {
     pub retries: u64,
 }
 
+impl CohortStats {
+    /// Counts one delivered batch of `bytes` wire bytes.
+    fn note(&mut self, outcome: DecodeOutcome, bytes: u64) {
+        match outcome {
+            DecodeOutcome::Clean | DecodeOutcome::CorruptButDecodable => {
+                self.batches += 1;
+                self.bytes += bytes;
+                self.corrupt += u64::from(outcome == DecodeOutcome::CorruptButDecodable);
+            }
+            DecodeOutcome::Rejected(kind) => {
+                self.rejected += 1;
+                self.stale += u64::from(kind == WireErrorKind::LayoutHashMismatch);
+            }
+        }
+    }
+}
+
 /// One ingest event as seen by the flight recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestEvent {
@@ -223,12 +240,7 @@ pub struct EpochAggregator {
     epoch_len: u64,
     analyzer: StreamingAnalyzer,
     first: FirstObservation,
-    bytes: u64,
-    batches: u64,
-    rejected_batches: u64,
-    stale_batches: u64,
-    corrupt_batches: u64,
-    retries: u64,
+    totals: CohortStats,
     rejected_by_kind: BTreeMap<WireErrorKind, u64>,
     cohorts: BTreeMap<String, CohortStats>,
     flight: FlightRecorder,
@@ -263,12 +275,7 @@ impl EpochAggregator {
             epoch_len,
             analyzer: StreamingAnalyzer::new(config),
             first: FirstObservation::new(counters),
-            bytes: 0,
-            batches: 0,
-            rejected_batches: 0,
-            stale_batches: 0,
-            corrupt_batches: 0,
-            retries: 0,
+            totals: CohortStats::default(),
             rejected_by_kind: BTreeMap::new(),
             cohorts: BTreeMap::new(),
             flight: FlightRecorder::default(),
@@ -292,34 +299,13 @@ impl EpochAggregator {
     /// folded into the sender's cohort stats and the flight recorder.
     pub fn note_batch(&mut self, prov: &Provenance, outcome: DecodeOutcome, bytes: u64) {
         self.flight.record(prov, outcome, bytes);
-        let cohort = self
-            .cohorts
+        self.totals.note(outcome, bytes);
+        self.cohorts
             .entry(prov.cohort_label().to_string())
-            .or_default();
-        match outcome {
-            DecodeOutcome::Clean => {
-                self.batches += 1;
-                self.bytes += bytes;
-                cohort.batches += 1;
-                cohort.bytes += bytes;
-            }
-            DecodeOutcome::CorruptButDecodable => {
-                self.batches += 1;
-                self.bytes += bytes;
-                self.corrupt_batches += 1;
-                cohort.batches += 1;
-                cohort.bytes += bytes;
-                cohort.corrupt += 1;
-            }
-            DecodeOutcome::Rejected(kind) => {
-                self.rejected_batches += 1;
-                *self.rejected_by_kind.entry(kind).or_default() += 1;
-                cohort.rejected += 1;
-                if kind == WireErrorKind::LayoutHashMismatch {
-                    self.stale_batches += 1;
-                    cohort.stale += 1;
-                }
-            }
+            .or_default()
+            .note(outcome, bytes);
+        if let DecodeOutcome::Rejected(kind) = outcome {
+            *self.rejected_by_kind.entry(kind).or_default() += 1;
         }
     }
 
@@ -329,21 +315,21 @@ impl EpochAggregator {
         if n == 0 {
             return;
         }
-        self.retries += n;
+        self.totals.retries += n;
         self.cohorts.entry(cohort.to_string()).or_default().retries += n;
     }
 
     /// Folds one report given as its run id, label and nonzero counters
     /// (ascending `(index, value)` pairs, every index below the layout's
     /// width) — what [`accept`](ReportSink::accept) reduces a dense
-    /// report to, so a caller that holds the sparse form already (an
-    /// ingest server reading wire bytes) never builds the dense one.
-    /// Both entry points leave bit-identical state behind.
+    /// report to, so a caller that holds the sparse form already (a
+    /// reader walking wire frames) never builds the dense one.  Both
+    /// entry points leave bit-identical state behind.
     ///
     /// # Errors
     ///
     /// Returns [`SinkError::NotBegun`] before the first `begin`.
-    fn accept_nonzero(
+    pub fn accept_nonzero(
         &mut self,
         run_id: u64,
         label: Label,
@@ -502,12 +488,12 @@ impl EpochAggregator {
                 .target_counter
                 .and_then(|c| self.first.latency_of_counter(c)),
             target_rank,
-            bytes: self.bytes,
-            batches: self.batches,
-            rejected_batches: self.rejected_batches,
-            stale_batches: self.stale_batches,
-            corrupt_batches: self.corrupt_batches,
-            retries: self.retries,
+            bytes: self.totals.bytes,
+            batches: self.totals.batches,
+            rejected_batches: self.totals.rejected,
+            stale_batches: self.totals.stale,
+            corrupt_batches: self.totals.corrupt,
+            retries: self.totals.retries,
             rejected_by_kind: self.rejected_by_kind.clone(),
             cohorts: self.cohorts.clone(),
         }
@@ -549,14 +535,11 @@ impl EpochAggregator {
         self.analyzer.stats().failure_runs()
     }
 
-    /// Wire bytes attributed via [`note_batch`](Self::note_batch).
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Committed batches whose delivered bytes were altered in flight.
-    pub fn corrupt_batches(&self) -> u64 {
-        self.corrupt_batches
+    /// Ingest accounting over every cohort: what
+    /// [`note_batch`](Self::note_batch) and
+    /// [`note_retries`](Self::note_retries) counted.
+    pub fn totals(&self) -> &CohortStats {
+        &self.totals
     }
 
     /// Rejection totals by typed wire-error kind.
@@ -1046,10 +1029,9 @@ mod tests {
             assert_eq!(permuted.analyzer().stats(), reference.analyzer().stats());
             assert_eq!(permuted.first_observation(), reference.first_observation());
             assert_eq!(
-                (permuted.runs(), permuted.failures(), permuted.bytes()),
-                (reference.runs(), reference.failures(), reference.bytes())
+                (permuted.runs(), permuted.failures(), permuted.totals()),
+                (reference.runs(), reference.failures(), reference.totals())
             );
-            assert_eq!(permuted.corrupt_batches(), reference.corrupt_batches());
             assert_eq!(permuted.rejected_by_kind(), reference.rejected_by_kind());
             assert_eq!(permuted.cohorts(), reference.cohorts());
         }

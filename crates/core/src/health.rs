@@ -16,8 +16,8 @@
 //! * ratios are integer **per-mille** (`‰`) values with round-half-up
 //!   division — no floats anywhere, so renders diff byte-identically
 //!   across platforms and `--jobs` counts;
-//! * the EWMA baseline is integer: `ewma' = (num·x + (den−num)·ewma
-//!   + den/2) / den` with configurable `num/den` smoothing;
+//! * the EWMA baseline is integer: `ewma' = (x + 3·ewma + 2) / 4`,
+//!   weighting the newest epoch 1/4;
 //! * detectors are **edge-triggered**: an event fires once when its
 //!   condition first becomes true and re-arms only after the condition
 //!   clears, so a sustained storm yields exactly one event;
@@ -35,16 +35,15 @@ use crate::epoch::{EpochAggregator, EpochSnapshot};
 use cbi_telemetry::Registry;
 use std::fmt;
 
-/// Thresholds and smoothing for the health detectors.
+/// EWMA weight of the newest epoch: `EWMA_NUM / EWMA_DEN`.
+const EWMA_NUM: u64 = 1;
+const EWMA_DEN: u64 = 4;
+
+/// Thresholds for the health detectors.
 ///
-/// All ratios are integer per-mille (`250` ⇒ 25.0%).  The EWMA weight
-/// is `ewma_num / ewma_den` per epoch.
+/// All ratios are integer per-mille (`250` ⇒ 25.0%).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
-    /// EWMA numerator (weight of the newest observation).
-    pub ewma_num: u64,
-    /// EWMA denominator.
-    pub ewma_den: u64,
     /// Epochs to observe before any detector may fire.
     pub warmup_epochs: usize,
     /// Corruption share of committed batches (‰) that trips
@@ -64,8 +63,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
-            ewma_num: 1,
-            ewma_den: 4,
             warmup_epochs: 1,
             corruption_spike_pm: 150,
             rejection_spike_pm: 300,
@@ -76,18 +73,12 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Validates the smoothing weight (`0 < num <= den`).
+    /// Validates the stall horizon.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate EWMA weight or a zero stall horizon.
+    /// Panics on a zero stall horizon.
     pub fn validate(&self) {
-        assert!(
-            self.ewma_num > 0 && self.ewma_num <= self.ewma_den,
-            "EWMA weight must satisfy 0 < num <= den (got {}/{})",
-            self.ewma_num,
-            self.ewma_den
-        );
         assert!(self.stall_epochs > 0, "stall horizon must be nonzero");
     }
 }
@@ -325,18 +316,8 @@ impl HealthMonitor {
         }
 
         // Fold this epoch into the baselines after the decision.
-        self.ewma_corrupt_pm = ewma(
-            self.ewma_corrupt_pm,
-            ind.corrupt_pm,
-            self.config.ewma_num,
-            self.config.ewma_den,
-        );
-        self.ewma_rejected_pm = ewma(
-            self.ewma_rejected_pm,
-            ind.rejected_pm,
-            self.config.ewma_num,
-            self.config.ewma_den,
-        );
+        self.ewma_corrupt_pm = ewma(self.ewma_corrupt_pm, ind.corrupt_pm);
+        self.ewma_rejected_pm = ewma(self.ewma_rejected_pm, ind.rejected_pm);
         self.epochs_seen += 1;
         self.prev = Some(snap.clone());
         self.indicators.push(ind);
@@ -414,8 +395,8 @@ impl HealthMonitor {
 
 /// Integer EWMA step with round-half-up: `(num·x + (den−num)·ewma +
 /// den/2) / den`.
-fn ewma(prev: u64, x: u64, num: u64, den: u64) -> u64 {
-    (num * x + (den - num) * prev + den / 2) / den
+fn ewma(prev: u64, x: u64) -> u64 {
+    (EWMA_NUM * x + (EWMA_DEN - EWMA_NUM) * prev + EWMA_DEN / 2) / EWMA_DEN
 }
 
 /// Renders the monitor's indicator stream as an aligned, integer-only
@@ -586,10 +567,10 @@ mod tests {
     fn ewma_is_integer_and_converges() {
         let mut v = 0;
         for _ in 0..64 {
-            v = ewma(v, 1000, 1, 4);
+            v = ewma(v, 1000);
         }
         assert!(v >= 998, "converges toward the input: {v}");
-        assert_eq!(ewma(1000, 1000, 1, 4), 1000, "fixed point");
+        assert_eq!(ewma(1000, 1000), 1000, "fixed point");
     }
 
     #[test]
@@ -757,18 +738,5 @@ mod tests {
         assert!(text.contains("health indicators"), "{text}");
         assert!(text.contains("health events"), "{text}");
         assert!(!text.contains('.'), "{text}");
-    }
-
-    #[test]
-    #[should_panic(expected = "EWMA weight")]
-    fn bad_ewma_weight_panics() {
-        let _ = HealthMonitor::new(
-            HealthConfig {
-                ewma_num: 5,
-                ewma_den: 4,
-                ..HealthConfig::default()
-            },
-            false,
-        );
     }
 }

@@ -33,10 +33,11 @@ use crate::CorpusError;
 use cbi_instrument::{instrument, Scheme, SiteKind};
 use cbi_minic::{parse, pretty, Program};
 use cbi_sampler::{Pcg32, SamplingDensity};
+use cbi_scoring::FailureIndex;
 use cbi_testgen::{program_for_seed_with, GenConfig};
 use cbi_vm::Vm;
 use cbi_workloads::{
-    bc_program, bc_trials, ccrypt_program, ccrypt_trials, run_campaign, BcTrialConfig,
+    bc_program, bc_trials, ccrypt_program, ccrypt_trials, run_campaign_into, BcTrialConfig,
     CampaignConfig, CcryptTrialConfig,
 };
 use std::fs;
@@ -89,10 +90,7 @@ pub struct Corpus {
 /// shape with the three leading variables wired to scripted input, so
 /// planted bugs can be input-conditioned.
 pub fn corpus_gen_config() -> GenConfig {
-    GenConfig {
-        input_vars: 3,
-        ..GenConfig::default()
-    }
+    GenConfig { input_vars: 3 }
 }
 
 /// Trial inputs for corpus testgen programs: one token per input-wired
@@ -158,11 +156,10 @@ fn validate(source: &str, mutation: &Mutation, trials: &[Vec<i64>]) -> Option<Va
         return None; // ambiguous ground truth
     }
     let true_counter = site.counter_base; // slot 0 = violated
-    let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(1));
-    let result = run_campaign(&program, trials, &config).ok()?;
-    let failures = result.collector.failure_count();
-    let successes = result.collector.success_count();
-    let stats = result.collector.stats();
+    let index = density_one_campaign(&program, trials)?;
+    let stats = index.stats();
+    let failures = stats.failure_runs() as usize;
+    let successes = stats.success_runs() as usize;
     // The planted predicate must be the demonstrated crash cause: it
     // fires in at least one failing run, and — since a sampled violation
     // aborts the run — in no successful one.
@@ -194,6 +191,15 @@ fn validate(source: &str, mutation: &Mutation, trials: &[Vec<i64>]) -> Option<Va
         trigger,
         baseline_failures,
     })
+}
+
+/// The density-1 `checks` campaign of a candidate over `trials`: its
+/// statistics and failing runs.
+fn density_one_campaign(program: &Program, trials: &[Vec<i64>]) -> Option<FailureIndex> {
+    let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(1));
+    let mut index = FailureIndex::new();
+    run_campaign_into(program, trials, &config, &mut index).ok()?;
+    Some(index)
 }
 
 /// Failures of the uninstrumented program over `trials`: the baseline
@@ -344,11 +350,11 @@ pub fn generate_corpus(cfg: &GenerateConfig) -> Result<Corpus, CorpusError> {
         let candidates = if matches!(op, Operator::OffByOneLoop) {
             1
         } else {
-            store_candidates(&program, gen_cfg.buf_len)
+            store_candidates(&program)
         };
         let mut planted = false;
         for nth in 0..candidates {
-            let Some(mutation) = plant_testgen(&program, op, nth, gen_cfg.buf_len) else {
+            let Some(mutation) = plant_testgen(&program, op, nth) else {
                 continue;
             };
             let Some(source) = normalize(&mutation.program) else {
@@ -440,15 +446,12 @@ fn validate_multi(
         }
         counters_of.push(site.counter_base);
     }
-    let config = CampaignConfig::sampled(Scheme::Checks, SamplingDensity::one_in(1));
-    let result = run_campaign(&program, trials, &config).ok()?;
-    let collector = &result.collector;
-    let failures = collector.failure_count();
-    let successes = collector.success_count();
-    if successes < 2 {
+    let index = density_one_campaign(&program, trials)?;
+    let stats = index.stats();
+    let failures = stats.failure_runs() as usize;
+    if stats.success_runs() < 2 {
         return None;
     }
-    let stats = collector.stats();
     let mut validated = Vec::with_capacity(planted.len());
     for (k, (operator, _, deterministic)) in planted.iter().enumerate() {
         let tc = counters_of[k];
@@ -457,13 +460,14 @@ fn validate_multi(
         }
         // Unique explanation: a failing run where this fault's counter
         // is the only planted counter observed nonzero.
-        let unique_failures = collector
-            .with_label(cbi_reports::Label::Failure)
+        let unique_failures = index
+            .failures()
+            .rows()
             .filter(|r| {
-                counters_of
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &c)| (r.counters[c] != 0) == (j == k))
+                let mut planted = r
+                    .nonzero()
+                    .filter_map(|(c, _)| counters_of.iter().position(|&t| t == c));
+                planted.next() == Some(k) && planted.next().is_none()
             })
             .count();
         if unique_failures == 0 {
@@ -549,7 +553,7 @@ pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, Corpus
         let program = program_for_seed_with(prog_seed, &gen_cfg);
         let this_seed = prog_seed;
         prog_seed = prog_seed.wrapping_add(1);
-        let candidates = store_candidates(&program, gen_cfg.buf_len);
+        let candidates = store_candidates(&program);
         if candidates < bugs {
             continue;
         }
@@ -561,13 +565,7 @@ pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, Corpus
         let mut ok = true;
         for k in (0..bugs).rev() {
             let op = &ops[(attempts + k) % ops.len()];
-            let Some(m) = plant_testgen_named(
-                &current,
-                op,
-                indices[k],
-                gen_cfg.buf_len,
-                MULTI_FAULT_VARS[k],
-            ) else {
+            let Some(m) = plant_testgen_named(&current, op, indices[k], MULTI_FAULT_VARS[k]) else {
                 ok = false;
                 break;
             };

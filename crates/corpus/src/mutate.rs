@@ -27,6 +27,7 @@
 
 use cbi_minic::ast::{BinOp, Block, Expr, Program, Stmt, UnOp};
 use cbi_minic::{pretty, Span};
+use cbi_testgen::BUF_LEN;
 
 /// Name of the temporary a single-bug mutation routes its faulty index
 /// through.  Multi-bug planting gives each fault its own temporary from
@@ -312,8 +313,8 @@ fn mentions_var(program: &Program, var: &str) -> bool {
 
 /// Number of testgen-clamped stores (`p[((e % len + len) % len)] = v;`)
 /// available as mutation candidates.
-pub fn store_candidates(program: &Program, buf_len: i64) -> usize {
-    let is_candidate = |index: &Expr| clamp_inner(index, buf_len).is_some();
+pub fn store_candidates(program: &Program) -> usize {
+    let is_candidate = |index: &Expr| clamp_inner(index, BUF_LEN).is_some();
     program
         .functions
         .iter()
@@ -337,13 +338,8 @@ pub fn workload_candidates(program: &Program) -> usize {
 /// candidate index is ignored by [`Operator::OffByOneLoop`], which has a
 /// single target).  Returns `None` when no candidate matches or the
 /// program already uses the fault temporary.
-pub fn plant_testgen(
-    program: &Program,
-    op: &Operator,
-    nth: usize,
-    buf_len: i64,
-) -> Option<Mutation> {
-    plant_testgen_named(program, op, nth, buf_len, FAULT_VAR)
+pub fn plant_testgen(program: &Program, op: &Operator, nth: usize) -> Option<Mutation> {
+    plant_testgen_named(program, op, nth, FAULT_VAR)
 }
 
 /// [`plant_testgen`] with an explicit fault-temporary name, so a
@@ -353,26 +349,25 @@ pub fn plant_testgen_named(
     program: &Program,
     op: &Operator,
     nth: usize,
-    buf_len: i64,
     var: &str,
 ) -> Option<Mutation> {
     if mentions_var(program, var) {
         return None;
     }
     if matches!(op, Operator::OffByOneLoop) {
-        return plant_loop(program, buf_len);
+        return plant_loop(program);
     }
-    let is_candidate = |index: &Expr| clamp_inner(index, buf_len).is_some();
+    let is_candidate = |index: &Expr| clamp_inner(index, BUF_LEN).is_some();
     let deterministic = op.deterministic();
     let op = op.clone();
     let fv = var.to_string();
     let build = move |target: String, index: Expr, value: Expr, span: Span| -> Vec<Stmt> {
-        let inner = clamp_inner(&index, buf_len)
+        let inner = clamp_inner(&index, BUF_LEN)
             .expect("candidate store must carry the clamp")
             .clone();
         match &op {
             Operator::OffByOneIndex => vec![
-                assign_fault(&fv, clamp_expr(inner, buf_len + 1), span),
+                assign_fault(&fv, clamp_expr(inner, BUF_LEN + 1), span),
                 fault_store(&fv, target, value, span),
             ],
             Operator::DroppedBoundsCheck => {
@@ -384,7 +379,7 @@ pub fn plant_testgen_named(
             Operator::BadPointerOffset(k) => vec![
                 assign_fault(
                     &fv,
-                    Expr::binary(BinOp::Add, clamp_expr(inner, buf_len), Expr::int(*k)),
+                    Expr::binary(BinOp::Add, clamp_expr(inner, BUF_LEN), Expr::int(*k)),
                     span,
                 ),
                 fault_store(&fv, target, value, span),
@@ -392,7 +387,7 @@ pub fn plant_testgen_named(
             Operator::FlippedComparison => vec![
                 assign_fault(&fv, inner, span),
                 Stmt::If {
-                    cond: range_guard(&fv, BinOp::Gt, buf_len),
+                    cond: range_guard(&fv, BinOp::Gt, BUF_LEN),
                     then_block: Block::new(vec![fault_store(&fv, target, value, span)]),
                     else_block: None,
                     span,
@@ -403,7 +398,7 @@ pub fn plant_testgen_named(
                 Stmt::If {
                     cond: Expr::Unary {
                         op: UnOp::Not,
-                        expr: Box::new(range_guard(&fv, BinOp::Lt, buf_len)),
+                        expr: Box::new(range_guard(&fv, BinOp::Lt, BUF_LEN)),
                         span,
                     },
                     then_block: Block::new(vec![fault_store(&fv, target, value, span)]),
@@ -465,11 +460,11 @@ fn block_loads(block: &Block, ptr_name: &str, counter_name: &str) -> bool {
         .any(|s| stmt_loads(s, ptr_name, counter_name))
 }
 
-/// Widens the unique digest loop `while (c < buf_len) { … p[c] … }` to
+/// Widens the unique digest loop `while (c < BUF_LEN) { … p[c] … }` to
 /// `<=`.  The digest load's own bounds site becomes the ground truth.
-fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
+fn plant_loop(program: &Program) -> Option<Mutation> {
     // First pass: find every matching loop and what it loads.
-    fn digest_loops(block: &Block, buf_len: i64, found: &mut Vec<(String, String)>) {
+    fn digest_loops(block: &Block, found: &mut Vec<(String, String)>) {
         for s in &block.stmts {
             match s {
                 Stmt::While { cond, body, .. } => {
@@ -480,7 +475,7 @@ fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
                         ..
                     } = cond
                     {
-                        if let (Expr::Var { name, .. }, true) = (&**lhs, is_int(rhs, buf_len)) {
+                        if let (Expr::Var { name, .. }, true) = (&**lhs, is_int(rhs, BUF_LEN)) {
                             // The loop must actually read ptr[counter].
                             let ptrs: Vec<String> = ptr_names(body);
                             for p in ptrs {
@@ -491,16 +486,16 @@ fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
                             }
                         }
                     }
-                    digest_loops(body, buf_len, found);
+                    digest_loops(body, found);
                 }
                 Stmt::If {
                     then_block,
                     else_block,
                     ..
                 } => {
-                    digest_loops(then_block, buf_len, found);
+                    digest_loops(then_block, found);
                     if let Some(b) = else_block {
-                        digest_loops(b, buf_len, found);
+                        digest_loops(b, found);
                     }
                 }
                 _ => {}
@@ -539,7 +534,7 @@ fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
     }
     let mut found = Vec::new();
     for f in &program.functions {
-        digest_loops(&f.body, buf_len, &mut found);
+        digest_loops(&f.body, &mut found);
     }
     // The ground truth must be unambiguous: exactly one digest loop.
     if found.len() != 1 {
@@ -547,20 +542,20 @@ fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
     }
     let (counter_name, ptr_name) = found.remove(0);
     // Second pass: flip the unique loop's comparison in a clone.
-    fn widen(block: &mut Block, counter: &str, buf_len: i64) -> bool {
+    fn widen(block: &mut Block, counter: &str) -> bool {
         for s in &mut block.stmts {
             match s {
                 Stmt::While { cond, body, .. } => {
                     if let Expr::Binary { op, lhs, rhs, .. } = cond {
                         if *op == BinOp::Lt
                             && matches!(&**lhs, Expr::Var { name, .. } if name == counter)
-                            && is_int(rhs, buf_len)
+                            && is_int(rhs, BUF_LEN)
                         {
                             *op = BinOp::Le;
                             return true;
                         }
                     }
-                    if widen(body, counter, buf_len) {
+                    if widen(body, counter) {
                         return true;
                     }
                 }
@@ -569,11 +564,11 @@ fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
                     else_block,
                     ..
                 } => {
-                    if widen(then_block, counter, buf_len) {
+                    if widen(then_block, counter) {
                         return true;
                     }
                     if let Some(b) = else_block {
-                        if widen(b, counter, buf_len) {
+                        if widen(b, counter) {
                             return true;
                         }
                     }
@@ -586,7 +581,7 @@ fn plant_loop(program: &Program, buf_len: i64) -> Option<Mutation> {
     let mut mutated = program.clone();
     let mut done = false;
     for f in &mut mutated.functions {
-        if widen(&mut f.body, &counter_name, buf_len) {
+        if widen(&mut f.body, &counter_name) {
             done = true;
             break;
         }
@@ -639,7 +634,7 @@ mod tests {
     fn seed_with_store() -> (u64, Program) {
         for seed in 0..64 {
             let p = program_for_seed(seed);
-            if store_candidates(&p, 8) > 0 {
+            if store_candidates(&p) > 0 {
                 return (seed, p);
             }
         }
@@ -657,7 +652,7 @@ mod tests {
             Operator::FlippedComparison,
             Operator::WrongGuardPolarity,
         ] {
-            let m = plant_testgen(&p, &op, 0, 8).expect("plant must succeed");
+            let m = plant_testgen(&p, &op, 0).expect("plant must succeed");
             assert_eq!(m.site_text, "0 <= fault_t < len(buf)");
             assert!(m.deterministic, "{op:?} is a deterministic store bug");
             let src = pretty(&m.program);
@@ -671,7 +666,7 @@ mod tests {
     #[test]
     fn loop_operator_widens_the_digest_loop() {
         let p = program_for_seed(0);
-        let m = plant_testgen(&p, &Operator::OffByOneLoop, 0, 8).expect("digest loop exists");
+        let m = plant_testgen(&p, &Operator::OffByOneLoop, 0).expect("digest loop exists");
         assert!(!m.deterministic, "slack read never crashes uninstrumented");
         assert_eq!(m.site_text, "0 <= lc0 < len(buf)");
         let src = pretty(&m.program);
@@ -683,15 +678,15 @@ mod tests {
     fn candidate_indices_address_distinct_stores() {
         let mut seen = std::collections::HashSet::new();
         let (_, p) = seed_with_store();
-        let n = store_candidates(&p, 8);
+        let n = store_candidates(&p);
         for nth in 0..n {
-            let m = plant_testgen(&p, &Operator::DroppedBoundsCheck, nth, 8).unwrap();
+            let m = plant_testgen(&p, &Operator::DroppedBoundsCheck, nth).unwrap();
             assert!(
                 seen.insert(pretty(&m.program)),
                 "candidate {nth} duplicated"
             );
         }
-        assert!(plant_testgen(&p, &Operator::DroppedBoundsCheck, n, 8).is_none());
+        assert!(plant_testgen(&p, &Operator::DroppedBoundsCheck, n).is_none());
     }
 
     #[test]
@@ -711,25 +706,21 @@ mod tests {
         // Find a program with at least two candidate stores.
         let p = (0..256)
             .map(program_for_seed)
-            .find(|p| store_candidates(p, 8) >= 2)
+            .find(|p| store_candidates(p) >= 2)
             .expect("some seed in 0..256 generates two stores");
-        let n = store_candidates(&p, 8);
+        let n = store_candidates(&p);
         // Plant descending: the rewritten store leaves the candidate
         // list, so lower indices stay valid for the second plant.
-        let m1 =
-            plant_testgen_named(&p, &Operator::DroppedBoundsCheck, n - 1, 8, "fault_u").unwrap();
+        let m1 = plant_testgen_named(&p, &Operator::DroppedBoundsCheck, n - 1, "fault_u").unwrap();
         assert_eq!(m1.site_text, "0 <= fault_u < len(buf)");
-        assert_eq!(store_candidates(&m1.program, 8), n - 1);
-        let m2 =
-            plant_testgen_named(&m1.program, &Operator::OffByOneIndex, 0, 8, "fault_v").unwrap();
+        assert_eq!(store_candidates(&m1.program), n - 1);
+        let m2 = plant_testgen_named(&m1.program, &Operator::OffByOneIndex, 0, "fault_v").unwrap();
         assert_eq!(m2.site_text, "0 <= fault_v < len(buf)");
         let src = pretty(&m2.program);
         assert!(src.contains("fault_u") && src.contains("fault_v"));
         resolve(&parse(&src).unwrap()).expect("stacked mutant must resolve");
         // Re-planting an already-used temporary is refused.
-        assert!(
-            plant_testgen_named(&m2.program, &Operator::OffByOneIndex, 0, 8, "fault_u").is_none()
-        );
+        assert!(plant_testgen_named(&m2.program, &Operator::OffByOneIndex, 0, "fault_u").is_none());
     }
 
     #[test]
@@ -739,6 +730,6 @@ mod tests {
               b[((fault_t % 8 + 8) % 8)] = 1; free(b); return 0; }",
         )
         .unwrap();
-        assert!(plant_testgen(&p, &Operator::DroppedBoundsCheck, 0, 8).is_none());
+        assert!(plant_testgen(&p, &Operator::DroppedBoundsCheck, 0).is_none());
     }
 }

@@ -70,8 +70,6 @@ pub struct FleetSpec {
     pub heap_slack: usize,
     /// Countdown-bank size per run.
     pub bank_size: usize,
-    /// Settings of the server's §3.3 model, trained beside the merge.
-    pub streaming: TrainConfig,
     /// Server-side flight-recorder capacity (last N ingest events kept
     /// for anomaly dumps; `0` disables retention).
     pub flight_recorder: usize,
@@ -98,7 +96,6 @@ impl FleetSpec {
             op_limit: cbi_vm::DEFAULT_OP_LIMIT,
             heap_slack: cbi_vm::heap::DEFAULT_SLACK,
             bank_size: 1024,
-            streaming: TrainConfig::default(),
             flight_recorder: 64,
         }
     }
@@ -375,7 +372,7 @@ pub fn run_fleet(
     let mut aggregator = EpochAggregator::new(
         sites.clone(),
         spec.epoch_len,
-        spec.streaming,
+        TrainConfig::default(),
         target_counter,
     )
     .with_flight_capacity(spec.flight_recorder);
@@ -413,14 +410,10 @@ pub fn run_fleet(
             summary.dropped_runs += batch.dropped_runs;
             summary.spooled_reports += batch.spooled_reports;
             summary.batches += 1;
-            let retries = u64::from(send.attempts.saturating_sub(1));
-            summary.retries += retries;
-            aggregator.note_retries(&cohort, retries);
+            aggregator.note_retries(&cohort, u64::from(send.attempts.saturating_sub(1)));
             summary.backoff_ticks += send.backoff_ticks;
             summary.bytes_sent += send.bytes_sent;
             for rejection in &send.rejections {
-                summary.rejected_deliveries += 1;
-                summary.stale_rejections += u64::from(rejection.is_stale());
                 aggregator.note_batch(
                     &provenance(rejection.attempt),
                     DecodeOutcome::Rejected(rejection.kind),
@@ -429,21 +422,18 @@ pub fn run_fleet(
             }
             match &send.outcome {
                 SendOutcome::Accepted { corrupted, .. } => {
-                    summary.accepted_batches += 1;
-                    summary.corrupt_batches += u64::from(*corrupted);
                     let outcome = if *corrupted {
                         DecodeOutcome::CorruptButDecodable
                     } else {
                         DecodeOutcome::Clean
                     };
                     let payload = delivered(batch, send).expect("an accepted batch");
-                    let walked = aggregator.fold_batch(
+                    aggregator.fold_batch(
                         &provenance(send.attempts.saturating_sub(1)),
                         outcome,
                         payload,
                         feed.rows(),
                     )?;
-                    summary.bytes_accepted += walked.bytes;
                 }
                 SendOutcome::Stale => summary.stale_batches += 1,
                 SendOutcome::Lost => summary.lost_batches += 1,
@@ -453,6 +443,13 @@ pub fn run_fleet(
     })?;
     aggregator.close();
 
+    let totals = *aggregator.totals();
+    summary.accepted_batches = totals.batches;
+    summary.corrupt_batches = totals.corrupt;
+    summary.rejected_deliveries = totals.rejected;
+    summary.stale_rejections = totals.stale;
+    summary.retries = totals.retries;
+    summary.bytes_accepted = totals.bytes;
     summary.accepted_reports = aggregator.runs();
     summary.failures = aggregator.failures();
     summary.observed_counters = aggregator.first_observation().observed_count();
@@ -720,7 +717,7 @@ mod tests {
         let mut aggregator = EpochAggregator::new(
             production.sites.clone(),
             spec.epoch_len,
-            spec.streaming,
+            TrainConfig::default(),
             Some(target),
         )
         .with_flight_capacity(spec.flight_recorder);
@@ -756,7 +753,7 @@ mod tests {
             }
         }
         aggregator.close();
-        let model = train(layout.counters, archive.rows(), &spec.streaming);
+        let model = train(layout.counters, archive.rows(), &TrainConfig::default());
         aggregator.attach_model(model);
         aggregator
     }

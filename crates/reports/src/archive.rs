@@ -442,7 +442,9 @@ mod tests {
         ] {
             assert!(matches!(
                 archive.begin(other),
-                Err(SinkError::Collect(CollectError::LayoutMismatch { .. }))
+                Err(SinkError::Collect(
+                    CollectError::LayoutMismatch { .. } | CollectError::LayoutHashMismatch { .. }
+                ))
             ));
         }
         assert_eq!((archive.layout(), archive.len()), (Some(LAYOUT), 1));

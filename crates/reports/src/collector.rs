@@ -20,6 +20,16 @@ pub enum CollectError {
         /// Received counter count.
         got: usize,
     },
+    /// A layout of the expected width from another binary: the site-table
+    /// fingerprints differ.
+    LayoutHashMismatch {
+        /// Counters per report, the same on both sides.
+        counters: usize,
+        /// Expected layout hash.
+        expected: u64,
+        /// Received layout hash.
+        got: u64,
+    },
 }
 
 impl fmt::Display for CollectError {
@@ -28,6 +38,15 @@ impl fmt::Display for CollectError {
             CollectError::LayoutMismatch { expected, got } => write!(
                 f,
                 "report layout mismatch: expected {expected} counters, got {got}"
+            ),
+            CollectError::LayoutHashMismatch {
+                counters,
+                expected,
+                got,
+            } => write!(
+                f,
+                "report layout mismatch: expected layout hash {expected:#018x}, \
+                 got {got:#018x} (both {counters} counters)"
             ),
         }
     }
@@ -209,7 +228,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            SinkError::Collect(CollectError::LayoutMismatch { .. })
+            SinkError::Collect(CollectError::LayoutHashMismatch {
+                counters: 2,
+                expected: 0,
+                got: 9
+            })
         ));
         // The matching layout is fine (stream continuation) and clears
         // nothing.

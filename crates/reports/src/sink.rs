@@ -52,7 +52,9 @@ impl ReportLayout {
     /// The [`ReportSink::begin`] rule of every sink that keeps reports or
     /// their statistics: the first layout announced is fixed in `slot`, a
     /// later equal one is a no-op, and any other is a
-    /// [`CollectError::LayoutMismatch`].  Nothing is cleared.  Returns
+    /// [`CollectError::LayoutMismatch`] (another width) or a
+    /// [`CollectError::LayoutHashMismatch`] (the same width from another
+    /// binary).  Nothing is cleared.  Returns
     /// whether `layout` was newly fixed, so the caller sizes its state
     /// then and only then.
     ///
@@ -66,6 +68,13 @@ impl ReportLayout {
                 Ok(true)
             }
             Some(fixed) if fixed == layout => Ok(false),
+            Some(fixed) if fixed.counters == layout.counters => {
+                Err(SinkError::Collect(CollectError::LayoutHashMismatch {
+                    counters: fixed.counters,
+                    expected: fixed.layout_hash,
+                    got: layout.layout_hash,
+                }))
+            }
             Some(fixed) => Err(SinkError::Collect(CollectError::LayoutMismatch {
                 expected: fixed.counters,
                 got: layout.counters,

@@ -484,7 +484,9 @@ mod tests {
         ] {
             assert!(matches!(
                 index.begin(other),
-                Err(SinkError::Collect(CollectError::LayoutMismatch { .. }))
+                Err(SinkError::Collect(
+                    CollectError::LayoutMismatch { .. } | CollectError::LayoutHashMismatch { .. }
+                ))
             ));
         }
         assert_eq!(index.failures().layout(), Some(layout(4)));

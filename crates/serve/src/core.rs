@@ -9,7 +9,6 @@
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::shard::{fold_ordered, CommittedBatch, RejectEvent, ShardState, ShardStats};
 use crate::ServeError;
-use cbi::stats::TrainConfig;
 use cbi::EpochAggregator;
 use cbi_instrument::SiteTable;
 use cbi_reports::{AckVerdict, BatchEnvelope, ReportLayout, SparseArchive};
@@ -26,12 +25,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Runs per epoch snapshot in the folded analysis.
     pub epoch_len: u64,
-    /// Settings of the §3.3 model trained beside the shutdown fold.
-    pub streaming: TrainConfig,
     /// Flight-recorder capacity of the folded aggregator.
     pub flight_capacity: usize,
-    /// Ground-truth counter whose latency/rank snapshots report.
-    pub target_counter: Option<usize>,
     /// Also keep every accepted report, in fold order, in a
     /// [`SparseArchive`] ([`ServeOutcome::collector`]).  The aggregates
     /// need no report once it is folded; per-report analyses —
@@ -47,9 +42,7 @@ impl Default for ServeConfig {
             shards: 1,
             queue_cap: 64,
             epoch_len: 256,
-            streaming: TrainConfig::default(),
             flight_capacity: 64,
-            target_counter: None,
             keep_reports: false,
         }
     }

@@ -20,6 +20,7 @@
 
 use crate::journal::Journal;
 use crate::{ServeConfig, ServeError};
+use cbi::stats::TrainConfig;
 use cbi::{EpochAggregator, RowFeed};
 use cbi_instrument::SiteTable;
 use cbi_reports::{
@@ -208,8 +209,8 @@ pub(crate) fn fold_ordered(
     let mut aggregator = EpochAggregator::new(
         sites.clone(),
         config.epoch_len,
-        config.streaming,
-        config.target_counter,
+        TrainConfig::default(),
+        None,
     )
     .with_flight_capacity(config.flight_capacity);
     aggregator.begin(layout)?;

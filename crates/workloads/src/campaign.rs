@@ -28,23 +28,20 @@ use cbi_telemetry as telemetry;
 use cbi_vm::{bytecode::BcProgram, RunOutcome, Vm};
 use std::borrow::Cow;
 
+/// Pre-generated countdown bank size per run (§3.1.1 uses 1024).
+const BANK_SIZE: usize = 1024;
+
 /// Configuration of one report-collection campaign.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Which observations to instrument.
     pub scheme: Scheme,
-    /// Sampling transformation options.
-    pub transform: TransformOptions,
     /// Sampling density, or `None` to run unconditional instrumentation.
     pub density: Option<SamplingDensity>,
-    /// Pre-generated countdown bank size per run (§3.1.1 uses 1024).
-    pub bank_size: usize,
     /// Master seed for per-run countdown banks.
     pub seed: u64,
     /// Per-run operation budget.
     pub op_limit: u64,
-    /// Heap slack per allocation (overrun tolerance).
-    pub heap_slack: usize,
     /// Worker threads to shard trials over (`0` and `1` both mean
     /// serial).  Any value produces bit-identical results.
     pub jobs: usize,
@@ -55,12 +52,9 @@ impl CampaignConfig {
     pub fn sampled(scheme: Scheme, density: SamplingDensity) -> Self {
         CampaignConfig {
             scheme,
-            transform: TransformOptions::default(),
             density: Some(density),
-            bank_size: 1024,
             seed: 0x5eed,
             op_limit: cbi_vm::DEFAULT_OP_LIMIT,
-            heap_slack: cbi_vm::heap::DEFAULT_SLACK,
             jobs: 1,
         }
     }
@@ -158,7 +152,7 @@ pub fn run_campaign_into<S: ReportSink>(
     let executable: Cow<'_, Program> = match config.density {
         Some(_) => Cow::Owned(
             telemetry::time("campaign.transform", || {
-                apply_sampling(&instrumented.program, &config.transform)
+                apply_sampling(&instrumented.program, &TransformOptions::default())
             })?
             .0,
         ),
@@ -264,14 +258,13 @@ fn run_shard(
     // cost.
     let mut bank = config
         .density
-        .map(|d| LazyBank::new(d, config.bank_size, config.seed.wrapping_add(base as u64)));
+        .map(|d| LazyBank::new(d, BANK_SIZE, config.seed.wrapping_add(base as u64)));
     for (offset, input) in shard.iter().enumerate() {
         let i = base + offset;
         let mut vm = Vm::from_bytecode(exe);
         vm.with_sites(sites)
             .with_input(&input[..])
-            .with_op_limit(config.op_limit)
-            .with_heap_slack(config.heap_slack);
+            .with_op_limit(config.op_limit);
         if let Some(bank) = bank.as_mut() {
             if offset > 0 {
                 let density = config.density.expect("bank implies density");

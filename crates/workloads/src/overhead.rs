@@ -29,6 +29,19 @@ pub struct OverheadMeasurement {
     pub sampled: Vec<(SamplingDensity, f64)>,
 }
 
+/// Sampled runs averaged per density, each with a fresh countdown bank
+/// (§3.1.1 averages four).
+const RUNS_PER_DENSITY: u64 = 4;
+
+/// Pre-generated countdown bank size per run (§3.1.1 uses 1024).
+const BANK_SIZE: usize = 1024;
+
+/// Master seed of the per-run countdown banks.
+const SEED: u64 = 97;
+
+/// Per-run operation budget: the analogues must run to completion.
+const OP_LIMIT: u64 = 2_000_000_000;
+
 /// Configuration for overhead measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadConfig {
@@ -36,18 +49,6 @@ pub struct OverheadConfig {
     pub scheme: Scheme,
     /// Sampling transformation options.
     pub transform: TransformOptions,
-    /// Runs (each with a fresh countdown bank) averaged per density.
-    pub runs_per_density: u64,
-    /// Countdown bank size.
-    pub bank_size: usize,
-    /// Master seed for banks.
-    pub seed: u64,
-    /// Per-run operation budget.
-    pub op_limit: u64,
-    /// Worker threads to shard the sampled-run grid over (`0` and `1`
-    /// both mean serial).  Any value produces identical measurements:
-    /// every `(density, run)` cell draws its bank from its own seed.
-    pub jobs: usize,
 }
 
 impl Default for OverheadConfig {
@@ -55,21 +56,7 @@ impl Default for OverheadConfig {
         OverheadConfig {
             scheme: Scheme::Checks,
             transform: TransformOptions::default(),
-            runs_per_density: 4,
-            bank_size: 1024,
-            seed: 97,
-            op_limit: 2_000_000_000,
-            jobs: 1,
         }
-    }
-}
-
-impl OverheadConfig {
-    /// Sets the worker-thread count for sampled runs.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
     }
 }
 
@@ -108,50 +95,25 @@ pub fn measure_overhead_instrumented(
 ) -> Result<OverheadMeasurement, WorkloadError> {
     let baseline = strip_sites(&inst.program);
     let baseline_exe = compile(&cbi_minic::lower(&baseline));
-    let baseline_ops = run_ops(&baseline_exe, &inst.sites, input, name, None, config)?;
+    let baseline_ops = run_ops(&baseline_exe, &inst.sites, input, name, None)?;
     let inst_exe = compile(&cbi_minic::lower(&inst.program));
-    let unconditional_ops = run_ops(&inst_exe, &inst.sites, input, name, None, config)?;
+    let unconditional_ops = run_ops(&inst_exe, &inst.sites, input, name, None)?;
 
     let (sampled_program, _) = apply_sampling(&inst.program, &config.transform)?;
     let sampled_exe = compile(&cbi_minic::lower(&sampled_program));
 
-    // One grid cell per (density, run); each cell's bank comes from its
-    // own seed, so cells are independent and shardable.
-    let cells: Vec<(usize, SamplingDensity, u64)> = densities
-        .iter()
-        .enumerate()
-        .flat_map(|(di, &density)| {
-            (0..config.runs_per_density).map(move |run| {
-                let bank_seed = config.seed.wrapping_add(di as u64 * 1000).wrapping_add(run);
-                (di, density, bank_seed)
-            })
-        })
-        .collect();
-
-    let jobs = config.jobs.clamp(1, cells.len().max(1));
+    // Every (density, run) cell draws its bank from its own seed; one
+    // bank is reseeded across cells (bit-identical to a fresh bank each).
     let mut totals = vec![0u64; densities.len()];
-    if jobs <= 1 {
-        for &(di, ops) in &run_cells(&sampled_exe, &inst.sites, input, name, &cells, config)? {
-            totals[di] += ops;
-        }
-    } else {
-        let chunk = cells.len().div_ceil(jobs);
-        let exe = &sampled_exe;
-        let sites = &inst.sites;
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = cells
-                .chunks(chunk)
-                .map(|shard| scope.spawn(move || run_cells(exe, sites, input, name, shard, config)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("overhead worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for shard in results {
-            for (di, ops) in shard? {
-                totals[di] += ops;
+    let mut bank: Option<LazyBank> = None;
+    for (di, &density) in densities.iter().enumerate() {
+        for run in 0..RUNS_PER_DENSITY {
+            let bank_seed = SEED.wrapping_add(di as u64 * 1000).wrapping_add(run);
+            match &mut bank {
+                Some(bank) => bank.reseed(density, bank_seed),
+                None => bank = Some(LazyBank::new(density, BANK_SIZE, bank_seed)),
             }
+            totals[di] += run_ops(&sampled_exe, &inst.sites, input, name, bank.as_mut())?;
         }
     }
 
@@ -159,7 +121,7 @@ pub fn measure_overhead_instrumented(
         .iter()
         .zip(&totals)
         .map(|(&density, &total)| {
-            let mean = total as f64 / config.runs_per_density as f64;
+            let mean = total as f64 / RUNS_PER_DENSITY as f64;
             (density, mean / baseline_ops as f64)
         })
         .collect();
@@ -172,31 +134,6 @@ pub fn measure_overhead_instrumented(
     })
 }
 
-/// Runs one shard of the sampled grid, reusing a single countdown bank
-/// across cells via [`LazyBank::reseed`] (bit-identical to a fresh
-/// bank per cell).  Returns `(density index, ops)` per cell.
-fn run_cells(
-    exe: &BcProgram,
-    sites: &SiteTable,
-    input: &[i64],
-    name: &str,
-    cells: &[(usize, SamplingDensity, u64)],
-    config: &OverheadConfig,
-) -> Result<Vec<(usize, u64)>, WorkloadError> {
-    let mut out = Vec::with_capacity(cells.len());
-    let mut bank: Option<LazyBank> = None;
-    for &(di, density, bank_seed) in cells {
-        if let Some(bank) = bank.as_mut() {
-            bank.reseed(density, bank_seed);
-        } else {
-            bank = Some(LazyBank::new(density, config.bank_size, bank_seed));
-        }
-        let ops = run_ops(exe, sites, input, name, bank.as_mut(), config)?;
-        out.push((di, ops));
-    }
-    Ok(out)
-}
-
 /// Executes one run with a borrowed input script and an optional
 /// borrowed countdown bank; returns the op count.
 fn run_ops(
@@ -205,12 +142,11 @@ fn run_ops(
     input: &[i64],
     name: &str,
     bank: Option<&mut LazyBank>,
-    config: &OverheadConfig,
 ) -> Result<u64, WorkloadError> {
     let mut vm = Vm::from_bytecode(exe);
     vm.with_sites(sites)
         .with_input(input)
-        .with_op_limit(config.op_limit);
+        .with_op_limit(OP_LIMIT);
     if let Some(bank) = bank {
         vm.with_sampling_ref(bank);
     }
@@ -290,29 +226,5 @@ mod tests {
         let a = measure_overhead(b.name, &b.program, &[], &densities(), &cfg).unwrap();
         let c = measure_overhead(b.name, &b.program, &[], &densities(), &cfg).unwrap();
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn jobs_do_not_change_measurements() {
-        let b = benchmark("power").unwrap();
-        let serial = measure_overhead(
-            b.name,
-            &b.program,
-            &[],
-            &densities(),
-            &OverheadConfig::default(),
-        )
-        .unwrap();
-        for jobs in [2, 4, 99] {
-            let sharded = measure_overhead(
-                b.name,
-                &b.program,
-                &[],
-                &densities(),
-                &OverheadConfig::default().with_jobs(jobs),
-            )
-            .unwrap();
-            assert_eq!(serial, sharded, "jobs {jobs}");
-        }
     }
 }

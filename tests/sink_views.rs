@@ -140,3 +140,33 @@ fn every_sink_is_a_view_of_one_fold() {
         assert_eq!(batched.walked, whole.walked, "{name}: batched rows");
     }
 }
+
+#[test]
+fn a_same_width_layout_from_another_binary_is_refused_by_its_hash() {
+    fn refusal<S: ReportSink>(mut sink: S) -> String {
+        let fixed = ReportLayout {
+            counters: 2,
+            layout_hash: 0x0123_4567_89ab_cdef,
+        };
+        sink.begin(fixed).expect("the first layout");
+        let other = ReportLayout {
+            layout_hash: 0xfeed,
+            ..fixed
+        };
+        sink.begin(other).expect_err("another binary").to_string()
+    }
+    for (name, message) in [
+        ("collector", refusal(Collector::default())),
+        ("archive", refusal(SparseArchive::default())),
+        ("failure index", refusal(FailureIndex::new())),
+        (
+            "streaming",
+            refusal(StreamingAnalyzer::new(StreamingConfig::default())),
+        ),
+    ] {
+        assert!(
+            message.contains("0x0123456789abcdef") && message.contains("0x000000000000feed"),
+            "{name}: {message}"
+        );
+    }
+}

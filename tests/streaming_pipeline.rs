@@ -113,7 +113,7 @@ fn loopback_campaign_matches_in_process_analysis() {
     // local stream: the deterministic update sequence saw the same rows.
     let serve = ServeConfig::default();
     let width = sites.total_counters();
-    let local_model = train(width, local.reports(), &serve.streaming);
+    let local_model = train(width, local.reports(), &TrainConfig::default());
     let remote_model = outcome.aggregator.model().expect("trained beside the fold");
     let bits = |m: &LogisticModel| -> Vec<u64> { m.weights.iter().map(|w| w.to_bits()).collect() };
     assert_eq!(bits(remote_model), bits(&local_model));
@@ -124,7 +124,7 @@ fn loopback_campaign_matches_in_process_analysis() {
     // The rendered analysis equals an in-process epoch fold of the
     // same reports, with that model attached.
     let mut local_epochs =
-        EpochAggregator::new(sites.clone(), serve.epoch_len, serve.streaming, None);
+        EpochAggregator::new(sites.clone(), serve.epoch_len, TrainConfig::default(), None);
     local_epochs
         .begin(ReportLayout {
             counters: sites.total_counters(),
