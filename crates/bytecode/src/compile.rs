@@ -24,8 +24,8 @@
 //! shape is a compiler bug upstream and panics, naming the shape.
 
 use crate::instr::{
-    BcFunction, BcProgram, BinSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest, IdxSpec, LdSpec,
-    MvSpec, Op, Operand, RetSpec, StSpec,
+    BcFunction, BcProgram, BinSpec, BoundsSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest,
+    IdxSpec, LdSpec, MvSpec, ObsArgs, ObsSpec, Op, Operand, RetSpec, StSpec,
 };
 use cbi_minic::ast::{BinOp, Type};
 use cbi_minic::builtins::LOCAL_COUNTDOWN;
@@ -42,6 +42,7 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
         ops: Vec::new(),
         names: Vec::new(),
         name_idx: HashMap::new(),
+        obs: Vec::new(),
         costs,
     };
     let mut functions = Vec::with_capacity(prog.functions.len());
@@ -53,6 +54,7 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
             f,
             loops: Vec::new(),
             fuse: None,
+            dec_at: None,
         }
         .compile_body();
         functions.push(BcFunction {
@@ -80,6 +82,7 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
         sts: Vec::new(),
         mvs: Vec::new(),
         calls: Vec::new(),
+        obs: cx.obs,
         costs,
     };
     peephole(&mut bc);
@@ -91,6 +94,7 @@ struct Cx {
     ops: Vec<Op>,
     names: Vec<Box<str>>,
     name_idx: HashMap<Box<str>, u32>,
+    obs: Vec<ObsSpec>,
     costs: Costs,
 }
 
@@ -124,6 +128,9 @@ struct FnCompiler<'a> {
     /// Index of the trailing [`Op::Charge`]/[`Op::Stmt`] eligible for
     /// charge fusion; `None` after any other op or a bound label.
     fuse: Option<usize>,
+    /// Index of a just-emitted synthesized `cd = cd - 1` the next sample
+    /// guard folds in; `None` once a label is bound after it.
+    dec_at: Option<usize>,
 }
 
 impl FnCompiler<'_> {
@@ -176,6 +183,7 @@ impl FnCompiler<'_> {
     /// bars charge fusion across it.
     fn here(&mut self) -> u32 {
         self.fuse = None;
+        self.dec_at = None;
         self.cx.ops.len() as u32
     }
 
@@ -197,11 +205,12 @@ impl FnCompiler<'_> {
                 | Op::DeferPush(t)
                 | Op::DeferNext(t)
                 | Op::CdBranch { els: t, .. }
-                | Op::CdZero { els: t, .. } => *t = target,
+                | Op::ObsEnter { skip: t, .. } => *t = target,
                 _ => unreachable!("patched op always carries a jump target"),
             }
         }
         self.fuse = None;
+        self.dec_at = None;
     }
 
     fn load(&mut self, r: &SlotRef) {
@@ -361,6 +370,13 @@ impl FnCompiler<'_> {
                 // Inert marker: only the statement charge.
                 self.stmt_charge(self.cx.costs.stmt);
             }
+            SlotStmt::Expr {
+                expr:
+                    SlotExpr::Call {
+                        callee: Callee::Builtin(b),
+                        args,
+                    },
+            } if is_observation(*b) => self.observe(*b, args, true, None),
             SlotStmt::Expr { expr } => {
                 self.stmt_charge(self.cx.costs.stmt);
                 self.expr(expr);
@@ -412,8 +428,9 @@ impl FnCompiler<'_> {
         }
     }
 
-    /// Countdown imports (`__cd = __gcd`), exports (`__gcd = __cd`),
-    /// decrements (`cd = cd - k`) and refills (`cd = __next_cd()`).
+    /// Countdown imports (`__cd = __gcd`), exports (`__gcd = __cd`) and
+    /// decrements (`cd = cd - k`).  Refills only occur inside sample
+    /// guards, which [`FnCompiler::sample_guard`] compiles whole.
     fn synth_assign(&mut self, target: &SlotRef, value: &SlotExpr) {
         let op = self.cd_reg(target).and_then(|dst| match value {
             SlotExpr::Var(_) => match (dst, self.cd_var(value)?) {
@@ -432,22 +449,22 @@ impl FnCompiler<'_> {
                 }),
                 _ => None,
             },
-            SlotExpr::Call {
-                callee: Callee::Builtin(Builtin::NextCountdown),
-                args,
-            } if args.is_empty() => Some(Op::CdRefill(dst)),
             _ => None,
         });
         match op {
             Some(op) => {
-                self.emit(op);
+                let at = self.emit(op);
+                if matches!(op, Op::CdDec { .. }) {
+                    self.dec_at = Some(at);
+                }
             }
             None => panic!("non-canonical synthesized assignment: {target:?} = {value:?}"),
         }
     }
 
-    /// Threshold tests `if (cd > w) {fast} else {slow}` and the slow-path
-    /// sample guard `if (cd == 0) {sample; refill}`.
+    /// Threshold tests `if (cd > w) {fast} else {slow}`, and the slow-path
+    /// sample guard `if (cd == 0) {sample; refill}` (see
+    /// [`FnCompiler::sample_guard`]).
     fn synth_if(
         &mut self,
         cond: &SlotExpr,
@@ -463,7 +480,9 @@ impl FnCompiler<'_> {
                         els: u32::MAX,
                     })
                 }
-                (BinOp::Eq, Some(reg), SlotExpr::Int(0)) => Some(Op::CdZero { reg, els: u32::MAX }),
+                (BinOp::Eq, Some(reg), SlotExpr::Int(0)) => {
+                    return self.sample_guard(reg, then_block, else_block);
+                }
                 _ => None,
             },
             _ => None,
@@ -485,6 +504,284 @@ impl FnCompiler<'_> {
             }
             None => self.bind(els),
         }
+    }
+
+    /// The slow path's `cd = cd - 1; if (cd == 0) { observe; cd =
+    /// __next_cd(); }`: the decrement just emitted, the zero test, the
+    /// site and the refill all fold into the site's observation ops.
+    fn sample_guard(
+        &mut self,
+        reg: CdReg,
+        then_block: &[SlotStmt],
+        else_block: Option<&[SlotStmt]>,
+    ) {
+        let dec = self.dec_at.take().filter(|&at| {
+            at + 1 == self.cx.ops.len() && self.cx.ops[at] == Op::CdDec { reg, k: 1 }
+        });
+        let site = match (then_block, else_block) {
+            (
+                [SlotStmt::Expr {
+                    expr:
+                        SlotExpr::Call {
+                            callee: Callee::Builtin(b),
+                            args,
+                        },
+                }, SlotStmt::Assign {
+                    target,
+                    value:
+                        SlotExpr::Call {
+                            callee: Callee::Builtin(Builtin::NextCountdown),
+                            args: refill,
+                        },
+                    synthesized: true,
+                }],
+                None,
+            ) if dec.is_some()
+                && is_observation(*b)
+                && refill.is_empty()
+                && self.cd_reg(target) == Some(reg) =>
+            {
+                Some((*b, args))
+            }
+            _ => None,
+        };
+        let Some((b, args)) = site else {
+            panic!("non-canonical synthesized sample guard: if ({reg:?} == 0) {then_block:?}");
+        };
+        self.cx.ops.pop();
+        self.observe(b, args, true, Some(reg));
+    }
+
+    // ---- observations --------------------------------------------------
+
+    /// Compiles a call of `__check`, `__cmp` or `__obs_sign` — in statement
+    /// position when `stmt` (the statement head and the result's `pop`
+    /// fold in), inside the sample gate on `gate` when sampled.
+    ///
+    /// With a literal site and fetched operands the whole observation is
+    /// one [`Op::Obs`].  Otherwise the arguments keep their own ops between
+    /// an [`Op::ObsEnter`] (emitted when there is a gate to skip, a free
+    /// region to open or a bounds pointer to test) and an [`Op::ObsExit`].
+    /// `__cmp`/`__obs_sign` arguments containing a call, or a computed
+    /// site, keep the deferred-error bracket, so every argument still runs
+    /// and the tail raises the first error; call-free arguments cannot
+    /// have effects after a trap, so theirs trap where they fail.
+    fn observe(&mut self, b: Builtin, args: &[SlotExpr], stmt: bool, gate: Option<CdReg>) {
+        let c = self.cx.costs;
+        // `expr` has charged an expression call's node already.
+        let head = if stmt { c.stmt + c.expr } else { 0 };
+        let lit = match args.first() {
+            Some(SlotExpr::Int(v)) => Some(*v),
+            _ => None,
+        };
+        let spec = |chg: u64, args: ObsArgs, defer: bool| ObsSpec {
+            gate,
+            stmt,
+            chg: chg as u32,
+            site: lit.map_or(Operand::Stack, Operand::Const),
+            args,
+            defer,
+        };
+        if b == Builtin::ObsCheck {
+            // `__check` charges its arguments like any call; a literal
+            // site is one node.
+            let head = head + if lit.is_some() { c.expr } else { 0 };
+            if let (Some(_), Some(cond)) = (lit, args.get(1)) {
+                if let Some((p, i, i_cost)) = self.bounds(cond) {
+                    let e = c.expr;
+                    let fetched = operand(i);
+                    let bs = BoundsSpec {
+                        p,
+                        i: fetched.unwrap_or(Operand::Stack),
+                        c_null: e as u32,
+                        c_ge: (e + if fetched.is_some() { e } else { 0 }) as u32,
+                        c_zero: e as u32,
+                        c_lt: (3 * e + i_cost) as u32,
+                    };
+                    // Both `&&` nodes, `!=` and the pointer charge first.
+                    let sp = spec(head + 4 * e, ObsArgs::Bounds(bs), false);
+                    return match fetched {
+                        Some(_) => self.obs(sp),
+                        None => {
+                            let skip = self.obs_enter(sp);
+                            self.expr(i);
+                            self.obs_exit(skip);
+                        }
+                    };
+                }
+                if let Some(o) = operand(cond) {
+                    return self.obs(spec(head + c.expr, ObsArgs::Check(o), false));
+                }
+            }
+            let sp = spec(head, ObsArgs::Check(Operand::Stack), false);
+            let skip = if gate.is_some() {
+                self.obs_enter(sp)
+            } else {
+                if stmt {
+                    self.stmt_charge(head);
+                } else if head > 0 {
+                    self.charge(head);
+                }
+                (self.intern_obs(sp), Label::new())
+            };
+            if lit.is_none() {
+                self.int_arg(args, 0);
+            }
+            self.any_arg(args, 1);
+            return self.obs_exit(skip);
+        }
+
+        // `__cmp`/`__obs_sign` charge flat before their arguments, which
+        // evaluate uncharged.
+        let head = head + c.observe;
+        let values = 1..b.arity();
+        let fetched: Option<Vec<Operand>> = values
+            .clone()
+            .map(|k| args.get(k).and_then(operand))
+            .collect();
+        let shape = |o: &[Operand]| match b {
+            Builtin::ObsCmp => ObsArgs::Cmp(o[0], o[1]),
+            _ => ObsArgs::Sign(o[0]),
+        };
+        if let (Some(_), Some(o)) = (lit, &fetched) {
+            return self.obs(spec(head, shape(o), false));
+        }
+        let stacked = [Operand::Stack; 2];
+        let call_free = lit.is_some() && values.clone().all(|k| args.get(k).is_some_and(call_free));
+        let skip = self.obs_enter(spec(head, shape(&stacked), !call_free));
+        if call_free {
+            for k in values {
+                self.expr(&args[k]);
+            }
+        } else {
+            // Each argument runs under the capture armed before it, which
+            // resumes after it with a placeholder.
+            let first = if lit.is_some() { 1 } else { 0 };
+            for k in first..b.arity() {
+                let mut next = Label::new();
+                self.jump(
+                    &mut next,
+                    if k == first {
+                        Op::DeferPush
+                    } else {
+                        Op::DeferNext
+                    },
+                );
+                if k == 0 {
+                    self.int_arg(args, 0);
+                } else {
+                    self.any_arg(args, k);
+                }
+                self.bind(next);
+            }
+        }
+        self.obs_exit(skip);
+    }
+
+    /// Recognises the `checks` scheme's bounds condition
+    /// `p != null && i >= 0 && i < len(p)` over a fetched pointer and a
+    /// call-free index whose evaluation charges a fixed amount; returns
+    /// the pointer, the index and that amount.
+    fn bounds<'e>(&self, cond: &'e SlotExpr) -> Option<(Operand, &'e SlotExpr, u64)> {
+        let SlotExpr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } = cond
+        else {
+            return None;
+        };
+        let (
+            SlotExpr::Binary {
+                op: BinOp::And,
+                lhs: ne,
+                rhs: ge,
+            },
+            SlotExpr::Binary {
+                op: BinOp::Lt,
+                lhs: i2,
+                rhs: len,
+            },
+        ) = (&**lhs, &**rhs)
+        else {
+            return None;
+        };
+        let (
+            SlotExpr::Binary {
+                op: BinOp::Ne,
+                lhs: p,
+                rhs: null,
+            },
+            SlotExpr::Binary {
+                op: BinOp::Ge,
+                lhs: i,
+                rhs: zero,
+            },
+            SlotExpr::Call {
+                callee: Callee::Builtin(Builtin::Len),
+                args: len_args,
+            },
+        ) = (&**ne, &**ge, &**len)
+        else {
+            return None;
+        };
+        let same = **null == SlotExpr::Null
+            && **zero == SlotExpr::Int(0)
+            && i == i2
+            && len_args.len() == 1
+            && len_args[0] == **p;
+        let p = operand(p).filter(|_| same)?;
+        Some((p, i, self.fixed_cost(i)?))
+    }
+
+    /// What evaluating `e` charges, when that is the same on every run: no
+    /// call and no short-circuit operator.
+    fn fixed_cost(&self, e: &SlotExpr) -> Option<u64> {
+        let c = self.cx.costs;
+        Some(
+            c.expr
+                + match e {
+                    SlotExpr::Int(_) | SlotExpr::Null | SlotExpr::Var(_) => 0,
+                    SlotExpr::Load { ptr, index } => {
+                        self.fixed_cost(ptr)? + self.fixed_cost(index)? + c.mem
+                    }
+                    SlotExpr::Unary { expr, .. } => self.fixed_cost(expr)?,
+                    SlotExpr::Binary {
+                        op: BinOp::And | BinOp::Or,
+                        ..
+                    }
+                    | SlotExpr::Call { .. } => return None,
+                    SlotExpr::Binary { lhs, rhs, .. } => {
+                        self.fixed_cost(lhs)? + self.fixed_cost(rhs)?
+                    }
+                },
+        )
+    }
+
+    fn intern_obs(&mut self, sp: ObsSpec) -> u32 {
+        intern(&mut self.cx.obs, sp)
+    }
+
+    /// Emits a whole observation as one [`Op::Obs`].
+    fn obs(&mut self, sp: ObsSpec) {
+        let s = self.intern_obs(sp);
+        self.emit(Op::Obs(s));
+    }
+
+    /// Emits an observation head; the returned label is its skip jump.
+    fn obs_enter(&mut self, sp: ObsSpec) -> (u32, Label) {
+        let spec = self.intern_obs(sp);
+        let at = self.emit(Op::ObsEnter {
+            spec,
+            skip: u32::MAX,
+        });
+        (spec, vec![at])
+    }
+
+    /// Emits an observation tail and binds the head's skip past it.
+    fn obs_exit(&mut self, (spec, skip): (u32, Label)) {
+        self.emit(Op::ObsExit(spec));
+        self.bind(skip);
     }
 
     // ---- expressions ---------------------------------------------------
@@ -618,50 +915,42 @@ impl FnCompiler<'_> {
                 self.int_arg(args, 0);
                 self.emit(Op::Exit);
             }
-            Builtin::ObsCheck => {
-                self.int_arg(args, 0);
-                self.int_arg(args, 1);
-                self.emit(Op::ObsCheck);
-            }
-            Builtin::ObsCmp => {
-                // Observe charge precedes the arguments for this builtin
-                // (fuses with the node charge); argument errors are
-                // captured and deferred so every argument evaluates.
-                self.charge(self.cx.costs.observe);
-                self.emit(Op::FreeEnter);
-                let mut a1 = Label::new();
-                self.jump(&mut a1, Op::DeferPush);
-                self.int_arg(args, 0);
-                self.bind(a1);
-                let mut a2 = Label::new();
-                self.jump(&mut a2, Op::DeferNext);
-                self.any_arg(args, 1);
-                self.bind(a2);
-                let mut fin = Label::new();
-                self.jump(&mut fin, Op::DeferNext);
-                self.any_arg(args, 2);
-                self.bind(fin);
-                self.emit(Op::FreeExit);
-                self.emit(Op::ObsCmpFin);
-            }
-            Builtin::ObsSign => {
-                self.charge(self.cx.costs.observe);
-                self.emit(Op::FreeEnter);
-                let mut a1 = Label::new();
-                self.jump(&mut a1, Op::DeferPush);
-                self.int_arg(args, 0);
-                self.bind(a1);
-                let mut fin = Label::new();
-                self.jump(&mut fin, Op::DeferNext);
-                self.any_arg(args, 1);
-                self.bind(fin);
-                self.emit(Op::FreeExit);
-                self.emit(Op::ObsSignFin);
+            Builtin::ObsCheck | Builtin::ObsCmp | Builtin::ObsSign => {
+                self.observe(b, args, false, None);
             }
             Builtin::NextCountdown => {
                 self.emit(Op::NextCd);
             }
         }
+    }
+}
+
+/// Whether `b` is one of the observation builtins sites call.
+fn is_observation(b: Builtin) -> bool {
+    matches!(b, Builtin::ObsCheck | Builtin::ObsCmp | Builtin::ObsSign)
+}
+
+/// The fetched operand `e` is, if it is a literal or a resolved variable.
+fn operand(e: &SlotExpr) -> Option<Operand> {
+    match e {
+        SlotExpr::Int(v) => Some(Operand::Const(*v)),
+        SlotExpr::Null => Some(Operand::Null),
+        SlotExpr::Var(SlotRef::Local(s)) => Some(Operand::Local(*s)),
+        SlotExpr::Var(SlotRef::Global(g)) => Some(Operand::Global(*g)),
+        SlotExpr::Var(SlotRef::LocalOrGlobal(s, g)) => Some(Operand::LocalOr(*s, *g)),
+        _ => None,
+    }
+}
+
+/// Whether `e` contains no call, so evaluating it has no effect beyond
+/// its charges and its value or trap.
+fn call_free(e: &SlotExpr) -> bool {
+    match e {
+        SlotExpr::Int(_) | SlotExpr::Null | SlotExpr::Var(_) => true,
+        SlotExpr::Load { ptr, index } => call_free(ptr) && call_free(index),
+        SlotExpr::Call { .. } => false,
+        SlotExpr::Unary { expr, .. } => call_free(expr),
+        SlotExpr::Binary { lhs, rhs, .. } => call_free(lhs) && call_free(rhs),
     }
 }
 
@@ -708,7 +997,7 @@ fn peephole(p: &mut BcProgram) {
         | Op::DeferPush(t)
         | Op::DeferNext(t)
         | Op::CdBranch { els: t, .. }
-        | Op::CdZero { els: t, .. } = op
+        | Op::ObsEnter { skip: t, .. } = op
         {
             // `u32::MAX` placeholders (break outside a loop in a
             // constructed AST) stay dangling, as before the pass.
@@ -761,7 +1050,7 @@ fn peephole(p: &mut BcProgram) {
         | Op::DeferPush(t)
         | Op::DeferNext(t)
         | Op::CdBranch { els: t, .. }
-        | Op::CdZero { els: t, .. }
+        | Op::ObsEnter { skip: t, .. }
         | Op::FusedBr { target: t, .. }
         | Op::FusedBinJ { target: t, .. }
         | Op::CdGate { els: t, .. } = op

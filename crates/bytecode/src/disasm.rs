@@ -5,7 +5,7 @@
 //! are rendered inline, and nothing depends on hash-map iteration order — so
 //! listings are usable as golden files (`cbi disasm` and its tests).
 
-use crate::instr::{BcProgram, CdMove, CdReg, Dest, Op, Operand};
+use crate::instr::{BcProgram, CdMove, CdReg, Dest, ObsArgs, ObsSpec, Op, Operand};
 use std::fmt::Write as _;
 
 /// Renders the full program listing.
@@ -171,19 +171,12 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
         Op::HasInput => "has_input".into(),
         Op::Print => "print".into(),
         Op::Exit => "exit".into(),
-        Op::ObsCheck => "obs_check".into(),
-        Op::ObsCmpFin => "obs_cmp".into(),
-        Op::ObsSignFin => "obs_sign".into(),
         Op::NextCd => "next_cd".into(),
-        Op::FreeEnter => "free_enter".into(),
-        Op::FreeExit => "free_exit".into(),
         Op::DeferPush(t) => format!("defer_push  -> {t}"),
         Op::DeferNext(t) => format!("defer_next  -> {t}"),
         Op::CdMove(m) => format!("cd_move     {}", cd_move(m)),
         Op::CdDec { reg: r, k } => format!("cd_dec      {} - {k}", reg(r)),
-        Op::CdRefill(r) => format!("cd_refill   {}", reg(r)),
         Op::CdBranch { reg: r, w, els } => format!("cd_branch   {} > {w} else -> {els}", reg(r)),
-        Op::CdZero { reg: r, els } => format!("cd_zero     {} == 0 else -> {els}", reg(r)),
         Op::MissingArg => "missing_arg".into(),
         Op::FusedBin(s) => {
             let sp = prog.bins[s as usize];
@@ -316,7 +309,66 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
                 dest(prog, func, sp.dst)
             )
         }
+        Op::Obs(s) => {
+            let sp = prog.obs[s as usize];
+            format!("{:<11} {}", obs_kind(sp), obs_spec(prog, func, sp))
+        }
+        Op::ObsEnter { spec: s, skip } => {
+            let sp = prog.obs[s as usize];
+            let kind = obs_kind(sp).trim_start_matches("obs_");
+            format!(
+                "obs_enter   {kind} {} skip -> {skip}",
+                obs_spec(prog, func, sp)
+            )
+        }
+        Op::ObsExit(s) => {
+            let sp = prog.obs[s as usize];
+            let kind = obs_kind(sp).trim_start_matches("obs_");
+            format!("obs_exit    {kind} site {}", operand(prog, func, sp.site))
+        }
     }
+}
+
+/// The mnemonic of a whole observation op.
+fn obs_kind(sp: ObsSpec) -> &'static str {
+    match sp.args {
+        ObsArgs::Check(_) => "obs_check",
+        ObsArgs::Bounds(_) => "obs_bounds",
+        ObsArgs::Cmp(..) => "obs_cmp",
+        ObsArgs::Sign(_) => "obs_sign",
+    }
+}
+
+/// Renders an observation: the sample gate (`[cd - 1 == 0]`, with the
+/// refill implied), the site, the head charge, the operands with the
+/// charges between them, and `-> push` outside statement position.
+fn obs_spec(prog: &BcProgram, func: usize, sp: ObsSpec) -> String {
+    let gate = match sp.gate {
+        Some(r) => format!("[{} - 1 == 0] ", reg(r)),
+        None => String::new(),
+    };
+    let o = |x| operand(prog, func, x);
+    let args = match sp.args {
+        ObsArgs::Check(c) => o(c),
+        ObsArgs::Bounds(b) => format!(
+            "{} != +{} null && +{} {} >= +{} 0 && +{} < len",
+            o(b.p),
+            b.c_null,
+            b.c_ge,
+            o(b.i),
+            b.c_zero,
+            b.c_lt
+        ),
+        ObsArgs::Cmp(a, b) => format!("{} <=> {}", o(a), o(b)),
+        ObsArgs::Sign(v) => o(v),
+    };
+    format!(
+        "{gate}site {} {}{args}{}{}",
+        o(sp.site),
+        charge_pfx(sp.stmt, sp.chg),
+        if sp.defer { " deferred" } else { "" },
+        if sp.stmt { "" } else { " -> push" }
+    )
 }
 
 /// Renders the shared pointer-index prologue of the fused heap ops.

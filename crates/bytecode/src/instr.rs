@@ -266,6 +266,76 @@ pub struct StSpec {
     pub val: Operand,
 }
 
+/// What one observation site observes, and where its arguments come
+/// from.  [`Operand::Stack`] marks an argument computed by the ops
+/// between [`Op::ObsEnter`] and [`Op::ObsExit`]; several stacked
+/// arguments pop in reverse order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObsArgs {
+    /// `__check(site, c)`: `c` must be an integer; zero fails the check.
+    Check(Operand),
+    /// `__check(site, p != null && i >= 0 && i < len(p))`, the `checks`
+    /// scheme's bounds site.
+    Bounds(BoundsSpec),
+    /// `__cmp(site, a, b)`: the three-way comparison class.
+    Cmp(Operand, Operand),
+    /// `__obs_sign(site, v)`: the sign class.
+    Sign(Operand),
+}
+
+/// A fused bounds check `p != null && i >= 0 && i < len(p)` with the
+/// charges between its trap points.  The pointer is always a fetched
+/// operand.  A computed index (`i` is [`Operand::Stack`]) is evaluated
+/// once by its own ops; its second evaluation, which can neither trap nor
+/// yield another value, is priced into `c_lt`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundsSpec {
+    /// The pointer.
+    pub p: Operand,
+    /// The index.
+    pub i: Operand,
+    /// Units charged between the pointer fetch and the null test.
+    pub c_null: u32,
+    /// Units charged after a non-null test, before the index.
+    pub c_ge: u32,
+    /// Units charged between the index and the `>= 0` test.
+    pub c_zero: u32,
+    /// Units charged before `len(p)`: the `<` node, the index again, the
+    /// call node and the pointer.
+    pub c_lt: u32,
+}
+
+/// One fused observation: an optional slow-path sample gate, the
+/// statement head, the site, and what is observed.  Stored in
+/// [`BcProgram::obs`].
+///
+/// In execution order: the gate (`reg` decremented and tested for zero,
+/// two bookkeeping statements, skipping everything else unless zero),
+/// the step bump when `stmt`, the charge `chg`, the argument fetches and
+/// their traps in source order, the observation (charge, counter bump,
+/// trace entry, `Assertion` trap), the result (pushed unless `stmt`), and
+/// the gate's refill (bookkeeping plus refill charge).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObsSpec {
+    /// The countdown register of a folded `cd = cd - 1; if (cd == 0) {
+    /// observe; cd = __next_cd(); }` sample gate.
+    pub gate: Option<CdReg>,
+    /// Statement position: bump the step counter first and discard the
+    /// result (the absorbed [`Op::Pop`]); otherwise push it.
+    pub stmt: bool,
+    /// Units charged at the head (with `stmt`, charged even when zero).
+    pub chg: u32,
+    /// The site id: a literal, or [`Operand::Stack`] below the other
+    /// stacked arguments.
+    pub site: Operand,
+    /// The observation.
+    pub args: ObsArgs,
+    /// The arguments ran under a deferred-error bracket
+    /// ([`Op::DeferPush`]/[`Op::DeferNext`]); the tail raises its first
+    /// captured error.
+    pub defer: bool,
+}
+
 /// One bytecode instruction.
 ///
 /// Every jump payload is a resolved absolute index into
@@ -358,20 +428,8 @@ pub enum Op {
     Print,
     /// `exit(c)`: pop an integer, end the run successfully.
     Exit,
-    /// `__check(site, ok)` tail: pop both integers, observe, push 0.
-    ObsCheck,
-    /// `__cmp` tail: pop the deferred-error state and three operands,
-    /// observe the comparison, push 0.
-    ObsCmpFin,
-    /// `__obs_sign` tail: pop the deferred-error state and two operands,
-    /// observe the sign class, push 0.
-    ObsSignFin,
     /// `__next_cd()`: refill charge, push the next countdown.
     NextCd,
-    /// Enter a charge-free region (synthesized bookkeeping operands).
-    FreeEnter,
-    /// Leave a charge-free region.
-    FreeExit,
     /// Arm deferred-error capture for an observation argument list; the
     /// payload is the resume point after the first argument.
     DeferPush(u32),
@@ -388,8 +446,6 @@ pub enum Op {
         /// The decrement.
         k: u32,
     },
-    /// `cd = __next_cd();`: bookkeeping + refill charge, register load.
-    CdRefill(CdReg),
     /// `if (cd > w)` threshold test selecting the fast or slow block:
     /// bookkeeping charge, compare, fall through or jump to `els`.
     CdBranch {
@@ -398,14 +454,6 @@ pub enum Op {
         /// The region weight.
         w: u32,
         /// Jump target when the test fails (the slow block).
-        els: u32,
-    },
-    /// `if (cd == 0)` slow-path sample guard: bookkeeping charge,
-    /// compare, fall through or jump to `els`.
-    CdZero {
-        /// The tested register.
-        reg: CdReg,
-        /// Jump target when the register is nonzero.
         els: u32,
     },
     /// A builtin was called with too few arguments; panics at execution
@@ -464,6 +512,25 @@ pub enum Op {
     /// Peephole-fused call whose return value lands in a recorded
     /// destination; payload indexes [`BcProgram::calls`].
     CallBind(u32),
+    /// One whole observation whose arguments are all fetched operands:
+    /// gate, statement head, fetches, observation and refill in one
+    /// dispatch; payload indexes [`BcProgram::obs`].
+    Obs(u32),
+    /// The head of an observation whose arguments are computed by the ops
+    /// that follow it: the gate (jumping to `skip`, past the matching
+    /// [`Op::ObsExit`], when it stays shut), the statement head, and the
+    /// argument prologue — a free region for `__cmp`/`__obs_sign`, the
+    /// pointer fetch and null test for a bounds check.
+    ObsEnter {
+        /// Index into [`BcProgram::obs`].
+        spec: u32,
+        /// Jump target when the sample gate stays shut.
+        skip: u32,
+    },
+    /// The tail of an [`Op::ObsEnter`] observation (or of one whose head
+    /// needs no op): pops the computed arguments, observes, refills;
+    /// payload indexes [`BcProgram::obs`].
+    ObsExit(u32),
 }
 
 // Countdown operands ride in the op as immediates; none may widen it.
@@ -523,6 +590,9 @@ pub struct BcProgram {
     pub mvs: Vec<MvSpec>,
     /// Operand records for [`Op::CallBind`] instructions.
     pub calls: Vec<CallSpec>,
+    /// Observation records for [`Op::Obs`], [`Op::ObsEnter`] and
+    /// [`Op::ObsExit`] instructions.
+    pub obs: Vec<ObsSpec>,
     /// The cost model the charges were baked against.
     pub costs: Costs,
 }

@@ -20,12 +20,19 @@
 //!   dispatches.
 //! * **Countdown registers** — the statement shapes the sampling
 //!   transformation synthesizes on every region boundary (`int __cd =
-//!   __gcd`, `cd = cd - k`, `cd = __gcd` / `__gcd = cd`, `cd =
-//!   __next_cd()`, `if (cd > w)` / `if (cd == 0)`) each compile to one
-//!   [`Op`] over a [`CdReg`] with its constant as an immediate, so the
-//!   instrumented fast path between region boundaries is straight-line:
-//!   one threshold branch, one register decrement, then the user's own
-//!   code.
+//!   __gcd`, `cd = cd - k`, `cd = __gcd` / `__gcd = cd`, `if (cd > w)`)
+//!   each compile to one [`Op`] over a [`CdReg`] with its constant as an
+//!   immediate, so the instrumented fast path between region boundaries
+//!   is straight-line: one threshold branch, one register decrement, then
+//!   the user's own code.
+//! * **Observation ops** — an observation site (`__check`, `__cmp`,
+//!   `__obs_sign`) with a literal site id compiles to one [`Op::Obs`] when
+//!   its arguments are fetched operands, the `checks` bounds condition
+//!   included; computed arguments keep their own ops between an
+//!   [`Op::ObsEnter`] and an [`Op::ObsExit`].  On the slow path the
+//!   sample gate around a site (`cd = cd - 1; if (cd == 0) { site; cd =
+//!   __next_cd(); }`) folds into the same ops, so a sampled crossing costs
+//!   what an unconditional one does: one dispatch.
 //! * **Superinstruction fusion** — a peephole pass over the patched code
 //!   collapses the dominant op sequences into single instructions: a
 //!   whole `x = a <op> b;` statement (statement head, charges, two
@@ -41,8 +48,8 @@
 //! level by `cbi-instrument`) therefore become dual bytecode *blocks*:
 //! the fast block has its observation sites stripped and decrements
 //! coalesced (one `CdDec` per basic block), the slow block keeps the
-//! sites live, and a single [`Op::CdBranch`] threshold test selects
-//! between them.
+//! sites live behind their folded sample gates, and a single
+//! [`Op::CdBranch`] threshold test selects between them.
 //!
 //! A [`disasm`] module renders the deterministic listing used by the
 //! `cbi disasm` subcommand and its golden-file tests.
@@ -57,6 +64,6 @@ mod instr;
 pub use compile::compile;
 pub use disasm::disassemble;
 pub use instr::{
-    BcFunction, BcProgram, BinSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest, IdxSpec, LdSpec,
-    MvSpec, Op, Operand, RetSpec, StSpec,
+    BcFunction, BcProgram, BinSpec, BoundsSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest,
+    IdxSpec, LdSpec, MvSpec, ObsArgs, ObsSpec, Op, Operand, RetSpec, StSpec,
 };

@@ -7,6 +7,46 @@ use cbi::{EliminationReport, RegressionConfig, RegressionStudy};
 use std::fs;
 use std::io::Write as _;
 
+/// What a command ends with when its stdout is closed early (`cbi … |
+/// head`): `main` exits quietly with status 0 on it.
+pub const STDOUT_CLOSED: &str = "stdout closed";
+
+/// Writes to stdout, then a newline when `newline`; a closed pipe is
+/// [`STDOUT_CLOSED`] and any other write error the command's error,
+/// never a panic.
+pub fn write_stdout(args: std::fmt::Arguments<'_>, newline: bool) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_fmt(args).and_then(|()| {
+        if newline {
+            stdout.write_all(b"\n")
+        } else {
+            Ok(())
+        }
+    });
+    match written {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(STDOUT_CLOSED.into()),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    }
+}
+
+/// `print!` through [`write_stdout`], returning its error.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*), false)?
+    };
+}
+
+/// `println!` through [`write_stdout`], returning its error.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!(""), true)?
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*), true)?
+    };
+}
+
 /// Usage text shown on errors.
 pub const USAGE: &str = "\
 usage:
@@ -247,16 +287,16 @@ fn cmd_instrument(args: &Args) -> Result<(), String> {
     let program = load_program(args, 1)?;
     let scheme = scheme_of(args)?;
     let inst = instrument(&program, scheme).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "// {} sites, {} counters",
         inst.sites.len(),
         inst.sites.total_counters()
     );
     for site in &inst.sites {
-        println!("// {}  [{}]", site.predicate_name(0), site.kind);
+        outln!("// {}  [{}]", site.predicate_name(0), site.kind);
     }
-    println!();
-    println!("{}", pretty(&inst.program));
+    outln!();
+    outln!("{}", pretty(&inst.program));
     Ok(())
 }
 
@@ -266,13 +306,13 @@ fn cmd_transform(args: &Args) -> Result<(), String> {
     let inst = instrument(&program, scheme).map_err(|e| e.to_string())?;
     let (sampled, stats) =
         apply_sampling(&inst.program, &transform_options(args)).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "// {} site-containing functions, {} weightless, avg threshold weight {:.1}",
         stats.functions_with_sites(),
         stats.weightless_functions(),
         stats.avg_threshold_weight()
     );
-    println!("{}", pretty(&sampled));
+    outln!("{}", pretty(&sampled));
     Ok(())
 }
 
@@ -300,7 +340,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
         }
     };
     let bc = cbi::vm::bytecode::compile(&lowered);
-    print!("{}", cbi::vm::bytecode::disassemble(&bc));
+    out!("{}", cbi::vm::bytecode::disassemble(&bc));
     Ok(())
 }
 
@@ -407,13 +447,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         (result, inst)
     };
 
-    println!("outcome: {}", result.outcome);
-    println!("ops: {}", result.ops);
-    println!("output: {:?}", result.output);
-    println!("observations:");
+    outln!("outcome: {}", result.outcome);
+    outln!("ops: {}", result.ops);
+    outln!("output: {:?}", result.output);
+    outln!("observations:");
     for (i, &c) in result.counters.iter().enumerate() {
         if c > 0 {
-            println!("  {:>6}x  {}", c, inst.sites.predicate_name(i));
+            outln!("  {:>6}x  {}", c, inst.sites.predicate_name(i));
         }
     }
     if recording {
@@ -551,8 +591,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     }
     let metrics = telemetry.finish()?;
 
-    print_profile(&file, &result, &metrics, jobs_of(args)?);
-    Ok(())
+    print_profile(&file, &result, &metrics, jobs_of(args)?)
 }
 
 /// Renders the `cbi profile` breakdown: per-phase wall-clock, per-worker
@@ -562,10 +601,10 @@ fn print_profile(
     result: &cbi::workloads::CampaignResult,
     m: &cbi::telemetry::Metrics,
     jobs: usize,
-) {
+) -> Result<(), String> {
     use cbi::telemetry::export::{fmt_ns, worker_name};
 
-    println!(
+    outln!(
         "profile: {file} — {} runs ({} success, {} failure, {} dropped), jobs={jobs}",
         result.collector.len() + result.dropped,
         result.collector.success_count(),
@@ -573,19 +612,23 @@ fn print_profile(
         result.dropped,
     );
 
-    println!();
-    println!("phases:");
+    outln!();
+    outln!("phases:");
     let phases = m.span_summary();
     let width = phases.iter().map(|(n, _, _)| n.len()).max().unwrap_or(0);
     for (name, count, total_ns) in &phases {
-        println!("  {name:<width$}  {:>12}  x{count}", fmt_ns(*total_ns));
+        outln!("  {name:<width$}  {:>12}  x{count}", fmt_ns(*total_ns));
     }
 
-    println!();
-    println!("workers:");
-    println!(
+    outln!();
+    outln!("workers:");
+    outln!(
         "  {:<12}  {:>8}  {:>8}  {:>12}  {:>12}",
-        "worker", "trials", "dropped", "queue-wait", "shard wall"
+        "worker",
+        "trials",
+        "dropped",
+        "queue-wait",
+        "shard wall"
     );
     for worker in m.per_worker.keys() {
         let trials = m.worker_counter(*worker, "campaign.trials");
@@ -598,7 +641,7 @@ fn print_profile(
             .filter(|s| s.worker == *worker && s.name == "campaign.shard")
             .map(|s| s.dur_ns)
             .sum();
-        println!(
+        outln!(
             "  {:<12}  {:>8}  {:>8}  {:>12}  {:>12}",
             worker_name(*worker),
             trials,
@@ -608,27 +651,27 @@ fn print_profile(
         );
     }
 
-    println!();
-    println!("vm totals:");
-    println!(
+    outln!();
+    outln!("vm totals:");
+    outln!(
         "  runs {}   steps {}   ops {}",
         m.counter("vm.runs"),
         m.counter("vm.steps"),
         m.counter("vm.ops"),
     );
-    println!(
+    outln!(
         "  region entries: {} fast-path, {} slow-path",
         m.counter("vm.region.fast_entries"),
         m.counter("vm.region.slow_entries"),
     );
-    println!(
+    outln!(
         "  sampling: {} samples taken, {} countdown refills, {} bank reseeds",
         m.counter("vm.samples_taken"),
         m.counter("sampler.refills"),
         m.counter("sampler.bank_reseeds"),
     );
     if let Some(h) = m.histogram("vm.ops_per_run") {
-        println!(
+        outln!(
             "  ops per run: mean {:.0}, p50~{}, p99~{}, max {}",
             h.mean(),
             h.quantile(0.5),
@@ -636,32 +679,37 @@ fn print_profile(
             h.max,
         );
     }
+    Ok(())
 }
 
 /// Renders an elimination report in the shared format used by `analyze`
 /// and `serve`, so local and remote analyses diff cleanly.
-fn print_elimination(report: &EliminationReport) {
+fn print_elimination(report: &EliminationReport) -> Result<(), String> {
     let [uf, cov, ex, sc] = report.independent_survivors;
-    println!("universal falsehood:        {uf} survivors");
-    println!("lack of failing coverage:   {cov} survivors");
-    println!("lack of failing example:    {ex} survivors");
-    println!("successful counterexample:  {sc} survivors");
-    println!("combined (falsehood ∧ counterexample):");
+    outln!("universal falsehood:        {uf} survivors");
+    outln!("lack of failing coverage:   {cov} survivors");
+    outln!("lack of failing example:    {ex} survivors");
+    outln!("successful counterexample:  {sc} survivors");
+    outln!("combined (falsehood ∧ counterexample):");
     for name in &report.combined_names {
-        println!("  {name}");
+        outln!("  {name}");
     }
+    Ok(())
 }
 
 /// Renders a regression study in the shared format used by `analyze`
 /// and `serve`.
-fn print_regression(study: &RegressionStudy) {
-    println!(
+fn print_regression(study: &RegressionStudy) -> Result<(), String> {
+    outln!(
         "lambda {} (cv), test accuracy {:.3}, {} effective features",
-        study.lambda, study.test_accuracy, study.effective_features
+        study.lambda,
+        study.test_accuracy,
+        study.effective_features
     );
     for (i, (name, beta)) in study.top(10).iter().enumerate() {
-        println!("{:>3}. beta={beta:+.4}  {name}", i + 1);
+        outln!("{:>3}. beta={beta:+.4}  {name}", i + 1);
     }
+    Ok(())
 }
 
 /// Loads a binary report spool (what `--spool` writes) as rows, with the
@@ -707,12 +755,12 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     }
 
     match mode {
-        "eliminate" => print_elimination(&cbi::eliminate_stats(&stats, &sites.groups(), sites)),
+        "eliminate" => print_elimination(&cbi::eliminate_stats(&stats, &sites.groups(), sites))?,
         "regress" => {
             let config = RegressionConfig::paper_proportions(archive.len());
             let study =
                 cbi::regress_rows(sites, archive.rows(), &config).map_err(|e| e.to_string())?;
-            print_regression(&study);
+            print_regression(&study)?;
         }
         other => return Err(format!("unknown mode `{other}`")),
     }
@@ -786,7 +834,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let server = cbi_serve::TcpIngestServer::bind(core, addr, options)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on {bound}");
+    outln!("listening on {bound}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 
     let outcome = server.run().map_err(|e| e.to_string())?;
@@ -815,9 +863,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // The canonical analysis (byte-identical at any shard count), then
     // the shared elimination/regression blocks `cbi analyze` also
     // prints, so local and remote analyses diff cleanly.
-    print!("{}", cbi_serve::render_analysis(&outcome.aggregator, 10));
+    out!("{}", cbi_serve::render_analysis(&outcome.aggregator, 10));
     if matches!(mode, "eliminate" | "both") {
-        print_elimination(&outcome.aggregator.analyzer().eliminate(&inst.sites));
+        print_elimination(&outcome.aggregator.analyzer().eliminate(&inst.sites))?;
     }
     if matches!(mode, "regress" | "both") {
         let archive = outcome
@@ -826,7 +874,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let config = RegressionConfig::paper_proportions(archive.len());
         let study =
             cbi::regress_rows(&inst.sites, archive.rows(), &config).map_err(|e| e.to_string())?;
-        print_regression(&study);
+        print_regression(&study)?;
     }
     if recording {
         telemetry.finish()?;
@@ -925,7 +973,7 @@ fn cmd_corpus_generate(args: &Args) -> Result<(), String> {
     let n = corpus.entries.len();
     if bugs > 1 {
         let faults: usize = corpus.entries.iter().map(|e| e.bug.faults.len()).sum();
-        println!(
+        outln!(
             "{n} multi-bug entries written to {dir} ({faults} planted faults, schema {})",
             cbi_corpus::MANIFEST_SCHEMA
         );
@@ -935,7 +983,7 @@ fn cmd_corpus_generate(args: &Args) -> Result<(), String> {
             .iter()
             .filter(|e| e.bug.deterministic())
             .count();
-        println!(
+        outln!(
             "{n} entries written to {dir} ({dets} deterministic, {} input-conditioned or sampling-dependent)",
             n - dets
         );
@@ -1011,39 +1059,41 @@ fn cmd_isolate(args: &Args) -> Result<(), String> {
     );
 
     let run = cbi_scoring::isolate(&index, &groups, scorer);
-    println!(
+    outln!(
         "isolation trace ({} scorer, scores in per-mille):",
         run.scorer
     );
-    println!();
-    println!("initial ranking (top {top}):");
+    outln!();
+    outln!("initial ranking (top {top}):");
     for &(c, score) in run.initial_ranking.iter().take(top) {
-        println!("  {score:>6}  {}", sites.predicate_name(c));
+        outln!("  {score:>6}  {}", sites.predicate_name(c));
     }
-    println!();
+    outln!();
     if run.steps.is_empty() {
-        println!("no iterations: no positively-scored predicate covers a failure");
+        outln!("no iterations: no positively-scored predicate covers a failure");
     }
     for step in &run.steps {
-        println!(
+        outln!(
             "iteration {}: {} failing runs -> {}",
-            step.iteration, step.failures_before, step.failures_after
+            step.iteration,
+            step.failures_before,
+            step.failures_after
         );
-        println!(
+        outln!(
             "  bug cluster: {} runs explained by [{}] (score {})",
             step.cluster.trials.len(),
             sites.predicate_name(step.cluster.counter),
             step.cluster.score
         );
     }
-    println!();
+    outln!();
     if run.is_complete() {
-        println!(
+        outln!(
             "complete: every failing run attributed in {} iterations",
             run.iterations()
         );
     } else {
-        println!(
+        outln!(
             "{} failing runs unexplained (trials {:?})",
             run.unexplained.len(),
             run.unexplained
@@ -1060,7 +1110,7 @@ fn write_or_print(args: &Args, flag: &str, text: &str, what: &str) -> Result<(),
             fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("{what} written to {path}");
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }

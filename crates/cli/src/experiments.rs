@@ -19,6 +19,7 @@
 //! `tests/golden/experiments/<name>.txt` holds each one.
 
 use crate::args::Args;
+use crate::commands::write_stdout;
 use cbi::instrument::{
     apply_sampling, code_growth, instrument, single_function_variants, strip_sites,
     CountdownStorage, Instrumented, Scheme, StaticMetrics, TransformOptions,
@@ -75,11 +76,11 @@ pub fn cmd_experiments(args: &Args) -> Result<(), String> {
     let selected = select(&named, args.has_flags())?;
     for (i, (name, experiment)) in selected.into_iter().enumerate() {
         if i > 0 {
-            println!();
+            write_stdout(format_args!(""), true)?;
         }
         let mut out = String::new();
         experiment(&mut out).map_err(|e| format!("experiment {name}: {e}"))?;
-        print!("{out}");
+        write_stdout(format_args!("{out}"), false)?;
     }
     Ok(())
 }

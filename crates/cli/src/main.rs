@@ -16,6 +16,8 @@ fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(raw) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stopped reading (`| head`) is not an error.
+        Err(message) if message == commands::STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!();

@@ -244,3 +244,36 @@ fn campaign_metrics_and_trace_outputs() {
     assert!(chrome.contains("\"ph\":\"X\""), "{chrome}");
     assert!(chrome.contains("campaign.shard"), "{chrome}");
 }
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // The reader goes before reading a byte, as `cbi … | head` does once
+    // it has its lines; the `transform` listing (~77 KB) outgrows a pipe
+    // buffer, so its write meets the closed pipe whatever the timing.
+    let programs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../workloads/programs");
+    for (cmd, file, scheme) in [
+        ("instrument", "treeadd.mc", "checks"),
+        ("transform", "bc.mc", "scalar-pairs"),
+    ] {
+        let mut child = cbi()
+            .args([
+                cmd,
+                programs.join(file).to_str().unwrap(),
+                "--scheme",
+                scheme,
+            ])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{cmd} {file}: {stderr}");
+        assert!(
+            out.status.success(),
+            "{cmd} {file}: {:?} {stderr}",
+            out.status
+        );
+    }
+}

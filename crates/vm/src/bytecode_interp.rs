@@ -6,31 +6,35 @@
 //! instruction sequencing.  Two non-obvious parity points:
 //!
 //! * **Deferred observation errors.**  `__cmp`/`__obs_sign` evaluate every
-//!   argument and report the *first* error afterwards.  The compiler
-//!   brackets each argument with `DeferPush`/`DeferNext`; a trap while a
-//!   defer is armed records the error, truncates the operand stack and
-//!   frame stack to the defer's snapshot, pushes a placeholder value, and
-//!   resumes at the next argument.  Crucially, `core.depth` and the
-//!   locals arena are *not* rolled back: the walker's `?`-propagation
-//!   skips the `depth -= 1` / `stack.truncate` in `call_function`, so a
-//!   captured error from inside a callee leaks both — and a later
-//!   stack-overflow check must see the same leaked depth.
+//!   argument and report the *first* error afterwards.  Where an argument
+//!   contains a call (or the site is computed) the compiler brackets each
+//!   argument with `DeferPush`/`DeferNext`; a trap while a defer is armed
+//!   records the error, truncates the operand stack and frame stack to
+//!   the defer's snapshot, pushes a placeholder value, and resumes at the
+//!   next argument, and the `ObsExit` raises the recorded error.
+//!   Call-free arguments have no effect after a trap but their (free)
+//!   charges, so there the first trap is raised where it happens.
+//!   Crucially, `core.depth` and the locals arena are *not* rolled back
+//!   on a rewind: the walker's `?`-propagation skips the `depth -= 1` /
+//!   `stack.truncate` in `call_function`, so a captured error from inside
+//!   a callee leaks both — and a later stack-overflow check must see the
+//!   same leaked depth.
 //! * **Countdown registers.**  The walker keeps `__cd` in a frame slot
 //!   and `__gcd` in a global; here they are two `i64` registers of the
 //!   dispatch loop, `cd` and `gcd`.  Each call saves the caller's `cd` in
 //!   its [`Frame`], and the return — or a deferred-error rewind past the
 //!   frame — restores it, so every frame sees its own `cd` as the walker
-//!   sees its own slot.  The countdown ops (`CdMove`/`CdDec`/`CdRefill`/
-//!   `CdBranch`/`CdZero`/`CdGate`) keep the walker's synthesized-statement
-//!   effects in order — telemetry step bump, flat bookkeeping charge,
-//!   region telemetry — with nothing that can trap but the charge itself
-//!   and the refill.
+//!   sees its own slot.  The countdown ops (`CdMove`/`CdDec`/`CdBranch`/
+//!   `CdGate`) and the sample gates folded into the observation ops keep
+//!   the walker's synthesized-statement effects in order — telemetry step
+//!   bump, flat bookkeeping charge, region telemetry — with nothing that
+//!   can trap but the charge itself and the refill.
 
 use crate::interp::{RunResult, VmError};
 use crate::outcome::CrashKind;
 use crate::runtime::{saturating_i64, RunCore, Trap};
 use crate::value::Value;
-use cbi_bytecode::{BcProgram, CdMove, CdReg, Dest, Op, Operand};
+use cbi_bytecode::{BcProgram, BoundsSpec, CdMove, CdReg, Dest, ObsArgs, ObsSpec, Op, Operand};
 use cbi_minic::ast::{BinOp, Type};
 
 /// A live call frame.
@@ -239,6 +243,61 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 CdReg::Global => &mut gcd,
             }
         };
+    }
+
+    /// A folded slow-path sample gate, as the walker runs `cd = cd - 1;`
+    /// and `if (cd == 0)`: two bookkeeping statements and the sample
+    /// telemetry; `$shut` runs when the register is still nonzero.
+    macro_rules! sample_gate {
+        ($op:lifetime, $r:expr, $shut:expr) => {{
+            bookkeeping!($op);
+            reg!($r) = reg!($r).wrapping_sub(1);
+            bookkeeping!($op);
+            let taken = reg!($r) == 0;
+            if core.tm.on {
+                core.tm.synthesized_if(BinOp::Eq, taken);
+            }
+            if !taken {
+                $shut
+            }
+        }};
+    }
+
+    /// A fused instruction's head: with a statement head, the step bump
+    /// and the charge (even when zero, as [`Op::Stmt`] charges);
+    /// otherwise the charge when there is one.
+    macro_rules! head {
+        ($op:lifetime, $stmt:expr, $chg:expr) => {{
+            if $stmt {
+                if core.tm.on {
+                    core.tm.steps += 1;
+                }
+                if let Err(t) = core.charge($chg as u64) {
+                    break $op t;
+                }
+            } else if $chg > 0 {
+                if let Err(t) = core.charge($chg as u64) {
+                    break $op t;
+                }
+            }
+        }};
+    }
+
+    /// After an observation: its result (outside statement position) and
+    /// the gate's refill statement.
+    macro_rules! obs_finish {
+        ($op:lifetime, $sp:expr) => {{
+            if !$sp.stmt {
+                stack.push(Value::Int(0));
+            }
+            if let Some(r) = $sp.gate {
+                bookkeeping!($op);
+                match core.next_countdown() {
+                    Ok(v) => reg!(r) = v,
+                    Err(t) => break $op t,
+                }
+            }
+        }};
     }
 
     let result: Result<Option<Value>, Trap> = 'run: loop {
@@ -537,54 +596,6 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     };
                     break 'op Trap::Exit(code);
                 }
-                Op::ObsCheck => {
-                    let (Some(Value::Int(ok)), Some(Value::Int(site))) = (stack.pop(), stack.pop())
-                    else {
-                        unreachable!("__check operands type-checked by preceding ops");
-                    };
-                    match core.obs_check(site, ok != 0) {
-                        Ok(v) => {
-                            stack.push(v);
-                            continue 'run;
-                        }
-                        Err(t) => break 'op t,
-                    }
-                }
-                Op::ObsCmpFin => {
-                    let d = defers.pop().expect("__cmp finish without armed defer");
-                    if let Some(err) = d.err {
-                        break 'op err;
-                    }
-                    let b = stack.pop().expect("__cmp with empty operand stack");
-                    let a = stack.pop().expect("__cmp with empty operand stack");
-                    let Some(Value::Int(site)) = stack.pop() else {
-                        unreachable!("__cmp site type-checked by preceding op");
-                    };
-                    match core.obs_cmp(site, a, b) {
-                        Ok(v) => {
-                            stack.push(v);
-                            continue 'run;
-                        }
-                        Err(t) => break 'op t,
-                    }
-                }
-                Op::ObsSignFin => {
-                    let d = defers.pop().expect("__obs_sign finish without armed defer");
-                    if let Some(err) = d.err {
-                        break 'op err;
-                    }
-                    let v = stack.pop().expect("__obs_sign with empty operand stack");
-                    let Some(Value::Int(site)) = stack.pop() else {
-                        unreachable!("__obs_sign site type-checked by preceding op");
-                    };
-                    match core.obs_sign(site, v) {
-                        Ok(v) => {
-                            stack.push(v);
-                            continue 'run;
-                        }
-                        Err(t) => break 'op t,
-                    }
-                }
                 Op::NextCd => match core.next_countdown_value() {
                     Ok(v) => {
                         stack.push(v);
@@ -592,14 +603,6 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     }
                     Err(t) => break 'op t,
                 },
-                Op::FreeEnter => {
-                    core.free_depth += 1;
-                    continue 'run;
-                }
-                Op::FreeExit => {
-                    core.free_depth -= 1;
-                    continue 'run;
-                }
                 Op::DeferPush(t) => {
                     defers.push(Defer {
                         target: t as usize,
@@ -627,30 +630,11 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     reg!(reg) = reg!(reg).wrapping_sub(i64::from(k));
                     continue 'run;
                 }
-                Op::CdRefill(reg) => {
-                    bookkeeping!('op);
-                    match core.next_countdown() {
-                        Ok(v) => reg!(reg) = v,
-                        Err(t) => break 'op t,
-                    }
-                    continue 'run;
-                }
                 Op::CdBranch { reg, w, els } => {
                     bookkeeping!('op);
                     let taken = reg!(reg) > i64::from(w);
                     if core.tm.on {
                         core.tm.synthesized_if(BinOp::Gt, taken);
-                    }
-                    if !taken {
-                        pc = els as usize;
-                    }
-                    continue 'run;
-                }
-                Op::CdZero { reg, els } => {
-                    bookkeeping!('op);
-                    let taken = reg!(reg) == 0;
-                    if core.tm.on {
-                        core.tm.synthesized_if(BinOp::Eq, taken);
                     }
                     if !taken {
                         pc = els as usize;
@@ -665,18 +649,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     if let Some(m) = sp.pre {
                         cd_move!('op, m);
                     }
-                    if sp.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(sp.chg_a as u64) {
-                            break 'op t;
-                        }
-                    } else if sp.chg_a > 0 {
-                        if let Err(t) = core.charge(sp.chg_a as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, sp.stmt, sp.chg_a);
                     // Both-stack operands pop in reverse push order; the
                     // general path fetches left, charges, fetches right —
                     // the unfused execution order.
@@ -713,18 +686,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 }
                 Op::FusedBr { spec, target } => {
                     let sp = &prog.brs[spec as usize];
-                    if sp.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(sp.chg_a as u64) {
-                            break 'op t;
-                        }
-                    } else if sp.chg_a > 0 {
-                        if let Err(t) = core.charge(sp.chg_a as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, sp.stmt, sp.chg_a);
                     let taken = match sp.cmp {
                         None => {
                             match fetch(
@@ -782,18 +744,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 }
                 Op::FusedIdx(s) => {
                     let sp = &prog.idxs[s as usize];
-                    if sp.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(sp.c_ptr as u64) {
-                            break 'op t;
-                        }
-                    } else if sp.c_ptr > 0 {
-                        if let Err(t) = core.charge(sp.c_ptr as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, sp.stmt, sp.c_ptr);
                     // A stacked pointer is peeked (the unfused check op
                     // leaves it in place); a fetched one is pushed after
                     // the check.
@@ -847,18 +798,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     if let Some(m) = sp.pre {
                         cd_move!('op, m);
                     }
-                    if sp.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(sp.chg as u64) {
-                            break 'op t;
-                        }
-                    } else if sp.chg > 0 {
-                        if let Err(t) = core.charge(sp.chg as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, sp.stmt, sp.chg);
                     let v = match fetch(
                         sp.a, &mut stack, &locals, base, &globals, prog, cur_fn, &core,
                     ) {
@@ -870,18 +810,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 Op::FusedLoad(s) => {
                     let sp = &prog.lds[s as usize];
                     let ix = sp.idx;
-                    if ix.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(ix.c_ptr as u64) {
-                            break 'op t;
-                        }
-                    } else if ix.c_ptr > 0 {
-                        if let Err(t) = core.charge(ix.c_ptr as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, ix.stmt, ix.c_ptr);
                     // The checked pointer and index stay in registers —
                     // the fused heap access pops them right back.
                     let p = if ix.ptr == Operand::Stack {
@@ -929,18 +858,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                 Op::FusedStore(s) => {
                     let sp = &prog.sts[s as usize];
                     let ix = sp.idx;
-                    if ix.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(ix.c_ptr as u64) {
-                            break 'op t;
-                        }
-                    } else if ix.c_ptr > 0 {
-                        if let Err(t) = core.charge(ix.c_ptr as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, ix.stmt, ix.c_ptr);
                     let p = match fetch(
                         ix.ptr, &mut stack, &locals, base, &globals, prog, cur_fn, &core,
                     ) {
@@ -996,18 +914,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     if let Some(m) = sp.pre {
                         cd_move!('op, m);
                     }
-                    if sp.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(sp.chg as u64) {
-                            break 'op t;
-                        }
-                    } else if sp.chg > 0 {
-                        if let Err(t) = core.charge(sp.chg as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, sp.stmt, sp.chg);
                     let v = match fetch(
                         sp.a, &mut stack, &locals, base, &globals, prog, cur_fn, &core,
                     ) {
@@ -1022,18 +929,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     if let Some(m) = sp.pre {
                         cd_move!('op, m);
                     }
-                    if sp.stmt {
-                        if core.tm.on {
-                            core.tm.steps += 1;
-                        }
-                        if let Err(t) = core.charge(sp.chg_a as u64) {
-                            break 'op t;
-                        }
-                    } else if sp.chg_a > 0 {
-                        if let Err(t) = core.charge(sp.chg_a as u64) {
-                            break 'op t;
-                        }
-                    }
+                    head!('op, sp.stmt, sp.chg_a);
                     let (a, b) = if sp.a == Operand::Stack && sp.b == Operand::Stack {
                         let b = stack.pop().expect("fused binary with empty operand stack");
                         let a = stack.pop().expect("fused binary with empty operand stack");
@@ -1123,6 +1019,65 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     pc = f.entry as usize;
                     continue 'run;
                 }
+                Op::Obs(s) => {
+                    let sp = &prog.obs[s as usize];
+                    if let Some(r) = sp.gate {
+                        sample_gate!('op, r, continue 'run);
+                    }
+                    head!('op, sp.stmt, sp.chg);
+                    if let Err(t) = observe(
+                        sp, &mut stack, &locals, base, &globals, prog, cur_fn, &mut core,
+                    ) {
+                        break 'op t;
+                    }
+                    obs_finish!('op, sp);
+                    continue 'run;
+                }
+                Op::ObsEnter { spec, skip } => {
+                    let sp = &prog.obs[spec as usize];
+                    if let Some(r) = sp.gate {
+                        sample_gate!('op, r, {
+                            pc = skip as usize;
+                            continue 'run;
+                        });
+                    }
+                    head!('op, sp.stmt, sp.chg);
+                    match sp.args {
+                        // Their arguments evaluate uncharged.
+                        ObsArgs::Cmp(..) | ObsArgs::Sign(_) => core.free_depth += 1,
+                        ObsArgs::Bounds(b) => {
+                            let p = fetch(
+                                b.p, &mut stack, &locals, base, &globals, prog, cur_fn, &core,
+                            );
+                            if let Err(t) = p.and_then(|p| {
+                                bounds_head(&mut core, site_id(sp, &mut stack), &b, p)
+                            }) {
+                                break 'op t;
+                            }
+                        }
+                        ObsArgs::Check(_) => {}
+                    }
+                    continue 'run;
+                }
+                Op::ObsExit(s) => {
+                    let sp = &prog.obs[s as usize];
+                    if matches!(sp.args, ObsArgs::Cmp(..) | ObsArgs::Sign(_)) {
+                        core.free_depth -= 1;
+                    }
+                    if sp.defer {
+                        let d = defers.pop().expect("observation tail without armed defer");
+                        if let Some(err) = d.err {
+                            break 'op err;
+                        }
+                    }
+                    if let Err(t) = observe(
+                        sp, &mut stack, &locals, base, &globals, prog, cur_fn, &mut core,
+                    ) {
+                        break 'op t;
+                    }
+                    obs_finish!('op, sp);
+                    continue 'run;
+                }
             }
         };
 
@@ -1183,4 +1138,122 @@ fn fetch(
         Operand::LocalOr(s, g) => Ok(locals[base + s as usize].unwrap_or(globals[g as usize])),
         Operand::Stack => Ok(stack.pop().expect("fused operand with empty stack")),
     }
+}
+
+/// The observed site id: the literal, or popped from below the other
+/// stacked arguments (already checked to be an integer by its own ops).
+fn site_id(sp: &ObsSpec, stack: &mut Vec<Value>) -> i64 {
+    match sp.site {
+        Operand::Const(v) => v,
+        _ => match stack.pop() {
+            Some(Value::Int(v)) => v,
+            _ => unreachable!("computed site type-checked by preceding op"),
+        },
+    }
+}
+
+/// Fetches an observation's arguments and observes, like the walker's
+/// builtin after its head charge: operands are fetched in source order
+/// (stacked ones popped in reverse), then the counter bump, trace entry
+/// and `Assertion` trap.  A bounds check with a stacked index picks up
+/// after [`bounds_head`] ran at its [`Op::ObsEnter`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn observe(
+    sp: &ObsSpec,
+    stack: &mut Vec<Value>,
+    locals: &[Option<Value>],
+    base: usize,
+    globals: &[Value],
+    prog: &BcProgram,
+    cur_fn: usize,
+    core: &mut RunCore<'_>,
+) -> Result<(), Trap> {
+    let get = |o, stack: &mut Vec<Value>, core: &RunCore<'_>| {
+        fetch(o, stack, locals, base, globals, prog, cur_fn, core)
+    };
+    match sp.args {
+        ObsArgs::Check(c) => {
+            let v = get(c, stack, core)?;
+            let site = site_id(sp, stack);
+            match v {
+                Value::Int(v) => core.obs_check(site, v != 0).map(drop),
+                other => Err(core.type_error(format!("expected integer, got {other}"))),
+            }
+        }
+        ObsArgs::Bounds(b) if b.i == Operand::Stack => {
+            let i = stack.pop().expect("bounds index with empty operand stack");
+            let p = get(b.p, stack, core)?;
+            bounds_tail(core, site_id(sp, stack), &b, p, i)
+        }
+        ObsArgs::Bounds(b) => {
+            let site = site_id(sp, stack);
+            let p = get(b.p, stack, core)?;
+            bounds_head(core, site, &b, p)?;
+            let i = get(b.i, stack, core)?;
+            bounds_tail(core, site, &b, p, i)
+        }
+        ObsArgs::Cmp(a, b) => {
+            let (a, b) = if a == Operand::Stack {
+                let b = stack.pop().expect("__cmp with empty operand stack");
+                (stack.pop().expect("__cmp with empty operand stack"), b)
+            } else {
+                (get(a, stack, core)?, get(b, stack, core)?)
+            };
+            let site = site_id(sp, stack);
+            core.obs_cmp(site, a, b).map(drop)
+        }
+        ObsArgs::Sign(v) => {
+            let v = get(v, stack, core)?;
+            let site = site_id(sp, stack);
+            core.obs_sign(site, v).map(drop)
+        }
+    }
+}
+
+/// A bounds check from its fetched pointer to the index: the charge
+/// before `null`, the `p != null` test (a null pointer fails the check,
+/// which traps), and the charge before the index.
+fn bounds_head(core: &mut RunCore<'_>, site: i64, b: &BoundsSpec, p: Value) -> Result<(), Trap> {
+    core.charge(b.c_null.into())?;
+    match p {
+        Value::Ptr(_) => core.charge(b.c_ge.into()),
+        Value::Null => Err(core
+            .obs_check(site, false)
+            .expect_err("a failed check traps")),
+        other => Err(core
+            .binary_values(BinOp::Ne, other, Value::Null)
+            .expect_err("only pointers compare with null")),
+    }
+}
+
+/// A bounds check from its index on: the `i >= 0` test, then `i <
+/// len(p)` priced with the index's second evaluation, and the
+/// observation.
+fn bounds_tail(
+    core: &mut RunCore<'_>,
+    site: i64,
+    b: &BoundsSpec,
+    p: Value,
+    i: Value,
+) -> Result<(), Trap> {
+    core.charge(b.c_zero.into())?;
+    let i = match i {
+        Value::Int(i) => i,
+        other => {
+            return Err(core
+                .binary_values(BinOp::Ge, other, Value::Int(0))
+                .expect_err("only integers compare with 0"))
+        }
+    };
+    if i < 0 {
+        return Err(core
+            .obs_check(site, false)
+            .expect_err("a failed check traps"));
+    }
+    core.charge(b.c_lt.into())?;
+    let Value::Int(len) = core.len_value(p)? else {
+        unreachable!("len is an integer");
+    };
+    core.obs_check(site, i < len).map(drop)
 }

@@ -19,7 +19,7 @@ fn check_jump_targets(label: &str, bc: &BcProgram) {
                 | Op::DeferPush(t)
                 | Op::DeferNext(t)
                 | Op::CdBranch { els: t, .. }
-                | Op::CdZero { els: t, .. }
+                | Op::ObsEnter { skip: t, .. }
                 | Op::FusedBr { target: t, .. }
                 | Op::FusedBinJ { target: t, .. }
                 | Op::CdGate { els: t, .. } => t,
@@ -226,20 +226,96 @@ fn whole_corpus_compiles_structurally_valid() {
             let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(&sampled));
             check_jump_targets(&format!("{name} {scheme}"), &bc);
             // The default local countdown: every test, decrement and
-            // refill works on the frame-local register.
-            for op in &bc.ops {
-                if let Op::CdDec { reg, .. }
-                | Op::CdRefill(reg)
-                | Op::CdBranch { reg, .. }
-                | Op::CdZero { reg, .. }
-                | Op::CdGate { reg, .. } = op
-                {
-                    assert_eq!(
-                        *reg,
-                        CdReg::Local,
-                        "{name} {scheme}: countdown op on the global register"
-                    );
+            // refill works on the frame-local register, the sample gates
+            // folded into observations included.
+            let gates = bc.obs.iter().filter_map(|sp| sp.gate);
+            for reg in bc
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::CdDec { reg, .. } | Op::CdBranch { reg, .. } | Op::CdGate { reg, .. } => {
+                        Some(*reg)
+                    }
+                    _ => None,
+                })
+                .chain(gates)
+            {
+                assert_eq!(
+                    reg,
+                    CdReg::Local,
+                    "{name} {scheme}: countdown op on the global register"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn literal_site_observations_compile_to_observation_ops() {
+    // Every site of the in-tree programs has a literal site id and
+    // call-free arguments, so under every scheme each one compiles to
+    // observation ops alone: no deferred-error bracket, no free region, no
+    // site push or `pop` of its result, and, in the sampled build, no
+    // sample gate (`cd_zero` … `cd_refill`) outside the ops.  Sites with
+    // fetched operands are one `Obs` each.
+    use cbi::workloads::{BC_SOURCE, BENCHMARK_SOURCES, CCRYPT_SOURCE};
+    use cbi_vm::bytecode::{disassemble, ObsArgs, Operand};
+    let mut sources: Vec<(&str, &str)> = BENCHMARK_SOURCES.to_vec();
+    sources.extend([("ccrypt", CCRYPT_SOURCE), ("bc", BC_SOURCE)]);
+    assert_eq!(sources.len(), 15);
+    for (name, src) in sources {
+        let program = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for scheme in [
+            Scheme::Checks,
+            Scheme::Returns,
+            Scheme::ScalarPairs,
+            Scheme::Branches,
+        ] {
+            let inst = instrument(&program, scheme).expect("instrument");
+            let (sampled, _) =
+                apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
+            for (build, gated) in [(&inst.program, false), (&sampled, true)] {
+                let label = format!("{name} {scheme} sampled={gated}");
+                let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(build));
+                let listing = disassemble(&bc);
+                for old in [
+                    "defer_push",
+                    "defer_next",
+                    "free_enter",
+                    "cd_zero",
+                    "cd_refill",
+                ] {
+                    assert!(!listing.contains(old), "{label}: `{old}` survived");
                 }
+                let mut seen = vec![false; inst.sites.len()];
+                for op in &bc.ops {
+                    let (spec, whole) = match *op {
+                        Op::Obs(s) => (s, true),
+                        Op::ObsEnter { spec, .. } | Op::ObsExit(spec) => (spec, false),
+                        _ => continue,
+                    };
+                    let sp = bc.obs[spec as usize];
+                    let Operand::Const(site) = sp.site else {
+                        panic!("{label}: a computed site id");
+                    };
+                    seen[site as usize] = true;
+                    assert!(sp.stmt && !sp.defer, "{label}: site {site} {sp:?}");
+                    assert_eq!(sp.gate.is_some(), gated, "{label}: site {site} gate");
+                    let fetched = match sp.args {
+                        ObsArgs::Check(c) => c != Operand::Stack,
+                        ObsArgs::Bounds(b) => b.i != Operand::Stack,
+                        ObsArgs::Cmp(a, b) => a != Operand::Stack && b != Operand::Stack,
+                        ObsArgs::Sign(v) => v != Operand::Stack,
+                    };
+                    assert_eq!(fetched, whole, "{label}: site {site} {op:?}");
+                    if matches!(scheme, Scheme::Returns | Scheme::ScalarPairs) {
+                        assert!(whole, "{label}: site {site} is not one op");
+                    }
+                }
+                assert!(
+                    seen.iter().all(|&s| s),
+                    "{label}: a site compiled to no observation op"
+                );
             }
         }
     }

@@ -156,6 +156,116 @@ fn trap_programs_agree() {
         let program = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         run_both(name, &program, None, None, &[3, 1]);
     }
+
+    // Traps inside observations that compile to one fused op (or to a
+    // fused head and tail around a computed index): each as a site
+    // statement, unconditional and behind its sample gate, and each again
+    // as the argument of an outer `__cmp` whose deferred capture catches
+    // the trap, lets `print(7)` run, and raises it afterwards.
+    let bounds =
+        |p: &str, i: &str| format!("__check(0, {p} != null && {i} >= 0 && {i} < len({p}))");
+    let observed: &[(&str, &str, String)] = &[
+        ("sign_unbound_value", "", "__obs_sign(0, x)".into()),
+        ("cmp_unbound_value", "int a = 1;", "__cmp(0, a, x)".into()),
+        (
+            "sign_computed_value_traps",
+            "int z = 0;",
+            "__obs_sign(0, 4 / z)".into(),
+        ),
+        (
+            "cmp_pointer_with_int",
+            "ptr p = alloc(1);",
+            "__cmp(0, p, 3)".into(),
+        ),
+        ("bounds_null", "ptr p = null;", bounds("p", "1")),
+        (
+            "bounds_freed",
+            "ptr p = alloc(2); free(p);",
+            bounds("p", "1"),
+        ),
+        (
+            "bounds_negative",
+            "ptr p = alloc(2); int i = -1;",
+            bounds("p", "i"),
+        ),
+        (
+            "bounds_past_end",
+            "ptr p = alloc(2); int i = 2;",
+            bounds("p", "i"),
+        ),
+        ("bounds_non_pointer", "int p = 5;", bounds("p", "0")),
+        (
+            "bounds_pointer_index",
+            "ptr p = alloc(2); ptr q = p;",
+            bounds("p", "q"),
+        ),
+        (
+            "bounds_unbound_index",
+            "ptr p = alloc(2);",
+            bounds("p", "x"),
+        ),
+        (
+            "bounds_computed_past_end",
+            "ptr p = alloc(2); int i = 1;",
+            bounds("p", "i * 2 + 1"),
+        ),
+        (
+            "bounds_computed_traps",
+            "ptr p = alloc(2); int z = 0;",
+            bounds("p", "4 / z"),
+        ),
+        (
+            "bounds_null_skips_computed_index",
+            "ptr p = null; int z = 0;",
+            bounds("p", "4 / z"),
+        ),
+        (
+            "bounds_freed_computed",
+            "ptr p = alloc(3); free(p); int i = 1;",
+            bounds("p", "i + 1"),
+        ),
+        // A computed site id keeps the deferred-error bracket.
+        (
+            "computed_site_pointer",
+            "ptr s = alloc(1);",
+            "__cmp(s, 1, 2)".into(),
+        ),
+        (
+            "computed_site_unknown",
+            "int s = 5;",
+            "__obs_sign(s, 1)".into(),
+        ),
+        (
+            "computed_site_check_traps",
+            "int s = 1; int z = 0;",
+            "__check(s, 4 / z)".into(),
+        ),
+    ];
+    let sites = site_table(&[SiteKind::ScalarPair, SiteKind::ScalarPair]);
+    for (name, prelude, obs) in observed {
+        for (shape, body) in [
+            ("site", format!("{obs};")),
+            ("nested", format!("__cmp(1, {obs}, print(7));")),
+        ] {
+            let src = format!("fn main() -> int {{ {prelude} {body} int x = 1; return x; }}");
+            let program = parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let label = format!("{name} {shape}");
+            let r = run_both(&label, &program, Some(&sites), None, &[]);
+            assert!(!r.outcome.is_success(), "{label}: {:?}", r.outcome);
+            if shape == "nested" {
+                assert_eq!(r.output, [7], "{label}: the deferred argument ran");
+            }
+            for density in [1u64, 2] {
+                run_both(
+                    &format!("{label} 1/{density}"),
+                    &sampled(&src),
+                    Some(&sites),
+                    Some((density, 3)),
+                    &[],
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -210,6 +320,74 @@ fn op_limit_aborts_agree_on_outcome() {
         assert_eq!(s.outcome, b.outcome, "limit {limit}");
         assert_eq!(s.counters, b.counters, "limit {limit}");
         assert_eq!(s.output, b.output, "limit {limit}");
+    }
+
+    // Instrumented programs under every scheme, unconditional and sampled
+    // at 1/1 and 1/3: each limit stops the run at another op, inside the
+    // fused observations, their sample gates and refills alike.
+    use cbi::workloads::{ccrypt_trials, CcryptTrialConfig, BENCHMARK_SOURCES, CCRYPT_SOURCE};
+    let analogue = |name: &str| {
+        BENCHMARK_SOURCES
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| *s)
+            .expect("analogue")
+    };
+    let ccrypt_input = ccrypt_trials(1, 42, &CcryptTrialConfig::default()).remove(0);
+    let programs = [
+        ("ccrypt", CCRYPT_SOURCE, ccrypt_input),
+        ("treeadd", analogue("treeadd"), Vec::new()),
+        ("mst", analogue("mst"), Vec::new()),
+    ];
+    for (name, src, input) in &programs {
+        let program = parse(src).expect("parse");
+        for scheme in [
+            Scheme::Checks,
+            Scheme::Returns,
+            Scheme::ScalarPairs,
+            Scheme::Branches,
+        ] {
+            let inst = instrument(&program, scheme).expect("instrument");
+            let (sampled, _) =
+                apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
+            for (build, density) in [
+                (&inst.program, None),
+                (&sampled, Some(1)),
+                (&sampled, Some(3)),
+            ] {
+                let slots = cbi::minic::lower(build);
+                let bytecode = cbi_vm::bytecode::compile(&slots);
+                let run = |limit: u64, oracle: bool| {
+                    let mut vm = if oracle {
+                        Vm::from_slots(&slots)
+                    } else {
+                        Vm::from_bytecode(&bytecode)
+                    };
+                    vm.with_sites(&inst.sites)
+                        .with_input(input.clone())
+                        .with_trace(16)
+                        .with_op_limit(limit);
+                    if let Some(d) = density {
+                        vm.with_sampling(Box::new(Geometric::new(SamplingDensity::one_in(d), 5)));
+                    }
+                    vm.run().expect("vm config")
+                };
+                let label = format!("{name} {scheme} {density:?}");
+                assert_eq!(run(u64::MAX, true), run(u64::MAX, false), "{label}");
+                let mut observed = false;
+                for limit in 1..=1_500 {
+                    let (s, b) = (run(limit, true), run(limit, false));
+                    assert_eq!(
+                        (&s.outcome, &s.counters, &s.output, &s.trace),
+                        (&b.outcome, &b.counters, &b.output, &b.trace),
+                        "{label} limit {limit}"
+                    );
+                    observed |= s.counters.iter().any(|&c| c > 0);
+                }
+                // The sweep reaches observations, not only set-up code.
+                assert!(observed || density == Some(3), "{label}: nothing observed");
+            }
+        }
     }
 }
 
