@@ -16,20 +16,20 @@
 //!   (heap traffic, `__check`'s observe, refills) are *not* baked — the
 //!   matching engine ops charge dynamically, like the walker.
 //!
-//! Synthesized statements (the sampling transformation's countdown
-//! bookkeeping) compile to register ops: every reference to `__cd` or
-//! `__gcd` resolves to a [`CdReg`], and each canonical shape
-//! `cbi-instrument` emits — import, export, decrement, refill, threshold
-//! test, sample guard — becomes one instruction.  Any other synthesized
-//! shape is a compiler bug upstream and panics, naming the shape.
+//! The sampling statements ([`SlotSample`]) compile to register ops over
+//! the two countdowns, one instruction per statement: an import or
+//! export is an [`Op::CdMove`], a decrement an [`Op::CdDec`], a threshold
+//! check an [`Op::CdBranch`] around its two arms, and a sample guard the
+//! `gate` of its site's observation ops ([`ObsSpec::gate`]).
 
 use crate::instr::{
-    BcFunction, BcProgram, BinSpec, BoundsSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest,
-    IdxSpec, LdSpec, MvSpec, ObsArgs, ObsSpec, Op, Operand, RetSpec, StSpec,
+    BcFunction, BcProgram, BinSpec, BoundsSpec, BrSpec, CallSpec, CdMove, Costs, Dest, IdxSpec,
+    LdSpec, MvSpec, ObsArgs, ObsSpec, Op, Operand, RetSpec, StSpec,
 };
-use cbi_minic::ast::{BinOp, Type};
-use cbi_minic::builtins::LOCAL_COUNTDOWN;
-use cbi_minic::slots::{Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotStmt};
+use cbi_minic::ast::{BinOp, Countdown, Sample, Type};
+use cbi_minic::slots::{
+    Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotSample, SlotStmt,
+};
 use cbi_minic::Builtin;
 use std::collections::HashMap;
 use std::num::NonZeroU32;
@@ -54,7 +54,6 @@ pub fn compile(prog: &SlotProgram) -> BcProgram {
             f,
             loops: Vec::new(),
             fuse: None,
-            dec_at: None,
         }
         .compile_body();
         functions.push(BcFunction {
@@ -128,9 +127,6 @@ struct FnCompiler<'a> {
     /// Index of the trailing [`Op::Charge`]/[`Op::Stmt`] eligible for
     /// charge fusion; `None` after any other op or a bound label.
     fuse: Option<usize>,
-    /// Index of a just-emitted synthesized `cd = cd - 1` the next sample
-    /// guard folds in; `None` once a label is bound after it.
-    dec_at: Option<usize>,
 }
 
 impl FnCompiler<'_> {
@@ -183,7 +179,6 @@ impl FnCompiler<'_> {
     /// bars charge fusion across it.
     fn here(&mut self) -> u32 {
         self.fuse = None;
-        self.dec_at = None;
         self.cx.ops.len() as u32
     }
 
@@ -210,7 +205,6 @@ impl FnCompiler<'_> {
             }
         }
         self.fuse = None;
-        self.dec_at = None;
     }
 
     fn load(&mut self, r: &SlotRef) {
@@ -244,15 +238,7 @@ impl FnCompiler<'_> {
 
     fn stmt(&mut self, s: &SlotStmt) {
         match s {
-            SlotStmt::Decl {
-                ty,
-                slot,
-                init,
-                synthesized,
-            } => {
-                if *synthesized {
-                    return self.synth_decl(*ty, *slot, init);
-                }
+            SlotStmt::Decl { ty, slot, init } => {
                 self.stmt_charge(self.cx.costs.stmt);
                 match init {
                     Some(e) => self.expr(e),
@@ -260,14 +246,7 @@ impl FnCompiler<'_> {
                 }
                 self.emit(Op::BindLocal(*slot));
             }
-            SlotStmt::Assign {
-                target,
-                value,
-                synthesized,
-            } => {
-                if *synthesized {
-                    return self.synth_assign(target, value);
-                }
+            SlotStmt::Assign { target, value } => {
                 self.stmt_charge(self.cx.costs.stmt);
                 self.expr(value);
                 self.assign(target);
@@ -276,26 +255,12 @@ impl FnCompiler<'_> {
                 cond,
                 then_block,
                 else_block,
-                synthesized,
             } => {
-                if *synthesized {
-                    return self.synth_if(cond, then_block, else_block.as_deref());
-                }
                 self.stmt_charge(self.cx.costs.stmt);
                 self.expr(cond);
                 let mut els = Label::new();
                 self.jump(&mut els, Op::BranchFalse);
-                self.block(then_block);
-                match else_block {
-                    Some(e) => {
-                        let mut end = Label::new();
-                        self.jump(&mut end, Op::Jump);
-                        self.bind(els);
-                        self.block(e);
-                        self.bind(end);
-                    }
-                    None => self.bind(els),
-                }
+                self.arms(els, then_block, else_block.as_deref());
             }
             SlotStmt::Store {
                 target,
@@ -376,123 +341,19 @@ impl FnCompiler<'_> {
                         callee: Callee::Builtin(b),
                         args,
                     },
-            } if is_observation(*b) => self.observe(*b, args, true, None),
+            } if b.observation().is_some() => self.observe(*b, args, true, None),
             SlotStmt::Expr { expr } => {
                 self.stmt_charge(self.cx.costs.stmt);
                 self.expr(expr);
                 self.emit(Op::Pop);
             }
+            SlotStmt::Sample(s) => self.sample(s),
         }
     }
 
-    fn block(&mut self, b: &[SlotStmt]) {
-        for s in b {
-            self.stmt(s);
-        }
-    }
-
-    // ---- synthesized (sampling bookkeeping) statements -----------------
-
-    /// The countdown register `r` names: the local `__cd` slot or the
-    /// `__gcd` global.  The transformation refuses user code that names
-    /// either, so these names mean the countdown wherever they appear.
-    fn cd_reg(&self, r: &SlotRef) -> Option<CdReg> {
-        match r {
-            SlotRef::Local(s) if self.f.slot_names[*s as usize] == LOCAL_COUNTDOWN => {
-                Some(CdReg::Local)
-            }
-            SlotRef::Global(g) if self.prog.gcd_global == Some(*g) => Some(CdReg::Global),
-            _ => None,
-        }
-    }
-
-    /// The register a countdown operand names, if the operand is one.
-    fn cd_var(&self, e: &SlotExpr) -> Option<CdReg> {
-        match e {
-            SlotExpr::Var(r) => self.cd_reg(r),
-            _ => None,
-        }
-    }
-
-    /// `int __cd = __gcd;` — the region-entry import.
-    fn synth_decl(&mut self, ty: Type, slot: u32, init: &Option<SlotExpr>) {
-        let dst = self.cd_reg(&SlotRef::Local(slot));
-        match (ty, dst, init.as_ref().and_then(|e| self.cd_var(e))) {
-            (Type::Int, Some(CdReg::Local), Some(CdReg::Global)) => {
-                self.emit(Op::CdMove(CdMove::Import));
-            }
-            _ => panic!(
-                "non-canonical synthesized declaration: {ty} `{}` = {init:?}",
-                self.f.slot_names[slot as usize]
-            ),
-        }
-    }
-
-    /// Countdown imports (`__cd = __gcd`), exports (`__gcd = __cd`) and
-    /// decrements (`cd = cd - k`).  Refills only occur inside sample
-    /// guards, which [`FnCompiler::sample_guard`] compiles whole.
-    fn synth_assign(&mut self, target: &SlotRef, value: &SlotExpr) {
-        let op = self.cd_reg(target).and_then(|dst| match value {
-            SlotExpr::Var(_) => match (dst, self.cd_var(value)?) {
-                (CdReg::Local, CdReg::Global) => Some(Op::CdMove(CdMove::Import)),
-                (CdReg::Global, CdReg::Local) => Some(Op::CdMove(CdMove::Export)),
-                _ => None,
-            },
-            SlotExpr::Binary {
-                op: BinOp::Sub,
-                lhs,
-                rhs,
-            } => match &**rhs {
-                SlotExpr::Int(k) if self.cd_var(lhs) == Some(dst) && *k > 0 => Some(Op::CdDec {
-                    reg: dst,
-                    k: u32::try_from(*k).ok()?,
-                }),
-                _ => None,
-            },
-            _ => None,
-        });
-        match op {
-            Some(op) => {
-                let at = self.emit(op);
-                if matches!(op, Op::CdDec { .. }) {
-                    self.dec_at = Some(at);
-                }
-            }
-            None => panic!("non-canonical synthesized assignment: {target:?} = {value:?}"),
-        }
-    }
-
-    /// Threshold tests `if (cd > w) {fast} else {slow}`, and the slow-path
-    /// sample guard `if (cd == 0) {sample; refill}` (see
-    /// [`FnCompiler::sample_guard`]).
-    fn synth_if(
-        &mut self,
-        cond: &SlotExpr,
-        then_block: &[SlotStmt],
-        else_block: Option<&[SlotStmt]>,
-    ) {
-        let test = match cond {
-            SlotExpr::Binary { op, lhs, rhs } => match (op, self.cd_var(lhs), &**rhs) {
-                (BinOp::Gt, Some(reg), SlotExpr::Int(w)) => {
-                    u32::try_from(*w).ok().map(|w| Op::CdBranch {
-                        reg,
-                        w,
-                        els: u32::MAX,
-                    })
-                }
-                (BinOp::Eq, Some(reg), SlotExpr::Int(0)) => {
-                    return self.sample_guard(reg, then_block, else_block);
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some(test) = test else {
-            panic!("non-canonical synthesized condition: if ({cond:?})");
-        };
-        let mut els = Label::new();
-        let at = self.emit(test);
-        els.push(at);
+    /// The arms of a conditional whose test, just emitted, jumps to `els`
+    /// when it fails.
+    fn arms(&mut self, els: Label, then_block: &[SlotStmt], else_block: Option<&[SlotStmt]>) {
         self.block(then_block);
         match else_block {
             Some(e) => {
@@ -506,50 +367,35 @@ impl FnCompiler<'_> {
         }
     }
 
-    /// The slow path's `cd = cd - 1; if (cd == 0) { observe; cd =
-    /// __next_cd(); }`: the decrement just emitted, the zero test, the
-    /// site and the refill all fold into the site's observation ops.
-    fn sample_guard(
-        &mut self,
-        reg: CdReg,
-        then_block: &[SlotStmt],
-        else_block: Option<&[SlotStmt]>,
-    ) {
-        let dec = self.dec_at.take().filter(|&at| {
-            at + 1 == self.cx.ops.len() && self.cx.ops[at] == Op::CdDec { reg, k: 1 }
-        });
-        let site = match (then_block, else_block) {
-            (
-                [SlotStmt::Expr {
-                    expr:
-                        SlotExpr::Call {
-                            callee: Callee::Builtin(b),
-                            args,
-                        },
-                }, SlotStmt::Assign {
-                    target,
-                    value:
-                        SlotExpr::Call {
-                            callee: Callee::Builtin(Builtin::NextCountdown),
-                            args: refill,
-                        },
-                    synthesized: true,
-                }],
-                None,
-            ) if dec.is_some()
-                && is_observation(*b)
-                && refill.is_empty()
-                && self.cd_reg(target) == Some(reg) =>
-            {
-                Some((*b, args))
+    /// A sampling statement: one countdown-register op, or a sample
+    /// guard folded into its site's observation ops.
+    fn sample(&mut self, s: &SlotSample) {
+        match s {
+            Sample::Import | Sample::Reimport => {
+                self.emit(Op::CdMove(CdMove::Import));
             }
-            _ => None,
-        };
-        let Some((b, args)) = site else {
-            panic!("non-canonical synthesized sample guard: if ({reg:?} == 0) {then_block:?}");
-        };
-        self.cx.ops.pop();
-        self.observe(b, args, true, Some(reg));
+            Sample::Export => {
+                self.emit(Op::CdMove(CdMove::Export));
+            }
+            Sample::Dec { reg, k } => {
+                self.emit(Op::CdDec { reg: *reg, k: *k });
+            }
+            Sample::Threshold { reg, w, fast, slow } => {
+                let els = self.emit(Op::CdBranch {
+                    reg: *reg,
+                    w: *w,
+                    els: u32::MAX,
+                });
+                self.arms(vec![els], fast, Some(slow));
+            }
+            Sample::Guard { reg, obs, args } => self.observe(obs.builtin(), args, true, Some(*reg)),
+        }
+    }
+
+    fn block(&mut self, b: &[SlotStmt]) {
+        for s in b {
+            self.stmt(s);
+        }
     }
 
     // ---- observations --------------------------------------------------
@@ -566,7 +412,7 @@ impl FnCompiler<'_> {
     /// site, keep the deferred-error bracket, so every argument still runs
     /// and the tail raises the first error; call-free arguments cannot
     /// have effects after a trap, so theirs trap where they fail.
-    fn observe(&mut self, b: Builtin, args: &[SlotExpr], stmt: bool, gate: Option<CdReg>) {
+    fn observe(&mut self, b: Builtin, args: &[SlotExpr], stmt: bool, gate: Option<Countdown>) {
         let c = self.cx.costs;
         // `expr` has charged an expression call's node already.
         let head = if stmt { c.stmt + c.expr } else { 0 };
@@ -918,16 +764,8 @@ impl FnCompiler<'_> {
             Builtin::ObsCheck | Builtin::ObsCmp | Builtin::ObsSign => {
                 self.observe(b, args, false, None);
             }
-            Builtin::NextCountdown => {
-                self.emit(Op::NextCd);
-            }
         }
     }
-}
-
-/// Whether `b` is one of the observation builtins sites call.
-fn is_observation(b: Builtin) -> bool {
-    matches!(b, Builtin::ObsCheck | Builtin::ObsCmp | Builtin::ObsSign)
 }
 
 /// The fetched operand `e` is, if it is a literal or a resolved variable.

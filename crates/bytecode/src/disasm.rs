@@ -5,7 +5,8 @@
 //! are rendered inline, and nothing depends on hash-map iteration order — so
 //! listings are usable as golden files (`cbi disasm` and its tests).
 
-use crate::instr::{BcProgram, CdMove, CdReg, Dest, ObsArgs, ObsSpec, Op, Operand};
+use crate::instr::{BcProgram, CdMove, Dest, ObsArgs, ObsSpec, Op, Operand};
+use cbi_minic::ast::Countdown;
 use std::fmt::Write as _;
 
 /// Renders the full program listing.
@@ -66,10 +67,10 @@ fn global_name(prog: &BcProgram, g: u32) -> &str {
 }
 
 /// The register's name in listings: `cd` (frame-local) or `gcd`.
-fn reg(r: CdReg) -> &'static str {
+fn reg(r: Countdown) -> &'static str {
     match r {
-        CdReg::Local => "cd",
-        CdReg::Global => "gcd",
+        Countdown::Local => "cd",
+        Countdown::Global => "gcd",
     }
 }
 
@@ -171,7 +172,6 @@ fn render(prog: &BcProgram, func: usize, op: Op) -> String {
         Op::HasInput => "has_input".into(),
         Op::Print => "print".into(),
         Op::Exit => "exit".into(),
-        Op::NextCd => "next_cd".into(),
         Op::DeferPush(t) => format!("defer_push  -> {t}"),
         Op::DeferNext(t) => format!("defer_next  -> {t}"),
         Op::CdMove(m) => format!("cd_move     {}", cd_move(m)),

@@ -1,6 +1,6 @@
 //! The instruction set and compiled-program container.
 
-use cbi_minic::ast::{BinOp, Type, UnOp};
+use cbi_minic::ast::{BinOp, Countdown, Type, UnOp};
 use cbi_minic::slots::SlotGlobal;
 use std::num::NonZeroU32;
 
@@ -26,14 +26,15 @@ pub struct Costs {
     /// Executing an observation builtin (counter bump), beyond evaluating
     /// its arguments.
     pub observe: u64,
-    /// Refilling the next-sample countdown (`__next_cd`).
+    /// Refilling the next-sample countdown after a sample.
     pub refill: u64,
-    /// Flat cost of one synthesized countdown-bookkeeping statement (a
-    /// threshold check, countdown decrement, or import/export).  The
-    /// native compiler keeps the local countdown in a register (§2.4),
-    /// and so does the VM: both countdowns are registers of its dispatch
-    /// loop ([`CdReg`]), so these cost far less than interpreted
-    /// statements, and the flat charge prices the register operation.
+    /// Flat cost of one countdown-bookkeeping statement of the sampling
+    /// transformation (a threshold check, countdown decrement, zero test,
+    /// or import/export).  The native compiler keeps the local countdown
+    /// in a register (§2.4), and so does the VM: both countdowns are
+    /// registers of its dispatch loop ([`Countdown`]), so these cost far
+    /// less than interpreted statements, and the flat charge prices the
+    /// register operation.
     pub bookkeeping: u64,
 }
 
@@ -51,20 +52,11 @@ impl Default for Costs {
     }
 }
 
-/// One of the dispatch loop's two countdown registers (§2.4).  The
-/// compiler resolves every countdown reference the sampling
-/// transformation synthesizes to one of them, so no countdown op reads a
-/// frame slot or a global, and none can trap on a type error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CdReg {
-    /// The frame-local countdown `__cd`: each call saves the caller's
-    /// value and its return restores it.
-    Local,
-    /// The global countdown `__gcd`, seeded before the first instruction.
-    Global,
-}
-
-/// A countdown import or export: a move between the two [`CdReg`]s.
+/// A countdown import or export: a move between the two countdown
+/// registers.  The dispatch loop keeps each [`Countdown`] in a register:
+/// the local one is saved by each call and restored by its return, the
+/// global one is seeded before the first instruction.  No countdown op
+/// reads a frame slot or a global, and none can trap on a type error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CdMove {
     /// `int __cd = __gcd;` / `__cd = __gcd;` — the region-entry import.
@@ -317,9 +309,9 @@ pub struct BoundsSpec {
 /// the gate's refill (bookkeeping plus refill charge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsSpec {
-    /// The countdown register of a folded `cd = cd - 1; if (cd == 0) {
-    /// observe; cd = __next_cd(); }` sample gate.
-    pub gate: Option<CdReg>,
+    /// The countdown of the [`cbi_minic::Sample::Guard`] around the
+    /// site: `cd = cd - 1; if (cd == 0) { observe; cd = __next_cd(); }`.
+    pub gate: Option<Countdown>,
     /// Statement position: bump the step counter first and discard the
     /// result (the absorbed [`Op::Pop`]); otherwise push it.
     pub stmt: bool,
@@ -428,8 +420,6 @@ pub enum Op {
     Print,
     /// `exit(c)`: pop an integer, end the run successfully.
     Exit,
-    /// `__next_cd()`: refill charge, push the next countdown.
-    NextCd,
     /// Arm deferred-error capture for an observation argument list; the
     /// payload is the resume point after the first argument.
     DeferPush(u32),
@@ -442,7 +432,7 @@ pub enum Op {
     /// coalesced region decrement is one of these.
     CdDec {
         /// The decremented register.
-        reg: CdReg,
+        reg: Countdown,
         /// The decrement.
         k: u32,
     },
@@ -450,7 +440,7 @@ pub enum Op {
     /// bookkeeping charge, compare, fall through or jump to `els`.
     CdBranch {
         /// The tested register.
-        reg: CdReg,
+        reg: Countdown,
         /// The region weight.
         w: u32,
         /// Jump target when the test fails (the slow block).
@@ -501,7 +491,7 @@ pub enum Op {
         /// The leading import, if fused.
         pre: Option<CdMove>,
         /// The tested (and decremented) register.
-        reg: CdReg,
+        reg: Countdown,
         /// The region weight.
         w: u32,
         /// The fall-through decrement, if fused.

@@ -18,21 +18,22 @@
 //!   target between them fold into one [`Op::Charge`]/[`Op::Stmt`], so a
 //!   statement head and its first expression node cost one add, not two
 //!   dispatches.
-//! * **Countdown registers** — the statement shapes the sampling
-//!   transformation synthesizes on every region boundary (`int __cd =
-//!   __gcd`, `cd = cd - k`, `cd = __gcd` / `__gcd = cd`, `if (cd > w)`)
-//!   each compile to one [`Op`] over a [`CdReg`] with its constant as an
-//!   immediate, so the instrumented fast path between region boundaries
-//!   is straight-line: one threshold branch, one register decrement, then
-//!   the user's own code.
+//! * **Countdown registers** — the sampling statements the
+//!   transformation plants on every region boundary
+//!   ([`cbi_minic::Sample`]: import, export, decrement, threshold check)
+//!   each compile to one [`Op`] over a [`cbi_minic::Countdown`] register
+//!   with its constant as an immediate, so the instrumented fast path
+//!   between region boundaries is straight-line: one threshold branch,
+//!   one register decrement, then the user's own code.
 //! * **Observation ops** — an observation site (`__check`, `__cmp`,
 //!   `__obs_sign`) with a literal site id compiles to one [`Op::Obs`] when
 //!   its arguments are fetched operands, the `checks` bounds condition
 //!   included; computed arguments keep their own ops between an
 //!   [`Op::ObsEnter`] and an [`Op::ObsExit`].  On the slow path the
-//!   sample gate around a site (`cd = cd - 1; if (cd == 0) { site; cd =
-//!   __next_cd(); }`) folds into the same ops, so a sampled crossing costs
-//!   what an unconditional one does: one dispatch.
+//!   sample guard around a site (`cd = cd - 1; if (cd == 0) { site; cd =
+//!   __next_cd(); }`, one [`cbi_minic::Sample::Guard`]) is the same ops'
+//!   gate, so a sampled crossing costs what an unconditional one does: one
+//!   dispatch.
 //! * **Superinstruction fusion** — a peephole pass over the patched code
 //!   collapses the dominant op sequences into single instructions: a
 //!   whole `x = a <op> b;` statement (statement head, charges, two
@@ -64,6 +65,6 @@ mod instr;
 pub use compile::compile;
 pub use disasm::disassemble;
 pub use instr::{
-    BcFunction, BcProgram, BinSpec, BoundsSpec, BrSpec, CallSpec, CdMove, CdReg, Costs, Dest,
-    IdxSpec, LdSpec, MvSpec, ObsArgs, ObsSpec, Op, Operand, RetSpec, StSpec,
+    BcFunction, BcProgram, BinSpec, BoundsSpec, BrSpec, CallSpec, CdMove, Costs, Dest, IdxSpec,
+    LdSpec, MvSpec, ObsArgs, ObsSpec, Op, Operand, RetSpec, StSpec,
 };

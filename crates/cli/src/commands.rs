@@ -274,9 +274,9 @@ fn scheme_of(args: &Args) -> Result<Scheme, String> {
 fn transform_options(args: &Args) -> TransformOptions {
     TransformOptions {
         countdown: if args.flag("global-countdown").is_some() {
-            cbi::instrument::CountdownStorage::Global
+            cbi::minic::Countdown::Global
         } else {
-            cbi::instrument::CountdownStorage::Local
+            cbi::minic::Countdown::Local
         },
         regions: args.flag("no-regions").is_none(),
         ..TransformOptions::default()

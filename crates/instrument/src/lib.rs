@@ -53,8 +53,8 @@ pub use selective::{single_function_variants, transform_variants, TransformedVar
 pub use sites::{site_stmt, Site, SiteId, SiteKind, SiteTable};
 pub use strip::{strip_sites, strip_sites_except};
 pub use transform::{
-    apply_sampling, count_sites_block, segment_weight, CountdownStorage, FunctionStats,
-    TransformOptions, TransformStats,
+    apply_sampling, count_sites_block, segment_weight, FunctionStats, TransformOptions,
+    TransformStats,
 };
 pub use weightless::weightless_functions;
 
@@ -124,6 +124,6 @@ mod tests {
         );
         let (sampled, stats) = apply_sampling(&inst.program, &TransformOptions::default()).unwrap();
         assert!(stats.functions_with_sites() >= 1);
-        cbi_minic::resolve_relaxed(&sampled).unwrap();
+        cbi_minic::resolve(&sampled).unwrap();
     }
 }

@@ -192,7 +192,7 @@ impl Flattener<'_> {
                 };
                 out.push(Stmt::Return { value, span: *span });
             }
-            Stmt::Break { .. } | Stmt::Continue { .. } => out.push(s.clone()),
+            Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Sample(_) => out.push(s.clone()),
             Stmt::Check { cond, span } => {
                 let cond = self.expr(cond, out)?;
                 out.push(Stmt::Check { cond, span: *span });
@@ -344,7 +344,7 @@ mod tests {
         assert!(s.contains("int __t0 = f();"), "{s}");
         assert!(s.contains("int x = __t0 + 2;"), "{s}");
         // Result still resolves (instrumented namespace allowed).
-        assert!(cbi_minic::resolve_relaxed(&q).is_ok());
+        assert!(cbi_minic::resolve(&q).is_ok());
     }
 
     #[test]

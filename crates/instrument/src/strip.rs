@@ -36,25 +36,7 @@ fn strip_block(b: &Block) -> Block {
         if site_stmt(s).is_some() || matches!(s, Stmt::Check { .. }) {
             continue;
         }
-        stmts.push(match s {
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-                span,
-            } => Stmt::If {
-                cond: cond.clone(),
-                then_block: strip_block(then_block),
-                else_block: else_block.as_ref().map(strip_block),
-                span: *span,
-            },
-            Stmt::While { cond, body, span } => Stmt::While {
-                cond: cond.clone(),
-                body: strip_block(body),
-                span: *span,
-            },
-            other => other.clone(),
-        });
+        stmts.push(s.with_blocks(strip_block));
     }
     Block::new(stmts)
 }

@@ -14,11 +14,14 @@
 //!   (each site guarded by `cd -= 1; if (cd == 0) { observe; cd = __next_cd(); }`);
 //! * loop bodies are transformed recursively, which places a threshold
 //!   check along every loop back edge;
-//! * with [`CountdownStorage::Local`] the countdown is kept in a local
+//! * with [`Countdown::Local`] the countdown is kept in a local
 //!   variable, imported from the global `__gcd` at entry and exported at
 //!   returns and around calls to non-weightless functions (§2.4) — this is
 //!   what lets decrements coalesce;
 //! * weightless functions (§2.3) are left completely untouched.
+//!
+//! All of that bookkeeping is built from [`Sample`] statements, which
+//! later stages lower without recognising names.
 //!
 //! Setting [`TransformOptions::regions`] to `false` produces the "devolved"
 //! pattern of §3.2.5 — a countdown check at each and every site, with no
@@ -29,28 +32,14 @@ use crate::weightless::weightless_functions;
 use crate::InstrumentError;
 use cbi_minic::ast::*;
 use cbi_minic::builtins::{GLOBAL_COUNTDOWN, LOCAL_COUNTDOWN};
-use cbi_minic::{Builtin, Span};
+use cbi_minic::{Builtin, Observation, Span};
 use std::collections::HashSet;
-
-/// Where the next-sample countdown lives during function execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountdownStorage {
-    /// A per-function local copy, imported/exported at boundaries (§2.4).
-    /// Enables decrement coalescing.
-    #[default]
-    Local,
-    /// The global countdown is read and written directly at every
-    /// decrement.  Models the paper's observation that conservative
-    /// aliasing assumptions prevent the native compiler from coalescing;
-    /// coalescing is therefore disabled in this mode.
-    Global,
-}
 
 /// Options controlling the sampling transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransformOptions {
-    /// Countdown storage strategy (§2.4).
-    pub countdown: CountdownStorage,
+    /// Which countdown the function bodies count down (§2.4).
+    pub countdown: Countdown,
     /// Merge adjacent fast-path decrements into one (requires local
     /// countdown storage to take effect).
     pub coalesce: bool,
@@ -66,7 +55,7 @@ pub struct TransformOptions {
 impl Default for TransformOptions {
     fn default() -> Self {
         TransformOptions {
-            countdown: CountdownStorage::Local,
+            countdown: Countdown::Local,
             coalesce: true,
             interprocedural: true,
             regions: true,
@@ -221,7 +210,7 @@ pub fn apply_sampling(
             total_threshold_weight: 0,
         };
         let mut body = tx.transform_block(&f.body);
-        if options.countdown == CountdownStorage::Local {
+        if options.countdown == Countdown::Local {
             body = add_local_plumbing(body);
         }
         f.body = body;
@@ -255,38 +244,22 @@ fn expr_names_countdown(e: &Expr) -> Option<&'static str> {
 }
 
 /// The first countdown name a block declares, assigns, stores through or
-/// reads, at any depth.
+/// reads, at any depth; a sampling statement names the countdown too.
 fn block_names_countdown(b: &Block) -> Option<&'static str> {
-    b.stmts.iter().find_map(|s| match s {
-        Stmt::Decl { name, init, .. } => {
-            countdown_name(name).or_else(|| init.as_ref().and_then(expr_names_countdown))
-        }
-        Stmt::Assign { name, value, .. } => {
-            countdown_name(name).or_else(|| expr_names_countdown(value))
-        }
-        Stmt::Store {
-            target,
-            index,
-            value,
-            ..
-        } => countdown_name(target)
-            .or_else(|| expr_names_countdown(index))
-            .or_else(|| expr_names_countdown(value)),
-        Stmt::If {
-            cond,
-            then_block,
-            else_block,
-            ..
-        } => expr_names_countdown(cond)
-            .or_else(|| block_names_countdown(then_block))
-            .or_else(|| else_block.as_ref().and_then(block_names_countdown)),
-        Stmt::While { cond, body, .. } => {
-            expr_names_countdown(cond).or_else(|| block_names_countdown(body))
-        }
-        Stmt::Return { value, .. } => value.as_ref().and_then(expr_names_countdown),
-        Stmt::Check { cond, .. } => expr_names_countdown(cond),
-        Stmt::Expr { expr, .. } => expr_names_countdown(expr),
-        Stmt::Break { .. } | Stmt::Continue { .. } => None,
+    b.stmts.iter().find_map(|s| {
+        let written = match s {
+            Stmt::Decl { name, .. }
+            | Stmt::Assign { name, .. }
+            | Stmt::Store { target: name, .. } => countdown_name(name),
+            Stmt::Sample(
+                Sample::Dec { reg, .. } | Sample::Threshold { reg, .. } | Sample::Guard { reg, .. },
+            ) => Some(reg.name()),
+            Stmt::Sample(_) => Some(LOCAL_COUNTDOWN),
+            _ => None,
+        };
+        written
+            .or_else(|| s.exprs().find_map(expr_names_countdown))
+            .or_else(|| s.blocks().find_map(block_names_countdown))
     })
 }
 
@@ -299,15 +272,7 @@ fn count_sites_stmt(s: &Stmt) -> usize {
     if site_stmt(s).is_some() {
         return 1;
     }
-    match s {
-        Stmt::If {
-            then_block,
-            else_block,
-            ..
-        } => count_sites_block(then_block) + else_block.as_ref().map_or(0, count_sites_block),
-        Stmt::While { body, .. } => count_sites_block(body),
-        _ => 0,
-    }
+    s.blocks().map(count_sites_block).sum()
 }
 
 /// The maximum number of sites on any path through an acyclic segment —
@@ -321,19 +286,14 @@ fn stmt_weight(s: &Stmt) -> u64 {
         return 1;
     }
     match s {
-        Stmt::If {
-            then_block,
-            else_block,
-            ..
-        } => {
-            let t = segment_weight(&then_block.stmts);
-            let e = else_block.as_ref().map_or(0, |b| segment_weight(&b.stmts));
-            t.max(e)
-        }
+        Stmt::If { .. } => s
+            .blocks()
+            .map(|b| segment_weight(&b.stmts))
+            .max()
+            .unwrap_or(0),
         // A `While` inside a segment is necessarily site-free (otherwise it
         // would be a region boundary), so it contributes no weight — §2.2:
         // "any cycle … without instrumentation is weightless".
-        Stmt::While { .. } => 0,
         _ => 0,
     }
 }
@@ -356,16 +316,10 @@ struct Transformer<'a> {
 }
 
 impl Transformer<'_> {
-    fn cd_name(&self) -> &'static str {
-        match self.options.countdown {
-            CountdownStorage::Local => LOCAL_COUNTDOWN,
-            CountdownStorage::Global => GLOBAL_COUNTDOWN,
-        }
-    }
-
     fn is_heavy_call_name(&self, name: &str) -> bool {
-        if let Some(b) = Builtin::from_name(name) {
-            return !b.is_weightless();
+        // Builtins never sample.
+        if Builtin::from_name(name).is_some() {
+            return false;
         }
         if self.defined.contains(name) {
             return !self.weightless.contains(name);
@@ -380,35 +334,9 @@ impl Transformer<'_> {
     }
 
     fn stmt_has_heavy_call(&self, s: &Stmt) -> bool {
-        match s {
-            Stmt::Decl { init, .. } => init.as_ref().is_some_and(|e| self.expr_has_heavy_call(e)),
-            Stmt::Assign { value, .. } => self.expr_has_heavy_call(value),
-            Stmt::Store { index, value, .. } => {
-                self.expr_has_heavy_call(index) || self.expr_has_heavy_call(value)
-            }
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-                ..
-            } => {
-                self.expr_has_heavy_call(cond)
-                    || then_block.stmts.iter().any(|s| self.stmt_has_heavy_call(s))
-                    || else_block
-                        .as_ref()
-                        .is_some_and(|b| b.stmts.iter().any(|s| self.stmt_has_heavy_call(s)))
-            }
-            Stmt::While { cond, body, .. } => {
-                self.expr_has_heavy_call(cond)
-                    || body.stmts.iter().any(|s| self.stmt_has_heavy_call(s))
-            }
-            Stmt::Return { value, .. } => {
-                value.as_ref().is_some_and(|e| self.expr_has_heavy_call(e))
-            }
-            Stmt::Break { .. } | Stmt::Continue { .. } => false,
-            Stmt::Check { cond, .. } => self.expr_has_heavy_call(cond),
-            Stmt::Expr { expr, .. } => self.expr_has_heavy_call(expr),
-        }
+        s.exprs().any(|e| self.expr_has_heavy_call(e))
+            || s.blocks()
+                .any(|b| b.stmts.iter().any(|s| self.stmt_has_heavy_call(s)))
     }
 
     fn classify(&self, s: &Stmt) -> Class {
@@ -447,19 +375,9 @@ impl Transformer<'_> {
     fn contains_instrumented_loop(&self, s: &Stmt) -> bool {
         match s {
             Stmt::While { body, .. } => count_sites_block(body) > 0,
-            Stmt::If {
-                then_block,
-                else_block,
-                ..
-            } => {
-                then_block
-                    .stmts
-                    .iter()
-                    .any(|s| self.contains_instrumented_loop(s))
-                    || else_block
-                        .as_ref()
-                        .is_some_and(|b| b.stmts.iter().any(|s| self.contains_instrumented_loop(s)))
-            }
+            Stmt::If { .. } => s
+                .blocks()
+                .any(|b| b.stmts.iter().any(|s| self.contains_instrumented_loop(s))),
             _ => false,
         }
     }
@@ -472,35 +390,17 @@ impl Transformer<'_> {
                 Class::Segment => seg.push(s.clone()),
                 Class::HeavyCall => {
                     self.flush(&mut seg, &mut out);
-                    if self.options.countdown == CountdownStorage::Local {
-                        out.push(export_stmt());
+                    if self.options.countdown == Countdown::Local {
+                        out.push(Stmt::Sample(Sample::Export));
                         out.push(s.clone());
-                        out.push(import_stmt());
+                        out.push(Stmt::Sample(Sample::Reimport));
                     } else {
                         out.push(s.clone());
                     }
                 }
                 Class::Recurse => {
                     self.flush(&mut seg, &mut out);
-                    match s {
-                        Stmt::While { cond, body, span } => out.push(Stmt::While {
-                            cond: cond.clone(),
-                            body: self.transform_block(body),
-                            span: *span,
-                        }),
-                        Stmt::If {
-                            cond,
-                            then_block,
-                            else_block,
-                            span,
-                        } => out.push(Stmt::If {
-                            cond: cond.clone(),
-                            then_block: self.transform_block(then_block),
-                            else_block: else_block.as_ref().map(|e| self.transform_block(e)),
-                            span: *span,
-                        }),
-                        _ => unreachable!("only loops and conditionals recurse"),
-                    }
+                    out.push(s.with_blocks(|b| self.transform_block(b)));
                 }
             }
         }
@@ -522,14 +422,12 @@ impl Transformer<'_> {
         if self.options.regions {
             self.threshold_checks += 1;
             self.total_threshold_weight += w;
-            let fast = self.fast_copy(&stmts);
-            let slow = self.slow_copy(&stmts);
-            out.push(Stmt::If {
-                cond: Expr::binary(BinOp::Gt, Expr::var(self.cd_name()), Expr::int(w as i64)),
-                then_block: fast,
-                else_block: Some(slow),
-                span: Span::synthesized(),
-            });
+            out.push(Stmt::Sample(Sample::Threshold {
+                reg: self.options.countdown,
+                w: u32::try_from(w).expect("a region's weight counts its sites"),
+                fast: self.fast_copy(&stmts),
+                slow: self.slow_copy(&stmts),
+            }));
         } else {
             // Devolved pattern: a countdown check at each and every site.
             let slow = self.slow_copy(&stmts);
@@ -537,96 +435,51 @@ impl Transformer<'_> {
         }
     }
 
-    fn decrement(&self, k: u64) -> Stmt {
-        Stmt::Assign {
-            name: self.cd_name().to_string(),
-            value: Expr::binary(BinOp::Sub, Expr::var(self.cd_name()), Expr::int(k as i64)),
-            span: Span::synthesized(),
-        }
-    }
-
     fn fast_copy(&self, stmts: &[Stmt]) -> Block {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             if site_stmt(s).is_some() {
-                out.push(self.decrement(1));
+                out.push(Stmt::Sample(Sample::Dec {
+                    reg: self.options.countdown,
+                    k: 1,
+                }));
                 continue;
             }
-            match s {
-                Stmt::If {
-                    cond,
-                    then_block,
-                    else_block,
-                    span,
-                } => out.push(Stmt::If {
-                    cond: cond.clone(),
-                    then_block: self.fast_copy(&then_block.stmts),
-                    else_block: else_block.as_ref().map(|b| self.fast_copy(&b.stmts)),
-                    span: *span,
-                }),
-                other => out.push(other.clone()),
-            }
+            out.push(s.with_blocks(|b| self.fast_copy(&b.stmts)));
         }
         let mut block = Block::new(out);
-        if self.options.coalesce && self.options.countdown == CountdownStorage::Local {
-            block = coalesce_decrements(block, self.cd_name());
+        if self.options.coalesce && self.options.countdown == Countdown::Local {
+            block = coalesce_decrements(block);
         }
         block
     }
 
     fn slow_copy(&self, stmts: &[Stmt]) -> Block {
-        let mut out = Vec::with_capacity(stmts.len() * 2);
+        let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
-            if site_stmt(s).is_some() {
-                // cd -= 1; if (cd == 0) { <site>; cd = __next_cd(); }
-                out.push(self.decrement(1));
-                out.push(Stmt::If {
-                    cond: Expr::binary(BinOp::Eq, Expr::var(self.cd_name()), Expr::int(0)),
-                    then_block: Block::new(vec![
-                        s.clone(),
-                        Stmt::Assign {
-                            name: self.cd_name().to_string(),
-                            value: Expr::call(Builtin::NextCountdown.name(), vec![]),
-                            span: Span::synthesized(),
-                        },
-                    ]),
-                    else_block: None,
-                    span: Span::synthesized(),
-                });
+            if let Some((obs, args)) = site_call(s) {
+                out.push(Stmt::Sample(Sample::Guard {
+                    reg: self.options.countdown,
+                    obs,
+                    args: args.to_vec(),
+                }));
                 continue;
             }
-            match s {
-                Stmt::If {
-                    cond,
-                    then_block,
-                    else_block,
-                    span,
-                } => out.push(Stmt::If {
-                    cond: cond.clone(),
-                    then_block: self.slow_copy(&then_block.stmts),
-                    else_block: else_block.as_ref().map(|b| self.slow_copy(&b.stmts)),
-                    span: *span,
-                }),
-                other => out.push(other.clone()),
-            }
+            out.push(s.with_blocks(|b| self.slow_copy(&b.stmts)));
         }
         Block::new(out)
     }
 }
 
-fn export_stmt() -> Stmt {
-    Stmt::Assign {
-        name: GLOBAL_COUNTDOWN.to_string(),
-        value: Expr::var(LOCAL_COUNTDOWN),
-        span: Span::synthesized(),
-    }
-}
-
-fn import_stmt() -> Stmt {
-    Stmt::Assign {
-        name: LOCAL_COUNTDOWN.to_string(),
-        value: Expr::var(GLOBAL_COUNTDOWN),
-        span: Span::synthesized(),
+/// A site statement's observation and arguments.
+fn site_call(s: &Stmt) -> Option<(Observation, &[Expr])> {
+    site_stmt(s)?;
+    match s {
+        Stmt::Expr {
+            expr: Expr::Call { name, args, .. },
+            ..
+        } => Some((Builtin::from_name(name)?.observation()?, args)),
+        _ => None,
     }
 }
 
@@ -634,14 +487,9 @@ fn import_stmt() -> Stmt {
 /// `int __cd = __gcd;` at entry, `__gcd = __cd;` before every `return` and
 /// at fall-through exit.
 fn add_local_plumbing(body: Block) -> Block {
-    let mut stmts = vec![Stmt::Decl {
-        ty: Type::Int,
-        name: LOCAL_COUNTDOWN.to_string(),
-        init: Some(Expr::var(GLOBAL_COUNTDOWN)),
-        span: Span::synthesized(),
-    }];
+    let mut stmts = vec![Stmt::Sample(Sample::Import)];
     stmts.extend(export_before_returns(body).stmts);
-    stmts.push(export_stmt());
+    stmts.push(Stmt::Sample(Sample::Export));
     Block::new(stmts)
 }
 
@@ -650,7 +498,7 @@ fn export_before_returns(b: Block) -> Block {
     for s in b.stmts {
         match s {
             Stmt::Return { .. } => {
-                out.push(export_stmt());
+                out.push(Stmt::Sample(Sample::Export));
                 out.push(s);
             }
             Stmt::If {
@@ -669,6 +517,14 @@ fn export_before_returns(b: Block) -> Block {
                 body: export_before_returns(body),
                 span,
             }),
+            Stmt::Sample(Sample::Threshold { reg, w, fast, slow }) => {
+                out.push(Stmt::Sample(Sample::Threshold {
+                    reg,
+                    w,
+                    fast: export_before_returns(fast),
+                    slow: export_before_returns(slow),
+                }))
+            }
             other => out.push(other),
         }
     }
@@ -682,85 +538,55 @@ fn export_before_returns(b: Block) -> Block {
 ///
 /// Hoisting never crosses `if`/`while`/`return`/`break`/`continue`, so the
 /// number of decrements executed along every path is preserved exactly.
-fn coalesce_decrements(b: Block, cd: &str) -> Block {
-    fn as_decrement(s: &Stmt, cd: &str) -> Option<i64> {
-        let Stmt::Assign { name, value, .. } = s else {
-            return None;
-        };
-        if name != cd {
-            return None;
-        }
-        let Expr::Binary {
-            op: BinOp::Sub,
-            lhs,
-            rhs,
-            ..
-        } = value
-        else {
-            return None;
-        };
-        match (&**lhs, &**rhs) {
-            (Expr::Var { name: v, .. }, Expr::Int { value, .. }) if v == cd => Some(*value),
-            _ => None,
-        }
-    }
-
-    fn decrement_of(total: i64, cd: &str) -> Stmt {
-        Stmt::Assign {
-            name: cd.to_string(),
-            value: Expr::binary(BinOp::Sub, Expr::var(cd), Expr::int(total)),
-            span: Span::synthesized(),
-        }
-    }
-
+fn coalesce_decrements(b: Block) -> Block {
     let mut out: Vec<Stmt> = Vec::with_capacity(b.stmts.len());
     let mut run: Vec<Stmt> = Vec::new();
-    let mut total: i64 = 0;
+    let mut total: u32 = 0;
 
-    let flush = |out: &mut Vec<Stmt>, run: &mut Vec<Stmt>, total: &mut i64, cd: &str| {
+    let flush = |out: &mut Vec<Stmt>, run: &mut Vec<Stmt>, total: &mut u32| {
         if *total > 0 {
-            out.push(decrement_of(*total, cd));
+            out.push(Stmt::Sample(Sample::Dec {
+                reg: Countdown::Local,
+                k: *total,
+            }));
         }
         out.append(run);
         *total = 0;
     };
 
     for s in b.stmts {
-        if let Some(k) = as_decrement(&s, cd) {
-            total += k;
-            continue;
-        }
         match s {
+            Stmt::Sample(Sample::Dec { k, .. }) => total += k,
             Stmt::If {
                 cond,
                 then_block,
                 else_block,
                 span,
             } => {
-                flush(&mut out, &mut run, &mut total, cd);
+                flush(&mut out, &mut run, &mut total);
                 out.push(Stmt::If {
                     cond,
-                    then_block: coalesce_decrements(then_block, cd),
-                    else_block: else_block.map(|e| coalesce_decrements(e, cd)),
+                    then_block: coalesce_decrements(then_block),
+                    else_block: else_block.map(coalesce_decrements),
                     span,
                 });
             }
             Stmt::While { cond, body, span } => {
-                flush(&mut out, &mut run, &mut total, cd);
+                flush(&mut out, &mut run, &mut total);
                 out.push(Stmt::While {
                     cond,
-                    body: coalesce_decrements(body, cd),
+                    body: coalesce_decrements(body),
                     span,
                 });
             }
             s @ (Stmt::Return { .. } | Stmt::Break { .. } | Stmt::Continue { .. }) => {
-                flush(&mut out, &mut run, &mut total, cd);
+                flush(&mut out, &mut run, &mut total);
                 out.push(s);
             }
             simple => run.push(simple),
         }
     }
-    flush(&mut out, &mut run, &mut total, cd);
+    flush(&mut out, &mut run, &mut total);
     Block::new(out)
 }
 
@@ -822,7 +648,7 @@ mod tests {
     #[test]
     fn global_mode_uses_global_directly_without_coalescing() {
         let opts = TransformOptions {
-            countdown: CountdownStorage::Global,
+            countdown: Countdown::Global,
             ..TransformOptions::default()
         };
         let (_, _, s) = transform(TWO_SITES, &opts);
@@ -961,7 +787,7 @@ mod tests {
         fn main() -> int { f(3); return 0; }";
         let p = parse(src).unwrap();
         let (q, _) = apply_sampling(&p, &TransformOptions::default()).unwrap();
-        cbi_minic::resolve_relaxed(&q).unwrap_or_else(|e| panic!("{e}\n{}", pretty(&q)));
+        cbi_minic::resolve(&q).unwrap_or_else(|e| panic!("{e}\n{}", pretty(&q)));
         // And the pretty-printed form re-parses to the same program shape.
         let reparsed = parse(&pretty(&q)).unwrap();
         assert_eq!(pretty(&reparsed), pretty(&q));

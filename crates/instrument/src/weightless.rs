@@ -38,27 +38,20 @@ pub fn weightless_functions(program: &Program, interprocedural: bool) -> HashSet
         if has_site {
             heavy.push(&f.name);
         }
-        // Builtin calls are weightless except the countdown refill; calls to
-        // undefined names cannot occur in resolved programs but are treated
-        // as heavy for safety.
-        let mut heavy_builtin = false;
-        calls.retain(|c| match Builtin::from_name(c) {
-            Some(b) => {
-                if !b.is_weightless() {
-                    heavy_builtin = true;
-                }
-                false
+        // Builtin calls are weightless; calls to undefined names cannot
+        // occur in resolved programs but are treated as heavy for safety.
+        let mut heavy_call = false;
+        calls.retain(|c| {
+            if Builtin::from_name(c).is_some() {
+                return false;
             }
-            None => {
-                if !defined.contains(c.as_str()) {
-                    heavy_builtin = true;
-                    false
-                } else {
-                    true
-                }
+            if !defined.contains(c.as_str()) {
+                heavy_call = true;
+                return false;
             }
+            true
         });
-        if heavy_builtin && !heavy.contains(&f.name.as_str()) {
+        if heavy_call && !heavy.contains(&f.name.as_str()) {
             heavy.push(&f.name);
         }
         callees.insert(&f.name, calls);
@@ -96,47 +89,18 @@ fn collect_block(b: &Block, calls: &mut Vec<String>, has_site: &mut bool) {
 }
 
 fn collect_stmt(s: &Stmt, calls: &mut Vec<String>, has_site: &mut bool) {
-    if site_stmt(s).is_some() {
+    // An already transformed program keeps its sites in sample guards.
+    if site_stmt(s).is_some() || matches!(s, Stmt::Sample(Sample::Guard { .. })) {
         *has_site = true;
         // The observation arguments contain no user calls (schemes only
         // reference variables and literals), so no need to walk them.
         return;
     }
-    match s {
-        Stmt::Decl { init, .. } => {
-            if let Some(e) = init {
-                e.called_names(calls);
-            }
-        }
-        Stmt::Assign { value, .. } => value.called_names(calls),
-        Stmt::Store { index, value, .. } => {
-            index.called_names(calls);
-            value.called_names(calls);
-        }
-        Stmt::If {
-            cond,
-            then_block,
-            else_block,
-            ..
-        } => {
-            cond.called_names(calls);
-            collect_block(then_block, calls, has_site);
-            if let Some(e) = else_block {
-                collect_block(e, calls, has_site);
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            cond.called_names(calls);
-            collect_block(body, calls, has_site);
-        }
-        Stmt::Return { value, .. } => {
-            if let Some(v) = value {
-                v.called_names(calls);
-            }
-        }
-        Stmt::Break { .. } | Stmt::Continue { .. } => {}
-        Stmt::Check { cond, .. } => cond.called_names(calls),
-        Stmt::Expr { expr, .. } => expr.called_names(calls),
+    for e in s.exprs() {
+        e.called_names(calls);
+    }
+    for b in s.blocks() {
+        collect_block(b, calls, has_site);
     }
 }
 
@@ -205,11 +169,5 @@ mod tests {
     fn builtin_calls_stay_weightless() {
         let set = wl("fn a() -> int { ptr p = alloc(3); free(p); return read() + has_input(); }");
         assert!(set.contains("a"));
-    }
-
-    #[test]
-    fn countdown_refill_is_heavy() {
-        let set = wl("fn a() -> int { return __next_cd(); }");
-        assert!(!set.contains("a"));
     }
 }

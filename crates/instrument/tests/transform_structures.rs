@@ -2,10 +2,10 @@
 //! mixed boundaries, and the exact placement rules of §2.2–§2.4.
 
 use cbi_instrument::{
-    apply_sampling, count_sites_block, instrument, single_function_variants, strip_sites,
-    CountdownStorage, Scheme, TransformOptions,
+    apply_sampling, count_sites_block, instrument, single_function_variants, strip_sites, Scheme,
+    TransformOptions,
 };
-use cbi_minic::{parse, pretty, resolve_relaxed};
+use cbi_minic::{parse, pretty, resolve, Countdown};
 
 fn transform(
     src: &str,
@@ -13,7 +13,7 @@ fn transform(
 ) -> (cbi_minic::Program, cbi_instrument::TransformStats, String) {
     let p = parse(src).unwrap();
     let (q, stats) = apply_sampling(&p, options).unwrap();
-    resolve_relaxed(&q).unwrap_or_else(|e| panic!("{e}\n{}", pretty(&q)));
+    resolve(&q).unwrap_or_else(|e| panic!("{e}\n{}", pretty(&q)));
     let s = pretty(&q);
     (q, stats, s)
 }
@@ -111,7 +111,7 @@ fn break_and_continue_survive_cloning() {
     // Both paths of the dual region keep the control-flow statements.
     assert!(s.matches("continue;").count() >= 2, "{s}");
     assert!(s.matches("break;").count() >= 2, "{s}");
-    resolve_relaxed(&q).unwrap();
+    resolve(&q).unwrap();
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn global_mode_emits_no_local_countdown_anywhere() {
     let src = "fn h(int x) -> int { __obs_sign(0, x); return x; }\n\
         fn f(int x) { __check(1, x > 0); int y = h(x); __check(2, y > 0); }";
     let opts = TransformOptions {
-        countdown: CountdownStorage::Global,
+        countdown: Countdown::Global,
         ..TransformOptions::default()
     };
     let (_, _, s) = transform(src, &opts);
@@ -220,5 +220,5 @@ fn transformation_depth_is_robust_to_pathological_nesting() {
     let (q, stats, _) = transform(&src, &TransformOptions::default());
     assert_eq!(stats.functions[0].sites, 1);
     assert!(stats.functions[0].threshold_checks >= 1);
-    resolve_relaxed(&q).unwrap();
+    resolve(&q).unwrap();
 }

@@ -4,15 +4,18 @@
 //!
 //! * **user builtins** available to workload programs: heap management,
 //!   scripted input, output, and early exit;
-//! * **runtime builtins** (double-underscore names) that only instrumented
-//!   code calls: counter updates for the three observation kinds and the
-//!   next-sample countdown refill.  Workload sources never mention them; the
-//!   instrumentation passes synthesize the calls.
+//! * **observation builtins** (double-underscore names) that only
+//!   instrumented code calls: counter updates for the three observation
+//!   kinds.  Workload sources never mention them; the instrumentation
+//!   schemes synthesize the calls.
+//!
+//! The countdown refill is not a builtin: it is part of the sampling
+//! statement [`crate::ast::Sample::Guard`].
 
 use crate::ast::Type;
 
 /// The reserved name of the global next-sample countdown variable
-/// synthesized by the sampling transformation (§2.4 "global countdown").
+/// the sampling transformation adds (§2.4 "global countdown").
 pub const GLOBAL_COUNTDOWN: &str = "__gcd";
 
 /// The reserved name of the per-function local countdown copy (§2.4).
@@ -44,9 +47,29 @@ pub enum Builtin {
     /// `__obs_sign(site, v)`: counted sign observation for function return
     /// values (§3.2.1).  Three counters: `[v < 0, v == 0, v > 0]`.
     ObsSign,
-    /// `__next_cd() -> int`: refill the next-sample countdown from the
-    /// run's countdown source.
-    NextCountdown,
+}
+
+/// The three observation builtins: what an instrumentation site calls,
+/// and what a [`crate::ast::Sample::Guard`] samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Observation {
+    /// [`Builtin::ObsCheck`].
+    Check,
+    /// [`Builtin::ObsCmp`].
+    Cmp,
+    /// [`Builtin::ObsSign`].
+    Sign,
+}
+
+impl Observation {
+    /// The builtin this observation calls.
+    pub fn builtin(self) -> Builtin {
+        match self {
+            Observation::Check => Builtin::ObsCheck,
+            Observation::Cmp => Builtin::ObsCmp,
+            Observation::Sign => Builtin::ObsSign,
+        }
+    }
 }
 
 impl Builtin {
@@ -63,7 +86,6 @@ impl Builtin {
             "__check" => Builtin::ObsCheck,
             "__cmp" => Builtin::ObsCmp,
             "__obs_sign" => Builtin::ObsSign,
-            "__next_cd" => Builtin::NextCountdown,
             _ => return None,
         })
     }
@@ -81,14 +103,13 @@ impl Builtin {
             Builtin::ObsCheck => "__check",
             Builtin::ObsCmp => "__cmp",
             Builtin::ObsSign => "__obs_sign",
-            Builtin::NextCountdown => "__next_cd",
         }
     }
 
     /// Number of arguments the builtin expects.
     pub fn arity(self) -> usize {
         match self {
-            Builtin::Read | Builtin::HasInput | Builtin::NextCountdown => 0,
+            Builtin::Read | Builtin::HasInput => 0,
             Builtin::Alloc | Builtin::Free | Builtin::Len | Builtin::Print | Builtin::Exit => 1,
             Builtin::ObsCheck | Builtin::ObsSign => 2,
             Builtin::ObsCmp => 3,
@@ -99,9 +120,7 @@ impl Builtin {
     pub fn ret(self) -> Option<Type> {
         match self {
             Builtin::Alloc => Some(Type::Ptr),
-            Builtin::Len | Builtin::Read | Builtin::HasInput | Builtin::NextCountdown => {
-                Some(Type::Int)
-            }
+            Builtin::Len | Builtin::Read | Builtin::HasInput => Some(Type::Int),
             Builtin::Free
             | Builtin::Print
             | Builtin::Exit
@@ -111,26 +130,14 @@ impl Builtin {
         }
     }
 
-    /// Whether this is an instrumentation-runtime builtin (reserved
-    /// double-underscore namespace) rather than a user-facing one.
-    #[cfg(test)]
-    fn is_runtime(self) -> bool {
-        matches!(
-            self,
-            Builtin::ObsCheck | Builtin::ObsCmp | Builtin::ObsSign | Builtin::NextCountdown
-        )
-    }
-
-    /// Whether calls to this builtin are *weightless* for the purposes of
-    /// the interprocedural analysis of §2.3 — they contain no
-    /// instrumentation sites and never touch the countdown, so acyclic
-    /// regions may extend across them.
-    ///
-    /// Every builtin except [`Builtin::NextCountdown`] is weightless; the
-    /// countdown refill by definition manipulates the countdown (it is only
-    /// ever called from synthesized slow-path code anyway).
-    pub fn is_weightless(self) -> bool {
-        !matches!(self, Builtin::NextCountdown)
+    /// The observation this builtin makes, if it is one of the three.
+    pub fn observation(self) -> Option<Observation> {
+        match self {
+            Builtin::ObsCheck => Some(Observation::Check),
+            Builtin::ObsCmp => Some(Observation::Cmp),
+            Builtin::ObsSign => Some(Observation::Sign),
+            _ => None,
+        }
     }
 }
 
@@ -151,11 +158,11 @@ mod tests {
             Builtin::ObsCheck,
             Builtin::ObsCmp,
             Builtin::ObsSign,
-            Builtin::NextCountdown,
         ] {
             assert_eq!(Builtin::from_name(b.name()), Some(b));
         }
         assert_eq!(Builtin::from_name("nonsense"), None);
+        assert_eq!(Builtin::from_name("__next_cd"), None);
     }
 
     #[test]
@@ -170,16 +177,10 @@ mod tests {
 
     #[test]
     fn runtime_builtins_flagged() {
-        assert!(Builtin::ObsCmp.is_runtime());
-        assert!(Builtin::NextCountdown.is_runtime());
-        assert!(!Builtin::Alloc.is_runtime());
-        assert!(!Builtin::Print.is_runtime());
-    }
-
-    #[test]
-    fn weightlessness() {
-        assert!(Builtin::Alloc.is_weightless());
-        assert!(Builtin::ObsCheck.is_weightless());
-        assert!(!Builtin::NextCountdown.is_weightless());
+        for o in [Observation::Check, Observation::Cmp, Observation::Sign] {
+            assert_eq!(o.builtin().observation(), Some(o));
+        }
+        assert_eq!(Builtin::Alloc.observation(), None);
+        assert_eq!(Builtin::Print.observation(), None);
     }
 }

@@ -41,11 +41,13 @@ pub mod slots;
 pub mod span;
 pub mod token;
 
-pub use ast::{BinOp, Block, Expr, Function, Global, Param, Program, Stmt, Type, UnOp};
-pub use builtins::Builtin;
+pub use ast::{
+    BinOp, Block, Countdown, Expr, Function, Global, Param, Program, Sample, Stmt, Type, UnOp,
+};
+pub use builtins::{Builtin, Observation};
 pub use parser::parse;
 pub use pretty::{pretty, pretty_function, print_expr};
-pub use resolve::{resolve, resolve_relaxed, FnSig, ProgramInfo};
+pub use resolve::{resolve, FnSig, ProgramInfo};
 pub use slots::{lower, SlotProgram};
 pub use span::Span;
 

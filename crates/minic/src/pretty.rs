@@ -103,20 +103,13 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
             then_block,
             else_block,
             ..
-        } => {
-            let _ = writeln!(out, "if ({}) {{", print_expr(cond));
-            print_block_body(out, then_block, level + 1);
-            indent(out, level);
-            match else_block {
-                None => out.push_str("}\n"),
-                Some(e) => {
-                    out.push_str("} else {\n");
-                    print_block_body(out, e, level + 1);
-                    indent(out, level);
-                    out.push_str("}\n");
-                }
-            }
-        }
+        } => print_if(
+            out,
+            &print_expr(cond),
+            then_block,
+            else_block.as_ref(),
+            level,
+        ),
         Stmt::While { cond, body, .. } => {
             let _ = writeln!(out, "while ({}) {{", print_expr(cond));
             print_block_body(out, body, level + 1);
@@ -137,7 +130,57 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
         Stmt::Expr { expr, .. } => {
             let _ = writeln!(out, "{};", print_expr(expr));
         }
+        Stmt::Sample(s) => print_sample(out, s, level),
     }
+}
+
+/// `if (cond) { … }`, with its `else` arm if any; the caller has
+/// indented the first line.
+fn print_if(
+    out: &mut String,
+    cond: &str,
+    then_block: &Block,
+    else_block: Option<&Block>,
+    level: usize,
+) {
+    let _ = writeln!(out, "if ({cond}) {{");
+    print_block_body(out, then_block, level + 1);
+    indent(out, level);
+    match else_block {
+        None => out.push_str("}\n"),
+        Some(e) => {
+            out.push_str("} else {\n");
+            print_block_body(out, e, level + 1);
+            indent(out, level);
+            out.push_str("}\n");
+        }
+    }
+}
+
+/// A sampling statement, spelled as the MiniC it stands for.
+fn print_sample(out: &mut String, s: &Sample, level: usize) {
+    let (cd, gcd) = (Countdown::Local.name(), Countdown::Global.name());
+    let _ = match s {
+        Sample::Import => writeln!(out, "int {cd} = {gcd};"),
+        Sample::Reimport => writeln!(out, "{cd} = {gcd};"),
+        Sample::Export => writeln!(out, "{gcd} = {cd};"),
+        Sample::Dec { reg, k } => writeln!(out, "{r} = {r} - {k};", r = reg.name()),
+        Sample::Threshold { reg, w, fast, slow } => {
+            let cond = format!("{} > {w}", reg.name());
+            print_if(out, &cond, fast, Some(slow), level);
+            Ok(())
+        }
+        Sample::Guard { reg, obs, args } => {
+            let (r, pad) = (reg.name(), "    ".repeat(level));
+            let args: Vec<String> = args.iter().map(print_expr).collect();
+            writeln!(
+                out,
+                "{r} = {r} - 1;\n{pad}if ({r} == 0) {{\n{pad}    {}({});\n{pad}    {r} = __next_cd();\n{pad}}}",
+                obs.builtin().name(),
+                args.join(", ")
+            )
+        }
+    };
 }
 
 /// Renders an expression with explicit parentheses where precedence needs

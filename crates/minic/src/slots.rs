@@ -20,7 +20,7 @@
 //! test pins the outcomes).
 
 use crate::ast::*;
-use crate::builtins::{Builtin, GLOBAL_COUNTDOWN};
+use crate::builtins::{Builtin, GLOBAL_COUNTDOWN, LOCAL_COUNTDOWN};
 use std::collections::HashMap;
 
 /// A statically resolved variable reference.
@@ -58,9 +58,12 @@ pub enum Callee {
     Undefined(Box<str>),
 }
 
-/// A lowered statement.  Mirrors [`Stmt`] with names resolved to slots
-/// and the synthesized-span flag (which selects the flat bookkeeping
-/// charge in the VM) precomputed where the interpreter consults it.
+/// A lowered sampling statement: [`Sample`] over lowered blocks and
+/// expressions.  Its `__cd` is the frame slot [`SlotFunction::cd_slot`],
+/// its `__gcd` the global [`SlotProgram::gcd_global`].
+pub type SlotSample = Sample<Vec<SlotStmt>, SlotExpr>;
+
+/// A lowered statement.  Mirrors [`Stmt`] with names resolved to slots.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SlotStmt {
     /// Local declaration: binds the frame slot.
@@ -71,8 +74,6 @@ pub enum SlotStmt {
         slot: u32,
         /// Optional initializer.
         init: Option<SlotExpr>,
-        /// Whether the declaration was synthesized by instrumentation.
-        synthesized: bool,
     },
     /// Assignment to an existing binding.
     Assign {
@@ -80,8 +81,6 @@ pub enum SlotStmt {
         target: SlotRef,
         /// Value expression.
         value: SlotExpr,
-        /// Whether the assignment was synthesized by instrumentation.
-        synthesized: bool,
     },
     /// Store through a pointer variable: `p[i] = e;`.
     Store {
@@ -100,8 +99,6 @@ pub enum SlotStmt {
         then_block: Vec<SlotStmt>,
         /// Optional else branch.
         else_block: Option<Vec<SlotStmt>>,
-        /// Whether the conditional was synthesized by instrumentation.
-        synthesized: bool,
     },
     /// Loop.
     While {
@@ -126,6 +123,8 @@ pub enum SlotStmt {
         /// The expression.
         expr: SlotExpr,
     },
+    /// A sampling statement.
+    Sample(SlotSample),
 }
 
 /// A lowered expression.  Mirrors [`Expr`] with variables and callees
@@ -181,6 +180,9 @@ pub struct SlotFunction {
     pub n_slots: u32,
     /// Slot index → variable name, for trap messages.
     pub slot_names: Vec<String>,
+    /// The slot of the local countdown `__cd`, when the function imports
+    /// it ([`Sample::Import`]).
+    pub cd_slot: Option<u32>,
     /// Return type, or `None` for procedures.
     pub ret: Option<Type>,
     /// Lowered body.
@@ -268,6 +270,7 @@ struct FnLowerer<'a> {
     /// in a function-flat frame would).
     locals: HashMap<&'a str, u32>,
     slot_names: Vec<String>,
+    cd_slot: Option<u32>,
     globals: &'a HashMap<&'a str, u32>,
     funcs: &'a HashMap<&'a str, u32>,
 }
@@ -280,6 +283,7 @@ fn lower_function(
     let mut lw = FnLowerer {
         locals: HashMap::new(),
         slot_names: Vec::new(),
+        cd_slot: None,
         globals,
         funcs,
     };
@@ -297,6 +301,7 @@ fn lower_function(
         n_params,
         n_slots: lw.slot_names.len() as u32,
         slot_names: lw.slot_names,
+        cd_slot: lw.cd_slot,
         ret: f.ret,
         body,
     }
@@ -319,6 +324,11 @@ fn collect_decls<'a>(b: &'a Block, lw: &mut FnLowerer<'a>) {
                 }
             }
             Stmt::While { body, .. } => collect_decls(body, lw),
+            Stmt::Sample(Sample::Import) => lw.cd_slot = Some(lw.slot_of(LOCAL_COUNTDOWN)),
+            Stmt::Sample(Sample::Threshold { fast, slow, .. }) => {
+                collect_decls(fast, lw);
+                collect_decls(slow, lw);
+            }
             _ => {}
         }
     }
@@ -349,7 +359,6 @@ impl<'a> FnLowerer<'a> {
     }
 
     fn stmt(&mut self, s: &Stmt) -> SlotStmt {
-        let synthesized = s.span().is_synthesized();
         match s {
             Stmt::Decl { ty, name, init, .. } => SlotStmt::Decl {
                 ty: *ty,
@@ -359,12 +368,10 @@ impl<'a> FnLowerer<'a> {
                     .copied()
                     .expect("pre-scan covers every declaration"),
                 init: init.as_ref().map(|e| self.expr(e)),
-                synthesized,
             },
             Stmt::Assign { name, value, .. } => SlotStmt::Assign {
                 target: self.var_ref(name),
                 value: self.expr(value),
-                synthesized,
             },
             Stmt::Store {
                 target,
@@ -385,7 +392,6 @@ impl<'a> FnLowerer<'a> {
                 cond: self.expr(cond),
                 then_block: self.block(then_block),
                 else_block: else_block.as_ref().map(|e| self.block(e)),
-                synthesized,
             },
             Stmt::While { cond, body, .. } => SlotStmt::While {
                 cond: self.expr(cond),
@@ -400,6 +406,23 @@ impl<'a> FnLowerer<'a> {
             Stmt::Expr { expr, .. } => SlotStmt::Expr {
                 expr: self.expr(expr),
             },
+            Stmt::Sample(s) => SlotStmt::Sample(match s {
+                Sample::Import => Sample::Import,
+                Sample::Reimport => Sample::Reimport,
+                Sample::Export => Sample::Export,
+                Sample::Dec { reg, k } => Sample::Dec { reg: *reg, k: *k },
+                Sample::Threshold { reg, w, fast, slow } => Sample::Threshold {
+                    reg: *reg,
+                    w: *w,
+                    fast: self.block(fast),
+                    slow: self.block(slow),
+                },
+                Sample::Guard { reg, obs, args } => Sample::Guard {
+                    reg: *reg,
+                    obs: *obs,
+                    args: args.iter().map(|a| self.expr(a)).collect(),
+                },
+            }),
         }
     }
 

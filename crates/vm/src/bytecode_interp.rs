@@ -25,17 +25,17 @@
 //!   its [`Frame`], and the return — or a deferred-error rewind past the
 //!   frame — restores it, so every frame sees its own `cd` as the walker
 //!   sees its own slot.  The countdown ops (`CdMove`/`CdDec`/`CdBranch`/
-//!   `CdGate`) and the sample gates folded into the observation ops keep
-//!   the walker's synthesized-statement effects in order — telemetry step
-//!   bump, flat bookkeeping charge, region telemetry — with nothing that
-//!   can trap but the charge itself and the refill.
+//!   `CdGate`) and the sample gates of the observation ops keep the
+//!   walker's sampling-statement effects in order — telemetry step bump,
+//!   flat bookkeeping charge, region telemetry — with nothing that can
+//!   trap but the charge itself and the refill.
 
 use crate::interp::{RunResult, VmError};
 use crate::outcome::CrashKind;
 use crate::runtime::{saturating_i64, RunCore, Trap};
 use crate::value::Value;
-use cbi_bytecode::{BcProgram, BoundsSpec, CdMove, CdReg, Dest, ObsArgs, ObsSpec, Op, Operand};
-use cbi_minic::ast::{BinOp, Type};
+use cbi_bytecode::{BcProgram, BoundsSpec, CdMove, Dest, ObsArgs, ObsSpec, Op, Operand};
+use cbi_minic::ast::{BinOp, Countdown, Type};
 
 /// A live call frame.
 struct Frame {
@@ -211,7 +211,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
     }
 
     /// The bookkeeping every countdown op opens with, as the walker's
-    /// synthesized statement does: the telemetry step bump and the flat
+    /// sampling statement does: the telemetry step bump and the flat
     /// charge.
     macro_rules! bookkeeping {
         ($op:lifetime) => {{
@@ -239,26 +239,26 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
     macro_rules! reg {
         ($r:expr) => {
             *match $r {
-                CdReg::Local => &mut cd,
-                CdReg::Global => &mut gcd,
+                Countdown::Local => &mut cd,
+                Countdown::Global => &mut gcd,
             }
         };
     }
 
-    /// A folded slow-path sample gate, as the walker runs `cd = cd - 1;`
-    /// and `if (cd == 0)`: two bookkeeping statements and the sample
-    /// telemetry; `$shut` runs when the register is still nonzero.
+    /// A slow-path sample gate, as the walker runs a sample guard's `cd =
+    /// cd - 1;` and `if (cd == 0)`: two bookkeeping statements and the
+    /// sample telemetry; `$shut`, which leaves the op, runs when the
+    /// register is still nonzero.
     macro_rules! sample_gate {
         ($op:lifetime, $r:expr, $shut:expr) => {{
             bookkeeping!($op);
             reg!($r) = reg!($r).wrapping_sub(1);
             bookkeeping!($op);
-            let taken = reg!($r) == 0;
-            if core.tm.on {
-                core.tm.synthesized_if(BinOp::Eq, taken);
-            }
-            if !taken {
+            if reg!($r) != 0 {
                 $shut
+            }
+            if core.tm.on {
+                core.tm.samples += 1;
             }
         }};
     }
@@ -596,13 +596,6 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     };
                     break 'op Trap::Exit(code);
                 }
-                Op::NextCd => match core.next_countdown_value() {
-                    Ok(v) => {
-                        stack.push(v);
-                        continue 'run;
-                    }
-                    Err(t) => break 'op t,
-                },
                 Op::DeferPush(t) => {
                     defers.push(Defer {
                         target: t as usize,
@@ -634,7 +627,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     bookkeeping!('op);
                     let taken = reg!(reg) > i64::from(w);
                     if core.tm.on {
-                        core.tm.synthesized_if(BinOp::Gt, taken);
+                        core.tm.threshold(taken);
                     }
                     if !taken {
                         pc = els as usize;
@@ -975,7 +968,7 @@ pub(crate) fn run(prog: &BcProgram, mut core: RunCore<'_>) -> Result<RunResult, 
                     bookkeeping!('op);
                     let taken = reg!(reg) > i64::from(w);
                     if core.tm.on {
-                        core.tm.synthesized_if(BinOp::Gt, taken);
+                        core.tm.threshold(taken);
                     }
                     if !taken {
                         pc = els as usize;

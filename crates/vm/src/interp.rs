@@ -8,8 +8,8 @@
 //! * the corruptible [`crate::heap::Heap`];
 //! * scripted integer input (`read`/`has_input`) and an output log;
 //! * the sampling runtime: observation builtins update the report counter
-//!   vector, `__next_cd()` refills from a [`CountdownSource`], and the
-//!   `__gcd` global is seeded at startup;
+//!   vector, each sample guard refills the countdown from a
+//!   [`CountdownSource`], and the `__gcd` global is seeded at startup;
 //! * op-cost accounting per [`cbi_bytecode::Costs`] for the overhead experiments.
 //!
 //! There is one engine and one oracle, and the program a [`Vm`] is built
@@ -233,8 +233,8 @@ impl<'a> Vm<'a> {
         self
     }
 
-    /// Attaches the countdown source used by `__next_cd()` and the initial
-    /// `__gcd` seed; required for sampled programs.
+    /// Attaches the countdown source used by sample-guard refills and the
+    /// initial `__gcd` seed; required for sampled programs.
     pub fn with_sampling(&mut self, source: Box<dyn CountdownSource>) -> &mut Self {
         self.sampling = Sampling::Owned(source);
         self

@@ -72,22 +72,13 @@ impl TmCounters {
         }
     }
 
-    /// Classifies one executed synthesized conditional by its comparison
-    /// operator: the transformation emits `cd > w` threshold checks whose
-    /// taken arm is the instrumentation-free fast path, and `cd == 0`
-    /// slow-path guards whose taken arm records a sample.
+    /// Counts one executed threshold check by the region clone it entered.
     #[inline]
-    pub(crate) fn synthesized_if(&mut self, op: BinOp, taken: bool) {
-        match op {
-            BinOp::Gt => {
-                if taken {
-                    self.fast += 1;
-                } else {
-                    self.slow += 1;
-                }
-            }
-            BinOp::Eq if taken => self.samples += 1,
-            _ => {}
+    pub(crate) fn threshold(&mut self, fast: bool) {
+        if fast {
+            self.fast += 1;
+        } else {
+            self.slow += 1;
         }
     }
 
@@ -108,8 +99,8 @@ impl TmCounters {
 
 /// The engine-independent run state.
 pub(crate) struct RunCore<'a> {
-    /// When nonzero, per-node charges are suspended (inside synthesized
-    /// countdown bookkeeping, which is charged flat instead).
+    /// When nonzero, per-node charges are suspended (inside the arguments
+    /// of `__cmp`/`__obs_sign`, which are charged flat instead).
     pub(crate) free_depth: u32,
     pub(crate) heap: Heap,
     pub(crate) input: &'a [i64],
@@ -411,22 +402,16 @@ impl<'a> RunCore<'a> {
         Ok(Value::Int(0))
     }
 
-    /// `__next_cd()`: the refill charge (never suspended) and the next
-    /// countdown from the configured source.
+    /// A sample guard's refill: the refill charge (never suspended) and
+    /// the next countdown from the configured source.
     pub(crate) fn next_countdown(&mut self) -> Result<i64, Trap> {
         self.charge_always(self.costs.refill)?;
         match self.sampling.as_deref_mut() {
             Some(src) => Ok(saturating_i64(src.next_countdown())),
-            None => {
-                Err(self
-                    .type_error("program called __next_cd() but no countdown source is configured"))
-            }
+            None => Err(self.type_error(
+                "a sample guard refilled the countdown but no countdown source is configured",
+            )),
         }
-    }
-
-    /// [`RunCore::next_countdown`] as a value.
-    pub(crate) fn next_countdown_value(&mut self) -> Result<Value, Trap> {
-        self.next_countdown().map(Value::Int)
     }
 
     /// Maps the result of running `main` to a [`RunOutcome`].

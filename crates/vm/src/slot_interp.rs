@@ -22,8 +22,10 @@
 use crate::outcome::CrashKind;
 use crate::runtime::{Flow, RunCore, Trap};
 use crate::value::Value;
-use cbi_minic::ast::BinOp;
-use cbi_minic::slots::{Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotStmt};
+use cbi_minic::ast::{BinOp, Countdown, Sample};
+use cbi_minic::slots::{
+    Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotSample, SlotStmt,
+};
 use cbi_minic::Builtin;
 
 pub(crate) struct SlotExec<'a> {
@@ -89,48 +91,22 @@ impl<'a> SlotExec<'a> {
         f: &'a SlotFunction,
         base: usize,
     ) -> Result<Flow, Trap> {
-        // Synthesized countdown bookkeeping (decrements, threshold checks,
-        // imports/exports) costs a flat unit: in a native build these are
-        // register operations (§2.4).  Branch bodies of synthesized
-        // conditionals still charge normally — they contain real code.
         if self.core.tm.on {
             self.core.tm.steps += 1;
         }
         match s {
-            SlotStmt::Decl {
-                ty,
-                slot,
-                init,
-                synthesized,
-            } => {
-                let v = if *synthesized {
-                    self.core.charge(self.core.costs.bookkeeping)?;
-                    match init {
-                        Some(e) => self.eval_uncharged(e, f, base)?,
-                        None => Value::zero_of(*ty),
-                    }
-                } else {
-                    self.core.charge(self.core.costs.stmt)?;
-                    match init {
-                        Some(e) => self.eval(e, f, base)?,
-                        None => Value::zero_of(*ty),
-                    }
+            SlotStmt::Decl { ty, slot, init } => {
+                self.core.charge(self.core.costs.stmt)?;
+                let v = match init {
+                    Some(e) => self.eval(e, f, base)?,
+                    None => Value::zero_of(*ty),
                 };
                 self.stack[base + *slot as usize] = Some(v);
                 Ok(Flow::Normal)
             }
-            SlotStmt::Assign {
-                target,
-                value,
-                synthesized,
-            } => {
-                let v = if *synthesized {
-                    self.core.charge(self.core.costs.bookkeeping)?;
-                    self.eval_uncharged(value, f, base)?
-                } else {
-                    self.core.charge(self.core.costs.stmt)?;
-                    self.eval(value, f, base)?
-                };
+            SlotStmt::Assign { target, value } => {
+                self.core.charge(self.core.costs.stmt)?;
+                let v = self.eval(value, f, base)?;
                 self.assign(target, v, f, base)?;
                 Ok(Flow::Normal)
             }
@@ -138,28 +114,9 @@ impl<'a> SlotExec<'a> {
                 cond,
                 then_block,
                 else_block,
-                synthesized,
             } => {
-                let taken = if *synthesized {
-                    self.core.charge(self.core.costs.bookkeeping)?;
-                    match self.eval_uncharged(cond, f, base)? {
-                        Value::Int(v) => v != 0,
-                        other => {
-                            return Err(self
-                                .core
-                                .type_error(format!("synthesized condition evaluated to {other}")))
-                        }
-                    }
-                } else {
-                    self.core.charge(self.core.costs.stmt)?;
-                    self.eval_bool(cond, f, base)?
-                };
-                if self.core.tm.on && *synthesized {
-                    if let SlotExpr::Binary { op, .. } = cond {
-                        self.core.tm.synthesized_if(*op, taken);
-                    }
-                }
-                if taken {
+                self.core.charge(self.core.costs.stmt)?;
+                if self.eval_bool(cond, f, base)? {
                     self.exec_block(then_block, f, base)
                 } else if let Some(e) = else_block {
                     self.exec_block(e, f, base)
@@ -227,49 +184,106 @@ impl<'a> SlotExec<'a> {
                 self.eval(expr, f, base)?;
                 Ok(Flow::Normal)
             }
+            SlotStmt::Sample(s) => self.exec_sample(s, f, base),
         }
     }
 
-    /// Evaluates countdown-arithmetic expressions of synthesized
-    /// statements without per-node charges (they model register ops); a
-    /// flat bookkeeping charge is applied by the caller.
-    ///
-    /// The two shapes the sampling transformation emits on every region
-    /// entry — `__cd - k` decrements and `__cd <op> k` threshold tests —
-    /// skip the recursive evaluator entirely.  Inside synthesized code
-    /// every per-node charge is a no-op, and `lookup` is pure, so the
-    /// short-circuit is observably identical (traps, ops, values) to the
-    /// generic walk it replaces; anything unexpected (a pointer operand,
-    /// an unbound slot) falls back to the generic path for exact error
-    /// parity.
-    fn eval_uncharged(
+    /// A sampling statement, with the effects of the statements it prints
+    /// as.  Each bookkeeping statement among them costs a flat unit: in a
+    /// native build these are register operations (§2.4).  The arms of a
+    /// threshold check and a guard's site are real code and charge
+    /// normally.
+    fn exec_sample(
         &mut self,
-        e: &'a SlotExpr,
+        s: &'a SlotSample,
         f: &'a SlotFunction,
         base: usize,
-    ) -> Result<Value, Trap> {
-        if let SlotExpr::Binary { op, lhs, rhs } = e {
-            if let (SlotExpr::Var(r), SlotExpr::Int(k)) = (&**lhs, &**rhs) {
-                if let Ok(Value::Int(a)) = self.lookup(r, f, base) {
-                    let k = *k;
-                    match op {
-                        BinOp::Sub => return Ok(Value::Int(a.wrapping_sub(k))),
-                        BinOp::Add => return Ok(Value::Int(a.wrapping_add(k))),
-                        BinOp::Eq => return Ok(Value::Int(i64::from(a == k))),
-                        BinOp::Ne => return Ok(Value::Int(i64::from(a != k))),
-                        BinOp::Lt => return Ok(Value::Int(i64::from(a < k))),
-                        BinOp::Le => return Ok(Value::Int(i64::from(a <= k))),
-                        BinOp::Gt => return Ok(Value::Int(i64::from(a > k))),
-                        BinOp::Ge => return Ok(Value::Int(i64::from(a >= k))),
-                        _ => {}
+    ) -> Result<Flow, Trap> {
+        self.core.charge(self.core.costs.bookkeeping)?;
+        match s {
+            Sample::Import | Sample::Reimport => {
+                let v = self.countdown(Countdown::Global, f, base)?;
+                self.set_countdown(Countdown::Local, v, f, base)?;
+            }
+            Sample::Export => {
+                let v = self.countdown(Countdown::Local, f, base)?;
+                self.set_countdown(Countdown::Global, v, f, base)?;
+            }
+            Sample::Dec { reg, k } => {
+                let v = self.countdown(*reg, f, base)?;
+                self.set_countdown(*reg, v.wrapping_sub(i64::from(*k)), f, base)?;
+            }
+            Sample::Threshold { reg, w, fast, slow } => {
+                let taken = self.countdown(*reg, f, base)? > i64::from(*w);
+                if self.core.tm.on {
+                    self.core.tm.threshold(taken);
+                }
+                return self.exec_block(if taken { fast } else { slow }, f, base);
+            }
+            Sample::Guard { reg, obs, args } => {
+                // `cd = cd - 1;`, then the statement `if (cd == 0)`.
+                let v = self.countdown(*reg, f, base)?.wrapping_sub(1);
+                self.set_countdown(*reg, v, f, base)?;
+                self.bookkeeping_stmt()?;
+                if v == 0 {
+                    // A sample, and the site's call statement.
+                    if self.core.tm.on {
+                        self.core.tm.samples += 1;
+                        self.core.tm.steps += 1;
                     }
+                    self.core.charge(self.core.costs.stmt)?;
+                    self.core.charge(self.core.costs.expr)?;
+                    self.eval_builtin(obs.builtin(), args, f, base)?;
+                    // The refill statement.
+                    self.bookkeeping_stmt()?;
+                    let next = self.core.next_countdown()?;
+                    self.set_countdown(*reg, next, f, base)?;
                 }
             }
         }
-        self.core.free_depth += 1;
-        let r = self.eval(e, f, base);
-        self.core.free_depth -= 1;
-        r
+        Ok(Flow::Normal)
+    }
+
+    /// The head of one bookkeeping statement: the step and the flat charge.
+    fn bookkeeping_stmt(&mut self) -> Result<(), Trap> {
+        if self.core.tm.on {
+            self.core.tm.steps += 1;
+        }
+        self.core.charge(self.core.costs.bookkeeping)
+    }
+
+    /// The value of countdown `reg`: the frame's `__cd` slot or the
+    /// `__gcd` global.
+    fn countdown(&self, reg: Countdown, f: &SlotFunction, base: usize) -> Result<i64, Trap> {
+        let v = match reg {
+            Countdown::Local => f.cd_slot.and_then(|s| self.stack[base + s as usize]),
+            Countdown::Global => self.prog.gcd_global.map(|g| self.globals[g as usize]),
+        };
+        match v {
+            Some(Value::Int(v)) => Ok(v),
+            _ => Err(self
+                .core
+                .type_error(format!("undefined variable `{}`", reg.name()))),
+        }
+    }
+
+    fn set_countdown(
+        &mut self,
+        reg: Countdown,
+        v: i64,
+        f: &SlotFunction,
+        base: usize,
+    ) -> Result<(), Trap> {
+        match (reg, f.cd_slot, self.prog.gcd_global) {
+            (Countdown::Local, Some(s), _) => self.stack[base + s as usize] = Some(Value::Int(v)),
+            (Countdown::Global, _, Some(g)) => self.globals[g as usize] = Value::Int(v),
+            _ => {
+                return Err(self
+                    .core
+                    .type_error(format!("assignment to undefined variable `{}`", reg.name())))
+            }
+        }
+        Ok(())
     }
 
     #[inline]
@@ -505,7 +519,6 @@ impl<'a> SlotExec<'a> {
                 let (site, v) = (site?, v?);
                 self.core.obs_sign(site, v)
             }
-            Builtin::NextCountdown => self.core.next_countdown_value(),
         }
     }
 }

@@ -2,9 +2,8 @@
 //! parse → instrument → transform → run, checking the semantic equivalence,
 //! fairness, and overhead-ordering properties the paper relies on.
 
-use cbi_instrument::{
-    apply_sampling, instrument, strip_sites, CountdownStorage, Scheme, TransformOptions,
-};
+use cbi_instrument::{apply_sampling, instrument, strip_sites, Scheme, TransformOptions};
+use cbi_minic::Countdown;
 use cbi_sampler::{Geometric, LazyBank, SamplingDensity};
 use cbi_vm::{RunOutcome, Vm};
 
@@ -180,7 +179,7 @@ fn global_countdown_mode_runs_correctly() {
     let program = cbi_minic::parse(LOOP_PROGRAM).unwrap();
     let inst = instrument(&program, Scheme::Checks).unwrap();
     let opts = TransformOptions {
-        countdown: CountdownStorage::Global,
+        countdown: Countdown::Global,
         ..TransformOptions::default()
     };
     let (sampled, _) = apply_sampling(&inst.program, &opts).unwrap();
@@ -202,7 +201,7 @@ fn local_mode_is_cheaper_than_global_mode() {
     let (global, _) = apply_sampling(
         &inst.program,
         &TransformOptions {
-            countdown: CountdownStorage::Global,
+            countdown: Countdown::Global,
             ..TransformOptions::default()
         },
     )

@@ -93,8 +93,7 @@ fn every_benchmark_survives_all_four_schemes() {
                 .unwrap_or_else(|e| panic!("{} + {scheme}: {e}", b.name));
             let (sampled, _) = apply_sampling(&inst.program, &TransformOptions::default())
                 .unwrap_or_else(|e| panic!("{} + {scheme}: {e}", b.name));
-            cbi_minic::resolve_relaxed(&sampled)
-                .unwrap_or_else(|e| panic!("{} + {scheme}: {e}", b.name));
+            cbi_minic::resolve(&sampled).unwrap_or_else(|e| panic!("{} + {scheme}: {e}", b.name));
         }
     }
 }

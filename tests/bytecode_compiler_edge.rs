@@ -6,8 +6,9 @@
 //! (b) compile to structurally valid code: every jump target resolved
 //! and inside the owning function's body.
 
+use cbi::minic::Countdown;
 use cbi::prelude::*;
-use cbi_vm::bytecode::{BcProgram, CdReg, Op};
+use cbi_vm::bytecode::{BcProgram, Op};
 
 fn check_jump_targets(label: &str, bc: &BcProgram) {
     for f in &bc.functions {
@@ -242,7 +243,7 @@ fn whole_corpus_compiles_structurally_valid() {
             {
                 assert_eq!(
                     reg,
-                    CdReg::Local,
+                    Countdown::Local,
                     "{name} {scheme}: countdown op on the global register"
                 );
             }

@@ -117,7 +117,7 @@ fn sampled_counts_within_unconditional_envelope() {
 /// Transformation options never change semantics, only cost.
 #[test]
 fn all_transform_variants_agree() {
-    use cbi::instrument::CountdownStorage;
+    use cbi::minic::Countdown;
     for seed in 0..CASES {
         let p = program_for_seed(seed);
         let expected = run_plain(&p);
@@ -129,7 +129,7 @@ fn all_transform_variants_agree() {
                 ..TransformOptions::default()
             },
             TransformOptions {
-                countdown: CountdownStorage::Global,
+                countdown: Countdown::Global,
                 ..TransformOptions::default()
             },
             TransformOptions {
@@ -169,7 +169,7 @@ fn transformed_source_is_real_minic() {
         let (sampled, _) =
             apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
         let reparsed = parse(&pretty(&sampled)).expect("transformed source parses");
-        cbi::minic::resolve_relaxed(&reparsed).expect("transformed source resolves");
+        cbi::minic::resolve(&reparsed).expect("transformed source resolves");
         let r = Vm::new(&reparsed)
             .with_sites(&inst.sites)
             .with_sampling(Box::new(Geometric::new(SamplingDensity::one_in(5), 11)))

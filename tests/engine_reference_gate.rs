@@ -6,7 +6,7 @@
 //! count, counter vector, program output, and the bounded observation
 //! trace.
 
-use cbi::instrument::CountdownStorage;
+use cbi::minic::Countdown;
 use cbi::prelude::*;
 use cbi::workloads::{BC_SOURCE, BENCHMARK_SOURCES, CCRYPT_SOURCE};
 
@@ -123,7 +123,7 @@ fn engines_match_across_sampling_density_sweep() {
 /// interprocedural analysis × region weighting.
 fn all_transform_options() -> Vec<TransformOptions> {
     let mut all = Vec::new();
-    for countdown in [CountdownStorage::Local, CountdownStorage::Global] {
+    for countdown in [Countdown::Local, Countdown::Global] {
         for coalesce in [true, false] {
             for interprocedural in [true, false] {
                 for regions in [true, false] {
