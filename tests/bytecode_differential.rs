@@ -458,10 +458,13 @@ fn site_table(kinds: &[SiteKind]) -> SiteTable {
 
 /// Parses and sampling-transforms `src` under the default options.
 fn sampled(src: &str) -> Program {
+    sampled_with(src, &TransformOptions::default())
+}
+
+/// Parses and sampling-transforms `src` under `options`.
+fn sampled_with(src: &str, options: &TransformOptions) -> Program {
     let program = parse(src).expect("parse");
-    apply_sampling(&program, &TransformOptions::default())
-        .expect("transform")
-        .0
+    apply_sampling(&program, options).expect("transform").0
 }
 
 #[test]
@@ -554,9 +557,33 @@ fn op_limit_sweep_through_countdown_ops_agrees() {
     // exports alike.  A limit trap leaves the op count past the limit by
     // the trapping charge, which charge fusion may have folded (see
     // `op_limit_aborts_agree_on_outcome`); everything else must agree.
-    let program = sampled(SAMPLED_RECURSION);
+    // The three builds cover every sampling statement on both registers:
+    // the default one (import, re-import, export, threshold, coalesced
+    // decrement, guard on the local countdown), the global countdown's
+    // (threshold, decrement and guard on `gcd`), and the devolved
+    // pattern (a guard at each site, no threshold).
+    let d = TransformOptions::default();
+    for options in [
+        d,
+        TransformOptions {
+            countdown: cbi::minic::Countdown::Global,
+            ..d
+        },
+        TransformOptions {
+            regions: false,
+            ..d
+        },
+    ] {
+        op_limit_sweep_agrees(
+            &sampled_with(SAMPLED_RECURSION, &options),
+            &format!("{options:?}"),
+        );
+    }
+}
+
+fn op_limit_sweep_agrees(program: &Program, build: &str) {
     let sites = site_table(&[SiteKind::Assert, SiteKind::ReturnSign]);
-    let slots = cbi::minic::lower(&program);
+    let slots = cbi::minic::lower(program);
     let bytecode = cbi_vm::bytecode::compile(&slots);
     for density in [1u64, 2] {
         let run = |limit: u64, oracle: bool| {
@@ -577,19 +604,23 @@ fn op_limit_sweep_through_countdown_ops_agrees() {
                 .expect("vm config")
         };
         let full = run(u64::MAX, true);
-        assert!(full.outcome.is_success(), "{:?}", full.outcome);
+        assert!(full.outcome.is_success(), "{build}: {:?}", full.outcome);
         for limit in 1..=full.ops {
             let s = run(limit, true);
             let b = run(limit, false);
             if s.outcome == RunOutcome::OpLimit {
-                assert!(b.ops > limit, "1/{density} limit {limit}: {}", b.ops);
+                assert!(
+                    b.ops > limit,
+                    "{build} 1/{density} limit {limit}: {}",
+                    b.ops
+                );
                 assert_eq!(
                     (&s.outcome, &s.counters, &s.output, &s.trace),
                     (&b.outcome, &b.counters, &b.output, &b.trace),
-                    "1/{density} limit {limit}"
+                    "{build} 1/{density} limit {limit}"
                 );
             } else {
-                assert_eq!(s, b, "1/{density} limit {limit}");
+                assert_eq!(s, b, "{build} 1/{density} limit {limit}");
             }
         }
     }
@@ -597,9 +628,10 @@ fn op_limit_sweep_through_countdown_ops_agrees() {
 
 #[test]
 fn reparsed_sampled_source_agrees() {
-    // Printed and parsed again, the transformed program spells the
-    // countdown out as ordinary code: a `__cd` local and a `__gcd` global
-    // the engine must seed exactly as the oracle does, not its registers.
+    // Printed and parsed again, the transformed program's countdown
+    // statements read back as sampling statements, whose `__cd` slot and
+    // seeded `__gcd` global the oracle runs as the engine runs its
+    // registers.
     let reparsed = parse(&pretty(&sampled(SAMPLED_RECURSION))).expect("reparse");
     let sites = site_table(&[SiteKind::Assert, SiteKind::ReturnSign]);
     for density in [1u64, 2, 5] {
