@@ -116,7 +116,16 @@ pub fn run_campaign(
     // Layout is adopted from the sink's `begin`, so the counter width
     // here is provisional and overwritten before the first report.
     let mut collector = Collector::new(0);
-    let run = run_campaign_into(program, trials, config, &mut collector)?;
+    // The reports (tens of MB for a wide layout) are allocated on a
+    // thread of their own, so they sit in that thread's heap: dropping
+    // the result gives their memory back even when the caller has
+    // allocated since, which a heap that shrinks only from its top would
+    // not.
+    let run = std::thread::scope(|s| {
+        s.spawn(|| run_campaign_into(program, trials, config, &mut collector))
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })?;
     Ok(CampaignResult {
         instrumented: run.instrumented,
         collector,
