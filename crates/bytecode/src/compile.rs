@@ -28,7 +28,7 @@ use crate::instr::{
 };
 use cbi_minic::ast::{BinOp, Countdown, Sample, Type};
 use cbi_minic::slots::{
-    Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotSample, SlotStmt,
+    always_exits, Callee, SlotExpr, SlotFunction, SlotProgram, SlotRef, SlotSample, SlotStmt,
 };
 use cbi_minic::Builtin;
 use std::collections::HashMap;
@@ -131,15 +131,16 @@ struct FnCompiler<'a> {
 
 impl FnCompiler<'_> {
     fn compile_body(&mut self) {
-        for s in &self.f.body {
-            self.stmt(s);
-        }
+        self.block(&self.f.body);
         // Fall-off-the-end epilogue: the zero value of the return type
-        // (observably identical to the walker's `Option` returns).
-        match self.f.ret {
-            Some(Type::Ptr) => self.emit(Op::RetNull),
-            _ => self.emit(Op::RetZero),
-        };
+        // (observably identical to the walker's `Option` returns), for a
+        // body that can reach its end.
+        if !always_exits(&self.f.body) {
+            match self.f.ret {
+                Some(Type::Ptr) => self.emit(Op::RetNull),
+                _ => self.emit(Op::RetZero),
+            };
+        }
     }
 
     // ---- emission primitives -------------------------------------------
@@ -290,7 +291,9 @@ impl FnCompiler<'_> {
                     breaks: Label::new(),
                 });
                 self.block(body);
-                self.emit(Op::Jump(top));
+                if !always_exits(body) {
+                    self.emit(Op::Jump(top));
+                }
                 let ctx = self.loops.pop().expect("loop context pushed above");
                 self.bind(ctx.breaks);
                 self.bind(end);
@@ -352,13 +355,16 @@ impl FnCompiler<'_> {
     }
 
     /// The arms of a conditional whose test, just emitted, jumps to `els`
-    /// when it fails.
+    /// when it fails.  A then arm that always exits needs no jump past
+    /// the else arm.
     fn arms(&mut self, els: Label, then_block: &[SlotStmt], else_block: Option<&[SlotStmt]>) {
         self.block(then_block);
         match else_block {
             Some(e) => {
                 let mut end = Label::new();
-                self.jump(&mut end, Op::Jump);
+                if !always_exits(then_block) {
+                    self.jump(&mut end, Op::Jump);
+                }
                 self.bind(els);
                 self.block(e);
                 self.bind(end);

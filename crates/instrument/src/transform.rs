@@ -12,6 +12,9 @@
 //!   `if (cd > w)` selecting between a cloned **fast path** (sites replaced
 //!   by countdown decrements, coalesced where possible) and a **slow path**
 //!   (each site guarded by `cd -= 1; if (cd == 0) { observe; cd = __next_cd(); }`);
+//!   only the statements from the segment's first site-bearing statement
+//!   to its last are cloned, and the site-free rest runs once, before or
+//!   after the check;
 //! * loop bodies are transformed recursively, which places a threshold
 //!   check along every loop back edge;
 //! * with [`Countdown::Local`] the countdown is kept in a local
@@ -422,12 +425,28 @@ impl Transformer<'_> {
         if self.options.regions {
             self.threshold_checks += 1;
             self.total_threshold_weight += w;
+            // Only the statements from the first site-bearing one to the
+            // last are cloned; the site-free prefix and suffix run once,
+            // before and after the check.  They carry no weight, so `w`
+            // and every path's decrements are unchanged.
+            let has_sites = |s: &Stmt| count_sites_stmt(s) > 0;
+            let first = stmts
+                .iter()
+                .position(has_sites)
+                .expect("a weighted region has a site");
+            let last = stmts
+                .iter()
+                .rposition(has_sites)
+                .expect("a weighted region has a site");
+            let mid = &stmts[first..=last];
+            out.extend_from_slice(&stmts[..first]);
             out.push(Stmt::Sample(Sample::Threshold {
                 reg: self.options.countdown,
                 w: u32::try_from(w).expect("a region's weight counts its sites"),
-                fast: self.fast_copy(&stmts),
-                slow: self.slow_copy(&stmts),
+                fast: self.fast_copy(mid),
+                slow: self.slow_copy(mid),
             }));
+            out.extend_from_slice(&stmts[last + 1..]);
         } else {
             // Devolved pattern: a countdown check at each and every site.
             let slow = self.slow_copy(&stmts);
@@ -485,11 +504,14 @@ fn site_call(s: &Stmt) -> Option<(Observation, &[Expr])> {
 
 /// Wraps a transformed body with local-countdown import/export (§2.4):
 /// `int __cd = __gcd;` at entry, `__gcd = __cd;` before every `return` and
-/// at fall-through exit.
+/// at fall-through exit, when the body can fall through.
 fn add_local_plumbing(body: Block) -> Block {
+    let falls_through = !body.always_exits();
     let mut stmts = vec![Stmt::Sample(Sample::Import)];
     stmts.extend(export_before_returns(body).stmts);
-    stmts.push(Stmt::Sample(Sample::Export));
+    if falls_through {
+        stmts.push(Stmt::Sample(Sample::Export));
+    }
     Block::new(stmts)
 }
 
@@ -837,10 +859,38 @@ mod tests {
     fn returns_get_countdown_export() {
         let src = "fn f(int x) -> int { __check(0, x > 0); if (x > 5) { return 1; } return 0; }";
         let (_, _, s) = transform(src, &TransformOptions::default());
-        // Exports appear before both returns (plus the fall-through export).
-        assert!(s.matches("__gcd = __cd;").count() >= 2, "{s}");
+        // Exports appear before both returns; the body ends in a return,
+        // so there is no fall-through export after it.
+        assert_eq!(s.matches("__gcd = __cd;").count(), 2, "{s}");
         let ret1 = s.find("return 1;").unwrap();
         assert!(s[..ret1].rfind("__gcd = __cd;").is_some(), "{s}");
+        assert!(s.trim_end().ends_with("return 0;\n}"), "{s}");
+    }
+
+    #[test]
+    fn site_free_ends_of_a_region_run_once() {
+        let src = "fn f(int x) -> int {\n\
+            int y = x + 1;\n\
+            __check(0, x > 0);\n\
+            y = y * 2;\n\
+            __check(1, y > 0);\n\
+            print(y);\n\
+            return y;\n\
+        }";
+        let (q, stats, s) = transform(src, &TransformOptions::default());
+        assert_eq!(stats.functions[0].total_threshold_weight, 2);
+        // The prefix and suffix appear once; the middle, between the two
+        // sites, in both clones.
+        assert_eq!(s.matches("int y = x + 1;").count(), 1, "{s}");
+        assert_eq!(s.matches("print(y);").count(), 1, "{s}");
+        assert_eq!(s.matches("y = y * 2;").count(), 2, "{s}");
+        let body = &q.function("f").unwrap().body.stmts;
+        assert!(matches!(body[1], Stmt::Decl { .. }), "{s}");
+        assert!(
+            matches!(body[2], Stmt::Sample(Sample::Threshold { .. })),
+            "{s}"
+        );
+        assert!(matches!(body.last(), Some(Stmt::Return { .. })), "{s}");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use cbi_instrument::{
     apply_sampling, count_sites_block, instrument, single_function_variants, strip_sites, Scheme,
     TransformOptions,
 };
+use cbi_minic::ast::{Sample, Stmt};
 use cbi_minic::{parse, pretty, resolve, Countdown};
 
 fn transform(
@@ -108,9 +109,32 @@ fn break_and_continue_survive_cloning() {
         }\n\
     }";
     let (q, _, s) = transform(src, &TransformOptions::default());
-    // Both paths of the dual region keep the control-flow statements.
-    assert!(s.matches("continue;").count() >= 2, "{s}");
-    assert!(s.matches("break;").count() >= 2, "{s}");
+    // The loop body's region is its one site; the site-free conditionals
+    // after it run once, after the threshold check, not once per clone.
+    assert_eq!(s.matches("continue;").count(), 1, "{s}");
+    assert_eq!(s.matches("break;").count(), 1, "{s}");
+    let f = q.function("f").unwrap();
+    let Some(Stmt::While { body, .. }) = f
+        .body
+        .stmts
+        .iter()
+        .find(|s| matches!(s, Stmt::While { .. }))
+    else {
+        panic!("loop survives: {s}");
+    };
+    let at = |pred: fn(&Stmt) -> bool| {
+        body.stmts
+            .iter()
+            .position(|s| s.blocks().any(|b| b.stmts.iter().any(pred)))
+    };
+    let threshold = body
+        .stmts
+        .iter()
+        .position(|s| matches!(s, Stmt::Sample(Sample::Threshold { .. })))
+        .unwrap_or_else(|| panic!("loop body has a threshold check: {s}"));
+    let cont = at(|s| matches!(s, Stmt::Continue { .. })).expect("continue in the loop body");
+    let brk = at(|s| matches!(s, Stmt::Break { .. })).expect("break in the loop body");
+    assert!(threshold < cont && cont < brk, "{s}");
     resolve(&q).unwrap();
 }
 

@@ -107,6 +107,28 @@ impl Block {
     pub fn empty() -> Self {
         Block { stmts: Vec::new() }
     }
+
+    /// Whether control never falls off the end of this block: its last
+    /// statement is a `return`, `break` or `continue`, or a conditional
+    /// or threshold check both of whose arms always exit.
+    pub fn always_exits(&self) -> bool {
+        match self.stmts.last() {
+            Some(Stmt::Return { .. } | Stmt::Break { .. } | Stmt::Continue { .. }) => true,
+            Some(
+                Stmt::If {
+                    then_block,
+                    else_block: Some(else_block),
+                    ..
+                }
+                | Stmt::Sample(Sample::Threshold {
+                    fast: then_block,
+                    slow: else_block,
+                    ..
+                }),
+            ) => then_block.always_exits() && else_block.always_exits(),
+            _ => false,
+        }
+    }
 }
 
 /// A MiniC statement.

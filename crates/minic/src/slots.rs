@@ -127,6 +127,29 @@ pub enum SlotStmt {
     Sample(SlotSample),
 }
 
+/// Whether control never falls off the end of `block`: its last
+/// statement is a `return`, `break` or `continue`, or a conditional or
+/// threshold check both of whose arms always exit ([`Block::always_exits`]
+/// over the slot form).
+pub fn always_exits(block: &[SlotStmt]) -> bool {
+    match block.last() {
+        Some(SlotStmt::Return { .. } | SlotStmt::Break | SlotStmt::Continue) => true,
+        Some(
+            SlotStmt::If {
+                then_block,
+                else_block: Some(else_block),
+                ..
+            }
+            | SlotStmt::Sample(Sample::Threshold {
+                fast: then_block,
+                slow: else_block,
+                ..
+            }),
+        ) => always_exits(then_block) && always_exits(else_block),
+        _ => false,
+    }
+}
+
 /// A lowered expression.  Mirrors [`Expr`] with variables and callees
 /// resolved.
 #[derive(Debug, Clone, PartialEq)]

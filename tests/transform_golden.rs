@@ -7,7 +7,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test transform_golden` after an
 //! intentional change to a scheme or to the transformation.
 
-use cbi::minic::ast::program_size;
+use cbi::minic::ast::{program_size, Block, Sample, Stmt};
 use cbi::minic::Countdown;
 use cbi::prelude::*;
 use std::fmt::Write as _;
@@ -138,6 +138,67 @@ fn printed_sampled_programs_reparse_to_the_same_size() {
                 program_size(&sampled),
                 "{name} {scheme}"
             );
+        }
+    }
+}
+
+/// Whether `s` is, or holds at any depth, a slow-path site guard.
+fn has_guard(s: &Stmt) -> bool {
+    matches!(s, Stmt::Sample(Sample::Guard { .. }))
+        || s.blocks().flat_map(|b| &b.stmts).any(has_guard)
+}
+
+/// Checks every threshold check at or below `b`: the slow arm spans
+/// exactly the region's sites, from the first site-bearing statement to
+/// the last, and the fast arm opens with its decrement.
+fn check_thresholds(label: &str, b: &Block, checks: &mut usize) {
+    for s in &b.stmts {
+        if let Stmt::Sample(Sample::Threshold { fast, slow, .. }) = s {
+            *checks += 1;
+            let (first, last) = (slow.stmts.first(), slow.stmts.last());
+            assert!(
+                first.is_some_and(has_guard) && last.is_some_and(has_guard),
+                "{label}: slow arm carries a site-free statement at an end:\n{slow:?}"
+            );
+            // The region's first site is the first statement, so the
+            // fast copy opens with its decrement when that site is not
+            // inside a conditional.
+            if matches!(first, Some(Stmt::Sample(Sample::Guard { .. }))) {
+                assert!(
+                    matches!(fast.stmts.first(), Some(Stmt::Sample(Sample::Dec { .. }))),
+                    "{label}: fast arm does not open with its decrement:\n{fast:?}"
+                );
+            }
+        }
+        for inner in s.blocks() {
+            check_thresholds(label, inner, checks);
+        }
+    }
+}
+
+/// Under every ablation that keeps regions, each threshold check clones
+/// only its region's first through last site-bearing statement.
+#[test]
+fn threshold_arms_span_only_their_sites() {
+    let mut programs: Vec<(String, Program)> = cbi::workloads::all_benchmarks()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.program))
+        .collect();
+    programs.push(("ccrypt".into(), cbi::workloads::ccrypt_program()));
+    programs.push(("bc".into(), cbi::workloads::bc_program()));
+    for (name, program) in &programs {
+        for scheme in SCHEMES {
+            let inst = instrument(program, scheme).expect("instrument");
+            for (variant, options) in variants().into_iter().filter(|(_, o)| o.regions) {
+                let (sampled, stats) = apply_sampling(&inst.program, &options).expect("transform");
+                let label = format!("{name} {scheme} {variant}");
+                let mut checks = 0;
+                for f in &sampled.functions {
+                    check_thresholds(&label, &f.body, &mut checks);
+                }
+                let placed: usize = stats.functions.iter().map(|f| f.threshold_checks).sum();
+                assert_eq!(checks, placed, "{label}");
+            }
         }
     }
 }
